@@ -26,7 +26,6 @@
 #ifndef HORIZON_COMMON_ANNOTATIONS_H_
 #define HORIZON_COMMON_ANNOTATIONS_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -129,20 +128,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // the caller's scope still owns the mutex
-  }
-
-  /// Blocks until notified or `timeout` elapses.  Returns false on
-  /// timeout.  The timed form exists for eventcount-style sleepers (the
-  /// ingest appliers): a missed fast-path notify degrades to a bounded
-  /// stall instead of a hang, so the wakeup protocol needs no Dekker
-  /// proof to be *safe*, only to be fast.
-  template <typename Rep, typename Period>
-  bool WaitFor(Mutex& mu, std::chrono::duration<Rep, Period> timeout)
-      HORIZON_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const bool notified = cv_.wait_for(lock, timeout) == std::cv_status::no_timeout;
-    lock.release();  // the caller's scope still owns the mutex
-    return notified;
   }
 
   void NotifyOne() { cv_.notify_one(); }

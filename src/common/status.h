@@ -32,7 +32,7 @@ enum class StatusCode : int {
   kConfigMismatch = 6,  ///< persisted state disagrees with this process' config
   kAlreadyExists = 7,   ///< uniqueness violated (e.g. duplicate item id)
   kInternal = 8,        ///< invariant violation; always a bug
-  kResourceExhausted = 9, ///< a bounded resource (ingest queue) is full
+  kResourceExhausted = 9, ///< a bounded resource is full
 };
 
 /// Stable lower-case name of a code ("ok", "not_found", ...), used as the

@@ -68,13 +68,6 @@ std::vector<double> LatencyBuckets() {
   return bounds;
 }
 
-std::vector<double> CountBuckets() {
-  std::vector<double> bounds;
-  double b = 1.0;
-  for (int i = 0; i < 21; ++i, b *= 2.0) bounds.push_back(b);
-  return bounds;
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
   HORIZON_CHECK(!bounds_.empty());

@@ -108,12 +108,6 @@ class Gauge {
 /// (31 finite bounds; values above the last land in the +Inf bucket).
 std::vector<double> LatencyBuckets();
 
-/// Bucket bounds for event-count histograms (group-commit batch sizes,
-/// queue depths): 1 doubling up to ~1M (21 finite bounds).  Sum()/Count()
-/// stay exact regardless of bucketing, which is what the DST conservation
-/// checks scrape; the buckets only shape the quantile view.
-std::vector<double> CountBuckets();
-
 /// Fixed-bucket histogram.  Bounds are upper edges, strictly increasing;
 /// an implicit +Inf bucket catches the overflow.
 class Histogram {

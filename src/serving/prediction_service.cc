@@ -5,12 +5,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 
+#include "common/annotations.h"
 #include "common/check.h"
 #include "common/file_io.h"
 #include "common/thread_pool.h"
@@ -19,6 +20,14 @@
 namespace horizon::serving {
 
 namespace {
+
+/// One live content item: the O(1)-state tracker plus the static
+/// profiles feature extraction needs.
+struct Item {
+  stream::CascadeTracker tracker;
+  datagen::PageProfile page;
+  datagen::PostProfile post;
+};
 
 /// SplitMix64 finalizer: item ids are often sequential, so mix before
 /// taking the shard residue to spread neighbors across shards.
@@ -46,37 +55,12 @@ double PredictedIncrement(const ItemPrediction& p) {
   return p.prediction.predicted_views - p.prediction.observed_views;
 }
 
-/// Apply-lag is sampled at the same 1-in-64 rate as ingest latency.
-constexpr uint64_t kLagSampleRate = 64;
-
-/// Events drained per group commit (one lock acquisition).  Big enough
-/// that a saturated queue amortizes the view republish over thousands of
-/// events, small enough to bound commit latency.
-constexpr size_t kMaxApplyBatch = 16384;
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          SteadyClock::now().time_since_epoch())
-          .count());
-}
-
-bool ResolveAsyncIngest(IngestMode mode) {
-  switch (mode) {
-    case IngestMode::kSync:
-      return false;
-    case IngestMode::kAsync:
-      return true;
-    case IngestMode::kAuto:
-      break;
-  }
-  const char* env = std::getenv("HORIZON_ASYNC_INGEST");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "on" || v == "1" || v == "true";
-}
-
 }  // namespace
+
+struct PredictionService::Shard {
+  mutable Mutex mu;
+  std::unordered_map<int64_t, Item> items HORIZON_GUARDED_BY(mu);
+};
 
 Status ServiceConfig::Validate(const features::FeatureExtractor* extractor) const {
   if (num_shards < 1) {
@@ -93,10 +77,6 @@ Status ServiceConfig::Validate(const features::FeatureExtractor* extractor) cons
   if (tracker.window_lengths.empty() || tracker.landmark_ages.empty()) {
     return Status::InvalidArgument(
         "ServiceConfig: tracker needs at least one window and landmark");
-  }
-  if (ingest_queue_capacity < 2) {
-    return Status::InvalidArgument(
-        "ServiceConfig: ingest_queue_capacity must be >= 2");
   }
   if (extractor != nullptr) {
     const stream::TrackerConfig& other = extractor->tracker_config();
@@ -123,7 +103,6 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
     std::fprintf(stderr, "rejected ServiceConfig: %s\n", valid.ToString().c_str());
   }
   HORIZON_CHECK(valid.ok());
-  async_ = ResolveAsyncIngest(config_.ingest_mode);
   shards_.reserve(static_cast<size_t>(config_.num_shards));
   for (int i = 0; i < config_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -143,23 +122,8 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
         std::string(StatusCodeName(static_cast<StatusCode>(c))) + "_total");
   }
   m_live_items_ = registry_->GetGauge("horizon_serving_live_items");
-  m_ingest_enqueued_ =
-      registry_->GetCounter("horizon_serving_ingest_enqueued_total");
-  m_ingest_dropped_ =
-      registry_->GetCounter("horizon_serving_ingest_dropped_total");
-  m_ingest_backpressure_ =
-      registry_->GetCounter("horizon_serving_ingest_backpressure_total");
   m_ingest_commits_ =
       registry_->GetCounter("horizon_serving_ingest_commits_total");
-  m_apply_wakeups_ =
-      registry_->GetCounter("horizon_serving_apply_wakeups_total");
-  m_queue_depth_ = registry_->GetGauge("horizon_serving_ingest_queue_depth");
-  m_apply_batch_events_ = registry_->GetHistogram(
-      "horizon_serving_apply_batch_events", obs::CountBuckets());
-  m_apply_lag_ =
-      registry_->GetHistogram("horizon_serving_apply_lag_seconds");
-  m_flush_latency_ =
-      registry_->GetHistogram("horizon_serving_flush_latency_seconds");
   m_ingest_latency_ = registry_->GetHistogram("horizon_serving_ingest_latency_seconds");
   m_ingest_batch_latency_ =
       registry_->GetHistogram("horizon_serving_ingest_batch_latency_seconds");
@@ -172,134 +136,9 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
       registry_->GetHistogram("horizon_serving_checkpoint_latency_seconds");
   m_restore_latency_ =
       registry_->GetHistogram("horizon_serving_restore_latency_seconds");
-
-  if (async_) {
-    for (auto& shard : shards_) {
-      shard->queue = std::make_unique<IngestQueue>(
-          config_.ingest_queue_capacity, config_.ingest_backpressure);
-      {
-        MutexLock lock(shard->mu);
-        PublishView(*shard, epochs_);  // initial (empty) view
-      }
-      shard->applier = std::thread([this, s = shard.get()] { ApplierLoop(*s); });
-    }
-  }
 }
 
-PredictionService::~PredictionService() {
-  if (!async_) return;
-  // Stop() lets each applier drain whatever is still queued and exit;
-  // accepted events are applied, not lost (the documented contract: only
-  // a real crash drops the volatile queue contents, and then wholesale).
-  for (auto& shard : shards_) shard->queue->Stop();
-  for (auto& shard : shards_) {
-    if (shard->applier.joinable()) shard->applier.join();
-  }
-  for (auto& shard : shards_) {
-    // horizon-lint: allow(naked-new) -- reclaims the last published view; appliers are joined, so no reader can hold it
-    // order: seq_cst keeps the final unpublish in the same total order
-    // as PublishView's exchange; by now appliers are joined so this is
-    // belt-and-braces, not load-bearing.
-    delete shard->view.exchange(nullptr, std::memory_order_seq_cst);
-  }
-  // epochs_ frees any still-retired views in its destructor.
-}
-
-Status PredictionService::Flush() {
-  const obs::ScopedTimer timer(m_flush_latency_);
-  if (async_) {
-    DrainAllQueues();
-    m_queue_depth_->Set(static_cast<double>(TotalQueueDepth()));
-  }
-  return Status::Ok();
-}
-
-void PredictionService::DrainAllQueues() const {
-  if (!async_) return;
-  std::vector<uint64_t> targets(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    targets[i] = shards_[i]->queue->pushed();
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->queue->WaitConsumed(targets[i]);
-  }
-}
-
-size_t PredictionService::TotalQueueDepth() const {
-  size_t depth = 0;
-  for (const auto& shard : shards_) {
-    const uint64_t pushed = shard->queue->pushed();
-    const uint64_t consumed = shard->queue->consumed();
-    if (pushed > consumed) depth += static_cast<size_t>(pushed - consumed);
-  }
-  return depth;
-}
-
-uint64_t PredictionService::MaybeSampleEnqueueNs() const {
-  // order: relaxed; sampling ticket -- only 1-in-N selection rides on
-  // it, no payload.
-  if (lag_sample_tick_.fetch_add(1, std::memory_order_relaxed) %
-          kLagSampleRate !=
-      0) {
-    return 0;
-  }
-  const uint64_t ns = NowNs();
-  return ns == 0 ? 1 : ns;  // 0 is the "unsampled" sentinel
-}
-
-void PredictionService::ApplierLoop(Shard& shard) {
-  std::vector<QueuedEvent> batch;
-  batch.reserve(kMaxApplyBatch);
-  uint64_t backpressure_synced = 0;
-  while (shard.queue->WaitForEvents()) {
-    bool counted_wakeup = false;
-    for (;;) {
-      batch.clear();
-      const size_t n = shard.queue->PopBatch(&batch, kMaxApplyBatch);
-      if (n == 0) break;
-      if (!counted_wakeup) {
-        m_apply_wakeups_->Increment();
-        counted_wakeup = true;
-      }
-      size_t dropped = 0;
-      {
-        MutexLock lock(shard.mu);
-        ApplyEvents(shard, batch.data(), n, &dropped);
-        PublishView(shard, epochs_);
-      }
-      const size_t applied = n - dropped;
-      // Instrument updates precede MarkConsumed so a Flush barrier that
-      // releases on this commit already sees them (the DST conservation
-      // checks scrape right after Flush).
-      // order: relaxed; statistics counter -- cross-thread visibility
-      // for Flush readers is provided by MarkConsumed's release below,
-      // which this update precedes program-order-wise.
-      events_ingested_.fetch_add(applied, std::memory_order_relaxed);
-      m_events_ingested_->Add(applied);
-      if (dropped > 0) m_ingest_dropped_->Add(dropped);
-      m_ingest_commits_->Increment();
-      m_apply_batch_events_->Observe(static_cast<double>(n));
-      uint64_t lag_now = 0;
-      for (const QueuedEvent& e : batch) {
-        if (e.enqueue_ns == 0) continue;
-        if (lag_now == 0) lag_now = NowNs();
-        if (lag_now > e.enqueue_ns) {
-          m_apply_lag_->Observe(static_cast<double>(lag_now - e.enqueue_ns) *
-                                1e-9);
-        }
-      }
-      const uint64_t stalls = shard.queue->backpressure_events();
-      if (stalls > backpressure_synced) {
-        m_ingest_backpressure_->Add(stalls - backpressure_synced);
-        backpressure_synced = stalls;
-      }
-      // This commit's n is not yet marked consumed, so subtract it out.
-      const size_t raw_depth = TotalQueueDepth();
-      m_queue_depth_->Set(static_cast<double>(raw_depth >= n ? raw_depth - n : 0));
-      shard.queue->MarkConsumed(n);
-    }
-  }
-}
+PredictionService::~PredictionService() = default;
 
 Status PredictionService::CountError(Status status) const {
   const int code = static_cast<int>(status.code());
@@ -315,16 +154,11 @@ Status PredictionService::RegisterItem(int64_t item_id, double creation_time,
                                        const datagen::PageProfile& page,
                                        const datagen::PostProfile& post) {
   Shard& shard = *shards_[ShardOf(item_id)];
+  Item item{stream::CascadeTracker(creation_time, config_.tracker), page, post};
   bool inserted = false;
   {
     MutexLock lock(shard.mu);
-    inserted = ApplyRegister(
-        shard, item_id,
-        Item{stream::CascadeTracker(creation_time, config_.tracker), page,
-             post});
-    // Republish before returning so an async Ingest enqueued after this
-    // call observes the item at its view-side existence check.
-    if (inserted && async_) PublishView(shard, epochs_);
+    inserted = shard.items.try_emplace(item_id, std::move(item)).second;
   }
   if (!inserted) {
     return CountError(Status::AlreadyExists("item id already registered"));
@@ -342,53 +176,27 @@ Status PredictionService::RegisterItem(int64_t item_id, double creation_time,
 
 bool PredictionService::HasItem(int64_t item_id) const {
   const Shard& shard = *shards_[ShardOf(item_id)];
-  if (async_) {
-    const EpochGuard guard(epochs_);
-    // order: seq_cst view load under the EpochGuard; participates in
-    // the publisher exchange / epoch total order (see PublishView in
-    // shard_apply.cc and the epoch.h reclamation proof).
-    const ShardView* view = shard.view.load(std::memory_order_seq_cst);
-    return view->items.count(item_id) > 0;
-  }
   MutexLock lock(shard.mu);
   return shard.items.count(item_id) > 0;
 }
 
 Status PredictionService::Ingest(int64_t item_id, stream::EngagementType type,
                                  double t) {
+  // A non-finite time would trip the tracker's ordering checks, now or on
+  // the item's next event.
+  if (!std::isfinite(t)) {
+    return CountError(Status::InvalidArgument("Ingest: event time must be finite"));
+  }
   const obs::ScopedTimer timer(
       obs::SampleEvery(kIngestSampleRate, m_ingest_latency_));
   Shard& shard = *shards_[ShardOf(item_id)];
-  if (async_) {
-    // Existence is decided at enqueue time against the published view,
-    // which the barrier ops keep current -- so the caller sees the same
-    // kNotFound a synchronous service would return.  Applying happens in
-    // the shard's applier; counters move when it does.
-    {
-      const EpochGuard guard(epochs_);
-      // order: seq_cst view load under the EpochGuard; participates in
-      // the publisher exchange / epoch total order (see PublishView in
-      // shard_apply.cc and the epoch.h reclamation proof).
-      const ShardView* view = shard.view.load(std::memory_order_seq_cst);
-      if (view->items.find(item_id) == view->items.end()) {
-        return CountError(
-            Status::NotFound("unknown item (dropped straggler?)"));
-      }
-    }
-    const QueuedEvent event{item_id, type, t, MaybeSampleEnqueueNs()};
-    const Status pushed = shard.queue->Push(event);
-    if (!pushed.ok()) return CountError(pushed);
-    m_ingest_enqueued_->Increment();
-    return Status::Ok();
-  }
   {
     MutexLock lock(shard.mu);
-    size_t dropped = 0;
-    const QueuedEvent event{item_id, type, t, 0};
-    ApplyEvents(shard, &event, 1, &dropped);
-    if (dropped > 0) {
+    const auto it = shard.items.find(item_id);
+    if (it == shard.items.end()) {
       return CountError(Status::NotFound("unknown item (dropped straggler?)"));
     }
+    it->second.tracker.Observe(type, t);
   }
   // order: relaxed; statistics counter paired with the relaxed load in
   // stats().
@@ -399,54 +207,38 @@ Status PredictionService::Ingest(int64_t item_id, stream::EngagementType type,
 
 size_t PredictionService::IngestBatch(const std::vector<IngestEvent>& events) {
   const obs::ScopedTimer timer(m_ingest_batch_latency_);
-  if (async_) {
-    // Enqueue in caller order (per-item order rides per-producer FIFO);
-    // the count returned is the accepted count, decided -- like Ingest --
-    // against the published views at enqueue time.  The appliers coalesce
-    // the whole batch into a handful of group commits.
-    size_t accepted = 0;
-    const EpochGuard guard(epochs_);
-    for (const IngestEvent& e : events) {
-      Shard& shard = *shards_[ShardOf(e.item_id)];
-      // order: seq_cst view load under the EpochGuard; participates in
-      // the publisher exchange / epoch total order (see PublishView in
-      // shard_apply.cc and the epoch.h reclamation proof).
-      const ShardView* view = shard.view.load(std::memory_order_seq_cst);
-      if (view->items.find(e.item_id) == view->items.end()) continue;
-      const QueuedEvent event{e.item_id, e.type, e.time,
-                              MaybeSampleEnqueueNs()};
-      if (!shard.queue->Push(event).ok()) continue;  // kReject under load
-      ++accepted;
-    }
-    m_ingest_enqueued_->Add(accepted);
-    return accepted;
-  }
   // Group event indices by shard (stable, so per-item order is kept),
-  // then apply each shard's group under ONE lock acquisition -- the
-  // group-commit contract IngestBatch shares with the async appliers,
-  // counted by horizon_serving_ingest_commits_total either way.
+  // then apply each shard's group under ONE lock acquisition, counted by
+  // horizon_serving_ingest_commits_total.  Non-finite times are dropped
+  // like unknown ids, but counted as invalid arguments.
   std::vector<std::vector<uint32_t>> by_shard(shards_.size());
+  size_t invalid = 0;
   for (uint32_t i = 0; i < events.size(); ++i) {
+    if (!std::isfinite(events[i].time)) {
+      ++invalid;
+      continue;
+    }
     by_shard[ShardOf(events[i].item_id)].push_back(i);
+  }
+  if (invalid > 0) {
+    m_errors_[static_cast<int>(StatusCode::kInvalidArgument)]->Add(invalid);
   }
   std::atomic<size_t> ingested{0};
   std::atomic<size_t> commits{0};
   ParallelFor(shards_.size(), 1, [&](size_t begin, size_t end) {
-    std::vector<QueuedEvent> group;
     for (size_t sh = begin; sh < end; ++sh) {
       if (by_shard[sh].empty()) continue;
       Shard& shard = *shards_[sh];
-      group.clear();
-      group.reserve(by_shard[sh].size());
-      for (const uint32_t i : by_shard[sh]) {
-        const IngestEvent& e = events[i];
-        group.push_back(QueuedEvent{e.item_id, e.type, e.time, 0});
-      }
-      size_t dropped = 0;
       size_t applied = 0;
       {
         MutexLock lock(shard.mu);
-        applied = ApplyEvents(shard, group.data(), group.size(), &dropped);
+        for (const uint32_t i : by_shard[sh]) {
+          const IngestEvent& e = events[i];
+          const auto it = shard.items.find(e.item_id);
+          if (it == shard.items.end()) continue;  // straggler drop
+          it->second.tracker.Observe(e.type, e.time);
+          ++applied;
+        }
       }
       // order: relaxed (both); per-task tallies folded after the
       // ParallelFor barrier, which supplies the happens-before edge.
@@ -494,26 +286,11 @@ StatusOr<QueryResponse> PredictionService::QueryByIds(
     resolved.push_back(
         {id, item->tracker.Snapshot(request.s), item->page, item->post});
   };
-  if (async_) {
-    // Lock-free: every lookup reads the shard's published (frozen) view
-    // under one epoch guard, so queries never contend with group commits.
-    const EpochGuard guard(epochs_);
-    for (const int64_t id : request.ids) {
-      // order: seq_cst view load under the EpochGuard; participates in
-      // the publisher exchange / epoch total order (see PublishView in
-      // shard_apply.cc and the epoch.h reclamation proof).
-      const ShardView* view =
-          shards_[ShardOf(id)]->view.load(std::memory_order_seq_cst);
-      const auto it = view->items.find(id);
-      resolve(id, it == view->items.end() ? nullptr : it->second.get());
-    }
-  } else {
-    for (const int64_t id : request.ids) {
-      const Shard& shard = *shards_[ShardOf(id)];
-      MutexLock lock(shard.mu);
-      const auto it = shard.items.find(id);
-      resolve(id, it == shard.items.end() ? nullptr : it->second.get());
-    }
+  for (const int64_t id : request.ids) {
+    const Shard& shard = *shards_[ShardOf(id)];
+    MutexLock lock(shard.mu);
+    const auto it = shard.items.find(id);
+    resolve(id, it == shard.items.end() ? nullptr : &it->second);
   }
   if (resolved.empty()) return response;
 
@@ -570,25 +347,13 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     datagen::PostProfile post;
   };
   std::vector<Candidate> candidates;
-  const auto collect = [&](const ItemMap& items) {
-    candidates.reserve(items.size());
-    for (const auto& [id, ptr] : items) {
-      const Item& item = *ptr;
+  {
+    MutexLock lock(shard.mu);
+    candidates.reserve(shard.items.size());
+    for (const auto& [id, item] : shard.items) {
       if (s < item.tracker.creation_time()) continue;  // not yet live
       candidates.push_back({id, item.tracker.Snapshot(s), item.page, item.post});
     }
-  };
-  if (async_) {
-    // Scan the frozen view under an epoch guard: the whole-shard walk
-    // never blocks a group commit (and vice versa).
-    const EpochGuard guard(epochs_);
-    // order: seq_cst view load under the EpochGuard; participates in
-    // the publisher exchange / epoch total order (see PublishView in
-    // shard_apply.cc and the epoch.h reclamation proof).
-    collect(shard.view.load(std::memory_order_seq_cst)->items);
-  } else {
-    MutexLock lock(shard.mu);
-    collect(shard.items);
   }
   if (candidates.empty()) return {};
 
@@ -726,11 +491,12 @@ std::vector<std::pair<int64_t, double>> PredictionService::TopK(double s,
 }
 
 size_t PredictionService::RetireDeadItems(double now) {
+  if (!std::isfinite(now)) {
+    (void)CountError(Status::InvalidArgument(
+        "RetireDeadItems: now must be finite"));  // counted; retires nothing
+    return 0;
+  }
   const obs::ScopedTimer timer(m_retire_latency_);
-  // Barrier op: drain accepted-but-unapplied events first so the liveness
-  // decision sees every event the caller has been acknowledged for --
-  // exactly what the synchronous service would have seen.
-  DrainAllQueues();
   std::atomic<size_t> retired_total{0};
   ParallelFor(shards_.size(), 1, [&](size_t begin, size_t end) {
     std::vector<float> row(extractor_->schema().size());
@@ -762,8 +528,8 @@ size_t PredictionService::RetireDeadItems(double now) {
     for (size_t sh = begin; sh < end; ++sh) {
       Shard& shard = *shards_[sh];
       MutexLock lock(shard.mu);
-      const size_t retired = ApplyRetireSweep(shard, dead);
-      if (async_ && retired > 0) PublishView(shard, epochs_);
+      const size_t retired = std::erase_if(
+          shard.items, [&](const auto& entry) { return dead(entry.second); });
       // order: relaxed; per-task tally folded after the ParallelFor
       // barrier, which supplies the happens-before edge.
       retired_total.fetch_add(retired, std::memory_order_relaxed);
@@ -865,11 +631,6 @@ bool DeserializePost(std::istream& is, datagen::PostProfile* p) {
 
 Status PredictionService::Checkpoint(const std::string& dir) const {
   const obs::ScopedTimer latency(m_checkpoint_latency_);
-  // Linearization barrier: every event accepted before this call is
-  // applied before any state is copied.  The drain is memory-only and
-  // precedes all checkpoint IO, so a crash mid-checkpoint loses the
-  // volatile queues wholesale -- never a half-applied batch.
-  DrainAllQueues();
   HORIZON_RETURN_IF_ERROR(io::EnsureDir(dir));
   uint64_t epoch = 1;
   if (const auto current = io::ReadFile(dir + "/CURRENT")) {
@@ -905,7 +666,7 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
         MutexLock lock(shard.mu);
         snapshot.reserve(shard.items.size());
         for (const auto& [id, item] : shard.items) {
-          snapshot.emplace_back(id, *item);
+          snapshot.emplace_back(id, item);
         }
       }
       std::ostringstream os;
@@ -978,10 +739,6 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
 
 Status PredictionService::Restore(const std::string& dir) {
   const obs::ScopedTimer latency(m_restore_latency_);
-  // Barrier op: in-flight events against the pre-restore state must be
-  // applied (to the state being replaced) before the swap, not smeared
-  // into the restored state afterwards.
-  DrainAllQueues();
   const auto current = io::ReadFile(dir + "/CURRENT");
   if (!current.ok()) {
     if (current.code() == StatusCode::kNotFound) {
@@ -1176,20 +933,12 @@ Status PredictionService::Restore(const std::string& dir) {
   // service may even use a different shard count than the writer.
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    ApplyClear(*shard);
+    shard->items.clear();
   }
   for (auto& [id, item] : staged) {
     Shard& shard = *shards_[ShardOf(id)];
     MutexLock lock(shard.mu);
-    ApplyInsert(shard, id, std::move(item));
-  }
-  if (async_) {
-    // Republish every shard so queries (and enqueue-time existence
-    // checks) see the restored state immediately.
-    for (const auto& shard : shards_) {
-      MutexLock lock(shard->mu);
-      PublishView(*shard, epochs_);
-    }
+    shard.items.insert_or_assign(id, std::move(item));
   }
   // order: relaxed (all five); Restore runs before the service takes
   // traffic -- publication to other threads happens when the caller
@@ -1211,8 +960,8 @@ ServiceStats PredictionService::stats() const {
   ServiceStats out;
   // order: relaxed (all four); statistics snapshot paired with the
   // relaxed counter updates -- fields may be mutually inconsistent by
-  // a few events, which the DST conservation checks tolerate by
-  // draining (Flush) first.
+  // a few events while calls are in flight; the DST reads them at
+  // quiescent points.
   out.items_registered = items_registered_.load(std::memory_order_relaxed);
   // order: relaxed; see above.
   out.events_ingested = events_ingested_.load(std::memory_order_relaxed);

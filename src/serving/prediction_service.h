@@ -25,23 +25,11 @@
 // Concurrency: the service is internally synchronized.  Item state is
 // partitioned into `num_shards` shards keyed by a mixed hash of the item
 // id; each shard has its own mutex and tracker map, so Ingest/Query from
-// different threads contend only when they hit the same shard.  Model
-// inference (feature extraction + flat-forest walks) always runs OUTSIDE
-// the shard locks, against an immutable tracker snapshot.
-//
-// Ingest modes (DESIGN.md section 13): in the default synchronous mode
-// every Ingest applies under the shard mutex, exactly the pre-async
-// behavior.  In asynchronous mode (ServiceConfig::ingest_mode, or
-// HORIZON_ASYNC_INGEST=on under kAuto) each shard owns a bounded MPSC
-// ingest queue drained by a dedicated applier thread in group commits;
-// producers only CAS into the queue, queries read an epoch-protected
-// immutable ShardView and take NO lock, and Flush()/Checkpoint/Restore/
-// RetireDeadItems act as drain barriers at which async state is exactly
-// the state a synchronous service would have (the DST-checked
-// linearization contract).  Ingest still returns kNotFound for unknown
-// ids (checked against the current view at enqueue time) and, under the
-// kReject backpressure policy, kResourceExhausted when the shard queue
-// is full.
+// different threads contend only when they hit the same shard.  Every
+// Ingest applies under its shard mutex in the caller's thread, so a call
+// that returned is visible to every later call.  Model inference
+// (feature extraction + flat-forest walks) always runs OUTSIDE the shard
+// locks, against an immutable tracker snapshot.
 //
 // Observability: the service registers counters, a live-items gauge, and
 // per-operation latency histograms in an obs::MetricsRegistry (the
@@ -57,32 +45,17 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/annotations.h"
 #include "common/status.h"
 #include "core/hawkes_predictor.h"
 #include "datagen/profiles.h"
 #include "features/extractor.h"
 #include "obs/metrics.h"
-#include "serving/epoch.h"
-#include "serving/ingest_queue.h"
-#include "serving/shard.h"
 #include "stream/cascade_tracker.h"
 
 namespace horizon::serving {
-
-/// How Ingest/IngestBatch apply events.
-enum class IngestMode {
-  /// kSync unless the HORIZON_ASYNC_INGEST environment variable says
-  /// "on"/"1"/"true" at construction time (the ctest *_async pinned
-  /// variants flip whole suites this way).
-  kAuto = 0,
-  kSync,   ///< apply under the shard mutex in the caller's thread
-  kAsync,  ///< enqueue; per-shard applier threads group-commit
-};
 
 /// Service configuration.
 struct ServiceConfig {
@@ -100,15 +73,6 @@ struct ServiceConfig {
   /// registry share instruments, so per-service assertions in tests
   /// should inject private registries.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Sync / async ingest selection (see IngestMode).
-  IngestMode ingest_mode = IngestMode::kAuto;
-  /// Async mode: per-shard ingest queue capacity, rounded up to a power
-  /// of two (>= 2).
-  size_t ingest_queue_capacity = 1 << 14;
-  /// Async mode: what a producer does when its shard queue is full.
-  /// kBlock (default) parks it -- accepted events are never capacity-
-  /// dropped; kReject returns kResourceExhausted so callers can shed.
-  BackpressurePolicy ingest_backpressure = BackpressurePolicy::kBlock;
 
   /// Rejects malformed configurations: num_shards < 1, non-positive
   /// retirement age, a death-probability threshold outside (0, 1], and --
@@ -191,19 +155,9 @@ class PredictionService {
                     const features::FeatureExtractor* extractor,
                     const ServiceConfig& config);
 
-  /// Drains the ingest queues (async mode), stops the applier threads
-  /// and frees the published views.  No method may run concurrently with
-  /// destruction.
+  /// Defined where Shard is complete.  No method may run concurrently
+  /// with destruction.
   ~PredictionService();
-
-  /// Whether this service resolved to asynchronous ingest.
-  bool async_ingest() const { return async_; }
-
-  /// Drain barrier: returns once every event accepted before the call
-  /// has been applied (or accounted as dropped).  A no-op in sync mode.
-  /// After Flush, queries/stats observe exactly the state a synchronous
-  /// service would hold -- the DST linearization point.
-  Status Flush();
 
   /// Registers a new content item.  kAlreadyExists if the id is taken.
   Status RegisterItem(int64_t item_id, double creation_time,
@@ -217,13 +171,14 @@ class PredictionService {
 
   /// Ingests one engagement event.  kNotFound for unknown items (events
   /// for retired items are dropped, which is the intended behavior for
-  /// late stragglers).
+  /// late stragglers); kInvalidArgument for a non-finite `t`.
   Status Ingest(int64_t item_id, stream::EngagementType type, double t);
 
   /// Ingests a batch of events: events are grouped by shard, each shard is
   /// locked once, and shards are processed in parallel.  Relative order of
   /// a given item's events is preserved.  Returns the number ingested
-  /// (unknown items are dropped, as in Ingest).
+  /// (unknown items are dropped, as in Ingest; so are non-finite times,
+  /// each counted as an invalid_argument error).
   // horizon-lint: allow(serving-status) -- best-effort batch op: returns
   // the applied count; per-item kNotFound is the intended straggler-drop.
   size_t IngestBatch(const std::vector<IngestEvent>& events);
@@ -247,7 +202,8 @@ class PredictionService {
 
   /// Retires items that are idle (no event for idle_retirement_age) or
   /// whose death probability exceeds the configured threshold at `now`.
-  /// Returns the number retired.
+  /// Returns the number retired; a non-finite `now` retires nothing and
+  /// counts an invalid_argument error.
   // horizon-lint: allow(serving-status) -- infallible maintenance sweep:
   // the retired count is the result, there is no failure to report.
   size_t RetireDeadItems(double now);
@@ -287,6 +243,9 @@ class PredictionService {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
+  /// One lock domain: a mutex and the item map it guards.
+  struct Shard;
+
   /// Scan-mode candidate surviving a per-shard top-k cut: enough state to
   /// finish the full prediction for the global winners.
   struct ScanCandidate {
@@ -309,30 +268,10 @@ class PredictionService {
   /// Increments the per-code error counter and forwards `status`.
   Status CountError(Status status) const;
 
-  // --- async-ingest internals ------------------------------------------
-
-  /// The per-shard applier: drains the queue in group commits, applies
-  /// under the shard mutex, publishes a fresh view, updates the obs
-  /// instruments, releases barrier waiters.
-  void ApplierLoop(Shard& shard);
-
-  /// Waits until every shard's consumed count catches its accepted count
-  /// as of entry.  Const: a pure barrier (Checkpoint drains through it).
-  void DrainAllQueues() const;
-
-  /// Racy total of accepted-but-unapplied events across shards.
-  size_t TotalQueueDepth() const;
-
-  /// steady_clock ns for 1-in-64 enqueues (apply-lag sampling), else 0.
-  uint64_t MaybeSampleEnqueueNs() const;
-
   const core::HawkesPredictor* model_;
   const features::FeatureExtractor* extractor_;
   ServiceConfig config_;
-  bool async_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable EpochDomain epochs_;
-  mutable std::atomic<uint64_t> lag_sample_tick_{0};
 
   std::atomic<size_t> live_items_{0};
   // Counters are independent atomics: cheap on the hot path; stats()
@@ -352,16 +291,7 @@ class PredictionService {
   obs::Counter* m_items_retired_;
   obs::Counter* m_errors_[10];  // indexed by StatusCode
   obs::Gauge* m_live_items_;
-  // Async-ingest instruments (registered in both modes; flat in sync).
-  obs::Counter* m_ingest_enqueued_;      // events accepted into queues
-  obs::Counter* m_ingest_dropped_;       // accepted, unknown id at apply
-  obs::Counter* m_ingest_backpressure_;  // full-queue producer stalls
-  obs::Counter* m_ingest_commits_;       // group commits (lock acquisitions)
-  obs::Counter* m_apply_wakeups_;        // applier activations with work
-  obs::Gauge* m_queue_depth_;            // accepted - consumed, approximate
-  obs::Histogram* m_apply_batch_events_; // events per group commit
-  obs::Histogram* m_apply_lag_;          // enqueue->apply, sampled 1-in-64
-  obs::Histogram* m_flush_latency_;
+  obs::Counter* m_ingest_commits_;  // IngestBatch shard-lock acquisitions
   obs::Histogram* m_ingest_latency_;
   obs::Histogram* m_ingest_batch_latency_;
   obs::Histogram* m_query_latency_;

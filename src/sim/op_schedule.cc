@@ -80,7 +80,6 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kCorruptCheckpoint: return "corrupt_checkpoint";
     case OpKind::kRestore: return "restore";
     case OpKind::kCheck: return "check";
-    case OpKind::kFlush: return "flush";
   }
   return "unknown";
 }
@@ -202,18 +201,6 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
                          pool.begin() + static_cast<ptrdiff_t>(hi));
         push(op);
       }
-    }
-
-    // Explicit drain barrier after roughly half the ingest phases: in
-    // async mode it forces a linearization point mid-schedule (vs the
-    // implicit pre-query flushes), in sync mode it exercises the no-op
-    // path.  Drawn unconditionally so the rng stream is stable.
-    const bool flush_here = rng.Bernoulli(0.5);
-    if (flush_here && !pool.empty()) {
-      Op op;
-      op.kind = OpKind::kFlush;
-      op.time = deadline;
-      push(op);
     }
 
     // --- Query phase: s past the ingest deadline so snapshots are legal.
@@ -386,7 +373,6 @@ std::string FormatOp(const Op& op) {
     case OpKind::kCheckpoint:
     case OpKind::kRestore:
     case OpKind::kCheck:
-    case OpKind::kFlush:
       break;
   }
   return os.str();

@@ -38,7 +38,6 @@ enum class OpKind : int {
   kCorruptCheckpoint = 10,  ///< flip a byte of the committed checkpoint
   kRestore = 11,    ///< Restore from the scratch checkpoint directory
   kCheck = 12,      ///< quiescent point: full divergence + invariant check
-  kFlush = 13,      ///< explicit Flush drain barrier (no-op in sync mode)
 };
 
 /// Stable lower-case name of an op kind ("register", "ingest", ...).

@@ -52,7 +52,6 @@ struct Expected {
   uint64_t retire_calls = 0;
   uint64_t checkpoint_calls = 0;
   uint64_t restore_calls = 0;
-  uint64_t flush_calls = 0;  ///< explicit kFlush ops + implicit pre-read flushes
 };
 
 /// What the executor knows about the last committed checkpoint.
@@ -123,10 +122,6 @@ class Execution {
     out.idle_retirement_age = config.idle_retirement_age;
     out.death_probability_threshold = config.death_probability_threshold;
     out.num_shards = config.num_shards;
-    // Pin the pipeline explicitly: kAuto would read HORIZON_ASYNC_INGEST,
-    // and an environment leak must never change what a seed certifies.
-    out.ingest_mode = config.async_ingest ? serving::IngestMode::kAsync
-                                          : serving::IngestMode::kSync;
     // A PRIVATE registry per execution: the conservation checks demand
     // instrument values that match this run's ledger exactly, which the
     // process-global registry (shared across seeds) cannot provide.
@@ -148,18 +143,6 @@ class Execution {
   // --- Per-op handlers: return "" on agreement, a description otherwise.
 
   std::string Apply(const Op& op) {
-    // Async mode reads from the epoch-published view, which lags the
-    // queue until a drain barrier; the reference has no such lag.  Every
-    // read-compare op is therefore preceded by an implicit Flush -- the
-    // linearization points at which async must be bit-identical to the
-    // reference.  (Retire / Checkpoint / Restore drain internally.)
-    if (config_.async_ingest &&
-        (op.kind == OpKind::kQuery || op.kind == OpKind::kScan ||
-         op.kind == OpKind::kCheck)) {
-      const Status st = service_.Flush();
-      ++expected_.flush_calls;
-      if (!st.ok()) return "implicit pre-read flush failed: " + st.ToString();
-    }
     switch (op.kind) {
       case OpKind::kRegister: return DoRegister(op);
       case OpKind::kIngest: return DoIngest(op);
@@ -175,7 +158,6 @@ class Execution {
       case OpKind::kCorruptCheckpoint: return DoCorrupt(op);
       case OpKind::kRestore: return DoRestore(op);
       case OpKind::kCheck: return DoCheck(op);
-      case OpKind::kFlush: return DoFlush(op);
     }
     return "unknown op kind";
   }
@@ -609,22 +591,6 @@ class Execution {
     return "";
   }
 
-  std::string DoFlush(const Op&) {
-    const Status st = service_.Flush();
-    ++expected_.flush_calls;
-    if (!st.ok()) return "flush failed: " + st.ToString();
-    // Post-barrier contract, both modes: no accepted event is pending.
-    const double depth = service_.metrics()
-                             .GetGauge("horizon_serving_ingest_queue_depth")
-                             ->Value();
-    if (depth != 0.0) {
-      std::ostringstream os;
-      os << "queue depth gauge " << depth << " after flush, expected 0";
-      return os.str();
-    }
-    return "";
-  }
-
   std::string DoCheck(const Op& op) {
     if (service_.LiveItems() != reference_.live_items()) {
       std::ostringstream os;
@@ -729,7 +695,6 @@ class Execution {
         {"horizon_serving_checkpoint_latency_seconds",
          expected_.checkpoint_calls},
         {"horizon_serving_restore_latency_seconds", expected_.restore_calls},
-        {"horizon_serving_flush_latency_seconds", expected_.flush_calls},
     };
     for (const HistogramCheck& check : histograms) {
       const uint64_t got = registry.GetHistogram(check.name)->Count();
@@ -739,72 +704,6 @@ class Execution {
            << check.want;
         return os.str();
       }
-    }
-    return CheckIngestPipelineMetrics();
-  }
-
-  /// Conservation laws of the async ingest pipeline, scraped at a drained
-  /// point (every kCheck is preceded by an implicit Flush).  In sync mode
-  /// the queue-side instruments must stay identically zero.
-  std::string CheckIngestPipelineMetrics() {
-    obs::MetricsRegistry& registry = service_.metrics();
-    const uint64_t enqueued =
-        registry.GetCounter("horizon_serving_ingest_enqueued_total")->Value();
-    const uint64_t dropped =
-        registry.GetCounter("horizon_serving_ingest_dropped_total")->Value();
-    const uint64_t backpressure =
-        registry.GetCounter("horizon_serving_ingest_backpressure_total")->Value();
-    const uint64_t wakeups =
-        registry.GetCounter("horizon_serving_apply_wakeups_total")->Value();
-    const obs::Histogram* batches = registry.GetHistogram(
-        "horizon_serving_apply_batch_events", obs::CountBuckets());
-    if (config_.async_ingest) {
-      // Every accepted event has been applied: acceptance (enqueued) and
-      // application (events_ingested) agree exactly, nothing was dropped
-      // at apply time (retire/restore drain before changing liveness),
-      // and the group commits have consumed precisely the accepted load.
-      if (enqueued != expected_.obs_ingested) {
-        std::ostringstream os;
-        os << "ingest_enqueued_total " << enqueued << ", expected "
-           << expected_.obs_ingested << " (accept/apply conservation)";
-        return os.str();
-      }
-      if (dropped != 0) {
-        std::ostringstream os;
-        os << "ingest_dropped_total " << dropped
-           << "; enqueue-time existence checks must make apply-time drops "
-              "impossible when barriers precede liveness changes";
-        return os.str();
-      }
-      const double applied_sum = batches->Sum();
-      if (applied_sum != static_cast<double>(expected_.obs_ingested)) {
-        std::ostringstream os;
-        os << "apply_batch_events sum " << applied_sum << ", expected "
-           << expected_.obs_ingested;
-        return os.str();
-      }
-      if (backpressure != 0) {
-        std::ostringstream os;
-        os << "ingest_backpressure_total " << backpressure
-           << "; the DST round volume must never saturate the queue";
-        return os.str();
-      }
-    } else {
-      if (enqueued != 0 || dropped != 0 || backpressure != 0 ||
-          wakeups != 0 || batches->Count() != 0) {
-        std::ostringstream os;
-        os << "sync mode leaked queue metrics: enqueued=" << enqueued
-           << " dropped=" << dropped << " backpressure=" << backpressure
-           << " wakeups=" << wakeups << " batches=" << batches->Count();
-        return os.str();
-      }
-    }
-    const double depth =
-        registry.GetGauge("horizon_serving_ingest_queue_depth")->Value();
-    if (depth != 0.0) {
-      std::ostringstream os;
-      os << "queue depth gauge " << depth << " at a drained check point";
-      return os.str();
     }
     return "";
   }

@@ -54,12 +54,6 @@ SimContext BuildSimContext(const SimContextConfig& config = {});
 /// collisions and retirement fire within a short simulated horizon.
 struct SimConfig {
   ScheduleConfig schedule;
-  /// Pin the service's ingest pipeline (the env-var kAuto default is
-  /// never used here: a leaked HORIZON_ASYNC_INGEST must not silently
-  /// change what a seed certifies).  Async mode proves the MPSC-queue /
-  /// epoch-snapshot pipeline equivalent to the single-threaded reference
-  /// at every linearization point (flush / checkpoint / check).
-  bool async_ingest = false;
   int num_shards = 5;
   double idle_retirement_age = 8 * kHour;
   double death_probability_threshold = 0.995;

@@ -19,8 +19,8 @@ void ExponentialHistogram::Add(double t) {
   HORIZON_CHECK_GE(t, last_t_);
   last_t_ = t;
   ++total_;
-  // Expire on the write path, never in Count: reads stay pure so the
-  // async serving layer can Count() concurrently on a frozen snapshot.
+  // Expire on the write path, never in Count: reads stay pure, so
+  // concurrent const callers of Count() need no synchronization.
   Expire(t);
   buckets_.push_back({t, 1});
   // Cascade merges: whenever more than max_per_size_ buckets share a size,

@@ -61,8 +61,8 @@ class ExponentialHistogram {
   double window_;
   size_t max_per_size_;  // ceil(1/eps) + 1
   // Front = oldest.  Expired buckets are dropped on the write path (Add)
-  // only: Count() is a PURE read, so concurrent readers of a frozen item
-  // snapshot (the async serving views) need no synchronization.
+  // only: Count() is a PURE read, so const callers may share one
+  // histogram across threads without synchronization.
   std::deque<Bucket> buckets_;
   uint64_t total_ = 0;
   double last_t_ = -1e300;

@@ -24,9 +24,8 @@ FIXTURES = os.path.join(REPO, "tests", "lint_fixtures", "analyzer")
 BAD_PLACEMENTS = [
     ("bad_lock_cycle_a.cc", "src/serving/bad_lock_cycle_a.cc"),
     ("bad_lock_cycle_b.cc", "src/serving/bad_lock_cycle_b.cc"),
-    ("bad_epoch_escape.cc", "src/serving/bad_epoch_escape.cc"),
     ("bad_atomics.cc", "src/common/bad_atomics.cc"),
-    ("bad_atomics_hot.cc", "src/serving/epoch.cc"),
+    ("bad_atomics_hot.cc", "src/obs/metrics.cc"),
     ("bad_status_switch.cc", "src/obs/bad_status_switch.cc"),
     ("bad_allow.cc", "src/common/bad_allow.cc"),
     ("status_enum.h", "src/common/status.h"),
@@ -52,32 +51,20 @@ EXPECTED_BAD = [
     ("atomic-order", "src/common/bad_atomics.cc", 24),
     ("status-exhaustive", "src/obs/bad_status_switch.cc", 10),
     ("status-exhaustive", "src/obs/bad_status_switch.cc", 10),
-    ("atomic-order", "src/serving/bad_epoch_escape.cc", 24),
-    ("epoch-escape", "src/serving/bad_epoch_escape.cc", 25),
-    ("epoch-escape", "src/serving/bad_epoch_escape.cc", 26),
-    ("epoch-escape", "src/serving/bad_epoch_escape.cc", 27),
+    ("atomic-order", "src/obs/metrics.cc", 15),
+    ("atomic-order", "src/obs/metrics.cc", 19),
     ("lock-order", "src/serving/bad_lock_cycle_a.cc", 19),
     ("lock-order", "src/serving/bad_lock_cycle_a.cc", 19),
     ("lock-order", "src/serving/bad_lock_cycle_b.cc", 20),
     ("lock-order", "src/serving/bad_lock_cycle_b.cc", 20),
-    ("atomic-order", "src/serving/epoch.cc", 15),
-    ("atomic-order", "src/serving/epoch.cc", 19),
 ]
 
 EXPECTED_BAD_MESSAGES = {
-    ("src/serving/bad_epoch_escape.cc", 25):
-        "epoch-guarded snapshot pointer `view` stored to `last_`, which "
-        "outlives the guard (field-store); the pointer is invalid once "
-        "the EpochGuard exits and the view is retired",
-    ("src/serving/bad_epoch_escape.cc", 27):
-        "epoch-guarded snapshot pointer `view` returned past the "
-        "EpochGuard (return); the pointer is invalid once the EpochGuard "
-        "exits and the view is retired",
     ("src/obs/bad_status_switch.cc", 10):
         "switch over StatusCode does not handle: kNotFound, kNotYetLive, "
         "kInvalidArgument, kIoError, kCorruption, kConfigMismatch, "
         "kAlreadyExists, kInternal",
-    ("src/serving/epoch.cc", 15):
+    ("src/obs/metrics.cc", 15):
         "defaulted (seq_cst) atomic `load` on a hot-path file without an "
         "adjacent `// order:` justification; spell the order and name "
         "the pairing site",
@@ -128,9 +115,8 @@ class BadTreeTest(unittest.TestCase):
 
     def test_every_rule_fires(self):
         fired = {f["rule"] for f in self.findings}
-        self.assertEqual(fired, {"lock-order", "epoch-escape",
-                                 "atomic-order", "status-exhaustive",
-                                 "bad-allow"})
+        self.assertEqual(fired, {"lock-order", "atomic-order",
+                                 "status-exhaustive", "bad-allow"})
 
     def test_determinism_two_runs_identical(self):
         again = run_analyzer(self.tree, "--json")

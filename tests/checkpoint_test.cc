@@ -116,9 +116,6 @@ class CheckpointTest : public ::testing::Test {
         ASSERT_TRUE(service->Ingest(id, stream::EngagementType::kReaction, t).ok());
       }
     }
-    // Drain barrier so the loaded state is fully applied before the test
-    // asserts on it (a no-op in synchronous mode).
-    ASSERT_TRUE(service->Flush().ok());
   }
 
   /// Every item's full query answer at (s, delta), in id order.
@@ -203,8 +200,6 @@ TEST_F(CheckpointTest, IngestionContinuesIdenticallyAfterRestore) {
       EXPECT_TRUE(restored.Ingest(id, stream::EngagementType::kView, e.time));
     }
   }
-  ASSERT_TRUE(source.Flush().ok());    // async drain barriers
-  ASSERT_TRUE(restored.Flush().ok());  // (no-ops in sync mode)
   ExpectIdentical(Snapshot(source, kItems, 12 * kHour, 1 * kDay),
                   Snapshot(restored, kItems, 12 * kHour, 1 * kDay));
 }
@@ -258,7 +253,6 @@ TEST_F(CheckpointTest, CrashAtEveryFaultPointNeverCorrupts) {
     ASSERT_TRUE(service.Ingest(id, stream::EngagementType::kView, 7 * kHour).ok());
     ASSERT_TRUE(service.Ingest(id, stream::EngagementType::kComment, 7 * kHour).ok());
   }
-  ASSERT_TRUE(service.Flush().ok());  // async drain barrier (no-op in sync)
   const auto predictions_b = Snapshot(service, kSmallItems, 7 * kHour, 1 * kDay);
   const uint64_t events_b = service.stats().events_ingested;
   ASSERT_NE(events_a, events_b);

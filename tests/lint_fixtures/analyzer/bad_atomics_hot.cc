@@ -1,6 +1,6 @@
 // Analyzer self-test fixture (known-bad): defaulted (seq_cst) atomic
 // operations in a hot-path file.  The self-test copies this fixture to
-// src/serving/epoch.cc inside the synthetic tree, where every atomic op
+// src/obs/metrics.cc inside the synthetic tree, where every atomic op
 // must spell its order and justify it -- an implicit seq_cst there is
 // either an unjustified fence cost or an unexamined protocol.
 #include <atomic>
@@ -8,7 +8,7 @@
 
 namespace horizon {
 
-struct EpochCell {
+struct HotCell {
   std::atomic<uint64_t> value{0};
 
   uint64_t Get() const {

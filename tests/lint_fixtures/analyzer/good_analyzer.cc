@@ -1,7 +1,6 @@
 // Analyzer self-test fixture (known-good): justified atomics, an
-// acyclic cross-class lock order, a guarded snapshot that never
-// escapes (plus one justified suppression), and an exhaustive
-// StatusCode switch.  Expected findings: none.
+// acyclic cross-class lock order, one justified suppression, and an
+// exhaustive StatusCode switch.  Expected findings: none.
 #include <atomic>
 #include <cstdint>
 
@@ -9,14 +8,6 @@
 #include "serving/good_analyzer.h"
 
 namespace horizon {
-
-struct ShardView {
-  uint64_t size = 0;
-};
-
-struct Shard {
-  std::atomic<const ShardView*> view{nullptr};
-};
 
 void GoodJournal::Log(uint64_t value) {
   MutexLock lock(mu_);
@@ -28,21 +19,10 @@ void GoodJournal::Log(uint64_t value) {
 
 class GoodService {
  public:
-  uint64_t Sample(Shard& shard, EpochDomain& epochs, GoodJournal& journal) {
-    uint64_t size = 0;
-    {
-      const EpochGuard guard(epochs);
-      // order: seq_cst view load participates in the publisher's
-      // exchange total order; see the epoch reclamation proof.
-      const ShardView* view = shard.view.load(std::memory_order_seq_cst);
-      if (view != nullptr) {
-        size = view->size;
-      }
-      // horizon-analyzer: allow(epoch-escape): address is only compared
-      // against the next sample to detect republication; it is never
-      // dereferenced after the guard exits.
-      last_seen_ = view;
-    }
+  uint64_t Sample(GoodJournal& journal) {
+    // horizon-analyzer: allow(atomic-order): exercises the suppression
+    // grammar; the hint is a statistics estimate with no payload.
+    const uint64_t size = hint_.load(std::memory_order_relaxed);
     MutexLock lock(service_mu_);
     journal.Log(size);
     return size;
@@ -66,7 +46,7 @@ class GoodService {
 
  private:
   Mutex service_mu_;
-  const void* last_seen_ = nullptr;
+  std::atomic<uint64_t> hint_{0};
 };
 
 }  // namespace horizon

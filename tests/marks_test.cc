@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,20 @@ namespace {
 
 // Property sweep: every mark distribution's empirical first and second
 // moments must match its declared Mean() / SecondMoment().
-class MarkMomentsTest
-    : public ::testing::TestWithParam<std::shared_ptr<const MarkDistribution>> {};
+struct MarkCase {
+  const char* name;
+  std::shared_ptr<const MarkDistribution> dist;
+};
+
+// Prints the case by name.  gtest's default printer would render the
+// shared_ptr as its heap address, which moves from run to run and would
+// make the discovered ctest names unstable.
+void PrintTo(const MarkCase& c, std::ostream* os) { *os << c.name; }
+
+class MarkMomentsTest : public ::testing::TestWithParam<MarkCase> {};
 
 TEST_P(MarkMomentsTest, EmpiricalMomentsMatchDeclared) {
-  const auto& dist = *GetParam();
+  const auto& dist = *GetParam().dist;
   Rng rng(123);
   const int n = 400000;
   double sum = 0.0, sum_sq = 0.0;
@@ -34,11 +44,14 @@ TEST_P(MarkMomentsTest, EmpiricalMomentsMatchDeclared) {
 
 INSTANTIATE_TEST_SUITE_P(
     Distributions, MarkMomentsTest,
-    ::testing::Values(std::make_shared<ConstantMark>(0.7),
-                      std::make_shared<ExponentialMark>(0.5),
-                      std::make_shared<LogNormalMark>(0.6, 0.8),
-                      std::make_shared<LogNormalMark>(0.3, 1.2),
-                      std::make_shared<ParetoMark>(0.5, 3.5)));
+    ::testing::Values(
+        MarkCase{"constant", std::make_shared<ConstantMark>(0.7)},
+        MarkCase{"exponential", std::make_shared<ExponentialMark>(0.5)},
+        MarkCase{"lognormal_low_sigma",
+                 std::make_shared<LogNormalMark>(0.6, 0.8)},
+        MarkCase{"lognormal_high_sigma",
+                 std::make_shared<LogNormalMark>(0.3, 1.2)},
+        MarkCase{"pareto", std::make_shared<ParetoMark>(0.5, 3.5)}));
 
 TEST(ConstantMarkTest, AlwaysSameValue) {
   ConstantMark mark(0.42);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -76,9 +77,6 @@ TEST_F(PredictionServiceTest, RegisterAndQueryLifecycle) {
     EXPECT_TRUE(service.Ingest(1, stream::EngagementType::kView, e.time));
     ++ingested;
   }
-  // Drain barrier: under HORIZON_ASYNC_INGEST=on the events are queued,
-  // and the query/stats assertions below are linearization-point checks.
-  ASSERT_TRUE(service.Flush().ok());
   const auto result = service.Query(1, 6 * kHour, 1 * kDay);
   ASSERT_TRUE(result.has_value());
   EXPECT_DOUBLE_EQ(result->observed_views, static_cast<double>(ingested));
@@ -120,7 +118,6 @@ TEST_F(PredictionServiceTest, QueryMatchesOfflineReplay) {
     if (t >= s) break;
     ASSERT_TRUE(service.Ingest(7, stream::EngagementType::kReaction, t).ok());
   }
-  ASSERT_TRUE(service.Flush().ok());  // async drain barrier (no-op in sync)
   const auto online = service.Query(7, s, 2 * kDay);
   ASSERT_TRUE(online.has_value());
 
@@ -142,7 +139,6 @@ TEST_F(PredictionServiceTest, TopKRanksByPredictedIncrement) {
       ASSERT_TRUE(service.Ingest(i, stream::EngagementType::kView, e.time).ok());
     }
   }
-  ASSERT_TRUE(service.Flush().ok());  // async drain barrier (no-op in sync)
   const auto top = service.TopK(s, 1 * kDay, 5);
   ASSERT_EQ(top.size(), 5u);
   for (size_t i = 1; i < top.size(); ++i) {
@@ -523,7 +519,6 @@ TEST_F(PredictionServiceTest, ErrorCountersTrackTypedFailures) {
   const auto& cascade = dataset_->cascades[0];
   ASSERT_TRUE(service.RegisterItem(7, 0.0, dataset_->PageOf(cascade.post), cascade.post).ok());
   ASSERT_TRUE(service.Ingest(7, stream::EngagementType::kView, kHour).ok());
-  ASSERT_TRUE(service.Flush().ok());  // async drain barrier (no-op in sync)
   (void)service.Query(7, 6 * kHour, kDay);
   EXPECT_EQ(registry.GetCounter("horizon_serving_items_registered_total")->Value(),
             1u);
@@ -536,6 +531,36 @@ TEST_F(PredictionServiceTest, ErrorCountersTrackTypedFailures) {
   EXPECT_GE(registry.GetHistogram("horizon_serving_query_latency_seconds")
                 ->Count(),
             1u);
+}
+
+// Non-finite times would trip the tracker's ordering checks and abort the
+// process (+inf only on the item's NEXT event); the service boundary
+// rejects them and counts each as an invalid argument.
+TEST_F(PredictionServiceTest, NonFiniteTimesAreRejectedNotFatal) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  PredictionService service = MakeService(config);
+  const auto& cascade = dataset_->cascades[0];
+  ASSERT_TRUE(service.RegisterItem(1, 0.0, dataset_->PageOf(cascade.post),
+                                   cascade.post).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto view = stream::EngagementType::kView;
+
+  EXPECT_EQ(service.Ingest(1, view, nan).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Ingest(1, view, inf).code(), StatusCode::kInvalidArgument);
+  // The batch drops the bad event, as it drops unknown ids, and applies
+  // the rest.
+  EXPECT_EQ(service.IngestBatch({{1, view, nan}, {1, view, kHour}}), 1u);
+  EXPECT_EQ(service.RetireDeadItems(nan), 0u);
+  EXPECT_TRUE(service.HasItem(1));
+  // Later events for the item still apply.
+  EXPECT_TRUE(service.Ingest(1, view, 2 * kHour).ok());
+  EXPECT_EQ(service.stats().events_ingested, 2u);
+  EXPECT_EQ(registry.GetCounter("horizon_serving_errors_invalid_argument_total")
+                ->Value(),
+            4u);
 }
 
 }  // namespace

@@ -9,14 +9,18 @@
 //     report's fault accounting -- a schedule that silently stops
 //     injecting faults must fail here, not quietly pass),
 //   * the trace minimizer shrinks a hand-built failing schedule to a
-//     still-failing suffix.
+//     still-failing suffix,
+//   * one seed's schedule stays pinned across commits (the golden test).
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
 #include "env_guard.h"
 #include "sim/op_schedule.h"
 #include "sim/simulator.h"
@@ -39,24 +43,19 @@ class SimTest : public ::testing::Test {
 
   /// Kept deliberately small: every seed sweep below runs dozens of full
   /// service lifecycles, also under TSan/ASan in CI.
-  static SimConfig TestConfig(const std::string& faults, int rounds = 12,
-                              bool async_ingest = false) {
+  static SimConfig TestConfig(const std::string& faults, int rounds = 12) {
     SimConfig config;
     config.schedule.num_items = 8;
     config.schedule.rounds = rounds;
     config.schedule.faults = faults;
-    config.async_ingest = async_ingest;
     return config;
   }
 
   /// Runs `num_seeds` consecutive seeds and returns the reports, failing
   /// the test on any divergence (with the minimized repro in the message).
-  /// With `async_ingest` the identical seeds certify the MPSC-queue /
-  /// epoch-snapshot pipeline against the same reference.
   static std::vector<SimReport> Sweep(const std::string& faults,
-                                      uint64_t first_seed, int num_seeds,
-                                      bool async_ingest = false) {
-    Simulator simulator(context_, TestConfig(faults, 12, async_ingest));
+                                      uint64_t first_seed, int num_seeds) {
+    Simulator simulator(context_, TestConfig(faults));
     std::vector<SimReport> reports;
     for (int i = 0; i < num_seeds; ++i) {
       reports.push_back(simulator.Run(first_seed + static_cast<uint64_t>(i)));
@@ -119,86 +118,6 @@ TEST_F(SimTest, NoFaultScheduleSweep) {
 
 TEST_F(SimTest, MixedFaultScheduleSweep) { Sweep("mixed", 5000, 8); }
 
-// --- Async-ingest equivalence: the SAME seeds as the sync matrix above,
-// executed against the MPSC-queue + epoch-snapshot pipeline.  Every
-// linearization point (implicit pre-read flush, explicit kFlush,
-// checkpoint/retire/restore drain) must be bit-identical to the
-// single-threaded reference, including the metrics conservation laws
-// (enqueued == ingested, dropped == 0, depth == 0 when drained). --------
-
-TEST_F(SimTest, AsyncCrashFaultScheduleSweep) {
-  const auto reports = Sweep("crash", 1000, 32, /*async_ingest=*/true);
-  int failures = 0, attempts = 0;
-  for (const auto& r : reports) {
-    attempts += r.checkpoints_attempted;
-    failures += r.checkpoint_failures;
-  }
-  EXPECT_GT(attempts, 0);
-  // A crash during checkpoint must find the queues already drained (the
-  // drain precedes checkpoint IO): accepted events are either applied
-  // before the fault or were never accepted -- never half-applied.
-  EXPECT_GT(failures, 0) << "crash schedule never made a checkpoint fail";
-  EXPECT_LT(failures, attempts) << "crash schedule never let one succeed";
-}
-
-TEST_F(SimTest, AsyncTransientFaultScheduleSweep) {
-  const auto reports = Sweep("transient", 2000, 32, /*async_ingest=*/true);
-  int retries = 0;
-  for (const auto& r : reports) retries += r.transient_retries;
-  EXPECT_GT(retries, 0) << "transient schedule never recovered via retry";
-}
-
-TEST_F(SimTest, AsyncCorruptFaultScheduleSweep) {
-  const auto reports = Sweep("corrupt", 3000, 32, /*async_ingest=*/true);
-  int restores = 0, rejected = 0;
-  for (const auto& r : reports) {
-    restores += r.restores_attempted;
-    rejected += r.restores_failed;
-  }
-  EXPECT_GT(restores, 0);
-  EXPECT_GT(rejected, 0) << "corruption was never detected by Restore";
-}
-
-TEST_F(SimTest, AsyncNoFaultScheduleSweep) {
-  const auto reports = Sweep("none", 4000, 8, /*async_ingest=*/true);
-  for (const auto& r : reports) {
-    EXPECT_EQ(r.checkpoint_failures, 0) << r.Summary();
-    EXPECT_EQ(r.restores_failed, 0) << r.Summary();
-    EXPECT_GT(r.errors_observed, 0u) << r.Summary();
-  }
-}
-
-TEST_F(SimTest, AsyncMixedFaultScheduleSweep) {
-  Sweep("mixed", 5000, 8, /*async_ingest=*/true);
-}
-
-// The two pipelines, run over the same seed, must agree not just with
-// the reference but with each other: identical traces (the schedule does
-// not depend on the pipeline), identical final counters, and identical
-// fault accounting.
-TEST_F(SimTest, AsyncAndSyncAgreeOnSameSeed) {
-  for (const uint64_t seed : {77u, 1013u, 5005u}) {
-    Simulator sync_sim(context_, TestConfig("mixed"));
-    Simulator async_sim(context_, TestConfig("mixed", 12, /*async=*/true));
-    const SimReport rs = sync_sim.Run(seed);
-    const SimReport ra = async_sim.Run(seed);
-    ASSERT_TRUE(rs.ok) << rs.Summary();
-    ASSERT_TRUE(ra.ok) << ra.Summary() << "\nminimized repro:\n"
-                       << ra.minimized_trace;
-    EXPECT_EQ(rs.trace, ra.trace);
-    EXPECT_EQ(rs.ops_executed, ra.ops_executed);
-    EXPECT_EQ(rs.final_stats.items_registered, ra.final_stats.items_registered);
-    EXPECT_EQ(rs.final_stats.events_ingested, ra.final_stats.events_ingested);
-    EXPECT_EQ(rs.final_stats.queries_answered, ra.final_stats.queries_answered);
-    EXPECT_EQ(rs.final_stats.items_retired, ra.final_stats.items_retired);
-    EXPECT_EQ(rs.errors_observed, ra.errors_observed);
-    EXPECT_EQ(rs.checkpoints_attempted, ra.checkpoints_attempted);
-    EXPECT_EQ(rs.checkpoint_failures, ra.checkpoint_failures);
-    EXPECT_EQ(rs.restores_attempted, ra.restores_attempted);
-    EXPECT_EQ(rs.restores_failed, ra.restores_failed);
-  }
-}
-
 // --- Determinism. ------------------------------------------------------
 
 TEST_F(SimTest, SameSeedYieldsIdenticalScheduleAndReport) {
@@ -217,6 +136,28 @@ TEST_F(SimTest, SameSeedYieldsIdenticalScheduleAndReport) {
   EXPECT_EQ(ra.message, rb.message);
   EXPECT_EQ(ra.ops_executed, rb.ops_executed);
   EXPECT_EQ(ra.Summary(), rb.Summary());
+}
+
+// The tests above compare two runs of one build; this one pins seed 77's
+// schedule across commits, so a change to the generator's rng draws or op
+// vocabulary shows up as a diff here.  To regenerate after an INTENTIONAL
+// schedule change: HORIZON_PRINT_GOLDEN=1 ./sim_test
+// --gtest_filter=SimTest.ScheduleGoldenForSeed77, then paste the printed
+// constants below.
+TEST_F(SimTest, ScheduleGoldenForSeed77) {
+  constexpr uint32_t kTraceCrc = 0x98772314u;
+  constexpr size_t kOps = 99;
+  const OpSchedule schedule =
+      GenerateOpSchedule(context_->dataset, TestConfig("mixed").schedule, 77);
+  const uint32_t crc = io::Crc32(FormatTrace(schedule));
+  if (std::getenv("HORIZON_PRINT_GOLDEN") != nullptr) {
+    std::printf("  constexpr uint32_t kTraceCrc = 0x%08Xu;\n"
+                "  constexpr size_t kOps = %zu;\n",
+                crc, schedule.ops.size());
+    return;
+  }
+  EXPECT_EQ(crc, kTraceCrc) << "rerun with HORIZON_PRINT_GOLDEN=1 to regenerate";
+  EXPECT_EQ(schedule.ops.size(), kOps);
 }
 
 TEST_F(SimTest, DifferentSeedsYieldDifferentSchedules) {
@@ -314,7 +255,7 @@ TEST_F(SimTest, TracesNameEveryOpKind) {
       context_->dataset, TestConfig("mixed", /*rounds=*/24).schedule, 31);
   const std::string trace = FormatTrace(schedule);
   for (const char* name :
-       {"register", "ingest", "query", "scan", "check", "restore", "flush"}) {
+       {"register", "ingest", "query", "scan", "check", "restore"}) {
     EXPECT_NE(trace.find(name), std::string::npos) << name;
   }
 }

@@ -11,8 +11,7 @@ Division of labour:
   ``MutexLock`` acquisitions with exact owning-class resolution of the
   locked member, and call sites with resolved receiver types.
 * **Text-derived, shared with the tokenizer backend**: atomics sites,
-  StatusCode switches, epoch-guard escapes, ``HORIZON_REQUIRES``
-  annotations.  These encode *project comment/markup conventions*
+  StatusCode switches, ``HORIZON_REQUIRES`` annotations.  These encode *project comment/markup conventions*
   (``// order:`` justifications, suppressions) that libclang does not
   model, and sharing one implementation keeps the two backends
   byte-identical on those rules.
@@ -88,7 +87,6 @@ class _ClangLowerer:
                 hot = rel in tok.HOT_ATOMIC_FILES
                 tok._extract_atomics(sf, fir, hot)
                 tok._extract_switches(sf, fir)
-                tok._extract_epoch_escapes(sf, fir)
             self.firs[rel] = fir
         return self.firs[rel]
 
@@ -222,7 +220,7 @@ def lower_program(root: str, compdb_path: str, sources: dict):
                          args=_compile_args(entry))
         lowerer.lower_tu(tu)
     # Headers and any sources the compdb missed still contribute their
-    # text-derived facts (atomics, switches, escapes) plus tokenizer
+    # text-derived facts (atomics, switches) plus tokenizer
     # function lowering so the call graph stays complete.
     mutex_members = tok.collect_mutex_members(list(sources.values()))
     for rel, sf in sources.items():

@@ -19,8 +19,7 @@ What it extracts per file:
     happens in the rule engine);
   * atomic operations with explicit memory orders, and defaulted
     (seq_cst) operations on the hot-path files;
-  * switch statements over StatusCode;
-  * EpochGuard scopes and snapshot-pointer escape events.
+  * switch statements over StatusCode.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from __future__ import annotations
 import re
 
 import cpp_source as src
-from ir import (AtomicSite, CallSite, EscapeEvent, FileIR, Function,
-                LockAcquire, SwitchSite)
+from ir import AtomicSite, CallSite, FileIR, Function, LockAcquire, SwitchSite
 
 KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "do", "else",
@@ -43,9 +41,6 @@ KEYWORDS = {
 # Files whose atomics are hot-path enough that even a *defaulted*
 # (seq_cst) operation needs a justification.  Both backends share this.
 HOT_ATOMIC_FILES = frozenset({
-    "src/common/mpsc_queue.h",
-    "src/serving/epoch.h",
-    "src/serving/epoch.cc",
     "src/obs/metrics.h",
     "src/obs/metrics.cc",
 })
@@ -63,8 +58,6 @@ MUTEX_LOCK_RE = re.compile(r"\bMutexLock\s+\w+\s*\(")
 
 MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:horizon\s*::\s*)?Mutex\s+(\w+)\s*;", re.M)
-
-EPOCH_GUARD_RE = re.compile(r"\bEpochGuard\s+(\w+)\s*[({]")
 
 # `Type[&*] name` declarations: the local/param type map feeding lock
 # canonicalization and receiver typing.  Deliberately shallow -- a
@@ -89,8 +82,6 @@ SWITCH_RE = re.compile(r"\bswitch\s*\(")
 CASE_RE = re.compile(r"\bcase\s+(?:horizon\s*::\s*)?StatusCode\s*::\s*(k\w+)")
 
 DEFAULT_RE = re.compile(r"\bdefault\s*:")
-
-RETURN_RE = re.compile(r"\breturn\b([^;]*);")
 
 REQUIRES_RE = re.compile(r"\bHORIZON_REQUIRES\s*\(")
 
@@ -403,89 +394,6 @@ def _extract_switches(sf: src.SourceFile, fir: FileIR) -> None:
                                            DEFAULT_RE.search(body))))
 
 
-_SNAPSHOT_DECL_RE = re.compile(
-    r"(?:const\s+)?(?:auto|(?:[\w:]+\s*::\s*)?ShardView)\s*\*\s*"
-    r"(?:const\s+)?(\w+)\s*=\s*([^;]*);")
-
-_LAMBDA_RE = re.compile(r"\[([^\]\[]*)\]\s*(?:\([^)]*\))?\s*(?:->\s*[\w:<>]+\s*)?\{")
-
-
-def _extract_epoch_escapes(sf: src.SourceFile, fir: FileIR) -> None:
-    code = sf.code
-    for gm in EPOCH_GUARD_RE.finditer(code):
-        pairs = _brace_pairs(code, 0, len(code))
-        scope_end = _enclosing_block(pairs, gm.start(), len(code))
-        scope = code[gm.start():scope_end]
-        base = gm.start()
-        # Track snapshot pointers declared under the guard.
-        tracked = {}
-        locals_in_scope = set()
-        for dm in _SNAPSHOT_DECL_RE.finditer(scope):
-            init = dm.group(2)
-            if "ShardView" in dm.group(0) or "view.load" in init.replace(" ", "") \
-                    or re.search(r"(?:\.|->)\s*view\s*\.\s*load\s*\(", init):
-                tracked[dm.group(1)] = base + dm.start()
-        for dm in DECL_RE.finditer(scope):
-            locals_in_scope.add(dm.group(2))
-        if not tracked:
-            continue
-        bare = {v: re.compile(r"\b" + v + r"\b(?!\s*(?:->|\.|\[))")
-                for v in tracked}
-        # (1) returning the pointer past the guard's lifetime
-        for rm in RETURN_RE.finditer(scope):
-            expr = rm.group(1)
-            for v, vre in bare.items():
-                if vre.search(expr):
-                    fir.escapes.append(EscapeEvent(
-                        lineno=sf.line_of(base + rm.start()), kind="return",
-                        var=v, detail="returned past the EpochGuard"))
-        # (2) stores to anything that outlives the guard scope
-        assign_re = re.compile(
-            r"(?:^|[;{}]\s*)([\w>\-.\[\]]+?)\s*=\s*([^=;][^;]*);", re.S)
-        for am in assign_re.finditer(scope):
-            lhs, rhs = am.group(1).strip(), am.group(2)
-            lhs_name = re.findall(r"\w+", lhs)
-            if not lhs_name:
-                continue
-            lhs_base = lhs_name[-1]
-            member_like = ("->" in lhs or "." in lhs or "[" in lhs or
-                           lhs_base.endswith("_"))
-            outlives = member_like or (lhs_base not in locals_in_scope and
-                                       lhs_base not in tracked)
-            if not outlives:
-                continue
-            for v, vre in bare.items():
-                if vre.search(rhs):
-                    fir.escapes.append(EscapeEvent(
-                        lineno=sf.line_of(base + am.start(2)),
-                        kind="field-store", var=v,
-                        detail=f"stored to `{lhs}`, which outlives the guard"))
-        # (3) captured by a lambda that may outlive the guard scope.
-        # Conservative: any non-immediately-invoked lambda counts; an
-        # in-scope-only lambda needs a justified allow().
-        for lm in _LAMBDA_RE.finditer(scope):
-            captures = lm.group(1)
-            body_open = base + lm.end() - 1
-            body_close = src.match_brace(code, body_open)
-            after = code[body_close + 1:body_close + 3].lstrip()
-            immediately_invoked = after.startswith("(")
-            if immediately_invoked:
-                continue
-            lam_body = code[body_open:body_close]
-            for v in tracked:
-                explicit = re.search(r"(?:^|[,&\s])&?" + v + r"\b",
-                                     captures or "")
-                by_default = (re.search(r"(?:^|,)\s*[&=]\s*(?:,|$)",
-                                        captures or "") and
-                              re.search(r"\b" + v + r"\b", lam_body))
-                if explicit or by_default:
-                    fir.escapes.append(EscapeEvent(
-                        lineno=sf.line_of(base + lm.start()),
-                        kind="lambda-capture", var=v,
-                        detail="captured by a lambda that may outlive the "
-                               "EpochGuard scope"))
-
-
 def lower_file(sf: src.SourceFile, mutex_members: dict, requires_map: dict,
                hot_atomics: bool) -> FileIR:
     fir = FileIR(rel=sf.rel)
@@ -513,5 +421,4 @@ def lower_file(sf: src.SourceFile, mutex_members: dict, requires_map: dict,
         fir.functions.append(fn)
     _extract_atomics(sf, fir, hot_atomics)
     _extract_switches(sf, fir)
-    _extract_epoch_escapes(sf, fir)
     return fir

@@ -1,7 +1,7 @@
 """Lightweight C++ source model shared by the analyzer backends.
 
 This is NOT a C++ parser.  It is the minimum structure the fallback
-(tokenizer) backend needs to run the four horizon_analyzer rules without
+(tokenizer) backend needs to run the three horizon_analyzer rules without
 libclang: comment/string stripping that preserves line numbers, brace
 matching, and a nesting tracker that attributes every brace-delimited
 region to a namespace / class / function.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """horizon_analyzer -- cross-TU concurrency-protocol checks for horizon.
 
-Four semantic rules, run over every file under src/ (the regex layer in
+Three semantic rules, run over every file under src/ (the regex layer in
 tools/horizon_lint.py handles single-line style; this layer checks the
 *protocols* the style exists to serve):
 
@@ -11,10 +11,6 @@ tools/horizon_lint.py handles single-line style; this layer checks the
                      potential).  The blessed order is committed at
                      ci/lock_order.txt; --verify-lock-order fails CI
                      when the tree drifts from the committed order.
-  epoch-escape       A ShardView*/snapshot pointer obtained under an
-                     EpochGuard must not be stored to a field, captured
-                     by a lambda that may outlive the scope, or
-                     returned past the guard's lifetime.
   atomic-order       Every explicit memory_order site needs an adjacent
                      `// order:` comment naming the pairing site;
                      defaulted (seq_cst) operations on hot-path atomics
@@ -56,8 +52,8 @@ import backend_tokenizer as tok          # noqa: E402
 import cpp_source as src                 # noqa: E402
 from ir import Finding, ProgramIR        # noqa: E402
 
-KNOWN_RULES = ("lock-order", "epoch-escape", "atomic-order",
-               "status-exhaustive", "bad-allow")
+KNOWN_RULES = ("lock-order", "atomic-order", "status-exhaustive",
+               "bad-allow")
 
 # The primitive layer: the one file allowed to touch std:: sync types,
 # and whose Lock()/Unlock() bodies would otherwise look like protocol.
@@ -314,14 +310,6 @@ def run_rules(program: ProgramIR, sources: dict):
                  f"lock-order cycle: {desc}; acquiring {b} can wait on a "
                  f"thread holding {b} and acquiring {a}")
 
-    # -- epoch-escape ------------------------------------------------------
-    for rel in sorted(program.files):
-        for ev in program.files[rel].escapes:
-            emit("epoch-escape", rel, ev.lineno,
-                 f"epoch-guarded snapshot pointer `{ev.var}` {ev.detail} "
-                 f"({ev.kind}); the pointer is invalid once the EpochGuard "
-                 f"exits and the view is retired")
-
     # -- atomic-order ------------------------------------------------------
     for rel in sorted(program.files):
         sf = sources.get(rel)
@@ -395,14 +383,11 @@ SELF_TEST_CASES = [
      [("bad_lock_cycle_a.cc", "src/serving/bad_lock_cycle_a.cc"),
       ("bad_lock_cycle_b.cc", "src/serving/bad_lock_cycle_b.cc")],
      "lock-order"),
-    ("epoch-guard escapes (store/capture/return) are detected",
-     [("bad_epoch_escape.cc", "src/serving/bad_epoch_escape.cc")],
-     "epoch-escape"),
     ("unjustified explicit memory orders are detected",
      [("bad_atomics.cc", "src/common/bad_atomics.cc")],
      "atomic-order"),
     ("defaulted seq_cst ops on hot-path files are detected",
-     [("bad_atomics_hot.cc", "src/serving/epoch.cc")],
+     [("bad_atomics_hot.cc", "src/obs/metrics.cc")],
      "atomic-order"),
     ("non-exhaustive StatusCode switches are detected",
      [("bad_status_switch.cc", "src/obs/bad_status_switch.cc"),

@@ -8,7 +8,7 @@ identically under either backend.
 Conventions
 -----------
 Lock domains are canonical strings ``Owner::member`` (e.g. ``Shard::mu``,
-``EpochDomain::retire_mu_``) for class members, or
+``MetricsRegistry::mu_``) for class members, or
 ``Function::local_name`` for function-local mutexes.  A domain names the
 *set* of mutex instances declared by that field -- the granularity the
 lock-order theorem needs: two instances of the same domain are never
@@ -73,16 +73,6 @@ class SwitchSite:
 
 
 @dataclass
-class EscapeEvent:
-    """A snapshot pointer obtained under an EpochGuard leaving the
-    guard's scope."""
-    lineno: int
-    kind: str            # 'field-store' | 'return' | 'lambda-capture'
-    var: str
-    detail: str = ""
-
-
-@dataclass
 class Function:
     """One function definition (free or member; lambdas fold into their
     enclosing function)."""
@@ -106,7 +96,6 @@ class FileIR:
     functions: list = field(default_factory=list)  # [Function]
     atomics: list = field(default_factory=list)    # [AtomicSite]
     switches: list = field(default_factory=list)   # [SwitchSite]
-    escapes: list = field(default_factory=list)    # [EscapeEvent]
 
 
 @dataclass

@@ -31,15 +31,6 @@ serving-status  Public *mutating* member functions declared in
               accessors are exempt (they cannot fail by contract);
               count-returning batch helpers carry an allow-comment
               justifying the exception.
-shard-mutation  Inside src/serving/, all writes to Shard state -- the
-              `items` map (emplace/erase/clear/insert/operator[]/...)
-              and the per-item `tracker.Observe(...)` call -- must go
-              through the Apply* surface in shard_apply.cc, the only
-              file exempt from this rule.  The async-ingest DST
-              equivalence argument depends on every state change being
-              a group commit or a drained barrier op; a direct mutation
-              anywhere else would bypass copy-on-write and corrupt
-              published ShardView snapshots.
 forest-traversal  Outside src/gbdt/, no direct indexing into a compiled
               forest's node arrays (the raw_features / raw_thresholds /
               raw_left / raw_values / raw_roots / raw_qthresholds /
@@ -297,54 +288,6 @@ def check_serving_status(f: File, findings):
              f"`{ret}`; fallible serving APIs must return Status/StatusOr")
 
 
-SHARD_MUTATION_PATTERNS = [
-    (re.compile(r"(?<![\w])items\s*(?:\.|->)\s*"
-                r"(emplace|try_emplace|insert|insert_or_assign|erase|clear|"
-                r"extract|merge|swap|rehash|reserve)\s*\("),
-     "mutating call on a Shard items map"),
-    (re.compile(r"(?<![\w])items\s*\["),
-     "operator[] on a Shard items map (default-inserts)"),
-    (re.compile(r"(?<![\w])tracker\s*(?:\.|->)\s*Observe\s*\("),
-     "tracker.Observe() outside the apply path"),
-    # Binding a mutable reference to the map sidesteps every pattern
-    # above: `auto& m = shard.items; m.erase(id);` mutates through the
-    # alias.  `const auto&` stays legal (read-only view).
-    (re.compile(r"(?<!const\s)(?:ItemMap\s*&|auto\s*&)\s*\w+\s*=\s*"
-                r"[\w.>\-]*\bitems\b(?!\s*(?:\.|->)\s*(?:at|find|count|"
-                r"size|empty|begin|end|cbegin|cend|contains)\b)"),
-     "mutable reference bound to a Shard items map (alias mutation)"),
-]
-
-# Inside shard_apply.cc itself the mutation calls are the point, but a
-# lambda returned from the file carries the mutation capability out to
-# callers that run outside the group-commit protocol.
-SHARD_ESCAPE_RE = re.compile(r"\breturn\s*\[")
-
-
-def check_shard_mutation(f: File, findings):
-    if not f.rel.startswith("src/serving/"):
-        return
-    if f.rel == "src/serving/shard_apply.cc":
-        # The one mutation surface (see shard.h): direct mutation is
-        # legal here, but handing the capability out via a returned
-        # lambda re-opens every hole this rule closes elsewhere.
-        for lineno, line in enumerate(f.code_lines, start=1):
-            if SHARD_ESCAPE_RE.search(line):
-                emit(findings, f, "shard-mutation", lineno,
-                     "lambda returned from shard_apply.cc; a callable "
-                     "that escapes the mutation surface can run Apply* "
-                     "logic outside the group-commit protocol -- return "
-                     "data, not closures")
-        return
-    for lineno, line in enumerate(f.code_lines, start=1):
-        for pat, what in SHARD_MUTATION_PATTERNS:
-            if pat.search(line):
-                emit(findings, f, "shard-mutation", lineno,
-                     f"{what}; Shard state changes must go through the "
-                     "Apply* functions in shard_apply.cc so group-commit "
-                     "copy-on-write keeps published views frozen")
-
-
 FOREST_RAW_RE = re.compile(
     r"(?<![\w])raw_(features|thresholds|left|values|roots|qthresholds|"
     r"leaves)\s*\(")
@@ -376,8 +319,7 @@ def emit(findings, f: File, rule: str, lineno: int, message: str):
 
 
 CHECKS = [check_determinism, check_naked_new, check_raw_mutex,
-          check_serving_status, check_shard_mutation,
-          check_forest_traversal]
+          check_serving_status, check_forest_traversal]
 
 
 # --------------------------------------------------------------------------
@@ -418,12 +360,6 @@ def run_self_test(repo_root: str) -> int:
          "forest-traversal"),
         ("bad_forest_index.cc", "src/serving/bad_forest_index.cc",
          "forest-traversal"),
-        ("bad_shard_mutation.cc", "src/serving/bad_shard_mutation.cc",
-         "shard-mutation"),
-        ("bad_shard_alias.cc", "src/serving/bad_shard_alias.cc",
-         "shard-mutation"),
-        ("bad_shard_lambda.cc", "src/serving/shard_apply.cc",
-         "shard-mutation"),
     ]
     failures = []
     for fixture, dest_rel, rule in cases:
@@ -451,18 +387,6 @@ def run_self_test(repo_root: str) -> int:
                             + "; ".join(str(n) for n in noise))
         else:
             print("self-test ok: forest-traversal is silent inside src/gbdt/")
-    # The shard-mutation rule is likewise scoped: shard_apply.cc IS the
-    # mutation surface and must stay silent even on mutating code.
-    with tempfile.TemporaryDirectory(prefix="horizon_lint_") as tree:
-        dest = os.path.join(tree, "src/serving/shard_apply.cc")
-        os.makedirs(os.path.dirname(dest), exist_ok=True)
-        shutil.copyfile(os.path.join(fixtures, "bad_shard_mutation.cc"), dest)
-        noise = [fi for fi in lint_tree(tree) if fi.rule == "shard-mutation"]
-        if noise:
-            failures.append("shard-mutation fired inside shard_apply.cc: "
-                            + "; ".join(str(n) for n in noise))
-        else:
-            print("self-test ok: shard-mutation is silent in shard_apply.cc")
     # The good fixture exercises every allow-comment escape and the
     # deterministic idioms; it must be silent under every rule.
     with tempfile.TemporaryDirectory(prefix="horizon_lint_") as tree:

@@ -36,19 +36,19 @@
 //       exposition format (default) or as JSON.
 //
 //   horizon_tool sim --seed N [--seeds K] [--steps M] [--faults F]
-//                    [--items I] [--async 1] [--verbose 1]
+//                    [--items I] [--verbose 1]
 //       Deterministic simulation: drive a sharded PredictionService and a
 //       single-threaded reference model through the seeded op schedule
 //       (--steps rounds, fault schedule F in
 //       none|crash|transient|corrupt|mixed) and compare them after every
-//       op.  --seeds K runs seeds N..N+K-1.  --async 1 pins the service
-//       to the MPSC-queue ingest pipeline (drained at every comparison
-//       point) instead of synchronous ingest.  On divergence prints the
+//       op.  --seeds K runs seeds N..N+K-1.  On divergence prints the
 //       failing seed, the divergence, and a minimized repro trace, and
 //       exits 1.  Rerunning with the same flags reproduces the run
 //       exactly.
 //
-// Durations accept the forms "90s", "30m", "6h", "2d".
+// Durations accept the forms "90s", "30m", "6h", "2d".  A flag the
+// subcommand does not read, or a flag without a value, is an error.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -443,7 +443,6 @@ int CmdSim(const std::map<std::string, std::string>& flags) {
   const int steps = std::atoi(FlagOr(flags, "steps", "24").c_str());
   const int items = std::atoi(FlagOr(flags, "items", "10").c_str());
   const std::string faults = FlagOr(flags, "faults", "mixed");
-  const bool async = FlagOr(flags, "async", "0") != "0";
   const bool verbose = FlagOr(flags, "verbose", "0") != "0";
   if (num_seeds <= 0) return Fail("--seeds must be positive");
   if (steps <= 0) return Fail("--steps must be positive");
@@ -458,7 +457,6 @@ int CmdSim(const std::map<std::string, std::string>& flags) {
   config.schedule.rounds = steps;
   config.schedule.num_items = items;
   config.schedule.faults = faults;
-  config.async_ingest = async;
   const char* tmp = std::getenv("TMPDIR");
   config.scratch_dir = tmp != nullptr ? tmp : "/tmp";
   sim::Simulator simulator(&context, config);
@@ -471,9 +469,9 @@ int CmdSim(const std::map<std::string, std::string>& flags) {
     if (!report.ok) {
       ++failures;
       std::printf("reproduce with: horizon_tool sim --seed %llu --steps %d "
-                  "--items %d --faults %s%s\n",
+                  "--items %d --faults %s\n",
                   static_cast<unsigned long long>(report.seed), steps, items,
-                  faults.c_str(), async ? " --async 1" : "");
+                  faults.c_str());
       std::printf("--- minimized repro trace ---\n%s",
                   report.minimized_trace.empty() ? report.trace.c_str()
                                                  : report.minimized_trace.c_str());
@@ -516,6 +514,28 @@ int CmdSelfTest() {
   return 0;
 }
 
+/// A subcommand and the flags it reads.
+struct Command {
+  const char* name;
+  int (*run)(const std::map<std::string, std::string>&);
+  std::vector<std::string> keys;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"generate", CmdGenerate, {"out", "posts", "pages", "seed"}},
+      {"train", CmdTrain, {"data", "model", "refs"}},
+      {"predict", CmdPredict, {"data", "model", "post", "time", "horizon"}},
+      {"evaluate", CmdEvaluate, {"data", "model", "horizon"}},
+      {"checkpoint", CmdCheckpoint, {"data", "model", "out", "time"}},
+      {"restore", CmdRestore, {"model", "ckpt", "post", "time", "horizon"}},
+      {"selftest", [](const auto&) { return CmdSelfTest(); }, {}},
+      {"stats", CmdStats, {"format"}},
+      {"sim", CmdSim, {"seed", "seeds", "steps", "items", "faults", "verbose"}},
+  };
+  return commands;
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage: horizon_tool <generate|train|predict|evaluate|"
@@ -529,15 +549,22 @@ int Usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const auto flags = ParseFlags(argc, argv, 2);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "train") return CmdTrain(flags);
-  if (command == "predict") return CmdPredict(flags);
-  if (command == "evaluate") return CmdEvaluate(flags);
-  if (command == "checkpoint") return CmdCheckpoint(flags);
-  if (command == "restore") return CmdRestore(flags);
-  if (command == "selftest") return CmdSelfTest();
-  if (command == "stats") return CmdStats(flags);
-  if (command == "sim") return CmdSim(flags);
+  for (const Command& c : Commands()) {
+    if (command != c.name) continue;
+    if ((argc - 2) % 2 != 0) {
+      std::fprintf(stderr, "error: %s: flag %s has no value\n", c.name,
+                   argv[argc - 1]);
+      return 2;
+    }
+    const auto flags = ParseFlags(argc, argv, 2);
+    for (const auto& [key, value] : flags) {
+      if (std::find(c.keys.begin(), c.keys.end(), key) == c.keys.end()) {
+        std::fprintf(stderr, "error: %s does not take --%s\n", c.name,
+                     key.c_str());
+        return 2;
+      }
+    }
+    return c.run(flags);
+  }
   return Usage();
 }
