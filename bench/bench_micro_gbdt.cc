@@ -9,21 +9,31 @@
 //                              flavor <k> (scalar | sse | avx2)
 //   BM_GbdtBatchQuantized/<k>  QuantizedForest::PredictCodes (uint16
 //                              rank-space codes, integer compares)
+//   BM_GbdtKernelRows/<k>/<n> float kernel <k> called directly on <n>
+//                              row-major rows, below PredictStrided's
+//                              dispatch: the per-row crossover that sets
+//                              kernels::kSmallBatchRows (n = 1 is the
+//                              single-id query shape)
 //
 // All batch benchmarks run single-threaded on pre-materialized inputs so
 // the numbers compare kernels, not the thread pool.  Kernel flavors the
 // running CPU cannot execute are skipped.  Unless --benchmark_out is
 // given, results are written to BENCH_gbdt.json (google-benchmark JSON
-// format); the acceptance bar is blocked-AVX2 (or the widest available
-// flavor) >= 5x the flat scalar baseline on the same model and batch.
+// format), whose context also records this code's build type and the CPU
+// model; the acceptance bar is blocked-AVX2 (or the widest available
+// flavor) >= 5x the flat scalar baseline on the same model and batch.  The
+// committed file comes from a Release build run with
+// --benchmark_repetitions=5.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "gbdt/forest_kernels.h"
 #include "gbdt/gbdt.h"
 #include "gbdt/simd_dispatch.h"
 
@@ -84,17 +94,20 @@ InferenceSetup& Setup() {
   return *setup;
 }
 
+bool Supported(SimdKernel flavor) {
+  for (SimdKernel k : SupportedKernels()) {
+    if (k == flavor) return true;
+  }
+  return false;
+}
+
 // Pins HORIZON_SIMD to `flavor` for the duration of one benchmark run.
 // Returns false (benchmark should skip) when the CPU cannot execute it.
 bool PinKernel(SimdKernel flavor) {
-  for (SimdKernel k : SupportedKernels()) {
-    if (k == flavor) {
-      ::setenv("HORIZON_SIMD", SimdKernelName(flavor), /*overwrite=*/1);
-      RefreshKernelFromEnv();
-      return true;
-    }
-  }
-  return false;
+  if (!Supported(flavor)) return false;
+  ::setenv("HORIZON_SIMD", SimdKernelName(flavor), /*overwrite=*/1);
+  RefreshKernelFromEnv();
+  return true;
 }
 
 void UnpinKernel() {
@@ -166,6 +179,47 @@ BENCHMARK(BM_GbdtBatchQuantized)
     ->Arg(static_cast<int>(SimdKernel::kAvx2))
     ->Unit(benchmark::kMillisecond);
 
+void BM_GbdtKernelRows(benchmark::State& state) {
+  const auto flavor = static_cast<SimdKernel>(state.range(0));
+  const auto rows = static_cast<size_t>(state.range(1));
+  if (!Supported(flavor)) {
+    state.SkipWithError("kernel flavor unsupported on this CPU");
+    return;
+  }
+  InferenceSetup& s = Setup();
+  // The raw node pools: this case times the kernels themselves, which
+  // PredictStrided would not reach for batches under kSmallBatchRows.
+  const BlockForest& forest = s.model.block_forest();
+  const kernels::FloatForestSpan span{
+      forest.raw_features().data(), forest.raw_thresholds().data(),
+      forest.raw_leaves().data(),   forest.num_trees(),
+      forest.depth(),               forest.base_score(),
+      forest.learning_rate()};
+  auto* kernel = flavor == SimdKernel::kAvx2  ? kernels::PredictFloatAvx2
+                 : flavor == SimdKernel::kSse ? kernels::PredictFloatSse
+                                              : kernels::PredictFloatScalar;
+  // Steps through the batch so the walk sees run-time inputs rather than
+  // one cached path.
+  size_t first = 0;
+  for (auto _ : state) {
+    kernel(span, s.x.Row(first), rows, /*row_stride=*/kNumFeatures,
+           /*feat_stride=*/1, s.out.data());
+    benchmark::DoNotOptimize(s.out.data());
+    benchmark::ClobberMemory();
+    first = first + 2 * rows <= kBatchRows ? first + rows : 0;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+  state.SetLabel(SimdKernelName(flavor));
+}
+BENCHMARK(BM_GbdtKernelRows)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const SimdKernel k :
+       {SimdKernel::kScalar, SimdKernel::kSse, SimdKernel::kAvx2}) {
+    for (const int rows : {1, 16, 31, 32, 64}) {
+      b->Args({static_cast<int>(k), rows});
+    }
+  }
+});
+
 void BM_GbdtPredictSingleRow(benchmark::State& state) {
   std::vector<double> y;
   const DataMatrix x = MakeData(4000, 100, &y);
@@ -210,7 +264,25 @@ void BM_BinnedDatasetCreate(benchmark::State& state) {
 }
 BENCHMARK(BM_BinnedDatasetCreate)->Arg(10000)->Unit(benchmark::kMillisecond);
 
+/// The "model name" line of /proc/cpuinfo, or "unknown".
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
 }  // namespace
+
+#ifndef HORIZON_BUILD_TYPE
+#define HORIZON_BUILD_TYPE "unknown"
+#endif
 
 int main(int argc, char** argv) {
   // Default to emitting BENCH_gbdt.json unless the caller already directs
@@ -227,6 +299,8 @@ int main(int argc, char** argv) {
     args.push_back(fmt_flag);
   }
   int argc_adj = static_cast<int>(args.size());
+  benchmark::AddCustomContext("horizon_build_type", HORIZON_BUILD_TYPE);
+  benchmark::AddCustomContext("cpu_model", CpuModel());
   benchmark::Initialize(&argc_adj, args.data());
   if (benchmark::ReportUnrecognizedArguments(argc_adj, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -132,12 +132,12 @@ class HawkesPredictor {
   const gbdt::GbdtRegressor& count_model(size_t i) const { return f_models_[i]; }
   const gbdt::GbdtRegressor& alpha_model() const { return g_model_; }
 
- private:
   /// Combines the m reference predictions into the increment for `delta`
   /// using the transfer formula and the configured aggregation.
   double CombineIncrement(const double* increments_at_refs, size_t m,
                           double alpha_hat, double delta) const;
 
+ private:
   // Layout-generic batch implementations (DataMatrix / ExampleBatch).
   template <typename Matrix>
   std::vector<double> PredictAlphaBatchImpl(const Matrix& x) const;

@@ -21,7 +21,7 @@ double VelocityHawkesPredictor::EstimateIntensity(
     const stream::TrackerSnapshot& snapshot) const {
   const auto& views = snapshot.views();
   if (options_.use_ewma) return views.ewma_rate;
-  HORIZON_CHECK_LT(options_.window_index, views.window_rates.size());
+  HORIZON_CHECK_LT(options_.window_index, snapshot.num_windows);
   return views.window_rates[options_.window_index];
 }
 

@@ -114,13 +114,15 @@ void BlockForest::PredictStrided(const float* data, size_t num_rows,
       depth_,        base_score_,    learning_rate_};
   SimdKernel kernel = ActiveKernel();
   // SIMD gathers address elements through int32 offsets; oversized
-  // batches take the (size_t-addressed) scalar kernel instead.
+  // batches take the (size_t-addressed) scalar kernel instead, and so do
+  // batches too small for the SIMD kernels to win.
   const uint64_t max_offset =
       static_cast<uint64_t>(num_rows - 1) * row_stride +
       (max_feature_ > 0
            ? static_cast<uint64_t>(max_feature_) * feat_stride
            : 0);
-  if (max_offset > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+  if (num_rows < kernels::kSmallBatchRows ||
+      max_offset > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
     kernel = SimdKernel::kScalar;
   }
   switch (kernel) {

@@ -70,7 +70,9 @@ class BlockForest {
 
   /// Predicts rows laid out at data[r*row_stride + f*feat_stride] through
   /// the runtime-dispatched kernel (scalar/SSE/AVX2 per simd_dispatch.h),
-  /// writing out[0..num_rows).  Runs on the calling thread.
+  /// writing out[0..num_rows).  Batches narrower than
+  /// kernels::kSmallBatchRows take the scalar kernel under every flavor.
+  /// Runs on the calling thread.
   /// Row-major matrices pass (num_features, 1); column-major SoA batches
   /// pass (1, num_rows).
   void PredictStrided(const float* data, size_t num_rows, size_t row_stride,

@@ -47,6 +47,11 @@ inline size_t TraverseQuant(const int32_t* tf, const uint16_t* tq, int depth,
   return idx;
 }
 
+/// Trees one row walks at a time in PredictFloatScalar.  A tree's levels
+/// form one serial load->compare->index chain; eight chains keep the
+/// loads of eight trees in flight together.
+constexpr size_t kTreeLanes = 8;
+
 }  // namespace
 
 void PredictFloatScalar(const FloatForestSpan& f, const float* data,
@@ -54,19 +59,33 @@ void PredictFloatScalar(const FloatForestSpan& f, const float* data,
                         double* out) {
   const size_t npt = (size_t{1} << f.depth) - 1;
   const size_t lpt = size_t{1} << f.depth;
-  for (size_t b = 0; b < num_rows; b += kBlockRows) {
-    const size_t be = std::min(b + kBlockRows, num_rows);
-    for (size_t r = b; r < be; ++r) out[r] = f.base_score;
-    for (size_t t = 0; t < f.num_trees; ++t) {
+  for (size_t r = 0; r < num_rows; ++r) {
+    const float* row = data + r * row_stride;
+    double acc = f.base_score;
+    size_t t = 0;
+    for (; t + kTreeLanes <= f.num_trees; t += kTreeLanes) {
       const int32_t* tf = f.feat + t * npt;
       const float* tt = f.thresh + t * npt;
+      size_t idx[kTreeLanes] = {};
+      for (int l = 0; l < f.depth; ++l) {
+        for (size_t k = 0; k < kTreeLanes; ++k) {
+          const size_t node = k * npt + idx[k];
+          const float v = row[static_cast<size_t>(tf[node]) * feat_stride];
+          idx[k] = 2 * idx[k] + 1 + (v <= tt[node] ? size_t{0} : size_t{1});
+        }
+      }
+      // Same accumulation order as the other flavors: trees ascending.
       const double* tl = f.leaves + t * lpt;
-      for (size_t r = b; r < be; ++r) {
-        const size_t leaf =
-            TraverseFloat(tf, tt, f.depth, data + r * row_stride, feat_stride);
-        out[r] += f.learning_rate * tl[leaf - npt];
+      for (size_t k = 0; k < kTreeLanes; ++k) {
+        acc += f.learning_rate * tl[k * lpt + idx[k] - npt];
       }
     }
+    for (; t < f.num_trees; ++t) {
+      const size_t leaf =
+          TraverseFloat(f.feat + t * npt, f.thresh + t * npt, f.depth, row, feat_stride);
+      acc += f.learning_rate * f.leaves[t * lpt + leaf - npt];
+    }
+    out[r] = acc;
   }
 }
 

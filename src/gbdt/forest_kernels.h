@@ -66,9 +66,21 @@ struct QuantForestSpan {
 // Each writes out[r] = base_score + sum_t learning_rate * leaf_t(row r)
 // for r in [0, num_rows).  Bit-identical across flavors.
 
+/// Scalar flavor: one row at a time, walking 8 trees at a time as
+/// independent dependency chains and then adding their leaves in tree
+/// order (separate multiply and add), so it matches the other flavors bit
+/// for bit.  Addresses with size_t, so any stride is safe.
 void PredictFloatScalar(const FloatForestSpan& f, const float* data,
                         size_t num_rows, size_t row_stride, size_t feat_stride,
                         double* out);
+
+/// Batches with fewer rows than this -- every single-id query -- take
+/// PredictFloatScalar under every flavor.  Below one 32-row group the AVX2
+/// kernel runs only single 8-row vectors, each one serial gather chain,
+/// and the SSE kernel trails the scalar walk at every size.  Per-row
+/// medians of BM_GbdtKernelRows (BENCH_gbdt.json): AVX2 1.3-1.7 us under
+/// 32 rows and ~0.4 us at 32 and 64; scalar 0.36-0.50 us; SSE ~1.0 us.
+inline constexpr size_t kSmallBatchRows = 32;
 
 /// SSE2 flavor, 4 rows per vector.  x86 only; callers must guarantee
 /// every element offset r*row_stride + f*feat_stride fits in int32.
@@ -76,7 +88,7 @@ void PredictFloatSse(const FloatForestSpan& f, const float* data,
                      size_t num_rows, size_t row_stride, size_t feat_stride,
                      double* out);
 
-/// AVX2 flavor, two interleaved 8-row vectors (gather-throughput bound).
+/// AVX2 flavor, four interleaved 8-row vectors (gather-throughput bound).
 /// Same int32 offset requirement as the SSE flavor.
 void PredictFloatAvx2(const FloatForestSpan& f, const float* data,
                       size_t num_rows, size_t row_stride, size_t feat_stride,

@@ -128,7 +128,10 @@ void GbdtRegressor::CompileInferenceForests() {
 
 double GbdtRegressor::Predict(const float* row) const {
   HORIZON_DCHECK(trained_);
-  return flat_.Predict(row);
+  if (!blocked_.compiled()) return flat_.Predict(row);
+  double out = 0.0;
+  blocked_.PredictStrided(row, 1, num_features_, 1, &out);
+  return out;
 }
 
 std::vector<double> GbdtRegressor::PredictBatch(const DataMatrix& x) const {

@@ -49,8 +49,9 @@ class GbdtRegressor {
                         const DataMatrix& x_valid, const std::vector<double>& y_valid,
                         int early_stopping_rounds = 10);
 
-  /// Predicts one dense feature row (size num_features).  Served from the
-  /// compiled FlatForest.
+  /// Predicts one dense feature row (size num_features) through the
+  /// blocked forest's scalar kernel; the flat forest serves only
+  /// ensembles too deep to block.  Bit-identical either way.
   double Predict(const float* row) const;
 
   /// Predicts every row of a matrix through the vectorized blocked-forest

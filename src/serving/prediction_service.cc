@@ -78,6 +78,12 @@ Status ServiceConfig::Validate(const features::FeatureExtractor* extractor) cons
     return Status::InvalidArgument(
         "ServiceConfig: tracker needs at least one window and landmark");
   }
+  if (tracker.window_lengths.size() > stream::kMaxTrackerLayout ||
+      tracker.landmark_ages.size() > stream::kMaxTrackerLayout) {
+    return Status::InvalidArgument(
+        "ServiceConfig: tracker has more windows or landmarks than "
+        "stream::kMaxTrackerLayout");
+  }
   if (extractor != nullptr) {
     const stream::TrackerConfig& other = extractor->tracker_config();
     if (other.window_lengths != tracker.window_lengths ||
@@ -153,6 +159,11 @@ size_t PredictionService::ShardOf(int64_t item_id) const {
 Status PredictionService::RegisterItem(int64_t item_id, double creation_time,
                                        const datagen::PageProfile& page,
                                        const datagen::PostProfile& post) {
+  // A non-finite creation time would fail every later ordering check.
+  if (!std::isfinite(creation_time)) {
+    return CountError(
+        Status::InvalidArgument("RegisterItem: creation time must be finite"));
+  }
   Shard& shard = *shards_[ShardOf(item_id)];
   Item item{stream::CascadeTracker(creation_time, config_.tracker), page, post};
   bool inserted = false;
@@ -196,7 +207,13 @@ Status PredictionService::Ingest(int64_t item_id, stream::EngagementType type,
     if (it == shard.items.end()) {
       return CountError(Status::NotFound("unknown item (dropped straggler?)"));
     }
-    it->second.tracker.Observe(type, t);
+    stream::CascadeTracker& tracker = it->second.tracker;
+    if (!tracker.Accepts(type, t)) {
+      return CountError(Status::InvalidArgument(
+          "Ingest: event before the item's creation time or its last event "
+          "of this type"));
+    }
+    tracker.Observe(type, t);
   }
   // order: relaxed; statistics counter paired with the relaxed load in
   // stats().
@@ -209,40 +226,46 @@ size_t PredictionService::IngestBatch(const std::vector<IngestEvent>& events) {
   const obs::ScopedTimer timer(m_ingest_batch_latency_);
   // Group event indices by shard (stable, so per-item order is kept),
   // then apply each shard's group under ONE lock acquisition, counted by
-  // horizon_serving_ingest_commits_total.  Non-finite times are dropped
-  // like unknown ids, but counted as invalid arguments.
+  // horizon_serving_ingest_commits_total.  Events Ingest would reject as
+  // invalid arguments are dropped like unknown ids, but counted.
   std::vector<std::vector<uint32_t>> by_shard(shards_.size());
-  size_t invalid = 0;
+  size_t non_finite = 0;
   for (uint32_t i = 0; i < events.size(); ++i) {
     if (!std::isfinite(events[i].time)) {
-      ++invalid;
+      ++non_finite;
       continue;
     }
     by_shard[ShardOf(events[i].item_id)].push_back(i);
   }
-  if (invalid > 0) {
-    m_errors_[static_cast<int>(StatusCode::kInvalidArgument)]->Add(invalid);
-  }
   std::atomic<size_t> ingested{0};
+  std::atomic<size_t> out_of_order{0};
   std::atomic<size_t> commits{0};
   ParallelFor(shards_.size(), 1, [&](size_t begin, size_t end) {
     for (size_t sh = begin; sh < end; ++sh) {
       if (by_shard[sh].empty()) continue;
       Shard& shard = *shards_[sh];
       size_t applied = 0;
+      size_t rejected = 0;
       {
         MutexLock lock(shard.mu);
         for (const uint32_t i : by_shard[sh]) {
           const IngestEvent& e = events[i];
           const auto it = shard.items.find(e.item_id);
           if (it == shard.items.end()) continue;  // straggler drop
-          it->second.tracker.Observe(e.type, e.time);
+          stream::CascadeTracker& tracker = it->second.tracker;
+          if (!tracker.Accepts(e.type, e.time)) {
+            ++rejected;
+            continue;
+          }
+          tracker.Observe(e.type, e.time);
           ++applied;
         }
       }
-      // order: relaxed (both); per-task tallies folded after the
+      // order: relaxed (all three); per-task tallies folded after the
       // ParallelFor barrier, which supplies the happens-before edge.
       ingested.fetch_add(applied, std::memory_order_relaxed);
+      // order: relaxed; see above.
+      out_of_order.fetch_add(rejected, std::memory_order_relaxed);
       // order: relaxed; see above.
       commits.fetch_add(1, std::memory_order_relaxed);
     }
@@ -255,6 +278,11 @@ size_t PredictionService::IngestBatch(const std::vector<IngestEvent>& events) {
   m_events_ingested_->Add(total);
   // order: relaxed; same post-join read as `total` above.
   m_ingest_commits_->Add(commits.load(std::memory_order_relaxed));
+  // order: relaxed; same post-join read as `total` above.
+  const size_t invalid = non_finite + out_of_order.load(std::memory_order_relaxed);
+  if (invalid > 0) {
+    m_errors_[static_cast<int>(StatusCode::kInvalidArgument)]->Add(invalid);
+  }
   return total;
 }
 

@@ -27,9 +27,10 @@
 // id; each shard has its own mutex and tracker map, so Ingest/Query from
 // different threads contend only when they hit the same shard.  Every
 // Ingest applies under its shard mutex in the caller's thread, so a call
-// that returned is visible to every later call.  Model inference
-// (feature extraction + flat-forest walks) always runs OUTSIDE the shard
-// locks, against an immutable tracker snapshot.
+// that returned is visible to every later call.  Query inference
+// (feature extraction + forest walks) runs OUTSIDE the shard locks,
+// against a tracker snapshot; only RetireDeadItems scores an item's death
+// check under the lock of the shard it sweeps.
 //
 // Observability: the service registers counters, a live-items gauge, and
 // per-operation latency histograms in an obs::MetricsRegistry (the
@@ -144,8 +145,9 @@ struct QueryResponse {
 };
 
 /// Thread-safe sharded prediction service.  All public methods may be
-/// called concurrently from any number of threads; per-item event times
-/// must still be non-decreasing (the tracker's contract).
+/// called concurrently from any number of threads; per-item, per-type
+/// event times must be non-decreasing for an event to be applied (see
+/// Ingest).
 class PredictionService {
  public:
   /// The model and extractor must outlive the service.  The configuration
@@ -159,7 +161,8 @@ class PredictionService {
   /// with destruction.
   ~PredictionService();
 
-  /// Registers a new content item.  kAlreadyExists if the id is taken.
+  /// Registers a new content item.  kAlreadyExists if the id is taken;
+  /// kInvalidArgument for a non-finite `creation_time`.
   Status RegisterItem(int64_t item_id, double creation_time,
                       const datagen::PageProfile& page,
                       const datagen::PostProfile& post);
@@ -171,14 +174,22 @@ class PredictionService {
 
   /// Ingests one engagement event.  kNotFound for unknown items (events
   /// for retired items are dropped, which is the intended behavior for
-  /// late stragglers); kInvalidArgument for a non-finite `t`.
+  /// late stragglers).  kInvalidArgument, with the item unchanged, for a
+  /// non-finite `t`, a `t` before the item's creation time, and a late
+  /// event: one older than the item's last event of the same type.  Late
+  /// events are never reordered or clamped; the tracker's windows need
+  /// per-type non-decreasing times, so the caller must resend in order.
   Status Ingest(int64_t item_id, stream::EngagementType type, double t);
 
   /// Ingests a batch of events: events are grouped by shard, each shard is
   /// locked once, and shards are processed in parallel.  Relative order of
-  /// a given item's events is preserved.  Returns the number ingested
-  /// (unknown items are dropped, as in Ingest; so are non-finite times,
-  /// each counted as an invalid_argument error).
+  /// a given item's events is preserved.  Returns the number ingested.
+  /// Drop policy: an event for an unknown item is dropped uncounted, as in
+  /// Ingest; an event Ingest would reject with kInvalidArgument (non-finite
+  /// time, before creation, or late relative to the item's events applied
+  /// so far, this batch's included) is dropped and counted in
+  /// horizon_serving_errors_invalid_argument_total.  The batch's other
+  /// events still apply.
   // horizon-lint: allow(serving-status) -- best-effort batch op: returns
   // the applied count; per-item kNotFound is the intended straggler-drop.
   size_t IngestBatch(const std::vector<IngestEvent>& events);
@@ -186,7 +197,7 @@ class PredictionService {
   /// The unified query entry point.  Request-level problems (non-finite
   /// `s`, `delta` < 0, empty ids with top_k == 0) return
   /// kInvalidArgument; per-item problems land in QueryResponse::errors.
-  /// Inference is batched: one flat-forest pass over every resolved item.
+  /// Inference is batched: one forest pass over every resolved item.
   StatusOr<QueryResponse> BatchQuery(const QueryRequest& request) const;
 
   /// Single-item convenience shim over BatchQuery.  kNotFound for unknown

@@ -1,7 +1,10 @@
 #include "sim/reference_model.h"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
+#include "common/math_util.h"
 #include "pointprocess/transform.h"
 
 namespace horizon::sim {
@@ -43,11 +46,28 @@ StatusCode ReferenceService::Answer(int64_t id, double s, double delta,
   const stream::TrackerSnapshot snapshot = item.tracker.Snapshot(s);
   out->row = extractor_->Extract(item.page, item.post, snapshot);
   out->observed = static_cast<double>(snapshot.views().total);
-  // The same per-row entry points the batch paths are bit-identical to.
-  out->predicted = model_->PredictCount(out->row.data(), out->observed, delta);
-  out->alpha = model_->PredictAlpha(out->row.data());
-  out->increment = model_->PredictIncrement(out->row.data(), delta);
+  out->alpha = FlatAlpha(out->row.data());
+  out->increment = FlatIncrement(out->row.data(), out->alpha, delta);
+  out->predicted = out->observed + out->increment;
   return StatusCode::kOk;
+}
+
+double ReferenceService::FlatAlpha(const float* row) const {
+  const core::HawkesPredictorParams& params = model_->params();
+  return Clamp(std::exp(model_->alpha_model().flat_forest().Predict(row)),
+               params.alpha_min, params.alpha_max);
+}
+
+double ReferenceService::FlatIncrement(const float* row, double alpha,
+                                       double delta) const {
+  if (delta == 0.0) return 0.0;
+  std::vector<double> increments(model_->num_reference_horizons());
+  for (size_t i = 0; i < increments.size(); ++i) {
+    increments[i] = std::max(
+        std::expm1(model_->count_model(i).flat_forest().Predict(row)), 0.0);
+  }
+  return model_->CombineIncrement(increments.data(), increments.size(), alpha,
+                                  delta);
 }
 
 std::vector<std::pair<int64_t, RefAnswer>> ReferenceService::Scan(
@@ -83,7 +103,7 @@ size_t ReferenceService::Retire(double now) {
     if (!dead && views.ewma_rate > 0.0) {
       const std::vector<float> row =
           extractor_->Extract(item.page, item.post, snapshot);
-      const double alpha = model_->PredictAlpha(row.data());
+      const double alpha = FlatAlpha(row.data());
       const double p_dead = pp::ProbabilityNoNewEvents(
           views.ewma_rate, std::numeric_limits<double>::infinity(), alpha);
       if (p_dead >= death_probability_threshold_) dead = true;

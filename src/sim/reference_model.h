@@ -1,12 +1,14 @@
 // Single-threaded reference model of the PredictionService.
 //
 // The simulator executes every op against both the real sharded service
-// and this shadow: a plain std::map of CascadeTrackers answered through
-// the per-row model entry points.  Because the service's batch inference
-// is bit-identical to the per-row calls (a contract the flat-forest tests
-// pin down) and tracker state round-trips bit-exactly, the comparison can
-// demand EXACT equality of every observed count, predicted count, and
-// alpha -- there is no tolerance to hide a divergence in.
+// and this shadow: a plain std::map of CascadeTrackers whose rows are
+// scored by each forest's depth-first FlatForest walk, not by the blocked
+// kernels the service (and the model's per-row entry points) run.
+// Because every blocked kernel is bit-identical to the flat walk (a
+// contract the block-forest tests pin down) and tracker state round-trips
+// bit-exactly, the comparison can demand EXACT equality of every observed
+// count, predicted count, and alpha -- there is no tolerance to hide a
+// divergence in.
 #ifndef HORIZON_SIM_REFERENCE_MODEL_H_
 #define HORIZON_SIM_REFERENCE_MODEL_H_
 
@@ -27,9 +29,9 @@ namespace horizon::sim {
 /// One reference answer for (item, s, delta).
 struct RefAnswer {
   double observed = 0.0;   ///< N(s) from the shadow tracker
-  double predicted = 0.0;  ///< model->PredictCount(row, observed, delta)
-  double alpha = 0.0;      ///< model->PredictAlpha(row)
-  double increment = 0.0;  ///< model->PredictIncrement(row, delta)
+  double predicted = 0.0;  ///< observed + increment
+  double alpha = 0.0;      ///< alpha_hat, as PredictAlpha(row) defines it
+  double increment = 0.0;  ///< as PredictIncrement(row, delta) defines it
   std::vector<float> row;  ///< the feature row, for invariant checks
 };
 
@@ -83,6 +85,11 @@ class ReferenceService {
   void RestoreState(const State& state) { items_ = state; }
 
  private:
+  /// The model's alpha_hat and increment for one row, every forest scored
+  /// through its FlatForest walk.
+  double FlatAlpha(const float* row) const;
+  double FlatIncrement(const float* row, double alpha, double delta) const;
+
   const core::HawkesPredictor* model_;
   const features::FeatureExtractor* extractor_;
   double idle_retirement_age_;

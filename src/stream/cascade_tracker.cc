@@ -43,30 +43,25 @@ void CascadeTracker::StreamState::Add(double age, const TrackerConfig& config) {
   ewma_time = age;
 }
 
-StreamSnapshot CascadeTracker::StreamState::Snapshot(double age,
-                                                     const TrackerConfig& config) const {
-  StreamSnapshot snap;
-  snap.total = total;
-  snap.window_counts.resize(config.window_lengths.size());
-  snap.window_rates.resize(config.window_lengths.size());
+void CascadeTracker::StreamState::Snapshot(double age, const TrackerConfig& config,
+                                           StreamSnapshot* out) const {
+  out->total = total;
   for (size_t i = 0; i < config.window_lengths.size(); ++i) {
-    snap.window_counts[i] = bank.Count(i, age);
-    snap.window_rates[i] =
-        static_cast<double>(snap.window_counts[i]) / config.window_lengths[i];
+    out->window_counts[i] = bank.Count(i, age);
+    out->window_rates[i] =
+        static_cast<double>(out->window_counts[i]) / config.window_lengths[i];
   }
-  snap.landmark_counts.resize(config.landmark_ages.size());
   for (size_t j = 0; j < config.landmark_ages.size(); ++j) {
     // If the landmark has been passed, report the finalized value; otherwise
     // every event so far happened before the landmark age.
-    snap.landmark_counts[j] =
+    out->landmark_counts[j] =
         (landmark_done[j] && age > config.landmark_ages[j]) ? landmark_counts[j] : total;
   }
-  snap.ewma_rate = ewma_rate * std::exp(-(age - ewma_time) / config.ewma_tau);
-  snap.mean_event_age =
+  out->ewma_rate = ewma_rate * std::exp(-(age - ewma_time) / config.ewma_tau);
+  out->mean_event_age =
       total > 0 ? age_sum.value() / static_cast<double>(total) : 0.0;
-  snap.first_event_age = first_age;
-  snap.last_event_age = last_age;
-  return snap;
+  out->first_event_age = first_age;
+  out->last_event_age = last_age;
 }
 
 CascadeTracker::CascadeTracker(double creation_time, const TrackerConfig& config)
@@ -75,7 +70,16 @@ CascadeTracker::CascadeTracker(double creation_time, const TrackerConfig& config
       streams_{StreamState(config), StreamState(config), StreamState(config),
                StreamState(config)} {
   HORIZON_CHECK(!config.window_lengths.empty());
+  HORIZON_CHECK_LE(config.window_lengths.size(), kMaxTrackerLayout);
+  HORIZON_CHECK_LE(config.landmark_ages.size(), kMaxTrackerLayout);
   HORIZON_CHECK_GT(config.ewma_tau, 0.0);
+}
+
+bool CascadeTracker::Accepts(EngagementType type, double t) const {
+  // The same comparisons Observe's callees check: the window counters
+  // require ages non-decreasing per stream.
+  return t >= creation_time_ &&
+         t - creation_time_ >= streams_[static_cast<int>(type)].last_age;
 }
 
 void CascadeTracker::Observe(EngagementType type, double t) {
@@ -143,8 +147,9 @@ TrackerSnapshot CascadeTracker::Snapshot(double s) const {
   HORIZON_CHECK_GE(s, creation_time_);
   TrackerSnapshot snap;
   snap.age = s - creation_time_;
+  snap.num_windows = config_.window_lengths.size();
   for (int i = 0; i < kNumEngagementTypes; ++i) {
-    snap.streams[i] = streams_[i].Snapshot(snap.age, config_);
+    streams_[i].Snapshot(snap.age, config_, &snap.streams[i]);
   }
   return snap;
 }

@@ -41,11 +41,19 @@ inline constexpr int kNumEngagementTypes = 4;
 /// Human-readable name of an engagement type ("view", "share", ...).
 const char* EngagementTypeName(EngagementType type);
 
+/// Most sliding windows, and most landmarks, a tracker layout may have:
+/// snapshots hold their per-window and per-landmark values inline, so a
+/// Snapshot allocates nothing.  CascadeTracker checks the cap;
+/// serving::ServiceConfig::Validate rejects a layout over it.
+inline constexpr size_t kMaxTrackerLayout = 8;
+
 /// Configuration shared by all engagement streams of a tracker.
 struct TrackerConfig {
-  /// Sliding-window lengths in seconds (recent activity windows).
+  /// Sliding-window lengths in seconds (recent activity windows); 1 to
+  /// kMaxTrackerLayout entries.
   std::vector<double> window_lengths{15 * 60.0, 3600.0, 6 * 3600.0, 24 * 3600.0};
-  /// Landmark ages since creation in seconds ("during the first X").
+  /// Landmark ages since creation in seconds ("during the first X"); at
+  /// most kMaxTrackerLayout entries.
   std::vector<double> landmark_ages{30 * 60.0, 3600.0, 6 * 3600.0, 24 * 3600.0};
   /// Time constant of the EWMA rate estimator (seconds).
   double ewma_tau = 3600.0;
@@ -54,12 +62,16 @@ struct TrackerConfig {
 };
 
 /// Point-in-time view of one engagement stream, produced by
-/// CascadeTracker::Snapshot.  All quantities are O(1)-state derived.
+/// CascadeTracker::Snapshot.  All quantities are O(1)-state derived.  The
+/// per-window and per-landmark arrays hold one entry per window and
+/// landmark of the tracker's layout; the rest stay zero.
 struct StreamSnapshot {
   uint64_t total = 0;                  ///< events observed so far
-  std::vector<uint64_t> window_counts; ///< per sliding window
-  std::vector<double> window_rates;    ///< counts / window length (events/s)
-  std::vector<uint64_t> landmark_counts;  ///< count by each landmark age
+  /// Per sliding window: counts, and counts / window length (events/s).
+  std::array<uint64_t, kMaxTrackerLayout> window_counts{};
+  std::array<double, kMaxTrackerLayout> window_rates{};
+  /// Count by each landmark age.
+  std::array<uint64_t, kMaxTrackerLayout> landmark_counts{};
   double ewma_rate = 0.0;              ///< EWMA event rate at snapshot time
   double mean_event_age = 0.0;         ///< mean age of events (0 if none)
   double first_event_age = -1.0;       ///< age of first event (-1 if none)
@@ -70,6 +82,7 @@ struct StreamSnapshot {
 /// item age at snapshot time.
 struct TrackerSnapshot {
   double age = 0.0;  ///< seconds since content creation
+  size_t num_windows = 0;  ///< the tracker layout's window count
   std::array<StreamSnapshot, kNumEngagementTypes> streams;
 
   const StreamSnapshot& views() const {
@@ -92,8 +105,13 @@ class CascadeTracker {
  public:
   CascadeTracker(double creation_time, const TrackerConfig& config);
 
-  /// Records one engagement event at absolute time `t` (>= creation time).
+  /// Records one engagement event at absolute time `t`.  Requires
+  /// Accepts(type, t).
   void Observe(EngagementType type, double t);
+
+  /// Whether Observe(type, t) keeps the ordering contract: `t` is not
+  /// before the creation time, nor before the last event of `type`.
+  bool Accepts(EngagementType type, double t) const;
 
   /// Total events of the given type so far.
   uint64_t TotalCount(EngagementType type) const;
@@ -122,7 +140,7 @@ class CascadeTracker {
     explicit StreamState(const TrackerConfig& config);
 
     void Add(double age, const TrackerConfig& config);
-    StreamSnapshot Snapshot(double age, const TrackerConfig& config) const;
+    void Snapshot(double age, const TrackerConfig& config, StreamSnapshot* out) const;
 
     WindowBank bank;
     uint64_t total = 0;

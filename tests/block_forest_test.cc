@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "gbdt/forest_kernels.h"
 #include "gbdt/gbdt.h"
 #include "gbdt/tree.h"
 
@@ -52,6 +53,43 @@ GbdtRegressor TrainRandomModel(uint64_t seed, int num_trees = 60,
   GbdtRegressor model(params);
   model.Fit(x, y);
   return model;
+}
+
+/// Puts NaN, +inf or -inf (rotating by row) into one or two features of
+/// every row.
+void SprinkleNonFinite(DataMatrix* x) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf};
+  const size_t features = x->num_features();
+  for (size_t r = 0; r < x->num_rows(); ++r) {
+    x->Set(r, r % features, values[r % 3]);
+    if (features > 1) x->Set(r, (r + 1) % features, values[(r + 1) % 3]);
+  }
+}
+
+/// Batches of 1 to kernels::kSmallBatchRows rows of `pool`, row-major and
+/// column-major, through PredictStrided: sizes below the threshold take
+/// the tree-interleaved scalar walk under every flavor, the last one the
+/// pinned flavor's kernel.  Every output must equal the flat forest's
+/// depth-first walk bit for bit.
+void ExpectSmallBatchesMatchFlat(const FlatForest& flat, const BlockForest& blocked,
+                                 const DataMatrix& pool) {
+  ASSERT_GE(pool.num_rows(), kernels::kSmallBatchRows);
+  for (size_t n = 1; n <= kernels::kSmallBatchRows; ++n) {
+    ExampleBatch soa(n, pool.num_features());
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t f = 0; f < pool.num_features(); ++f) soa.Set(r, f, pool.Get(r, f));
+    }
+    std::vector<double> row_major(n);
+    std::vector<double> col_major(n);
+    blocked.PredictStrided(pool.Row(0), n, pool.num_features(), 1, row_major.data());
+    blocked.PredictStrided(soa.data(), n, 1, soa.feature_stride(), col_major.data());
+    for (size_t r = 0; r < n; ++r) {
+      const double expected = flat.Predict(pool.Row(r));
+      ASSERT_EQ(row_major[r], expected) << "n=" << n << " row " << r;
+      ASSERT_EQ(col_major[r], expected) << "n=" << n << " row " << r;
+    }
+  }
 }
 
 TEST(BlockForestTest, CompilesTrainedModel) {
@@ -102,21 +140,27 @@ TEST(BlockForestTest, RegressorBatchPathsAreBitExactVsPerRowPredict) {
   const std::vector<double> via_matrix = model.PredictBatch(x);
   const std::vector<double> via_batch = model.PredictBatch(soa);
   for (size_t r = 0; r < x.num_rows(); ++r) {
-    const double expected = model.Predict(x.Row(r));
+    // The flat forest's depth-first walk is the oracle: per-row Predict
+    // itself runs the blocked scalar walk under test.
+    const double expected = model.flat_forest().Predict(x.Row(r));
     ASSERT_EQ(via_matrix[r], expected) << "row " << r;
     ASSERT_EQ(via_batch[r], expected) << "row " << r;
+    ASSERT_EQ(model.Predict(x.Row(r)), expected) << "row " << r;
   }
 }
 
 TEST(BlockForestTest, OddSizesCoverSimdTails) {
   const GbdtRegressor model = TrainRandomModel(17, /*num_trees=*/20);
-  // 1..35 spans every remainder mod 16/8/4 plus the empty batch.
-  for (size_t n : {0u, 1u, 2u, 3u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 35u}) {
+  // Below kSmallBatchRows (32) every flavor runs the scalar walk; 32..71
+  // span the SIMD kernels' remainders mod 32/8/4 within a 64-row block.
+  for (size_t n : {0u, 1u, 2u, 3u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
+                   35u, 40u, 47u, 63u, 71u}) {
     const DataMatrix x = RandomMatrix(n, model.num_features(), 1000 + n);
     const std::vector<double> got = model.block_forest().PredictBatch(x);
     ASSERT_EQ(got.size(), n);
     for (size_t r = 0; r < n; ++r) {
-      ASSERT_EQ(got[r], model.Predict(x.Row(r))) << "n=" << n << " row " << r;
+      ASSERT_EQ(got[r], model.flat_forest().Predict(x.Row(r)))
+          << "n=" << n << " row " << r;
     }
   }
 }
@@ -134,7 +178,23 @@ TEST(BlockForestTest, NonFiniteFeaturesMatchScalarSemantics) {
   }
   const std::vector<double> got = model.block_forest().PredictBatch(x);
   for (size_t r = 0; r < x.num_rows(); ++r) {
-    ASSERT_EQ(got[r], model.Predict(x.Row(r))) << "row " << r;
+    ASSERT_EQ(got[r], model.flat_forest().Predict(x.Row(r))) << "row " << r;
+  }
+}
+
+// The scalar walk takes trees 8 at a time, so the counts straddle
+// multiples of that lane width: fewer trees than one group, exactly one,
+// one group plus a remainder, and the default ensemble size.
+TEST(BlockForestTest, SmallBatchesMatchFlatForestAcrossTreeCounts) {
+  for (const int num_trees : {1, 7, 8, 9, 120}) {
+    SCOPED_TRACE(testing::Message() << num_trees << " trees");
+    const GbdtRegressor model = TrainRandomModel(23, num_trees);
+    ASSERT_EQ(model.block_forest().num_trees(), static_cast<size_t>(num_trees));
+    DataMatrix pool = RandomMatrix(kernels::kSmallBatchRows, model.num_features(),
+                                   static_cast<uint64_t>(num_trees));
+    ExpectSmallBatchesMatchFlat(model.flat_forest(), model.block_forest(), pool);
+    SprinkleNonFinite(&pool);
+    ExpectSmallBatchesMatchFlat(model.flat_forest(), model.block_forest(), pool);
   }
 }
 
@@ -171,8 +231,11 @@ TEST(BlockForestTest, OverDeepEnsembleStaysUncompiledAndRegressorFallsBack) {
 }
 
 TEST(BlockForestTest, MaxDepthEnsembleCompilesAndMatches) {
+  // Nine trees: one full group of the scalar walk plus a remainder.
   std::vector<RegressionTree> trees;
-  trees.push_back(MakeChainTree(BlockForest::kMaxBlockedDepth));
+  for (int t = 0; t < 9; ++t) {
+    trees.push_back(MakeChainTree(BlockForest::kMaxBlockedDepth - t % 3));
+  }
   const FlatForest flat = FlatForest::Compile(trees, 0.5, 0.1);
   const BlockForest blocked = BlockForest::Compile(flat);
   ASSERT_TRUE(blocked.compiled());
@@ -186,25 +249,45 @@ TEST(BlockForestTest, MaxDepthEnsembleCompilesAndMatches) {
   for (size_t r = 0; r < x.num_rows(); ++r) {
     ASSERT_EQ(got[r], flat.Predict(x.Row(r))) << "row " << r;
   }
+  ExpectSmallBatchesMatchFlat(flat, blocked, x);
+  SprinkleNonFinite(&x);
+  ExpectSmallBatchesMatchFlat(flat, blocked, x);
+}
+
+/// A single-node tree: the root is a leaf with the given value.
+RegressionTree MakeLeafTree(double value) {
+  std::vector<TreeNode> leaf_only(1);
+  leaf_only[0].feature = -1;
+  leaf_only[0].left = -1;
+  leaf_only[0].right = -1;
+  leaf_only[0].value = value;
+  return RegressionTree(std::move(leaf_only));
 }
 
 TEST(BlockForestTest, ConstantModelRootLeafTrees) {
   // A single-node (root leaf) tree exercises depth 0: no internal nodes,
   // one leaf slot per tree.
-  std::vector<TreeNode> leaf_only(1);
-  leaf_only[0].feature = -1;
-  leaf_only[0].left = -1;
-  leaf_only[0].right = -1;
-  leaf_only[0].value = 2.5;
   std::vector<RegressionTree> trees;
-  trees.emplace_back(std::move(leaf_only));
+  trees.push_back(MakeLeafTree(2.5));
   const FlatForest flat = FlatForest::Compile(trees, 1.0, 0.5);
   const BlockForest blocked = BlockForest::Compile(flat);
   ASSERT_TRUE(blocked.compiled());
   EXPECT_EQ(blocked.depth(), 0);
-  const DataMatrix x = RandomMatrix(10, 3, 8);
+  DataMatrix x = RandomMatrix(kernels::kSmallBatchRows, 3, 8);
   const std::vector<double> got = blocked.PredictBatch(x);
   for (const double v : got) ASSERT_EQ(v, 1.0 + 0.5 * 2.5);
+  ExpectSmallBatchesMatchFlat(flat, blocked, x);
+
+  // Nine leaf-only trees: a full group of the scalar walk and a
+  // remainder, accumulated in tree order.
+  for (int t = 1; t < 9; ++t) trees.push_back(MakeLeafTree(0.1 * t - 0.35));
+  const FlatForest flat9 = FlatForest::Compile(trees, 1.0, 0.5);
+  const BlockForest blocked9 = BlockForest::Compile(flat9);
+  ASSERT_TRUE(blocked9.compiled());
+  EXPECT_EQ(blocked9.depth(), 0);
+  ExpectSmallBatchesMatchFlat(flat9, blocked9, x);
+  SprinkleNonFinite(&x);
+  ExpectSmallBatchesMatchFlat(flat9, blocked9, x);
 }
 
 }  // namespace

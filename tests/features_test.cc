@@ -1,13 +1,62 @@
 #include "features/extractor.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
 #include "common/units.h"
 #include "datagen/generator.h"
 #include "features/schema.h"
+
+// Heap allocations made by the current thread, counted through the global
+// operator new this binary replaces.  Sanitizer runtimes own operator new,
+// so sanitized builds keep the default and skip the test that reads this.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HORIZON_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define HORIZON_TEST_SANITIZED 1
+#endif
+#endif
+
+#ifndef HORIZON_TEST_SANITIZED
+namespace {
+thread_local size_t t_allocations = 0;
+}  // namespace
+
+// Every replacement stays out of line: inlined into a caller, its malloc()
+// or free() meets the other side's new-expression or delete-expression,
+// and GCC's -Wmismatched-new-delete reports the pair.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
+  ++t_allocations;
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace horizon::features {
 namespace {
@@ -57,6 +106,75 @@ TEST(FeatureExtractorTest, UniqueFeatureNames) {
     names.insert(extractor.schema().def(i).name);
   }
   EXPECT_EQ(names.size(), extractor.schema().size());
+}
+
+// Pins the default schema, the (name, category) list in order, across
+// commits: models, checkpoints and Table 2 index features by position.
+// To regenerate after an INTENTIONAL schema change:
+// HORIZON_PRINT_GOLDEN=1 ./features_test
+// --gtest_filter=FeatureExtractorTest.SchemaGolden, then paste the printed
+// constants below.
+TEST(FeatureExtractorTest, SchemaGolden) {
+  constexpr uint32_t kSchemaCrc = 0xA4521E6Du;
+  constexpr size_t kFeatures = 111;
+  const FeatureExtractor extractor(stream::TrackerConfig{});
+  const FeatureSchema& schema = extractor.schema();
+  std::string joined;
+  for (size_t i = 0; i < schema.size(); ++i) {
+    joined += schema.def(i).name + "\t" +
+              FeatureCategoryName(schema.def(i).category) + "\n";
+  }
+  const uint32_t crc = io::Crc32(joined);
+  if (std::getenv("HORIZON_PRINT_GOLDEN") != nullptr) {
+    std::printf("  constexpr uint32_t kSchemaCrc = 0x%08Xu;\n"
+                "  constexpr size_t kFeatures = %zu;\n",
+                crc, schema.size());
+    return;
+  }
+  EXPECT_EQ(crc, kSchemaCrc) << "rerun with HORIZON_PRINT_GOLDEN=1 to regenerate";
+  EXPECT_EQ(schema.size(), kFeatures);
+}
+
+// The point-query hot path: a tracker snapshot and one extracted row touch
+// no heap.  256 rounds pass the extractor's 1-in-64 latency sample.
+TEST(FeatureExtractorTest, SnapshotAndExtractAllocateNothing) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#else
+  const auto data = SmallDataset();
+  const FeatureExtractor extractor(stream::TrackerConfig{});
+  const auto& cascade = data.cascades[0];
+  const auto& page = data.PageOf(cascade.post);
+  stream::CascadeTracker tracker(0.0, extractor.tracker_config());
+  for (const auto& e : cascade.views) {
+    tracker.Observe(stream::EngagementType::kView, e.time);
+  }
+  for (const double t : cascade.share_times) {
+    tracker.Observe(stream::EngagementType::kShare, t);
+  }
+  const double s = std::max(cascade.views.empty() ? 0.0 : cascade.views.back().time,
+                            cascade.share_times.empty() ? 0.0 : cascade.share_times.back());
+  std::vector<float> row(extractor.schema().size());
+  // Warm up: the first extraction resolves the extractor's instruments.
+  extractor.ExtractIntoStrided(page, cascade.post, tracker.Snapshot(s), row.data(), 1);
+
+  size_t snapshot_allocations = 0;
+  size_t extract_allocations = 0;
+  for (int i = 0; i < 256; ++i) {
+    const size_t before = t_allocations;
+    const stream::TrackerSnapshot snapshot = tracker.Snapshot(s + i * kHour);
+    const size_t between = t_allocations;
+    extractor.ExtractIntoStrided(page, cascade.post, snapshot, row.data(), 1);
+    snapshot_allocations += between - before;
+    extract_allocations += t_allocations - between;
+  }
+  EXPECT_EQ(snapshot_allocations, 0u);
+  EXPECT_EQ(extract_allocations, 0u);
+  // The counter itself works: a vector allocates.
+  const size_t before = t_allocations;
+  std::vector<float> copy = row;
+  EXPECT_EQ(t_allocations - before, 1u);
+#endif
 }
 
 TEST(FeatureExtractorTest, ExtractMatchesSchemaSizeAndIsFinite) {

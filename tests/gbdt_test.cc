@@ -278,6 +278,7 @@ TEST(GbdtRegressorTest, PredictBatchMatchesSinglePredictions) {
   const auto batch = model.PredictBatch(x);
   for (size_t i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(batch[i], model.Predict(x.Row(i)));
+    EXPECT_EQ(batch[i], model.flat_forest().Predict(x.Row(i)));
   }
 }
 

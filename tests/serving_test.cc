@@ -441,6 +441,18 @@ TEST_F(PredictionServiceTest, ValidateRejectsBadConfigs) {
   no_landmarks.tracker.landmark_ages.clear();
   EXPECT_EQ(no_landmarks.Validate().code(), StatusCode::kInvalidArgument);
 
+  // Snapshots hold at most kMaxTrackerLayout windows and landmarks inline.
+  ServiceConfig many_windows;
+  many_windows.tracker.window_lengths.assign(stream::kMaxTrackerLayout + 1, kHour);
+  EXPECT_EQ(many_windows.Validate().code(), StatusCode::kInvalidArgument);
+  ServiceConfig many_landmarks;
+  many_landmarks.tracker.landmark_ages.assign(stream::kMaxTrackerLayout + 1, kHour);
+  EXPECT_EQ(many_landmarks.Validate().code(), StatusCode::kInvalidArgument);
+  ServiceConfig full_layout;
+  full_layout.tracker.window_lengths.assign(stream::kMaxTrackerLayout, kHour);
+  full_layout.tracker.landmark_ages.assign(stream::kMaxTrackerLayout, kHour);
+  EXPECT_TRUE(full_layout.Validate().ok());
+
   // A tracker layout that disagrees with the extractor's is a config
   // mismatch: features would be computed against the wrong windows.
   ServiceConfig skewed;
@@ -561,6 +573,106 @@ TEST_F(PredictionServiceTest, NonFiniteTimesAreRejectedNotFatal) {
   EXPECT_EQ(registry.GetCounter("horizon_serving_errors_invalid_argument_total")
                 ->Value(),
             4u);
+}
+
+// A non-finite creation time used to be accepted, and the item's next
+// Ingest or Query then aborted the process in the tracker's checks.
+TEST_F(PredictionServiceTest, NonFiniteCreationTimeIsRejectedNotFatal) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  PredictionService service = MakeService(config);
+  const auto& cascade = dataset_->cascades[0];
+  const auto& page = dataset_->PageOf(cascade.post);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  EXPECT_EQ(service.RegisterItem(1, nan, page, cascade.post).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.RegisterItem(2, inf, page, cascade.post).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.RegisterItem(3, -inf, page, cascade.post).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(service.HasItem(1));
+  EXPECT_EQ(service.LiveItems(), 0u);
+  // The id stays free: a well-formed registration of it succeeds, and
+  // the item then ingests and answers as usual.
+  ASSERT_TRUE(service.RegisterItem(1, 0.0, page, cascade.post).ok());
+  EXPECT_TRUE(service.Ingest(1, stream::EngagementType::kView, kHour).ok());
+  const auto answer = service.Query(1, 2 * kHour, kDay);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer->observed_views, 1.0);
+  EXPECT_EQ(service.stats().items_registered, 1u);
+  EXPECT_EQ(registry.GetCounter("horizon_serving_errors_invalid_argument_total")
+                ->Value(),
+            3u);
+}
+
+// An event before the item's creation time used to trip the tracker's
+// creation-time check and abort the process.
+TEST_F(PredictionServiceTest, PreCreationEventsAreRejectedNotFatal) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  PredictionService service = MakeService(config);
+  const auto& cascade = dataset_->cascades[0];
+  const double created = kDay;
+  ASSERT_TRUE(service.RegisterItem(1, created, dataset_->PageOf(cascade.post),
+                                   cascade.post).ok());
+  const auto view = stream::EngagementType::kView;
+  const auto share = stream::EngagementType::kShare;
+
+  EXPECT_EQ(service.Ingest(1, view, created - 1.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Ingest(1, share, 0.0).code(), StatusCode::kInvalidArgument);
+  // An event at the creation time itself is on time.
+  EXPECT_TRUE(service.Ingest(1, view, created).ok());
+  // The batch drops the pre-creation event and applies the rest.
+  EXPECT_EQ(service.IngestBatch({{1, share, created - kHour},
+                                 {1, share, created + kHour},
+                                 {1, view, created + kHour}}),
+            2u);
+  EXPECT_EQ(service.stats().events_ingested, 3u);
+  const auto answer = service.Query(1, created + 2 * kHour, kDay);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer->observed_views, 2.0);
+  EXPECT_EQ(registry.GetCounter("horizon_serving_errors_invalid_argument_total")
+                ->Value(),
+            3u);
+}
+
+// An event older than the item's last event of the same type used to trip
+// the sliding-window ordering check and abort the process.  Each engagement
+// type is ordered on its own, so an older event of another type is on time.
+TEST_F(PredictionServiceTest, LateEventsAreRejectedNotFatal) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  PredictionService service = MakeService(config);
+  const auto& cascade = dataset_->cascades[0];
+  ASSERT_TRUE(service.RegisterItem(1, 0.0, dataset_->PageOf(cascade.post),
+                                   cascade.post).ok());
+  const auto view = stream::EngagementType::kView;
+  const auto comment = stream::EngagementType::kComment;
+
+  ASSERT_TRUE(service.Ingest(1, view, 2 * kHour).ok());
+  EXPECT_EQ(service.Ingest(1, view, kHour).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(service.Ingest(1, view, 2 * kHour).ok());  // ties are on time
+  EXPECT_TRUE(service.Ingest(1, comment, kHour).ok());    // other type
+  // Within a batch, lateness is judged against the events applied before
+  // it, the batch's own included.
+  EXPECT_EQ(service.IngestBatch({{1, view, 4 * kHour},
+                                 {1, view, 3 * kHour},
+                                 {1, comment, 30 * 60.0},
+                                 {1, view, 5 * kHour}}),
+            2u);
+  EXPECT_EQ(service.stats().events_ingested, 5u);
+  const auto answer = service.Query(1, 6 * kHour, kDay);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer->observed_views, 4.0);
+  EXPECT_EQ(registry.GetCounter("horizon_serving_errors_invalid_argument_total")
+                ->Value(),
+            3u);
 }
 
 }  // namespace
