@@ -171,13 +171,10 @@ void EmitAll(const datagen::PageProfile& page, const datagen::PostProfile& post,
 }  // namespace
 
 FeatureExtractor::FeatureExtractor(const stream::TrackerConfig& tracker_config)
-    : tracker_config_(tracker_config) {
-  // Snapshots carry at most kMaxTrackerLayout windows and landmarks.
-  HORIZON_CHECK_LE(tracker_config_.window_lengths.size(), stream::kMaxTrackerLayout);
-  HORIZON_CHECK_LE(tracker_config_.landmark_ages.size(), stream::kMaxTrackerLayout);
+    : tracker_layout_(std::make_shared<const stream::TrackerLayout>(tracker_config)) {
   // Walk the schema over dummy inputs; only the names and categories count.
   EmitAll(datagen::PageProfile{}, datagen::PostProfile{}, TrackerSnapshot{},
-          tracker_config_, [this](const auto& name, FeatureCategory cat, float) {
+          tracker_layout_->config, [this](const auto& name, FeatureCategory cat, float) {
             schema_.Add(std::string(name()), cat);
           });
 }
@@ -214,7 +211,7 @@ void FeatureExtractor::ExtractIntoStrided(const datagen::PageProfile& page,
   const obs::ScopedTimer timer(obs::SampleEvery(64, extract_latency));
   rows_extracted->Increment();
   size_t i = 0;
-  EmitAll(page, post, snapshot, tracker_config_,
+  EmitAll(page, post, snapshot, tracker_config(),
           [&](const auto& /*name*/, FeatureCategory /*cat*/, float value) {
             HORIZON_DCHECK(std::isfinite(value));
             out[i++ * stride] = value;
@@ -224,7 +221,7 @@ void FeatureExtractor::ExtractIntoStrided(const datagen::PageProfile& page,
 
 stream::TrackerSnapshot FeatureExtractor::ReplaySnapshot(
     const datagen::Cascade& cascade, double observe_age) const {
-  stream::CascadeTracker tracker(0.0, tracker_config_);
+  stream::CascadeTracker tracker(0.0, tracker_layout_);
   for (const auto& e : cascade.views) {
     if (e.time >= observe_age) break;
     tracker.Observe(EngagementType::kView, e.time);

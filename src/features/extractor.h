@@ -6,6 +6,7 @@
 #define HORIZON_FEATURES_EXTRACTOR_H_
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "datagen/cascade.h"
@@ -22,7 +23,13 @@ class FeatureExtractor {
   explicit FeatureExtractor(const stream::TrackerConfig& tracker_config);
 
   const FeatureSchema& schema() const { return schema_; }
-  const stream::TrackerConfig& tracker_config() const { return tracker_config_; }
+  const stream::TrackerConfig& tracker_config() const {
+    return tracker_layout_->config;
+  }
+  /// The layout every tracker ReplaySnapshot builds shares.
+  const std::shared_ptr<const stream::TrackerLayout>& tracker_layout() const {
+    return tracker_layout_;
+  }
 
   /// Extracts the feature vector (size schema().size()).
   std::vector<float> Extract(const datagen::PageProfile& page,
@@ -53,7 +60,7 @@ class FeatureExtractor {
                                          double observe_age) const;
 
  private:
-  stream::TrackerConfig tracker_config_;
+  std::shared_ptr<const stream::TrackerLayout> tracker_layout_;
   FeatureSchema schema_;
 };
 

@@ -84,6 +84,17 @@ Status ServiceConfig::Validate(const features::FeatureExtractor* extractor) cons
         "ServiceConfig: tracker has more windows or landmarks than "
         "stream::kMaxTrackerLayout");
   }
+  // The rest of what stream::TrackerLayout checks when the service builds
+  // its layout.
+  for (const double w : tracker.window_lengths) {
+    if (!(w > 0.0)) {
+      return Status::InvalidArgument("ServiceConfig: window lengths must be positive");
+    }
+  }
+  if (!(tracker.ewma_tau > 0.0) || !(tracker.epsilon > 0.0) || tracker.epsilon > 1.0) {
+    return Status::InvalidArgument(
+        "ServiceConfig: tracker needs ewma_tau > 0 and epsilon in (0, 1]");
+  }
   if (extractor != nullptr) {
     const stream::TrackerConfig& other = extractor->tracker_config();
     if (other.window_lengths != tracker.window_lengths ||
@@ -109,6 +120,7 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
     std::fprintf(stderr, "rejected ServiceConfig: %s\n", valid.ToString().c_str());
   }
   HORIZON_CHECK(valid.ok());
+  tracker_layout_ = std::make_shared<const stream::TrackerLayout>(config_.tracker);
   shards_.reserve(static_cast<size_t>(config_.num_shards));
   for (int i = 0; i < config_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -128,6 +140,7 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
         std::string(StatusCodeName(static_cast<StatusCode>(c))) + "_total");
   }
   m_live_items_ = registry_->GetGauge("horizon_serving_live_items");
+  m_tracker_bytes_ = registry_->GetGauge("horizon_serving_tracker_bytes");
   m_ingest_commits_ =
       registry_->GetCounter("horizon_serving_ingest_commits_total");
   m_ingest_latency_ = registry_->GetHistogram("horizon_serving_ingest_latency_seconds");
@@ -165,7 +178,7 @@ Status PredictionService::RegisterItem(int64_t item_id, double creation_time,
         Status::InvalidArgument("RegisterItem: creation time must be finite"));
   }
   Shard& shard = *shards_[ShardOf(item_id)];
-  Item item{stream::CascadeTracker(creation_time, config_.tracker), page, post};
+  Item item{stream::CascadeTracker(creation_time, tracker_layout_), page, post};
   bool inserted = false;
   {
     MutexLock lock(shard.mu);
@@ -526,6 +539,9 @@ size_t PredictionService::RetireDeadItems(double now) {
   }
   const obs::ScopedTimer timer(m_retire_latency_);
   std::atomic<size_t> retired_total{0};
+  // The sweep visits every item under its shard lock anyway, so it is
+  // what refreshes the tracker-bytes gauge; ingest and query pay nothing.
+  std::atomic<size_t> tracker_bytes{0};
   ParallelFor(shards_.size(), 1, [&](size_t begin, size_t end) {
     std::vector<float> row(extractor_->schema().size());
     const auto dead = [&](const Item& item) {
@@ -556,16 +572,24 @@ size_t PredictionService::RetireDeadItems(double now) {
     for (size_t sh = begin; sh < end; ++sh) {
       Shard& shard = *shards_[sh];
       MutexLock lock(shard.mu);
-      const size_t retired = std::erase_if(
-          shard.items, [&](const auto& entry) { return dead(entry.second); });
+      size_t bytes = 0;
+      const size_t retired = std::erase_if(shard.items, [&](const auto& entry) {
+        if (dead(entry.second)) return true;
+        bytes += entry.second.tracker.MemoryBytes();
+        return false;
+      });
       // order: relaxed; per-task tally folded after the ParallelFor
       // barrier, which supplies the happens-before edge.
       retired_total.fetch_add(retired, std::memory_order_relaxed);
+      // order: relaxed; see above.
+      tracker_bytes.fetch_add(bytes, std::memory_order_relaxed);
     }
   });
   // order: relaxed; read after the ParallelFor join (drain_mu handoff
   // orders it).
   const size_t retired = retired_total.load(std::memory_order_relaxed);
+  // order: relaxed; same post-join read as `retired` above.
+  m_tracker_bytes_->Set(static_cast<double>(tracker_bytes.load(std::memory_order_relaxed)));
   // order: relaxed; statistics counter paired with stats().
   items_retired_.fetch_add(retired, std::memory_order_relaxed);
   m_items_retired_->Add(retired);
@@ -949,7 +973,7 @@ Status PredictionService::Restore(const std::string& dir) {
       if (!ss.read(blob.data(), static_cast<std::streamsize>(blob_size))) {
         return CountError(Status::Corruption("shard file: truncated tracker"));
       }
-      Item item{stream::CascadeTracker(0.0, tracker), page, post};
+      Item item{stream::CascadeTracker(0.0, tracker_layout_), page, post};
       if (!item.tracker.Deserialize(blob)) {
         return CountError(Status::Corruption("shard file: bad tracker state"));
       }

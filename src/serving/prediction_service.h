@@ -214,7 +214,9 @@ class PredictionService {
   /// Retires items that are idle (no event for idle_retirement_age) or
   /// whose death probability exceeds the configured threshold at `now`.
   /// Returns the number retired; a non-finite `now` retires nothing and
-  /// counts an invalid_argument error.
+  /// counts an invalid_argument error.  Sets the
+  /// horizon_serving_tracker_bytes gauge to the summed
+  /// CascadeTracker::MemoryBytes() of the items it keeps.
   // horizon-lint: allow(serving-status) -- infallible maintenance sweep:
   // the retired count is the result, there is no failure to report.
   size_t RetireDeadItems(double now);
@@ -282,6 +284,8 @@ class PredictionService {
   const core::HawkesPredictor* model_;
   const features::FeatureExtractor* extractor_;
   ServiceConfig config_;
+  // config_.tracker, frozen once; every item's tracker shares it.
+  std::shared_ptr<const stream::TrackerLayout> tracker_layout_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<size_t> live_items_{0};
@@ -302,6 +306,7 @@ class PredictionService {
   obs::Counter* m_items_retired_;
   obs::Counter* m_errors_[10];  // indexed by StatusCode
   obs::Gauge* m_live_items_;
+  obs::Gauge* m_tracker_bytes_;  // refreshed by RetireDeadItems
   obs::Counter* m_ingest_commits_;  // IngestBatch shard-lock acquisitions
   obs::Histogram* m_ingest_latency_;
   obs::Histogram* m_ingest_batch_latency_;

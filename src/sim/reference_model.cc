@@ -23,7 +23,7 @@ StatusCode ReferenceService::Register(int64_t id, double creation_time,
   const bool inserted =
       items_
           .emplace(id, Item{stream::CascadeTracker(creation_time,
-                                                   extractor_->tracker_config()),
+                                                   extractor_->tracker_layout()),
                             page, post})
           .second;
   return inserted ? StatusCode::kOk : StatusCode::kAlreadyExists;

@@ -20,12 +20,12 @@
 #include <cstddef>
 #include <array>
 #include <cstdint>
-#include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/math_util.h"
-#include "stream/sliding_window.h"
+#include "stream/exponential_histogram.h"
 
 namespace horizon::stream {
 
@@ -42,8 +42,8 @@ inline constexpr int kNumEngagementTypes = 4;
 const char* EngagementTypeName(EngagementType type);
 
 /// Most sliding windows, and most landmarks, a tracker layout may have:
-/// snapshots hold their per-window and per-landmark values inline, so a
-/// Snapshot allocates nothing.  CascadeTracker checks the cap;
+/// trackers and snapshots hold their per-window and per-landmark state
+/// inline, so a Snapshot allocates nothing.  TrackerLayout checks the cap;
 /// serving::ServiceConfig::Validate rejects a layout over it.
 inline constexpr size_t kMaxTrackerLayout = 8;
 
@@ -59,6 +59,20 @@ struct TrackerConfig {
   double ewma_tau = 3600.0;
   /// Relative error of the sliding-window counters.
   double epsilon = 0.05;
+};
+
+/// A TrackerConfig frozen for the trackers that share it, plus what is
+/// derived from it once.  Trackers hold it by shared_ptr, so a service's
+/// items carry one pointer instead of one copy of the config each; the
+/// layout is immutable, so sharing it across threads needs no lock.
+struct TrackerLayout {
+  /// Checks the config: 1 to kMaxTrackerLayout positive window lengths,
+  /// at most kMaxTrackerLayout landmark ages, ewma_tau > 0 and epsilon
+  /// in (0, 1].
+  explicit TrackerLayout(TrackerConfig tracker_config);
+
+  const TrackerConfig config;
+  const size_t max_per_size;  ///< dgim::MaxPerSize(config.epsilon)
 };
 
 /// Point-in-time view of one engagement stream, produced by
@@ -103,6 +117,13 @@ struct TrackerSnapshot {
 /// non-decreasing time order per engagement type.
 class CascadeTracker {
  public:
+  /// A tracker that reads its window and landmark layout from `layout`,
+  /// which it shares with every other tracker built from the same
+  /// pointer.
+  CascadeTracker(double creation_time, std::shared_ptr<const TrackerLayout> layout);
+
+  /// Convenience: a tracker with a layout of its own, copied from
+  /// `config` (no reference to `config` is kept).
   CascadeTracker(double creation_time, const TrackerConfig& config);
 
   /// Records one engagement event at absolute time `t`.  Requires
@@ -121,7 +142,10 @@ class CascadeTracker {
   TrackerSnapshot Snapshot(double s) const;
 
   double creation_time() const { return creation_time_; }
-  const TrackerConfig& config() const { return config_; }
+
+  /// Bytes this tracker owns: the object itself plus the capacity of its
+  /// bucket vectors.  The shared layout is not counted.
+  size_t MemoryBytes() const;
 
   /// Serializes the full O(1) state (creation time, totals, sliding-window
   /// histograms, landmarks, EWMA rate, running age sums) to a portable
@@ -131,32 +155,36 @@ class CascadeTracker {
 
   /// Restores state written by Serialize into this tracker.  The tracker
   /// must have been constructed with the same configuration (window and
-  /// landmark layout); returns false on parse failure or layout mismatch,
-  /// leaving the tracker unspecified but safe to destroy.
+  /// landmark layout).  Returns false, leaving the tracker unchanged, on
+  /// parse failure, a layout mismatch, a window whose total or last time
+  /// differs from its stream's (an empty stream's windows read
+  /// dgim::kNoEventTime), or buckets dgim::Read rejects.
   bool Deserialize(const std::string& text);
 
  private:
   struct StreamState {
-    explicit StreamState(const TrackerConfig& config);
+    void Add(double age, const TrackerLayout& layout);
+    void Snapshot(double age, const TrackerLayout& layout,
+                  StreamSnapshot* out) const;
 
-    void Add(double age, const TrackerConfig& config);
-    void Snapshot(double age, const TrackerConfig& config, StreamSnapshot* out) const;
-
-    WindowBank bank;
+    // windows[i] holds the DGIM buckets of layout window i, oldest first;
+    // its event total and last time are `total` and `last_age` below.
+    std::array<std::vector<dgim::Bucket>, kMaxTrackerLayout> windows;
+    // landmark_counts[j] is finalized (bit j of landmark_done) once an
+    // event at an age beyond landmark j is seen.
+    std::array<uint64_t, kMaxTrackerLayout> landmark_counts{};
     uint64_t total = 0;
-    // landmark_counts_[j] is finalized once an event (or snapshot) at age
-    // beyond landmark j is seen.
-    std::vector<uint64_t> landmark_counts;
-    std::vector<bool> landmark_done;
     KahanSum age_sum;
     double first_age = -1.0;
     double last_age = -1.0;
     double ewma_rate = 0.0;   // events per second
     double ewma_time = 0.0;   // age at which ewma_rate was last updated
+    uint8_t landmark_done = 0;
   };
+  static_assert(kMaxTrackerLayout <= 8, "landmark_done is an 8-bit mask");
 
+  std::shared_ptr<const TrackerLayout> layout_;
   double creation_time_;
-  TrackerConfig config_;
   std::array<StreamState, kNumEngagementTypes> streams_;
 };
 

@@ -3,17 +3,63 @@
 // reference [18] of the paper.  This is the substrate that makes the
 // temporal "velocity" features computable in O(1) amortized time and
 // O(log^2 W / eps)-ish space per content item, independent of cascade size.
+//
+// The bucket logic lives once, in namespace dgim, as functions over a
+// caller-owned bucket vector.  ExponentialHistogram wraps it for one
+// standalone window; CascadeTracker runs it over each window of each
+// engagement stream and keeps the window length, the per-size cap, the
+// event total and the last event time itself, shared across windows.
 #ifndef HORIZON_STREAM_EXPONENTIAL_HISTOGRAM_H_
 #define HORIZON_STREAM_EXPONENTIAL_HISTOGRAM_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
+#include <vector>
 
 namespace horizon::stream {
 
-/// Approximate count of events inside a sliding time window.
+namespace dgim {
+
+/// `size` events (a power of two), the newest of them at time `newest`.
+struct Bucket {
+  double newest;
+  uint64_t size;
+};
+
+/// The last-event time a window reports (and serializes) before its
+/// first event.
+inline constexpr double kNoEventTime = -1e300;
+
+/// Most buckets of one size a window keeps: ceil(1/epsilon) + 1, which
+/// bounds the relative error of Count by epsilon.
+size_t MaxPerSize(double epsilon);
+
+/// Records one event at time `t` (>= every earlier event) in `buckets`
+/// (oldest first): drops the prefix that has left the window of length
+/// `window` in one erase, appends a size-1 bucket, then merges the two
+/// oldest buckets of any size that has more than `max_per_size`.
+void Add(std::vector<Bucket>* buckets, double t, double window,
+         size_t max_per_size);
+
+/// Estimated number of events in (now - window, now].  A pure read:
+/// buckets that have expired since the last Add are skipped, not dropped.
+uint64_t Count(const std::vector<Bucket>& buckets, double now, double window);
+
+/// Writes "total last_t count" and one "newest size" line per bucket.
+void Write(std::ostream& os, uint64_t total, double last_t,
+           const std::vector<Bucket>& buckets);
+
+/// Reads what Write wrote.  Rejects, before allocating, more buckets than
+/// a window with this per-size cap can hold; then rejects a zero size, a
+/// non-finite or decreasing `newest`, a `newest` past `last_t`, and sizes
+/// that sum to more than `total`.  On false the outputs are unchanged.
+bool Read(std::istream& is, size_t max_per_size, uint64_t* total,
+          double* last_t, std::vector<Bucket>* buckets);
+
+}  // namespace dgim
+
+/// Approximate count of events inside one sliding time window.
 ///
 /// Events arrive with non-decreasing timestamps.  `Count(now)` returns an
 /// estimate of the number of events with timestamp in (now - window, now]
@@ -47,25 +93,19 @@ class ExponentialHistogram {
   void SerializeTo(std::ostream& os) const;
 
   /// Restores state written by SerializeTo.  Returns false on malformed
-  /// input (histogram state is then unspecified but safe to destroy).
+  /// or inconsistent input (see dgim::Read), leaving the histogram as it
+  /// was.
   bool DeserializeFrom(std::istream& is);
 
  private:
-  struct Bucket {
-    double newest;   // timestamp of the most recent event merged in
-    uint64_t size;   // number of events represented (power of two)
-  };
-
-  void Expire(double now);
-
   double window_;
-  size_t max_per_size_;  // ceil(1/eps) + 1
+  size_t max_per_size_;
   // Front = oldest.  Expired buckets are dropped on the write path (Add)
   // only: Count() is a PURE read, so const callers may share one
   // histogram across threads without synchronization.
-  std::deque<Bucket> buckets_;
+  std::vector<dgim::Bucket> buckets_;
   uint64_t total_ = 0;
-  double last_t_ = -1e300;
+  double last_t_ = dgim::kNoEventTime;
 };
 
 }  // namespace horizon::stream

@@ -1,8 +1,6 @@
 #include "stream/sliding_window.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "common/check.h"
 
@@ -30,49 +28,6 @@ uint64_t ExactSlidingWindow::Count(double now) const {
   const auto first =
       std::upper_bound(times_.begin(), times_.end(), cutoff);
   return static_cast<uint64_t>(times_.end() - first);
-}
-
-WindowBank::WindowBank(std::vector<double> window_lengths, double epsilon) {
-  HORIZON_CHECK(!window_lengths.empty());
-  windows_.reserve(window_lengths.size());
-  for (double w : window_lengths) windows_.emplace_back(w, epsilon);
-}
-
-void WindowBank::Add(double t) {
-  for (auto& w : windows_) w.Add(t);
-}
-
-uint64_t WindowBank::Count(size_t i, double now) const {
-  HORIZON_CHECK_LT(i, windows_.size());
-  return windows_[i].Count(now);
-}
-
-double WindowBank::Velocity(size_t i, double now) const {
-  HORIZON_CHECK_LT(i, windows_.size());
-  return static_cast<double>(windows_[i].Count(now)) / windows_[i].window_length();
-}
-
-double WindowBank::window_length(size_t i) const {
-  HORIZON_CHECK_LT(i, windows_.size());
-  return windows_[i].window_length();
-}
-
-uint64_t WindowBank::TotalCount() const {
-  return windows_.empty() ? 0 : windows_[0].TotalCount();
-}
-
-void WindowBank::SerializeTo(std::ostream& os) const {
-  os << windows_.size() << "\n";
-  for (const auto& w : windows_) w.SerializeTo(os);
-}
-
-bool WindowBank::DeserializeFrom(std::istream& is) {
-  size_t n = 0;
-  if (!(is >> n) || n != windows_.size()) return false;
-  for (auto& w : windows_) {
-    if (!w.DeserializeFrom(is)) return false;
-  }
-  return true;
 }
 
 }  // namespace horizon::stream

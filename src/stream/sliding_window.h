@@ -1,15 +1,11 @@
-// Exact sliding-window counter (baseline for the exponential histogram) and
-// a multi-resolution bank of windows used for velocity features.
+// Exact sliding-window counter: the baseline the exponential histogram
+// (stream/exponential_histogram.h) is tested and benchmarked against.
 #ifndef HORIZON_STREAM_SLIDING_WINDOW_H_
 #define HORIZON_STREAM_SLIDING_WINDOW_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
-#include <vector>
-
-#include "stream/exponential_histogram.h"
 
 namespace horizon::stream {
 
@@ -36,41 +32,6 @@ class ExactSlidingWindow {
   std::deque<double> times_;
   uint64_t total_ = 0;
   double last_t_ = -1e300;
-};
-
-/// A bank of approximate sliding windows of different lengths over one event
-/// stream, plus a velocity query.  This is the per-item state the paper
-/// describes for approximating the stochastic intensity lambda(s) by the
-/// local rate of points over [s - d, s].
-class WindowBank {
- public:
-  /// @param window_lengths  strictly positive window lengths (seconds).
-  /// @param epsilon         per-window relative error bound.
-  explicit WindowBank(std::vector<double> window_lengths, double epsilon = 0.05);
-
-  void Add(double t);
-
-  /// Approximate count in (now - window_lengths[i], now].
-  uint64_t Count(size_t i, double now) const;
-
-  /// Approximate event rate (events/second) over window i, i.e.
-  /// Count(i, now) / window_lengths[i].
-  double Velocity(size_t i, double now) const;
-
-  size_t num_windows() const { return windows_.size(); }
-  double window_length(size_t i) const;
-  uint64_t TotalCount() const;
-
-  /// Writes all window states to `os` (configuration excluded; restore
-  /// into a bank constructed with the same lengths and epsilon).
-  void SerializeTo(std::ostream& os) const;
-
-  /// Restores state written by SerializeTo.  Returns false on malformed
-  /// input or a window-count mismatch with this bank's configuration.
-  bool DeserializeFrom(std::istream& is);
-
- private:
-  std::vector<ExponentialHistogram> windows_;
 };
 
 }  // namespace horizon::stream

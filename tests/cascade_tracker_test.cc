@@ -1,10 +1,18 @@
 #include "stream/cascade_tracker.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
 #include "common/units.h"
+#include "stream/exponential_histogram.h"
 
 namespace horizon::stream {
 namespace {
@@ -119,10 +127,218 @@ TEST(CascadeTrackerTest, StreamsAreIndependent) {
   EXPECT_DOUBLE_EQ(snap.comments().last_event_age, 2.0);
 }
 
+TEST(CascadeTrackerTest, WindowsOfOneStreamCountIndependently) {
+  TrackerConfig config = SmallConfig();
+  config.landmark_ages.clear();
+  CascadeTracker tracker(0.0, config);
+  for (int i = 0; i < 100; ++i) {
+    tracker.Observe(EngagementType::kView, static_cast<double>(i));
+  }
+  const auto snap = tracker.Snapshot(99.5);
+  // At t = 99.5: the 10 s window holds ~10 events, the 100 s one ~100.
+  EXPECT_EQ(snap.num_windows, 2u);
+  EXPECT_NEAR(static_cast<double>(snap.views().window_counts[0]), 10.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(snap.views().window_counts[1]), 100.0, 3.0);
+  EXPECT_NEAR(snap.views().window_rates[0], 1.0, 0.2);
+  EXPECT_NEAR(snap.views().window_rates[1], 1.0, 0.05);
+  EXPECT_EQ(snap.views().window_counts[2], 0u);  // past the layout
+  EXPECT_EQ(snap.views().total, 100u);
+}
+
+// The tracker's windows run the same DGIM code as the standalone
+// histogram, so their counts agree exactly.
+TEST(CascadeTrackerTest, WindowCountsMatchStandaloneHistogram) {
+  const TrackerConfig config;  // default layout, epsilon = 0.05
+  CascadeTracker tracker(0.0, config);
+  std::vector<ExponentialHistogram> reference;
+  for (const double w : config.window_lengths) reference.emplace_back(w, config.epsilon);
+  double t = 0.0;
+  for (int i = 0; i < 3000; ++i) {
+    t += (i % 97 == 0) ? 4000.0 : 1.0 + (i % 13);  // bursts and gaps
+    tracker.Observe(EngagementType::kShare, t);
+    for (auto& h : reference) h.Add(t);
+    if (i % 50 == 0) {
+      const auto snap = tracker.Snapshot(t + 30.0);
+      for (size_t w = 0; w < reference.size(); ++w) {
+        ASSERT_EQ(snap.shares().window_counts[w], reference[w].Count(t + 30.0))
+            << "event " << i << ", window " << w;
+      }
+    }
+  }
+}
+
+TEST(CascadeTrackerTest, TrackersShareOneLayout) {
+  const auto layout = std::make_shared<const TrackerLayout>(SmallConfig());
+  EXPECT_EQ(layout->max_per_size, 101u);  // ceil(1 / 0.01) + 1
+  CascadeTracker a(0.0, layout);
+  CascadeTracker b(0.0, layout);
+  CascadeTracker own(0.0, SmallConfig());
+  for (const double t : {1.0, 2.0, 30.0}) {
+    a.Observe(EngagementType::kView, t);
+    own.Observe(EngagementType::kView, t);
+  }
+  EXPECT_EQ(layout.use_count(), 3);
+  EXPECT_EQ(a.Serialize(), own.Serialize());
+  EXPECT_EQ(b.TotalCount(EngagementType::kView), 0u);
+}
+
+TEST(CascadeTrackerTest, ConvenienceConstructorCopiesTheConfig) {
+  TrackerConfig config = SmallConfig();
+  CascadeTracker tracker(0.0, config);
+  // The tracker must not read the caller's config again.
+  config.window_lengths = {1.0};
+  config.landmark_ages = {0.5};
+  tracker.Observe(EngagementType::kView, 1.0);
+  const auto snap = tracker.Snapshot(60.0);
+  EXPECT_EQ(snap.num_windows, 2u);
+  EXPECT_EQ(snap.views().window_counts[1], 1u);   // in the 100 s window
+  EXPECT_EQ(snap.views().landmark_counts[0], 1u); // landmark 5 s
+}
+
+// A regression guard on the per-item constant: an empty tracker of the
+// default layout (4 windows, 4 landmarks, 4 streams) allocates nothing,
+// so its footprint is the object itself.  A node-based container per
+// window would break the bound: an empty std::deque allocates >= 512 B.
+TEST(CascadeTrackerTest, EmptyTrackerIsSmall) {
+  const CascadeTracker tracker(0.0, TrackerConfig{});
+  EXPECT_EQ(tracker.MemoryBytes(), sizeof(CascadeTracker));
+  EXPECT_LE(tracker.MemoryBytes(), 1600u);
+}
+
+// O(1) state: memory follows the DGIM bucket bound, not the event count.
+TEST(CascadeTrackerTest, MemoryIsBoundedInTheEventCount) {
+  CascadeTracker tracker(0.0, TrackerConfig{});
+  size_t after_half = 0;
+  for (int i = 1; i <= 200000; ++i) {
+    tracker.Observe(EngagementType::kView, static_cast<double>(i));
+    if (i == 100000) after_half = tracker.MemoryBytes();
+  }
+  EXPECT_GT(after_half, sizeof(CascadeTracker));
+  // Exact 24 h counts alone would take 86400 * 8 B; the histograms keep
+  // O(log(W) / epsilon) buckets per window.
+  EXPECT_LT(tracker.MemoryBytes(), 64u * 1024u);
+  EXPECT_LE(tracker.MemoryBytes(), after_half + 4096u);
+}
+
+TEST(CascadeTrackerTest, DeserializeRejectsWindowDisagreeingWithItsStream) {
+  CascadeTracker source(0.0, TrackerConfig{});
+  for (const double t : {10.0, 20.0, 30.0}) source.Observe(EngagementType::kView, t);
+  const std::string blob = source.Serialize();
+  const auto tamper = [&](const std::string& from, const std::string& to) {
+    std::string out = blob;
+    const size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  // The view stream's first window: "total last_t buckets", then buckets.
+  ASSERT_NE(blob.find("\n3 30 3\n10 1\n20 1\n30 1\n"), std::string::npos);
+  const std::vector<std::string> bad = {
+      tamper("\n3 30 3\n", "\n3 1000000000 3\n"),    // last_t != last_age
+      tamper("\n3 30 3\n", "\n4 30 3\n"),            // total != stream total
+      tamper("\n10 1\n20 1\n", "\n20 1\n10 1\n"),    // times decrease
+      tamper("\n30 1\n", "\n31 1\n"),                 // past last_t
+      tamper("\n20 1\n30 1\n", "\n20 2\n30 1\n"),    // sizes sum past total
+      // An empty stream's windows must read -1e300.
+      tamper("0 -1.0000000000000001e+300 0", "0 -1 0"),
+  };
+  for (const std::string& text : bad) {
+    CascadeTracker tracker(5.0, TrackerConfig{});
+    tracker.Observe(EngagementType::kShare, 6.0);
+    const std::string before = tracker.Serialize();
+    EXPECT_FALSE(tracker.Deserialize(text)) << text;
+    EXPECT_EQ(tracker.Serialize(), before) << "a rejected blob changed the tracker";
+  }
+  CascadeTracker restored(0.0, TrackerConfig{});
+  ASSERT_TRUE(restored.Deserialize(blob));
+  ASSERT_TRUE(restored.Accepts(EngagementType::kView, 40.0));
+  restored.Observe(EngagementType::kView, 40.0);
+  source.Observe(EngagementType::kView, 40.0);
+  EXPECT_EQ(restored.Serialize(), source.Serialize());
+}
+
 TEST(CascadeTrackerTest, SnapshotAgeIsRelativeToCreation) {
   CascadeTracker tracker(1000.0, SmallConfig());
   const auto snap = tracker.Snapshot(1010.0);
   EXPECT_DOUBLE_EQ(snap.age, 10.0);
+}
+
+// Checkpoint shard files hold Serialize() blobs, so this pins the byte
+// format: a layout change that moves one byte would stop existing
+// checkpoints from restoring.  The default layout (epsilon = 0.05) sees
+// events of all four types that cross window expiry, every landmark age
+// and several bucket merges.  To regenerate after an INTENTIONAL format
+// change (which also needs a "trk" version bump): HORIZON_PRINT_GOLDEN=1
+// ./cascade_tracker_test --gtest_filter=CascadeTrackerTest.SerializeGolden,
+// then paste the printed constants below.
+TEST(CascadeTrackerTest, SerializeGolden) {
+  constexpr uint32_t kBlobCrc = 0xDCE58050u;
+  constexpr size_t kBlobBytes = 4883;
+  constexpr double kCreation = 1000.0;
+  CascadeTracker tracker(kCreation, TrackerConfig{});
+  const auto at = [&](EngagementType type, double age) {
+    tracker.Observe(type, kCreation + age);
+  };
+  // A 150-view burst inside the first 15 min merges buckets in every
+  // window; after a 2 h gap, 60 more views; a second burst from 30 h on
+  // is past every landmark and expires all the older buckets.
+  for (int i = 0; i < 150; ++i) at(EngagementType::kView, 10.0 + 3.7 * i);
+  for (int i = 0; i < 60; ++i) at(EngagementType::kView, 7200.0 + 61.3 * i);
+  for (int i = 0; i < 80; ++i) at(EngagementType::kView, 30 * kHour + 0.25 + 5.5 * i);
+  for (int i = 0; i < 40; ++i) at(EngagementType::kShare, 100.0 + 97.0 * i);
+  at(EngagementType::kShare, 50000.0);
+  for (const double age : {1000.5, 5000.25, 30000.125, 90000.0625}) {
+    at(EngagementType::kComment, age);
+  }
+  // Reactions stop before the first landmark, so none is finalized.
+  for (int i = 0; i < 30; ++i) at(EngagementType::kReaction, 2.0 + 0.1 * i);
+
+  const std::string blob = tracker.Serialize();
+  const uint32_t crc = io::Crc32(blob);
+  if (std::getenv("HORIZON_PRINT_GOLDEN") != nullptr) {
+    std::printf("  constexpr uint32_t kBlobCrc = 0x%08Xu;\n"
+                "  constexpr size_t kBlobBytes = %zu;\n",
+                crc, blob.size());
+    return;
+  }
+  EXPECT_EQ(crc, kBlobCrc) << "rerun with HORIZON_PRINT_GOLDEN=1 to regenerate";
+  EXPECT_EQ(blob.size(), kBlobBytes);
+  CascadeTracker restored(0.0, TrackerConfig{});
+  ASSERT_TRUE(restored.Deserialize(blob));
+  EXPECT_EQ(restored.Serialize(), blob);
+}
+
+// An empty tracker's blob, verbatim: every window of an empty stream
+// writes its last time as -1e300.
+TEST(CascadeTrackerTest, SerializeGoldenEmpty) {
+  const std::string blob = CascadeTracker(0.5, SmallConfig()).Serialize();
+  if (std::getenv("HORIZON_PRINT_GOLDEN") != nullptr) {
+    std::fputs(blob.c_str(), stdout);
+    return;
+  }
+  EXPECT_EQ(blob,
+            "trk v1\n"
+            "0.5 2 2\n"
+            "0 -1 -1 0 0 0 0\n"
+            "0 0 0 0 \n"
+            "2\n"
+            "0 -1.0000000000000001e+300 0\n"
+            "0 -1.0000000000000001e+300 0\n"
+            "0 -1 -1 0 0 0 0\n"
+            "0 0 0 0 \n"
+            "2\n"
+            "0 -1.0000000000000001e+300 0\n"
+            "0 -1.0000000000000001e+300 0\n"
+            "0 -1 -1 0 0 0 0\n"
+            "0 0 0 0 \n"
+            "2\n"
+            "0 -1.0000000000000001e+300 0\n"
+            "0 -1.0000000000000001e+300 0\n"
+            "0 -1 -1 0 0 0 0\n"
+            "0 0 0 0 \n"
+            "2\n"
+            "0 -1.0000000000000001e+300 0\n"
+            "0 -1.0000000000000001e+300 0\n");
 }
 
 TEST(EngagementTypeTest, Names) {

@@ -12,6 +12,8 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -330,6 +332,98 @@ TEST_F(CheckpointTest, RestoreRejectsCorruptedShardFile) {
   Load(&restored, 3, kAge);  // pre-existing state must survive the failure
   const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
   EXPECT_FALSE(restored.Restore(Dir()));
+  EXPECT_EQ(restored.LiveItems(), 3u);
+  ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+}
+
+/// Rewrites the first shard file of the committed checkpoint under `dir`
+/// for which `edit` changes the payload, with fresh CRCs in the file and
+/// in the manifest entry that vouches for it: what a re-framed (rather
+/// than torn) shard file holds.  False if `edit` declined every shard.
+bool ReframeShard(const std::string& dir,
+                  const std::function<bool(std::string*)>& edit) {
+  std::string pointer = io::ReadFile(dir + "/CURRENT").value();
+  while (!pointer.empty() && (pointer.back() == '\n' || pointer.back() == ' ')) {
+    pointer.pop_back();
+  }
+  const std::string ckpt = dir + "/" + pointer;
+  std::string manifest =
+      io::UnwrapCrcFrame(io::ReadFile(ckpt + "/MANIFEST").value()).value();
+  for (const std::string& name : io::ListDir(ckpt)) {
+    if (name.rfind("shard-", 0) != 0) continue;
+    std::string payload =
+        io::UnwrapCrcFrame(io::ReadFile(ckpt + "/" + name).value()).value();
+    if (!edit(&payload)) continue;
+    const std::string framed = io::WrapCrcFrame(payload);
+    EXPECT_TRUE(io::WriteFileAtomic(ckpt + "/" + name, framed).ok());
+    // Manifest entry: "<name> <crc> <bytes> <items>".
+    const size_t line = manifest.find("\n" + name + " ");
+    if (line == std::string::npos) {
+      ADD_FAILURE() << name << " has no manifest entry";
+      return false;
+    }
+    const size_t at = line + 1;
+    const size_t end = manifest.find('\n', at);
+    std::istringstream entry(manifest.substr(at, end - at));
+    std::string file;
+    uint32_t crc = 0;
+    size_t bytes = 0, items = 0;
+    entry >> file >> crc >> bytes >> items;
+    manifest.replace(at, end - at,
+                     name + " " + std::to_string(io::Crc32(framed)) + " " +
+                         std::to_string(framed.size()) + " " +
+                         std::to_string(items));
+    EXPECT_TRUE(
+        io::WriteFileAtomic(ckpt + "/MANIFEST", io::WrapCrcFrame(manifest)).ok());
+    return true;
+  }
+  return false;
+}
+
+// The CRCs catch bytes flipped at rest, not a shard re-framed with valid
+// CRCs around inconsistent tracker state.  A view window whose last time
+// runs ahead of its stream's last event once restored fine and aborted
+// the process on the item's next event; Restore must now refuse it with
+// kCorruption and leave the service untouched.
+TEST_F(CheckpointTest, RestoreRejectsReframedShardWithTamperedTracker) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  ASSERT_TRUE(source.Checkpoint(Dir()));
+
+  // Control: re-framing a shard without changing it restores fine.
+  ASSERT_TRUE(ReframeShard(Dir(), [](std::string*) { return true; }));
+  {
+    PredictionService control = MakeService();
+    ASSERT_TRUE(control.Restore(Dir()).ok());
+    EXPECT_EQ(control.LiveItems(), static_cast<size_t>(kItems));
+  }
+
+  // Raise the leading digit of a non-empty view stream's first window
+  // last time (byte counts unchanged).  A tracker blob's sixth line is
+  // that window's "total last_t buckets" header.
+  const auto tamper = [](std::string* payload) {
+    for (size_t at = payload->find("trk v1\n"); at != std::string::npos;
+         at = payload->find("trk v1\n", at + 1)) {
+      size_t line = at;
+      for (int i = 0; i < 5; ++i) line = payload->find('\n', line) + 1;
+      std::istringstream header(payload->substr(line, payload->find('\n', line) - line));
+      uint64_t total = 0;
+      std::string last_t;
+      header >> total >> last_t;
+      if (total > 0 && last_t[0] >= '1' && last_t[0] <= '8') {
+        (*payload)[line + std::to_string(total).size() + 1] = '9';
+        return true;
+      }
+    }
+    return false;
+  };
+  ASSERT_TRUE(ReframeShard(Dir(), tamper));
+
+  PredictionService restored = MakeService();
+  Load(&restored, 3, kAge);
+  const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+  const Status status = restored.Restore(Dir());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
   EXPECT_EQ(restored.LiveItems(), 3u);
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }

@@ -1,13 +1,15 @@
 // Fuzz-style robustness tests (seeded, deterministic, no third-party
-// fuzzing dependency) for the two untrusted deserialization entry points:
-// GbdtRegressor::Deserialize and HawkesPredictor::Deserialize.  Truncated,
-// bit-flipped, and garbage inputs must return false -- never crash, hang,
-// overflow, or make later Predict calls unsafe.  The CI runs this binary
-// under both TSan and ASan+UBSan.
+// fuzzing dependency) for the untrusted deserialization entry points:
+// GbdtRegressor::Deserialize, HawkesPredictor::Deserialize and
+// CascadeTracker::Deserialize.  Truncated, bit-flipped, and garbage inputs
+// must return false -- never crash, hang, overflow, or make later
+// Predict / Observe / Snapshot calls unsafe.  The CI runs this binary
+// under ASan+UBSan and standalone UBSan (its "durability" label).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "common/units.h"
 #include "core/hawkes_predictor.h"
 #include "gbdt/gbdt.h"
+#include "stream/cascade_tracker.h"
 
 namespace horizon {
 namespace {
@@ -250,6 +253,174 @@ TEST(FuzzHawkesDeserialize, AbsurdHeadersRejected) {
   // Inverted alpha clamp range.
   EXPECT_FALSE(model.Deserialize("hwk v1\n1 geo 1e-2 1e-8\n86400\n"));
   EXPECT_FALSE(model.trained());
+}
+
+// -- CascadeTracker::Deserialize -----------------------------------------
+
+/// A tracker whose blob has every section populated: all four streams,
+/// finalized and open landmarks, merged buckets in every view window
+/// (300 views ~10 s apart, then 100 other events ~60 s apart).
+stream::CascadeTracker BusyTracker() {
+  stream::CascadeTracker tracker(1000.0, stream::TrackerConfig{});
+  Rng rng(0xF1125005);
+  double t = 1000.0;
+  for (int i = 0; i < 400; ++i) {
+    t += rng.Exponential(i < 300 ? 1.0 / 10.0 : 1.0 / 60.0);
+    const auto type = static_cast<stream::EngagementType>(
+        i < 300 ? 0 : 1 + rng.UniformInt(stream::kNumEngagementTypes - 1));
+    tracker.Observe(type, t);
+  }
+  return tracker;
+}
+
+/// An accepted blob must leave a tracker that serves: snapshots at and
+/// after its last event, and events that Accepts admits, never abort.
+void DriveForward(stream::CascadeTracker* tracker) {
+  const double creation = tracker->creation_time();
+  double last_age = 0.0;
+  for (const auto& stream : tracker->Snapshot(creation).streams) {
+    last_age = std::max(last_age, stream.last_event_age);
+  }
+  for (const double dt : {0.0, 1.0, 900.0, 2 * kDay}) {
+    const double t = creation + last_age + dt;
+    if (!std::isfinite(t) || t < creation) continue;
+    for (int type = 0; type < stream::kNumEngagementTypes; ++type) {
+      const auto engagement = static_cast<stream::EngagementType>(type);
+      if (tracker->Accepts(engagement, t)) tracker->Observe(engagement, t);
+    }
+    (void)tracker->Snapshot(t);
+    (void)tracker->MemoryBytes();
+  }
+  (void)tracker->Serialize();
+}
+
+TEST(FuzzTrackerDeserialize, RoundTripIsByteIdentical) {
+  const stream::CascadeTracker busy = BusyTracker();
+  const stream::CascadeTracker empty(5.0, stream::TrackerConfig{});
+  for (const stream::CascadeTracker* source : {&busy, &empty}) {
+    const std::string blob = source->Serialize();
+    stream::CascadeTracker restored(0.0, stream::TrackerConfig{});
+    ASSERT_TRUE(restored.Deserialize(blob));
+    EXPECT_EQ(restored.Serialize(), blob);
+    const double s = source->creation_time() + 3 * kDay;
+    const stream::TrackerSnapshot a = source->Snapshot(s);
+    const stream::TrackerSnapshot b = restored.Snapshot(s);
+    for (int i = 0; i < stream::kNumEngagementTypes; ++i) {
+      EXPECT_EQ(a.streams[i].window_counts, b.streams[i].window_counts);
+      EXPECT_EQ(a.streams[i].landmark_counts, b.streams[i].landmark_counts);
+      EXPECT_EQ(a.streams[i].ewma_rate, b.streams[i].ewma_rate);
+    }
+    DriveForward(&restored);
+  }
+}
+
+TEST(FuzzTrackerDeserialize, TruncationsNeverCrash) {
+  const std::string blob = BusyTracker().Serialize();
+  for (size_t len = 0; len <= blob.size(); len = (len < 64 || len + 64 >= blob.size()) ? len + 1 : len + 7) {
+    stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
+    if (tracker.Deserialize(blob.substr(0, len))) DriveForward(&tracker);
+  }
+}
+
+TEST(FuzzTrackerDeserialize, BitFlipsNeverCrash) {
+  const std::string blob = BusyTracker().Serialize();
+  Rng rng(0xF1125006);
+  int accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutated = blob;
+    const int flips = 1 + static_cast<int>(rng.UniformInt(3));
+    for (int f = 0; f < flips; ++f) {
+      const size_t pos = rng.UniformInt(mutated.size());
+      mutated[pos] = static_cast<char>(mutated[pos] ^ (1u << rng.UniformInt(8)));
+    }
+    stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
+    if (tracker.Deserialize(mutated)) {
+      ++accepted;
+      DriveForward(&tracker);
+    }
+  }
+  SUCCEED() << accepted << "/2000 mutated blobs parsed";
+}
+
+// Bit flips mostly break the number syntax; swapping whole tokens for
+// extreme but well-formed values reaches the consistency checks.
+TEST(FuzzTrackerDeserialize, TokenSwapsNeverCrash) {
+  const std::string blob = BusyTracker().Serialize();
+  std::vector<std::string> tokens;
+  {
+    std::istringstream is(blob);
+    for (std::string token; is >> token;) tokens.push_back(token);
+  }
+  const std::vector<std::string> values = {
+      "0", "1", "-1", "2", "3", "64", "1409", "1e-300", "-1e300",
+      "1e300", "1.7976931348623157e308", "18446744073709551615",
+      "9223372036854775808", "-0", "0.5", "86400", "1000"};
+  Rng rng(0xF1125007);
+  int accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<std::string> mutated = tokens;
+    const int swaps = 1 + static_cast<int>(rng.UniformInt(2));
+    for (int k = 0; k < swaps; ++k) {
+      mutated[2 + rng.UniformInt(mutated.size() - 2)] =
+          values[rng.UniformInt(values.size())];
+    }
+    std::string text;
+    for (const std::string& token : mutated) text += token + "\n";
+    stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
+    if (tracker.Deserialize(text)) {
+      ++accepted;
+      DriveForward(&tracker);
+    }
+  }
+  SUCCEED() << accepted << "/3000 token-swapped blobs parsed";
+}
+
+TEST(FuzzTrackerDeserialize, GarbageRejected) {
+  Rng rng(0xF1125008);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string garbage(rng.UniformInt(4096), '\0');
+    for (auto& c : garbage) c = static_cast<char>(rng.UniformInt(256));
+    stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
+    EXPECT_FALSE(tracker.Deserialize(garbage));
+    EXPECT_FALSE(tracker.Deserialize("trk v1\n" + garbage));
+  }
+}
+
+TEST(FuzzTrackerDeserialize, AbsurdBucketCountsRejectedWithoutAllocating) {
+  // Format: "trk v1", "<creation> <windows> <landmarks>", then per stream
+  // "<total> <first> <last> <ewma> <ewma_t> <sum> <comp>", the landmark
+  // pairs, "<windows>" and per window "<total> <last_t> <buckets>".
+  const std::string header =
+      "trk v1\n0 4 4\n0 -1 -1 0 0 0 0\n0 0 0 0 0 0 0 0\n4\n";
+  stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
+  // 64 * (ceil(1 / 0.05) + 2) = 1408 buckets is the cap for epsilon 0.05.
+  for (const char* count : {"1409", "999999999999999999", "-1"}) {
+    EXPECT_FALSE(tracker.Deserialize(header + "0 -1e300 " + count + "\n"))
+        << count;
+  }
+  EXPECT_FALSE(tracker.Deserialize(
+      "trk v1\n0 4 4\n0 -1 -1 0 0 0 0\n0 0 0 0 0 0 0 0\n999999999999\n"));
+  EXPECT_FALSE(tracker.Deserialize("trk v1\n0 999999999999 4\n"));
+  EXPECT_EQ(tracker.Serialize(), stream::CascadeTracker(0.0, stream::TrackerConfig{})
+                                     .Serialize());
+}
+
+// A window whose last time runs ahead of its stream's once passed the
+// parser and made the next Observe abort in the histogram's ordering
+// check; windows now take their last time from the stream, and a blob
+// that disagrees is rejected.
+TEST(FuzzTrackerDeserialize, TamperedWindowHeaderRejected) {
+  stream::CascadeTracker source(0.0, stream::TrackerConfig{});
+  for (const double t : {10.0, 20.0, 30.0}) {
+    source.Observe(stream::EngagementType::kView, t);
+  }
+  std::string blob = source.Serialize();
+  const size_t at = blob.find("\n3 30 3\n");
+  ASSERT_NE(at, std::string::npos);
+  blob.replace(at, 8, "\n3 1000000000 3\n");
+  stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
+  EXPECT_FALSE(tracker.Deserialize(blob));
+  DriveForward(&tracker);
 }
 
 }  // namespace

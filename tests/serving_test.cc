@@ -441,6 +441,19 @@ TEST_F(PredictionServiceTest, ValidateRejectsBadConfigs) {
   no_landmarks.tracker.landmark_ages.clear();
   EXPECT_EQ(no_landmarks.Validate().code(), StatusCode::kInvalidArgument);
 
+  // The rest of what the service's shared stream::TrackerLayout checks.
+  ServiceConfig zero_window;
+  zero_window.tracker.window_lengths[1] = 0.0;
+  EXPECT_EQ(zero_window.Validate().code(), StatusCode::kInvalidArgument);
+  ServiceConfig zero_tau;
+  zero_tau.tracker.ewma_tau = 0.0;
+  EXPECT_EQ(zero_tau.Validate().code(), StatusCode::kInvalidArgument);
+  for (const double epsilon : {0.0, 1.5, std::nan("")}) {
+    ServiceConfig bad_epsilon;
+    bad_epsilon.tracker.epsilon = epsilon;
+    EXPECT_EQ(bad_epsilon.Validate().code(), StatusCode::kInvalidArgument) << epsilon;
+  }
+
   // Snapshots hold at most kMaxTrackerLayout windows and landmarks inline.
   ServiceConfig many_windows;
   many_windows.tracker.window_lengths.assign(stream::kMaxTrackerLayout + 1, kHour);
@@ -543,6 +556,41 @@ TEST_F(PredictionServiceTest, ErrorCountersTrackTypedFailures) {
   EXPECT_GE(registry.GetHistogram("horizon_serving_query_latency_seconds")
                 ->Count(),
             1u);
+}
+
+// The tracker-bytes gauge is written by the retirement sweep only, as the
+// summed MemoryBytes() of the items it keeps.
+TEST_F(PredictionServiceTest, TrackerBytesGaugeIsRefreshedByRetirement) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  PredictionService service = MakeService(config);
+  const obs::Gauge* gauge = registry.GetGauge("horizon_serving_tracker_bytes");
+  std::vector<stream::CascadeTracker> shadows;
+  for (int64_t id = 0; id < 20; ++id) {
+    const auto& cascade = dataset_->cascades[static_cast<size_t>(id)];
+    ASSERT_TRUE(service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
+                                     cascade.post).ok());
+    shadows.emplace_back(0.0, config.tracker);
+    for (const auto& e : cascade.views) {
+      if (e.time >= 6 * kHour) break;
+      ASSERT_TRUE(service.Ingest(id, stream::EngagementType::kView, e.time).ok());
+      shadows.back().Observe(stream::EngagementType::kView, e.time);
+    }
+  }
+  EXPECT_EQ(gauge->Value(), 0.0);  // registration and ingest leave it alone
+
+  const size_t retired = service.RetireDeadItems(6 * kHour);
+  size_t expected = 0;
+  for (int64_t id = 0; id < 20; ++id) {
+    if (service.HasItem(id)) expected += shadows[static_cast<size_t>(id)].MemoryBytes();
+  }
+  EXPECT_EQ(service.LiveItems(), 20u - retired);
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(gauge->Value(), static_cast<double>(expected));
+
+  EXPECT_EQ(service.RetireDeadItems(100 * kDay), 20u - retired);
+  EXPECT_EQ(gauge->Value(), 0.0);
 }
 
 // Non-finite times would trip the tracker's ordering checks and abort the

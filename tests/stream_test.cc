@@ -79,19 +79,6 @@ INSTANTIATE_TEST_SUITE_P(
                       EhCase{0.1, 20.0, 8000, 3}, EhCase{0.05, 100.0, 8000, 4},
                       EhCase{0.01, 10.0, 4000, 5}));
 
-TEST(WindowBankTest, MultipleWindows) {
-  WindowBank bank({10.0, 100.0}, 0.01);
-  for (int i = 0; i < 100; ++i) bank.Add(static_cast<double>(i));
-  // At t=99.5: window 10 holds ~10 events, window 100 holds ~100.
-  EXPECT_NEAR(static_cast<double>(bank.Count(0, 99.5)), 10.0, 2.0);
-  EXPECT_NEAR(static_cast<double>(bank.Count(1, 99.5)), 100.0, 3.0);
-  EXPECT_NEAR(bank.Velocity(0, 99.5), 1.0, 0.2);
-  EXPECT_NEAR(bank.Velocity(1, 99.5), 1.0, 0.05);
-  EXPECT_EQ(bank.num_windows(), 2u);
-  EXPECT_EQ(bank.TotalCount(), 100u);
-  EXPECT_EQ(bank.window_length(0), 10.0);
-}
-
 TEST(ExponentialHistogramTest, QueryAfterLongSilenceIsZero) {
   ExponentialHistogram h(5.0, 0.1);
   for (int i = 0; i < 100; ++i) h.Add(static_cast<double>(i) * 0.01);

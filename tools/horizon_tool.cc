@@ -428,6 +428,7 @@ int CmdStats(const std::map<std::string, std::string>& flags) {
   bad.s = 6 * kHour;
   bad.delta = -1.0;
   (void)service.BatchQuery(bad);                          // invalid_argument
+  (void)service.RetireDeadItems(6 * kHour);  // sets the tracker-bytes gauge
 
   const std::string dump = format == "json"
                                ? service.metrics().DumpJson()
