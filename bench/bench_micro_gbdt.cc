@@ -3,7 +3,7 @@
 // The headline trajectory is batch predictions/s across the inference
 // paths introduced by the vectorized hot-path rework:
 //
-//   BM_GbdtBatchFlatScalar     FlatForest::PredictRows (the pre-rework
+//   BM_GbdtBatchFlatScalar     FlatForest::PredictStrided (the pre-rework
 //                              depth-first scalar baseline)
 //   BM_GbdtBatchBlocked/<k>    BlockForest::PredictStrided under kernel
 //                              flavor <k> (scalar | sse | avx2)
@@ -118,8 +118,8 @@ void UnpinKernel() {
 void BM_GbdtBatchFlatScalar(benchmark::State& state) {
   InferenceSetup& s = Setup();
   for (auto _ : state) {
-    s.model.flat_forest().PredictRows(s.x.Row(0), kBatchRows, kNumFeatures,
-                                      s.out.data());
+    s.model.flat_forest().PredictStrided(s.x.Row(0), kBatchRows, kNumFeatures,
+                                         1, s.out.data());
     benchmark::DoNotOptimize(s.out.data());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -126,15 +126,12 @@ struct LoopState {
 
 }  // namespace
 
-void ParallelFor(ThreadPool& pool, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
+namespace internal {
+
+void ParallelForChunks(ThreadPool& pool, size_t n, size_t grain,
+                       const std::function<void(size_t, size_t)>& fn) {
   const size_t num_chunks = (n + grain - 1) / grain;
-  if (num_chunks == 1 || pool.num_threads() == 0) {
-    fn(0, n);
-    return;
-  }
+  HORIZON_DCHECK(num_chunks > 1 && pool.num_threads() > 0);
 
   auto state = std::make_shared<LoopState>();
   state->n = n;
@@ -154,9 +151,6 @@ void ParallelFor(ThreadPool& pool, size_t n, size_t grain,
   if (state->eptr) std::rethrow_exception(state->eptr);
 }
 
-void ParallelFor(size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn) {
-  ParallelFor(ThreadPool::Global(), n, grain, fn);
-}
+}  // namespace internal
 
 }  // namespace horizon

@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -49,18 +50,40 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+namespace internal {
+/// The pool half of ParallelFor: n spans more than one chunk and the pool
+/// has threads.
+void ParallelForChunks(ThreadPool& pool, size_t n, size_t grain,
+                       const std::function<void(size_t, size_t)>& fn);
+}  // namespace internal
+
 /// Runs fn(begin, end) over a partition of [0, n) into chunks of at most
 /// `grain` indices, distributed across `pool` plus the calling thread.
 ///
 /// Blocks until every chunk has finished.  The first exception thrown by
 /// `fn` is rethrown on the calling thread (remaining chunks are skipped).
-/// Safe to call recursively from inside pool workers.
-void ParallelFor(ThreadPool& pool, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn);
+/// Safe to call recursively from inside pool workers.  A range that fits
+/// in one chunk, or a pool with no threads, runs inline on the calling
+/// thread; only work handed to the pool is wrapped in a std::function, so
+/// the inline case allocates nothing whatever `fn` captures.
+template <typename Fn>
+void ParallelFor(ThreadPool& pool, size_t n, size_t grain, Fn&& fn) {
+  if (n == 0) return;
+  if (grain == 0) grain = 1;
+  if (n <= grain || pool.num_threads() == 0) {
+    fn(size_t{0}, n);
+    return;
+  }
+  // The wrapper holds a reference: chunks run only while this call waits.
+  internal::ParallelForChunks(pool, n, grain,
+                              std::function<void(size_t, size_t)>(std::ref(fn)));
+}
 
 /// ParallelFor on the global pool.
-void ParallelFor(size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn);
+template <typename Fn>
+void ParallelFor(size_t n, size_t grain, Fn&& fn) {
+  ParallelFor(ThreadPool::Global(), n, grain, std::forward<Fn>(fn));
+}
 
 }  // namespace horizon
 

@@ -1,5 +1,6 @@
 #include "core/hawkes_predictor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -7,6 +8,7 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 
 namespace horizon::core {
 
@@ -58,32 +60,45 @@ double HawkesPredictor::PredictAlpha(const float* row) const {
   return Clamp(std::exp(g_model_.Predict(row)), params_.alpha_min, params_.alpha_max);
 }
 
+// Eq. (7) with one reference horizon; with several, the arithmetic or
+// geometric aggregation of Sec. 3.2.3.  Both work on the lambda(s)/alpha
+// "final increment" scale, base_i = inc_i / (1 - e^{-alpha delta*_i}),
+// then scale by (1 - e^{-alpha delta}); the geometric mean (Eq. 10) in log
+// space for numerical stability.  ReferenceTerm is reference horizon i's
+// summand and TransferTerms turns the sum into the increment, so a batch
+// can add the terms one forest at a time in the order CombineIncrement
+// adds them.
+bool HawkesPredictor::LinearMean(size_t m) const {
+  return params_.aggregation == Aggregation::kArithmeticMean || m == 1;
+}
+
+double HawkesPredictor::ReferenceTerm(double increment, double alpha_hat,
+                                      size_t i, size_t m) const {
+  if (LinearMean(m)) {
+    return increment / -std::expm1(-alpha_hat * params_.reference_horizons[i]);
+  }
+  return std::log(std::max(increment, 1e-9)) -
+         Log1mExp(alpha_hat * params_.reference_horizons[i]);
+}
+
+double HawkesPredictor::TransferTerms(double term_sum, double alpha_hat,
+                                      double delta, size_t m) const {
+  if (LinearMean(m)) {
+    const double target_factor =
+        std::isinf(delta) ? 1.0 : -std::expm1(-alpha_hat * delta);
+    return term_sum / static_cast<double>(m) * target_factor;
+  }
+  const double log_target = std::isinf(delta) ? 0.0 : Log1mExp(alpha_hat * delta);
+  return std::exp(term_sum / static_cast<double>(m) + log_target);
+}
+
 double HawkesPredictor::CombineIncrement(const double* increments_at_refs, size_t m,
                                          double alpha_hat, double delta) const {
-  // Single reference horizon: Eq. (7) directly.
-  // Multiple: arithmetic or geometric aggregation (Sec. 3.2.3).  Both are
-  // computed in linear space on the lambda(s)/alpha "final increment" scale
-  //   base_i = inc_i / (1 - e^{-alpha delta*_i}),
-  // then scaled by (1 - e^{-alpha delta}).
-  const double target_factor =
-      std::isinf(delta) ? 1.0 : -std::expm1(-alpha_hat * delta);
-  if (params_.aggregation == Aggregation::kArithmeticMean || m == 1) {
-    double sum = 0.0;
-    for (size_t i = 0; i < m; ++i) {
-      const double ref_factor = -std::expm1(-alpha_hat * params_.reference_horizons[i]);
-      sum += increments_at_refs[i] / ref_factor;
-    }
-    return sum / static_cast<double>(m) * target_factor;
-  }
-  // Geometric mean (Eq. 10), in log space for numerical stability.
-  double log_sum = 0.0;
+  double sum = 0.0;
   for (size_t i = 0; i < m; ++i) {
-    const double inc = std::max(increments_at_refs[i], 1e-9);
-    log_sum += std::log(inc) - Log1mExp(alpha_hat * params_.reference_horizons[i]);
+    sum += ReferenceTerm(increments_at_refs[i], alpha_hat, i, m);
   }
-  const double log_target =
-      std::isinf(delta) ? 0.0 : Log1mExp(alpha_hat * delta);
-  return std::exp(log_sum / static_cast<double>(m) + log_target);
+  return TransferTerms(sum, alpha_hat, delta, m);
 }
 
 double HawkesPredictor::PredictIncrement(const float* row, double delta) const {
@@ -108,82 +123,132 @@ double HawkesPredictor::PredictFinalIncrement(const float* row) const {
   return PredictIncrement(row, std::numeric_limits<double>::infinity());
 }
 
-template <typename Matrix>
-std::vector<double> HawkesPredictor::PredictAlphaBatchImpl(
-    const Matrix& x) const {
+void HawkesPredictor::PredictStrided(const float* data, size_t num_rows,
+                                     size_t row_stride, size_t feat_stride,
+                                     const double* deltas, double* increments,
+                                     double* alphas) const {
   HORIZON_DCHECK(trained_);
-  std::vector<double> out = g_model_.PredictBatch(x);
-  for (double& v : out) {
-    v = Clamp(std::exp(v), params_.alpha_min, params_.alpha_max);
+  const auto from = [](auto* p, size_t begin) { return p == nullptr ? p : p + begin; };
+  ParallelFor(num_rows, kChunkRows, [&](size_t begin, size_t end) {
+    PredictChunk(data + begin * row_stride, end - begin, row_stride, feat_stride,
+                 from(deltas, begin), from(increments, begin), from(alphas, begin));
+  });
+}
+
+void HawkesPredictor::PredictChunk(const float* data, size_t num_rows,
+                                   size_t row_stride, size_t feat_stride,
+                                   const double* deltas, double* increments,
+                                   double* alphas) const {
+  // Every forest this routine walks scores every row of the chunk.
+  static obs::Counter* const rows_scored =
+      obs::MetricsRegistry::Global().GetCounter("horizon_gbdt_rows_scored_total");
+  HORIZON_DCHECK(num_rows <= kChunkRows);
+  double alpha[kChunkRows];
+  g_model_.PredictStrided(data, num_rows, row_stride, feat_stride, alpha);
+  for (size_t r = 0; r < num_rows; ++r) {
+    alpha[r] = Clamp(std::exp(alpha[r]), params_.alpha_min, params_.alpha_max);
   }
-  return out;
+  if (alphas != nullptr) std::copy(alpha, alpha + num_rows, alphas);
+  if (increments == nullptr) {
+    rows_scored->Add(num_rows);
+    return;
+  }
+  const size_t m = f_models_.size();
+  rows_scored->Add(num_rows * (m + 1));
+  double raw[kChunkRows];
+  double terms[kChunkRows];
+  std::fill(terms, terms + num_rows, 0.0);
+  for (size_t i = 0; i < m; ++i) {
+    f_models_[i].PredictStrided(data, num_rows, row_stride, feat_stride, raw);
+    for (size_t r = 0; r < num_rows; ++r) {
+      // Invert the log1p transform, clamping below zero, as PredictIncrement.
+      terms[r] += ReferenceTerm(std::max(std::expm1(raw[r]), 0.0), alpha[r], i, m);
+    }
+  }
+  for (size_t r = 0; r < num_rows; ++r) {
+    HORIZON_CHECK_GE(deltas[r], 0.0);
+    increments[r] =
+        deltas[r] == 0.0 ? 0.0 : TransferTerms(terms[r], alpha[r], deltas[r], m);
+  }
+}
+
+namespace {
+
+/// Where PredictStrided finds a batch's rows.
+struct StridedRows {
+  const float* data;
+  size_t row_stride;
+  size_t feat_stride;
+};
+
+StridedRows RowsOf(const gbdt::DataMatrix& x) {
+  return {x.Row(0), x.num_features(), 1};
+}
+
+StridedRows RowsOf(const gbdt::ExampleBatch& x) {
+  return {x.data(), 1, x.feature_stride()};
+}
+
+}  // namespace
+
+template <typename Matrix>
+void HawkesPredictor::PredictBatchInto(const Matrix& x, const double* deltas,
+                                       double* increments, double* alphas) const {
+  HORIZON_CHECK_EQ(x.num_features(), g_model_.num_features());
+  if (x.num_rows() == 0) return;
+  const StridedRows rows = RowsOf(x);
+  PredictStrided(rows.data, x.num_rows(), rows.row_stride, rows.feat_stride, deltas,
+                 increments, alphas);
 }
 
 template <typename Matrix>
 std::vector<double> HawkesPredictor::PredictIncrementBatchImpl(
-    const Matrix& x, const std::vector<double>& deltas,
-    std::vector<double>* alphas_out) const {
-  HORIZON_DCHECK(trained_);
-  HORIZON_CHECK_EQ(deltas.size(), x.num_rows());
-  const size_t n = x.num_rows();
-  const size_t m = f_models_.size();
-
-  // One vectorized-forest pass per model over all rows.
-  std::vector<double> alphas = PredictAlphaBatchImpl(x);
-  std::vector<std::vector<double>> raw(m);
-  for (size_t i = 0; i < m; ++i) raw[i] = f_models_[i].PredictBatch(x);
-
-  std::vector<double> out(n);
-  ParallelFor(n, 512, [&](size_t begin, size_t end) {
-    std::vector<double> increments(m);
-    for (size_t r = begin; r < end; ++r) {
-      HORIZON_CHECK_GE(deltas[r], 0.0);
-      if (deltas[r] == 0.0) {
-        out[r] = 0.0;
-        continue;
-      }
-      for (size_t i = 0; i < m; ++i) {
-        increments[i] = std::max(std::expm1(raw[i][r]), 0.0);
-      }
-      out[r] = CombineIncrement(increments.data(), m, alphas[r], deltas[r]);
-    }
-  });
-  if (alphas_out != nullptr) *alphas_out = std::move(alphas);
+    const Matrix& x, const double* deltas, std::vector<double>* alphas_out) const {
+  std::vector<double> out(x.num_rows());
+  if (alphas_out != nullptr) alphas_out->resize(x.num_rows());
+  PredictBatchInto(x, deltas, out.data(),
+                   alphas_out == nullptr ? nullptr : alphas_out->data());
   return out;
 }
 
 std::vector<double> HawkesPredictor::PredictAlphaBatch(
     const gbdt::DataMatrix& x) const {
-  return PredictAlphaBatchImpl(x);
+  std::vector<double> alphas(x.num_rows());
+  PredictBatchInto(x, nullptr, nullptr, alphas.data());
+  return alphas;
 }
 
 std::vector<double> HawkesPredictor::PredictAlphaBatch(
     const gbdt::ExampleBatch& x) const {
-  return PredictAlphaBatchImpl(x);
+  std::vector<double> alphas(x.num_rows());
+  PredictBatchInto(x, nullptr, nullptr, alphas.data());
+  return alphas;
 }
 
 std::vector<double> HawkesPredictor::PredictIncrementBatch(
     const gbdt::DataMatrix& x, const std::vector<double>& deltas,
     std::vector<double>* alphas_out) const {
-  return PredictIncrementBatchImpl(x, deltas, alphas_out);
+  HORIZON_CHECK_EQ(deltas.size(), x.num_rows());
+  return PredictIncrementBatchImpl(x, deltas.data(), alphas_out);
 }
 
 std::vector<double> HawkesPredictor::PredictIncrementBatch(
     const gbdt::ExampleBatch& x, const std::vector<double>& deltas,
     std::vector<double>* alphas_out) const {
-  return PredictIncrementBatchImpl(x, deltas, alphas_out);
+  HORIZON_CHECK_EQ(deltas.size(), x.num_rows());
+  return PredictIncrementBatchImpl(x, deltas.data(), alphas_out);
 }
 
 std::vector<double> HawkesPredictor::PredictIncrementBatch(
     const gbdt::DataMatrix& x, double delta) const {
-  return PredictIncrementBatchImpl(x, std::vector<double>(x.num_rows(), delta),
-                                   nullptr);
+  const std::vector<double> deltas(x.num_rows(), delta);
+  return PredictIncrementBatchImpl(x, deltas.data(), nullptr);
 }
 
 std::vector<double> HawkesPredictor::PredictIncrementBatch(
     const gbdt::ExampleBatch& x, double delta) const {
-  return PredictIncrementBatchImpl(x, std::vector<double>(x.num_rows(), delta),
-                                   nullptr);
+  const std::vector<double> deltas(x.num_rows(), delta);
+  return PredictIncrementBatchImpl(x, deltas.data(), nullptr);
 }
 
 std::vector<double> HawkesPredictor::PredictCountBatch(
@@ -191,7 +256,7 @@ std::vector<double> HawkesPredictor::PredictCountBatch(
     const std::vector<double>& deltas,
     std::vector<double>* alphas_out) const {
   HORIZON_CHECK_EQ(n_s.size(), x.num_rows());
-  std::vector<double> out = PredictIncrementBatchImpl(x, deltas, alphas_out);
+  std::vector<double> out = PredictIncrementBatch(x, deltas, alphas_out);
   for (size_t i = 0; i < out.size(); ++i) out[i] += n_s[i];
   return out;
 }
@@ -201,7 +266,7 @@ std::vector<double> HawkesPredictor::PredictCountBatch(
     const std::vector<double>& deltas,
     std::vector<double>* alphas_out) const {
   HORIZON_CHECK_EQ(n_s.size(), x.num_rows());
-  std::vector<double> out = PredictIncrementBatchImpl(x, deltas, alphas_out);
+  std::vector<double> out = PredictIncrementBatch(x, deltas, alphas_out);
   for (size_t i = 0; i < out.size(); ++i) out[i] += n_s[i];
   return out;
 }

@@ -66,13 +66,27 @@ class HawkesPredictor {
   double PredictAlpha(const float* row) const;
 
   // --- Batch inference -------------------------------------------------
-  // Each batch call feeds all rows through the compiled vectorized
-  // forests (runtime-dispatched scalar/SSE/AVX2 blocked kernels) in one
-  // pass per model, then applies the transfer formula per row.  Results
+  // Every batch call runs PredictStrided: 256-row chunks under one
+  // ParallelFor, each chunk walking the alpha forest and the m count
+  // forests (runtime-dispatched scalar/SSE/AVX2 blocked kernels) and
+  // applying the transfer formula on the thread that claimed it.  Results
   // are bit-identical to the per-row calls above.  Every method takes
   // either a row-major DataMatrix or a column-major ExampleBatch -- the
   // SoA layout the feature extractor fills in place, which reaches the
   // SIMD kernels without transposition.
+
+  /// The routine under every batch call.  Rows are laid out at
+  /// data[r*row_stride + f*feat_stride]; row r's predicted increment over
+  /// deltas[r] goes to increments[r] and its alpha_hat to alphas[r].
+  /// `alphas` may be null; so may `increments`, in which case only the
+  /// alpha forest is walked and `deltas` is not read.  Up to 256 rows run
+  /// on the calling thread with stack scratch and allocate nothing; the
+  /// forests are walked through the instrument-free
+  /// GbdtRegressor::PredictStrided, and every row each forest scores is
+  /// counted in horizon_gbdt_rows_scored_total.
+  void PredictStrided(const float* data, size_t num_rows, size_t row_stride,
+                      size_t feat_stride, const double* deltas,
+                      double* increments, double* alphas) const;
 
   /// Predicted alpha_hat for every row of `x`.
   std::vector<double> PredictAlphaBatch(const gbdt::DataMatrix& x) const;
@@ -138,12 +152,30 @@ class HawkesPredictor {
                           double alpha_hat, double delta) const;
 
  private:
+  /// Rows per PredictStrided chunk: the ParallelFor grain and the length
+  /// of PredictChunk's stack arrays.
+  static constexpr size_t kChunkRows = 256;
+
+  /// PredictStrided over at most kChunkRows rows, on the calling thread.
+  void PredictChunk(const float* data, size_t num_rows, size_t row_stride,
+                    size_t feat_stride, const double* deltas,
+                    double* increments, double* alphas) const;
+
+  // CombineIncrement in two steps: the summand of reference horizon i
+  // (of m), and the increment for `delta` from the summed terms.
+  bool LinearMean(size_t m) const;
+  double ReferenceTerm(double increment, double alpha_hat, size_t i,
+                       size_t m) const;
+  double TransferTerms(double term_sum, double alpha_hat, double delta,
+                       size_t m) const;
+
   // Layout-generic batch implementations (DataMatrix / ExampleBatch).
   template <typename Matrix>
-  std::vector<double> PredictAlphaBatchImpl(const Matrix& x) const;
+  void PredictBatchInto(const Matrix& x, const double* deltas,
+                        double* increments, double* alphas) const;
   template <typename Matrix>
   std::vector<double> PredictIncrementBatchImpl(
-      const Matrix& x, const std::vector<double>& deltas,
+      const Matrix& x, const double* deltas,
       std::vector<double>* alphas_out) const;
 
   HawkesPredictorParams params_;

@@ -89,8 +89,9 @@ double FlatForest::Predict(const float* row) const {
   return out;
 }
 
-void FlatForest::PredictRows(const float* rows, size_t num_rows, size_t stride,
-                             double* out) const {
+void FlatForest::PredictStrided(const float* data, size_t num_rows,
+                                size_t row_stride, size_t feat_stride,
+                                double* out) const {
   HORIZON_DCHECK(compiled_);
   const size_t num_trees = roots_.size();
   for (size_t block = 0; block < num_rows; block += kBlockRows) {
@@ -99,12 +100,14 @@ void FlatForest::PredictRows(const float* rows, size_t num_rows, size_t stride,
     for (size_t t = 0; t < num_trees; ++t) {
       const size_t root = static_cast<size_t>(roots_[t]);
       for (size_t r = block; r < block_end; ++r) {
-        const float* row = rows + r * stride;
+        const float* row = data + r * row_stride;
         size_t idx = root;
         int32_t f;
         while ((f = feature_[idx]) >= 0) {
           const size_t left = static_cast<size_t>(left_[idx]);
-          idx = row[f] <= threshold_[idx] ? left : left + 1;
+          idx = row[static_cast<size_t>(f) * feat_stride] <= threshold_[idx]
+                    ? left
+                    : left + 1;
         }
         out[r] += learning_rate_ * value_[idx];
       }
@@ -127,8 +130,8 @@ std::vector<double> FlatForest::PredictBatch(const DataMatrix& x) const {
   const size_t stride = x.num_features();
   ParallelFor(x.num_rows(), kParallelGrain,
               [&](size_t begin, size_t end) {
-                PredictRows(rows + begin * stride, end - begin, stride,
-                            out.data() + begin);
+                PredictStrided(rows + begin * stride, end - begin, stride, 1,
+                               out.data() + begin);
               });
   return out;
 }

@@ -42,11 +42,12 @@ class FlatForest {
   /// Predicts one dense feature row.
   double Predict(const float* row) const;
 
-  /// Predicts `num_rows` rows laid out contiguously with `stride` floats
-  /// between consecutive rows, writing into out[0..num_rows).  Runs on the
-  /// calling thread (block-at-a-time kernel).
-  void PredictRows(const float* rows, size_t num_rows, size_t stride,
-                   double* out) const;
+  /// Predicts rows laid out at data[r*row_stride + f*feat_stride] -- the
+  /// addressing of BlockForest::PredictStrided -- writing into
+  /// out[0..num_rows).  Runs on the calling thread (block-at-a-time
+  /// kernel).
+  void PredictStrided(const float* data, size_t num_rows, size_t row_stride,
+                      size_t feat_stride, double* out) const;
 
   /// Predicts every row of a matrix, parallelized over row ranges via the
   /// global thread pool.

@@ -19,7 +19,7 @@ namespace {
 
 /// Rows per accumulation block: one block's outputs stay in L1 while the
 /// whole node pool streams past once per block (same blocking factor as
-/// FlatForest::PredictRows).
+/// FlatForest::PredictStrided).
 constexpr size_t kBlockRows = 64;
 
 /// One row through one tree; returns the absolute heap index of the leaf
@@ -224,14 +224,22 @@ void PredictQuantSse(const QuantForestSpan& f, const uint16_t* codes,
 __attribute__((target("avx2"))) void PredictFloatAvx2(
     const FloatForestSpan& f, const float* data, size_t num_rows,
     size_t row_stride, size_t feat_stride, double* out) {
+  // Rows past the last 32-row group, and every row of a depth-0 forest,
+  // take the scalar walk at the end: a lone 8-row vector is one serial
+  // gather chain, slower per row than PredictFloatScalar
+  // (BM_GbdtKernelRows).  Each row accumulates its trees in the same order
+  // either way.
+  constexpr size_t kGroupRows = 32;
+  static_assert(kBlockRows % kGroupRows == 0, "blocks hold whole groups");
+  const size_t grouped = f.depth > 0 ? num_rows / kGroupRows * kGroupRows : 0;
   const size_t npt = (size_t{1} << f.depth) - 1;
   const size_t lpt = size_t{1} << f.depth;
   const __m256i vone = _mm256_set1_epi32(1);
   const __m256i vfs = _mm256_set1_epi32(static_cast<int>(feat_stride));
   const __m256i vnpt = _mm256_set1_epi32(static_cast<int>(npt));
   const __m256d vlr = _mm256_set1_pd(f.learning_rate);
-  for (size_t b = 0; b < num_rows; b += kBlockRows) {
-    const size_t be = std::min(b + kBlockRows, num_rows);
+  for (size_t b = 0; b < grouped; b += kBlockRows) {
+    const size_t be = std::min(b + kBlockRows, grouped);
     for (size_t r = b; r < be; ++r) out[r] = f.base_score;
     alignas(32) int32_t rowoff[kBlockRows];
     for (size_t r = b; r < be; ++r) {
@@ -241,109 +249,80 @@ __attribute__((target("avx2"))) void PredictFloatAvx2(
       const int32_t* tf = f.feat + t * npt;
       const float* tt = f.thresh + t * npt;
       const double* tl = f.leaves + t * lpt;
-      size_t r = b;
       // Four interleaved 8-row vectors keep 32 independent gather chains
       // in flight: each level is a serial gather->gather dependency per
       // chain, so the interleave is what moves the walk from gather
-      // latency to gather throughput.  Depth-0 trees (single leaf, empty
-      // node array) skip straight to the narrow loops below.
-      if (f.depth > 0) {
-        // Every lane starts at the root, so level 0 needs no node
-        // gathers: feature and threshold are broadcast once per tree.
-        const __m256i f0 = _mm256_set1_epi32(tf[0]);
-        const __m256 t0 = _mm256_set1_ps(tt[0]);
-        for (; r + 32 <= be; r += 32) {
-          __m256i ro[4];
-          __m256i idx[4];
+      // latency to gather throughput.  Every lane starts at the root, so
+      // level 0 needs no node gathers: feature and threshold are
+      // broadcast once per tree.
+      const __m256i f0 = _mm256_set1_epi32(tf[0]);
+      const __m256 t0 = _mm256_set1_ps(tt[0]);
+      for (size_t r = b; r < be; r += kGroupRows) {
+        __m256i ro[4];
+        __m256i idx[4];
+        for (int k = 0; k < 4; ++k) {
+          ro[k] = _mm256_load_si256(
+              reinterpret_cast<const __m256i*>(rowoff + (r - b) + 8 * k));
+        }
+        // Peeled level 0 against the broadcast root split.
+        for (int k = 0; k < 4; ++k) {
+          const __m256i ad =
+              _mm256_add_epi32(ro[k], _mm256_mullo_epi32(f0, vfs));
+          const __m256 v = _mm256_i32gather_ps(data, ad, 4);
+          // NLE_UQ == !(v <= t): true for NaN, false against +inf --
+          // identical to the scalar predicate.
+          const __m256i right = _mm256_srli_epi32(
+              _mm256_castps_si256(_mm256_cmp_ps(v, t0, _CMP_NLE_UQ)), 31);
+          idx[k] = _mm256_add_epi32(vone, right);
+        }
+        for (int l = 1; l < f.depth; ++l) {
+          __m256i fv[4];
+          __m256 th[4];
+          __m256 v[4];
           for (int k = 0; k < 4; ++k) {
-            ro[k] = _mm256_load_si256(
-                reinterpret_cast<const __m256i*>(rowoff + (r - b) + 8 * k));
+            fv[k] = _mm256_i32gather_epi32(tf, idx[k], 4);
           }
-          // Peeled level 0 against the broadcast root split.
+          for (int k = 0; k < 4; ++k) {
+            th[k] = _mm256_i32gather_ps(tt, idx[k], 4);
+          }
           for (int k = 0; k < 4; ++k) {
             const __m256i ad =
-                _mm256_add_epi32(ro[k], _mm256_mullo_epi32(f0, vfs));
-            const __m256 v = _mm256_i32gather_ps(data, ad, 4);
-            // NLE_UQ == !(v <= t): true for NaN, false against +inf --
-            // identical to the scalar predicate.
-            const __m256i right = _mm256_srli_epi32(
-                _mm256_castps_si256(_mm256_cmp_ps(v, t0, _CMP_NLE_UQ)), 31);
-            idx[k] = _mm256_add_epi32(vone, right);
-          }
-          for (int l = 1; l < f.depth; ++l) {
-            __m256i fv[4];
-            __m256 th[4];
-            __m256 v[4];
-            for (int k = 0; k < 4; ++k) {
-              fv[k] = _mm256_i32gather_epi32(tf, idx[k], 4);
-            }
-            for (int k = 0; k < 4; ++k) {
-              th[k] = _mm256_i32gather_ps(tt, idx[k], 4);
-            }
-            for (int k = 0; k < 4; ++k) {
-              const __m256i ad =
-                  _mm256_add_epi32(ro[k], _mm256_mullo_epi32(fv[k], vfs));
-              v[k] = _mm256_i32gather_ps(data, ad, 4);
-            }
-            for (int k = 0; k < 4; ++k) {
-              const __m256i right = _mm256_srli_epi32(
-                  _mm256_castps_si256(_mm256_cmp_ps(v[k], th[k], _CMP_NLE_UQ)),
-                  31);
-              idx[k] = _mm256_add_epi32(_mm256_add_epi32(idx[k], idx[k]),
-                                        _mm256_add_epi32(vone, right));
-            }
+                _mm256_add_epi32(ro[k], _mm256_mullo_epi32(fv[k], vfs));
+            v[k] = _mm256_i32gather_ps(data, ad, 4);
           }
           for (int k = 0; k < 4; ++k) {
-            const __m256i lf = _mm256_sub_epi32(idx[k], vnpt);
-            // Separate multiply and add (never FMA) so doubles match the
-            // scalar reference bit for bit.
-            const __m256d v0 =
-                _mm256_i32gather_pd(tl, _mm256_castsi256_si128(lf), 8);
-            const __m256d v1 =
-                _mm256_i32gather_pd(tl, _mm256_extracti128_si256(lf, 1), 8);
-            _mm256_storeu_pd(out + r + 8 * k,
-                             _mm256_add_pd(_mm256_loadu_pd(out + r + 8 * k),
-                                           _mm256_mul_pd(v0, vlr)));
-            _mm256_storeu_pd(
-                out + r + 8 * k + 4,
-                _mm256_add_pd(_mm256_loadu_pd(out + r + 8 * k + 4),
-                              _mm256_mul_pd(v1, vlr)));
+            const __m256i right = _mm256_srli_epi32(
+                _mm256_castps_si256(_mm256_cmp_ps(v[k], th[k], _CMP_NLE_UQ)),
+                31);
+            idx[k] = _mm256_add_epi32(_mm256_add_epi32(idx[k], idx[k]),
+                                      _mm256_add_epi32(vone, right));
           }
         }
-      }
-      for (; r + 8 <= be; r += 8) {
-        const __m256i ro = _mm256_load_si256(
-            reinterpret_cast<const __m256i*>(rowoff + (r - b)));
-        __m256i idx = _mm256_setzero_si256();
-        for (int l = 0; l < f.depth; ++l) {
-          const __m256i fv = _mm256_i32gather_epi32(tf, idx, 4);
-          const __m256 th = _mm256_i32gather_ps(tt, idx, 4);
-          const __m256i ad =
-              _mm256_add_epi32(ro, _mm256_mullo_epi32(fv, vfs));
-          const __m256 v = _mm256_i32gather_ps(data, ad, 4);
-          const __m256i right = _mm256_srli_epi32(
-              _mm256_castps_si256(_mm256_cmp_ps(v, th, _CMP_NLE_UQ)), 31);
-          idx = _mm256_add_epi32(_mm256_add_epi32(idx, idx),
-                                 _mm256_add_epi32(vone, right));
+        for (int k = 0; k < 4; ++k) {
+          const __m256i lf = _mm256_sub_epi32(idx[k], vnpt);
+          // Separate multiply and add (never FMA) so doubles match the
+          // scalar reference bit for bit.
+          const __m256d v0 =
+              _mm256_i32gather_pd(tl, _mm256_castsi256_si128(lf), 8);
+          const __m256d v1 =
+              _mm256_i32gather_pd(tl, _mm256_extracti128_si256(lf, 1), 8);
+          _mm256_storeu_pd(out + r + 8 * k,
+                           _mm256_add_pd(_mm256_loadu_pd(out + r + 8 * k),
+                                         _mm256_mul_pd(v0, vlr)));
+          _mm256_storeu_pd(
+              out + r + 8 * k + 4,
+              _mm256_add_pd(_mm256_loadu_pd(out + r + 8 * k + 4),
+                            _mm256_mul_pd(v1, vlr)));
         }
-        const __m256i lf = _mm256_sub_epi32(idx, vnpt);
-        const __m256d v0 =
-            _mm256_i32gather_pd(tl, _mm256_castsi256_si128(lf), 8);
-        const __m256d v1 =
-            _mm256_i32gather_pd(tl, _mm256_extracti128_si256(lf, 1), 8);
-        _mm256_storeu_pd(out + r, _mm256_add_pd(_mm256_loadu_pd(out + r),
-                                                _mm256_mul_pd(v0, vlr)));
-        _mm256_storeu_pd(out + r + 4,
-                         _mm256_add_pd(_mm256_loadu_pd(out + r + 4),
-                                       _mm256_mul_pd(v1, vlr)));
-      }
-      for (; r < be; ++r) {
-        const size_t leaf =
-            TraverseFloat(tf, tt, f.depth, data + r * row_stride, feat_stride);
-        out[r] += f.learning_rate * tl[leaf - npt];
       }
     }
   }
+  // The scalar walk is SSE-encoded; entered with dirty upper YMM halves,
+  // its instructions pay a transition penalty (BM_GbdtKernelRows/2/1 read
+  // ~0.75 us that way against ~0.5 us clean).
+  _mm256_zeroupper();
+  PredictFloatScalar(f, data + grouped * row_stride, num_rows - grouped,
+                     row_stride, feat_stride, out + grouped);
 }
 
 __attribute__((target("avx2"))) void PredictQuantAvx2(

@@ -75,11 +75,11 @@ void PredictFloatScalar(const FloatForestSpan& f, const float* data,
                         double* out);
 
 /// Batches with fewer rows than this -- every single-id query -- take
-/// PredictFloatScalar under every flavor.  Below one 32-row group the AVX2
-/// kernel runs only single 8-row vectors, each one serial gather chain,
-/// and the SSE kernel trails the scalar walk at every size.  Per-row
-/// medians of BM_GbdtKernelRows (BENCH_gbdt.json): AVX2 1.3-1.7 us under
-/// 32 rows and ~0.4 us at 32 and 64; scalar 0.36-0.50 us; SSE ~1.0 us.
+/// PredictFloatScalar under every flavor.  The AVX2 kernel vectorizes only
+/// whole 32-row groups and sends smaller batches to the scalar walk
+/// itself; the SSE kernel trails the scalar walk at every size.  Per-row
+/// medians of BM_GbdtKernelRows (BENCH_gbdt.json, 1-64 rows): scalar
+/// 0.42-0.49 us, SSE 0.93-1.12 us, AVX2 0.42-0.54 us.
 inline constexpr size_t kSmallBatchRows = 32;
 
 /// SSE2 flavor, 4 rows per vector.  x86 only; callers must guarantee
@@ -88,8 +88,9 @@ void PredictFloatSse(const FloatForestSpan& f, const float* data,
                      size_t num_rows, size_t row_stride, size_t feat_stride,
                      double* out);
 
-/// AVX2 flavor, four interleaved 8-row vectors (gather-throughput bound).
-/// Same int32 offset requirement as the SSE flavor.
+/// AVX2 flavor, four interleaved 8-row vectors (gather-throughput bound)
+/// per 32-row group; the rows past the last group go to
+/// PredictFloatScalar.  Same int32 offset requirement as the SSE flavor.
 void PredictFloatAvx2(const FloatForestSpan& f, const float* data,
                       size_t num_rows, size_t row_stride, size_t feat_stride,
                       double* out);

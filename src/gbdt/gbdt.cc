@@ -127,11 +127,20 @@ void GbdtRegressor::CompileInferenceForests() {
 }
 
 double GbdtRegressor::Predict(const float* row) const {
-  HORIZON_DCHECK(trained_);
-  if (!blocked_.compiled()) return flat_.Predict(row);
   double out = 0.0;
-  blocked_.PredictStrided(row, 1, num_features_, 1, &out);
+  PredictStrided(row, 1, num_features_, 1, &out);
   return out;
+}
+
+void GbdtRegressor::PredictStrided(const float* data, size_t num_rows,
+                                   size_t row_stride, size_t feat_stride,
+                                   double* out) const {
+  HORIZON_DCHECK(trained_);
+  if (blocked_.compiled()) {
+    blocked_.PredictStrided(data, num_rows, row_stride, feat_stride, out);
+  } else {
+    flat_.PredictStrided(data, num_rows, row_stride, feat_stride, out);
+  }
 }
 
 std::vector<double> GbdtRegressor::PredictBatch(const DataMatrix& x) const {

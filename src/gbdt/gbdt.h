@@ -54,6 +54,14 @@ class GbdtRegressor {
   /// ensembles too deep to block.  Bit-identical either way.
   double Predict(const float* row) const;
 
+  /// Predicts rows laid out at data[r*row_stride + f*feat_stride] into
+  /// out[0..num_rows) on the calling thread: the blocked kernel
+  /// BlockForest::PredictStrided dispatches to, or the flat walk for
+  /// over-deep ensembles.  Touches no instrument; HawkesPredictor walks
+  /// every forest through it.  Bit-identical to per-row Predict.
+  void PredictStrided(const float* data, size_t num_rows, size_t row_stride,
+                      size_t feat_stride, double* out) const;
+
   /// Predicts every row of a matrix through the vectorized blocked-forest
   /// kernel (runtime-dispatched scalar/SSE/AVX2; falls back to the flat
   /// forest for over-deep ensembles).  Bit-identical to per-row Predict.

@@ -55,6 +55,36 @@ double PredictedIncrement(const ItemPrediction& p) {
   return p.prediction.predicted_views - p.prediction.observed_views;
 }
 
+/// kInvalidArgument unless the prediction time and horizon are usable.
+Status CheckQueryTimes(double s, double delta) {
+  if (!std::isfinite(s) || !std::isfinite(delta) || delta < 0.0) {
+    return Status::InvalidArgument("query: s and delta must be finite, delta >= 0");
+  }
+  return Status::Ok();
+}
+
+/// What a query copies out of an item under its shard lock.
+struct Resolved {
+  stream::TrackerSnapshot snapshot;
+  datagen::PageProfile page;
+  datagen::PostProfile post;
+};
+
+/// AnswerIds' working storage, one per thread and reused across calls, so
+/// a thread's point queries allocate nothing once the first has sized it.
+struct IdScratch {
+  std::vector<Resolved> resolved;
+  /// Column-major: feature f of resolved row r at [f * rows + r].
+  std::vector<float> features;
+  std::vector<double> deltas;
+  std::vector<double> increments;
+  std::vector<double> alphas;
+};
+
+/// Calls with more ids than this free the scratch storage they grew, so a
+/// thread keeps under 1 MB (~1.6 KB per row) between calls.
+constexpr size_t kKeptScratchRows = 256;
+
 }  // namespace
 
 struct PredictionService::Shard {
@@ -302,60 +332,79 @@ size_t PredictionService::IngestBatch(const std::vector<IngestEvent>& events) {
 // ---------------------------------------------------------------------------
 // Query surface
 
+void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
+                                  double delta, Status* statuses,
+                                  PredictionResult* results) const {
+  thread_local IdScratch scratch;
+  scratch.resolved.clear();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const Shard& shard = *shards_[ShardOf(ids[i])];
+    MutexLock lock(shard.mu);
+    const auto it = shard.items.find(ids[i]);
+    if (it == shard.items.end()) {
+      statuses[i] = CountError(Status::NotFound("unknown item"));
+    } else if (s < it->second.tracker.creation_time()) {
+      statuses[i] = CountError(Status::NotYetLive("item goes live after s"));
+    } else {
+      statuses[i] = Status::Ok();
+      const Item& item = it->second;
+      scratch.resolved.push_back({item.tracker.Snapshot(s), item.page, item.post});
+    }
+  }
+  const size_t rows = scratch.resolved.size();
+  if (rows == 0) return;
+
+  // Extraction and inference run outside the shard locks.  The extractor
+  // writes the column-major block in place (strided emit), so the SIMD
+  // kernels read it without a transposition pass.  They index features by
+  // position, so a model trained on another schema must not get here.
+  const size_t width = extractor_->schema().size();
+  HORIZON_CHECK_EQ(width, model_->alpha_model().num_features());
+  scratch.features.resize(rows * width);
+  for (size_t r = 0; r < rows; ++r) {
+    const Resolved& item = scratch.resolved[r];
+    extractor_->ExtractIntoStrided(item.page, item.post, item.snapshot,
+                                   scratch.features.data() + r, rows);
+  }
+  scratch.deltas.assign(rows, delta);
+  scratch.increments.resize(rows);
+  scratch.alphas.resize(rows);
+  model_->PredictStrided(scratch.features.data(), rows, 1, rows,
+                         scratch.deltas.data(), scratch.increments.data(),
+                         scratch.alphas.data());
+  for (size_t i = 0, r = 0; i < ids.size(); ++i) {
+    if (!statuses[i].ok()) continue;
+    const double observed =
+        static_cast<double>(scratch.resolved[r].snapshot.views().total);
+    results[i] = {observed, observed + scratch.increments[r], scratch.alphas[r]};
+    ++r;
+  }
+  if (rows > kKeptScratchRows) scratch = IdScratch();
+}
+
+void PredictionService::CountAnswered(size_t n) const {
+  // order: relaxed; statistics counter paired with the relaxed load in
+  // stats().
+  queries_answered_.fetch_add(n, std::memory_order_relaxed);
+  m_queries_->Add(n);
+}
+
 StatusOr<QueryResponse> PredictionService::QueryByIds(
     const QueryRequest& request) const {
-  struct Resolved {
-    int64_t id;
-    stream::TrackerSnapshot snapshot;
-    datagen::PageProfile page;
-    datagen::PostProfile post;
-  };
+  const size_t n = request.ids.size();
+  std::vector<Status> statuses(n);
+  std::vector<PredictionResult> predictions(n);
+  AnswerIds(request.ids, request.s, request.delta, statuses.data(),
+            predictions.data());
+
   QueryResponse response;
-  std::vector<Resolved> resolved;
-  resolved.reserve(request.ids.size());
-  const auto resolve = [&](int64_t id, const Item* item) {
-    if (item == nullptr) {
-      response.errors.push_back(
-          {id, CountError(Status::NotFound("unknown item"))});
-      return;
+  response.results.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (statuses[i].ok()) {
+      response.results.push_back({request.ids[i], predictions[i]});
+    } else {
+      response.errors.push_back({request.ids[i], std::move(statuses[i])});
     }
-    if (request.s < item->tracker.creation_time()) {
-      response.errors.push_back(
-          {id, CountError(Status::NotYetLive("item goes live after s"))});
-      return;
-    }
-    resolved.push_back(
-        {id, item->tracker.Snapshot(request.s), item->page, item->post});
-  };
-  for (const int64_t id : request.ids) {
-    const Shard& shard = *shards_[ShardOf(id)];
-    MutexLock lock(shard.mu);
-    const auto it = shard.items.find(id);
-    resolve(id, it == shard.items.end() ? nullptr : &it->second);
-  }
-  if (resolved.empty()) return response;
-
-  // Inference runs outside the shard locks, batched over every resolved
-  // item: one vectorized-forest pass per model.  The extractor writes the
-  // column-major SoA batch in place (strided emit), so the SIMD kernels
-  // consume it without a transposition pass.
-  gbdt::ExampleBatch x(resolved.size(), extractor_->schema().size());
-  std::vector<double> observed(resolved.size());
-  for (size_t i = 0; i < resolved.size(); ++i) {
-    extractor_->ExtractIntoStrided(resolved[i].page, resolved[i].post,
-                                   resolved[i].snapshot, x.MutableRowBase(i),
-                                   x.feature_stride());
-    observed[i] = static_cast<double>(resolved[i].snapshot.views().total);
-  }
-  const std::vector<double> deltas(resolved.size(), request.delta);
-  std::vector<double> alphas;
-  const std::vector<double> counts =
-      model_->PredictCountBatch(x, observed, deltas, &alphas);
-
-  response.results.reserve(resolved.size());
-  for (size_t i = 0; i < resolved.size(); ++i) {
-    response.results.push_back(
-        {resolved[i].id, PredictionResult{observed[i], counts[i], alphas[i]}});
   }
   if (request.top_k > 0 && response.results.size() > request.top_k) {
     std::partial_sort(response.results.begin(),
@@ -372,10 +421,7 @@ StatusOr<QueryResponse> PredictionService::QueryByIds(
                 return PredictedIncrement(a) > PredictedIncrement(b);
               });
   }
-  // order: relaxed; statistics counter paired with the relaxed load in
-  // stats().
-  queries_answered_.fetch_add(response.results.size(), std::memory_order_relaxed);
-  m_queries_->Add(response.results.size());
+  CountAnswered(response.results.size());
   return response;
 }
 
@@ -383,9 +429,7 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     const Shard& shard, double s, double delta, size_t k) const {
   struct Candidate {
     int64_t id;
-    stream::TrackerSnapshot snapshot;
-    datagen::PageProfile page;
-    datagen::PostProfile post;
+    Resolved item;
   };
   std::vector<Candidate> candidates;
   {
@@ -393,7 +437,7 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     candidates.reserve(shard.items.size());
     for (const auto& [id, item] : shard.items) {
       if (s < item.tracker.creation_time()) continue;  // not yet live
-      candidates.push_back({id, item.tracker.Snapshot(s), item.page, item.post});
+      candidates.push_back({id, {item.tracker.Snapshot(s), item.page, item.post}});
     }
   }
   if (candidates.empty()) return {};
@@ -403,9 +447,9 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
   const size_t width = extractor_->schema().size();
   gbdt::ExampleBatch x(candidates.size(), width);
   for (size_t i = 0; i < candidates.size(); ++i) {
-    extractor_->ExtractIntoStrided(candidates[i].page, candidates[i].post,
-                                   candidates[i].snapshot, x.MutableRowBase(i),
-                                   x.feature_stride());
+    const Resolved& item = candidates[i].item;
+    extractor_->ExtractIntoStrided(item.page, item.post, item.snapshot,
+                                   x.MutableRowBase(i), x.feature_stride());
   }
   const std::vector<double> increments = model_->PredictIncrementBatch(x, delta);
 
@@ -426,7 +470,7 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     x.CopyRowTo(idx, row.data());
     out.push_back(
         {candidates[idx].id,
-         static_cast<double>(candidates[idx].snapshot.views().total),
+         static_cast<double>(candidates[idx].item.snapshot.views().total),
          increments[idx], std::move(row)});
   }
   return out;
@@ -479,12 +523,7 @@ StatusOr<QueryResponse> PredictionService::QueryScan(
 StatusOr<QueryResponse> PredictionService::BatchQuery(
     const QueryRequest& request) const {
   const auto start = SteadyClock::now();
-  if (!std::isfinite(request.s) || !std::isfinite(request.delta) ||
-      request.delta < 0.0) {
-    return CountError(
-        Status::InvalidArgument("QueryRequest: s and delta must be finite, "
-                                "delta >= 0"));
-  }
+  HORIZON_RETURN_IF_ERROR(CountError(CheckQueryTimes(request.s, request.delta)));
   if (request.ids.empty() && request.top_k == 0) {
     return CountError(Status::InvalidArgument(
         "QueryRequest: empty ids (scan mode) requires top_k > 0"));
@@ -502,15 +541,13 @@ StatusOr<QueryResponse> PredictionService::BatchQuery(
 StatusOr<PredictionResult> PredictionService::Query(int64_t item_id, double s,
                                                     double delta) const {
   const obs::ScopedTimer timer(m_query_latency_);
-  QueryRequest request;
-  request.ids.push_back(item_id);
-  request.s = s;
-  request.delta = delta;
-  StatusOr<QueryResponse> response = BatchQuery(request);
-  if (!response.ok()) return response.status();
-  if (!response->errors.empty()) return response->errors.front().status;
-  HORIZON_CHECK(!response->results.empty());
-  return response->results.front().prediction;
+  HORIZON_RETURN_IF_ERROR(CountError(CheckQueryTimes(s, delta)));
+  Status status;
+  PredictionResult result;
+  AnswerIds({&item_id, 1}, s, delta, &status, &result);
+  if (!status.ok()) return status;
+  CountAnswered(1);
+  return result;
 }
 
 std::vector<std::pair<int64_t, double>> PredictionService::TopK(double s,

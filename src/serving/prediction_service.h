@@ -16,11 +16,13 @@
 // to bool and StatusOr mimics std::optional, so pre-Status call sites
 // keep compiling for one release.
 //
-// Query surface: BatchQuery(QueryRequest) is the single query entry point
-// -- per-id lookups, ranked top-k over a requested id set, and the full
-// top-k scan (the moderation-queue primitive) are all expressed through
-// it, which gives the observability layer one choke point.  Query() and
-// TopK() remain as thin shims over it.
+// Query surface: BatchQuery(QueryRequest) answers per-id lookups, ranked
+// top-k over a requested id set, and the full top-k scan (the
+// moderation-queue primitive).  Query() is the point query: it runs the
+// per-id routine BatchQuery's per-id mode runs, on one id, without
+// building a QueryRequest or QueryResponse, and allocates nothing once its
+// thread has answered one query.  TopK() remains a thin shim over scan
+// mode.
 //
 // Concurrency: the service is internally synchronized.  Item state is
 // partitioned into `num_shards` shards keyed by a mixed hash of the item
@@ -35,16 +37,23 @@
 // Observability: the service registers counters, a live-items gauge, and
 // per-operation latency histograms in an obs::MetricsRegistry (the
 // process-wide default unless ServiceConfig.metrics overrides it).
-// Instrument pointers are captured once at construction; the hot paths
-// touch only wait-free sharded atomics, and the finest-grained one
-// (Ingest) samples its latency histogram 1-in-64 so the clock reads stay
-// off the common path.  See DESIGN.md "Observability".
+// Instrument pointers are captured once at construction, and no hot path
+// takes a lock for them, but not every update is contention-free: an
+// obs::Counter add is one relaxed fetch_add on the caller's own slot,
+// while a Histogram::Observe is three relaxed read-modify-writes on cache
+// lines every thread shares (bucket, count, and the sum as a CAS loop on
+// an atomic<double>), and the stats() counters are single atomics.  A
+// point query reads the clock twice and observes one histogram
+// (horizon_serving_query_latency_seconds); the finest-grained path
+// (Ingest) samples its histogram 1-in-64 so the clock reads stay off the
+// common path.  See DESIGN.md "Observability".
 #ifndef HORIZON_SERVING_PREDICTION_SERVICE_H_
 #define HORIZON_SERVING_PREDICTION_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,8 +209,11 @@ class PredictionService {
   /// Inference is batched: one forest pass over every resolved item.
   StatusOr<QueryResponse> BatchQuery(const QueryRequest& request) const;
 
-  /// Single-item convenience shim over BatchQuery.  kNotFound for unknown
+  /// The point query: BatchQuery's per-id answer for one id, bit for bit,
+  /// with the same codes and error counts -- kInvalidArgument for a
+  /// non-finite `s` or `delta` or `delta` < 0, kNotFound for unknown
   /// items, kNotYetLive when the item's creation time is after `s`.
+  /// Timed into horizon_serving_query_latency_seconds only.
   StatusOr<PredictionResult> Query(int64_t item_id, double s,
                                    double delta) const;
 
@@ -274,6 +286,16 @@ class PredictionService {
   /// it, returns the shard's k best candidates with their feature rows.
   std::vector<ScanCandidate> ShardScanTopK(const Shard& shard, double s,
                                            double delta, size_t k) const;
+
+  /// The per-id path of Query and BatchQuery: resolves each id under its
+  /// shard lock (kNotFound / kNotYetLive, counted into statuses[i]), then
+  /// extracts and predicts every resolved id outside the locks in one
+  /// PredictStrided pass, into results[i].  Working storage is per thread
+  /// and reused.
+  void AnswerIds(std::span<const int64_t> ids, double s, double delta,
+                 Status* statuses, PredictionResult* results) const;
+  /// Adds n answered queries to stats() and horizon_serving_queries_total.
+  void CountAnswered(size_t n) const;
 
   StatusOr<QueryResponse> QueryByIds(const QueryRequest& request) const;
   StatusOr<QueryResponse> QueryScan(const QueryRequest& request) const;

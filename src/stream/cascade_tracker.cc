@@ -1,6 +1,7 @@
 #include "stream/cascade_tracker.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -120,6 +121,31 @@ double WindowLastTime(uint64_t total, double last_age) {
   return total == 0 ? dgim::kNoEventTime : last_age;
 }
 
+/// Whether some sequence of Observe calls leaves a stream with these
+/// scalar fields: an empty stream holds the fresh values; otherwise
+/// 0 <= first_age <= last_age = ewma_time, the EWMA rate lies in
+/// [0, total / ewma_tau] (each event adds 1/tau, decay only shrinks it),
+/// and the age sum in [total * first_age, total * last_age].  The two
+/// bounds allow rounding: each EWMA step rounds twice, the Kahan sum is
+/// off by a few ulps of its value.  Written so that NaN fails every test.
+bool PlausibleScalars(uint64_t total, double first_age, double last_age,
+                      double ewma_rate, double ewma_time, double age_sum,
+                      double age_comp, double ewma_tau) {
+  if (total == 0) {
+    return first_age == -1.0 && last_age == -1.0 && ewma_rate == 0.0 &&
+           ewma_time == 0.0 && age_sum == 0.0 && age_comp == 0.0;
+  }
+  const double n = static_cast<double>(total);
+  const double rate_slack =
+      1.0 + 4.0 * (n + 1.0) * std::numeric_limits<double>::epsilon();
+  const double sum_slack = 1e-9 * n * last_age;
+  return std::isfinite(last_age) && first_age >= 0.0 && first_age <= last_age &&
+         ewma_time == last_age && ewma_rate >= 0.0 &&
+         ewma_rate <= n / ewma_tau * rate_slack &&
+         age_sum >= n * first_age - sum_slack &&
+         age_sum <= n * last_age + sum_slack && std::abs(age_comp) <= sum_slack;
+}
+
 }  // namespace
 
 std::string CascadeTracker::Serialize() const {
@@ -168,6 +194,11 @@ bool CascadeTracker::Deserialize(const std::string& text) {
     double sum = 0.0, comp = 0.0;
     if (!(is >> stream.total >> stream.first_age >> stream.last_age >>
           stream.ewma_rate >> stream.ewma_time >> sum >> comp)) {
+      return false;
+    }
+    if (!PlausibleScalars(stream.total, stream.first_age, stream.last_age,
+                          stream.ewma_rate, stream.ewma_time, sum, comp,
+                          config.ewma_tau)) {
       return false;
     }
     stream.age_sum.Restore(sum, comp);

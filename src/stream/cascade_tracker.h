@@ -156,9 +156,11 @@ class CascadeTracker {
   /// Restores state written by Serialize into this tracker.  The tracker
   /// must have been constructed with the same configuration (window and
   /// landmark layout).  Returns false, leaving the tracker unchanged, on
-  /// parse failure, a layout mismatch, a window whose total or last time
-  /// differs from its stream's (an empty stream's windows read
-  /// dgim::kNoEventTime), or buckets dgim::Read rejects.
+  /// parse failure, a layout mismatch, stream scalars no sequence of
+  /// Observe calls produces (EWMA rate and time, first and last event
+  /// ages, the age sum), a window whose total or last time differs from
+  /// its stream's (an empty stream's windows read dgim::kNoEventTime), or
+  /// buckets dgim::Read rejects.
   bool Deserialize(const std::string& text);
 
  private:

@@ -257,6 +257,61 @@ TEST(CascadeTrackerTest, DeserializeRejectsWindowDisagreeingWithItsStream) {
   EXPECT_EQ(restored.Serialize(), source.Serialize());
 }
 
+// Scalar fields no sequence of Observe calls can produce, one tamper per
+// field.  A re-framed blob with such a field used to restore and then
+// yield non-finite or impossible features (an EWMA rate of 1e300 reads
+// as an infinite feature).
+TEST(CascadeTrackerTest, DeserializeRejectsImpossibleScalarFields) {
+  CascadeTracker source(0.0, TrackerConfig{});
+  for (const double t : {10.0, 20.0, 30.0}) source.Observe(EngagementType::kView, t);
+  const std::string blob = source.Serialize();
+  const auto tamper = [&](const std::string& from, const std::string& to) {
+    std::string out = blob;
+    const size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  // The view stream: "total first_age last_age ewma_rate ewma_time
+  // age_sum compensation"; the share stream is empty.
+  const std::string views = "\n3 10 30 0.00083102386796723451 30 60 0\n";
+  const std::string empty = "\n0 -1 -1 0 0 0 0\n";
+  ASSERT_NE(blob.find(views), std::string::npos);
+  ASSERT_NE(blob.find(empty), std::string::npos);
+  const std::vector<std::string> bad = {
+      // ewma_time != last_age
+      tamper(views, "\n3 10 30 0.00083102386796723451 29 60 0\n"),
+      // first_age < 0, and first_age > last_age
+      tamper(views, "\n3 -10 30 0.00083102386796723451 30 60 0\n"),
+      tamper(views, "\n3 31 30 0.00083102386796723451 30 60 0\n"),
+      // EWMA rate below 0, above total / ewma_tau = 8.33e-4, and huge
+      tamper(views, "\n3 10 30 -0.00083102386796723451 30 60 0\n"),
+      tamper(views, "\n3 10 30 0.00084 30 60 0\n"),
+      tamper(views, "\n3 10 30 1e300 30 60 0\n"),
+      // age sum below total * first_age = 30, above total * last_age = 90,
+      // and a compensation term no Kahan sum of these ages carries
+      tamper(views, "\n3 10 30 0.00083102386796723451 30 29 0\n"),
+      tamper(views, "\n3 10 30 0.00083102386796723451 30 91 0\n"),
+      tamper(views, "\n3 10 30 0.00083102386796723451 30 60 1\n"),
+      // An empty stream holds the fresh tracker's values, field by field.
+      tamper(empty, "\n0 2 -1 0 0 0 0\n"),
+      tamper(empty, "\n0 -1 7 0 0 0 0\n"),
+      tamper(empty, "\n0 -1 -1 1e300 0 0 0\n"),
+      tamper(empty, "\n0 -1 -1 0 5 0 0\n"),
+      tamper(empty, "\n0 -1 -1 0 0 3 0\n"),
+      tamper(empty, "\n0 -1 -1 0 0 0 0.001\n"),
+  };
+  for (const std::string& text : bad) {
+    CascadeTracker tracker(5.0, TrackerConfig{});
+    tracker.Observe(EngagementType::kShare, 6.0);
+    const std::string before = tracker.Serialize();
+    EXPECT_FALSE(tracker.Deserialize(text)) << text;
+    EXPECT_EQ(tracker.Serialize(), before) << "a rejected blob changed the tracker";
+  }
+  CascadeTracker restored(0.0, TrackerConfig{});
+  EXPECT_TRUE(restored.Deserialize(blob));
+}
+
 TEST(CascadeTrackerTest, SnapshotAgeIsRelativeToCreation) {
   CascadeTracker tracker(1000.0, SmallConfig());
   const auto snap = tracker.Snapshot(1010.0);

@@ -428,6 +428,47 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithTamperedTracker) {
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
+// A re-framed shard whose view stream carries an EWMA rate of 1e300: a
+// value no event sequence produces, which used to restore fine and then
+// read as an infinite feature.  Restore must refuse it with kCorruption.
+TEST_F(CheckpointTest, RestoreRejectsReframedShardWithImpossibleEwmaRate) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  ASSERT_TRUE(source.Checkpoint(Dir()));
+
+  // A tracker blob's third line is its view stream's scalars: "total
+  // first_age last_age ewma_rate ...".  Zero-pad "1e300" to the width of
+  // a non-empty stream's rate so the blob's byte count stays the same.
+  const auto tamper = [](std::string* payload) {
+    for (size_t at = payload->find("trk v1\n"); at != std::string::npos;
+         at = payload->find("trk v1\n", at + 1)) {
+      size_t line = at;
+      for (int i = 0; i < 2; ++i) line = payload->find('\n', line) + 1;
+      std::istringstream scalars(
+          payload->substr(line, payload->find('\n', line) - line));
+      uint64_t total = 0;
+      std::string first_age, last_age, rate;
+      scalars >> total >> first_age >> last_age >> rate;
+      if (total == 0 || rate.size() < 5) continue;
+      size_t rate_at = line;
+      for (int i = 0; i < 3; ++i) rate_at = payload->find(' ', rate_at) + 1;
+      payload->replace(rate_at, rate.size(),
+                       std::string(rate.size() - 5, '0') + "1e300");
+      return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(ReframeShard(Dir(), tamper));
+
+  PredictionService restored = MakeService();
+  Load(&restored, 3, kAge);
+  const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+  const Status status = restored.Restore(Dir());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_EQ(restored.LiveItems(), 3u);
+  ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+}
+
 TEST_F(CheckpointTest, RestoreRejectsCorruptedQuantizedForestFile) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);

@@ -3,60 +3,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "common/file_io.h"
 #include "common/units.h"
 #include "datagen/generator.h"
 #include "features/schema.h"
-
-// Heap allocations made by the current thread, counted through the global
-// operator new this binary replaces.  Sanitizer runtimes own operator new,
-// so sanitized builds keep the default and skip the test that reads this.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define HORIZON_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define HORIZON_TEST_SANITIZED 1
-#endif
-#endif
-
-#ifndef HORIZON_TEST_SANITIZED
-namespace {
-thread_local size_t t_allocations = 0;
-}  // namespace
-
-// Every replacement stays out of line: inlined into a caller, its malloc()
-// or free() meets the other side's new-expression or delete-expression,
-// and GCC's -Wmismatched-new-delete reports the pair.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  ++t_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
-  ++t_allocations;
-  const auto a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::size_t,
-                                       std::align_val_t) noexcept {
-  std::free(p);
-}
-#endif
 
 namespace horizon::features {
 namespace {
@@ -161,19 +117,19 @@ TEST(FeatureExtractorTest, SnapshotAndExtractAllocateNothing) {
   size_t snapshot_allocations = 0;
   size_t extract_allocations = 0;
   for (int i = 0; i < 256; ++i) {
-    const size_t before = t_allocations;
+    const size_t before = test::ThreadAllocations();
     const stream::TrackerSnapshot snapshot = tracker.Snapshot(s + i * kHour);
-    const size_t between = t_allocations;
+    const size_t between = test::ThreadAllocations();
     extractor.ExtractIntoStrided(page, cascade.post, snapshot, row.data(), 1);
     snapshot_allocations += between - before;
-    extract_allocations += t_allocations - between;
+    extract_allocations += test::ThreadAllocations() - between;
   }
   EXPECT_EQ(snapshot_allocations, 0u);
   EXPECT_EQ(extract_allocations, 0u);
   // The counter itself works: a vector allocates.
-  const size_t before = t_allocations;
+  const size_t before = test::ThreadAllocations();
   std::vector<float> copy = row;
-  EXPECT_EQ(t_allocations - before, 1u);
+  EXPECT_EQ(test::ThreadAllocations() - before, 1u);
 #endif
 }
 

@@ -102,15 +102,23 @@ TEST(FlatForestTest, EmptyEnsembleIsTheConstantModel) {
 }
 
 TEST(FlatForestTest, PredictRowsMatchesPerRowOnOddBlockSizes) {
-  // Row counts that straddle the internal block size (64).
+  // Row counts that straddle the internal block size (64), row-major and
+  // column-major through the strided walk.
   const GbdtRegressor model = TrainRandomModel(13, /*num_trees=*/20, /*depth=*/4);
   const FlatForest& flat = model.flat_forest();
   for (const size_t n : {1u, 63u, 64u, 65u, 130u}) {
     const DataMatrix x = RandomMatrix(n, model.num_features(), 1000 + n);
+    ExampleBatch soa(n, x.num_features());
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t f = 0; f < x.num_features(); ++f) soa.Set(i, f, x.Get(i, f));
+    }
     std::vector<double> out(n);
-    flat.PredictRows(x.Row(0), n, x.num_features(), out.data());
+    std::vector<double> col_major(n);
+    flat.PredictStrided(x.Row(0), n, x.num_features(), 1, out.data());
+    flat.PredictStrided(soa.data(), n, 1, soa.feature_stride(), col_major.data());
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(out[i], flat.Predict(x.Row(i))) << "n=" << n << " row " << i;
+      ASSERT_EQ(col_major[i], out[i]) << "n=" << n << " row " << i;
     }
   }
 }

@@ -1,6 +1,8 @@
 #include "core/hawkes_predictor.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -8,6 +10,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 
 namespace horizon::core {
 namespace {
@@ -192,6 +195,98 @@ TEST(HawkesPredictorTest, PredictCountAddsObservedCount) {
   const float* row = problem.x.Row(0);
   EXPECT_DOUBLE_EQ(model.PredictCount(row, 100.0, ref),
                    100.0 + model.PredictIncrement(row, ref));
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Every batch overload runs PredictStrided over 256-row chunks; each must
+// equal the per-row calls bit for bit at sizes around the chunk and the
+// 32-row SIMD group, in both layouts, for one and three reference
+// horizons under both aggregations.  Horizons include 0 and infinity.
+TEST(HawkesPredictorTest, BatchOverloadsMatchPerRowCallsBitForBit) {
+  for (const std::vector<double>& refs :
+       {std::vector<double>{1 * kDay}, std::vector<double>{6 * kHour, 1 * kDay, 3 * kDay}}) {
+    for (const Aggregation agg : {Aggregation::kArithmeticMean, Aggregation::kGeometricMean}) {
+      const auto problem = MakeToyProblem(refs, 1000, 11);
+      HawkesPredictor model(ToyParams(refs, agg));
+      model.Fit(problem.x, problem.log1p_increments, problem.alpha_targets);
+      Rng rng(31);
+      for (const size_t n : {1u, 31u, 32u, 255u, 256u, 257u, 1000u}) {
+        SCOPED_TRACE(testing::Message() << refs.size() << " refs, "
+                                        << AggregationName(agg) << ", " << n << " rows");
+        gbdt::DataMatrix x(n, problem.x.num_features());
+        gbdt::ExampleBatch soa(n, problem.x.num_features());
+        std::vector<double> deltas(n);
+        std::vector<double> n_s(n);
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t f = 0; f < x.num_features(); ++f) {
+            const float v = problem.x.Get((r * 7) % problem.x.num_rows(), f);
+            x.Set(r, f, v);
+            soa.Set(r, f, v);
+          }
+          deltas[r] = r % 11 == 0   ? 0.0
+                      : r % 13 == 0 ? std::numeric_limits<double>::infinity()
+                                    : std::exp(rng.Uniform(std::log(kMinute), std::log(30 * kDay)));
+          n_s[r] = std::floor(rng.Uniform(0.0, 1e4));
+        }
+        const double shared = deltas[n - 1] == 0.0 ? kDay : deltas[n - 1];
+
+        std::vector<double> alphas_m;
+        std::vector<double> alphas_s;
+        std::vector<double> count_alphas_m;
+        std::vector<double> count_alphas_s;
+        const std::vector<double> alpha_m = model.PredictAlphaBatch(x);
+        const std::vector<double> alpha_s = model.PredictAlphaBatch(soa);
+        const std::vector<double> inc_m = model.PredictIncrementBatch(x, deltas, &alphas_m);
+        const std::vector<double> inc_s = model.PredictIncrementBatch(soa, deltas, &alphas_s);
+        const std::vector<double> shared_m = model.PredictIncrementBatch(x, shared);
+        const std::vector<double> shared_s = model.PredictIncrementBatch(soa, shared);
+        const std::vector<double> count_m =
+            model.PredictCountBatch(x, n_s, deltas, &count_alphas_m);
+        const std::vector<double> count_s =
+            model.PredictCountBatch(soa, n_s, deltas, &count_alphas_s);
+        for (size_t r = 0; r < n; ++r) {
+          const float* row = x.Row(r);
+          const double alpha = model.PredictAlpha(row);
+          const double inc = model.PredictIncrement(row, deltas[r]);
+          const double inc_shared = model.PredictIncrement(row, shared);
+          const double count = model.PredictCount(row, n_s[r], deltas[r]);
+          for (const double got : {alpha_m[r], alpha_s[r], alphas_m[r], alphas_s[r],
+                                   count_alphas_m[r], count_alphas_s[r]}) {
+            ASSERT_TRUE(SameBits(got, alpha)) << "row " << r;
+          }
+          ASSERT_TRUE(SameBits(inc_m[r], inc)) << "row " << r;
+          ASSERT_TRUE(SameBits(inc_s[r], inc)) << "row " << r;
+          ASSERT_TRUE(SameBits(shared_m[r], inc_shared)) << "row " << r;
+          ASSERT_TRUE(SameBits(shared_s[r], inc_shared)) << "row " << r;
+          ASSERT_TRUE(SameBits(count_m[r], count)) << "row " << r;
+          ASSERT_TRUE(SameBits(count_s[r], count)) << "row " << r;
+        }
+      }
+    }
+  }
+}
+
+// The forests are walked through the instrument-free
+// GbdtRegressor::PredictStrided; the predictor itself counts every row
+// each forest scores.
+TEST(HawkesPredictorTest, BatchCallsCountEveryRowEachForestScores) {
+  const std::vector<double> refs{6 * kHour, 1 * kDay};
+  const auto problem = MakeToyProblem(refs, 600);
+  HawkesPredictor model(ToyParams(refs));
+  model.Fit(problem.x, problem.log1p_increments, problem.alpha_targets);
+  obs::Counter* const rows_scored =
+      obs::MetricsRegistry::Global().GetCounter("horizon_gbdt_rows_scored_total");
+  const size_t n = problem.x.num_rows();
+  const uint64_t start = rows_scored->Value();
+  (void)model.PredictCountBatch(problem.x, std::vector<double>(n, 0.0),
+                                std::vector<double>(n, kDay));
+  EXPECT_EQ(rows_scored->Value() - start, n * (refs.size() + 1));
+  const uint64_t after_count = rows_scored->Value();
+  (void)model.PredictAlphaBatch(problem.x);
+  EXPECT_EQ(rows_scored->Value() - after_count, n);
 }
 
 TEST(HawkesPredictorTest, AggregationNames) {

@@ -1,13 +1,19 @@
 #include "serving/prediction_service.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "common/file_io.h"
+#include "common/rng.h"
 #include "core/trainer.h"
 #include "eval/split.h"
 
@@ -721,6 +727,206 @@ TEST_F(PredictionServiceTest, LateEventsAreRejectedNotFatal) {
   EXPECT_EQ(registry.GetCounter("horizon_serving_errors_invalid_argument_total")
                 ->Value(),
             3u);
+}
+
+// -- The point-query path ------------------------------------------------
+
+/// Items 0..n-1: cascade i created at time 0, its views and shares before
+/// `until` ingested.  Returns each item's shadow tracker, fed the same
+/// events, for module-level recomputation.
+std::vector<stream::CascadeTracker> LoadItems(PredictionService* service,
+                                              const datagen::SyntheticDataset& data,
+                                              const features::FeatureExtractor& extractor,
+                                              int64_t n, double until) {
+  std::vector<stream::CascadeTracker> shadows;
+  for (int64_t i = 0; i < n; ++i) {
+    const auto& cascade = data.cascades[static_cast<size_t>(i)];
+    EXPECT_TRUE(service->RegisterItem(i, 0.0, data.PageOf(cascade.post), cascade.post).ok());
+    shadows.emplace_back(0.0, extractor.tracker_layout());
+    for (const auto& e : cascade.views) {
+      if (e.time >= until) break;
+      EXPECT_TRUE(service->Ingest(i, stream::EngagementType::kView, e.time).ok());
+      shadows.back().Observe(stream::EngagementType::kView, e.time);
+    }
+    for (const double t : cascade.share_times) {
+      if (t >= until) break;
+      EXPECT_TRUE(service->Ingest(i, stream::EngagementType::kShare, t).ok());
+      shadows.back().Observe(stream::EngagementType::kShare, t);
+    }
+  }
+  return shadows;
+}
+
+bool SameBits(const PredictionResult& a, const PredictionResult& b) {
+  return std::bit_cast<uint64_t>(a.observed_views) ==
+             std::bit_cast<uint64_t>(b.observed_views) &&
+         std::bit_cast<uint64_t>(a.predicted_views) ==
+             std::bit_cast<uint64_t>(b.predicted_views) &&
+         std::bit_cast<uint64_t>(a.alpha) == std::bit_cast<uint64_t>(b.alpha);
+}
+
+// After one warm-up call sizes the calling thread's scratch storage, a
+// point query touches no heap: no request, response, feature batch or
+// ParallelFor closure.  256 rounds pass the extractor's 1-in-64 sample.
+TEST_F(PredictionServiceTest, PointQueryAllocatesNothingAfterWarmUp) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#else
+  PredictionService service = MakeService();
+  (void)LoadItems(&service, *dataset_, *extractor_, 4, 6 * kHour);
+  ASSERT_TRUE(service.Query(2, 6 * kHour, kDay).ok());
+
+  size_t allocations = 0;
+  size_t answered = 0;
+  for (int i = 0; i < 256; ++i) {
+    const size_t before = test::ThreadAllocations();
+    const StatusOr<PredictionResult> result =
+        service.Query(i % 4, 6 * kHour + i * kMinute, (i % 7) * kHour);
+    allocations += test::ThreadAllocations() - before;
+    answered += result.ok() ? 1 : 0;
+  }
+  EXPECT_EQ(answered, 256u);
+  EXPECT_EQ(allocations, 0u);
+  // The counter itself works: a one-id BatchQuery builds a request and a
+  // response.
+  const size_t before = test::ThreadAllocations();
+  QueryRequest request;
+  request.ids = {2};
+  request.s = 6 * kHour;
+  request.delta = kDay;
+  ASSERT_TRUE(service.BatchQuery(request).ok());
+  EXPECT_GT(test::ThreadAllocations() - before, 0u);
+#endif
+}
+
+// Query and BatchQuery share one per-id routine: over random (id, s,
+// delta) triples, delta = 0 included, Query equals BatchQuery({id}) and
+// the module-level recomputation (snapshot -> extract ->
+// PredictCountBatch) bit for bit.  So does one BatchQuery over more ids
+// than one 256-row inference chunk.
+TEST_F(PredictionServiceTest, QueryEqualsBatchQueryAndRecomputation) {
+  constexpr int64_t kItems = 24;
+  PredictionService service = MakeService();
+  const std::vector<stream::CascadeTracker> shadows =
+      LoadItems(&service, *dataset_, *extractor_, kItems, 12 * kHour);
+  Rng rng(2024);
+  for (int trial = 0; trial < 1200; ++trial) {
+    const auto id = static_cast<int64_t>(rng.UniformInt(kItems));
+    const double s = rng.Uniform(12 * kHour, 5 * kDay);
+    const double delta =
+        trial % 8 == 0 ? 0.0 : std::exp(rng.Uniform(std::log(kMinute), std::log(30 * kDay)));
+
+    const StatusOr<PredictionResult> one = service.Query(id, s, delta);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    QueryRequest request;
+    request.ids = {id};
+    request.s = s;
+    request.delta = delta;
+    const StatusOr<QueryResponse> batch = service.BatchQuery(request);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->results.size(), 1u);
+
+    const stream::TrackerSnapshot snapshot = shadows[static_cast<size_t>(id)].Snapshot(s);
+    const auto& cascade = dataset_->cascades[static_cast<size_t>(id)];
+    gbdt::ExampleBatch x(1, extractor_->schema().size());
+    extractor_->ExtractIntoStrided(dataset_->PageOf(cascade.post), cascade.post, snapshot,
+                                   x.MutableRowBase(0), x.feature_stride());
+    const double observed = static_cast<double>(snapshot.views().total);
+    std::vector<double> alphas;
+    const std::vector<double> counts = model_->PredictCountBatch(x, {observed}, {delta}, &alphas);
+    const PredictionResult expected{observed, counts[0], alphas[0]};
+
+    ASSERT_TRUE(SameBits(*one, batch->results[0].prediction))
+        << "id " << id << " s " << s << " delta " << delta;
+    ASSERT_TRUE(SameBits(*one, expected)) << "id " << id << " s " << s << " delta " << delta;
+  }
+
+  QueryRequest many;
+  for (int i = 0; i < 300; ++i) many.ids.push_back(i % kItems);
+  many.s = 2 * kDay;
+  many.delta = 3 * kDay;
+  const StatusOr<QueryResponse> batch = service.BatchQuery(many);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->results.size(), many.ids.size());
+  for (size_t i = 0; i < many.ids.size(); ++i) {
+    const StatusOr<PredictionResult> one = service.Query(many.ids[i], many.s, many.delta);
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(batch->results[i].item_id, many.ids[i]);
+    EXPECT_TRUE(SameBits(*one, batch->results[i].prediction)) << "row " << i;
+  }
+}
+
+// Every way a point query can fail gets the same code, and the same
+// error-counter increments, through Query and a one-id BatchQuery.
+TEST_F(PredictionServiceTest, QueryAndBatchQueryFailAlike) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  PredictionService service = MakeService(config);
+  const auto& cascade = dataset_->cascades[0];
+  ASSERT_TRUE(service.RegisterItem(1, 0.0, dataset_->PageOf(cascade.post), cascade.post).ok());
+  ASSERT_TRUE(
+      service.RegisterItem(2, 10 * kDay, dataset_->PageOf(cascade.post), cascade.post).ok());
+  const auto error_counts = [&] {
+    std::array<uint64_t, 10> counts{};
+    for (int code = 1; code <= 9; ++code) {
+      counts[static_cast<size_t>(code)] =
+          registry
+              .GetCounter("horizon_serving_errors_" +
+                          std::string(StatusCodeName(static_cast<StatusCode>(code))) +
+                          "_total")
+              ->Value();
+    }
+    return counts;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    int64_t id;
+    double s;
+    double delta;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"unknown id", 404, kDay, kDay, StatusCode::kNotFound},
+      {"not yet live", 2, kDay, kDay, StatusCode::kNotYetLive},
+      {"NaN s", 1, nan, kDay, StatusCode::kInvalidArgument},
+      {"infinite s", 1, inf, kDay, StatusCode::kInvalidArgument},
+      {"NaN delta", 1, kDay, nan, StatusCode::kInvalidArgument},
+      {"infinite delta", 1, kDay, inf, StatusCode::kInvalidArgument},
+      {"negative delta", 1, kDay, -kHour, StatusCode::kInvalidArgument},
+      {"unknown id, NaN s", 404, nan, kDay, StatusCode::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    const auto before_query = error_counts();
+    const StatusOr<PredictionResult> one = service.Query(c.id, c.s, c.delta);
+    const auto after_query = error_counts();
+
+    QueryRequest request;
+    request.ids = {c.id};
+    request.s = c.s;
+    request.delta = c.delta;
+    const StatusOr<QueryResponse> batch = service.BatchQuery(request);
+    const auto after_batch = error_counts();
+    Status batch_status = batch.status();
+    if (batch.ok()) {
+      ASSERT_EQ(batch->errors.size(), 1u) << c.what;
+      EXPECT_TRUE(batch->results.empty()) << c.what;
+      batch_status = batch->errors[0].status;
+    }
+
+    EXPECT_EQ(one.code(), c.code) << c.what;
+    EXPECT_EQ(batch_status.code(), c.code) << c.what;
+    for (size_t code = 1; code <= 9; ++code) {
+      const uint64_t by_query = after_query[code] - before_query[code];
+      EXPECT_EQ(by_query, code == static_cast<size_t>(c.code) ? 1u : 0u)
+          << c.what << ", counter " << code;
+      EXPECT_EQ(after_batch[code] - after_query[code], by_query)
+          << c.what << ", counter " << code;
+    }
+  }
+  EXPECT_EQ(service.stats().queries_answered, 0u);
 }
 
 }  // namespace
