@@ -6,9 +6,7 @@
 //   BM_GbdtBatchFlatScalar     FlatForest::PredictStrided (the pre-rework
 //                              depth-first scalar baseline)
 //   BM_GbdtBatchBlocked/<k>    BlockForest::PredictStrided under kernel
-//                              flavor <k> (scalar | sse | avx2)
-//   BM_GbdtBatchQuantized/<k>  QuantizedForest::PredictCodes (uint16
-//                              rank-space codes, integer compares)
+//                              flavor <k> (0 = scalar, 1 = avx2)
 //   BM_GbdtKernelRows/<k>/<n> float kernel <k> called directly on <n>
 //                              row-major rows, below PredictStrided's
 //                              dispatch: the per-row crossover that sets
@@ -67,8 +65,7 @@ constexpr size_t kNumFeatures = 100;
 struct InferenceSetup {
   GbdtRegressor model;
   DataMatrix x{0, 0};
-  ExampleBatch soa;                // column-major copy of x
-  std::vector<uint16_t> codes;     // quantized SoA copy of x
+  ExampleBatch soa;  // column-major copy of x
   std::vector<double> out;
 
   InferenceSetup() : model([] {
@@ -84,7 +81,6 @@ struct InferenceSetup {
     for (size_t r = 0; r < kBatchRows; ++r) {
       for (size_t f = 0; f < kNumFeatures; ++f) soa.Set(r, f, x.Get(r, f));
     }
-    codes = model.quantized_forest().Quantize(soa);
     out.resize(kBatchRows);
   }
 };
@@ -150,32 +146,6 @@ void BM_GbdtBatchBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtBatchBlocked)
     ->Arg(static_cast<int>(SimdKernel::kScalar))
-    ->Arg(static_cast<int>(SimdKernel::kSse))
-    ->Arg(static_cast<int>(SimdKernel::kAvx2))
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GbdtBatchQuantized(benchmark::State& state) {
-  const auto flavor = static_cast<SimdKernel>(state.range(0));
-  if (!PinKernel(flavor)) {
-    state.SkipWithError("kernel flavor unsupported on this CPU");
-    return;
-  }
-  InferenceSetup& s = Setup();
-  for (auto _ : state) {
-    s.model.quantized_forest().PredictCodes(s.codes.data(), kBatchRows,
-                                            /*row_stride=*/1,
-                                            /*feat_stride=*/kBatchRows,
-                                            s.out.data());
-    benchmark::DoNotOptimize(s.out.data());
-  }
-  UnpinKernel();
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kBatchRows));
-  state.SetLabel(SimdKernelName(flavor));
-}
-BENCHMARK(BM_GbdtBatchQuantized)
-    ->Arg(static_cast<int>(SimdKernel::kScalar))
-    ->Arg(static_cast<int>(SimdKernel::kSse))
     ->Arg(static_cast<int>(SimdKernel::kAvx2))
     ->Unit(benchmark::kMillisecond);
 
@@ -195,9 +165,8 @@ void BM_GbdtKernelRows(benchmark::State& state) {
       forest.raw_leaves().data(),   forest.num_trees(),
       forest.depth(),               forest.base_score(),
       forest.learning_rate()};
-  auto* kernel = flavor == SimdKernel::kAvx2  ? kernels::PredictFloatAvx2
-                 : flavor == SimdKernel::kSse ? kernels::PredictFloatSse
-                                              : kernels::PredictFloatScalar;
+  auto* kernel = flavor == SimdKernel::kAvx2 ? kernels::PredictFloatAvx2
+                                             : kernels::PredictFloatScalar;
   // Steps through the batch so the walk sees run-time inputs rather than
   // one cached path.
   size_t first = 0;
@@ -212,8 +181,7 @@ void BM_GbdtKernelRows(benchmark::State& state) {
   state.SetLabel(SimdKernelName(flavor));
 }
 BENCHMARK(BM_GbdtKernelRows)->Apply([](benchmark::internal::Benchmark* b) {
-  for (const SimdKernel k :
-       {SimdKernel::kScalar, SimdKernel::kSse, SimdKernel::kAvx2}) {
+  for (const SimdKernel k : {SimdKernel::kScalar, SimdKernel::kAvx2}) {
     for (const int rows : {1, 16, 31, 32, 64}) {
       b->Args({static_cast<int>(k), rows});
     }

@@ -229,13 +229,17 @@ void BM_ServingIngestBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ServingIngestBatch)->Arg(1024)->Arg(8192);
 
-// -- TopK: one caller; the service scans shards in parallel and batches
-//    the whole shard through the flat forests.
+// -- TopK: one caller runs BatchQuery scan mode; the service scans shards
+//    in parallel and batches the whole shard through the forests.
 
 void BM_ServingTopK(benchmark::State& state) {
   serving::PredictionService* service = MakeLoadedService(/*feed_events=*/true);
+  serving::QueryRequest scan;
+  scan.s = 6 * kHour;
+  scan.delta = 1 * kDay;
+  scan.top_k = 10;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service->TopK(6 * kHour, 1 * kDay, 10));
+    benchmark::DoNotOptimize(service->BatchQuery(scan));
   }
   // Every live item is scored per call.
   state.SetItemsProcessed(state.iterations() * kItems);

@@ -65,10 +65,17 @@ int main() {
   double next_board = 12 * kHour;
   for (const datagen::PlatformEvent& event : stream_events) {
     if (event.time >= next_board) {
-      const auto board = service.TopK(event.time, 1 * kDay, 3);
+      // Scan mode (no ids, top_k > 0) ranks every live item.  A finite s
+      // and a positive delta cannot be rejected.
+      serving::QueryRequest scan;
+      scan.s = event.time;
+      scan.delta = 1 * kDay;
+      scan.top_k = 3;
+      const auto board = service.BatchQuery(scan);
       std::printf("t=%5.1fh virality board:", event.time / kHour);
-      for (const auto& [id, inc] : board) {
-        std::printf("  item %3lld (+%.0f views/d)", static_cast<long long>(id), inc);
+      for (const serving::ItemPrediction& p : board->results) {
+        std::printf("  item %3lld (+%.0f views/d)", static_cast<long long>(p.item_id),
+                    p.prediction.predicted_views - p.prediction.observed_views);
       }
       std::printf("\n");
       next_board += 12 * kHour;

@@ -290,23 +290,6 @@ std::string HawkesPredictor::Serialize() const {
   return os.str();
 }
 
-std::string HawkesPredictor::SerializeQuantized() const {
-  HORIZON_CHECK(trained_);
-  std::ostringstream os;
-  os << "qhwk v1\n" << f_models_.size() << "\n";
-  const auto append_model = [&os](const gbdt::GbdtRegressor& model) {
-    // Over-deep ensembles have no quantized form; an empty section keeps
-    // the framing aligned (and byte-stable) either way.
-    const std::string blob = model.quantized_forest().compiled()
-                                 ? model.quantized_forest().Serialize()
-                                 : std::string();
-    os << blob.size() << "\n" << blob;
-  };
-  for (const auto& f : f_models_) append_model(f);
-  append_model(g_model_);
-  return os.str();
-}
-
 bool HawkesPredictor::Deserialize(const std::string& text) {
   // Must be safe on untrusted bytes: counts and sizes are bounded before
   // any allocation, reference horizons must be strictly increasing, and

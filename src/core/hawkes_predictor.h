@@ -68,7 +68,7 @@ class HawkesPredictor {
   // --- Batch inference -------------------------------------------------
   // Every batch call runs PredictStrided: 256-row chunks under one
   // ParallelFor, each chunk walking the alpha forest and the m count
-  // forests (runtime-dispatched scalar/SSE/AVX2 blocked kernels) and
+  // forests (runtime-dispatched scalar/AVX2 blocked kernels) and
   // applying the transfer formula on the thread that claimed it.  Results
   // are bit-identical to the per-row calls above.  Every method takes
   // either a row-major DataMatrix or a column-major ExampleBatch -- the
@@ -132,13 +132,6 @@ class HawkesPredictor {
   /// failure (model state is then unspecified but safe to destroy or
   /// re-Deserialize).
   bool Deserialize(const std::string& text);
-
-  /// Serializes the quantized companions of every forest (count models
-  /// then the alpha model, "qhwk v1" framing).  Deterministic for a given
-  /// trained model -- Deserialize recompiles identical quantized forests,
-  /// so checkpoint restore verifies this blob by byte equality.  A model
-  /// whose blocked form did not compile contributes an empty section.
-  std::string SerializeQuantized() const;
 
   bool trained() const { return trained_; }
   size_t num_reference_horizons() const { return params_.reference_horizons.size(); }

@@ -113,9 +113,9 @@ void BlockForest::PredictStrided(const float* data, size_t num_rows,
       feat_.data(),  thresh_.data(), leaves_.data(), num_trees_,
       depth_,        base_score_,    learning_rate_};
   SimdKernel kernel = ActiveKernel();
-  // SIMD gathers address elements through int32 offsets; oversized
+  // AVX2 gathers address elements through int32 offsets; oversized
   // batches take the (size_t-addressed) scalar kernel instead, and so do
-  // batches too small for the SIMD kernels to win.
+  // batches too small for the AVX2 kernel to win.
   const uint64_t max_offset =
       static_cast<uint64_t>(num_rows - 1) * row_stride +
       (max_feature_ > 0
@@ -129,10 +129,6 @@ void BlockForest::PredictStrided(const float* data, size_t num_rows,
     case SimdKernel::kAvx2:
       kernels::PredictFloatAvx2(span, data, num_rows, row_stride, feat_stride,
                                 out);
-      break;
-    case SimdKernel::kSse:
-      kernels::PredictFloatSse(span, data, num_rows, row_stride, feat_stride,
-                               out);
       break;
     case SimdKernel::kScalar:
       kernels::PredictFloatScalar(span, data, num_rows, row_stride,

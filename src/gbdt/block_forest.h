@@ -21,7 +21,7 @@
 //     branches on "is this a leaf".
 //
 // The fixed-depth, branchless step makes batches of rows traverse in
-// lockstep, which is what the SIMD kernels (forest_kernels.h) exploit:
+// lockstep, which is what the AVX2 kernel (forest_kernels.h) exploits:
 // 8 rows per AVX2 vector walk one tree with three gathers per level.
 // Predictions are bit-identical to FlatForest/GbdtRegressor::Predict --
 // the comparison predicate and the per-row accumulation order (base
@@ -69,7 +69,7 @@ class BlockForest {
   int32_t max_feature() const { return max_feature_; }
 
   /// Predicts rows laid out at data[r*row_stride + f*feat_stride] through
-  /// the runtime-dispatched kernel (scalar/SSE/AVX2 per simd_dispatch.h),
+  /// the runtime-dispatched kernel (scalar/AVX2 per simd_dispatch.h),
   /// writing out[0..num_rows).  Batches narrower than
   /// kernels::kSmallBatchRows take the scalar kernel under every flavor.
   /// Runs on the calling thread.
@@ -84,8 +84,8 @@ class BlockForest {
   std::vector<double> PredictBatch(const ExampleBatch& x) const;
 
   // --- Raw node pools ----------------------------------------------------
-  // For the traversal kernels and the quantized compiler in src/gbdt;
-  // enforced out of bounds elsewhere by the `forest-traversal` lint rule.
+  // For the traversal kernels in src/gbdt; enforced out of bounds
+  // elsewhere by the `forest-traversal` lint rule.
   const std::vector<int32_t>& raw_features() const { return feat_; }
   const std::vector<float>& raw_thresholds() const { return thresh_; }
   const std::vector<double>& raw_leaves() const { return leaves_; }

@@ -54,8 +54,8 @@ class FlatForest {
   std::vector<double> PredictBatch(const DataMatrix& x) const;
 
   // --- Raw node pools ----------------------------------------------------
-  // For the blocked-layout compiler (BlockForest/QuantizedForest) and the
-  // traversal kernels, all of which live in src/gbdt.  Code above the
+  // For the blocked-layout compiler (BlockForest) and the traversal
+  // kernels, all of which live in src/gbdt.  Code above the
   // forest must use the Predict* traversal API instead of indexing node
   // arrays -- enforced by the `forest-traversal` rule of
   // tools/horizon_lint.py.

@@ -115,15 +115,8 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const std::vector<double>& 
     trees_.resize(best_num_trees);
   }
   flat_ = FlatForest::Compile(trees_, base_score_, params_.learning_rate);
-  CompileInferenceForests();
-  trained_ = true;
-}
-
-void GbdtRegressor::CompileInferenceForests() {
   blocked_ = BlockForest::Compile(flat_);
-  quant_ = blocked_.compiled()
-               ? QuantizedForest::Compile(blocked_, num_features_)
-               : QuantizedForest();
+  trained_ = true;
 }
 
 double GbdtRegressor::Predict(const float* row) const {
@@ -158,13 +151,6 @@ std::vector<double> GbdtRegressor::PredictBatch(const ExampleBatch& x) const {
   DataMatrix rows(x.num_rows(), x.num_features());
   for (size_t r = 0; r < x.num_rows(); ++r) x.CopyRowTo(r, rows.MutableRow(r));
   return flat_.PredictBatch(rows);
-}
-
-std::vector<double> GbdtRegressor::PredictBatchQuantized(
-    const ExampleBatch& x) const {
-  HORIZON_CHECK_EQ(x.num_features(), num_features_);
-  if (quant_.compiled()) return quant_.PredictBatch(x);
-  return PredictBatch(x);
 }
 
 std::vector<double> GbdtRegressor::GainImportance() const {
@@ -262,7 +248,7 @@ bool GbdtRegressor::Deserialize(const std::string& text) {
   trees_ = std::move(trees);
   gains_.assign(num_features_, 0.0);
   flat_ = FlatForest::Compile(trees_, base_score_, params_.learning_rate);
-  CompileInferenceForests();
+  blocked_ = BlockForest::Compile(flat_);
   trained_ = true;
   return true;
 }

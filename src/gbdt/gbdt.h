@@ -12,7 +12,6 @@
 #include "gbdt/block_forest.h"
 #include "gbdt/dataset.h"
 #include "gbdt/flat_forest.h"
-#include "gbdt/quantized_forest.h"
 #include "gbdt/tree.h"
 
 namespace horizon::gbdt {
@@ -63,20 +62,14 @@ class GbdtRegressor {
                       size_t feat_stride, double* out) const;
 
   /// Predicts every row of a matrix through the vectorized blocked-forest
-  /// kernel (runtime-dispatched scalar/SSE/AVX2; falls back to the flat
+  /// kernel (runtime-dispatched scalar/AVX2; falls back to the flat
   /// forest for over-deep ensembles).  Bit-identical to per-row Predict.
   std::vector<double> PredictBatch(const DataMatrix& x) const;
 
   /// Same contract over a column-major SoA batch -- the feature extractor
-  /// writes this layout directly, so serving feeds the SIMD kernels with
+  /// writes this layout directly, so serving feeds the kernels with
   /// no transposition.
   std::vector<double> PredictBatch(const ExampleBatch& x) const;
-
-  /// Predicts through the quantized (uint16 integer-compare) forest.
-  /// Bit-identical to PredictBatch for the built-in rank-space quantizer
-  /// (see quantized_forest.h); falls back to the float path when the
-  /// quantized form is unavailable.
-  std::vector<double> PredictBatchQuantized(const ExampleBatch& x) const;
 
   /// Total split gain attributed to each feature during training
   /// (normalized to sum to 1; zeros if never split).
@@ -91,9 +84,6 @@ class GbdtRegressor {
   const FlatForest& flat_forest() const { return flat_; }
   /// The vectorized blocked layout (uncompiled for over-deep ensembles).
   const BlockForest& block_forest() const { return blocked_; }
-  /// The quantized variant (uncompiled when the blocked form is, or when
-  /// a feature has too many distinct thresholds).
-  const QuantizedForest& quantized_forest() const { return quant_; }
 
   /// Serializes the trained model to a portable ASCII string.
   std::string Serialize() const;
@@ -105,8 +95,6 @@ class GbdtRegressor {
   void FitInternal(const DataMatrix& x, const std::vector<double>& y,
                    const DataMatrix* x_valid, const std::vector<double>* y_valid,
                    int early_stopping_rounds);
-  /// Rebuilds blocked_/quant_ from flat_ (end of Fit/Deserialize).
-  void CompileInferenceForests();
 
   GbdtParams params_;
   bool trained_ = false;
@@ -114,9 +102,8 @@ class GbdtRegressor {
   double base_score_ = 0.0;
   std::vector<RegressionTree> trees_;
   std::vector<double> gains_;
-  FlatForest flat_;        ///< compiled at the end of Fit/Deserialize
-  BlockForest blocked_;    ///< vectorized layout derived from flat_
-  QuantizedForest quant_;  ///< uint16 rank-space variant of blocked_
+  FlatForest flat_;      ///< compiled at the end of Fit/Deserialize
+  BlockForest blocked_;  ///< vectorized layout derived from flat_
 };
 
 }  // namespace horizon::gbdt

@@ -11,10 +11,8 @@ namespace {
 #if defined(__x86_64__) || defined(__i386__)
 SimdKernel DetectBestKernelUncached() {
   // __builtin_cpu_supports consults cpuid once (glibc caches the result).
-  if (__builtin_cpu_supports("avx2")) return SimdKernel::kAvx2;
-  // SSE2 is part of the x86-64 baseline; 32-bit builds still probe.
-  if (__builtin_cpu_supports("sse2")) return SimdKernel::kSse;
-  return SimdKernel::kScalar;
+  return __builtin_cpu_supports("avx2") ? SimdKernel::kAvx2
+                                        : SimdKernel::kScalar;
 }
 #else
 SimdKernel DetectBestKernelUncached() { return SimdKernel::kScalar; }
@@ -25,10 +23,6 @@ SimdKernel DetectBestKernelUncached() { return SimdKernel::kScalar; }
 bool ParseKernelName(const char* name, SimdKernel* out) {
   if (std::strcmp(name, "scalar") == 0) {
     *out = SimdKernel::kScalar;
-    return true;
-  }
-  if (std::strcmp(name, "sse") == 0) {
-    *out = SimdKernel::kSse;
     return true;
   }
   if (std::strcmp(name, "avx2") == 0) {
@@ -60,7 +54,6 @@ std::atomic<int> g_active{-1};
 const char* SimdKernelName(SimdKernel kernel) {
   switch (kernel) {
     case SimdKernel::kScalar: return "scalar";
-    case SimdKernel::kSse: return "sse";
     case SimdKernel::kAvx2: return "avx2";
   }
   return "unknown";

@@ -1,18 +1,18 @@
 // Runtime CPU dispatch for the forest traversal kernels.
 //
-// One binary carries every kernel flavor (scalar, SSE, AVX2); the widest
-// flavor the running CPU supports is chosen once at startup and cached.
-// The choice can be pinned with the environment variable
+// One binary carries both kernel flavors (scalar, AVX2); AVX2 is chosen
+// once at startup when the running CPU supports it, and the choice is
+// cached.  It can be pinned with the environment variable
 //
-//   HORIZON_SIMD=scalar|sse|avx2
+//   HORIZON_SIMD=scalar|avx2
 //
 // which is read at first use (so `HORIZON_SIMD=scalar ctest ...` runs a
 // whole suite on the fallback path) and re-read by RefreshKernelFromEnv
 // (so tests can flip kernels mid-process).  Requesting a flavor the CPU
 // cannot execute clamps down to the widest supported one; an unrecognized
-// value falls back to auto-detection.  Every flavor of the float path is
-// bit-exact with every other (same comparison semantics, same per-row
-// accumulation order), so the selection is purely a speed knob.
+// value falls back to auto-detection.  The two flavors are bit-exact with
+// each other (same comparison semantics, same per-row accumulation
+// order), so the selection is purely a speed knob.
 #ifndef HORIZON_GBDT_SIMD_DISPATCH_H_
 #define HORIZON_GBDT_SIMD_DISPATCH_H_
 
@@ -24,11 +24,10 @@ namespace horizon::gbdt {
 /// (clamping picks the largest supported value <= the requested one).
 enum class SimdKernel : int {
   kScalar = 0,  ///< portable branchless kernel, any CPU
-  kSse = 1,     ///< SSE2 4-wide compares (x86-64 baseline)
-  kAvx2 = 2,    ///< AVX2 8-wide gather/compare
+  kAvx2 = 1,    ///< AVX2 8-wide gather/compare
 };
 
-/// Short lowercase name ("scalar", "sse", "avx2") -- matches the
+/// Short lowercase name ("scalar", "avx2") -- matches the
 /// HORIZON_SIMD value that selects the flavor.
 const char* SimdKernelName(SimdKernel kernel);
 

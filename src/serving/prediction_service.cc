@@ -514,8 +514,8 @@ StatusOr<QueryResponse> PredictionService::QueryScan(
          PredictionResult{merged[i].observed,
                           merged[i].observed + merged[i].increment, alphas[i]}});
   }
-  // Scan answers are deliberately NOT counted into queries_answered (the
-  // pre-BatchQuery TopK never was); they have their own counter.
+  // Scan answers are deliberately NOT counted into queries_answered; they
+  // have their own counter.
   m_scan_results_->Add(response.results.size());
   return response;
 }
@@ -548,24 +548,6 @@ StatusOr<PredictionResult> PredictionService::Query(int64_t item_id, double s,
   if (!status.ok()) return status;
   CountAnswered(1);
   return result;
-}
-
-std::vector<std::pair<int64_t, double>> PredictionService::TopK(double s,
-                                                                double delta,
-                                                                size_t k) const {
-  if (k == 0) return {};
-  QueryRequest request;
-  request.s = s;
-  request.delta = delta;
-  request.top_k = k;
-  const StatusOr<QueryResponse> response = BatchQuery(request);
-  if (!response.ok()) return {};
-  std::vector<std::pair<int64_t, double>> out;
-  out.reserve(response->results.size());
-  for (const ItemPrediction& p : response->results) {
-    out.emplace_back(p.item_id, PredictedIncrement(p));
-  }
-  return out;
 }
 
 size_t PredictionService::RetireDeadItems(double now) {
@@ -733,10 +715,6 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
   // shards are being copied belong to the next checkpoint.
   const ServiceStats counters = stats();
   const std::string model_blob = model_->Serialize();
-  // Quantized companions of every forest, in the same epoch dir.  The blob
-  // is a deterministic function of the trained model, which is what lets
-  // Restore verify it by byte equality instead of a tolerance check.
-  const std::string qforest_blob = model_->SerializeQuantized();
 
   // Snapshot each shard under its lock (a copy of the O(1)-state items),
   // then serialize and write the file outside the lock so ingest/query
@@ -783,16 +761,12 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
   HORIZON_RETURN_IF_ERROR(shard_error);
   HORIZON_RETURN_IF_ERROR(
       io::WriteFileAtomic(ckpt + "/model.hwk", io::WrapCrcFrame(model_blob)));
-  HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(ckpt + "/model.qforest",
-                                              io::WrapCrcFrame(qforest_blob)));
 
   std::ostringstream manifest;
   manifest.precision(17);
   manifest << "manifest v1\n";
   manifest << "epoch " << epoch << "\n";
   manifest << "model " << io::Crc32(model_blob) << " " << model_blob.size() << "\n";
-  manifest << "qforest " << io::Crc32(qforest_blob) << " " << qforest_blob.size()
-           << "\n";
   const stream::TrackerConfig& tracker = config_.tracker;
   manifest << "windows " << tracker.window_lengths.size();
   for (double w : tracker.window_lengths) manifest << " " << w;
@@ -864,17 +838,24 @@ Status PredictionService::Restore(const std::string& dir) {
   if (!(is >> key >> model_crc >> model_size) || key != "model") {
     return CountError(Status::Corruption("manifest: missing model digest"));
   }
-  uint32_t qforest_crc = 0;
-  size_t qforest_size = 0;
-  if (!(is >> key >> qforest_crc >> qforest_size) || key != "qforest") {
-    return CountError(Status::Corruption("manifest: missing qforest digest"));
+  // Older checkpoints carry a `qforest <crc> <size>` line here, the digest
+  // of a model.qforest file holding the quantized forests.  That blob was a
+  // deterministic function of the model, whose digest is checked below, so
+  // the line is parsed and ignored and the file is never opened.
+  if (is >> key && key == "qforest") {
+    uint32_t legacy_crc = 0;
+    size_t legacy_size = 0;
+    if (!(is >> legacy_crc >> legacy_size)) {
+      return CountError(Status::Corruption("manifest: truncated qforest digest"));
+    }
+    is >> key;
   }
 
   // The restored trackers only make sense if this service interprets their
   // state with the same window/landmark layout and EWMA constants.
   const stream::TrackerConfig& tracker = config_.tracker;
   size_t n = 0;
-  if (!(is >> key >> n) || key != "windows") {
+  if (!is || key != "windows" || !(is >> n)) {
     return CountError(Status::Corruption("manifest: missing windows"));
   }
   if (n != tracker.window_lengths.size()) {
@@ -941,25 +922,6 @@ Status PredictionService::Restore(const std::string& dir) {
     return CountError(Status::ConfigMismatch(
         "checkpoint was written by a different model (serialization digest "
         "mismatch)"));
-  }
-  // Same contract for the quantized companions: recompiling them from the
-  // live model must reproduce the checkpointed blob byte for byte, or the
-  // quantized query path would disagree with whoever wrote the checkpoint.
-  const std::string qforest_blob = model_->SerializeQuantized();
-  if (io::Crc32(qforest_blob) != qforest_crc ||
-      qforest_blob.size() != qforest_size) {
-    return CountError(Status::ConfigMismatch(
-        "checkpoint was written by a different quantized forest (digest "
-        "mismatch)"));
-  }
-  const auto qforest_file = io::ReadFile(ckpt + "/model.qforest");
-  if (!qforest_file.ok()) {
-    return CountError(
-        Status::Corruption("checkpoint qforest file missing or unreadable"));
-  }
-  const auto qforest_payload = io::UnwrapCrcFrame(*qforest_file);
-  if (!qforest_payload.ok() || *qforest_payload != qforest_blob) {
-    return CountError(Status::Corruption("checkpoint qforest file damaged"));
   }
 
   // Stage every item first; the live service is only touched once the

@@ -21,8 +21,7 @@
 // moderation-queue primitive).  Query() is the point query: it runs the
 // per-id routine BatchQuery's per-id mode runs, on one id, without
 // building a QueryRequest or QueryResponse, and allocates nothing once its
-// thread has answered one query.  TopK() remains a thin shim over scan
-// mode.
+// thread has answered one query.
 //
 // Concurrency: the service is internally synchronized.  Item state is
 // partitioned into `num_shards` shards keyed by a mixed hash of the item
@@ -216,12 +215,6 @@ class PredictionService {
   /// Timed into horizon_serving_query_latency_seconds only.
   StatusOr<PredictionResult> Query(int64_t item_id, double s,
                                    double delta) const;
-
-  /// Deprecated shim over BatchQuery scan mode: the k live items with the
-  /// largest predicted view increment over `delta` as of time `s`, as
-  /// (item_id, predicted increment), sorted descending.
-  std::vector<std::pair<int64_t, double>> TopK(double s, double delta,
-                                               size_t k) const;
 
   /// Retires items that are idle (no event for idle_retirement_age) or
   /// whose death probability exceeds the configured threshold at `now`.

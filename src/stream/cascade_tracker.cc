@@ -146,6 +146,20 @@ bool PlausibleScalars(uint64_t total, double first_age, double last_age,
          age_sum <= n * last_age + sum_slack && std::abs(age_comp) <= sum_slack;
 }
 
+/// Whether StreamState::Add leaves a landmark at age `landmark_age` of a
+/// stream with these scalars at (count, done).  The landmark is done
+/// exactly when an event past it has arrived: total > 0 and last_age >
+/// landmark_age.  A done count is the number of events at or before the
+/// landmark, so it is 0 when the first event came after it and lies in
+/// [1, total - 1] otherwise.  A landmark that is not done counts 0.
+bool PlausibleLandmark(uint64_t total, double first_age, double last_age,
+                       double landmark_age, uint64_t count, int done) {
+  const bool passed = total > 0 && last_age > landmark_age;
+  if (done != (passed ? 1 : 0)) return false;
+  if (!passed) return count == 0;
+  return first_age <= landmark_age ? count >= 1 && count < total : count == 0;
+}
+
 }  // namespace
 
 std::string CascadeTracker::Serialize() const {
@@ -204,7 +218,10 @@ bool CascadeTracker::Deserialize(const std::string& text) {
     stream.age_sum.Restore(sum, comp);
     for (size_t j = 0; j < num_landmarks; ++j) {
       int done = 0;
-      if (!(is >> stream.landmark_counts[j] >> done) || (done != 0 && done != 1)) {
+      if (!(is >> stream.landmark_counts[j] >> done) ||
+          !PlausibleLandmark(stream.total, stream.first_age, stream.last_age,
+                             config.landmark_ages[j], stream.landmark_counts[j],
+                             done)) {
         return false;
       }
       stream.landmark_done |= static_cast<uint8_t>(done << j);

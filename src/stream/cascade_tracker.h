@@ -158,9 +158,9 @@ class CascadeTracker {
   /// landmark layout).  Returns false, leaving the tracker unchanged, on
   /// parse failure, a layout mismatch, stream scalars no sequence of
   /// Observe calls produces (EWMA rate and time, first and last event
-  /// ages, the age sum), a window whose total or last time differs from
-  /// its stream's (an empty stream's windows read dgim::kNoEventTime), or
-  /// buckets dgim::Read rejects.
+  /// ages, the age sum, landmark counts and done bits), a window whose
+  /// total or last time differs from its stream's (an empty stream's
+  /// windows read dgim::kNoEventTime), or buckets dgim::Read rejects.
   bool Deserialize(const std::string& text);
 
  private:

@@ -12,8 +12,8 @@
 #include "gbdt/tree.h"
 
 // This suite deliberately does NOT guard HORIZON_SIMD: the ctest variants
-// (block_forest_test_simd_*) pin it per process to sweep every kernel
-// flavor, and every flavor is bit-exact, so the assertions below hold no
+// (block_forest_test_simd_*) pin it per process to sweep both kernel
+// flavors, and the two are bit-exact, so the assertions below hold no
 // matter which one is active.
 
 namespace horizon::gbdt {
@@ -151,8 +151,9 @@ TEST(BlockForestTest, RegressorBatchPathsAreBitExactVsPerRowPredict) {
 
 TEST(BlockForestTest, OddSizesCoverSimdTails) {
   const GbdtRegressor model = TrainRandomModel(17, /*num_trees=*/20);
-  // Below kSmallBatchRows (32) every flavor runs the scalar walk; 32..71
-  // span the SIMD kernels' remainders mod 32/8/4 within a 64-row block.
+  // Below kSmallBatchRows (32) both flavors run the scalar walk; 32..71
+  // span the AVX2 kernel's 32-row groups and scalar remainders within a
+  // 64-row block.
   for (size_t n : {0u, 1u, 2u, 3u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
                    35u, 40u, 47u, 63u, 71u}) {
     const DataMatrix x = RandomMatrix(n, model.num_features(), 1000 + n);

@@ -264,6 +264,7 @@ TEST(CascadeTrackerTest, DeserializeRejectsWindowDisagreeingWithItsStream) {
 TEST(CascadeTrackerTest, DeserializeRejectsImpossibleScalarFields) {
   CascadeTracker source(0.0, TrackerConfig{});
   for (const double t : {10.0, 20.0, 30.0}) source.Observe(EngagementType::kView, t);
+  for (const double t : {100.0, 2000.0}) source.Observe(EngagementType::kReaction, t);
   const std::string blob = source.Serialize();
   const auto tamper = [&](const std::string& from, const std::string& to) {
     std::string out = blob;
@@ -273,11 +274,17 @@ TEST(CascadeTrackerTest, DeserializeRejectsImpossibleScalarFields) {
     return out;
   };
   // The view stream: "total first_age last_age ewma_rate ewma_time
-  // age_sum compensation"; the share stream is empty.
+  // age_sum compensation", then "count done" per landmark; the share
+  // stream is empty.  The reaction stream's two events straddle the
+  // first landmark (30 min), which is done with count 1; the view
+  // stream's events all precede it.
   const std::string views = "\n3 10 30 0.00083102386796723451 30 60 0\n";
   const std::string empty = "\n0 -1 -1 0 0 0 0\n";
-  ASSERT_NE(blob.find(views), std::string::npos);
+  const std::string reactions =
+      "\n2 100 2000 0.00044164289865134432 2000 2100 0\n";
+  ASSERT_NE(blob.find(views + "0 0 "), std::string::npos);
   ASSERT_NE(blob.find(empty), std::string::npos);
+  ASSERT_NE(blob.find(reactions + "1 1 "), std::string::npos);
   const std::vector<std::string> bad = {
       // ewma_time != last_age
       tamper(views, "\n3 10 30 0.00083102386796723451 29 60 0\n"),
@@ -300,6 +307,16 @@ TEST(CascadeTrackerTest, DeserializeRejectsImpossibleScalarFields) {
       tamper(empty, "\n0 -1 -1 0 5 0 0\n"),
       tamper(empty, "\n0 -1 -1 0 0 3 0\n"),
       tamper(empty, "\n0 -1 -1 0 0 0 0.001\n"),
+      // A landmark is done exactly when an event past it arrived: flipped
+      // to done before any has, and back to pending after one has.
+      tamper(views + "0 0 ", views + "0 1 "),
+      tamper(reactions + "1 1 ", reactions + "0 0 "),
+      // A done count lies in [1, total - 1] once the first event precedes
+      // the landmark: equal to the total, and 0, are both impossible.
+      tamper(reactions + "1 1 ", reactions + "2 1 "),
+      tamper(reactions + "1 1 ", reactions + "0 1 "),
+      // A pending landmark counts 0.
+      tamper(views + "0 0 ", views + "1 0 "),
   };
   for (const std::string& text : bad) {
     CascadeTracker tracker(5.0, TrackerConfig{});

@@ -174,13 +174,23 @@ TEST_F(CheckpointTest, RoundTripBitIdenticalPredictions) {
                     Snapshot(restored, kItems, kAge, delta));
   }
   // The moderation-queue primitive agrees too (ids and scores).
-  const auto top_a = source.TopK(kAge, 1 * kDay, 10);
-  const auto top_b = restored.TopK(kAge, 1 * kDay, 10);
-  ASSERT_EQ(top_a.size(), top_b.size());
-  for (size_t i = 0; i < top_a.size(); ++i) {
-    EXPECT_EQ(top_a[i].first, top_b[i].first) << "rank " << i;
-    EXPECT_EQ(top_a[i].second, top_b[i].second) << "rank " << i;
+  QueryRequest scan;
+  scan.s = kAge;
+  scan.delta = 1 * kDay;
+  scan.top_k = 10;
+  const auto top_a = source.BatchQuery(scan);
+  const auto top_b = restored.BatchQuery(scan);
+  ASSERT_TRUE(top_a.ok());
+  ASSERT_TRUE(top_b.ok());
+  ASSERT_EQ(top_a->results.size(), top_b->results.size());
+  std::vector<PredictionResult> ranked_a, ranked_b;
+  for (size_t i = 0; i < top_a->results.size(); ++i) {
+    EXPECT_EQ(top_a->results[i].item_id, top_b->results[i].item_id)
+        << "rank " << i;
+    ranked_a.push_back(top_a->results[i].prediction);
+    ranked_b.push_back(top_b->results[i].prediction);
   }
+  ExpectIdentical(ranked_a, ranked_b);
 }
 
 TEST_F(CheckpointTest, IngestionContinuesIdenticallyAfterRestore) {
@@ -301,20 +311,22 @@ TEST_F(CheckpointTest, CrashAtEveryFaultPointNeverCorrupts) {
   EXPECT_GT(points_exercised, 10);
 }
 
+/// The directory of the checkpoint CURRENT names under `dir`.
+std::string CommittedCheckpoint(const std::string& dir) {
+  std::string pointer = io::ReadFile(dir + "/CURRENT").value();
+  while (!pointer.empty() && (pointer.back() == '\n' || pointer.back() == ' ')) {
+    pointer.pop_back();
+  }
+  return dir + "/" + pointer;
+}
+
 TEST_F(CheckpointTest, RestoreRejectsCorruptedShardFile) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
   ASSERT_TRUE(source.Checkpoint(Dir()));
 
-  // Locate the committed checkpoint directory and flip one payload byte in
-  // a shard file.
-  const auto current = io::ReadFile(Dir() + "/CURRENT");
-  ASSERT_TRUE(current.has_value());
-  std::string pointer = *current;
-  while (!pointer.empty() && (pointer.back() == '\n' || pointer.back() == ' ')) {
-    pointer.pop_back();
-  }
-  const std::string ckpt_dir = Dir() + "/" + pointer;
+  // Flip one payload byte in a shard file of the committed checkpoint.
+  const std::string ckpt_dir = CommittedCheckpoint(Dir());
   std::string shard_file;
   for (const auto& name : io::ListDir(ckpt_dir)) {
     if (name.rfind("shard-", 0) == 0) shard_file = ckpt_dir + "/" + name;
@@ -342,11 +354,7 @@ TEST_F(CheckpointTest, RestoreRejectsCorruptedShardFile) {
 /// than torn) shard file holds.  False if `edit` declined every shard.
 bool ReframeShard(const std::string& dir,
                   const std::function<bool(std::string*)>& edit) {
-  std::string pointer = io::ReadFile(dir + "/CURRENT").value();
-  while (!pointer.empty() && (pointer.back() == '\n' || pointer.back() == ' ')) {
-    pointer.pop_back();
-  }
-  const std::string ckpt = dir + "/" + pointer;
+  const std::string ckpt = CommittedCheckpoint(dir);
   std::string manifest =
       io::UnwrapCrcFrame(io::ReadFile(ckpt + "/MANIFEST").value()).value();
   for (const std::string& name : io::ListDir(ckpt)) {
@@ -469,31 +477,102 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithImpossibleEwmaRate) {
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
-TEST_F(CheckpointTest, RestoreRejectsCorruptedQuantizedForestFile) {
+// A re-framed shard whose tracker has a passed landmark counting more
+// events than its stream holds: a count no event sequence produces, which
+// used to restore fine and then feed the landmark features.  Restore must
+// refuse it with kCorruption.
+TEST_F(CheckpointTest, RestoreRejectsReframedShardWithLandmarkCountAboveTotal) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
   ASSERT_TRUE(source.Checkpoint(Dir()));
 
-  const auto current = io::ReadFile(Dir() + "/CURRENT");
-  ASSERT_TRUE(current.has_value());
-  std::string pointer = *current;
-  while (!pointer.empty() && (pointer.back() == '\n' || pointer.back() == ' ')) {
-    pointer.pop_back();
-  }
-  const std::string qforest_file = Dir() + "/" + pointer + "/model.qforest";
-  auto bytes = io::ReadFile(qforest_file);
-  ASSERT_TRUE(bytes.has_value());
-  ASSERT_GT(bytes->size(), 0u);
-  (*bytes)[bytes->size() / 2] =
-      static_cast<char>((*bytes)[bytes->size() / 2] ^ 0x01);
-  {
-    std::ofstream out(qforest_file, std::ios::binary | std::ios::trunc);
-    out.write(bytes->data(), static_cast<std::streamsize>(bytes->size()));
-  }
+  // A tracker blob's third line is its view stream's scalars, starting
+  // with the total; the fourth holds its "count done" landmark pairs.
+  // Raise the first landmark's count to total + 1 where it is done, and
+  // fix the blob's length prefix on the line before "trk v1".
+  const auto tamper = [](std::string* payload) {
+    for (size_t at = payload->find("trk v1\n"); at != std::string::npos;
+         at = payload->find("trk v1\n", at + 1)) {
+      size_t line = at;
+      for (int i = 0; i < 2; ++i) line = payload->find('\n', line) + 1;
+      const size_t landmarks = payload->find('\n', line) + 1;
+      std::istringstream scalars(payload->substr(line, landmarks - line));
+      std::istringstream pairs(
+          payload->substr(landmarks, payload->find('\n', landmarks) - landmarks));
+      uint64_t total = 0, count = 0;
+      int done = 0;
+      scalars >> total;
+      pairs >> count >> done;
+      if (done != 1) continue;
+      const std::string from = std::to_string(count);
+      const std::string to = std::to_string(total + 1);
+      payload->replace(landmarks, from.size(), to);
+      const size_t prefix = payload->rfind('\n', at - 2) + 1;
+      const size_t size = std::stoul(payload->substr(prefix, at - 1 - prefix));
+      payload->replace(prefix, at - 1 - prefix,
+                       std::to_string(size + to.size() - from.size()));
+      return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(ReframeShard(Dir(), tamper));
 
   PredictionService restored = MakeService();
-  EXPECT_FALSE(restored.Restore(Dir()));
-  EXPECT_EQ(restored.LiveItems(), 0u);
+  Load(&restored, 3, kAge);
+  const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+  const Status status = restored.Restore(Dir());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_EQ(restored.LiveItems(), 3u);
+  ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+}
+
+// Checkpoints written while the service still kept quantized forests hold
+// a model.qforest file and a "qforest <crc> <size>" manifest line after
+// the model's.  Restore parses that line, ignores it and never opens the
+// file, so such a checkpoint restores to bit-identical predictions; a
+// truncated line still fails as corruption.
+TEST_F(CheckpointTest, RestoresManifestWithLegacyQforestLine) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  ASSERT_TRUE(source.Checkpoint(Dir()));
+
+  const std::string ckpt = CommittedCheckpoint(Dir());
+  EXPECT_FALSE(io::ReadFile(ckpt + "/model.qforest").ok());
+  const std::string manifest =
+      io::UnwrapCrcFrame(io::ReadFile(ckpt + "/MANIFEST").value()).value();
+  EXPECT_EQ(manifest.find("qforest"), std::string::npos);
+  const size_t windows = manifest.find("\nwindows ") + 1;
+  ASSERT_NE(windows, 0u);
+  // Inserts `line` between the model and windows lines, with a fresh CRC
+  // frame.
+  const auto rewrite = [&](const std::string& line) {
+    ASSERT_TRUE(io::WriteFileAtomic(
+                    ckpt + "/MANIFEST",
+                    io::WrapCrcFrame(manifest.substr(0, windows) + line +
+                                     manifest.substr(windows)))
+                    .ok());
+  };
+  const std::string qforest_blob = "qhwk v1\n1\n0\n0\n";
+  ASSERT_TRUE(io::WriteFileAtomic(ckpt + "/model.qforest",
+                                  io::WrapCrcFrame(qforest_blob))
+                  .ok());
+  rewrite("qforest " + std::to_string(io::Crc32(qforest_blob)) + " " +
+          std::to_string(qforest_blob.size()) + "\n");
+
+  PredictionService restored = MakeService();
+  const Status restored_status = restored.Restore(Dir());
+  ASSERT_TRUE(restored_status.ok()) << restored_status.ToString();
+  EXPECT_EQ(restored.LiveItems(), source.LiveItems());
+  for (const double delta : {1 * kHour, 1 * kDay, 7 * kDay}) {
+    ExpectIdentical(Snapshot(source, kItems, kAge, delta),
+                    Snapshot(restored, kItems, kAge, delta));
+  }
+
+  rewrite("qforest 17\n");
+  PredictionService truncated = MakeService();
+  const Status status = truncated.Restore(Dir());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_EQ(truncated.LiveItems(), 0u);
 }
 
 TEST_F(CheckpointTest, RestoreRejectsMismatchedModel) {

@@ -9,7 +9,6 @@ struct FakeForest {
   const int* raw_left() const { return nullptr; }
   const double* raw_values() const { return nullptr; }
   const int* raw_roots() const { return nullptr; }
-  const unsigned short* raw_qthresholds() const { return nullptr; }
   const double* raw_leaves() const { return nullptr; }
 };
 
@@ -23,6 +22,5 @@ double WalkByHand(const FakeForest& forest) {
 }
 
 double PeekBlocked(const FakeForest& forest) {
-  return forest.raw_leaves()[0] +                   // bad
-         forest.raw_qthresholds()[0];               // bad
+  return forest.raw_leaves()[0];                    // bad
 }

@@ -100,8 +100,13 @@ TEST_F(ServingConcurrencyTest, EightThreadIngestQueryHammer) {
         const int64_t other = (id * 7 + 3) % kItems;
         if (service.Query(other, 6 * kHour, 1 * kDay).has_value()) ++my_queries;
         if (id % 20 == static_cast<int64_t>(t % 20)) {
-          const auto top = service.TopK(6 * kHour, 1 * kDay, 5);
-          EXPECT_LE(top.size(), 5u);
+          QueryRequest scan;
+          scan.s = 6 * kHour;
+          scan.delta = 1 * kDay;
+          scan.top_k = 5;
+          const auto top = service.BatchQuery(scan);
+          ASSERT_TRUE(top.ok());
+          EXPECT_LE(top->results.size(), 5u);
         }
       }
       ingests.fetch_add(my_ingests);
@@ -113,7 +118,7 @@ TEST_F(ServingConcurrencyTest, EightThreadIngestQueryHammer) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.items_registered, static_cast<uint64_t>(kItems));
   EXPECT_EQ(stats.events_ingested, ingests.load());
-  // TopK answers don't count as queries; every per-item Query that
+  // Scan answers don't count as queries; every per-item Query that
   // returned a value must have been counted exactly once.
   EXPECT_EQ(stats.queries_answered, queries.load());
   EXPECT_EQ(service.LiveItems(), static_cast<size_t>(kItems));
@@ -232,12 +237,22 @@ TEST_F(ServingConcurrencyTest, ParallelTopKMatchesSingleShardService) {
       ASSERT_TRUE(flat.Ingest(id, stream::EngagementType::kView, e.time).ok());
     }
   }
-  const auto a = sharded.TopK(3 * kHour, 1 * kDay, 7);
-  const auto b = flat.TopK(3 * kHour, 1 * kDay, 7);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first) << "rank " << i;
-    EXPECT_DOUBLE_EQ(a[i].second, b[i].second) << "rank " << i;
+  QueryRequest scan;
+  scan.s = 3 * kHour;
+  scan.delta = 1 * kDay;
+  scan.top_k = 7;
+  const auto a = sharded.BatchQuery(scan);
+  const auto b = flat.BatchQuery(scan);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a->results.size(), b->results.size());
+  for (size_t i = 0; i < a->results.size(); ++i) {
+    const PredictionResult& pa = a->results[i].prediction;
+    const PredictionResult& pb = b->results[i].prediction;
+    EXPECT_EQ(a->results[i].item_id, b->results[i].item_id) << "rank " << i;
+    EXPECT_DOUBLE_EQ(pa.predicted_views - pa.observed_views,
+                     pb.predicted_views - pb.observed_views)
+        << "rank " << i;
   }
 }
 

@@ -145,10 +145,18 @@ TEST_F(PredictionServiceTest, TopKRanksByPredictedIncrement) {
       ASSERT_TRUE(service.Ingest(i, stream::EngagementType::kView, e.time).ok());
     }
   }
-  const auto top = service.TopK(s, 1 * kDay, 5);
-  ASSERT_EQ(top.size(), 5u);
-  for (size_t i = 1; i < top.size(); ++i) {
-    EXPECT_GE(top[i - 1].second, top[i].second);
+  QueryRequest scan;
+  scan.s = s;
+  scan.delta = 1 * kDay;
+  scan.top_k = 5;
+  const auto top = service.BatchQuery(scan);
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(top->results.size(), 5u);
+  const auto increment = [](const ItemPrediction& p) {
+    return p.prediction.predicted_views - p.prediction.observed_views;
+  };
+  for (size_t i = 1; i < top->results.size(); ++i) {
+    EXPECT_GE(increment(top->results[i - 1]), increment(top->results[i]));
   }
   // The leader must match the individually queried maximum.
   double best = -1.0;
@@ -156,7 +164,7 @@ TEST_F(PredictionServiceTest, TopKRanksByPredictedIncrement) {
     const auto q = service.Query(i, s, 1 * kDay);
     best = std::max(best, q->predicted_views - q->observed_views);
   }
-  EXPECT_DOUBLE_EQ(top[0].second, best);
+  EXPECT_DOUBLE_EQ(increment(top->results[0]), best);
 }
 
 TEST_F(PredictionServiceTest, RetiresIdleItems) {
@@ -180,13 +188,19 @@ TEST_F(PredictionServiceTest, RetiresIdleItems) {
 
 TEST_F(PredictionServiceTest, NotYetLiveItemsAreInvisible) {
   // Items created in the future must not be queryable, must be skipped by
-  // TopK, and must not be retired before they go live.
+  // a top-k scan, and must not be retired before they go live.
   PredictionService service = MakeService();
   const auto& cascade = dataset_->cascades[0];
   const auto& page = dataset_->PageOf(cascade.post);
   ASSERT_TRUE(service.RegisterItem(1, /*creation_time=*/10 * kDay, page, cascade.post).ok());
   EXPECT_FALSE(service.Query(1, 5 * kDay, kDay).has_value());
-  EXPECT_TRUE(service.TopK(5 * kDay, kDay, 3).empty());
+  QueryRequest scan;
+  scan.s = 5 * kDay;
+  scan.delta = kDay;
+  scan.top_k = 3;
+  const auto top = service.BatchQuery(scan);
+  ASSERT_TRUE(top.ok());
+  EXPECT_TRUE(top->results.empty());
   EXPECT_EQ(service.RetireDeadItems(5 * kDay), 0u);
   EXPECT_TRUE(service.HasItem(1));
   // Once live, it becomes queryable.
@@ -314,33 +328,6 @@ TEST_F(PredictionServiceTest, BatchQueryTopKOverIdsRanksAndTruncates) {
     const auto& cur = response->results[i].prediction;
     EXPECT_GE(prev.predicted_views - prev.observed_views,
               cur.predicted_views - cur.observed_views);
-  }
-}
-
-TEST_F(PredictionServiceTest, BatchQueryScanMatchesTopKShim) {
-  PredictionService service = MakeService();
-  const double s = 6 * kHour;
-  for (int64_t i = 0; i < 10; ++i) {
-    const auto& cascade = dataset_->cascades[static_cast<size_t>(i)];
-    ASSERT_TRUE(service.RegisterItem(i, 0.0, dataset_->PageOf(cascade.post), cascade.post).ok());
-    for (const auto& e : cascade.views) {
-      if (e.time >= s) break;
-      ASSERT_TRUE(service.Ingest(i, stream::EngagementType::kView, e.time).ok());
-    }
-  }
-  QueryRequest scan;
-  scan.s = s;
-  scan.delta = kDay;
-  scan.top_k = 3;
-  const auto response = service.BatchQuery(scan);
-  ASSERT_TRUE(response.ok());
-  const auto top = service.TopK(s, kDay, 3);
-  ASSERT_EQ(response->results.size(), top.size());
-  for (size_t i = 0; i < top.size(); ++i) {
-    EXPECT_EQ(response->results[i].item_id, top[i].first);
-    EXPECT_DOUBLE_EQ(response->results[i].prediction.predicted_views -
-                         response->results[i].prediction.observed_views,
-                     top[i].second);
   }
 }
 

@@ -33,13 +33,13 @@ serving-status  Public *mutating* member functions declared in
               justifying the exception.
 forest-traversal  Outside src/gbdt/, no direct indexing into a compiled
               forest's node arrays (the raw_features / raw_thresholds /
-              raw_left / raw_values / raw_roots / raw_qthresholds /
-              raw_leaves accessors): call sites must go through the
-              traversal API (Predict / PredictBatch / PredictStrided /
-              PredictCodes), which is what keeps the node layout --
-              depth-first flat vs breadth-first blocked vs quantized --
-              free to change without breaking callers.  The raw spans
-              exist for the gbdt kernels, serialization, and tests.
+              raw_left / raw_values / raw_roots / raw_leaves
+              accessors): call sites must go through the traversal API
+              (Predict / PredictBatch / PredictStrided), which is what
+              keeps the node layout -- depth-first flat vs breadth-first
+              blocked -- free to change without breaking callers.  The
+              raw spans exist for the gbdt kernels, serialization, and
+              tests.
 
 Suppression
 -----------
@@ -289,8 +289,7 @@ def check_serving_status(f: File, findings):
 
 
 FOREST_RAW_RE = re.compile(
-    r"(?<![\w])raw_(features|thresholds|left|values|roots|qthresholds|"
-    r"leaves)\s*\(")
+    r"(?<![\w])raw_(features|thresholds|left|values|roots|leaves)\s*\(")
 
 
 def check_forest_traversal(f: File, findings):
@@ -301,9 +300,8 @@ def check_forest_traversal(f: File, findings):
         if m:
             emit(findings, f, "forest-traversal", lineno,
                  f"raw_{m.group(1)}() indexes forest node arrays directly; "
-                 "use the traversal API (Predict*/PredictStrided/"
-                 "PredictCodes) so the node layout stays private to "
-                 "src/gbdt/")
+                 "use the traversal API (Predict*/PredictStrided) so the "
+                 "node layout stays private to src/gbdt/")
 
 
 def emit(findings, f: File, rule: str, lineno: int, message: str):
