@@ -111,7 +111,7 @@ void BM_Restore(benchmark::State& state) {
   serving::PredictionService* source = MakeLoadedService(state.range(0));
   const std::string dir = ScratchDir();
   io::RemoveTree(dir);
-  if (!source->Checkpoint(dir)) {
+  if (!source->Checkpoint(dir).ok()) {
     state.SkipWithError("checkpoint failed");
     delete source;
     return;

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "datagen/generator.h"
 #include "stream/cascade_tracker.h"
 #include "stream/exponential_histogram.h"
 #include "stream/sliding_window.h"
@@ -55,6 +56,8 @@ void BM_ExponentialHistogramCount(benchmark::State& state) {
 }
 BENCHMARK(BM_ExponentialHistogramCount);
 
+// A heavy item's views: its windows hold hundreds of buckets each.
+// `bytes` is the tracker's MemoryBytes() at the end.
 void BM_CascadeTrackerObserve(benchmark::State& state) {
   CascadeTracker tracker(0.0, TrackerConfig{});
   double t = 0.0;
@@ -63,8 +66,32 @@ void BM_CascadeTrackerObserve(benchmark::State& state) {
     t += rng.Exponential(0.5);
     tracker.Observe(EngagementType::kView, t);
   }
+  state.counters["bytes"] = static_cast<double>(tracker.MemoryBytes());
 }
 BENCHMARK(BM_CascadeTrackerObserve);
+
+// The same views plus the shares, comments and reactions the datagen
+// derives from them, at its per-view base rates (datagen::GeneratorConfig),
+// so all four streams' blocks grow.  Time is per view.
+void BM_CascadeTrackerObserveAllStreams(benchmark::State& state) {
+  const datagen::GeneratorConfig rates;
+  CascadeTracker tracker(0.0, TrackerConfig{});
+  double t = 0.0;
+  Rng rng(5);
+  for (auto _ : state) {
+    t += rng.Exponential(0.5);
+    tracker.Observe(EngagementType::kView, t);
+    if (rng.Bernoulli(rates.base_share_prob)) tracker.Observe(EngagementType::kShare, t);
+    if (rng.Bernoulli(rates.base_comment_prob)) {
+      tracker.Observe(EngagementType::kComment, t);
+    }
+    if (rng.Bernoulli(rates.base_reaction_prob)) {
+      tracker.Observe(EngagementType::kReaction, t);
+    }
+  }
+  state.counters["bytes"] = static_cast<double>(tracker.MemoryBytes());
+}
+BENCHMARK(BM_CascadeTrackerObserveAllStreams);
 
 void BM_CascadeTrackerSnapshot(benchmark::State& state) {
   CascadeTracker tracker(0.0, TrackerConfig{});

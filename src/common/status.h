@@ -1,13 +1,9 @@
 // Typed error propagation for the serving stack.
 //
 // `Status` carries a code plus a human-readable message; `StatusOr<T>`
-// carries either a value or a non-OK Status.  Both are deliberately
-// drop-in compatible with the bool / std::optional returns they replace:
-// `Status` converts contextually to bool (true == ok) and `StatusOr`
-// exposes the optional surface (has_value / operator* / operator-> /
-// value_or), so pre-Status callers keep compiling for one release while
-// they migrate to code-based checks.  New code should prefer `.ok()`,
-// `.code()` and `HORIZON_RETURN_IF_ERROR`.
+// carries either a value or a non-OK Status.  Callers test `.ok()` or
+// `.code()`, read `.value()` (or `*` / `->`), and propagate failures with
+// `HORIZON_RETURN_IF_ERROR`.
 #ifndef HORIZON_COMMON_STATUS_H_
 #define HORIZON_COMMON_STATUS_H_
 
@@ -70,9 +66,6 @@ class [[nodiscard]] Status {
   /// "ok" or "<code_name>: <message>".
   std::string ToString() const;
 
-  /// Deprecated bool shim: `if (!service.Checkpoint(dir))` keeps working.
-  explicit operator bool() const { return ok(); }
-
   friend bool operator==(const Status& a, const Status& b) {
     return a.code_ == b.code_ && a.message_ == b.message_;
   }
@@ -83,8 +76,7 @@ class [[nodiscard]] Status {
   std::string message_;
 };
 
-/// Either a T or a non-OK Status.  The accessor surface is a superset of
-/// std::optional<T> so that callers of the pre-Status APIs keep compiling.
+/// Either a T or a non-OK Status.
 template <typename T>
 class [[nodiscard]] StatusOr {
  public:
@@ -104,18 +96,12 @@ class [[nodiscard]] StatusOr {
   T& value() & { HORIZON_CHECK(ok()); return *value_; }
   T&& value() && { HORIZON_CHECK(ok()); return *std::move(value_); }
 
-  // --- std::optional-compatible shims (deprecated; migrate to ok()) ----
-  bool has_value() const { return ok(); }
-  explicit operator bool() const { return ok(); }
+  /// Shorthands for value().
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
   T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
-  template <typename U>
-  T value_or(U&& fallback) const& {
-    return ok() ? *value_ : static_cast<T>(std::forward<U>(fallback));
-  }
 
  private:
   Status status_;

@@ -39,14 +39,19 @@ std::string StreamName(EngagementType type, const char* suffix, double seconds) 
   return StreamName(type, suffix) + FormatDuration(seconds);
 }
 
-/// Emits every feature as emit(name, category, value) in a fixed order.
-/// Both schema construction and extraction flow through this single
-/// routine, so they can never drift apart.  `name` is a thunk returning
-/// the feature's name: only the constructor's schema walk calls it, so
-/// extracting a row formats and allocates no strings.
+/// The feature emitters: each calls emit(name, category, value) once per
+/// feature, in a fixed order.  `name` is a thunk returning the feature's
+/// name: only the constructor's schema walk calls it, so extracting a row
+/// formats and allocates no strings.  The schema walk and every
+/// extraction run these same two halves, so they cannot drift apart, and
+/// each feature value has one implementation.
+///
+/// The static half: the kNumStaticFeatures features fixed when the post is
+/// published, in StaticFeatures order.  The first kStaticHead lead a
+/// schema row; the rest end it, after the temporal half.
 template <typename Emit>
-void EmitAll(const datagen::PageProfile& page, const datagen::PostProfile& post,
-             const TrackerSnapshot& snap, const TrackerConfig& cfg, Emit&& emit) {
+void EmitStatic(const datagen::PageProfile& page, const datagen::PostProfile& post,
+                Emit&& emit) {
   using FC = FeatureCategory;
 
   // --- Content features ---
@@ -99,6 +104,22 @@ void EmitAll(const datagen::PageProfile& page, const datagen::PostProfile& post,
        static_cast<float>(page.hist_comment_rate));
   emit([] { return "page_hist/log1p_monthly_views"; }, FC::kEngagementPageViews,
        Log1p(page.hist_mean_views * page.posts_last_month));
+
+  // --- Other features (after the temporal half in a schema row) ---
+  emit([] { return "other/creation_tod"; }, FC::kOther,
+       static_cast<float>(post.creation_tod));
+  emit([] { return "other/day_of_week"; }, FC::kOther,
+       static_cast<float>(post.day_of_week));
+  emit([] { return "other/log1p_group_members"; }, FC::kOther,
+       Log1p(post.group_members));
+}
+
+/// The temporal half: every feature read from the tracker snapshot, in
+/// schema order.
+template <typename Emit>
+void EmitTemporal(const TrackerSnapshot& snap, const TrackerConfig& cfg,
+                  Emit&& emit) {
+  using FC = FeatureCategory;
 
   // --- Per-stream engagement features ---
   for (int t = 0; t < stream::kNumEngagementTypes; ++t) {
@@ -160,12 +181,6 @@ void EmitAll(const datagen::PageProfile& page, const datagen::PostProfile& post,
   // --- Other features ---
   emit([] { return "other/age_h"; }, FC::kOther, static_cast<float>(snap.age / kHour));
   emit([] { return "other/log1p_age_h"; }, FC::kOther, Log1p(snap.age / kHour));
-  emit([] { return "other/creation_tod"; }, FC::kOther,
-       static_cast<float>(post.creation_tod));
-  emit([] { return "other/day_of_week"; }, FC::kOther,
-       static_cast<float>(post.day_of_week));
-  emit([] { return "other/log1p_group_members"; }, FC::kOther,
-       Log1p(post.group_members));
 }
 
 }  // namespace
@@ -173,10 +188,31 @@ void EmitAll(const datagen::PageProfile& page, const datagen::PostProfile& post,
 FeatureExtractor::FeatureExtractor(const stream::TrackerConfig& tracker_config)
     : tracker_layout_(std::make_shared<const stream::TrackerLayout>(tracker_config)) {
   // Walk the schema over dummy inputs; only the names and categories count.
-  EmitAll(datagen::PageProfile{}, datagen::PostProfile{}, TrackerSnapshot{},
-          tracker_layout_->config, [this](const auto& name, FeatureCategory cat, float) {
-            schema_.Add(std::string(name()), cat);
-          });
+  std::vector<FeatureDef> statics;
+  EmitStatic(datagen::PageProfile{}, datagen::PostProfile{},
+             [&](const auto& name, FeatureCategory cat, float) {
+               statics.push_back({std::string(name()), cat});
+             });
+  HORIZON_CHECK_EQ(statics.size(), kNumStaticFeatures);
+  for (size_t k = 0; k < kStaticHead; ++k) {
+    schema_.Add(statics[k].name, statics[k].category);
+  }
+  EmitTemporal(TrackerSnapshot{}, tracker_layout_->config,
+               [this](const auto& name, FeatureCategory cat, float) {
+                 schema_.Add(std::string(name()), cat);
+               });
+  for (size_t k = kStaticHead; k < kNumStaticFeatures; ++k) {
+    schema_.Add(statics[k].name, statics[k].category);
+  }
+}
+
+StaticFeatures FeatureExtractor::ExtractStatic(const datagen::PageProfile& page,
+                                               const datagen::PostProfile& post) {
+  StaticFeatures statics{};
+  size_t k = 0;
+  EmitStatic(page, post, [&](const auto& /*name*/, FeatureCategory /*cat*/,
+                             float value) { statics[k++] = value; });
+  return statics;
 }
 
 std::vector<float> FeatureExtractor::Extract(const datagen::PageProfile& page,
@@ -192,16 +228,24 @@ void FeatureExtractor::ExtractInto(const datagen::PageProfile& page,
                                    const datagen::PostProfile& post,
                                    const stream::TrackerSnapshot& snapshot,
                                    float* out) const {
-  ExtractIntoStrided(page, post, snapshot, out, 1);
+  ExtractIntoStrided(ExtractStatic(page, post), snapshot, out, 1);
 }
 
 void FeatureExtractor::ExtractIntoStrided(const datagen::PageProfile& page,
                                           const datagen::PostProfile& post,
                                           const stream::TrackerSnapshot& snapshot,
                                           float* out, size_t stride) const {
-  // Extraction runs in tight per-row loops (~1.4 us per row on a 4-vCPU
-  // Xeon: features.extract_us of `bench_e2e --trace 1`), so the trace
-  // hook is a sampled latency probe plus a wait-free row counter.
+  ExtractIntoStrided(ExtractStatic(page, post), snapshot, out, stride);
+}
+
+void FeatureExtractor::ExtractIntoStrided(const StaticFeatures& statics,
+                                          const stream::TrackerSnapshot& snapshot,
+                                          float* out, size_t stride) const {
+  // Extraction runs in tight per-row loops.  On a 4-vCPU Xeon a row takes
+  // ~0.5 us from a static-feature record and ~0.7 us from profiles in a
+  // warm loop, and ~1.2 us as features.extract_us of `bench_e2e --trace 1`
+  // (a profile-taking replay over a 10^5-item corpus).  So the trace hook
+  // is a sampled latency probe plus a wait-free row counter.
   static obs::Histogram* const extract_latency =
       obs::MetricsRegistry::Global().GetHistogram(
           "horizon_features_extract_latency_seconds");
@@ -211,11 +255,16 @@ void FeatureExtractor::ExtractIntoStrided(const datagen::PageProfile& page,
   const obs::ScopedTimer timer(obs::SampleEvery(64, extract_latency));
   rows_extracted->Increment();
   size_t i = 0;
-  EmitAll(page, post, snapshot, tracker_config(),
-          [&](const auto& /*name*/, FeatureCategory /*cat*/, float value) {
-            HORIZON_DCHECK(std::isfinite(value));
-            out[i++ * stride] = value;
-          });
+  const auto put = [&](float value) {
+    HORIZON_DCHECK(std::isfinite(value));
+    out[i++ * stride] = value;
+  };
+  for (size_t k = 0; k < kStaticHead; ++k) put(statics[k]);
+  EmitTemporal(snapshot, tracker_config(),
+               [&](const auto& /*name*/, FeatureCategory /*cat*/, float value) {
+                 put(value);
+               });
+  for (size_t k = kStaticHead; k < kNumStaticFeatures; ++k) put(statics[k]);
   HORIZON_CHECK_EQ(i, schema_.size());
 }
 

@@ -5,6 +5,7 @@
 #ifndef HORIZON_FEATURES_EXTRACTOR_H_
 #define HORIZON_FEATURES_EXTRACTOR_H_
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -15,6 +16,17 @@
 #include "stream/cascade_tracker.h"
 
 namespace horizon::features {
+
+/// Features fixed when a post is published: its content, its page and its
+/// posting time and group.  They are schema indices [0, kStaticHead) and
+/// the last kNumStaticFeatures - kStaticHead indices; every other feature
+/// reads the tracker snapshot.
+inline constexpr size_t kNumStaticFeatures = 32;
+inline constexpr size_t kStaticHead = 29;
+
+/// One item's static features, in the order a schema row holds them:
+/// computed once, at registration, by FeatureExtractor::ExtractStatic.
+using StaticFeatures = std::array<float, kNumStaticFeatures>;
 
 /// Stateless feature extractor; the schema is fixed at construction from
 /// the tracker configuration (window/landmark layouts).
@@ -50,6 +62,19 @@ class FeatureExtractor {
   /// pass.  ExtractInto is the stride-1 case.
   void ExtractIntoStrided(const datagen::PageProfile& page,
                           const datagen::PostProfile& post,
+                          const stream::TrackerSnapshot& snapshot, float* out,
+                          size_t stride) const;
+
+  /// The item's static features: the values the profile-taking calls
+  /// above write at the static schema indices.  Allocation-free and
+  /// uninstrumented, so registration can afford it.
+  static StaticFeatures ExtractStatic(const datagen::PageProfile& page,
+                                      const datagen::PostProfile& post);
+
+  /// ExtractIntoStrided from a static-feature record: writes the same row
+  /// as the profile-taking form given the profiles `statics` came from,
+  /// computing only the temporal features.
+  void ExtractIntoStrided(const StaticFeatures& statics,
                           const stream::TrackerSnapshot& snapshot, float* out,
                           size_t stride) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,12 +22,12 @@ namespace horizon::serving {
 
 namespace {
 
-/// One live content item: the O(1)-state tracker plus the static
-/// profiles feature extraction needs.
+/// One live content item: the O(1)-state tracker plus its static
+/// features, computed from the page and post profiles at registration
+/// (the profiles themselves are not kept).
 struct Item {
   stream::CascadeTracker tracker;
-  datagen::PageProfile page;
-  datagen::PostProfile post;
+  features::StaticFeatures statics;
 };
 
 /// SplitMix64 finalizer: item ids are often sequential, so mix before
@@ -63,11 +64,11 @@ Status CheckQueryTimes(double s, double delta) {
   return Status::Ok();
 }
 
-/// What a query copies out of an item under its shard lock.
+/// What a query copies out of an item under its shard lock: everything
+/// extraction reads.
 struct Resolved {
   stream::TrackerSnapshot snapshot;
-  datagen::PageProfile page;
-  datagen::PostProfile post;
+  features::StaticFeatures statics;
 };
 
 /// AnswerIds' working storage, one per thread and reused across calls, so
@@ -82,7 +83,7 @@ struct IdScratch {
 };
 
 /// Calls with more ids than this free the scratch storage they grew, so a
-/// thread keeps under 1 MB (~1.6 KB per row) between calls.
+/// thread keeps under 1 MB (~1.5 KB per row) between calls.
 constexpr size_t kKeptScratchRows = 256;
 
 }  // namespace
@@ -208,7 +209,9 @@ Status PredictionService::RegisterItem(int64_t item_id, double creation_time,
         Status::InvalidArgument("RegisterItem: creation time must be finite"));
   }
   Shard& shard = *shards_[ShardOf(item_id)];
-  Item item{stream::CascadeTracker(creation_time, tracker_layout_), page, post};
+  // The static features are computed here, outside the shard lock.
+  Item item{stream::CascadeTracker(creation_time, tracker_layout_),
+            features::FeatureExtractor::ExtractStatic(page, post)};
   bool inserted = false;
   {
     MutexLock lock(shard.mu);
@@ -348,7 +351,7 @@ void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
     } else {
       statuses[i] = Status::Ok();
       const Item& item = it->second;
-      scratch.resolved.push_back({item.tracker.Snapshot(s), item.page, item.post});
+      scratch.resolved.push_back({item.tracker.Snapshot(s), item.statics});
     }
   }
   const size_t rows = scratch.resolved.size();
@@ -363,7 +366,7 @@ void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
   scratch.features.resize(rows * width);
   for (size_t r = 0; r < rows; ++r) {
     const Resolved& item = scratch.resolved[r];
-    extractor_->ExtractIntoStrided(item.page, item.post, item.snapshot,
+    extractor_->ExtractIntoStrided(item.statics, item.snapshot,
                                    scratch.features.data() + r, rows);
   }
   scratch.deltas.assign(rows, delta);
@@ -437,7 +440,7 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     candidates.reserve(shard.items.size());
     for (const auto& [id, item] : shard.items) {
       if (s < item.tracker.creation_time()) continue;  // not yet live
-      candidates.push_back({id, {item.tracker.Snapshot(s), item.page, item.post}});
+      candidates.push_back({id, {item.tracker.Snapshot(s), item.statics}});
     }
   }
   if (candidates.empty()) return {};
@@ -448,7 +451,7 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
   gbdt::ExampleBatch x(candidates.size(), width);
   for (size_t i = 0; i < candidates.size(); ++i) {
     const Resolved& item = candidates[i].item;
-    extractor_->ExtractIntoStrided(item.page, item.post, item.snapshot,
+    extractor_->ExtractIntoStrided(item.statics, item.snapshot,
                                    x.MutableRowBase(i), x.feature_stride());
   }
   const std::vector<double> increments = model_->PredictIncrementBatch(x, delta);
@@ -580,7 +583,7 @@ size_t PredictionService::RetireDeadItems(double now) {
         // and the model's alpha as the decay scale, the probability that
         // the cascade produces no further views (Appendix A.14, u = 0
         // transform) exceeds the threshold.
-        extractor_->ExtractInto(item.page, item.post, snapshot, row.data());
+        extractor_->ExtractIntoStrided(item.statics, snapshot, row.data(), 1);
         const double alpha = model_->PredictAlpha(row.data());
         const double p_dead = pp::ProbabilityNoNewEvents(
             views.ewma_rate, std::numeric_limits<double>::infinity(), alpha);
@@ -654,15 +657,8 @@ std::string Trim(const std::string& text) {
   return text.substr(b, e - b);
 }
 
-void SerializePage(std::ostream& os, const datagen::PageProfile& p) {
-  os << p.id << " " << p.followers << " " << p.fans << " " << p.posts_last_month
-     << " " << p.page_age_days << " " << static_cast<int>(p.category) << " "
-     << p.verified << " " << p.hist_mean_views << " " << p.hist_mean_halflife
-     << " " << p.hist_share_rate << " " << p.hist_comment_rate << " " << p.quality
-     << " " << p.audience_tau << " " << p.shareability << " " << p.alpha_page
-     << "\n";
-}
-
+// Shard files of version v1 carry each item's page and post profiles,
+// which Restore turns into the item's static features.
 bool DeserializePage(std::istream& is, datagen::PageProfile* p) {
   int category = 0;
   if (!(is >> p->id >> p->followers >> p->fans >> p->posts_last_month >>
@@ -674,15 +670,6 @@ bool DeserializePage(std::istream& is, datagen::PageProfile* p) {
   if (category < 0 || category >= datagen::kNumPageCategories) return false;
   p->category = static_cast<datagen::PageCategory>(category);
   return true;
-}
-
-void SerializePost(std::ostream& os, const datagen::PostProfile& p) {
-  os << p.id << " " << p.page_id << " " << static_cast<int>(p.media) << " "
-     << p.language << " " << p.num_mentions << " " << p.num_hashtags << " "
-     << p.text_length << " " << p.creation_tod << " " << p.day_of_week << " "
-     << p.in_group << " " << p.group_members << " " << p.has_question << " "
-     << p.creation_time << " " << p.lambda0 << " " << p.beta << " " << p.rho1
-     << " " << p.mark_sigma_log << "\n";
 }
 
 bool DeserializePost(std::istream& is, datagen::PostProfile* p) {
@@ -698,13 +685,39 @@ bool DeserializePost(std::istream& is, datagen::PostProfile* p) {
   return true;
 }
 
+// Shard files of version v2 carry each item's static features, on one
+// line, to float precision: what a v2 shard writes reads back bit for bit.
+void WriteStatics(std::ostream& os, const features::StaticFeatures& statics) {
+  for (size_t k = 0; k < statics.size(); ++k) {
+    if (k > 0) os << ' ';
+    os << statics[k];
+  }
+  os << '\n';
+}
+
+/// Reads the line WriteStatics wrote: false unless it holds exactly
+/// kNumStaticFeatures finite values.
+bool ReadStatics(std::istream& is, features::StaticFeatures* statics) {
+  std::string line;
+  if (!(is >> std::ws) || !std::getline(is, line)) return false;
+  const char* at = line.data();
+  const char* const end = at + line.size();
+  for (float& value : *statics) {
+    while (at < end && *at == ' ') ++at;
+    const auto [next, error] = std::from_chars(at, end, value);
+    if (error != std::errc() || !std::isfinite(value)) return false;
+    at = next;
+  }
+  return at == end;
+}
+
 }  // namespace
 
 Status PredictionService::Checkpoint(const std::string& dir) const {
   const obs::ScopedTimer latency(m_checkpoint_latency_);
   HORIZON_RETURN_IF_ERROR(io::EnsureDir(dir));
   uint64_t epoch = 1;
-  if (const auto current = io::ReadFile(dir + "/CURRENT")) {
+  if (const auto current = io::ReadFile(dir + "/CURRENT"); current.ok()) {
     if (const auto prev = ParseCheckpointEpoch(Trim(*current))) epoch = *prev + 1;
   }
   const std::string name = CheckpointDirName(epoch);
@@ -737,12 +750,11 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
         }
       }
       std::ostringstream os;
-      os.precision(17);
-      os << "shard v1\n" << snapshot.size() << "\n";
+      os.precision(std::numeric_limits<float>::max_digits10);
+      os << "shard v2\n" << snapshot.size() << "\n";
       for (const auto& [id, item] : snapshot) {
         os << id << "\n";
-        SerializePage(os, item.page);
-        SerializePost(os, item.post);
+        WriteStatics(os, item.statics);
         const std::string tracker = item.tracker.Serialize();
         os << tracker.size() << "\n" << tracker;
       }
@@ -947,21 +959,31 @@ Status PredictionService::Restore(const std::string& dir) {
     std::istringstream ss(*payload);
     std::string smagic, sversion;
     size_t num_items = 0;
-    if (!(ss >> smagic >> sversion) || smagic != "shard" || sversion != "v1") {
+    if (!(ss >> smagic >> sversion) || smagic != "shard" ||
+        (sversion != "v1" && sversion != "v2")) {
       return CountError(Status::Corruption("shard file: bad magic/version"));
     }
+    const bool has_profiles = sversion == "v1";
     if (!(ss >> num_items) || num_items != items) {
       return CountError(Status::Corruption("shard file: item count mismatch"));
     }
     for (size_t i = 0; i < num_items; ++i) {
       int64_t id = 0;
-      datagen::PageProfile page;
-      datagen::PostProfile post;
       if (!(ss >> id)) {
         return CountError(Status::Corruption("shard file: truncated item id"));
       }
-      if (!DeserializePage(ss, &page) || !DeserializePost(ss, &post)) {
-        return CountError(Status::Corruption("shard file: bad item profile"));
+      // A v1 item's static features come from its profiles, through the
+      // same code RegisterItem runs.
+      features::StaticFeatures statics{};
+      if (has_profiles) {
+        datagen::PageProfile page;
+        datagen::PostProfile post;
+        if (!DeserializePage(ss, &page) || !DeserializePost(ss, &post)) {
+          return CountError(Status::Corruption("shard file: bad item profile"));
+        }
+        statics = features::FeatureExtractor::ExtractStatic(page, post);
+      } else if (!ReadStatics(ss, &statics)) {
+        return CountError(Status::Corruption("shard file: bad static features"));
       }
       size_t blob_size = 0;
       if (!(ss >> blob_size) || blob_size > 1u << 24) {
@@ -972,7 +994,7 @@ Status PredictionService::Restore(const std::string& dir) {
       if (!ss.read(blob.data(), static_cast<std::streamsize>(blob_size))) {
         return CountError(Status::Corruption("shard file: truncated tracker"));
       }
-      Item item{stream::CascadeTracker(0.0, tracker_layout_), page, post};
+      Item item{stream::CascadeTracker(0.0, tracker_layout_), statics};
       if (!item.tracker.Deserialize(blob)) {
         return CountError(Status::Corruption("shard file: bad tracker state"));
       }

@@ -12,9 +12,7 @@
 // StatusOr (common/status.h) so callers can tell kNotFound (no such item)
 // from kNotYetLive (registered, creation time in the future) from
 // kCorruption (torn checkpoint) from kConfigMismatch (checkpoint written
-// under a different model/tracker layout).  Status converts contextually
-// to bool and StatusOr mimics std::optional, so pre-Status call sites
-// keep compiling for one release.
+// under a different model/tracker layout).
 //
 // Query surface: BatchQuery(QueryRequest) answers per-id lookups, ranked
 // top-k over a requested id set, and the full top-k scan (the
@@ -241,8 +239,9 @@ class PredictionService {
   // any write/fsync/rename therefore leaves the previous checkpoint fully
   // intact, and Restore never loads a torn file (the CRCs reject it).
 
-  /// Writes a consistent snapshot of every live tracker, the item
-  /// profiles, the model, and the service counters.  Shards are
+  /// Writes a consistent snapshot of every live tracker, each item's
+  /// static features, the model, and the service counters (shard files
+  /// `shard v2`).  Shards are
   /// snapshotted under their own locks and serialized/written outside
   /// them, so concurrent Ingest/Query keep running during a checkpoint.
   /// kIoError on any write failure (the previous checkpoint survives).
@@ -255,7 +254,9 @@ class PredictionService {
   /// committed checkpoint there), kCorruption (torn or damaged bytes),
   /// kConfigMismatch (different model or tracker layout).  On success
   /// replaces all live items and counters, and subsequent predictions are
-  /// bit-identical to the checkpointed service's.
+  /// bit-identical to the checkpointed service's.  Also reads `shard v1`
+  /// files, which carry each item's profiles in place of its static
+  /// features, and computes the features from them as RegisterItem does.
   Status Restore(const std::string& dir);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }

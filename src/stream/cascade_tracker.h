@@ -17,8 +17,8 @@
 #ifndef HORIZON_STREAM_CASCADE_TRACKER_H_
 #define HORIZON_STREAM_CASCADE_TRACKER_H_
 
-#include <cstddef>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -42,8 +42,8 @@ inline constexpr int kNumEngagementTypes = 4;
 const char* EngagementTypeName(EngagementType type);
 
 /// Most sliding windows, and most landmarks, a tracker layout may have:
-/// trackers and snapshots hold their per-window and per-landmark state
-/// inline, so a Snapshot allocates nothing.  TrackerLayout checks the cap;
+/// snapshots hold their per-window and per-landmark state inline, so a
+/// Snapshot allocates nothing.  TrackerLayout checks the cap;
 /// serving::ServiceConfig::Validate rejects a layout over it.
 inline constexpr size_t kMaxTrackerLayout = 8;
 
@@ -126,6 +126,12 @@ class CascadeTracker {
   /// `config` (no reference to `config` is kept).
   CascadeTracker(double creation_time, const TrackerConfig& config);
 
+  /// Copies deep-copy the stream blocks; moves take them.
+  CascadeTracker(const CascadeTracker& other);
+  CascadeTracker& operator=(const CascadeTracker& other);
+  CascadeTracker(CascadeTracker&&) noexcept = default;
+  CascadeTracker& operator=(CascadeTracker&&) noexcept = default;
+
   /// Records one engagement event at absolute time `t`.  Requires
   /// Accepts(type, t).
   void Observe(EngagementType type, double t);
@@ -143,8 +149,8 @@ class CascadeTracker {
 
   double creation_time() const { return creation_time_; }
 
-  /// Bytes this tracker owns: the object itself plus the capacity of its
-  /// bucket vectors.  The shared layout is not counted.
+  /// Bytes this tracker owns: the object itself plus the heap blocks of
+  /// its non-empty streams.  The shared layout is not counted.
   size_t MemoryBytes() const;
 
   /// Serializes the full O(1) state (creation time, totals, sliding-window
@@ -164,26 +170,30 @@ class CascadeTracker {
   bool Deserialize(const std::string& text);
 
  private:
+  struct FreeBlock {
+    void operator()(std::byte* block) const noexcept;
+  };
+  /// A stream's landmark counts and its windows' DGIM buckets, one region
+  /// per window, in one allocation sized from the layout (see
+  /// cascade_tracker.cc for the layout of the bytes).
+  using Block = std::unique_ptr<std::byte[], FreeBlock>;
+
   struct StreamState {
     void Add(double age, const TrackerLayout& layout);
     void Snapshot(double age, const TrackerLayout& layout,
                   StreamSnapshot* out) const;
 
-    // windows[i] holds the DGIM buckets of layout window i, oldest first;
-    // its event total and last time are `total` and `last_age` below.
-    std::array<std::vector<dgim::Bucket>, kMaxTrackerLayout> windows;
-    // landmark_counts[j] is finalized (bit j of landmark_done) once an
-    // event at an age beyond landmark j is seen.
-    std::array<uint64_t, kMaxTrackerLayout> landmark_counts{};
+    // Made at the stream's first event and grown when a window's region
+    // fills, so an empty stream costs only the scalars below.
+    Block block;
     uint64_t total = 0;
     KahanSum age_sum;
     double first_age = -1.0;
     double last_age = -1.0;
-    double ewma_rate = 0.0;   // events per second
-    double ewma_time = 0.0;   // age at which ewma_rate was last updated
-    uint8_t landmark_done = 0;
+    // Events per second as of the last event, at age last_age.  Landmark
+    // j is done (its count final) once last_age passes its age.
+    double ewma_rate = 0.0;
   };
-  static_assert(kMaxTrackerLayout <= 8, "landmark_done is an 8-bit mask");
 
   std::shared_ptr<const TrackerLayout> layout_;
   double creation_time_;

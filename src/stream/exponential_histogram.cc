@@ -1,5 +1,6 @@
 #include "stream/exponential_histogram.h"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -15,17 +16,19 @@ size_t MaxPerSize(double epsilon) {
   return static_cast<size_t>(std::ceil(1.0 / epsilon)) + 1;
 }
 
-void Add(std::vector<Bucket>* buckets, double t, double window,
-         size_t max_per_size) {
-  std::vector<Bucket>& b = *buckets;
+size_t Add(Bucket* b, size_t n, double t, double window,
+           size_t max_per_size) {
   // Expire on the write path, never in Count: reads stay pure, so
   // concurrent const callers of Count() need no synchronization.  Newest
   // times are non-decreasing, so the expired buckets form a prefix.
   const double cutoff = t - window;
-  auto live = b.begin();
-  while (live != b.end() && live->newest <= cutoff) ++live;
-  b.erase(b.begin(), live);
-  b.push_back({t, 1});
+  size_t live = 0;
+  while (live < n && b[live].newest <= cutoff) ++live;
+  if (live > 0) {
+    std::copy(b + live, b + n, b);
+    n -= live;
+  }
+  b[n++] = {t, 1};
   // Cascade merges: whenever more than max_per_size buckets share a size,
   // merge the two oldest of that size into one of double the size.
   // Because the buckets are ordered oldest->newest and sizes are
@@ -35,7 +38,7 @@ void Add(std::vector<Bucket>* buckets, double t, double window,
     // Find the run of buckets with this size (they are contiguous, ending
     // at the first bucket of larger size when scanning from the back).
     size_t run = 0;
-    size_t i = b.size();
+    size_t i = n;
     while (i > 0 && b[i - 1].size < size) --i;
     while (i > 0 && b[i - 1].size == size) {
       --i;
@@ -44,12 +47,14 @@ void Add(std::vector<Bucket>* buckets, double t, double window,
     if (run <= max_per_size) break;
     // Merge the two oldest buckets of this run (indices i and i+1).
     b[i] = {b[i + 1].newest, size * 2};
-    b.erase(b.begin() + static_cast<ptrdiff_t>(i) + 1);
+    std::copy(b + i + 2, b + n, b + i + 1);
+    --n;
     size *= 2;
   }
+  return n;
 }
 
-uint64_t Count(const std::vector<Bucket>& buckets, double now, double window) {
+uint64_t Count(std::span<const Bucket> buckets, double now, double window) {
   const double cutoff = now - window;
   uint64_t sum = 0;
   uint64_t straddler = 0;  // oldest surviving bucket's size
@@ -64,7 +69,7 @@ uint64_t Count(const std::vector<Bucket>& buckets, double now, double window) {
 }
 
 void Write(std::ostream& os, uint64_t total, double last_t,
-           const std::vector<Bucket>& buckets) {
+           std::span<const Bucket> buckets) {
   os << total << " " << last_t << " " << buckets.size() << "\n";
   for (const Bucket& b : buckets) {
     os << b.newest << " " << b.size << "\n";
@@ -115,7 +120,9 @@ void ExponentialHistogram::Add(double t) {
   HORIZON_CHECK_GE(t, last_t_);
   last_t_ = t;
   ++total_;
-  dgim::Add(&buckets_, t, window_, max_per_size_);
+  const size_t n = buckets_.size();
+  buckets_.emplace_back();  // the room dgim::Add appends into
+  buckets_.resize(dgim::Add(buckets_.data(), n, t, window_, max_per_size_));
 }
 
 uint64_t ExponentialHistogram::Count(double now) const {

@@ -5,16 +5,18 @@
 // O(log^2 W / eps)-ish space per content item, independent of cascade size.
 //
 // The bucket logic lives once, in namespace dgim, as functions over a
-// caller-owned bucket vector.  ExponentialHistogram wraps it for one
-// standalone window; CascadeTracker runs it over each window of each
-// engagement stream and keeps the window length, the per-size cap, the
-// event total and the last event time itself, shared across windows.
+// caller-owned bucket array.  ExponentialHistogram wraps it for one
+// standalone window in a vector; CascadeTracker runs it over each window
+// region of a stream's heap block and keeps the window length, the
+// per-size cap, the event total and the last event time itself, shared
+// across windows.
 #ifndef HORIZON_STREAM_EXPONENTIAL_HISTOGRAM_H_
 #define HORIZON_STREAM_EXPONENTIAL_HISTOGRAM_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 namespace horizon::stream {
@@ -35,20 +37,21 @@ inline constexpr double kNoEventTime = -1e300;
 /// bounds the relative error of Count by epsilon.
 size_t MaxPerSize(double epsilon);
 
-/// Records one event at time `t` (>= every earlier event) in `buckets`
-/// (oldest first): drops the prefix that has left the window of length
-/// `window` in one erase, appends a size-1 bucket, then merges the two
-/// oldest buckets of any size that has more than `max_per_size`.
-void Add(std::vector<Bucket>* buckets, double t, double window,
-         size_t max_per_size);
+/// Records one event at time `t` (>= every earlier event) in the `n`
+/// buckets at `buckets` (oldest first), which must have room for n + 1:
+/// drops the prefix that has left the window of length `window` in one
+/// move, appends a size-1 bucket, then merges the two oldest buckets of
+/// any size that has more than `max_per_size`.  Returns the new count.
+size_t Add(Bucket* buckets, size_t n, double t, double window,
+           size_t max_per_size);
 
 /// Estimated number of events in (now - window, now].  A pure read:
 /// buckets that have expired since the last Add are skipped, not dropped.
-uint64_t Count(const std::vector<Bucket>& buckets, double now, double window);
+uint64_t Count(std::span<const Bucket> buckets, double now, double window);
 
 /// Writes "total last_t count" and one "newest size" line per bucket.
 void Write(std::ostream& os, uint64_t total, double last_t,
-           const std::vector<Bucket>& buckets);
+           std::span<const Bucket> buckets);
 
 /// Reads what Write wrote.  Rejects, before allocating, more buckets than
 /// a window with this per-size cap can hold; then rejects a zero size, a

@@ -1,7 +1,8 @@
-// Counts the heap allocations the calling thread makes, through a
-// replaced global operator new.  Include from exactly one source file of
-// a test binary (the replacements are definitions) and read
-// horizon::test::ThreadAllocations() around the code under test.
+// Counts the heap allocations the calling thread makes, and the bytes it
+// holds, through a replaced global operator new.  Include from exactly one
+// source file of a test binary (the replacements are definitions) and read
+// horizon::test::ThreadAllocations() or ThreadLiveBytes() around the code
+// under test.
 //
 // Sanitizer runtimes own operator new, so sanitized builds keep the
 // default, define HORIZON_TEST_SANITIZED, and must skip tests that count.
@@ -9,7 +10,9 @@
 #define HORIZON_TESTS_ALLOC_COUNTER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -24,35 +27,71 @@
 #ifndef HORIZON_TEST_SANITIZED
 namespace horizon::test {
 inline thread_local size_t t_allocations = 0;
+inline thread_local std::ptrdiff_t t_live_bytes = 0;
 
 /// Allocations the calling thread has made so far.
 inline size_t ThreadAllocations() { return t_allocations; }
+
+/// Bytes the calling thread has allocated through operator new, less the
+/// bytes it has freed: the requested sizes, without allocator overhead.
+/// A block freed by another thread counts against that thread.
+inline std::ptrdiff_t ThreadLiveBytes() { return t_live_bytes; }
+
+namespace detail {
+
+// Each block carries its requested size just before the address handed
+// out, in a header as wide as the block's alignment.
+inline std::size_t HeaderBytes(std::size_t align) {
+  return align > alignof(std::max_align_t) ? align : alignof(std::max_align_t);
+}
+
+inline void* Allocate(std::size_t size, std::size_t align) {
+  const std::size_t header = HeaderBytes(align);
+  if (size > SIZE_MAX - 2 * header) throw std::bad_alloc();
+  void* base = align > alignof(std::max_align_t)
+                   ? std::aligned_alloc(align, (size + header + align - 1) / align * align)
+                   : std::malloc(size + header);
+  if (base == nullptr) throw std::bad_alloc();
+  ++t_allocations;
+  t_live_bytes += static_cast<std::ptrdiff_t>(size);
+  char* p = static_cast<char*>(base) + header;
+  std::memcpy(p - sizeof(size), &size, sizeof(size));
+  return p;
+}
+
+inline void Free(void* p, std::size_t align) noexcept {
+  if (p == nullptr) return;
+  std::size_t size = 0;
+  std::memcpy(&size, static_cast<char*>(p) - sizeof(size), sizeof(size));
+  t_live_bytes -= static_cast<std::ptrdiff_t>(size);
+  std::free(static_cast<char*>(p) - HeaderBytes(align));
+}
+
+}  // namespace detail
 }  // namespace horizon::test
 
 // Every replacement stays out of line: inlined into a caller, its malloc()
 // or free() meets the other side's new-expression or delete-expression,
-// and GCC's -Wmismatched-new-delete reports the pair.
+// and GCC's -Wmismatched-new-delete reports the pair.  The array and
+// nothrow forms of the standard library call these.
 [[gnu::noinline]] void* operator new(std::size_t size) {
-  ++horizon::test::t_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  return horizon::test::detail::Allocate(size, alignof(std::max_align_t));
 }
 [[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
-  ++horizon::test::t_allocations;
-  const auto a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
+  return horizon::test::detail::Allocate(size, static_cast<std::size_t>(align));
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  horizon::test::detail::Free(p, alignof(std::max_align_t));
+}
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  horizon::test::detail::Free(p, alignof(std::max_align_t));
 }
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
-  std::free(p);
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t align) noexcept {
+  horizon::test::detail::Free(p, static_cast<std::size_t>(align));
 }
 [[gnu::noinline]] void operator delete(void* p, std::size_t,
-                                       std::align_val_t) noexcept {
-  std::free(p);
+                                       std::align_val_t align) noexcept {
+  horizon::test::detail::Free(p, static_cast<std::size_t>(align));
 }
 #endif  // HORIZON_TEST_SANITIZED
 

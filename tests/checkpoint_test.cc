@@ -100,7 +100,7 @@ class CheckpointTest : public ::testing::Test {
       const auto& cascade =
           dataset_->cascades[static_cast<size_t>(id) % dataset_->cascades.size()];
       ASSERT_TRUE(service->RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
-                                        cascade.post));
+                                        cascade.post).ok());
       for (const auto& e : cascade.views) {
         if (e.time >= age) break;
         ASSERT_TRUE(service->Ingest(id, stream::EngagementType::kView, e.time).ok());
@@ -128,8 +128,8 @@ class CheckpointTest : public ::testing::Test {
     out.reserve(static_cast<size_t>(items));
     for (int64_t id = 0; id < items; ++id) {
       const auto q = service.Query(id, s, delta);
-      EXPECT_TRUE(q.has_value()) << "item " << id;
-      out.push_back(q.value_or(PredictionResult{}));
+      EXPECT_TRUE(q.ok()) << "item " << id;
+      out.push_back(q.ok() ? *q : PredictionResult{});
     }
     return out;
   }
@@ -161,10 +161,10 @@ constexpr double kAge = 6 * kHour;
 TEST_F(CheckpointTest, RoundTripBitIdenticalPredictions) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
   PredictionService restored = MakeService();
-  ASSERT_TRUE(restored.Restore(Dir()));
+  ASSERT_TRUE(restored.Restore(Dir()).ok());
   EXPECT_EQ(restored.LiveItems(), source.LiveItems());
   EXPECT_EQ(restored.stats().events_ingested, source.stats().events_ingested);
   EXPECT_EQ(restored.stats().items_registered, source.stats().items_registered);
@@ -196,9 +196,9 @@ TEST_F(CheckpointTest, RoundTripBitIdenticalPredictions) {
 TEST_F(CheckpointTest, IngestionContinuesIdenticallyAfterRestore) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
   PredictionService restored = MakeService();
-  ASSERT_TRUE(restored.Restore(Dir()));
+  ASSERT_TRUE(restored.Restore(Dir()).ok());
 
   // Feed the same post-checkpoint traffic to both services; the restored
   // tracker state must evolve bit-identically, not just answer queries.
@@ -208,8 +208,8 @@ TEST_F(CheckpointTest, IngestionContinuesIdenticallyAfterRestore) {
     for (const auto& e : cascade.views) {
       if (e.time < kAge) continue;
       if (e.time >= 12 * kHour) break;
-      EXPECT_TRUE(source.Ingest(id, stream::EngagementType::kView, e.time));
-      EXPECT_TRUE(restored.Ingest(id, stream::EngagementType::kView, e.time));
+      EXPECT_TRUE(source.Ingest(id, stream::EngagementType::kView, e.time).ok());
+      EXPECT_TRUE(restored.Ingest(id, stream::EngagementType::kView, e.time).ok());
     }
   }
   ExpectIdentical(Snapshot(source, kItems, 12 * kHour, 1 * kDay),
@@ -221,12 +221,12 @@ TEST_F(CheckpointTest, RestoreAcrossDifferentShardCounts) {
   wide.num_shards = 16;
   PredictionService source = MakeService(wide);
   Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
   ServiceConfig narrow;
   narrow.num_shards = 3;
   PredictionService restored = MakeService(narrow);
-  ASSERT_TRUE(restored.Restore(Dir()));
+  ASSERT_TRUE(restored.Restore(Dir()).ok());
   EXPECT_EQ(restored.LiveItems(), source.LiveItems());
   ExpectIdentical(Snapshot(source, kItems, kAge, 1 * kDay),
                   Snapshot(restored, kItems, kAge, 1 * kDay));
@@ -235,15 +235,15 @@ TEST_F(CheckpointTest, RestoreAcrossDifferentShardCounts) {
 TEST_F(CheckpointTest, SecondCheckpointSupersedesFirst) {
   PredictionService service = MakeService();
   Load(&service, kItems, kAge);
-  ASSERT_TRUE(service.Checkpoint(Dir()));
+  ASSERT_TRUE(service.Checkpoint(Dir()).ok());
   // More traffic, then a second checkpoint into the same directory.
   for (int64_t id = 0; id < kItems; ++id) {
     ASSERT_TRUE(service.Ingest(id, stream::EngagementType::kView, 7 * kHour).ok());
   }
-  ASSERT_TRUE(service.Checkpoint(Dir()));
+  ASSERT_TRUE(service.Checkpoint(Dir()).ok());
 
   PredictionService restored = MakeService();
-  ASSERT_TRUE(restored.Restore(Dir()));
+  ASSERT_TRUE(restored.Restore(Dir()).ok());
   ExpectIdentical(Snapshot(service, kItems, 7 * kHour, 1 * kDay),
                   Snapshot(restored, kItems, 7 * kHour, 1 * kDay));
 }
@@ -256,7 +256,7 @@ TEST_F(CheckpointTest, CrashAtEveryFaultPointNeverCorrupts) {
   config.num_shards = 4;
   PredictionService service = MakeService(config);
   Load(&service, kSmallItems, kAge);
-  ASSERT_TRUE(service.Checkpoint(Dir()));
+  ASSERT_TRUE(service.Checkpoint(Dir()).ok());
   const auto predictions_a = Snapshot(service, kSmallItems, kAge, 1 * kDay);
   const uint64_t events_a = service.stats().events_ingested;
 
@@ -278,7 +278,7 @@ TEST_F(CheckpointTest, CrashAtEveryFaultPointNeverCorrupts) {
     injector.Disarm();
 
     PredictionService restored = MakeService(config);
-    ASSERT_TRUE(restored.Restore(Dir()))
+    ASSERT_TRUE(restored.Restore(Dir()).ok())
         << "checkpoint unloadable after crash at fault point " << n;
     if (ok) {
       // The crash point lies beyond this checkpoint's operations: the new
@@ -323,7 +323,7 @@ std::string CommittedCheckpoint(const std::string& dir) {
 TEST_F(CheckpointTest, RestoreRejectsCorruptedShardFile) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
   // Flip one payload byte in a shard file of the committed checkpoint.
   const std::string ckpt_dir = CommittedCheckpoint(Dir());
@@ -333,7 +333,7 @@ TEST_F(CheckpointTest, RestoreRejectsCorruptedShardFile) {
   }
   ASSERT_FALSE(shard_file.empty());
   auto bytes = io::ReadFile(shard_file);
-  ASSERT_TRUE(bytes.has_value());
+  ASSERT_TRUE(bytes.ok());
   (*bytes)[bytes->size() / 2] = static_cast<char>((*bytes)[bytes->size() / 2] ^ 0x01);
   {
     std::ofstream out(shard_file, std::ios::binary | std::ios::trunc);
@@ -343,24 +343,29 @@ TEST_F(CheckpointTest, RestoreRejectsCorruptedShardFile) {
   PredictionService restored = MakeService();
   Load(&restored, 3, kAge);  // pre-existing state must survive the failure
   const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
-  EXPECT_FALSE(restored.Restore(Dir()));
+  EXPECT_FALSE(restored.Restore(Dir()).ok());
   EXPECT_EQ(restored.LiveItems(), 3u);
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
-/// Rewrites the first shard file of the committed checkpoint under `dir`
-/// for which `edit` changes the payload, with fresh CRCs in the file and
-/// in the manifest entry that vouches for it: what a re-framed (rather
-/// than torn) shard file holds.  False if `edit` declined every shard.
-bool ReframeShard(const std::string& dir,
-                  const std::function<bool(std::string*)>& edit) {
+/// Re-frames the shard files of the committed checkpoint under `dir` whose
+/// payload `edit` changes, with fresh CRCs in each file and in the
+/// manifest entry that vouches for it: what a re-framed (rather than torn)
+/// shard file holds.  Every payload handed to `edit` is a shard v2 one.
+/// Stops after the first edited shard unless `every_shard`; returns how
+/// many shards it rewrote.
+size_t ReframeShards(const std::string& dir,
+                     const std::function<bool(std::string*)>& edit,
+                     bool every_shard) {
   const std::string ckpt = CommittedCheckpoint(dir);
   std::string manifest =
       io::UnwrapCrcFrame(io::ReadFile(ckpt + "/MANIFEST").value()).value();
+  size_t rewritten = 0;
   for (const std::string& name : io::ListDir(ckpt)) {
     if (name.rfind("shard-", 0) != 0) continue;
     std::string payload =
         io::UnwrapCrcFrame(io::ReadFile(ckpt + "/" + name).value()).value();
+    EXPECT_EQ(payload.rfind("shard v2\n", 0), 0u) << name;
     if (!edit(&payload)) continue;
     const std::string framed = io::WrapCrcFrame(payload);
     EXPECT_TRUE(io::WriteFileAtomic(ckpt + "/" + name, framed).ok());
@@ -368,7 +373,7 @@ bool ReframeShard(const std::string& dir,
     const size_t line = manifest.find("\n" + name + " ");
     if (line == std::string::npos) {
       ADD_FAILURE() << name << " has no manifest entry";
-      return false;
+      return rewritten;
     }
     const size_t at = line + 1;
     const size_t end = manifest.find('\n', at);
@@ -383,9 +388,17 @@ bool ReframeShard(const std::string& dir,
                          std::to_string(items));
     EXPECT_TRUE(
         io::WriteFileAtomic(ckpt + "/MANIFEST", io::WrapCrcFrame(manifest)).ok());
-    return true;
+    ++rewritten;
+    if (!every_shard) break;
   }
-  return false;
+  return rewritten;
+}
+
+/// ReframeShards on the first shard `edit` changes; false if it declined
+/// every shard.
+bool ReframeShard(const std::string& dir,
+                  const std::function<bool(std::string*)>& edit) {
+  return ReframeShards(dir, edit, /*every_shard=*/false) == 1;
 }
 
 // The CRCs catch bytes flipped at rest, not a shard re-framed with valid
@@ -396,7 +409,7 @@ bool ReframeShard(const std::string& dir,
 TEST_F(CheckpointTest, RestoreRejectsReframedShardWithTamperedTracker) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
   // Control: re-framing a shard without changing it restores fine.
   ASSERT_TRUE(ReframeShard(Dir(), [](std::string*) { return true; }));
@@ -442,7 +455,7 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithTamperedTracker) {
 TEST_F(CheckpointTest, RestoreRejectsReframedShardWithImpossibleEwmaRate) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
   // A tracker blob's third line is its view stream's scalars: "total
   // first_age last_age ewma_rate ...".  Zero-pad "1e300" to the width of
@@ -484,7 +497,7 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithImpossibleEwmaRate) {
 TEST_F(CheckpointTest, RestoreRejectsReframedShardWithLandmarkCountAboveTotal) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
   // A tracker blob's third line is its view stream's scalars, starting
   // with the total; the fourth holds its "count done" landmark pairs.
@@ -526,6 +539,131 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithLandmarkCountAboveTotal) {
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
+/// Rewrites a shard v2 payload into the v1 layout, which carried each
+/// item's page and post profiles, each on one line, where v2 carries its
+/// static features.  Item `id` holds the profiles CheckpointTest::Load
+/// registered for it.
+std::string ShardV1(const std::string& v2, const datagen::SyntheticDataset& data) {
+  std::istringstream in(v2);
+  std::string magic, version, statics;
+  size_t items = 0;
+  in >> magic >> version >> items;
+  std::ostringstream out;
+  out.precision(17);
+  out << "shard v1\n" << items << "\n";
+  for (size_t i = 0; i < items; ++i) {
+    int64_t id = 0;
+    size_t size = 0;
+    in >> id >> std::ws;
+    std::getline(in, statics);
+    in >> size;
+    in.ignore(1);
+    std::string tracker(size, '\0');
+    in.read(tracker.data(), static_cast<std::streamsize>(size));
+    const datagen::PostProfile& p =
+        data.cascades[static_cast<size_t>(id) % data.cascades.size()].post;
+    const datagen::PageProfile& g = data.PageOf(p);
+    out << id << "\n";
+    out << g.id << " " << g.followers << " " << g.fans << " " << g.posts_last_month
+        << " " << g.page_age_days << " " << static_cast<int>(g.category) << " "
+        << g.verified << " " << g.hist_mean_views << " " << g.hist_mean_halflife
+        << " " << g.hist_share_rate << " " << g.hist_comment_rate << " "
+        << g.quality << " " << g.audience_tau << " " << g.shareability << " "
+        << g.alpha_page << "\n";
+    out << p.id << " " << p.page_id << " " << static_cast<int>(p.media) << " "
+        << p.language << " " << p.num_mentions << " " << p.num_hashtags << " "
+        << p.text_length << " " << p.creation_tod << " " << p.day_of_week << " "
+        << p.in_group << " " << p.group_members << " " << p.has_question << " "
+        << p.creation_time << " " << p.lambda0 << " " << p.beta << " " << p.rho1
+        << " " << p.mark_sigma_log << "\n";
+    out << size << "\n" << tracker;
+  }
+  EXPECT_TRUE(in.good()) << "malformed shard v2 payload";
+  return out.str();
+}
+
+// Shard files of version v1 carry each item's profiles instead of its
+// static features.  Restore still reads them, computing the features
+// from the profiles as RegisterItem does, so a checkpoint written before
+// v2 restores to bit-identical predictions.
+TEST_F(CheckpointTest, RestoresShardV1CheckpointBitIdentically) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+  const size_t shards = ReframeShards(
+      Dir(),
+      [](std::string* payload) {
+        *payload = ShardV1(*payload, *dataset_);
+        return true;
+      },
+      /*every_shard=*/true);
+  ASSERT_EQ(shards, static_cast<size_t>(source.num_shards()));
+
+  PredictionService restored = MakeService();
+  const Status status = restored.Restore(Dir());
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(restored.LiveItems(), source.LiveItems());
+  for (const double delta : {1 * kHour, 1 * kDay, 7 * kDay}) {
+    ExpectIdentical(Snapshot(source, kItems, kAge, delta),
+                    Snapshot(restored, kItems, kAge, delta));
+  }
+  // A restored service checkpoints as v2 again.
+  ASSERT_TRUE(restored.Checkpoint(Dir()).ok());
+  PredictionService again = MakeService();
+  ASSERT_TRUE(again.Restore(Dir()).ok());
+  ExpectIdentical(Snapshot(source, kItems, kAge, 1 * kDay),
+                  Snapshot(again, kItems, kAge, 1 * kDay));
+}
+
+// A shard v2 item's static features are one line of kNumStaticFeatures
+// finite floats.  A line with a non-finite or out-of-range value, or with
+// a value missing, fails Restore with kCorruption and leaves the service
+// untouched.
+TEST_F(CheckpointTest, RestoreRejectsReframedShardWithBadStaticFeatures) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  struct Row {
+    const char* what;
+    std::function<std::string(const std::string&)> tamper;
+  };
+  const auto set_first = [](const char* value) {
+    return [value](const std::string& line) {
+      return value + line.substr(line.find(' '));
+    };
+  };
+  const Row rows[] = {
+      {"nan value", set_first("nan")},
+      {"infinite value", set_first("-inf")},
+      {"value beyond float range", set_first("1e39")},
+      {"truncated record",
+       [](const std::string& line) { return line.substr(0, line.rfind(' ')); }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+    // A shard's fourth line is its first item's static features.
+    ASSERT_TRUE(ReframeShard(Dir(), [&](std::string* payload) {
+      size_t line = 0;
+      for (int i = 0; i < 3 && line != std::string::npos; ++i) {
+        line = payload->find('\n', line);
+        if (line != std::string::npos) ++line;
+      }
+      if (line == std::string::npos || line >= payload->size()) return false;
+      const size_t end = payload->find('\n', line);
+      payload->replace(line, end - line, row.tamper(payload->substr(line, end - line)));
+      return true;
+    }));
+
+    PredictionService restored = MakeService();
+    Load(&restored, 3, kAge);
+    const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+    const Status status = restored.Restore(Dir());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(restored.LiveItems(), 3u);
+    ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+  }
+}
+
 // Checkpoints written while the service still kept quantized forests hold
 // a model.qforest file and a "qforest <crc> <size>" manifest line after
 // the model's.  Restore parses that line, ignores it and never opens the
@@ -534,7 +672,7 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithLandmarkCountAboveTotal) {
 TEST_F(CheckpointTest, RestoresManifestWithLegacyQforestLine) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
   const std::string ckpt = CommittedCheckpoint(Dir());
   EXPECT_FALSE(io::ReadFile(ckpt + "/model.qforest").ok());
@@ -578,7 +716,7 @@ TEST_F(CheckpointTest, RestoresManifestWithLegacyQforestLine) {
 TEST_F(CheckpointTest, RestoreRejectsMismatchedModel) {
   PredictionService source = MakeService();
   Load(&source, 8, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
   // A service bound to a differently trained model must refuse the
   // checkpoint outright (predictions would not be bit-identical).
@@ -597,28 +735,28 @@ TEST_F(CheckpointTest, RestoreRejectsMismatchedModel) {
     other.Fit(examples.x, examples.log1p_increments, examples.alpha_targets);
   }
   PredictionService restored(&other, extractor_, ServiceConfig{});
-  EXPECT_FALSE(restored.Restore(Dir()));
+  EXPECT_FALSE(restored.Restore(Dir()).ok());
   EXPECT_EQ(restored.LiveItems(), 0u);
 }
 
 TEST_F(CheckpointTest, RestoreRejectsMismatchedTrackerConfig) {
   PredictionService source = MakeService();
   Load(&source, 8, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()));
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
   ServiceConfig other;
   other.tracker.window_lengths = {1 * kHour};  // different window layout
   features::FeatureExtractor other_extractor(other.tracker);
   PredictionService restored(model_, &other_extractor, other);
-  EXPECT_FALSE(restored.Restore(Dir()));
+  EXPECT_FALSE(restored.Restore(Dir()).ok());
   EXPECT_EQ(restored.LiveItems(), 0u);
 }
 
 TEST_F(CheckpointTest, RestoreFromMissingOrEmptyDirFails) {
   PredictionService service = MakeService();
-  EXPECT_FALSE(service.Restore(Dir() + "/does-not-exist"));
-  ASSERT_TRUE(io::EnsureDir(Dir()));
-  EXPECT_FALSE(service.Restore(Dir()));  // no CURRENT yet
+  EXPECT_FALSE(service.Restore(Dir() + "/does-not-exist").ok());
+  ASSERT_TRUE(io::EnsureDir(Dir()).ok());
+  EXPECT_FALSE(service.Restore(Dir()).ok());  // no CURRENT yet
   EXPECT_EQ(service.LiveItems(), 0u);
 }
 
@@ -628,13 +766,13 @@ TEST_F(CheckpointTest, CheckpointWhileServingKeepsWorking) {
   // after a checkpoint and the checkpoint stays loadable.
   PredictionService service = MakeService();
   Load(&service, kItems, kAge);
-  ASSERT_TRUE(service.Checkpoint(Dir()));
+  ASSERT_TRUE(service.Checkpoint(Dir()).ok());
   for (int64_t id = 0; id < kItems; ++id) {
-    EXPECT_TRUE(service.Ingest(id, stream::EngagementType::kView, 7 * kHour));
+    EXPECT_TRUE(service.Ingest(id, stream::EngagementType::kView, 7 * kHour).ok());
   }
-  ASSERT_TRUE(service.Checkpoint(Dir()));
+  ASSERT_TRUE(service.Checkpoint(Dir()).ok());
   PredictionService restored = MakeService();
-  EXPECT_TRUE(restored.Restore(Dir()));
+  EXPECT_TRUE(restored.Restore(Dir()).ok());
   EXPECT_EQ(restored.LiveItems(), static_cast<size_t>(kItems));
 }
 

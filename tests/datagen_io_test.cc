@@ -29,7 +29,7 @@ TEST(DatagenIoTest, RoundTripsExactly) {
   // A test-private directory: the suite's tests run as separate ctest
   // entries that may execute concurrently, so they must not share files.
   const std::string dir = ::testing::TempDir() + "datagen_io_round_trip";
-  ASSERT_TRUE(io::EnsureDir(dir));
+  ASSERT_TRUE(io::EnsureDir(dir).ok());
   ASSERT_TRUE(SaveDatasetCsv(original, dir));
   const auto loaded = LoadDatasetCsv(dir);
   ASSERT_TRUE(loaded.has_value());
@@ -84,7 +84,7 @@ TEST(DatagenIoTest, RoundTripsExactly) {
 TEST(DatagenIoTest, LoadedDatasetBehavesLikeOriginal) {
   const SyntheticDataset original = SmallDataset();
   const std::string dir = ::testing::TempDir() + "datagen_io_behaves";
-  ASSERT_TRUE(io::EnsureDir(dir));
+  ASSERT_TRUE(io::EnsureDir(dir).ok());
   ASSERT_TRUE(SaveDatasetCsv(original, dir));
   const auto loaded = LoadDatasetCsv(dir);
   ASSERT_TRUE(loaded.has_value());

@@ -1,6 +1,8 @@
 #include "features/extractor.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -178,6 +180,46 @@ TEST(FeatureExtractorTest, DeterministicExtraction) {
   const auto row_a = extractor.Extract(data.PageOf(cascade.post), cascade.post, snap_a);
   const auto row_b = extractor.Extract(data.PageOf(cascade.post), cascade.post, snap_b);
   EXPECT_EQ(row_a, row_b);
+}
+
+// The static-feature record holds exactly the values a profile-taking
+// extraction writes at the static schema indices -- the first kStaticHead
+// and the last kNumStaticFeatures - kStaticHead, none of them a tracker
+// feature -- and a row extracted from the record is the profile row, bit
+// for bit.
+TEST(FeatureExtractorTest, StaticRecordRowMatchesProfileRow) {
+  const auto data = SmallDataset();
+  FeatureExtractor extractor(stream::TrackerConfig{});
+  const FeatureSchema& schema = extractor.schema();
+  const size_t tail = schema.size() - (kNumStaticFeatures - kStaticHead);
+  for (size_t k = 0; k < kNumStaticFeatures; ++k) {
+    const size_t i = k < kStaticHead ? k : tail + k - kStaticHead;
+    const std::string& name = schema.def(i).name;
+    EXPECT_TRUE(name.rfind("content/", 0) == 0 || name.rfind("page", 0) == 0 ||
+                name == "other/creation_tod" || name == "other/day_of_week" ||
+                name == "other/log1p_group_members")
+        << name;
+  }
+  for (size_t c = 0; c < data.cascades.size(); c += 7) {
+    const auto& cascade = data.cascades[c];
+    const auto& page = data.PageOf(cascade.post);
+    const StaticFeatures statics = FeatureExtractor::ExtractStatic(page, cascade.post);
+    for (const double age : {0.0, kHour, 3 * kDay}) {
+      const auto snap = extractor.ReplaySnapshot(cascade, age);
+      const std::vector<float> expected = extractor.Extract(page, cascade.post, snap);
+      std::vector<float> row(schema.size());
+      extractor.ExtractIntoStrided(statics, snap, row.data(), 1);
+      ASSERT_EQ(row.size(), expected.size());
+      for (size_t i = 0; i < row.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint32_t>(row[i]), std::bit_cast<uint32_t>(expected[i]))
+            << schema.def(i).name;
+      }
+      for (size_t k = 0; k < kNumStaticFeatures; ++k) {
+        const size_t i = k < kStaticHead ? k : tail + k - kStaticHead;
+        EXPECT_EQ(std::bit_cast<uint32_t>(statics[k]), std::bit_cast<uint32_t>(row[i]));
+      }
+    }
+  }
 }
 
 TEST(FeatureExtractorTest, MediaOneHotMatchesPost) {

@@ -16,6 +16,12 @@ namespace {
 // Keep the injector's state hermetic: a HORIZON_FAULT_CRASH_AT from the
 // invoking shell arms it at Global() construction and would tear every
 // write this suite performs.
+/// The file's contents, or "<missing>" when ReadFile fails.
+std::string ContentsOrMissing(const std::string& path) {
+  const StatusOr<std::string> contents = ReadFile(path);
+  return contents.ok() ? *contents : "<missing>";
+}
+
 const ::testing::Environment* const kFaultEnvGuard =
     ::testing::AddGlobalTestEnvironment(
         new horizon::test::EnvVarGuard("HORIZON_FAULT_CRASH_AT",
@@ -24,7 +30,7 @@ const ::testing::Environment* const kFaultEnvGuard =
 std::string TestDir(const std::string& leaf) {
   const std::string dir = ::testing::TempDir() + "horizon_file_io_" + leaf;
   RemoveTree(dir);
-  EXPECT_TRUE(EnsureDir(dir));
+  EXPECT_TRUE(EnsureDir(dir).ok());
   return dir;
 }
 
@@ -60,7 +66,7 @@ TEST(CrcFrameTest, RoundTrip) {
   for (const std::string& payload : payloads) {
     const std::string frame = WrapCrcFrame(payload);
     const auto back = UnwrapCrcFrame(frame);
-    ASSERT_TRUE(back.has_value());
+    ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, payload);
   }
 }
@@ -69,7 +75,7 @@ TEST(CrcFrameTest, RejectsTruncation) {
   const std::string frame = WrapCrcFrame("some checkpoint payload bytes");
   // Every proper prefix must be rejected -- a torn write is a prefix.
   for (size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_FALSE(UnwrapCrcFrame(frame.substr(0, len)).has_value())
+    EXPECT_FALSE(UnwrapCrcFrame(frame.substr(0, len)).ok())
         << "prefix of length " << len << " accepted";
   }
 }
@@ -85,31 +91,31 @@ TEST(CrcFrameTest, RejectsBitFlips) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string flipped = frame;
       flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
-      EXPECT_FALSE(UnwrapCrcFrame(flipped).has_value())
+      EXPECT_FALSE(UnwrapCrcFrame(flipped).ok())
           << "byte " << i << " bit " << bit;
     }
   }
   // Magic-string damage is rejected.
   std::string bad_magic = frame;
   bad_magic[0] = 'H';
-  EXPECT_FALSE(UnwrapCrcFrame(bad_magic).has_value());
+  EXPECT_FALSE(UnwrapCrcFrame(bad_magic).ok());
 }
 
 TEST(CrcFrameTest, RejectsTrailingGarbage) {
   const std::string frame = WrapCrcFrame("payload");
-  EXPECT_FALSE(UnwrapCrcFrame(frame + "x").has_value());
-  EXPECT_FALSE(UnwrapCrcFrame(frame + frame).has_value());
+  EXPECT_FALSE(UnwrapCrcFrame(frame + "x").ok());
+  EXPECT_FALSE(UnwrapCrcFrame(frame + frame).ok());
 }
 
 TEST(CrcFrameTest, RejectsGarbageHeaders) {
-  EXPECT_FALSE(UnwrapCrcFrame("").has_value());
-  EXPECT_FALSE(UnwrapCrcFrame("not a frame").has_value());
-  EXPECT_FALSE(UnwrapCrcFrame("hzf1").has_value());
-  EXPECT_FALSE(UnwrapCrcFrame("hzf1 abc def\n").has_value());
-  EXPECT_FALSE(UnwrapCrcFrame("hzf2 7 00000000\npayload").has_value());
+  EXPECT_FALSE(UnwrapCrcFrame("").ok());
+  EXPECT_FALSE(UnwrapCrcFrame("not a frame").ok());
+  EXPECT_FALSE(UnwrapCrcFrame("hzf1").ok());
+  EXPECT_FALSE(UnwrapCrcFrame("hzf1 abc def\n").ok());
+  EXPECT_FALSE(UnwrapCrcFrame("hzf2 7 00000000\npayload").ok());
   // Absurd declared size must not allocate or crash.
   EXPECT_FALSE(
-      UnwrapCrcFrame("hzf1 99999999999999999999 00000000\nx").has_value());
+      UnwrapCrcFrame("hzf1 99999999999999999999 00000000\nx").ok());
 }
 
 // -- Atomic writes -------------------------------------------------------
@@ -117,23 +123,23 @@ TEST(CrcFrameTest, RejectsGarbageHeaders) {
 TEST(WriteFileAtomicTest, WritesAndReplaces) {
   const std::string dir = TestDir("atomic");
   const std::string path = dir + "/file";
-  ASSERT_TRUE(WriteFileAtomic(path, "first"));
-  EXPECT_EQ(ReadFile(path).value_or("<missing>"), "first");
-  ASSERT_TRUE(WriteFileAtomic(path, "second, longer contents"));
-  EXPECT_EQ(ReadFile(path).value_or("<missing>"), "second, longer contents");
+  ASSERT_TRUE(WriteFileAtomic(path, "first").ok());
+  EXPECT_EQ(ContentsOrMissing(path), "first");
+  ASSERT_TRUE(WriteFileAtomic(path, "second, longer contents").ok());
+  EXPECT_EQ(ContentsOrMissing(path), "second, longer contents");
   RemoveTree(dir);
 }
 
 TEST(ReadFileTest, MissingFileIsNullopt) {
-  EXPECT_FALSE(ReadFile("/nonexistent/horizon/path").has_value());
+  EXPECT_FALSE(ReadFile("/nonexistent/horizon/path").ok());
 }
 
 TEST(DirHelpersTest, EnsureListRemove) {
   const std::string dir = TestDir("dirs");
-  EXPECT_TRUE(EnsureDir(dir));  // idempotent
-  EXPECT_TRUE(EnsureDir(dir + "/a/b/c"));
-  ASSERT_TRUE(WriteFileAtomic(dir + "/a/file1", "1"));
-  ASSERT_TRUE(WriteFileAtomic(dir + "/a/file2", "2"));
+  EXPECT_TRUE(EnsureDir(dir).ok());  // idempotent
+  EXPECT_TRUE(EnsureDir(dir + "/a/b/c").ok());
+  ASSERT_TRUE(WriteFileAtomic(dir + "/a/file1", "1").ok());
+  ASSERT_TRUE(WriteFileAtomic(dir + "/a/file2", "2").ok());
   const auto entries = ListDir(dir + "/a");
   ASSERT_EQ(entries.size(), 3u);  // sorted
   EXPECT_EQ(entries[0], "b");
@@ -155,7 +161,7 @@ class FaultInjectionTest : public ::testing::Test {
 TEST_F(FaultInjectionTest, CrashAtEveryPointPreservesOldFile) {
   const std::string dir = TestDir("faults");
   const std::string path = dir + "/file";
-  ASSERT_TRUE(WriteFileAtomic(path, "valid old contents"));
+  ASSERT_TRUE(WriteFileAtomic(path, "valid old contents").ok());
 
   auto& injector = FaultInjector::Global();
   bool succeeded = false;
@@ -170,7 +176,7 @@ TEST_F(FaultInjectionTest, CrashAtEveryPointPreservesOldFile) {
       // the write committed.
       EXPECT_FALSE(crashed);
       EXPECT_GT(ops, 0);
-      EXPECT_EQ(ReadFile(path).value_or("<missing>"),
+      EXPECT_EQ(ContentsOrMissing(path),
                 "new contents after crash");
       succeeded = true;
     } else {
@@ -179,7 +185,7 @@ TEST_F(FaultInjectionTest, CrashAtEveryPointPreservesOldFile) {
       // published before the final directory fsync died) -- never a torn
       // mixture.  The only other debris allowed is the invisible temp file.
       EXPECT_TRUE(crashed) << "failed without a fault at n=" << n;
-      const std::string contents = ReadFile(path).value_or("<missing>");
+      const std::string contents = ContentsOrMissing(path);
       EXPECT_TRUE(contents == "valid old contents" ||
                   contents == "new contents after crash")
           << "torn file after crash at op " << n << ": \"" << contents << "\"";
@@ -192,19 +198,19 @@ TEST_F(FaultInjectionTest, CrashAtEveryPointPreservesOldFile) {
 TEST_F(FaultInjectionTest, TornWriteLeavesPrefixInTempOnly) {
   const std::string dir = TestDir("torn");
   const std::string path = dir + "/file";
-  ASSERT_TRUE(WriteFileAtomic(path, "old"));
+  ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
 
   auto& injector = FaultInjector::Global();
   injector.ArmCrashAt(0);  // the very first write op fails (torn)
   const std::string framed = WrapCrcFrame("this write is torn in half");
-  EXPECT_FALSE(WriteFileAtomic(path, framed));
+  EXPECT_FALSE(WriteFileAtomic(path, framed).ok());
   injector.Disarm();
 
-  EXPECT_EQ(ReadFile(path).value_or("<missing>"), "old");
+  EXPECT_EQ(ContentsOrMissing(path), "old");
   // A torn CRC-framed temp file must never unwrap.
   const auto torn = ReadFile(path + ".tmp");
-  if (torn.has_value()) {
-    EXPECT_FALSE(UnwrapCrcFrame(*torn).has_value());
+  if (torn.ok()) {
+    EXPECT_FALSE(UnwrapCrcFrame(*torn).ok());
   }
   RemoveTree(dir);
 }
@@ -213,14 +219,14 @@ TEST_F(FaultInjectionTest, AllOpsFailAfterCrash) {
   const std::string dir = TestDir("dead");
   auto& injector = FaultInjector::Global();
   injector.ArmCrashAt(0);
-  EXPECT_FALSE(WriteFileAtomic(dir + "/a", "x"));
+  EXPECT_FALSE(WriteFileAtomic(dir + "/a", "x").ok());
   // The process "died": every later durable operation fails too.
-  EXPECT_FALSE(WriteFileAtomic(dir + "/b", "y"));
+  EXPECT_FALSE(WriteFileAtomic(dir + "/b", "y").ok());
   EXPECT_TRUE(injector.crashed());
   injector.Disarm();
   EXPECT_FALSE(injector.crashed());
-  EXPECT_TRUE(WriteFileAtomic(dir + "/b", "y"));
-  EXPECT_EQ(ReadFile(dir + "/b").value_or("<missing>"), "y");
+  EXPECT_TRUE(WriteFileAtomic(dir + "/b", "y").ok());
+  EXPECT_EQ(ContentsOrMissing(dir + "/b"), "y");
   RemoveTree(dir);
 }
 
@@ -228,10 +234,10 @@ TEST_F(FaultInjectionTest, OpsSeenCounts) {
   const std::string dir = TestDir("ops");
   auto& injector = FaultInjector::Global();
   injector.ArmCrashAt(1000);  // effectively never fires
-  ASSERT_TRUE(WriteFileAtomic(dir + "/f", "x"));
+  ASSERT_TRUE(WriteFileAtomic(dir + "/f", "x").ok());
   const int per_write = injector.ops_seen();
   EXPECT_GE(per_write, 3);  // at least write + fsync + rename
-  ASSERT_TRUE(WriteFileAtomic(dir + "/f", "y"));
+  ASSERT_TRUE(WriteFileAtomic(dir + "/f", "y").ok());
   EXPECT_EQ(injector.ops_seen(), 2 * per_write);
   injector.Disarm();
   EXPECT_EQ(injector.ops_seen(), 0);
@@ -244,17 +250,17 @@ TEST_F(FaultInjectionTest, FailOnceIsTransient) {
   // attempt succeeds without anyone calling Disarm.
   const std::string dir = TestDir("failonce");
   const std::string path = dir + "/file";
-  ASSERT_TRUE(WriteFileAtomic(path, "old"));
+  ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
 
   auto& injector = FaultInjector::Global();
   injector.ArmFailOnce(0);
-  EXPECT_FALSE(WriteFileAtomic(path, "first attempt"));
+  EXPECT_FALSE(WriteFileAtomic(path, "first attempt").ok());
   EXPECT_FALSE(injector.crashed());  // transient, not a crash
-  EXPECT_EQ(ReadFile(path).value_or("<missing>"), "old");
+  EXPECT_EQ(ContentsOrMissing(path), "old");
 
   // Self-disarmed: the retry commits with no intervention.
-  EXPECT_TRUE(WriteFileAtomic(path, "second attempt"));
-  EXPECT_EQ(ReadFile(path).value_or("<missing>"), "second attempt");
+  EXPECT_TRUE(WriteFileAtomic(path, "second attempt").ok());
+  EXPECT_EQ(ContentsOrMissing(path), "second attempt");
   RemoveTree(dir);
 }
 
@@ -262,8 +268,8 @@ TEST_F(FaultInjectionTest, FailOnceBeyondWriteNeverFires) {
   const std::string dir = TestDir("failonce_never");
   auto& injector = FaultInjector::Global();
   injector.ArmFailOnce(1000);  // past every op this write performs
-  EXPECT_TRUE(WriteFileAtomic(dir + "/f", "x"));
-  EXPECT_EQ(ReadFile(dir + "/f").value_or("<missing>"), "x");
+  EXPECT_TRUE(WriteFileAtomic(dir + "/f", "x").ok());
+  EXPECT_EQ(ContentsOrMissing(dir + "/f"), "x");
   injector.Disarm();
   RemoveTree(dir);
 }

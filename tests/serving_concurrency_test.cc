@@ -75,7 +75,7 @@ TEST_F(ServingConcurrencyTest, EightThreadIngestQueryHammer) {
   for (int64_t id = 0; id < kItems; ++id) {
     const auto& cascade = CascadeFor(id);
     ASSERT_TRUE(service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
-                                     cascade.post));
+                                     cascade.post).ok());
   }
 
   // Each item is written by exactly one thread (the tracker requires
@@ -91,14 +91,14 @@ TEST_F(ServingConcurrencyTest, EightThreadIngestQueryHammer) {
         size_t fed = 0;
         for (const auto& e : cascade.views) {
           if (e.time >= 6 * kHour || fed >= 50) break;
-          if (service.Ingest(id, stream::EngagementType::kView, e.time)) {
+          if (service.Ingest(id, stream::EngagementType::kView, e.time).ok()) {
             ++my_ingests;
           }
           ++fed;
         }
         // Interleave reads on items owned by other threads.
         const int64_t other = (id * 7 + 3) % kItems;
-        if (service.Query(other, 6 * kHour, 1 * kDay).has_value()) ++my_queries;
+        if (service.Query(other, 6 * kHour, 1 * kDay).ok()) ++my_queries;
         if (id % 20 == static_cast<int64_t>(t % 20)) {
           QueryRequest scan;
           scan.s = 6 * kHour;
@@ -145,7 +145,8 @@ TEST_F(ServingConcurrencyTest, ConcurrentRegisterQueryRetire) {
         const int64_t id = t * 1000 + i;
         const auto& cascade = CascadeFor(id);
         if (service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
-                                 cascade.post)) {
+                                 cascade.post)
+                .ok()) {
           registered.fetch_add(1);
         }
         // Hammer test: outcomes race with other threads on purpose; the
@@ -199,7 +200,7 @@ TEST_F(ServingConcurrencyTest, IngestBatchMatchesSerialIngest) {
 
   size_t serial_ok = 0;
   for (const auto& e : events) {
-    if (serial.Ingest(e.item_id, e.type, e.time)) ++serial_ok;
+    if (serial.Ingest(e.item_id, e.type, e.time).ok()) ++serial_ok;
   }
   const size_t batch_ok = batched.IngestBatch(events);
   EXPECT_EQ(batch_ok, serial_ok);
@@ -208,8 +209,8 @@ TEST_F(ServingConcurrencyTest, IngestBatchMatchesSerialIngest) {
   for (int64_t id = 0; id < kItems; ++id) {
     const auto a = serial.Query(id, 6 * kHour, 1 * kDay);
     const auto b = batched.Query(id, 6 * kHour, 1 * kDay);
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
     EXPECT_DOUBLE_EQ(a->observed_views, b->observed_views);
     EXPECT_DOUBLE_EQ(a->predicted_views, b->predicted_views);
     EXPECT_DOUBLE_EQ(a->alpha, b->alpha);

@@ -72,19 +72,19 @@ TEST_F(PredictionServiceTest, RegisterAndQueryLifecycle) {
   const auto& page = dataset_->PageOf(cascade.post);
 
   EXPECT_FALSE(service.HasItem(1));
-  EXPECT_TRUE(service.RegisterItem(1, 0.0, page, cascade.post));
-  EXPECT_FALSE(service.RegisterItem(1, 0.0, page, cascade.post));  // duplicate
+  EXPECT_TRUE(service.RegisterItem(1, 0.0, page, cascade.post).ok());
+  EXPECT_FALSE(service.RegisterItem(1, 0.0, page, cascade.post).ok());  // duplicate
   EXPECT_TRUE(service.HasItem(1));
   EXPECT_EQ(service.LiveItems(), 1u);
 
   size_t ingested = 0;
   for (const auto& e : cascade.views) {
     if (e.time >= 6 * kHour) break;
-    EXPECT_TRUE(service.Ingest(1, stream::EngagementType::kView, e.time));
+    EXPECT_TRUE(service.Ingest(1, stream::EngagementType::kView, e.time).ok());
     ++ingested;
   }
   const auto result = service.Query(1, 6 * kHour, 1 * kDay);
-  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->observed_views, static_cast<double>(ingested));
   EXPECT_GE(result->predicted_views, result->observed_views);
   EXPECT_GT(result->alpha, 0.0);
@@ -96,8 +96,8 @@ TEST_F(PredictionServiceTest, RegisterAndQueryLifecycle) {
 
 TEST_F(PredictionServiceTest, IngestUnknownItemDropped) {
   PredictionService service = MakeService();
-  EXPECT_FALSE(service.Ingest(42, stream::EngagementType::kView, 1.0));
-  EXPECT_FALSE(service.Query(42, 1.0, kDay).has_value());
+  EXPECT_FALSE(service.Ingest(42, stream::EngagementType::kView, 1.0).ok());
+  EXPECT_FALSE(service.Query(42, 1.0, kDay).ok());
 }
 
 TEST_F(PredictionServiceTest, QueryMatchesOfflineReplay) {
@@ -125,7 +125,7 @@ TEST_F(PredictionServiceTest, QueryMatchesOfflineReplay) {
     ASSERT_TRUE(service.Ingest(7, stream::EngagementType::kReaction, t).ok());
   }
   const auto online = service.Query(7, s, 2 * kDay);
-  ASSERT_TRUE(online.has_value());
+  ASSERT_TRUE(online.ok());
 
   const auto snapshot = extractor_->ReplaySnapshot(cascade, s);
   const auto row = extractor_->Extract(page, cascade.post, snapshot);
@@ -193,7 +193,7 @@ TEST_F(PredictionServiceTest, NotYetLiveItemsAreInvisible) {
   const auto& cascade = dataset_->cascades[0];
   const auto& page = dataset_->PageOf(cascade.post);
   ASSERT_TRUE(service.RegisterItem(1, /*creation_time=*/10 * kDay, page, cascade.post).ok());
-  EXPECT_FALSE(service.Query(1, 5 * kDay, kDay).has_value());
+  EXPECT_FALSE(service.Query(1, 5 * kDay, kDay).ok());
   QueryRequest scan;
   scan.s = 5 * kDay;
   scan.delta = kDay;
@@ -204,7 +204,7 @@ TEST_F(PredictionServiceTest, NotYetLiveItemsAreInvisible) {
   EXPECT_EQ(service.RetireDeadItems(5 * kDay), 0u);
   EXPECT_TRUE(service.HasItem(1));
   // Once live, it becomes queryable.
-  EXPECT_TRUE(service.Query(1, 11 * kDay, kDay).has_value());
+  EXPECT_TRUE(service.Query(1, 11 * kDay, kDay).ok());
 }
 
 TEST_F(PredictionServiceTest, RetiresNeverViewedItems) {

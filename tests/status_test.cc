@@ -1,6 +1,5 @@
-// Tests for common/status.h: code taxonomy, ToString formatting, the
-// deprecated bool/optional compatibility shims, StatusOr value semantics,
-// and HORIZON_RETURN_IF_ERROR propagation.
+// Tests for common/status.h: code taxonomy, ToString formatting,
+// StatusOr value semantics, and HORIZON_RETURN_IF_ERROR propagation.
 #include "common/status.h"
 
 #include <gtest/gtest.h>
@@ -72,15 +71,6 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_NE(Status::NotFound("x"), Status::IoError("x"));
 }
 
-TEST(StatusTest, BoolShimMatchesOk) {
-  // `if (!service.Checkpoint(dir))` must keep the pre-Status meaning.
-  EXPECT_TRUE(static_cast<bool>(Status::Ok()));
-  EXPECT_FALSE(static_cast<bool>(Status::IoError("disk on fire")));
-  if (Status::NotFound("nope")) {
-    FAIL() << "non-OK Status must be contextually false";
-  }
-}
-
 Status FailsAtStep(int failing_step, int step) {
   if (step == failing_step) return Status::Corruption("step failed");
   return Status::Ok();
@@ -119,17 +109,10 @@ TEST(StatusOrTest, CarriesValueOrStatus) {
   EXPECT_EQ(bad.status().message(), "not positive");
 }
 
-TEST(StatusOrTest, OptionalShimsMatchOptionalSemantics) {
+TEST(StatusOrTest, DereferenceReadsValue) {
   const StatusOr<std::string> good = std::string("payload");
-  EXPECT_TRUE(good.has_value());
-  EXPECT_TRUE(static_cast<bool>(good));
   EXPECT_EQ(*good, "payload");
   EXPECT_EQ(good->size(), 7u);
-  EXPECT_EQ(good.value_or("fallback"), "payload");
-
-  const StatusOr<std::string> bad = Status::NotFound("missing");
-  EXPECT_FALSE(bad.has_value());
-  EXPECT_EQ(bad.value_or("fallback"), "fallback");
 }
 
 TEST(StatusOrTest, MoveOutOfValue) {
