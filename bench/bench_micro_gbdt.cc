@@ -13,6 +13,12 @@
 //                              kernels::kSmallBatchRows (n = 1 is the
 //                              single-id query shape)
 //
+// and training cost: BM_GbdtTrain on 100 uniform 255-bin features, and
+// BM_HawkesPredictorFit on the real training shape -- bench_e2e's held-out
+// corpus (4,000 x 111 rows, many binary and low-cardinality features) fit
+// with default parameters (2 forests x 120 trees), at the pool width
+// HORIZON_THREADS sets.
+//
 // All batch benchmarks run single-threaded on pre-materialized inputs so
 // the numbers compare kernels, not the thread pool.  Kernel flavors the
 // running CPU cannot execute are skipped.  Unless --benchmark_out is
@@ -31,6 +37,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/hawkes_predictor.h"
+#include "core/trainer.h"
+#include "datagen/generator.h"
+#include "features/extractor.h"
 #include "gbdt/forest_kernels.h"
 #include "gbdt/gbdt.h"
 #include "gbdt/simd_dispatch.h"
@@ -221,6 +231,30 @@ void BM_GbdtTrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GbdtTrain)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
+
+void BM_HawkesPredictorFit(benchmark::State& state) {
+  // bench_e2e's training corpus: 2,000 posts on 200 pages, mean cascade 6,
+  // seed 20211215, every cascade's examples.
+  datagen::GeneratorConfig config;
+  config.num_posts = 2000;
+  config.num_pages = 200;
+  config.base_mean_size = 6.0;
+  config.seed = 20211215;
+  const datagen::SyntheticDataset data = datagen::Generator(config).Generate();
+  std::vector<size_t> indices(data.cascades.size());
+  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+  const core::ExampleSet examples =
+      core::BuildExampleSet(data, indices, extractor, core::ExampleSetOptions{});
+  for (auto _ : state) {
+    core::HawkesPredictor predictor;
+    predictor.Fit(examples.x, examples.log1p_increments, examples.alpha_targets);
+    benchmark::DoNotOptimize(&predictor);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(examples.x.num_rows()));
+}
+BENCHMARK(BM_HawkesPredictorFit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_BinnedDatasetCreate(benchmark::State& state) {
   std::vector<double> y;

@@ -39,9 +39,12 @@ void HawkesPredictor::Fit(const gbdt::DataMatrix& x,
                           const std::vector<double>& alpha_targets) {
   HORIZON_CHECK_EQ(log1p_increments.size(), f_models_.size());
   HORIZON_CHECK_EQ(alpha_targets.size(), x.num_rows());
+  // Every forest trains on x: bin it once.
+  const gbdt::BinnedDataset binned =
+      gbdt::BinnedDataset::Create(x, params_.gbdt_count.max_bins);
   for (size_t i = 0; i < f_models_.size(); ++i) {
     HORIZON_CHECK_EQ(log1p_increments[i].size(), x.num_rows());
-    f_models_[i].Fit(x, log1p_increments[i]);
+    f_models_[i].Fit(x, binned, log1p_increments[i]);
   }
   // g is trained on log(alpha): alpha is positive and roughly lognormal
   // across items.  Zero-alpha targets (degenerate cascades) are clamped to
@@ -51,7 +54,11 @@ void HawkesPredictor::Fit(const gbdt::DataMatrix& x,
     log_alpha[i] =
         std::log(Clamp(alpha_targets[i], params_.alpha_min, params_.alpha_max));
   }
-  g_model_.Fit(x, log_alpha);
+  if (params_.gbdt_alpha.max_bins == binned.max_bins()) {
+    g_model_.Fit(x, binned, log_alpha);
+  } else {
+    g_model_.Fit(x, log_alpha);
+  }
   trained_ = true;
 }
 

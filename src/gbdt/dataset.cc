@@ -76,6 +76,7 @@ BinnedDataset BinnedDataset::Create(const DataMatrix& data, int max_bins) {
   BinnedDataset out;
   out.num_rows_ = data.num_rows();
   out.num_features_ = data.num_features();
+  out.max_bins_ = max_bins;
   out.codes_.resize(out.num_rows_ * out.num_features_);
   out.upper_edges_.resize(out.num_features_);
 
@@ -108,7 +109,7 @@ BinnedDataset BinnedDataset::Create(const DataMatrix& data, int max_bins) {
     for (size_t r = 0; r < out.num_rows_; ++r) {
       const auto it = std::lower_bound(edges.begin(), edges.end(), column[r]);
       HORIZON_DCHECK(it != edges.end());
-      out.codes_[f * out.num_rows_ + r] =
+      out.codes_[r * out.num_features_ + f] =
           static_cast<uint8_t>(it - edges.begin());
     }
   }

@@ -82,7 +82,10 @@ class ExampleBatch {
 /// Each feature is discretized into at most `max_bins` bins delimited by
 /// upper-edge thresholds; bin b holds values v with
 /// upper_edge[b-1] < v <= upper_edge[b].  Codes are uint8_t, so max_bins
-/// must be <= 256.
+/// must be <= 256.  They are stored row-major, like the DataMatrix: the
+/// tree learner's level pass reads one row's codes for a block of features
+/// from one line, and its consecutive histogram updates then land in
+/// different features' histograms.
 class BinnedDataset {
  public:
   /// Builds bins from the data and encodes every row.
@@ -90,7 +93,12 @@ class BinnedDataset {
 
   /// Bin code of (row, feature).
   uint8_t Code(size_t row, size_t feature) const {
-    return codes_[feature * num_rows_ + row];
+    return codes_[row * num_features_ + feature];
+  }
+
+  /// The num_features() contiguous codes of one row.
+  const uint8_t* RowCodes(size_t row) const {
+    return codes_.data() + row * num_features_;
   }
 
   /// Number of bins actually used for a feature (>= 1).
@@ -102,13 +110,14 @@ class BinnedDataset {
 
   size_t num_rows() const { return num_rows_; }
   size_t num_features() const { return num_features_; }
+  /// The `max_bins` the dataset was built with.
+  int max_bins() const { return max_bins_; }
 
  private:
   size_t num_rows_ = 0;
   size_t num_features_ = 0;
-  // codes_ is feature-major (column-contiguous) for cache-friendly
-  // histogram construction.
-  std::vector<uint8_t> codes_;
+  int max_bins_ = 0;
+  std::vector<uint8_t> codes_;  // row-major
   std::vector<std::vector<float>> upper_edges_;  // per feature, ascending
 };
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -23,7 +24,15 @@ GbdtRegressor::GbdtRegressor(GbdtParams params) : params_(std::move(params)) {
 }
 
 void GbdtRegressor::Fit(const DataMatrix& x, const std::vector<double>& y) {
-  FitInternal(x, y, nullptr, nullptr, 0);
+  FitInternal(x, BinnedDataset::Create(x, params_.max_bins), y, nullptr, nullptr, 0);
+}
+
+void GbdtRegressor::Fit(const DataMatrix& x, const BinnedDataset& binned,
+                        const std::vector<double>& y) {
+  HORIZON_CHECK_EQ(binned.num_rows(), x.num_rows());
+  HORIZON_CHECK_EQ(binned.num_features(), x.num_features());
+  HORIZON_CHECK_EQ(binned.max_bins(), params_.max_bins);
+  FitInternal(x, binned, y, nullptr, nullptr, 0);
 }
 
 int GbdtRegressor::FitWithValidation(const DataMatrix& x, const std::vector<double>& y,
@@ -34,11 +43,13 @@ int GbdtRegressor::FitWithValidation(const DataMatrix& x, const std::vector<doub
   HORIZON_CHECK_GT(x_valid.num_rows(), 0u);
   HORIZON_CHECK_EQ(x_valid.num_features(), x.num_features());
   HORIZON_CHECK_GE(early_stopping_rounds, 1);
-  FitInternal(x, y, &x_valid, &y_valid, early_stopping_rounds);
+  FitInternal(x, BinnedDataset::Create(x, params_.max_bins), y, &x_valid, &y_valid,
+              early_stopping_rounds);
   return static_cast<int>(trees_.size());
 }
 
-void GbdtRegressor::FitInternal(const DataMatrix& x, const std::vector<double>& y,
+void GbdtRegressor::FitInternal(const DataMatrix& x, const BinnedDataset& binned,
+                                const std::vector<double>& y,
                                 const DataMatrix* x_valid,
                                 const std::vector<double>* y_valid,
                                 int early_stopping_rounds) {
@@ -48,7 +59,6 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const std::vector<double>& 
   trees_.clear();
   gains_.assign(num_features_, 0.0);
 
-  const BinnedDataset binned = BinnedDataset::Create(x, params_.max_bins);
   TreeLearner learner(binned, params_.tree);
   Rng rng(params_.seed);
 
@@ -58,6 +68,7 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const std::vector<double>& 
 
   std::vector<double> pred(y.size(), base_score_);
   std::vector<double> residual(y.size());
+  for (size_t i = 0; i < y.size(); ++i) residual[i] = y[i] - pred[i];
   std::vector<uint32_t> all_rows(y.size());
   std::iota(all_rows.begin(), all_rows.end(), 0u);
 
@@ -65,14 +76,11 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const std::vector<double>& 
   std::vector<double> valid_pred;
   double best_valid_mse = std::numeric_limits<double>::infinity();
   size_t best_num_trees = 0;
+  std::vector<double> best_gains;  // gains_ after the best_num_trees trees
   int rounds_since_best = 0;
   if (x_valid != nullptr) valid_pred.assign(y_valid->size(), base_score_);
 
   for (int m = 0; m < params_.num_trees; ++m) {
-    ParallelFor(y.size(), kRowGrain, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) residual[i] = y[i] - pred[i];
-    });
-
     std::vector<uint32_t> rows;
     if (params_.subsample < 1.0) {
       rows.reserve(static_cast<size_t>(params_.subsample * y.size()) + 1);
@@ -85,10 +93,12 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const std::vector<double>& 
     }
 
     RegressionTree tree = learner.Fit(rows, residual, &gains_);
-    // Update predictions on ALL rows with the shrunken tree output.
+    // Update predictions on ALL rows with the shrunken tree output, and
+    // the residuals the next tree fits.
     ParallelFor(y.size(), kRowGrain, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         pred[i] += params_.learning_rate * tree.Predict(x.Row(i));
+        residual[i] = y[i] - pred[i];
       }
     });
     trees_.push_back(std::move(tree));
@@ -105,6 +115,7 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const std::vector<double>& 
       if (mse < best_valid_mse) {
         best_valid_mse = mse;
         best_num_trees = trees_.size();
+        best_gains = gains_;
         rounds_since_best = 0;
       } else if (++rounds_since_best >= early_stopping_rounds) {
         break;
@@ -113,6 +124,7 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const std::vector<double>& 
   }
   if (x_valid != nullptr && best_num_trees > 0) {
     trees_.resize(best_num_trees);
+    gains_ = std::move(best_gains);
   }
   flat_ = FlatForest::Compile(trees_, base_score_, params_.learning_rate);
   blocked_ = BlockForest::Compile(flat_);

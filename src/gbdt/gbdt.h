@@ -40,10 +40,16 @@ class GbdtRegressor {
   /// y.size() must equal x.num_rows() (> 0).
   void Fit(const DataMatrix& x, const std::vector<double>& y);
 
+  /// The same fit from x already binned with this model's max_bins, so
+  /// that models trained on one matrix share its binning.
+  void Fit(const DataMatrix& x, const BinnedDataset& binned,
+           const std::vector<double>& y);
+
   /// Fits with early stopping: after each tree, the validation MSE is
   /// evaluated; training stops once it has not improved for
   /// `early_stopping_rounds` consecutive trees, and the ensemble is
-  /// truncated to the best iteration.  Returns the number of trees kept.
+  /// truncated to the best iteration, and its gain importances to those of
+  /// the trees kept.  Returns the number of trees kept.
   int FitWithValidation(const DataMatrix& x, const std::vector<double>& y,
                         const DataMatrix& x_valid, const std::vector<double>& y_valid,
                         int early_stopping_rounds = 10);
@@ -92,7 +98,8 @@ class GbdtRegressor {
   bool Deserialize(const std::string& text);
 
  private:
-  void FitInternal(const DataMatrix& x, const std::vector<double>& y,
+  void FitInternal(const DataMatrix& x, const BinnedDataset& binned,
+                   const std::vector<double>& y,
                    const DataMatrix* x_valid, const std::vector<double>* y_valid,
                    int early_stopping_rounds);
 

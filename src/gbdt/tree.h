@@ -1,4 +1,4 @@
-// Regression tree representation and the histogram-based greedy learner.
+// Regression tree representation and the level-wise histogram learner.
 #ifndef HORIZON_GBDT_TREE_H_
 #define HORIZON_GBDT_TREE_H_
 
@@ -46,11 +46,21 @@ struct TreeParams {
 };
 
 /// Histogram-based greedy learner for squared-error regression on
-/// gradient targets.
+/// gradient targets, grown one depth at a time.
 ///
 /// Fits a tree approximating the targets `grad_targets` (for gradient
 /// boosting these are the negative gradients / residuals); leaf values are
 /// the regularized means  sum(t) / (count + l2_reg).
+///
+/// Each depth is one pass: a ParallelFor over feature blocks builds and
+/// scans the histograms of every splittable node at that depth from the
+/// row-major bin codes, then each node takes its best split serially.  The
+/// trees and gains are those of a depth-first, node-at-a-time search
+/// (tests/reference_tree_learner.h), bit for bit: every bin, node and leaf
+/// sum adds the node's rows in their order, the gain expression and the
+/// first-max tie-break (lowest feature, then lowest bin) are unchanged,
+/// and nodes are numbered and gains accumulated in depth-first order,
+/// right child popped first.  Its working buffers live for one Fit call.
 class TreeLearner {
  public:
   TreeLearner(const BinnedDataset& binned, TreeParams params);
@@ -64,22 +74,6 @@ class TreeLearner {
                      std::vector<double>* gain_out = nullptr) const;
 
  private:
-  struct SplitResult {
-    int feature = -1;
-    int bin = -1;
-    double gain = 0.0;
-  };
-
-  /// Best split of one feature (histogram build + scan); thread-safe.
-  SplitResult BestSplitForFeature(size_t f, const std::vector<uint32_t>& rows,
-                                  double sum,
-                                  const std::vector<double>& grad_targets) const;
-
-  /// Best split across all features; parallelized over features via the
-  /// global thread pool when the work is large enough.  Deterministic.
-  SplitResult FindBestSplit(const std::vector<uint32_t>& rows, double sum,
-                            const std::vector<double>& grad_targets) const;
-
   const BinnedDataset& binned_;
   TreeParams params_;
 };

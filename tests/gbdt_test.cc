@@ -1,13 +1,24 @@
 #include "gbdt/gbdt.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/math_util.h"
 #include "common/rng.h"
+#include "core/hawkes_predictor.h"
+#include "core/trainer.h"
+#include "datagen/generator.h"
+#include "features/extractor.h"
 #include "gbdt/dataset.h"
 #include "gbdt/tree.h"
+#include "reference_tree_learner.h"
 
 namespace horizon::gbdt {
 namespace {
@@ -120,6 +131,138 @@ TEST(TreeLearnerTest, PureTargetsMakeLeaf) {
   for (uint32_t i = 0; i < 50; ++i) rows[i] = i;
   const RegressionTree tree = learner.Fit(rows, y);
   EXPECT_EQ(tree.num_nodes(), 1u);
+}
+
+void ExpectSameBits(const std::vector<double>& got, const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i]), std::bit_cast<uint64_t>(want[i]))
+        << "entry " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+void ExpectSameTree(const RegressionTree& got, const RegressionTree& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (size_t i = 0; i < got.num_nodes(); ++i) {
+    const TreeNode& a = got.nodes()[i];
+    const TreeNode& b = want.nodes()[i];
+    EXPECT_EQ(a.feature, b.feature) << "node " << i;
+    EXPECT_EQ(a.threshold, b.threshold) << "node " << i;
+    EXPECT_EQ(a.left, b.left) << "node " << i;
+    EXPECT_EQ(a.right, b.right) << "node " << i;
+    EXPECT_EQ(a.value, b.value) << "node " << i;
+  }
+}
+
+/// Runs `rounds` boosting rounds in which TreeLearner and the depth-first
+/// reference fit the same residuals on the same row subsample, and expects
+/// every tree and the accumulated gains to match bit for bit.  Residuals
+/// advance with the reference's tree, so a mismatch cannot compound.
+void ExpectMatchesReference(const DataMatrix& x, const std::vector<double>& y,
+                            const TreeParams& params, double subsample,
+                            int max_bins, int rounds) {
+  const BinnedDataset binned = BinnedDataset::Create(x, max_bins);
+  const TreeLearner learner(binned, params);
+  const ReferenceTreeLearner reference(binned, params);
+  const double base = std::accumulate(y.begin(), y.end(), 0.0) / y.size();
+  std::vector<double> pred(y.size(), base), residual(y.size());
+  std::vector<double> gains(x.num_features(), 0.0), want_gains = gains;
+  Rng rng(101);
+  for (int round = 0; round < rounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (size_t i = 0; i < y.size(); ++i) residual[i] = y[i] - pred[i];
+    std::vector<uint32_t> rows;
+    for (uint32_t r = 0; r < y.size(); ++r) {
+      if (subsample >= 1.0 || rng.Bernoulli(subsample)) rows.push_back(r);
+    }
+    const RegressionTree want = reference.Fit(rows, residual, &want_gains);
+    ExpectSameTree(learner.Fit(rows, residual, &gains), want);
+    ExpectSameBits(gains, want_gains);
+    for (size_t i = 0; i < y.size(); ++i) pred[i] += 0.3 * want.Predict(x.Row(i));
+  }
+}
+
+TEST(TreeLearnerTest, MatchesReferenceLearner) {
+  // Columns: repeated values, an exact copy (ties between features), its
+  // mirror, binary, constant, 256 distinct values, small integers and two
+  // continuous columns.  Integer-valued targets make equal gains common.
+  constexpr size_t kRows = 700;
+  Rng rng(41);
+  DataMatrix x(kRows, 9);
+  std::vector<double> smooth(kRows), integer(kRows);
+  std::vector<float> distinct(kRows);
+  for (size_t i = 0; i < kRows; ++i) distinct[i] = static_cast<float>(i % 256);
+  for (size_t i = kRows - 1; i > 0; --i) {
+    std::swap(distinct[i], distinct[rng.UniformInt(i + 1)]);
+  }
+  for (size_t i = 0; i < kRows; ++i) {
+    const float coarse = std::floor(static_cast<float>(rng.Uniform()) * 8.0f) / 8.0f;
+    const float binary = rng.Bernoulli(0.3) ? 1.0f : 0.0f;
+    const float cont = static_cast<float>(rng.Uniform());
+    x.Set(i, 0, coarse);
+    x.Set(i, 1, coarse);
+    x.Set(i, 2, -coarse);
+    x.Set(i, 3, binary);
+    x.Set(i, 4, 2.5f);
+    x.Set(i, 5, distinct[i]);
+    x.Set(i, 6, static_cast<float>(rng.UniformInt(5)));
+    x.Set(i, 7, cont);
+    x.Set(i, 8, static_cast<float>(rng.Normal()));
+    smooth[i] = 3.0 * coarse + 2.0 * binary + std::sin(6.0 * cont) + 0.01 * distinct[i] +
+                rng.Normal(0.0, 0.3);
+    integer[i] = std::round(2.0 * coarse + binary + x.Get(i, 6) / 2.0);
+  }
+  // No features at all: every tree is one leaf.
+  ExpectMatchesReference(DataMatrix(kRows, 0), smooth, TreeParams{}, 0.7, 255, 2);
+  for (const auto* y : {&smooth, &integer}) {
+    for (const int max_depth : {1, 5, 8}) {
+      for (const int min_leaf : {1, 20, static_cast<int>(kRows / 2) + 1}) {
+        for (const double subsample : {1.0, 0.7}) {
+          for (const int max_bins : {255, 256}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (y == &smooth ? "smooth" : "integer") << " depth " << max_depth
+                         << " min_leaf " << min_leaf << " subsample " << subsample
+                         << " max_bins " << max_bins);
+            TreeParams params;
+            params.max_depth = max_depth;
+            params.min_samples_leaf = min_leaf;
+            ExpectMatchesReference(x, *y, params, subsample, max_bins, /*rounds=*/3);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TreeLearnerTest, MatchesReferenceLearnerOnTrainingMatrix) {
+  // bench_e2e's training matrix (2,000 posts on 200 pages, mean cascade 6,
+  // seed 20211215) with the default forest settings, on the count and the
+  // alpha targets.
+  datagen::GeneratorConfig config;
+  config.num_posts = 2000;
+  config.num_pages = 200;
+  config.base_mean_size = 6.0;
+  config.seed = 20211215;
+  const datagen::SyntheticDataset data = datagen::Generator(config).Generate();
+  std::vector<size_t> indices(data.cascades.size());
+  std::iota(indices.begin(), indices.end(), size_t{0});
+  const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+  const core::ExampleSet examples =
+      core::BuildExampleSet(data, indices, extractor, core::ExampleSetOptions{});
+  const core::HawkesPredictorParams defaults;
+  std::vector<double> log_alpha(examples.alpha_targets.size());
+  for (size_t i = 0; i < log_alpha.size(); ++i) {
+    log_alpha[i] =
+        std::log(Clamp(examples.alpha_targets[i], defaults.alpha_min, defaults.alpha_max));
+  }
+  const GbdtParams gbdt = defaults.gbdt_count;
+  SCOPED_TRACE("count target");
+  ExpectMatchesReference(examples.x, examples.log1p_increments[0], gbdt.tree,
+                         gbdt.subsample, gbdt.max_bins, /*rounds=*/4);
+  SCOPED_TRACE("alpha target");
+  ExpectMatchesReference(examples.x, log_alpha, defaults.gbdt_alpha.tree,
+                         defaults.gbdt_alpha.subsample, defaults.gbdt_alpha.max_bins,
+                         /*rounds=*/4);
 }
 
 double TestFunction(double a, double b) {
@@ -306,6 +449,52 @@ TEST(GbdtRegressorTest, EarlyStoppingLimitsTrees) {
   EXPECT_LT(kept, 400);
   EXPECT_EQ(model.trees().size(), static_cast<size_t>(kept));
   EXPECT_TRUE(model.trained());
+}
+
+TEST(GbdtRegressorTest, EarlyStoppedGainImportanceCountsKeptTreesOnly) {
+  // The dropped trees' gains must not count: the early-stopped model's
+  // importances are those of a model fit with num_trees = the kept count.
+  Rng rng(37);
+  const size_t n = 300;
+  DataMatrix x(n, 3), xv(100, 3);
+  std::vector<double> y(n), yv(100);
+  auto fill = [&](DataMatrix& m, std::vector<double>& t, size_t rows) {
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t f = 0; f < 3; ++f) m.Set(i, f, static_cast<float>(rng.Uniform()));
+      t[i] = m.Get(i, 0) + rng.Normal(0.0, 0.5);
+    }
+  };
+  fill(x, y, n);
+  fill(xv, yv, 100);
+  GbdtParams params = SmallParams();
+  params.num_trees = 400;
+  params.subsample = 0.8;
+  params.tree.min_samples_leaf = 2;
+  GbdtRegressor stopped(params);
+  const int kept = stopped.FitWithValidation(x, y, xv, yv, /*early_stopping_rounds=*/8);
+  ASSERT_LT(kept, 400);
+  params.num_trees = kept;
+  GbdtRegressor refit(params);
+  refit.Fit(x, y);
+  ASSERT_EQ(stopped.Serialize(), refit.Serialize());
+  ExpectSameBits(stopped.GainImportance(), refit.GainImportance());
+}
+
+TEST(GbdtRegressorTest, PreBinnedFitMatchesFit) {
+  Rng rng(43);
+  DataMatrix x(500, 3);
+  std::vector<double> y(500);
+  for (size_t i = 0; i < 500; ++i) {
+    for (size_t f = 0; f < 3; ++f) x.Set(i, f, static_cast<float>(rng.Uniform()));
+    y[i] = TestFunction(x.Get(i, 0), x.Get(i, 1));
+  }
+  GbdtParams params = SmallParams();
+  params.subsample = 0.8;
+  GbdtRegressor a(params), b(params);
+  a.Fit(x, y);
+  b.Fit(x, BinnedDataset::Create(x, params.max_bins), y);
+  EXPECT_EQ(a.Serialize(), b.Serialize());
+  ExpectSameBits(a.GainImportance(), b.GainImportance());
 }
 
 TEST(GbdtRegressorTest, EarlyStoppingNoWorseThanFullFitOnValidation) {
