@@ -179,92 +179,13 @@ void HawkesPredictor::PredictChunk(const float* data, size_t num_rows,
   }
 }
 
-namespace {
-
-/// Where PredictStrided finds a batch's rows.
-struct StridedRows {
-  const float* data;
-  size_t row_stride;
-  size_t feat_stride;
-};
-
-StridedRows RowsOf(const gbdt::DataMatrix& x) {
-  return {x.Row(0), x.num_features(), 1};
-}
-
-StridedRows RowsOf(const gbdt::ExampleBatch& x) {
-  return {x.data(), 1, x.feature_stride()};
-}
-
-}  // namespace
-
-template <typename Matrix>
-void HawkesPredictor::PredictBatchInto(const Matrix& x, const double* deltas,
-                                       double* increments, double* alphas) const {
-  HORIZON_CHECK_EQ(x.num_features(), g_model_.num_features());
-  if (x.num_rows() == 0) return;
-  const StridedRows rows = RowsOf(x);
-  PredictStrided(rows.data, x.num_rows(), rows.row_stride, rows.feat_stride, deltas,
-                 increments, alphas);
-}
-
-template <typename Matrix>
-std::vector<double> HawkesPredictor::PredictIncrementBatchImpl(
-    const Matrix& x, const double* deltas, std::vector<double>* alphas_out) const {
-  std::vector<double> out(x.num_rows());
-  if (alphas_out != nullptr) alphas_out->resize(x.num_rows());
-  PredictBatchInto(x, deltas, out.data(),
-                   alphas_out == nullptr ? nullptr : alphas_out->data());
-  return out;
-}
-
-std::vector<double> HawkesPredictor::PredictAlphaBatch(
-    const gbdt::DataMatrix& x) const {
-  std::vector<double> alphas(x.num_rows());
-  PredictBatchInto(x, nullptr, nullptr, alphas.data());
-  return alphas;
-}
-
-std::vector<double> HawkesPredictor::PredictAlphaBatch(
-    const gbdt::ExampleBatch& x) const {
-  std::vector<double> alphas(x.num_rows());
-  PredictBatchInto(x, nullptr, nullptr, alphas.data());
-  return alphas;
-}
-
-std::vector<double> HawkesPredictor::PredictIncrementBatch(
-    const gbdt::DataMatrix& x, const std::vector<double>& deltas,
-    std::vector<double>* alphas_out) const {
-  HORIZON_CHECK_EQ(deltas.size(), x.num_rows());
-  return PredictIncrementBatchImpl(x, deltas.data(), alphas_out);
-}
-
-std::vector<double> HawkesPredictor::PredictIncrementBatch(
-    const gbdt::ExampleBatch& x, const std::vector<double>& deltas,
-    std::vector<double>* alphas_out) const {
-  HORIZON_CHECK_EQ(deltas.size(), x.num_rows());
-  return PredictIncrementBatchImpl(x, deltas.data(), alphas_out);
-}
-
-std::vector<double> HawkesPredictor::PredictIncrementBatch(
-    const gbdt::DataMatrix& x, double delta) const {
-  const std::vector<double> deltas(x.num_rows(), delta);
-  return PredictIncrementBatchImpl(x, deltas.data(), nullptr);
-}
-
 std::vector<double> HawkesPredictor::PredictIncrementBatch(
     const gbdt::ExampleBatch& x, double delta) const {
+  HORIZON_CHECK_EQ(x.num_features(), g_model_.num_features());
   const std::vector<double> deltas(x.num_rows(), delta);
-  return PredictIncrementBatchImpl(x, deltas.data(), nullptr);
-}
-
-std::vector<double> HawkesPredictor::PredictCountBatch(
-    const gbdt::DataMatrix& x, const std::vector<double>& n_s,
-    const std::vector<double>& deltas,
-    std::vector<double>* alphas_out) const {
-  HORIZON_CHECK_EQ(n_s.size(), x.num_rows());
-  std::vector<double> out = PredictIncrementBatch(x, deltas, alphas_out);
-  for (size_t i = 0; i < out.size(); ++i) out[i] += n_s[i];
+  std::vector<double> out(x.num_rows());
+  PredictStrided(x.data(), x.num_rows(), 1, x.feature_stride(), deltas.data(),
+                 out.data(), nullptr);
   return out;
 }
 
@@ -272,8 +193,13 @@ std::vector<double> HawkesPredictor::PredictCountBatch(
     const gbdt::ExampleBatch& x, const std::vector<double>& n_s,
     const std::vector<double>& deltas,
     std::vector<double>* alphas_out) const {
+  HORIZON_CHECK_EQ(x.num_features(), g_model_.num_features());
   HORIZON_CHECK_EQ(n_s.size(), x.num_rows());
-  std::vector<double> out = PredictIncrementBatch(x, deltas, alphas_out);
+  HORIZON_CHECK_EQ(deltas.size(), x.num_rows());
+  std::vector<double> out(x.num_rows());
+  if (alphas_out != nullptr) alphas_out->resize(x.num_rows());
+  PredictStrided(x.data(), x.num_rows(), 1, x.feature_stride(), deltas.data(),
+                 out.data(), alphas_out == nullptr ? nullptr : alphas_out->data());
   for (size_t i = 0; i < out.size(); ++i) out[i] += n_s[i];
   return out;
 }

@@ -66,56 +66,35 @@ class HawkesPredictor {
   double PredictAlpha(const float* row) const;
 
   // --- Batch inference -------------------------------------------------
-  // Every batch call runs PredictStrided: 256-row chunks under one
-  // ParallelFor, each chunk walking the alpha forest and the m count
-  // forests (runtime-dispatched scalar/AVX2 blocked kernels) and
-  // applying the transfer formula on the thread that claimed it.  Results
-  // are bit-identical to the per-row calls above.  Every method takes
-  // either a row-major DataMatrix or a column-major ExampleBatch -- the
-  // SoA layout the feature extractor fills in place, which reaches the
-  // SIMD kernels without transposition.
 
-  /// The routine under every batch call.  Rows are laid out at
-  /// data[r*row_stride + f*feat_stride]; row r's predicted increment over
-  /// deltas[r] goes to increments[r] and its alpha_hat to alphas[r].
-  /// `alphas` may be null; so may `increments`, in which case only the
-  /// alpha forest is walked and `deltas` is not read.  Up to 256 rows run
-  /// on the calling thread with stack scratch and allocate nothing; the
-  /// forests are walked through the instrument-free
-  /// GbdtRegressor::PredictStrided, and every row each forest scores is
-  /// counted in horizon_gbdt_rows_scored_total.
+  /// The one batch routine.  Rows are laid out at
+  /// data[r*row_stride + f*feat_stride]: row-major rows pass
+  /// (num_features, 1), a column-major block such as the one the feature
+  /// extractor fills in place passes (1, num_rows).  Row r's predicted
+  /// increment over deltas[r] goes to increments[r] and its alpha_hat to
+  /// alphas[r].  `alphas` may be null; so may `increments`, in which case
+  /// only the alpha forest is walked and `deltas` is not read.  The rows
+  /// are cut into 256-row chunks under one ParallelFor; each chunk walks
+  /// the alpha forest and the m count forests through the instrument-free
+  /// GbdtRegressor::PredictStrided and applies the transfer formula on
+  /// the thread that claimed it.  Up to 256 rows run on the calling thread
+  /// with stack scratch and allocate nothing.  Every row each forest
+  /// scores is counted in horizon_gbdt_rows_scored_total.  Results are
+  /// bit-identical to the per-row calls above.
   void PredictStrided(const float* data, size_t num_rows, size_t row_stride,
                       size_t feat_stride, const double* deltas,
                       double* increments, double* alphas) const;
 
-  /// Predicted alpha_hat for every row of `x`.
-  std::vector<double> PredictAlphaBatch(const gbdt::DataMatrix& x) const;
-  std::vector<double> PredictAlphaBatch(const gbdt::ExampleBatch& x) const;
+  // PredictStrided over a column-major batch.  Only bench_e2e's replays
+  // and tests call these two.
 
-  /// Predicted increments, one per row; deltas.size() must equal
-  /// x.num_rows().  When `alphas_out` is non-null it receives the per-row
-  /// alpha_hat values the transfer formula used -- the alpha forest is
-  /// walked once either way, so callers that need both should pass it
-  /// rather than calling PredictAlphaBatch separately.
-  std::vector<double> PredictIncrementBatch(
-      const gbdt::DataMatrix& x, const std::vector<double>& deltas,
-      std::vector<double>* alphas_out = nullptr) const;
-  std::vector<double> PredictIncrementBatch(
-      const gbdt::ExampleBatch& x, const std::vector<double>& deltas,
-      std::vector<double>* alphas_out = nullptr) const;
-
-  /// Predicted increments over a single shared horizon.
-  std::vector<double> PredictIncrementBatch(const gbdt::DataMatrix& x,
-                                            double delta) const;
+  /// Predicted increments over one shared horizon, one per row.
   std::vector<double> PredictIncrementBatch(const gbdt::ExampleBatch& x,
                                             double delta) const;
 
-  /// Predicted total counts: n_s[i] + increment for row i over deltas[i].
-  /// `alphas_out` as in PredictIncrementBatch.
-  std::vector<double> PredictCountBatch(
-      const gbdt::DataMatrix& x, const std::vector<double>& n_s,
-      const std::vector<double>& deltas,
-      std::vector<double>* alphas_out = nullptr) const;
+  /// Predicted total counts: n_s[i] + the increment of row i over
+  /// deltas[i].  `alphas_out`, when non-null, receives each row's
+  /// alpha_hat.
   std::vector<double> PredictCountBatch(
       const gbdt::ExampleBatch& x, const std::vector<double>& n_s,
       const std::vector<double>& deltas,
@@ -161,15 +140,6 @@ class HawkesPredictor {
                        size_t m) const;
   double TransferTerms(double term_sum, double alpha_hat, double delta,
                        size_t m) const;
-
-  // Layout-generic batch implementations (DataMatrix / ExampleBatch).
-  template <typename Matrix>
-  void PredictBatchInto(const Matrix& x, const double* deltas,
-                        double* increments, double* alphas) const;
-  template <typename Matrix>
-  std::vector<double> PredictIncrementBatchImpl(
-      const Matrix& x, const double* deltas,
-      std::vector<double>* alphas_out) const;
 
   HawkesPredictorParams params_;
   bool trained_ = false;

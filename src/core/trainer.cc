@@ -59,7 +59,7 @@ ExampleSet BuildExampleSet(const datagen::SyntheticDataset& dataset,
       const double s = pred_times[e];
 
       const auto snapshot = extractor.ReplaySnapshot(cascade, s);
-      extractor.ExtractInto(page, cascade.post, snapshot, out.x.MutableRow(e));
+      extractor.ExtractIntoStrided(page, cascade.post, snapshot, out.x.MutableRow(e), 1);
 
       for (size_t i = 0; i < num_horizons; ++i) {
         const double inc = TrueIncrement(cascade, s, options.reference_horizons[i]);

@@ -186,7 +186,11 @@ void EmitTemporal(const TrackerSnapshot& snap, const TrackerConfig& cfg,
 }  // namespace
 
 FeatureExtractor::FeatureExtractor(const stream::TrackerConfig& tracker_config)
-    : tracker_layout_(std::make_shared<const stream::TrackerLayout>(tracker_config)) {
+    : tracker_layout_(std::make_shared<const stream::TrackerLayout>(tracker_config)),
+      extract_latency_(obs::MetricsRegistry::Global().GetHistogram(
+          "horizon_features_extract_latency_seconds")),
+      rows_extracted_(obs::MetricsRegistry::Global().GetCounter(
+          "horizon_features_rows_extracted_total")) {
   // Walk the schema over dummy inputs; only the names and categories count.
   std::vector<FeatureDef> statics;
   EmitStatic(datagen::PageProfile{}, datagen::PostProfile{},
@@ -220,15 +224,8 @@ std::vector<float> FeatureExtractor::Extract(const datagen::PageProfile& page,
                                              const stream::TrackerSnapshot& snapshot)
     const {
   std::vector<float> out(schema_.size());
-  ExtractInto(page, post, snapshot, out.data());
+  ExtractIntoStrided(page, post, snapshot, out.data(), 1);
   return out;
-}
-
-void FeatureExtractor::ExtractInto(const datagen::PageProfile& page,
-                                   const datagen::PostProfile& post,
-                                   const stream::TrackerSnapshot& snapshot,
-                                   float* out) const {
-  ExtractIntoStrided(ExtractStatic(page, post), snapshot, out, 1);
 }
 
 void FeatureExtractor::ExtractIntoStrided(const datagen::PageProfile& page,
@@ -246,14 +243,8 @@ void FeatureExtractor::ExtractIntoStrided(const StaticFeatures& statics,
   // warm loop, and ~1.2 us as features.extract_us of `bench_e2e --trace 1`
   // (a profile-taking replay over a 10^5-item corpus).  So the trace hook
   // is a sampled latency probe plus a wait-free row counter.
-  static obs::Histogram* const extract_latency =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "horizon_features_extract_latency_seconds");
-  static obs::Counter* const rows_extracted =
-      obs::MetricsRegistry::Global().GetCounter(
-          "horizon_features_rows_extracted_total");
-  const obs::ScopedTimer timer(obs::SampleEvery(64, extract_latency));
-  rows_extracted->Increment();
+  const obs::ScopedTimer timer(obs::SampleEvery(64, extract_latency_));
+  rows_extracted_->Increment();
   size_t i = 0;
   const auto put = [&](float value) {
     HORIZON_DCHECK(std::isfinite(value));

@@ -13,6 +13,7 @@
 #include "datagen/cascade.h"
 #include "datagen/profiles.h"
 #include "features/schema.h"
+#include "obs/metrics.h"
 #include "stream/cascade_tracker.h"
 
 namespace horizon::features {
@@ -29,7 +30,10 @@ inline constexpr size_t kStaticHead = 29;
 using StaticFeatures = std::array<float, kNumStaticFeatures>;
 
 /// Stateless feature extractor; the schema is fixed at construction from
-/// the tracker configuration (window/landmark layouts).
+/// the tracker configuration (window/landmark layouts).  The constructor
+/// also registers the extraction instruments in
+/// obs::MetricsRegistry::Global(), so that no extraction takes the
+/// registry lock: RetireDeadItems extracts under a shard lock.
 class FeatureExtractor {
  public:
   explicit FeatureExtractor(const stream::TrackerConfig& tracker_config);
@@ -48,18 +52,13 @@ class FeatureExtractor {
                              const datagen::PostProfile& post,
                              const stream::TrackerSnapshot& snapshot) const;
 
-  /// Extracts into a caller-provided buffer of schema().size() floats —
-  /// the allocation-free form used by the batch/serving hot paths.
-  /// Thread-safe: the extractor is immutable after construction.
-  void ExtractInto(const datagen::PageProfile& page,
-                   const datagen::PostProfile& post,
-                   const stream::TrackerSnapshot& snapshot, float* out) const;
-
-  /// Strided form: feature i is written to out[i * stride].  With
-  /// stride = batch.feature_stride() and out = batch.MutableRowBase(row)
-  /// this fills one row of a column-major gbdt::ExampleBatch in place, so
-  /// batches reach the SIMD inference kernels without a transposition
-  /// pass.  ExtractInto is the stride-1 case.
+  /// Extracts into a caller-provided buffer without allocating: feature i
+  /// is written to out[i * stride].  Stride 1 fills one row-major row;
+  /// with stride = batch.feature_stride() and out =
+  /// batch.MutableRowBase(row) it fills one row of a column-major
+  /// gbdt::ExampleBatch in place, so batches reach the SIMD inference
+  /// kernels without a transposition pass.  Thread-safe: the extractor is
+  /// immutable after construction.
   void ExtractIntoStrided(const datagen::PageProfile& page,
                           const datagen::PostProfile& post,
                           const stream::TrackerSnapshot& snapshot, float* out,
@@ -87,6 +86,8 @@ class FeatureExtractor {
  private:
   std::shared_ptr<const stream::TrackerLayout> tracker_layout_;
   FeatureSchema schema_;
+  obs::Histogram* extract_latency_;  ///< sampled 1 in 64
+  obs::Counter* rows_extracted_;
 };
 
 }  // namespace horizon::features

@@ -6,19 +6,10 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "gbdt/forest_kernels.h"
 #include "gbdt/simd_dispatch.h"
-#include "obs/metrics.h"
 
 namespace horizon::gbdt {
-
-namespace {
-
-/// Minimum rows per ParallelFor chunk (matches FlatForest::PredictBatch).
-constexpr size_t kParallelGrain = 256;
-
-}  // namespace
 
 BlockForest BlockForest::Compile(const FlatForest& flat) {
   BlockForest out;
@@ -135,50 +126,6 @@ void BlockForest::PredictStrided(const float* data, size_t num_rows,
                                   feat_stride, out);
       break;
   }
-}
-
-std::vector<double> BlockForest::PredictBatch(const DataMatrix& x) const {
-  // Same process-wide inference instruments as FlatForest::PredictBatch;
-  // the two batch paths are alternatives behind GbdtRegressor.
-  static obs::Histogram* const batch_latency =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "horizon_gbdt_batch_inference_latency_seconds");
-  static obs::Counter* const rows_scored =
-      obs::MetricsRegistry::Global().GetCounter(
-          "horizon_gbdt_rows_scored_total");
-  const obs::ScopedTimer timer(batch_latency);
-  rows_scored->Add(x.num_rows());
-  std::vector<double> out(x.num_rows());
-  if (x.num_rows() == 0) return out;
-  const float* rows = x.Row(0);
-  const size_t stride = x.num_features();
-  ParallelFor(x.num_rows(), kParallelGrain, [&](size_t begin, size_t end) {
-    PredictStrided(rows + begin * stride, end - begin, stride, 1,
-                   out.data() + begin);
-  });
-  return out;
-}
-
-std::vector<double> BlockForest::PredictBatch(const ExampleBatch& x) const {
-  static obs::Histogram* const batch_latency =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "horizon_gbdt_batch_inference_latency_seconds");
-  static obs::Counter* const rows_scored =
-      obs::MetricsRegistry::Global().GetCounter(
-          "horizon_gbdt_rows_scored_total");
-  const obs::ScopedTimer timer(batch_latency);
-  rows_scored->Add(x.num_rows());
-  std::vector<double> out(x.num_rows());
-  if (x.num_rows() == 0) return out;
-  // Column-major SoA: row r starts at data()[r], features are
-  // feature_stride() apart -- fed to the kernels with no transposition.
-  const float* base = x.data();
-  const size_t feat_stride = x.feature_stride();
-  ParallelFor(x.num_rows(), kParallelGrain, [&](size_t begin, size_t end) {
-    PredictStrided(base + begin, end - begin, 1, feat_stride,
-                   out.data() + begin);
-  });
-  return out;
 }
 
 }  // namespace horizon::gbdt

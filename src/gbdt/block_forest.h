@@ -31,7 +31,7 @@
 // Cost: padding a tree to depth D wastes slots when the tree is
 // unbalanced, bounded by the trained max_depth (default 5; 2^5 = 32
 // leaf slots per tree).  Ensembles deeper than kMaxBlockedDepth do not
-// compile; callers fall back to the FlatForest path.
+// compile; GbdtRegressor then walks the FlatForest instead.
 #ifndef HORIZON_GBDT_BLOCK_FOREST_H_
 #define HORIZON_GBDT_BLOCK_FOREST_H_
 
@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "gbdt/dataset.h"
 #include "gbdt/flat_forest.h"
 
 namespace horizon::gbdt {
@@ -72,16 +71,12 @@ class BlockForest {
   /// the runtime-dispatched kernel (scalar/AVX2 per simd_dispatch.h),
   /// writing out[0..num_rows).  Batches narrower than
   /// kernels::kSmallBatchRows take the scalar kernel under every flavor.
-  /// Runs on the calling thread.
+  /// Runs on the calling thread; the one entry point to the blocked
+  /// kernels, reached through GbdtRegressor::PredictStrided.
   /// Row-major matrices pass (num_features, 1); column-major SoA batches
   /// pass (1, num_rows).
   void PredictStrided(const float* data, size_t num_rows, size_t row_stride,
                       size_t feat_stride, double* out) const;
-
-  /// Predicts every row, parallelized over row ranges via the global
-  /// thread pool.
-  std::vector<double> PredictBatch(const DataMatrix& x) const;
-  std::vector<double> PredictBatch(const ExampleBatch& x) const;
 
   // --- Raw node pools ----------------------------------------------------
   // For the traversal kernels in src/gbdt; enforced out of bounds

@@ -59,18 +59,6 @@ float* ExampleBatch::MutableRowBase(size_t row) {
   return values_.data() + row;
 }
 
-const float* ExampleBatch::Column(size_t feature) const {
-  HORIZON_DCHECK(feature < num_features_);
-  return values_.data() + feature * num_rows_;
-}
-
-void ExampleBatch::CopyRowTo(size_t row, float* out) const {
-  HORIZON_DCHECK(row < num_rows_);
-  for (size_t f = 0; f < num_features_; ++f) {
-    out[f] = values_[f * num_rows_ + row];
-  }
-}
-
 BinnedDataset BinnedDataset::Create(const DataMatrix& data, int max_bins) {
   HORIZON_CHECK(max_bins >= 2 && max_bins <= 256);
   BinnedDataset out;

@@ -44,9 +44,8 @@ class DataMatrix {
 /// Feature f of row r lives at data()[f * feature_stride() + r], so one
 /// feature's values across the whole batch are contiguous.  Feature
 /// extraction writes each example straight into its column slots
-/// (FeatureExtractor::ExtractIntoStrided), which feeds the traversal
-/// kernels without any transposition step, and per-feature passes
-/// (quantization, binning) stream sequentially.
+/// (FeatureExtractor::ExtractIntoStrided), and the kernels read it through
+/// PredictStrided with strides (1, num_rows): no transposition step.
 class ExampleBatch {
  public:
   ExampleBatch() = default;
@@ -58,13 +57,6 @@ class ExampleBatch {
   /// Base pointer for writing one example: feature f of this row goes to
   /// base[f * feature_stride()].  Pairs with ExtractIntoStrided.
   float* MutableRowBase(size_t row);
-
-  /// Pointer to the contiguous column of one feature (num_rows floats).
-  const float* Column(size_t feature) const;
-
-  /// Copies row `row` into out[0..num_features) (row-major order) -- the
-  /// escape hatch for per-row consumers such as single-row Predict.
-  void CopyRowTo(size_t row, float* out) const;
 
   const float* data() const { return values_.data(); }
   size_t feature_stride() const { return num_rows_; }

@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
-#include "obs/metrics.h"
 
 namespace horizon::gbdt {
 
@@ -15,10 +13,6 @@ namespace {
 /// traversal state stays in L1, large enough to amortize streaming the
 /// node pool across rows.
 constexpr size_t kBlockRows = 64;
-
-/// Minimum rows per ParallelFor chunk; below this the dispatch overhead
-/// outweighs the work.
-constexpr size_t kParallelGrain = 256;
 
 }  // namespace
 
@@ -113,27 +107,6 @@ void FlatForest::PredictStrided(const float* data, size_t num_rows,
       }
     }
   }
-}
-
-std::vector<double> FlatForest::PredictBatch(const DataMatrix& x) const {
-  // Process-wide inference instruments; resolved once, wait-free after.
-  static obs::Histogram* const batch_latency =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "horizon_gbdt_batch_inference_latency_seconds");
-  static obs::Counter* const rows_scored =
-      obs::MetricsRegistry::Global().GetCounter("horizon_gbdt_rows_scored_total");
-  const obs::ScopedTimer timer(batch_latency);
-  rows_scored->Add(x.num_rows());
-  std::vector<double> out(x.num_rows());
-  if (x.num_rows() == 0) return out;
-  const float* rows = x.Row(0);
-  const size_t stride = x.num_features();
-  ParallelFor(x.num_rows(), kParallelGrain,
-              [&](size_t begin, size_t end) {
-                PredictStrided(rows + begin * stride, end - begin, stride, 1,
-                               out.data() + begin);
-              });
-  return out;
 }
 
 }  // namespace horizon::gbdt

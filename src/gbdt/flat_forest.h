@@ -5,12 +5,15 @@
 // structure-of-arrays node pool (split feature, threshold, left-child
 // index; sibling children are adjacent so only the left index is stored).
 // Traversal touches four parallel arrays that stay resident in cache, and
-// PredictBatch walks rows in blocks tree-by-tree so the node pool is
+// PredictStrided walks rows in blocks tree-by-tree so the node pool is
 // streamed once per block instead of once per row.
 //
-// Predictions are bit-identical to the per-row GbdtRegressor::Predict
-// path: the accumulation order (base score, then trees in boosting order,
-// each scaled by the learning rate) is preserved exactly.
+// Inference normally runs the BlockForest kernels.  The depth-first walk
+// stays as the reference they are checked against (the DST reference
+// model scores every row through Predict) and as GbdtRegressor's fallback
+// for ensembles too deep to block.  Predictions are bit-identical to the
+// blocked kernels: the accumulation order (base score, then trees in
+// boosting order, each scaled by the learning rate) is preserved exactly.
 #ifndef HORIZON_GBDT_FLAT_FOREST_H_
 #define HORIZON_GBDT_FLAT_FOREST_H_
 
@@ -18,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "gbdt/dataset.h"
 #include "gbdt/tree.h"
 
 namespace horizon::gbdt {
@@ -48,10 +50,6 @@ class FlatForest {
   /// kernel).
   void PredictStrided(const float* data, size_t num_rows, size_t row_stride,
                       size_t feat_stride, double* out) const;
-
-  /// Predicts every row of a matrix, parallelized over row ranges via the
-  /// global thread pool.
-  std::vector<double> PredictBatch(const DataMatrix& x) const;
 
   // --- Raw node pools ----------------------------------------------------
   // For the blocked-layout compiler (BlockForest) and the traversal

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 
 namespace horizon::gbdt {
 
@@ -15,6 +16,8 @@ namespace {
 /// Row ranges below this size are updated serially; the per-chunk dispatch
 /// cost is not worth it.
 constexpr size_t kRowGrain = 1024;
+/// Rows per PredictBatch chunk.
+constexpr size_t kPredictGrain = 256;
 }  // namespace
 
 GbdtRegressor::GbdtRegressor(GbdtParams params) : params_(std::move(params)) {
@@ -148,21 +151,21 @@ void GbdtRegressor::PredictStrided(const float* data, size_t num_rows,
   }
 }
 
-std::vector<double> GbdtRegressor::PredictBatch(const DataMatrix& x) const {
-  HORIZON_CHECK_EQ(x.num_features(), num_features_);
-  // The blocked layout is bit-identical to the flat walk; the flat path
-  // only serves over-deep ensembles the blocked compiler refused.
-  if (blocked_.compiled()) return blocked_.PredictBatch(x);
-  return flat_.PredictBatch(x);
-}
-
 std::vector<double> GbdtRegressor::PredictBatch(const ExampleBatch& x) const {
+  static obs::Histogram* const batch_latency =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "horizon_gbdt_batch_inference_latency_seconds");
+  static obs::Counter* const rows_scored =
+      obs::MetricsRegistry::Global().GetCounter("horizon_gbdt_rows_scored_total");
   HORIZON_CHECK_EQ(x.num_features(), num_features_);
-  if (blocked_.compiled()) return blocked_.PredictBatch(x);
-  // Over-deep fallback: materialize rows for the flat kernel.
-  DataMatrix rows(x.num_rows(), x.num_features());
-  for (size_t r = 0; r < x.num_rows(); ++r) x.CopyRowTo(r, rows.MutableRow(r));
-  return flat_.PredictBatch(rows);
+  const obs::ScopedTimer timer(batch_latency);
+  rows_scored->Add(x.num_rows());
+  std::vector<double> out(x.num_rows());
+  ParallelFor(x.num_rows(), kPredictGrain, [&](size_t begin, size_t end) {
+    PredictStrided(x.data() + begin, end - begin, 1, x.feature_stride(),
+                   out.data() + begin);
+  });
+  return out;
 }
 
 std::vector<double> GbdtRegressor::GainImportance() const {

@@ -29,9 +29,10 @@ struct GbdtParams {
 /// Trained gradient-boosted regression model.
 ///
 /// Training:  GbdtRegressor model(params);  model.Fit(x, y);
-/// Inference: model.Predict(row_ptr)  -- O(num_trees * depth), constant in
-/// any notion of "history length", which is what the paper's Fig. 2
-/// computation-cost claim rests on.
+/// Inference: model.Predict(row_ptr), or PredictStrided over a batch --
+/// O(num_trees * depth) per row, constant in any notion of "history
+/// length", which is what the paper's Fig. 2 computation-cost claim
+/// rests on.
 class GbdtRegressor {
  public:
   explicit GbdtRegressor(GbdtParams params = {});
@@ -54,27 +55,26 @@ class GbdtRegressor {
                         const DataMatrix& x_valid, const std::vector<double>& y_valid,
                         int early_stopping_rounds = 10);
 
-  /// Predicts one dense feature row (size num_features) through the
-  /// blocked forest's scalar kernel; the flat forest serves only
-  /// ensembles too deep to block.  Bit-identical either way.
+  /// Predicts one dense feature row (size num_features): PredictStrided
+  /// over one row.
   double Predict(const float* row) const;
 
-  /// Predicts rows laid out at data[r*row_stride + f*feat_stride] into
-  /// out[0..num_rows) on the calling thread: the blocked kernel
-  /// BlockForest::PredictStrided dispatches to, or the flat walk for
-  /// over-deep ensembles.  Touches no instrument; HawkesPredictor walks
-  /// every forest through it.  Bit-identical to per-row Predict.
+  /// The one batch routine: predicts rows laid out at
+  /// data[r*row_stride + f*feat_stride] into out[0..num_rows) on the
+  /// calling thread, through the blocked kernel BlockForest::PredictStrided
+  /// dispatches to, or the flat walk for ensembles too deep to block.
+  /// Row-major rows pass (num_features, 1), column-major ones
+  /// (1, num_rows).  Touches no instrument; HawkesPredictor walks every
+  /// forest through it.  Bit-identical to per-row Predict.
   void PredictStrided(const float* data, size_t num_rows, size_t row_stride,
                       size_t feat_stride, double* out) const;
 
-  /// Predicts every row of a matrix through the vectorized blocked-forest
-  /// kernel (runtime-dispatched scalar/AVX2; falls back to the flat
-  /// forest for over-deep ensembles).  Bit-identical to per-row Predict.
-  std::vector<double> PredictBatch(const DataMatrix& x) const;
-
-  /// Same contract over a column-major SoA batch -- the feature extractor
-  /// writes this layout directly, so serving feeds the kernels with
-  /// no transposition.
+  /// PredictStrided over every row of a column-major batch, 256 rows per
+  /// ParallelFor chunk.  The only call that observes
+  /// horizon_gbdt_batch_inference_latency_seconds, and the only
+  /// GbdtRegressor call that adds to horizon_gbdt_rows_scored_total
+  /// (HawkesPredictor::PredictStrided adds the rows of the forests it
+  /// walks).  Only bench_e2e's replays and tests call it.
   std::vector<double> PredictBatch(const ExampleBatch& x) const;
 
   /// Total split gain attributed to each feature during training

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -71,9 +72,11 @@ struct Resolved {
   features::StaticFeatures statics;
 };
 
-/// AnswerIds' working storage, one per thread and reused across calls, so
-/// a thread's point queries allocate nothing once the first has sized it.
-struct IdScratch {
+/// The items a query resolved under the shard locks, and what
+/// ExtractAndScore makes of them.  AnswerIds keeps one per thread and
+/// reuses it, so a thread's point queries allocate nothing once the first
+/// has sized it.
+struct Scratch {
   std::vector<Resolved> resolved;
   /// Column-major: feature f of resolved row r at [f * rows + r].
   std::vector<float> features;
@@ -85,6 +88,33 @@ struct IdScratch {
 /// Calls with more ids than this free the scratch storage they grew, so a
 /// thread keeps under 1 MB (~1.5 KB per row) between calls.
 constexpr size_t kKeptScratchRows = 256;
+
+/// The extract-and-score step of AnswerIds and ShardScanTopK, run outside
+/// the shard locks: extracts every resolved item into one column-major
+/// block, which the SIMD kernels read without a transposition pass, and
+/// predicts all of them over `delta` in one PredictStrided pass that
+/// yields each row's increment and alpha_hat together.
+void ExtractAndScore(const features::FeatureExtractor& extractor,
+                     const core::HawkesPredictor& model, double delta,
+                     Scratch* scratch) {
+  // The forests index features by position, so a model trained on
+  // another schema must not get here.
+  const size_t rows = scratch->resolved.size();
+  const size_t width = extractor.schema().size();
+  HORIZON_CHECK_EQ(width, model.alpha_model().num_features());
+  scratch->features.resize(rows * width);
+  for (size_t r = 0; r < rows; ++r) {
+    const Resolved& item = scratch->resolved[r];
+    extractor.ExtractIntoStrided(item.statics, item.snapshot,
+                                 scratch->features.data() + r, rows);
+  }
+  scratch->deltas.assign(rows, delta);
+  scratch->increments.resize(rows);
+  scratch->alphas.resize(rows);
+  model.PredictStrided(scratch->features.data(), rows, 1, rows,
+                       scratch->deltas.data(), scratch->increments.data(),
+                       scratch->alphas.data());
+}
 
 }  // namespace
 
@@ -338,7 +368,7 @@ size_t PredictionService::IngestBatch(const std::vector<IngestEvent>& events) {
 void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
                                   double delta, Status* statuses,
                                   PredictionResult* results) const {
-  thread_local IdScratch scratch;
+  thread_local Scratch scratch;
   scratch.resolved.clear();
   for (size_t i = 0; i < ids.size(); ++i) {
     const Shard& shard = *shards_[ShardOf(ids[i])];
@@ -356,25 +386,7 @@ void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
   }
   const size_t rows = scratch.resolved.size();
   if (rows == 0) return;
-
-  // Extraction and inference run outside the shard locks.  The extractor
-  // writes the column-major block in place (strided emit), so the SIMD
-  // kernels read it without a transposition pass.  They index features by
-  // position, so a model trained on another schema must not get here.
-  const size_t width = extractor_->schema().size();
-  HORIZON_CHECK_EQ(width, model_->alpha_model().num_features());
-  scratch.features.resize(rows * width);
-  for (size_t r = 0; r < rows; ++r) {
-    const Resolved& item = scratch.resolved[r];
-    extractor_->ExtractIntoStrided(item.statics, item.snapshot,
-                                   scratch.features.data() + r, rows);
-  }
-  scratch.deltas.assign(rows, delta);
-  scratch.increments.resize(rows);
-  scratch.alphas.resize(rows);
-  model_->PredictStrided(scratch.features.data(), rows, 1, rows,
-                         scratch.deltas.data(), scratch.increments.data(),
-                         scratch.alphas.data());
+  ExtractAndScore(*extractor_, *model_, delta, &scratch);
   for (size_t i = 0, r = 0; i < ids.size(); ++i) {
     if (!statuses[i].ok()) continue;
     const double observed =
@@ -382,7 +394,7 @@ void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
     results[i] = {observed, observed + scratch.increments[r], scratch.alphas[r]};
     ++r;
   }
-  if (rows > kKeptScratchRows) scratch = IdScratch();
+  if (rows > kKeptScratchRows) scratch = Scratch();
 }
 
 void PredictionService::CountAnswered(size_t n) const {
@@ -430,51 +442,36 @@ StatusOr<QueryResponse> PredictionService::QueryByIds(
 
 std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     const Shard& shard, double s, double delta, size_t k) const {
-  struct Candidate {
-    int64_t id;
-    Resolved item;
-  };
-  std::vector<Candidate> candidates;
+  Scratch scratch;
+  std::vector<int64_t> ids;
   {
     MutexLock lock(shard.mu);
-    candidates.reserve(shard.items.size());
+    scratch.resolved.reserve(shard.items.size());
+    ids.reserve(shard.items.size());
     for (const auto& [id, item] : shard.items) {
       if (s < item.tracker.creation_time()) continue;  // not yet live
-      candidates.push_back({id, {item.tracker.Snapshot(s), item.statics}});
+      ids.push_back(id);
+      scratch.resolved.push_back({item.tracker.Snapshot(s), item.statics});
     }
   }
-  if (candidates.empty()) return {};
+  if (ids.empty()) return {};
+  ExtractAndScore(*extractor_, *model_, delta, &scratch);
 
-  // Batch the whole shard through the vectorized forests in one pass,
-  // extracting straight into the SoA layout the kernels read.
-  const size_t width = extractor_->schema().size();
-  gbdt::ExampleBatch x(candidates.size(), width);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const Resolved& item = candidates[i].item;
-    extractor_->ExtractIntoStrided(item.statics, item.snapshot,
-                                   x.MutableRowBase(i), x.feature_stride());
-  }
-  const std::vector<double> increments = model_->PredictIncrementBatch(x, delta);
-
-  // Keep only the shard's k best; the winners carry their feature rows so
-  // the merge step can finish the full prediction without re-extracting.
-  std::vector<size_t> order(candidates.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // Keep only the shard's k best; each carries its whole answer.
+  std::vector<size_t> order(ids.size());
+  std::iota(order.begin(), order.end(), size_t{0});
   const size_t take = std::min(k, order.size());
   std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(take),
                     order.end(), [&](size_t a, size_t b) {
-                      return increments[a] > increments[b];
+                      return scratch.increments[a] > scratch.increments[b];
                     });
   std::vector<ScanCandidate> out;
   out.reserve(take);
   for (size_t i = 0; i < take; ++i) {
-    const size_t idx = order[i];
-    std::vector<float> row(width);
-    x.CopyRowTo(idx, row.data());
-    out.push_back(
-        {candidates[idx].id,
-         static_cast<double>(candidates[idx].item.snapshot.views().total),
-         increments[idx], std::move(row)});
+    const size_t r = order[i];
+    const double observed =
+        static_cast<double>(scratch.resolved[r].snapshot.views().total);
+    out.push_back({ids[r], observed, scratch.increments[r], scratch.alphas[r]});
   }
   return out;
 }
@@ -501,21 +498,10 @@ StatusOr<QueryResponse> PredictionService::QueryScan(
   merged.resize(take);
 
   QueryResponse response;
-  if (merged.empty()) return response;
-  // Only the global winners pay for the alpha forest.  Their feature rows
-  // were already materialized row-major by the shard scans, so a row-major
-  // matrix (strided kernel path) is the no-copy-beyond-this layout here.
-  gbdt::DataMatrix x(merged.size(), extractor_->schema().size());
-  for (size_t i = 0; i < merged.size(); ++i) {
-    std::copy(merged[i].row.begin(), merged[i].row.end(), x.MutableRow(i));
-  }
-  const std::vector<double> alphas = model_->PredictAlphaBatch(x);
   response.results.reserve(merged.size());
-  for (size_t i = 0; i < merged.size(); ++i) {
+  for (const ScanCandidate& c : merged) {
     response.results.push_back(
-        {merged[i].id,
-         PredictionResult{merged[i].observed,
-                          merged[i].observed + merged[i].increment, alphas[i]}});
+        {c.id, PredictionResult{c.observed, c.observed + c.increment, c.alpha}});
   }
   // Scan answers are deliberately NOT counted into queries_answered; they
   // have their own counter.

@@ -265,19 +265,20 @@ class PredictionService {
   /// One lock domain: a mutex and the item map it guards.
   struct Shard;
 
-  /// Scan-mode candidate surviving a per-shard top-k cut: enough state to
-  /// finish the full prediction for the global winners.
+  /// Scan-mode candidate surviving a per-shard top-k cut, with its whole
+  /// answer: the merge ranks by `increment` and needs no more inference.
   struct ScanCandidate {
     int64_t id = 0;
     double observed = 0.0;
     double increment = 0.0;
-    std::vector<float> row;
+    double alpha = 0.0;
   };
 
   size_t ShardOf(int64_t item_id) const;
 
-  /// Per-shard scan: snapshots under the lock, batch inference outside
-  /// it, returns the shard's k best candidates with their feature rows.
+  /// Per-shard scan: snapshots every live item under the lock, then
+  /// extracts and predicts them outside it in the extract-and-score step
+  /// AnswerIds runs, and returns the shard's k best candidates.
   std::vector<ScanCandidate> ShardScanTopK(const Shard& shard, double s,
                                            double delta, size_t k) const;
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,6 +57,26 @@ GbdtRegressor TrainRandomModel(uint64_t seed, int num_trees = 60,
   return model;
 }
 
+/// Every row of `x` through one PredictStrided call, row-major.  Works for
+/// FlatForest, BlockForest and GbdtRegressor alike.
+template <typename Forest>
+std::vector<double> PredictRows(const Forest& forest, const DataMatrix& x) {
+  std::vector<double> out(x.num_rows());
+  if (x.num_rows() > 0) {
+    forest.PredictStrided(x.Row(0), x.num_rows(), x.num_features(), 1, out.data());
+  }
+  return out;
+}
+
+/// The first `n` rows of `x`, column-major.
+ExampleBatch ColumnMajor(const DataMatrix& x, size_t n) {
+  ExampleBatch soa(n, x.num_features());
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t f = 0; f < x.num_features(); ++f) soa.Set(r, f, x.Get(r, f));
+  }
+  return soa;
+}
+
 /// Puts NaN, +inf or -inf (rotating by row) into one or two features of
 /// every row.
 void SprinkleNonFinite(DataMatrix* x) {
@@ -76,10 +98,7 @@ void ExpectSmallBatchesMatchFlat(const FlatForest& flat, const BlockForest& bloc
                                  const DataMatrix& pool) {
   ASSERT_GE(pool.num_rows(), kernels::kSmallBatchRows);
   for (size_t n = 1; n <= kernels::kSmallBatchRows; ++n) {
-    ExampleBatch soa(n, pool.num_features());
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t f = 0; f < pool.num_features(); ++f) soa.Set(r, f, pool.Get(r, f));
-    }
+    const ExampleBatch soa = ColumnMajor(pool, n);
     std::vector<double> row_major(n);
     std::vector<double> col_major(n);
     blocked.PredictStrided(pool.Row(0), n, pool.num_features(), 1, row_major.data());
@@ -106,8 +125,8 @@ TEST(BlockForestTest, CompilesTrainedModel) {
 TEST(BlockForestTest, BitExactVsFlatForestOn10kRandomRows) {
   const GbdtRegressor model = TrainRandomModel(7);
   const DataMatrix x = RandomMatrix(10000, model.num_features(), 99);
-  const std::vector<double> reference = model.flat_forest().PredictBatch(x);
-  const std::vector<double> blocked = model.block_forest().PredictBatch(x);
+  const std::vector<double> reference = PredictRows(model.flat_forest(), x);
+  const std::vector<double> blocked = PredictRows(model.block_forest(), x);
   ASSERT_EQ(blocked.size(), reference.size());
   for (size_t i = 0; i < blocked.size(); ++i) {
     // Bit-exact: same predicate, same accumulation order, no tolerance.
@@ -118,12 +137,11 @@ TEST(BlockForestTest, BitExactVsFlatForestOn10kRandomRows) {
 TEST(BlockForestTest, ColumnMajorBatchMatchesRowMajorBitExact) {
   const GbdtRegressor model = TrainRandomModel(11);
   const DataMatrix x = RandomMatrix(4097, model.num_features(), 5);
-  ExampleBatch soa(x.num_rows(), x.num_features());
-  for (size_t r = 0; r < x.num_rows(); ++r) {
-    for (size_t f = 0; f < x.num_features(); ++f) soa.Set(r, f, x.Get(r, f));
-  }
-  const std::vector<double> row_major = model.block_forest().PredictBatch(x);
-  const std::vector<double> col_major = model.block_forest().PredictBatch(soa);
+  const ExampleBatch soa = ColumnMajor(x, x.num_rows());
+  const std::vector<double> row_major = PredictRows(model.block_forest(), x);
+  std::vector<double> col_major(x.num_rows());
+  model.block_forest().PredictStrided(soa.data(), soa.num_rows(), 1, soa.feature_stride(),
+                                      col_major.data());
   ASSERT_EQ(col_major.size(), row_major.size());
   for (size_t i = 0; i < col_major.size(); ++i) {
     ASSERT_EQ(col_major[i], row_major[i]) << "row " << i;
@@ -133,11 +151,8 @@ TEST(BlockForestTest, ColumnMajorBatchMatchesRowMajorBitExact) {
 TEST(BlockForestTest, RegressorBatchPathsAreBitExactVsPerRowPredict) {
   const GbdtRegressor model = TrainRandomModel(13);
   const DataMatrix x = RandomMatrix(777, model.num_features(), 21);
-  ExampleBatch soa(x.num_rows(), x.num_features());
-  for (size_t r = 0; r < x.num_rows(); ++r) {
-    for (size_t f = 0; f < x.num_features(); ++f) soa.Set(r, f, x.Get(r, f));
-  }
-  const std::vector<double> via_matrix = model.PredictBatch(x);
+  const ExampleBatch soa = ColumnMajor(x, x.num_rows());
+  const std::vector<double> via_matrix = PredictRows(model, x);
   const std::vector<double> via_batch = model.PredictBatch(soa);
   for (size_t r = 0; r < x.num_rows(); ++r) {
     // The flat forest's depth-first walk is the oracle: per-row Predict
@@ -157,7 +172,7 @@ TEST(BlockForestTest, OddSizesCoverSimdTails) {
   for (size_t n : {0u, 1u, 2u, 3u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
                    35u, 40u, 47u, 63u, 71u}) {
     const DataMatrix x = RandomMatrix(n, model.num_features(), 1000 + n);
-    const std::vector<double> got = model.block_forest().PredictBatch(x);
+    const std::vector<double> got = PredictRows(model.block_forest(), x);
     ASSERT_EQ(got.size(), n);
     for (size_t r = 0; r < n; ++r) {
       ASSERT_EQ(got[r], model.flat_forest().Predict(x.Row(r)))
@@ -177,7 +192,7 @@ TEST(BlockForestTest, NonFiniteFeaturesMatchScalarSemantics) {
     x.Set(r, r % x.num_features(), r % 2 == 0 ? nan : inf);
     x.Set(r, (r + 3) % x.num_features(), -inf);
   }
-  const std::vector<double> got = model.block_forest().PredictBatch(x);
+  const std::vector<double> got = PredictRows(model.block_forest(), x);
   for (size_t r = 0; r < x.num_rows(); ++r) {
     ASSERT_EQ(got[r], model.flat_forest().Predict(x.Row(r))) << "row " << r;
   }
@@ -223,12 +238,77 @@ RegressionTree MakeChainTree(int depth) {
   return RegressionTree(std::move(nodes));
 }
 
+/// `trees` as the text GbdtRegressor::Serialize writes (`gbdt v1`).
+std::string GbdtText(const std::vector<RegressionTree>& trees, size_t num_features,
+                     double base_score, double learning_rate) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "gbdt v1\n"
+     << num_features << " " << base_score << " " << learning_rate << " " << trees.size()
+     << "\n";
+  for (const RegressionTree& tree : trees) {
+    os << tree.num_nodes() << "\n";
+    for (const TreeNode& n : tree.nodes()) {
+      os << n.feature << " " << n.threshold << " " << n.left << " " << n.right << " "
+         << n.value << "\n";
+    }
+  }
+  return os.str();
+}
+
+/// Two levels on features 1 and 2.
+RegressionTree MakeShallowTree() {
+  std::vector<TreeNode> nodes(5);
+  nodes[0] = {1, 0.5f, 1, 2, 0.0};
+  nodes[1] = {-1, 0.0f, -1, -1, 0.75};
+  nodes[2] = {2, -0.25f, 3, 4, 0.0};
+  nodes[3] = {-1, 0.0f, -1, -1, -1.5};
+  nodes[4] = {-1, 0.0f, -1, -1, 2.25};
+  return RegressionTree(std::move(nodes));
+}
+
+// An ensemble deeper than kMaxBlockedDepth does not block, and a
+// regressor holding one walks the flat forest under every entry point:
+// per-row Predict, PredictStrided in both layouts, and PredictBatch, at
+// sizes around the 32-row SIMD group and past one 256-row chunk, with
+// NaN and +-inf features in half the runs.
 TEST(BlockForestTest, OverDeepEnsembleStaysUncompiledAndRegressorFallsBack) {
   std::vector<RegressionTree> trees;
   trees.push_back(MakeChainTree(BlockForest::kMaxBlockedDepth + 1));
   const FlatForest flat = FlatForest::Compile(trees, 0.5, 0.1);
   const BlockForest blocked = BlockForest::Compile(flat);
   EXPECT_FALSE(blocked.compiled());
+
+  trees.push_back(MakeShallowTree());
+  GbdtRegressor model;
+  ASSERT_TRUE(model.Deserialize(GbdtText(trees, 3, 0.5, 0.1)));
+  ASSERT_FALSE(model.block_forest().compiled());
+  for (const bool non_finite : {false, true}) {
+    DataMatrix pool(300, 3);
+    Rng rng(91);
+    for (size_t r = 0; r < pool.num_rows(); ++r) {
+      pool.Set(r, 0, static_cast<float>(rng.Uniform(-20.0, 5.0)));
+      pool.Set(r, 1, static_cast<float>(rng.Uniform(-1.0, 2.0)));
+      pool.Set(r, 2, static_cast<float>(rng.Uniform(-1.0, 1.0)));
+    }
+    if (non_finite) SprinkleNonFinite(&pool);
+    for (const size_t n : {1u, 31u, 32u, 33u, 300u}) {
+      SCOPED_TRACE(testing::Message() << n << " rows, non-finite " << non_finite);
+      const ExampleBatch soa = ColumnMajor(pool, n);
+      std::vector<double> row_major(n);
+      std::vector<double> col_major(n);
+      model.PredictStrided(pool.Row(0), n, pool.num_features(), 1, row_major.data());
+      model.PredictStrided(soa.data(), n, 1, soa.feature_stride(), col_major.data());
+      const std::vector<double> batch = model.PredictBatch(soa);
+      for (size_t r = 0; r < n; ++r) {
+        const double expected = model.flat_forest().Predict(pool.Row(r));
+        ASSERT_EQ(model.Predict(pool.Row(r)), expected) << "row " << r;
+        ASSERT_EQ(row_major[r], expected) << "row " << r;
+        ASSERT_EQ(col_major[r], expected) << "row " << r;
+        ASSERT_EQ(batch[r], expected) << "row " << r;
+      }
+    }
+  }
 }
 
 TEST(BlockForestTest, MaxDepthEnsembleCompilesAndMatches) {
@@ -246,7 +326,7 @@ TEST(BlockForestTest, MaxDepthEnsembleCompilesAndMatches) {
   for (size_t r = 0; r < x.num_rows(); ++r) {
     x.Set(r, 0, static_cast<float>(rng.Uniform(-20.0, 5.0)));
   }
-  const std::vector<double> got = blocked.PredictBatch(x);
+  const std::vector<double> got = PredictRows(blocked, x);
   for (size_t r = 0; r < x.num_rows(); ++r) {
     ASSERT_EQ(got[r], flat.Predict(x.Row(r))) << "row " << r;
   }
@@ -275,7 +355,7 @@ TEST(BlockForestTest, ConstantModelRootLeafTrees) {
   ASSERT_TRUE(blocked.compiled());
   EXPECT_EQ(blocked.depth(), 0);
   DataMatrix x = RandomMatrix(kernels::kSmallBatchRows, 3, 8);
-  const std::vector<double> got = blocked.PredictBatch(x);
+  const std::vector<double> got = PredictRows(blocked, x);
   for (const double v : got) ASSERT_EQ(v, 1.0 + 0.5 * 2.5);
   ExpectSmallBatchesMatchFlat(flat, blocked, x);
 

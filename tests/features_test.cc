@@ -15,6 +15,7 @@
 #include "common/units.h"
 #include "datagen/generator.h"
 #include "features/schema.h"
+#include "obs/metrics.h"
 
 namespace horizon::features {
 namespace {
@@ -113,7 +114,7 @@ TEST(FeatureExtractorTest, SnapshotAndExtractAllocateNothing) {
   const double s = std::max(cascade.views.empty() ? 0.0 : cascade.views.back().time,
                             cascade.share_times.empty() ? 0.0 : cascade.share_times.back());
   std::vector<float> row(extractor.schema().size());
-  // Warm up: the first extraction resolves the extractor's instruments.
+  // Warm up the calling thread before counting.
   extractor.ExtractIntoStrided(page, cascade.post, tracker.Snapshot(s), row.data(), 1);
 
   size_t snapshot_allocations = 0;
@@ -133,6 +134,16 @@ TEST(FeatureExtractorTest, SnapshotAndExtractAllocateNothing) {
   std::vector<float> copy = row;
   EXPECT_EQ(test::ThreadAllocations() - before, 1u);
 #endif
+}
+
+// The extraction instruments are registered when the extractor is built,
+// so that no extraction takes the registry lock: RetireDeadItems extracts
+// under a shard lock.
+TEST(FeatureExtractorTest, ConstructorRegistersExtractionInstruments) {
+  const FeatureExtractor extractor(stream::TrackerConfig{});
+  const std::string dump = obs::MetricsRegistry::Global().DumpPrometheus();
+  EXPECT_NE(dump.find("horizon_features_rows_extracted_total"), std::string::npos);
+  EXPECT_NE(dump.find("horizon_features_extract_latency_seconds"), std::string::npos);
 }
 
 TEST(FeatureExtractorTest, ExtractMatchesSchemaSizeAndIsFinite) {

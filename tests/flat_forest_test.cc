@@ -45,6 +45,14 @@ GbdtRegressor TrainRandomModel(uint64_t seed, int num_trees = 60, int depth = 6)
   return model;
 }
 
+/// Every row of `x` through one PredictStrided call, row-major.
+template <typename Forest>
+std::vector<double> PredictRows(const Forest& forest, const DataMatrix& x) {
+  std::vector<double> out(x.num_rows());
+  forest.PredictStrided(x.Row(0), x.num_rows(), x.num_features(), 1, out.data());
+  return out;
+}
+
 /// The pre-FlatForest reference path: walk the stored per-tree node
 /// vectors row by row, accumulating in boosting order.
 double ReferencePredict(const GbdtRegressor& model, const float* row) {
@@ -69,12 +77,14 @@ TEST(FlatForestTest, BitExactParityOn10kRandomRows) {
   const GbdtRegressor model = TrainRandomModel(7);
   // Rows beyond the training range exercise every threshold direction.
   const DataMatrix x = RandomMatrix(10000, model.num_features(), 99);
-  const std::vector<double> batch = model.PredictBatch(x);
+  const std::vector<double> batch = PredictRows(model, x);
+  const std::vector<double> flat = PredictRows(model.flat_forest(), x);
   ASSERT_EQ(batch.size(), x.num_rows());
   for (size_t i = 0; i < x.num_rows(); ++i) {
     const double expected = ReferencePredict(model, x.Row(i));
     // Bit-exact: same accumulation order, no tolerance.
     ASSERT_EQ(batch[i], expected) << "row " << i;
+    ASSERT_EQ(flat[i], expected) << "row " << i;
     ASSERT_EQ(model.Predict(x.Row(i)), expected) << "row " << i;
   }
 }
@@ -84,8 +94,8 @@ TEST(FlatForestTest, ParityAfterSerializeDeserializeRoundTrip) {
   GbdtRegressor restored;
   ASSERT_TRUE(restored.Deserialize(model.Serialize()));
   const DataMatrix x = RandomMatrix(10000, model.num_features(), 123);
-  const std::vector<double> a = model.PredictBatch(x);
-  const std::vector<double> b = restored.PredictBatch(x);
+  const std::vector<double> a = PredictRows(model, x);
+  const std::vector<double> b = PredictRows(restored, x);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << "row " << i;

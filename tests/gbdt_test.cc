@@ -418,10 +418,18 @@ TEST(GbdtRegressorTest, PredictBatchMatchesSinglePredictions) {
   }
   GbdtRegressor model(SmallParams());
   model.Fit(x, y);
-  const auto batch = model.PredictBatch(x);
+  ExampleBatch soa(100, 2);
+  for (size_t i = 0; i < 100; ++i) {
+    soa.Set(i, 0, x.Get(i, 0));
+    soa.Set(i, 1, x.Get(i, 1));
+  }
+  const auto batch = model.PredictBatch(soa);
+  std::vector<double> strided(100);
+  model.PredictStrided(x.Row(0), 100, 2, 1, strided.data());
   for (size_t i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(batch[i], model.Predict(x.Row(i)));
     EXPECT_EQ(batch[i], model.flat_forest().Predict(x.Row(i)));
+    EXPECT_EQ(strided[i], batch[i]);
   }
 }
 

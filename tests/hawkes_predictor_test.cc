@@ -201,10 +201,12 @@ bool SameBits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
-// Every batch overload runs PredictStrided over 256-row chunks; each must
-// equal the per-row calls bit for bit at sizes around the chunk and the
-// 32-row SIMD group, in both layouts, for one and three reference
-// horizons under both aggregations.  Horizons include 0 and infinity.
+// PredictStrided, the one batch routine, and the two ExampleBatch
+// overloads over it must equal the per-row calls bit for bit at sizes
+// around the 256-row chunk and the 32-row SIMD group, row-major
+// (num_features, 1) and column-major (1, n), with and without the count
+// forests, for one and three reference horizons under both aggregations.
+// Horizons include 0 and infinity.
 TEST(HawkesPredictorTest, BatchOverloadsMatchPerRowCallsBitForBit) {
   for (const std::vector<double>& refs :
        {std::vector<double>{1 * kDay}, std::vector<double>{6 * kHour, 1 * kDay, 3 * kDay}}) {
@@ -216,12 +218,13 @@ TEST(HawkesPredictorTest, BatchOverloadsMatchPerRowCallsBitForBit) {
       for (const size_t n : {1u, 31u, 32u, 255u, 256u, 257u, 1000u}) {
         SCOPED_TRACE(testing::Message() << refs.size() << " refs, "
                                         << AggregationName(agg) << ", " << n << " rows");
-        gbdt::DataMatrix x(n, problem.x.num_features());
-        gbdt::ExampleBatch soa(n, problem.x.num_features());
+        const size_t width = problem.x.num_features();
+        gbdt::DataMatrix x(n, width);
+        gbdt::ExampleBatch soa(n, width);
         std::vector<double> deltas(n);
         std::vector<double> n_s(n);
         for (size_t r = 0; r < n; ++r) {
-          for (size_t f = 0; f < x.num_features(); ++f) {
+          for (size_t f = 0; f < width; ++f) {
             const float v = problem.x.Get((r * 7) % problem.x.num_rows(), f);
             x.Set(r, f, v);
             soa.Set(r, f, v);
@@ -232,37 +235,50 @@ TEST(HawkesPredictorTest, BatchOverloadsMatchPerRowCallsBitForBit) {
           n_s[r] = std::floor(rng.Uniform(0.0, 1e4));
         }
         const double shared = deltas[n - 1] == 0.0 ? kDay : deltas[n - 1];
+        const std::vector<double> shared_deltas(n, shared);
 
-        std::vector<double> alphas_m;
-        std::vector<double> alphas_s;
-        std::vector<double> count_alphas_m;
-        std::vector<double> count_alphas_s;
-        const std::vector<double> alpha_m = model.PredictAlphaBatch(x);
-        const std::vector<double> alpha_s = model.PredictAlphaBatch(soa);
-        const std::vector<double> inc_m = model.PredictIncrementBatch(x, deltas, &alphas_m);
-        const std::vector<double> inc_s = model.PredictIncrementBatch(soa, deltas, &alphas_s);
-        const std::vector<double> shared_m = model.PredictIncrementBatch(x, shared);
-        const std::vector<double> shared_s = model.PredictIncrementBatch(soa, shared);
-        const std::vector<double> count_m =
-            model.PredictCountBatch(x, n_s, deltas, &count_alphas_m);
-        const std::vector<double> count_s =
-            model.PredictCountBatch(soa, n_s, deltas, &count_alphas_s);
+        // Rows as PredictStrided reads them: (row_stride, feat_stride).
+        struct Layout {
+          const float* data;
+          size_t row_stride;
+          size_t feat_stride;
+        };
+        const Layout layouts[] = {{x.Row(0), width, 1}, {soa.data(), 1, soa.feature_stride()}};
+        std::vector<double> alpha_only[2], alphas[2], inc[2], inc_shared[2];
+        for (int l = 0; l < 2; ++l) {
+          const Layout& rows = layouts[l];
+          alpha_only[l].resize(n);
+          alphas[l].resize(n);
+          inc[l].resize(n);
+          inc_shared[l].resize(n);
+          model.PredictStrided(rows.data, n, rows.row_stride, rows.feat_stride, nullptr,
+                               nullptr, alpha_only[l].data());
+          model.PredictStrided(rows.data, n, rows.row_stride, rows.feat_stride,
+                               deltas.data(), inc[l].data(), alphas[l].data());
+          model.PredictStrided(rows.data, n, rows.row_stride, rows.feat_stride,
+                               shared_deltas.data(), inc_shared[l].data(), nullptr);
+        }
+        std::vector<double> count_alphas;
+        const std::vector<double> shared_batch = model.PredictIncrementBatch(soa, shared);
+        const std::vector<double> count_batch =
+            model.PredictCountBatch(soa, n_s, deltas, &count_alphas);
         for (size_t r = 0; r < n; ++r) {
           const float* row = x.Row(r);
           const double alpha = model.PredictAlpha(row);
-          const double inc = model.PredictIncrement(row, deltas[r]);
-          const double inc_shared = model.PredictIncrement(row, shared);
+          const double increment = model.PredictIncrement(row, deltas[r]);
+          const double increment_shared = model.PredictIncrement(row, shared);
           const double count = model.PredictCount(row, n_s[r], deltas[r]);
-          for (const double got : {alpha_m[r], alpha_s[r], alphas_m[r], alphas_s[r],
-                                   count_alphas_m[r], count_alphas_s[r]}) {
-            ASSERT_TRUE(SameBits(got, alpha)) << "row " << r;
+          for (int l = 0; l < 2; ++l) {
+            ASSERT_TRUE(SameBits(alpha_only[l][r], alpha)) << "layout " << l << " row " << r;
+            ASSERT_TRUE(SameBits(alphas[l][r], alpha)) << "layout " << l << " row " << r;
+            ASSERT_TRUE(SameBits(inc[l][r], increment)) << "layout " << l << " row " << r;
+            ASSERT_TRUE(SameBits(inc_shared[l][r], increment_shared))
+                << "layout " << l << " row " << r;
+            ASSERT_TRUE(SameBits(n_s[r] + inc[l][r], count)) << "layout " << l << " row " << r;
           }
-          ASSERT_TRUE(SameBits(inc_m[r], inc)) << "row " << r;
-          ASSERT_TRUE(SameBits(inc_s[r], inc)) << "row " << r;
-          ASSERT_TRUE(SameBits(shared_m[r], inc_shared)) << "row " << r;
-          ASSERT_TRUE(SameBits(shared_s[r], inc_shared)) << "row " << r;
-          ASSERT_TRUE(SameBits(count_m[r], count)) << "row " << r;
-          ASSERT_TRUE(SameBits(count_s[r], count)) << "row " << r;
+          ASSERT_TRUE(SameBits(count_alphas[r], alpha)) << "row " << r;
+          ASSERT_TRUE(SameBits(shared_batch[r], increment_shared)) << "row " << r;
+          ASSERT_TRUE(SameBits(count_batch[r], count)) << "row " << r;
         }
       }
     }
@@ -280,12 +296,14 @@ TEST(HawkesPredictorTest, BatchCallsCountEveryRowEachForestScores) {
   obs::Counter* const rows_scored =
       obs::MetricsRegistry::Global().GetCounter("horizon_gbdt_rows_scored_total");
   const size_t n = problem.x.num_rows();
+  const size_t width = problem.x.num_features();
+  const std::vector<double> deltas(n, kDay);
+  std::vector<double> out(n);
   const uint64_t start = rows_scored->Value();
-  (void)model.PredictCountBatch(problem.x, std::vector<double>(n, 0.0),
-                                std::vector<double>(n, kDay));
+  model.PredictStrided(problem.x.Row(0), n, width, 1, deltas.data(), out.data(), nullptr);
   EXPECT_EQ(rows_scored->Value() - start, n * (refs.size() + 1));
   const uint64_t after_count = rows_scored->Value();
-  (void)model.PredictAlphaBatch(problem.x);
+  model.PredictStrided(problem.x.Row(0), n, width, 1, nullptr, nullptr, out.data());
   EXPECT_EQ(rows_scored->Value() - after_count, n);
 }
 

@@ -843,6 +843,57 @@ TEST_F(PredictionServiceTest, QueryEqualsBatchQueryAndRecomputation) {
   }
 }
 
+// A scan scores every live item in the extract-and-score step a point
+// query runs, so each answer equals Query(id, s, delta) bit for bit, both
+// when every item is returned and after a top-5 cut.  One shard of 320
+// items makes one batch that crosses the 32-row SIMD group and the
+// 256-row chunk.  Each forest scores each live row once: the winners get
+// no second alpha walk.
+TEST_F(PredictionServiceTest, ScanAnswersMatchPointQueriesBitForBit) {
+  constexpr size_t kItems = 320;  // ids past 250 reuse the fixture's cascades
+  ServiceConfig config;
+  config.num_shards = 1;
+  PredictionService service = MakeService(config);
+  const double s = 12 * kHour;
+  const double delta = 2 * kDay;
+  for (size_t i = 0; i < kItems; ++i) {
+    const auto& cascade = dataset_->cascades[i % dataset_->cascades.size()];
+    const auto id = static_cast<int64_t>(i);
+    ASSERT_TRUE(service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post), cascade.post).ok());
+    for (const auto& e : cascade.views) {
+      if (e.time >= s) break;
+      ASSERT_TRUE(service.Ingest(id, stream::EngagementType::kView, e.time).ok());
+    }
+  }
+  const auto increment = [](const ItemPrediction& p) {
+    return p.prediction.predicted_views - p.prediction.observed_views;
+  };
+  obs::Counter* const rows_scored =
+      obs::MetricsRegistry::Global().GetCounter("horizon_gbdt_rows_scored_total");
+  for (const size_t top_k : {kItems, size_t{5}}) {
+    SCOPED_TRACE(testing::Message() << "top_k " << top_k);
+    QueryRequest scan;
+    scan.s = s;
+    scan.delta = delta;
+    scan.top_k = top_k;
+    const uint64_t before = rows_scored->Value();
+    const StatusOr<QueryResponse> response = service.BatchQuery(scan);
+    EXPECT_EQ(rows_scored->Value() - before,
+              kItems * (model_->num_reference_horizons() + 1));
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response->results.size(), top_k);
+    for (size_t i = 0; i < top_k; ++i) {
+      const ItemPrediction& got = response->results[i];
+      if (i > 0) {
+        EXPECT_GE(increment(response->results[i - 1]), increment(got));
+      }
+      const StatusOr<PredictionResult> one = service.Query(got.item_id, s, delta);
+      ASSERT_TRUE(one.ok());
+      ASSERT_TRUE(SameBits(*one, got.prediction)) << "rank " << i << " id " << got.item_id;
+    }
+  }
+}
+
 // Every way a point query can fail gets the same code, and the same
 // error-counter increments, through Query and a one-id BatchQuery.
 TEST_F(PredictionServiceTest, QueryAndBatchQueryFailAlike) {

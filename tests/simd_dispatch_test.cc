@@ -114,17 +114,23 @@ TEST_F(SimdDispatchTest, AllKernelFlavorsProduceIdenticalFloatOutputs) {
     for (size_t f = 0; f < x.num_features(); ++f) soa.Set(r, f, x.Get(r, f));
   }
 
+  // Row-major through PredictStrided, column-major through PredictBatch.
+  const auto predict_rows = [&] {
+    std::vector<double> out(x.num_rows());
+    model.PredictStrided(x.Row(0), x.num_rows(), x.num_features(), 1, out.data());
+    return out;
+  };
   std::vector<double> baseline_rows, baseline_soa;
   {
     ScopedEnvVar forced("HORIZON_SIMD", "scalar");
     RefreshKernelFromEnv();
-    baseline_rows = model.PredictBatch(x);
+    baseline_rows = predict_rows();
     baseline_soa = model.PredictBatch(soa);
   }
   for (const SimdKernel k : SupportedKernels()) {
     ScopedEnvVar forced("HORIZON_SIMD", SimdKernelName(k));
     ASSERT_EQ(RefreshKernelFromEnv(), k);
-    const std::vector<double> rows = model.PredictBatch(x);
+    const std::vector<double> rows = predict_rows();
     const std::vector<double> cols = model.PredictBatch(soa);
     ASSERT_EQ(rows.size(), baseline_rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
