@@ -7,9 +7,8 @@
 #
 # Reuses an existing compilation database when the named build dir has
 # one (the top-level CMakeLists exports compile_commands.json on every
-# configure), so the regular `build/` dir serves tidy, the analyzer's
-# libclang backend, and compilation alike.  Configures only when the
-# database is missing.
+# configure), so the regular `build/` dir serves tidy and compilation
+# alike.  Configures only when the database is missing.
 #
 # Usage: ci/run_clang_tidy.sh [build-dir]   (default: build)
 set -euo pipefail

@@ -5,11 +5,17 @@
 // recurrence updated under the right shard lock, checkpoint snapshots
 // taken under shard locks, the wait-free metrics registry's registration
 // map) are enforced *statically*: building with clang emits
-// -Wthread-safety diagnostics (the CI static-analysis job promotes them
+// -Wthread-safety diagnostics (the top-level CMakeLists promotes them
 // with -Werror=thread-safety), so dropping a lock on a guarded field is
 // a compile error, not a TSan coin flip.  Under gcc (which has no
-// thread-safety analysis) every macro expands to nothing and the
-// wrappers degrade to plain std::mutex semantics at zero cost.
+// thread-safety analysis) every macro expands to nothing.
+//
+// One invariant is enforced at run time instead, in every build: a thread
+// holds at most one horizon::Mutex.  Lock() and TryLock() abort, naming
+// both acquisition sites, when the calling thread already holds one, so a
+// nested acquisition (a cycle-free one included) fails the first test
+// that runs it, whichever translation unit, lambda or library callback
+// it hides in.
 //
 // Conventions (see DESIGN.md section 11 "Static analysis & lock
 // discipline" for the full catalog):
@@ -27,7 +33,11 @@
 #define HORIZON_COMMON_ANNOTATIONS_H_
 
 #include <condition_variable>
+#include <cstdio>
 #include <mutex>
+#include <source_location>
+
+#include "common/check.h"
 
 #if defined(__clang__)
 #define HORIZON_THREAD_ANNOTATION(x) __attribute__((x))
@@ -83,19 +93,63 @@ namespace horizon {
 class CondVar;
 
 /// std::mutex with capability annotations.  All mutexes in src/ use this
-/// wrapper so clang can prove lock discipline at compile time.
+/// wrapper so clang can prove lock discipline at compile time, and so the
+/// one-lock-per-thread check below sees every acquisition.
 class HORIZON_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() HORIZON_ACQUIRE() { mu_.lock(); }
-  void Unlock() HORIZON_RELEASE() { mu_.unlock(); }
-  bool TryLock() HORIZON_TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  /// Aborts if this thread already holds a Mutex (this one included, so a
+  /// re-lock dies instead of deadlocking).  `site` is the caller's.
+  void Lock(std::source_location site = std::source_location::current())
+      HORIZON_ACQUIRE() {
+    CheckHoldsNone(site);
+    mu_.lock();
+    held_ = {this, site};
+  }
+  void Unlock() HORIZON_RELEASE() {
+    held_.mu = nullptr;
+    mu_.unlock();
+  }
+  /// Same check as Lock(); a failed try leaves nothing recorded.
+  bool TryLock(std::source_location site = std::source_location::current())
+      HORIZON_TRY_ACQUIRE(true) {
+    CheckHoldsNone(site);
+    if (!mu_.try_lock()) return false;
+    held_ = {this, site};
+    return true;
+  }
 
  private:
   friend class CondVar;  // CondVar::Wait needs the raw handle
+
+  // The Mutex this thread holds and where it took it.  CondVar::Wait
+  // leaves it set: the mutex counts as held across the wait.
+  struct Held {
+    const Mutex* mu;
+    std::source_location site;
+  };
+  static constinit inline thread_local Held held_{};
+
+  void CheckHoldsNone(const std::source_location& site) const {
+    if (held_.mu != nullptr) [[unlikely]] {
+      NestedLockFailed(held_.mu == this, site);
+    }
+  }
+
+  [[noreturn, gnu::cold, gnu::noinline]] static void NestedLockFailed(
+      bool same, const std::source_location& site) {
+    char what[512];
+    std::snprintf(what, sizeof(what),
+                  "this thread already holds %s horizon::Mutex, taken at "
+                  "%s:%u; a thread holds at most one lock",
+                  same ? "this" : "another", held_.site.file_name(),
+                  static_cast<unsigned>(held_.site.line()));
+    internal_check::CheckFailed(site.file_name(),
+                                static_cast<int>(site.line()), what);
+  }
 
   std::mutex mu_;
 };
@@ -103,7 +157,12 @@ class HORIZON_CAPABILITY("mutex") Mutex {
 /// RAII lock for Mutex -- the only sanctioned way to hold one.
 class HORIZON_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu) HORIZON_ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
+  explicit MutexLock(
+      Mutex& mu, std::source_location site = std::source_location::current())
+      HORIZON_ACQUIRE(mu)
+      : mu_(mu) {
+    mu_.Lock(site);
+  }
   ~MutexLock() HORIZON_RELEASE() { mu_.Unlock(); }
 
   MutexLock(const MutexLock&) = delete;

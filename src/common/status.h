@@ -31,6 +31,11 @@ enum class StatusCode : int {
   kResourceExhausted = 9, ///< a bounded resource is full
 };
 
+/// One past the largest code: the length of an array indexed by
+/// StatusCode.  StatusTest.CodeNamesCoverExactlyTheCodes fails until it
+/// moves with a new code.
+inline constexpr int kNumStatusCodes = 10;
+
 /// Stable lower-case name of a code ("ok", "not_found", ...), used as the
 /// Prometheus label value and in Status::ToString.
 std::string_view StatusCodeName(StatusCode code);

@@ -195,7 +195,7 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
   m_scan_results_ = registry_->GetCounter("horizon_serving_scan_results_total");
   m_items_retired_ = registry_->GetCounter("horizon_serving_items_retired_total");
   m_errors_[0] = nullptr;  // kOk is not an error
-  for (int c = 1; c <= 9; ++c) {
+  for (int c = 1; c < kNumStatusCodes; ++c) {
     m_errors_[c] = registry_->GetCounter(
         "horizon_serving_errors_" +
         std::string(StatusCodeName(static_cast<StatusCode>(c))) + "_total");
@@ -222,7 +222,7 @@ PredictionService::~PredictionService() = default;
 
 Status PredictionService::CountError(Status status) const {
   const int code = static_cast<int>(status.code());
-  if (code >= 1 && code <= 9) m_errors_[code]->Increment();
+  if (code >= 1 && code < kNumStatusCodes) m_errors_[code]->Increment();
   return status;
 }
 

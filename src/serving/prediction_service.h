@@ -321,7 +321,7 @@ class PredictionService {
   obs::Counter* m_queries_;
   obs::Counter* m_scan_results_;
   obs::Counter* m_items_retired_;
-  obs::Counter* m_errors_[10];  // indexed by StatusCode
+  obs::Counter* m_errors_[kNumStatusCodes];  // indexed by StatusCode
   obs::Gauge* m_live_items_;
   obs::Gauge* m_tracker_bytes_;  // refreshed by RetireDeadItems
   obs::Counter* m_ingest_commits_;  // IngestBatch shard-lock acquisitions

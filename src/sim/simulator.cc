@@ -43,7 +43,7 @@ struct Expected {
   uint64_t obs_queries = 0;
   uint64_t obs_scan_results = 0;
   uint64_t obs_retired = 0;
-  uint64_t errors[10] = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+  uint64_t errors[kNumStatusCodes] = {};
   // Histogram sample counts, per instrument (ingest latency is sampled
   // and deliberately unchecked).
   uint64_t ingest_batch_calls = 0;
@@ -660,7 +660,7 @@ class Execution {
         return os.str();
       }
     }
-    for (int code = 1; code <= 9; ++code) {
+    for (int code = 1; code < kNumStatusCodes; ++code) {
       const std::string name =
           "horizon_serving_errors_" +
           std::string(StatusCodeName(static_cast<StatusCode>(code))) +

@@ -1,16 +1,23 @@
 // Tests for src/common/annotations.h: the annotated Mutex / MutexLock /
-// CondVar wrappers must behave like the std primitives they wrap, and the
-// annotation macros must compile away to nothing on non-clang compilers.
+// CondVar wrappers must behave like the std primitives they wrap, the
+// annotation macros must compile away to nothing on non-clang compilers,
+// and a thread that takes a second lock must abort naming both sites.
 // (This binary building at all under gcc IS half the test; the clang
 // -Werror=thread-safety CI job and ci/check_tsa_negative.sh cover the
 // other half -- that the annotations actually reject unlocked access.)
 #include "common/annotations.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <source_location>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace horizon {
 namespace {
@@ -166,6 +173,116 @@ TEST(AnnotationsTest, WaitReacquiresMutexBeforeReturning) {
   waiter.join();
   MutexLock lock(mu);
   EXPECT_EQ(stage, 2);
+}
+
+// A failed TryLock records nothing, so the same thread may lock later.
+int ProbeLockAfterFailedTryLock() HORIZON_NO_THREAD_SAFETY_ANALYSIS {
+  Mutex busy;
+  Mutex other;
+  busy.Lock();
+  int locked_after = -1;
+  std::thread probe([&]() HORIZON_NO_THREAD_SAFETY_ANALYSIS {
+    if (busy.TryLock()) {
+      busy.Unlock();
+      return;
+    }
+    MutexLock lock(other);  // aborts if the failed try left a record
+    locked_after = 1;
+  });
+  probe.join();
+  busy.Unlock();
+  return locked_after;
+}
+
+TEST(AnnotationsTest, FailedTryLockLeavesNothingHeld) {
+  EXPECT_EQ(ProbeLockAfterFailedTryLock(), 1);
+}
+
+// The one-lock check.  The abort message is the CHECK failure at the new
+// acquisition's site, naming the held lock's site after "taken at".  The
+// tests pass explicit sites to MutexLock so the parent knows the lines;
+// the registry case relies on MutexLock's default, the caller's site.
+// Threadsafe style: the child re-executes the binary instead of forking
+// a process that may hold threads (TSan's own among them).
+class AnnotationsDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  }
+};
+
+std::string Site(const std::source_location& site) {
+  return "annotations_test\\.cc:" + std::to_string(site.line());
+}
+
+std::string NestedLock(const std::string& taken, const std::string& held,
+                       const char* which = "another") {
+  return "CHECK failed at .*" + taken + ": this thread already holds " +
+         which + " horizon::Mutex, taken at .*" + held + ";";
+}
+
+constexpr const char* kRegistrySite = "obs/metrics\\.cc:[0-9]+";
+
+TEST_F(AnnotationsDeathTest, NestingTwoMutexesDies) {
+  Mutex outer;
+  Mutex inner;
+  const std::source_location held = std::source_location::current();
+  const std::source_location taken = std::source_location::current();
+  EXPECT_DEATH(
+      {
+        MutexLock hold(outer, held);
+        MutexLock nested(inner, taken);
+      },
+      NestedLock(Site(taken), Site(held)));
+}
+
+// Clang's analysis rejects a visible re-lock at compile time; this
+// helper hides it so the run-time check is what stops it.
+void Relock(Mutex& mu, std::source_location held,
+            std::source_location taken) HORIZON_NO_THREAD_SAFETY_ANALYSIS {
+  MutexLock hold(mu, held);
+  alarm(30);  // without the check this deadlocks: die unmatched instead
+  MutexLock again(mu, taken);
+}
+
+TEST_F(AnnotationsDeathTest, RelockingTheSameMutexDiesInsteadOfHanging) {
+  Mutex mu;
+  const std::source_location held = std::source_location::current();
+  const std::source_location taken = std::source_location::current();
+  EXPECT_DEATH(Relock(mu, held, taken),
+               NestedLock(Site(taken), Site(held), "this"));
+}
+
+// The cross-TU shape: the second lock is taken in obs/metrics.cc.
+TEST_F(AnnotationsDeathTest, RegistryLookupUnderALockDies) {
+  Mutex shard_mu;
+  obs::MetricsRegistry registry;
+  const std::source_location held = std::source_location::current();
+  EXPECT_DEATH(
+      {
+        MutexLock hold(shard_mu, held);
+        registry.GetCounter("horizon_test_total");
+      },
+      NestedLock(kRegistrySite, Site(held)));
+}
+
+// A retirement sweep's shape: the predicate std::erase_if calls under the
+// shard lock takes a lock of its own, out of sight of the lock's block.
+TEST_F(AnnotationsDeathTest, LockInEraseIfPredicateUnderALockDies) {
+  Mutex shard_mu;
+  Mutex other_mu;
+  std::unordered_map<int, int> items = {{1, 1}, {2, 2}};
+  const std::source_location held = std::source_location::current();
+  const std::source_location taken = std::source_location::current();
+  EXPECT_DEATH(
+      {
+        MutexLock hold(shard_mu, held);
+        std::erase_if(items, [&](const auto& item) {
+          MutexLock nested(other_mu, taken);
+          return item.second > 1;
+        });
+      },
+      NestedLock(Site(taken), Site(held)));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Analyzer self-test fixture (known-bad): explicit memory_order sites
-// with no adjacent `// order:` justification naming the pairing site.
+// Lint self-test fixture (known-bad): explicit memory_order sites with
+// no `// order:` comment naming the pairing site.
 #include <atomic>
 #include <cstdint>
 

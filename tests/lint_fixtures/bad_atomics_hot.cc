@@ -1,4 +1,4 @@
-// Analyzer self-test fixture (known-bad): defaulted (seq_cst) atomic
+// Lint self-test fixture (known-bad): defaulted (seq_cst) atomic
 // operations in a hot-path file.  The self-test copies this fixture to
 // src/obs/metrics.cc inside the synthetic tree, where every atomic op
 // must spell its order and justify it -- an implicit seq_cst there is

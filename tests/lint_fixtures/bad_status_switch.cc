@@ -1,7 +1,7 @@
-// Analyzer self-test fixture (known-bad): a switch over StatusCode that
-// both omits codes and hides the omission behind `default:` -- the
-// exact shape that silently swallowed kResourceExhausted before PR 7
-// retrofitted the serving counters.
+// Compile-fail fixture: a switch over StatusCode that omits codes and
+// hides the omission behind `default:`, the shape that swallows a new
+// code silently.  -Werror=switch-enum must reject it; the ctest
+// status_switch_enum_rejected builds it and expects that error.
 #include "common/status.h"
 
 namespace horizon {

@@ -65,6 +65,18 @@ TEST(StatusTest, CodeValuesAreStable) {
   EXPECT_EQ(static_cast<int>(StatusCode::kResourceExhausted), 9);
 }
 
+// Arrays indexed by StatusCode are kNumStatusCodes long.  Every code below
+// it has a name, and kNumStatusCodes itself is not a code: a new code gets
+// a case in StatusCodeName (-Werror=switch-enum), so this fails until the
+// count moves with it.
+TEST(StatusTest, CodeNamesCoverExactlyTheCodes) {
+  for (int c = 0; c < kNumStatusCodes; ++c) {
+    EXPECT_NE(StatusCodeName(static_cast<StatusCode>(c)), "unknown") << c;
+  }
+  EXPECT_EQ(StatusCodeName(static_cast<StatusCode>(kNumStatusCodes)),
+            "unknown");
+}
+
 TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_EQ(Status::NotFound("x"), Status::NotFound("x"));
   EXPECT_NE(Status::NotFound("x"), Status::NotFound("y"));

@@ -40,6 +40,15 @@ forest-traversal  Outside src/gbdt/, no direct indexing into a compiled
               -- depth-first flat vs breadth-first blocked -- free to
               change without breaking callers.  The raw spans exist for
               the gbdt kernels, serialization, and tests.
+atomic-order  Every `memory_order_*` use carries an `// order:` comment
+              naming the site it pairs with, so a reader can check the
+              synchronizes-with edge without reconstructing it.  The
+              comment sits on a line of the statement, or in the
+              contiguous `//` block directly above the statement's first
+              line; one comment covers one statement.  In
+              src/obs/metrics.{h,cc}, the hot-path instruments, an atomic
+              member op whose statement names no memory_order (an
+              implicit seq_cst) needs the same comment.
 
 Suppression
 -----------
@@ -55,7 +64,8 @@ Self-test
 ---------
 `horizon_lint.py --self-test` copies the known-bad fixture files from
 tests/lint_fixtures/ into a synthetic tree and asserts that every rule
-fires on its bad fixture and stays quiet on the clean one.
+fires on its bad fixture (at exactly the pinned lines, for atomic-order)
+and that the clean fixtures give exactly their one pinned finding.
 """
 
 from __future__ import annotations
@@ -304,6 +314,63 @@ def check_forest_traversal(f: File, findings):
                  "node layout stays private to src/gbdt/")
 
 
+MEMORY_ORDER_RE = re.compile(r"\bmemory_order_\w+")
+ORDER_COMMENT_RE = re.compile(r"//.*\border:\s*\S")
+HOT_ATOMIC_FILES = ("src/obs/metrics.h", "src/obs/metrics.cc")
+ATOMIC_OP_RE = re.compile(
+    r"(?:\.|->)\s*(?:load|store|exchange|fetch_\w+|compare_exchange_\w+|"
+    r"test_and_set)\s*\(")
+
+
+def statement_span(f: File, lineno: int):
+    """[start, end] lines of the statement containing `lineno`: up while
+    the previous code line is non-blank and ends no statement, then down
+    to the first line that ends one."""
+    lines = f.code_lines
+    start = lineno
+    while start > 1:
+        prev = lines[start - 2].rstrip()
+        if not prev or prev.endswith((";", "{", "}", ":", ">")):
+            break
+        start -= 1
+    end = lineno
+    while end < len(lines) and \
+            not lines[end - 1].rstrip().endswith((";", "{", "}")):
+        end += 1
+    return start, end
+
+
+def has_order_comment(f: File, start: int, end: int) -> bool:
+    if any(ORDER_COMMENT_RE.search(line)
+           for line in f.raw_lines[start - 1:end]):
+        return True
+    above = start - 1
+    while above >= 1 and f.raw_lines[above - 1].lstrip().startswith("//"):
+        if ORDER_COMMENT_RE.search(f.raw_lines[above - 1]):
+            return True
+        above -= 1
+    return False
+
+
+def check_atomic_order(f: File, findings):
+    hot = f.rel in HOT_ATOMIC_FILES
+    for lineno, line in enumerate(f.code_lines, start=1):
+        explicit = MEMORY_ORDER_RE.search(line)
+        if not explicit and not (hot and ATOMIC_OP_RE.search(line)):
+            continue
+        start, end = statement_span(f, lineno)
+        if not explicit and any(MEMORY_ORDER_RE.search(code)
+                                for code in f.code_lines[start - 1:end]):
+            continue  # the statement spells its order on another line
+        if has_order_comment(f, start, end):
+            continue
+        what = (explicit.group(0) if explicit
+                else "an implicit seq_cst atomic op on a hot-path file")
+        emit(findings, f, "atomic-order", lineno,
+             f"{what} needs an `// order:` comment naming the site it "
+             "pairs with, on the statement or directly above it")
+
+
 def emit(findings, f: File, rule: str, lineno: int, message: str):
     hit = f.allowed(rule, lineno)
     if hit:
@@ -317,7 +384,7 @@ def emit(findings, f: File, rule: str, lineno: int, message: str):
 
 
 CHECKS = [check_determinism, check_naked_new, check_raw_mutex,
-          check_serving_status, check_forest_traversal]
+          check_serving_status, check_forest_traversal, check_atomic_order]
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +394,8 @@ def lint_tree(root: str):
     findings = []
     files = []
     src = os.path.join(root, "src")
-    for dirpath, _, names in os.walk(src):
+    for dirpath, dirs, names in os.walk(src):
+        dirs.sort()  # findings print in the same order on every machine
         for name in sorted(names):
             if not name.endswith((".h", ".cc", ".cpp")):
                 continue
@@ -340,67 +408,84 @@ def lint_tree(root: str):
     return findings
 
 
-def run_self_test(repo_root: str) -> int:
-    """Copies each bad fixture into the src/ position its rule watches and
-    asserts the rule fires (and that the allow-comment variant silences
-    it); then asserts the clean fixture produces no findings."""
-    fixtures = os.path.join(repo_root, "tests", "lint_fixtures")
-    cases = [
-        ("bad_determinism.cc", "src/sim/bad_determinism.cc", "determinism"),
-        ("bad_determinism.cc", "src/datagen/bad_determinism.cc", "determinism"),
-        ("bad_naked_new.cc", "src/core/bad_naked_new.cc", "naked-new"),
-        ("bad_raw_mutex.cc", "src/stream/bad_raw_mutex.cc", "raw-mutex"),
-        ("bad_serving_status.h", "src/serving/bad_serving_status.h",
-         "serving-status"),
-        ("bad_allow_no_reason.cc", "src/common/bad_allow_no_reason.cc",
-         "bad-allow"),
-        ("bad_forest_index.cc", "src/core/bad_forest_index.cc",
-         "forest-traversal"),
-        ("bad_forest_index.cc", "src/serving/bad_forest_index.cc",
-         "forest-traversal"),
-    ]
-    failures = []
-    for fixture, dest_rel, rule in cases:
-        with tempfile.TemporaryDirectory(prefix="horizon_lint_") as tree:
+def lint_fixtures(fixtures: str, placements):
+    """Lints a synthetic tree holding each (fixture, dest_rel) placement."""
+    with tempfile.TemporaryDirectory(prefix="horizon_lint_") as tree:
+        for fixture, dest_rel in placements:
             dest = os.path.join(tree, dest_rel)
             os.makedirs(os.path.dirname(dest), exist_ok=True)
             shutil.copyfile(os.path.join(fixtures, fixture), dest)
-            found = [fi for fi in lint_tree(tree) if fi.rule == rule]
-            if not found:
-                failures.append(f"rule `{rule}` did not fire on {fixture}")
-            else:
-                print(f"self-test ok: {rule:>14} fired on {fixture} "
-                      f"({len(found)} finding(s))")
+        return lint_tree(tree)
+
+
+def run_self_test(repo_root: str) -> int:
+    """Copies each bad fixture into the src/ position its rule watches and
+    asserts the rule fires -- at exactly the pinned lines, where a case
+    pins them; then asserts the clean fixtures give exactly their one
+    pinned finding."""
+    fixtures = os.path.join(repo_root, "tests", "lint_fixtures")
+    cases = [
+        ("bad_determinism.cc", "src/sim/bad_determinism.cc", "determinism",
+         None),
+        ("bad_determinism.cc", "src/datagen/bad_determinism.cc",
+         "determinism", None),
+        ("bad_naked_new.cc", "src/core/bad_naked_new.cc", "naked-new", None),
+        ("bad_raw_mutex.cc", "src/stream/bad_raw_mutex.cc", "raw-mutex",
+         None),
+        ("bad_serving_status.h", "src/serving/bad_serving_status.h",
+         "serving-status", None),
+        ("bad_allow_no_reason.cc", "src/common/bad_allow_no_reason.cc",
+         "bad-allow", None),
+        ("bad_forest_index.cc", "src/core/bad_forest_index.cc",
+         "forest-traversal", None),
+        ("bad_forest_index.cc", "src/serving/bad_forest_index.cc",
+         "forest-traversal", None),
+        ("bad_atomics.cc", "src/common/bad_atomics.cc", "atomic-order",
+         {13, 17, 21, 24}),
+        ("bad_atomics_hot.cc", "src/obs/metrics.cc", "atomic-order",
+         {15, 19}),
+    ]
+    failures = []
+    for fixture, dest_rel, rule, lines in cases:
+        found = lint_fixtures(fixtures, [(fixture, dest_rel)])
+        if lines is None:
+            found = [fi for fi in found if fi.rule == rule]
+            ok = bool(found)
+        else:
+            ok = {(fi.rule, fi.lineno) for fi in found} == \
+                {(rule, line) for line in lines}
+        if not ok:
+            failures.append(f"rule `{rule}` on {fixture}: got "
+                            + ("; ".join(str(fi) for fi in found) or "nothing")
+                            + ("" if lines is None
+                               else f"; want lines {sorted(lines)}"))
+        else:
+            print(f"self-test ok: {rule:>16} fired on {fixture} "
+                  f"({len(found)} finding(s))")
     # The forest-traversal rule is scoped: the identical raw-accessor
     # fixture under src/gbdt/ is the kernels' own territory and must stay
     # silent there.
-    with tempfile.TemporaryDirectory(prefix="horizon_lint_") as tree:
-        dest = os.path.join(tree, "src/gbdt/bad_forest_index.cc")
-        os.makedirs(os.path.dirname(dest), exist_ok=True)
-        shutil.copyfile(os.path.join(fixtures, "bad_forest_index.cc"), dest)
-        noise = [fi for fi in lint_tree(tree)
-                 if fi.rule == "forest-traversal"]
-        if noise:
-            failures.append("forest-traversal fired inside src/gbdt/: "
-                            + "; ".join(str(n) for n in noise))
-        else:
-            print("self-test ok: forest-traversal is silent inside src/gbdt/")
-    # The good fixture exercises every allow-comment escape and the
-    # deterministic idioms; it must be silent under every rule.
-    with tempfile.TemporaryDirectory(prefix="horizon_lint_") as tree:
-        for dest_rel in ("src/sim/good.cc", "src/serving/good.h"):
-            dest = os.path.join(tree, dest_rel)
-            os.makedirs(os.path.dirname(dest), exist_ok=True)
-            shutil.copyfile(os.path.join(fixtures, "good_fixture.cc.txt")
-                            if dest_rel.endswith(".cc")
-                            else os.path.join(fixtures, "good_fixture.h.txt"),
-                            dest)
-        noise = lint_tree(tree)
-        if noise:
-            failures.append("clean fixtures produced findings: "
-                            + "; ".join(str(n) for n in noise))
-        else:
-            print("self-test ok: clean fixtures are silent")
+    noise = [fi for fi in lint_fixtures(
+                 fixtures, [("bad_forest_index.cc",
+                             "src/gbdt/bad_forest_index.cc")])
+             if fi.rule == "forest-traversal"]
+    if noise:
+        failures.append("forest-traversal fired inside src/gbdt/: "
+                        + "; ".join(str(n) for n in noise))
+    else:
+        print("self-test ok: forest-traversal is silent inside src/gbdt/")
+    # The clean fixtures exercise every allow-comment escape, the
+    # deterministic idioms and justified atomics.  Their one finding is an
+    # atomic op whose neighbour's comment must not cover it.
+    found = lint_fixtures(fixtures, [("good_fixture.cc.txt", "src/sim/good.cc"),
+                                     ("good_fixture.h.txt",
+                                      "src/serving/good.h")])
+    want = [("atomic-order", "src/sim/good.cc", 51)]
+    if [(fi.rule, fi.rel, fi.lineno) for fi in found] != want:
+        failures.append(f"clean fixtures: want {want}, got: "
+                        + ("; ".join(str(n) for n in found) or "nothing"))
+    else:
+        print("self-test ok: clean fixtures give only their pinned finding")
     if failures:
         for msg in failures:
             print(f"self-test FAILED: {msg}", file=sys.stderr)
