@@ -7,17 +7,18 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 
 #include "common/annotations.h"
 #include "common/check.h"
 #include "common/file_io.h"
 #include "common/thread_pool.h"
 #include "pointprocess/transform.h"
+#include "serving/item_index.h"
 
 namespace horizon::serving {
 
@@ -30,15 +31,6 @@ struct Item {
   stream::CascadeTracker tracker;
   features::StaticFeatures statics;
 };
-
-/// SplitMix64 finalizer: item ids are often sequential, so mix before
-/// taking the shard residue to spread neighbors across shards.
-uint64_t MixId(int64_t id) {
-  uint64_t z = static_cast<uint64_t>(id) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 /// Ingest latency is sampled 1-in-kIngestSampleRate: at ~1 us/op, two
 /// clock reads per op would cost more than the histogram is worth.
@@ -57,10 +49,15 @@ double PredictedIncrement(const ItemPrediction& p) {
   return p.prediction.predicted_views - p.prediction.observed_views;
 }
 
+/// Whether the service accepts `t` as a time: |t| <= kMaxAbsTime, which
+/// NaN fails.
+bool UsableTime(double t) { return std::abs(t) <= kMaxAbsTime; }
+
 /// kInvalidArgument unless the prediction time and horizon are usable.
 Status CheckQueryTimes(double s, double delta) {
-  if (!std::isfinite(s) || !std::isfinite(delta) || delta < 0.0) {
-    return Status::InvalidArgument("query: s and delta must be finite, delta >= 0");
+  if (!UsableTime(s) || !std::isfinite(delta) || delta < 0.0) {
+    return Status::InvalidArgument(
+        "query: |s| must be at most kMaxAbsTime, delta finite and >= 0");
   }
   return Status::Ok();
 }
@@ -120,7 +117,7 @@ void ExtractAndScore(const features::FeatureExtractor& extractor,
 
 struct PredictionService::Shard {
   mutable Mutex mu;
-  std::unordered_map<int64_t, Item> items HORIZON_GUARDED_BY(mu);
+  ItemIndex<Item> items HORIZON_GUARDED_BY(mu);
 };
 
 Status ServiceConfig::Validate(const features::FeatureExtractor* extractor) const {
@@ -226,33 +223,35 @@ Status PredictionService::CountError(Status status) const {
   return status;
 }
 
-size_t PredictionService::ShardOf(int64_t item_id) const {
-  return static_cast<size_t>(MixId(item_id) % shards_.size());
+size_t PredictionService::ShardIndex(uint64_t hash) const {
+  return static_cast<size_t>(hash % shards_.size());
 }
 
 Status PredictionService::RegisterItem(int64_t item_id, double creation_time,
                                        const datagen::PageProfile& page,
                                        const datagen::PostProfile& post) {
-  // A non-finite creation time would fail every later ordering check.
-  if (!std::isfinite(creation_time)) {
-    return CountError(
-        Status::InvalidArgument("RegisterItem: creation time must be finite"));
+  // A non-finite creation time would fail every later ordering check; one
+  // past kMaxAbsTime could make an age feature overflow.
+  if (!UsableTime(creation_time)) {
+    return CountError(Status::InvalidArgument(
+        "RegisterItem: |creation time| must be at most kMaxAbsTime"));
   }
-  Shard& shard = *shards_[ShardOf(item_id)];
-  // The static features are computed here, outside the shard lock.
-  Item item{stream::CascadeTracker(creation_time, tracker_layout_),
-            features::FeatureExtractor::ExtractStatic(page, post)};
+  const uint64_t hash = MixId(item_id);
+  Shard& shard = *shards_[ShardIndex(hash)];
+  // The item and its static features are built here, outside the shard
+  // lock.
+  auto item = std::make_unique<Item>(
+      Item{stream::CascadeTracker(creation_time, tracker_layout_),
+           features::FeatureExtractor::ExtractStatic(page, post)});
   bool inserted = false;
   {
     MutexLock lock(shard.mu);
-    inserted = shard.items.try_emplace(item_id, std::move(item)).second;
+    inserted = shard.items.Insert(item_id, hash, std::move(item));
   }
   if (!inserted) {
     return CountError(Status::AlreadyExists("item id already registered"));
   }
-  // order: relaxed; statistics counter paired with the relaxed load in
-  // stats() -- no payload.
-  items_registered_.fetch_add(1, std::memory_order_relaxed);
+  items_registered_.Increment();
   m_items_registered_->Increment();
   // order: relaxed; gauge source paired with LiveItems()'s relaxed
   // load; fetch_add only so concurrent registrations count exactly.
@@ -262,38 +261,39 @@ Status PredictionService::RegisterItem(int64_t item_id, double creation_time,
 }
 
 bool PredictionService::HasItem(int64_t item_id) const {
-  const Shard& shard = *shards_[ShardOf(item_id)];
+  const uint64_t hash = MixId(item_id);
+  const Shard& shard = *shards_[ShardIndex(hash)];
   MutexLock lock(shard.mu);
-  return shard.items.count(item_id) > 0;
+  return shard.items.Find(item_id, hash) != nullptr;
 }
 
 Status PredictionService::Ingest(int64_t item_id, stream::EngagementType type,
                                  double t) {
   // A non-finite time would trip the tracker's ordering checks, now or on
-  // the item's next event.
-  if (!std::isfinite(t)) {
-    return CountError(Status::InvalidArgument("Ingest: event time must be finite"));
+  // the item's next event; one past kMaxAbsTime could make an age
+  // feature or the age sum overflow.
+  if (!UsableTime(t)) {
+    return CountError(Status::InvalidArgument(
+        "Ingest: |event time| must be at most kMaxAbsTime"));
   }
   const obs::ScopedTimer timer(
       obs::SampleEvery(kIngestSampleRate, m_ingest_latency_));
-  Shard& shard = *shards_[ShardOf(item_id)];
+  const uint64_t hash = MixId(item_id);
+  Shard& shard = *shards_[ShardIndex(hash)];
   {
     MutexLock lock(shard.mu);
-    const auto it = shard.items.find(item_id);
-    if (it == shard.items.end()) {
+    Item* item = shard.items.Find(item_id, hash);
+    if (item == nullptr) {
       return CountError(Status::NotFound("unknown item (dropped straggler?)"));
     }
-    stream::CascadeTracker& tracker = it->second.tracker;
-    if (!tracker.Accepts(type, t)) {
+    if (!item->tracker.Accepts(type, t)) {
       return CountError(Status::InvalidArgument(
           "Ingest: event before the item's creation time or its last event "
           "of this type"));
     }
-    tracker.Observe(type, t);
+    item->tracker.Observe(type, t);
   }
-  // order: relaxed; statistics counter paired with the relaxed load in
-  // stats().
-  events_ingested_.fetch_add(1, std::memory_order_relaxed);
+  events_ingested_.Increment();
   m_events_ingested_->Increment();
   return Status::Ok();
 }
@@ -305,61 +305,42 @@ size_t PredictionService::IngestBatch(const std::vector<IngestEvent>& events) {
   // horizon_serving_ingest_commits_total.  Events Ingest would reject as
   // invalid arguments are dropped like unknown ids, but counted.
   std::vector<std::vector<uint32_t>> by_shard(shards_.size());
-  size_t non_finite = 0;
+  std::vector<uint64_t> hashes(events.size());
+  size_t invalid = 0;
   for (uint32_t i = 0; i < events.size(); ++i) {
-    if (!std::isfinite(events[i].time)) {
-      ++non_finite;
+    if (!UsableTime(events[i].time)) {
+      ++invalid;
       continue;
     }
-    by_shard[ShardOf(events[i].item_id)].push_back(i);
+    hashes[i] = MixId(events[i].item_id);
+    by_shard[ShardIndex(hashes[i])].push_back(i);
   }
-  std::atomic<size_t> ingested{0};
-  std::atomic<size_t> out_of_order{0};
-  std::atomic<size_t> commits{0};
-  ParallelFor(shards_.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t sh = begin; sh < end; ++sh) {
-      if (by_shard[sh].empty()) continue;
-      Shard& shard = *shards_[sh];
-      size_t applied = 0;
-      size_t rejected = 0;
-      {
-        MutexLock lock(shard.mu);
-        for (const uint32_t i : by_shard[sh]) {
-          const IngestEvent& e = events[i];
-          const auto it = shard.items.find(e.item_id);
-          if (it == shard.items.end()) continue;  // straggler drop
-          stream::CascadeTracker& tracker = it->second.tracker;
-          if (!tracker.Accepts(e.type, e.time)) {
-            ++rejected;
-            continue;
-          }
-          tracker.Observe(e.type, e.time);
-          ++applied;
-        }
+  size_t applied = 0;
+  size_t commits = 0;
+  for (size_t sh = 0; sh < shards_.size(); ++sh) {
+    if (by_shard[sh].empty()) continue;
+    Shard& shard = *shards_[sh];
+    MutexLock lock(shard.mu);
+    for (const uint32_t i : by_shard[sh]) {
+      const IngestEvent& e = events[i];
+      Item* item = shard.items.Find(e.item_id, hashes[i]);
+      if (item == nullptr) continue;  // straggler drop
+      if (!item->tracker.Accepts(e.type, e.time)) {
+        ++invalid;
+        continue;
       }
-      // order: relaxed (all three); per-task tallies folded after the
-      // ParallelFor barrier, which supplies the happens-before edge.
-      ingested.fetch_add(applied, std::memory_order_relaxed);
-      // order: relaxed; see above.
-      out_of_order.fetch_add(rejected, std::memory_order_relaxed);
-      // order: relaxed; see above.
-      commits.fetch_add(1, std::memory_order_relaxed);
+      item->tracker.Observe(e.type, e.time);
+      ++applied;
     }
-  });
-  // order: relaxed; reads after the ParallelFor join (drain_mu handoff
-  // orders them); the atomics only arbitrate concurrent adds above.
-  const size_t total = ingested.load(std::memory_order_relaxed);
-  // order: relaxed; statistics counter paired with stats().
-  events_ingested_.fetch_add(total, std::memory_order_relaxed);
-  m_events_ingested_->Add(total);
-  // order: relaxed; same post-join read as `total` above.
-  m_ingest_commits_->Add(commits.load(std::memory_order_relaxed));
-  // order: relaxed; same post-join read as `total` above.
-  const size_t invalid = non_finite + out_of_order.load(std::memory_order_relaxed);
+    ++commits;
+  }
+  events_ingested_.Add(applied);
+  m_events_ingested_->Add(applied);
+  m_ingest_commits_->Add(commits);
   if (invalid > 0) {
     m_errors_[static_cast<int>(StatusCode::kInvalidArgument)]->Add(invalid);
   }
-  return total;
+  return applied;
 }
 
 // ---------------------------------------------------------------------------
@@ -371,17 +352,17 @@ void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
   thread_local Scratch scratch;
   scratch.resolved.clear();
   for (size_t i = 0; i < ids.size(); ++i) {
-    const Shard& shard = *shards_[ShardOf(ids[i])];
+    const uint64_t hash = MixId(ids[i]);
+    const Shard& shard = *shards_[ShardIndex(hash)];
     MutexLock lock(shard.mu);
-    const auto it = shard.items.find(ids[i]);
-    if (it == shard.items.end()) {
+    const Item* item = shard.items.Find(ids[i], hash);
+    if (item == nullptr) {
       statuses[i] = CountError(Status::NotFound("unknown item"));
-    } else if (s < it->second.tracker.creation_time()) {
+    } else if (s < item->tracker.creation_time()) {
       statuses[i] = CountError(Status::NotYetLive("item goes live after s"));
     } else {
       statuses[i] = Status::Ok();
-      const Item& item = it->second;
-      scratch.resolved.push_back({item.tracker.Snapshot(s), item.statics});
+      scratch.resolved.push_back({item->tracker.Snapshot(s), item->statics});
     }
   }
   const size_t rows = scratch.resolved.size();
@@ -398,9 +379,7 @@ void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
 }
 
 void PredictionService::CountAnswered(size_t n) const {
-  // order: relaxed; statistics counter paired with the relaxed load in
-  // stats().
-  queries_answered_.fetch_add(n, std::memory_order_relaxed);
+  queries_answered_.Add(n);
   m_queries_->Add(n);
 }
 
@@ -448,11 +427,11 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     MutexLock lock(shard.mu);
     scratch.resolved.reserve(shard.items.size());
     ids.reserve(shard.items.size());
-    for (const auto& [id, item] : shard.items) {
-      if (s < item.tracker.creation_time()) continue;  // not yet live
+    shard.items.ForEach([&](int64_t id, const Item& item) {
+      if (s < item.tracker.creation_time()) return;  // not yet live
       ids.push_back(id);
       scratch.resolved.push_back({item.tracker.Snapshot(s), item.statics});
-    }
+    });
   }
   if (ids.empty()) return {};
   ExtractAndScore(*extractor_, *model_, delta, &scratch);
@@ -540,9 +519,10 @@ StatusOr<PredictionResult> PredictionService::Query(int64_t item_id, double s,
 }
 
 size_t PredictionService::RetireDeadItems(double now) {
-  if (!std::isfinite(now)) {
+  if (!UsableTime(now)) {
+    // Counted; retires nothing.
     (void)CountError(Status::InvalidArgument(
-        "RetireDeadItems: now must be finite"));  // counted; retires nothing
+        "RetireDeadItems: |now| must be at most kMaxAbsTime"));
     return 0;
   }
   const obs::ScopedTimer timer(m_retire_latency_);
@@ -581,9 +561,9 @@ size_t PredictionService::RetireDeadItems(double now) {
       Shard& shard = *shards_[sh];
       MutexLock lock(shard.mu);
       size_t bytes = 0;
-      const size_t retired = std::erase_if(shard.items, [&](const auto& entry) {
-        if (dead(entry.second)) return true;
-        bytes += entry.second.tracker.MemoryBytes();
+      const size_t retired = shard.items.EraseIf([&](int64_t, const Item& item) {
+        if (dead(item)) return true;
+        bytes += item.tracker.MemoryBytes();
         return false;
       });
       // order: relaxed; per-task tally folded after the ParallelFor
@@ -598,8 +578,7 @@ size_t PredictionService::RetireDeadItems(double now) {
   const size_t retired = retired_total.load(std::memory_order_relaxed);
   // order: relaxed; same post-join read as `retired` above.
   m_tracker_bytes_->Set(static_cast<double>(tracker_bytes.load(std::memory_order_relaxed)));
-  // order: relaxed; statistics counter paired with stats().
-  items_retired_.fetch_add(retired, std::memory_order_relaxed);
+  items_retired_.Add(retired);
   m_items_retired_->Add(retired);
   // order: relaxed; gauge source paired with LiveItems()'s relaxed
   // load; fetch_sub only so concurrent sweeps count exactly.
@@ -731,9 +710,8 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
       {
         MutexLock lock(shard.mu);
         snapshot.reserve(shard.items.size());
-        for (const auto& [id, item] : shard.items) {
-          snapshot.emplace_back(id, item);
-        }
+        shard.items.ForEach(
+            [&](int64_t id, const Item& item) { snapshot.emplace_back(id, item); });
       }
       std::ostringstream os;
       os.precision(std::numeric_limits<float>::max_digits10);
@@ -924,7 +902,7 @@ Status PredictionService::Restore(const std::string& dir) {
 
   // Stage every item first; the live service is only touched once the
   // whole checkpoint has been read and verified.
-  std::vector<std::pair<int64_t, Item>> staged;
+  std::vector<std::pair<int64_t, std::unique_ptr<Item>>> staged;
   for (size_t f = 0; f < num_shard_files; ++f) {
     std::string file;
     uint32_t crc = 0;
@@ -980,8 +958,9 @@ Status PredictionService::Restore(const std::string& dir) {
       if (!ss.read(blob.data(), static_cast<std::streamsize>(blob_size))) {
         return CountError(Status::Corruption("shard file: truncated tracker"));
       }
-      Item item{stream::CascadeTracker(0.0, tracker_layout_), statics};
-      if (!item.tracker.Deserialize(blob)) {
+      auto item = std::make_unique<Item>(
+          Item{stream::CascadeTracker(0.0, tracker_layout_), statics});
+      if (!item->tracker.Deserialize(blob)) {
         return CountError(Status::Corruption("shard file: bad tracker state"));
       }
       staged.emplace_back(id, std::move(item));
@@ -992,42 +971,40 @@ Status PredictionService::Restore(const std::string& dir) {
   // service may even use a different shard count than the writer.
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    shard->items.clear();
+    shard->items.Clear();
   }
   for (auto& [id, item] : staged) {
-    Shard& shard = *shards_[ShardOf(id)];
+    const uint64_t hash = MixId(id);
+    Shard& shard = *shards_[ShardIndex(hash)];
     MutexLock lock(shard.mu);
-    shard.items.insert_or_assign(id, std::move(item));
+    shard.items.InsertOrAssign(id, hash, std::move(item));
   }
-  // order: relaxed (all five); Restore runs before the service takes
-  // traffic -- publication to other threads happens when the caller
-  // hands the service over, and stats() reads are relaxed-paired.
+  // order: relaxed; Restore runs before the service takes traffic --
+  // publication to other threads happens when the caller hands the
+  // service over, and LiveItems() reads are relaxed-paired.
   live_items_.store(staged.size(), std::memory_order_relaxed);
   m_live_items_->Set(static_cast<double>(staged.size()));
-  // order: relaxed; see above.
-  items_registered_.store(counters.items_registered, std::memory_order_relaxed);
-  // order: relaxed; see above.
-  events_ingested_.store(counters.events_ingested, std::memory_order_relaxed);
-  // order: relaxed; see above.
-  queries_answered_.store(counters.queries_answered, std::memory_order_relaxed);
-  // order: relaxed; see above.
-  items_retired_.store(counters.items_retired, std::memory_order_relaxed);
+  const std::pair<obs::Counter*, uint64_t> restored[] = {
+      {&items_registered_, counters.items_registered},
+      {&events_ingested_, counters.events_ingested},
+      {&queries_answered_, counters.queries_answered},
+      {&items_retired_, counters.items_retired}};
+  for (const auto& [counter, value] : restored) {
+    counter->Reset();
+    counter->Add(value);
+  }
   return Status::Ok();
 }
 
 ServiceStats PredictionService::stats() const {
+  // Each field sums its counter's slots: fields may be mutually
+  // inconsistent by a few events while calls are in flight; the DST
+  // reads them at quiescent points.
   ServiceStats out;
-  // order: relaxed (all four); statistics snapshot paired with the
-  // relaxed counter updates -- fields may be mutually inconsistent by
-  // a few events while calls are in flight; the DST reads them at
-  // quiescent points.
-  out.items_registered = items_registered_.load(std::memory_order_relaxed);
-  // order: relaxed; see above.
-  out.events_ingested = events_ingested_.load(std::memory_order_relaxed);
-  // order: relaxed; see above.
-  out.queries_answered = queries_answered_.load(std::memory_order_relaxed);
-  // order: relaxed; see above.
-  out.items_retired = items_retired_.load(std::memory_order_relaxed);
+  out.items_registered = items_registered_.Value();
+  out.events_ingested = events_ingested_.Value();
+  out.queries_answered = queries_answered_.Value();
+  out.items_retired = items_retired_.Value();
   return out;
 }
 

@@ -23,10 +23,10 @@
 //
 // Concurrency: the service is internally synchronized.  Item state is
 // partitioned into `num_shards` shards keyed by a mixed hash of the item
-// id; each shard has its own mutex and tracker map, so Ingest/Query from
-// different threads contend only when they hit the same shard.  Every
-// Ingest applies under its shard mutex in the caller's thread, so a call
-// that returned is visible to every later call.  Query inference
+// id; each shard has its own mutex and item index (serving/item_index.h),
+// so Ingest/Query from different threads contend only when they hit the
+// same shard.  Every Ingest applies under its shard mutex in the caller's
+// thread, so a call that returned is visible to every later call.  Query inference
 // (feature extraction + forest walks) runs OUTSIDE the shard locks,
 // against a tracker snapshot; only RetireDeadItems scores an item's death
 // check under the lock of the shard it sweeps.
@@ -36,14 +36,14 @@
 // process-wide default unless ServiceConfig.metrics overrides it).
 // Instrument pointers are captured once at construction, and no hot path
 // takes a lock for them, but not every update is contention-free: an
-// obs::Counter add is one relaxed fetch_add on the caller's own slot,
-// while a Histogram::Observe is three relaxed read-modify-writes on cache
-// lines every thread shares (bucket, count, and the sum as a CAS loop on
-// an atomic<double>), and the stats() counters are single atomics.  A
-// point query reads the clock twice and observes one histogram
-// (horizon_serving_query_latency_seconds); the finest-grained path
-// (Ingest) samples its histogram 1-in-64 so the clock reads stay off the
-// common path.  See DESIGN.md "Observability".
+// obs::Counter add is one relaxed fetch_add on the caller's own slot
+// (the stats() counters are service-owned obs::Counters too), while a
+// Histogram::Observe is three relaxed read-modify-writes on cache lines
+// every thread shares (bucket, count, and the sum as a CAS loop on an
+// atomic<double>).  A point query reads the clock twice and observes one
+// histogram (horizon_serving_query_latency_seconds); the finest-grained
+// path (Ingest) samples its histogram 1-in-64 so the clock reads stay off
+// the common path.  See DESIGN.md "Observability".
 #ifndef HORIZON_SERVING_PREDICTION_SERVICE_H_
 #define HORIZON_SERVING_PREDICTION_SERVICE_H_
 
@@ -63,6 +63,14 @@
 #include "stream/cascade_tracker.h"
 
 namespace horizon::serving {
+
+/// Largest |time| the service accepts, in seconds: 2^50 s, about 36
+/// million years.  Every entry point that takes a time (a creation time,
+/// an event time, a prediction time `s`, a sweep's `now`) rejects one
+/// past it with kInvalidArgument, as it rejects a non-finite one, and
+/// counts it.  Ages then stay below 2^51 s, so every feature (an age in
+/// hours as a float, a stream's Kahan sum of event ages) stays finite.
+inline constexpr double kMaxAbsTime = 0x1p50;
 
 /// Service configuration.
 struct ServiceConfig {
@@ -168,7 +176,8 @@ class PredictionService {
   ~PredictionService();
 
   /// Registers a new content item.  kAlreadyExists if the id is taken;
-  /// kInvalidArgument for a non-finite `creation_time`.
+  /// kInvalidArgument for a `creation_time` that is non-finite or past
+  /// kMaxAbsTime.
   Status RegisterItem(int64_t item_id, double creation_time,
                       const datagen::PageProfile& page,
                       const datagen::PostProfile& post);
@@ -181,44 +190,48 @@ class PredictionService {
   /// Ingests one engagement event.  kNotFound for unknown items (events
   /// for retired items are dropped, which is the intended behavior for
   /// late stragglers).  kInvalidArgument, with the item unchanged, for a
-  /// non-finite `t`, a `t` before the item's creation time, and a late
-  /// event: one older than the item's last event of the same type.  Late
-  /// events are never reordered or clamped; the tracker's windows need
-  /// per-type non-decreasing times, so the caller must resend in order.
+  /// `t` that is non-finite or past kMaxAbsTime, a `t` before the item's
+  /// creation time, and a late event: one older than the item's last
+  /// event of the same type.  Late events are never reordered or clamped;
+  /// the tracker's windows need per-type non-decreasing times, so the
+  /// caller must resend in order.
   Status Ingest(int64_t item_id, stream::EngagementType type, double t);
 
-  /// Ingests a batch of events: events are grouped by shard, each shard is
-  /// locked once, and shards are processed in parallel.  Relative order of
-  /// a given item's events is preserved.  Returns the number ingested.
+  /// Ingests a batch of events: events are grouped by shard, and each
+  /// shard's group is applied under one lock acquisition, one shard after
+  /// another on the calling thread.  Relative order of a given item's
+  /// events is preserved.  Returns the number ingested.
   /// Drop policy: an event for an unknown item is dropped uncounted, as in
-  /// Ingest; an event Ingest would reject with kInvalidArgument (non-finite
-  /// time, before creation, or late relative to the item's events applied
-  /// so far, this batch's included) is dropped and counted in
-  /// horizon_serving_errors_invalid_argument_total.  The batch's other
-  /// events still apply.
+  /// Ingest; an event Ingest would reject with kInvalidArgument (a time
+  /// that is non-finite or past kMaxAbsTime, before creation, or late
+  /// relative to the item's events applied so far, this batch's included)
+  /// is dropped and counted in horizon_serving_errors_invalid_argument_total.
+  /// The batch's other events still apply.
   // horizon-lint: allow(serving-status) -- best-effort batch op: returns
   // the applied count; per-item kNotFound is the intended straggler-drop.
   size_t IngestBatch(const std::vector<IngestEvent>& events);
 
-  /// The unified query entry point.  Request-level problems (non-finite
-  /// `s`, `delta` < 0, empty ids with top_k == 0) return
-  /// kInvalidArgument; per-item problems land in QueryResponse::errors.
+  /// The unified query entry point.  Request-level problems (an `s` that
+  /// is non-finite or past kMaxAbsTime, a non-finite `delta` or one < 0,
+  /// empty ids with top_k == 0) return kInvalidArgument; per-item
+  /// problems land in QueryResponse::errors.
   /// Inference is batched: one forest pass over every resolved item.
   StatusOr<QueryResponse> BatchQuery(const QueryRequest& request) const;
 
   /// The point query: BatchQuery's per-id answer for one id, bit for bit,
-  /// with the same codes and error counts -- kInvalidArgument for a
-  /// non-finite `s` or `delta` or `delta` < 0, kNotFound for unknown
-  /// items, kNotYetLive when the item's creation time is after `s`.
-  /// Timed into horizon_serving_query_latency_seconds only.
+  /// with the same codes and error counts -- kInvalidArgument for an `s`
+  /// that is non-finite or past kMaxAbsTime, a non-finite `delta` or
+  /// `delta` < 0, kNotFound for unknown items, kNotYetLive when the
+  /// item's creation time is after `s`.  Timed into
+  /// horizon_serving_query_latency_seconds only.
   StatusOr<PredictionResult> Query(int64_t item_id, double s,
                                    double delta) const;
 
   /// Retires items that are idle (no event for idle_retirement_age) or
   /// whose death probability exceeds the configured threshold at `now`.
-  /// Returns the number retired; a non-finite `now` retires nothing and
-  /// counts an invalid_argument error.  Sets the
-  /// horizon_serving_tracker_bytes gauge to the summed
+  /// Returns the number retired; a `now` that is non-finite or past
+  /// kMaxAbsTime retires nothing and counts an invalid_argument error.
+  /// Sets the horizon_serving_tracker_bytes gauge to the summed
   /// CascadeTracker::MemoryBytes() of the items it keeps.
   // horizon-lint: allow(serving-status) -- infallible maintenance sweep:
   // the retired count is the result, there is no failure to report.
@@ -262,7 +275,7 @@ class PredictionService {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
-  /// One lock domain: a mutex and the item map it guards.
+  /// One lock domain: a mutex and the item index it guards.
   struct Shard;
 
   /// Scan-mode candidate surviving a per-shard top-k cut, with its whole
@@ -274,7 +287,8 @@ class PredictionService {
     double alpha = 0.0;
   };
 
-  size_t ShardOf(int64_t item_id) const;
+  /// The shard of the item whose id hashes (MixId) to `hash`.
+  size_t ShardIndex(uint64_t hash) const;
 
   /// Per-shard scan: snapshots every live item under the lock, then
   /// extracts and predicts them outside it in the extract-and-score step
@@ -305,14 +319,16 @@ class PredictionService {
   std::shared_ptr<const stream::TrackerLayout> tracker_layout_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
+  // An exact fetch_add / fetch_sub source for the live-items gauge.
   std::atomic<size_t> live_items_{0};
-  // Counters are independent atomics: cheap on the hot path; stats()
-  // assembles a snapshot struct from them.  (The obs counters are shared
-  // per registry, so the per-service truth lives here.)
-  mutable std::atomic<uint64_t> items_registered_{0};
-  mutable std::atomic<uint64_t> events_ingested_{0};
-  mutable std::atomic<uint64_t> queries_answered_{0};
-  mutable std::atomic<uint64_t> items_retired_{0};
+  // The stats() counters: like every obs::Counter, one cache-line slot
+  // per writer thread (up to obs::kCounterSlots threads), so concurrent
+  // writers do not bump a shared line; stats() sums the slots.  (The registry's counters are shared by every service that
+  // instruments into it, so the per-service truth lives here.)
+  mutable obs::Counter items_registered_;
+  mutable obs::Counter events_ingested_;
+  mutable obs::Counter queries_answered_;
+  mutable obs::Counter items_retired_;
 
   // Observability instruments, resolved once at construction.
   obs::MetricsRegistry* registry_;

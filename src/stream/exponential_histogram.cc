@@ -1,6 +1,7 @@
 #include "stream/exponential_histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -29,27 +30,20 @@ size_t Add(Bucket* b, size_t n, double t, double window,
     n -= live;
   }
   b[n++] = {t, 1};
-  // Cascade merges: whenever more than max_per_size buckets share a size,
-  // merge the two oldest of that size into one of double the size.
-  // Because the buckets are ordered oldest->newest and sizes are
-  // non-increasing toward the back, equal-size runs are contiguous.
-  uint64_t size = 1;
-  for (;;) {
-    // Find the run of buckets with this size (they are contiguous, ending
-    // at the first bucket of larger size when scanning from the back).
-    size_t run = 0;
-    size_t i = n;
-    while (i > 0 && b[i - 1].size < size) --i;
-    while (i > 0 && b[i - 1].size == size) {
-      --i;
-      ++run;
-    }
-    if (run <= max_per_size) break;
-    // Merge the two oldest buckets of this run (indices i and i+1).
+  // Sizes are non-increasing toward the newest bucket and no size occurs
+  // more than max_per_size times (see the header), so the run of `size`
+  // whose newest bucket is `last` is over-full exactly when the bucket
+  // max_per_size places older has the same size.  Merge the run's two
+  // oldest buckets into one of double the size: it becomes the newest
+  // bucket of the next run, which may now be over-full in turn.
+  size_t last = n - 1;
+  for (uint64_t size = 1;
+       last >= max_per_size && b[last - max_per_size].size == size; size *= 2) {
+    const size_t i = last - max_per_size;
     b[i] = {b[i + 1].newest, size * 2};
     std::copy(b + i + 2, b + n, b + i + 1);
     --n;
-    size *= 2;
+    last = i;
   }
   return n;
 }
@@ -87,17 +81,24 @@ bool Read(std::istream& is, size_t max_per_size, uint64_t* total,
   if (num_buckets > 64 * (max_per_size + 1)) return false;
   std::vector<Bucket> parsed;
   uint64_t sum = 0;
+  size_t run = 0;  // buckets of the last bucket's size, itself included
   for (size_t i = 0; i < num_buckets; ++i) {
     Bucket b{};
-    if (!(is >> b.newest >> b.size) || b.size == 0 || !std::isfinite(b.newest)) {
+    if (!(is >> b.newest >> b.size) || !std::isfinite(b.newest)) {
       return false;
     }
-    // Add relies on sorted times at or before the last event, and sizes
-    // that never exceed the events the window has seen.
+    // Add relies on sorted times at or before the last event, sizes that
+    // never exceed the events the window has seen, and the invariant it
+    // keeps: power-of-two sizes, non-increasing toward newer buckets, at
+    // most max_per_size of each.
     if ((!parsed.empty() && b.newest < parsed.back().newest) ||
-        b.newest > parsed_last_t || b.size > parsed_total - sum) {
+        b.newest > parsed_last_t || b.size > parsed_total - sum ||
+        !std::has_single_bit(b.size) ||
+        (!parsed.empty() && b.size > parsed.back().size)) {
       return false;
     }
+    run = !parsed.empty() && b.size == parsed.back().size ? run + 1 : 1;
+    if (run > max_per_size) return false;
     sum += b.size;
     parsed.push_back(b);
   }

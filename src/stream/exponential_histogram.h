@@ -42,6 +42,12 @@ size_t MaxPerSize(double epsilon);
 /// drops the prefix that has left the window of length `window` in one
 /// move, appends a size-1 bucket, then merges the two oldest buckets of
 /// any size that has more than `max_per_size`.  Returns the new count.
+///
+/// Invariant: after every Add, sizes are powers of two, non-increasing
+/// from the oldest bucket to the newest, and no size occurs more than
+/// `max_per_size` times.  Add keeps it (expiry only drops the oldest
+/// prefix) and relies on it: it finds an over-full run in O(1) instead of
+/// scanning for it.  Read admits only buckets that hold it.
 size_t Add(Bucket* buckets, size_t n, double t, double window,
            size_t max_per_size);
 
@@ -54,9 +60,12 @@ void Write(std::ostream& os, uint64_t total, double last_t,
            std::span<const Bucket> buckets);
 
 /// Reads what Write wrote.  Rejects, before allocating, more buckets than
-/// a window with this per-size cap can hold; then rejects a zero size, a
-/// non-finite or decreasing `newest`, a `newest` past `last_t`, and sizes
-/// that sum to more than `total`.  On false the outputs are unchanged.
+/// a window with this per-size cap can hold; then rejects a non-finite or
+/// decreasing `newest`, a `newest` past `last_t`, sizes that sum to more
+/// than `total`, and buckets that break Add's invariant: a size that is
+/// not a power of two, one larger than an older bucket's, or more than
+/// `max_per_size` buckets of one size.  On false the outputs are
+/// unchanged.
 bool Read(std::istream& is, size_t max_per_size, uint64_t* total,
           double* last_t, std::vector<Bucket>* buckets);
 

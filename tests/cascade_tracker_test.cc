@@ -1,10 +1,12 @@
 #include "stream/cascade_tracker.h"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,8 @@
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "datagen/generator.h"
+#include "reference_dgim.h"
 #include "stream/exponential_histogram.h"
 
 namespace horizon::stream {
@@ -167,6 +171,91 @@ TEST(CascadeTrackerTest, WindowCountsMatchStandaloneHistogram) {
       }
     }
   }
+}
+
+/// One stream's windows, run by the scan-based reference Add.
+struct OracleWindow {
+  std::vector<dgim::Bucket> buckets;
+  size_t n = 0;
+};
+using OracleStreams = std::array<std::vector<OracleWindow>, kNumEngagementTypes>;
+
+/// The blob a tracker whose windows ran the reference Add would write:
+/// `blob` with every window's buckets replaced by the oracle's.  The rest
+/// of the blob (stream scalars, landmarks, each window's total and last
+/// time) does not depend on Add and is copied.
+std::string WithOracleWindows(const std::string& blob, const OracleStreams& oracle) {
+  std::istringstream in(blob);
+  std::ostringstream out;
+  out.precision(17);
+  std::string line;
+  const auto copy_lines = [&](int lines) {
+    for (int i = 0; i < lines && std::getline(in, line); ++i) out << line << "\n";
+  };
+  copy_lines(2);  // "trk v1", then the creation time and the layout
+  for (const std::vector<OracleWindow>& windows : oracle) {
+    copy_lines(3);  // scalars, landmarks, window count
+    for (const OracleWindow& w : windows) {
+      uint64_t total = 0;
+      double last_t = 0.0;
+      size_t buckets = 0;
+      std::getline(in, line);
+      std::istringstream(line) >> total >> last_t >> buckets;
+      for (size_t b = 0; b < buckets; ++b) std::getline(in, line);
+      dgim::Write(out, total, last_t, {w.buckets.data(), w.n});
+    }
+  }
+  return out.str();
+}
+
+// Every tracker over a generated corpus serializes byte for byte as a
+// tracker whose windows ran the scan-based Add (reference_dgim.h), under
+// the default layout and under a tight one (epsilon 0.01, windows from
+// 1 s to 30 days).
+TEST(CascadeTrackerTest, TrackerMatchesDgimOracle) {
+  datagen::GeneratorConfig corpus;
+  corpus.num_pages = 20;
+  corpus.num_posts = 200;
+  corpus.base_mean_size = 200.0;
+  corpus.seed = 22;
+  const datagen::SyntheticDataset dataset = datagen::Generator(corpus).Generate();
+  TrackerConfig tight;
+  tight.window_lengths = {1.0, kHour, 30 * kDay};
+  tight.landmark_ages = {kHour};
+  tight.epsilon = 0.01;
+  size_t events = 0;
+  for (const TrackerConfig& config : {TrackerConfig{}, tight}) {
+    const auto layout = std::make_shared<const TrackerLayout>(config);
+    const size_t k = layout->max_per_size;
+    for (const datagen::Cascade& cascade : dataset.cascades) {
+      const double creation = cascade.post.creation_time;
+      CascadeTracker tracker(creation, layout);
+      OracleStreams oracle;
+      std::array<std::vector<double>, kNumEngagementTypes> ages;
+      for (const auto& view : cascade.views) ages[0].push_back(view.time);
+      ages[1] = cascade.share_times;
+      ages[2] = cascade.comment_times;
+      ages[3] = cascade.reaction_times;
+      for (int type = 0; type < kNumEngagementTypes; ++type) {
+        oracle[type].resize(config.window_lengths.size());
+        for (OracleWindow& w : oracle[type]) w.buckets.resize(64 * k + 1);
+        for (const double age : ages[type]) {
+          const double t = creation + age;
+          tracker.Observe(static_cast<EngagementType>(type), t);
+          for (size_t i = 0; i < config.window_lengths.size(); ++i) {
+            OracleWindow& w = oracle[type][i];
+            w.n = reference::DgimAdd(w.buckets.data(), w.n, t - creation,
+                                     config.window_lengths[i], k);
+          }
+          ++events;
+        }
+      }
+      const std::string blob = tracker.Serialize();
+      ASSERT_EQ(blob, WithOracleWindows(blob, oracle))
+          << "post " << cascade.post.id << ", epsilon " << config.epsilon;
+    }
+  }
+  EXPECT_GT(events, 20000u);
 }
 
 TEST(CascadeTrackerTest, TrackersShareOneLayout) {

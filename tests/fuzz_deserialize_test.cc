@@ -423,5 +423,27 @@ TEST(FuzzTrackerDeserialize, TamperedWindowHeaderRejected) {
   DriveForward(&tracker);
 }
 
+// dgim::Add finds an over-full run from the invariant it keeps (sizes
+// powers of two, non-increasing toward newer buckets, at most
+// max_per_size of each), so a restore rejects windows that break it even
+// when their times and totals are consistent.
+TEST(FuzzTrackerDeserialize, BucketsAddCannotProduceRejected) {
+  stream::CascadeTracker source(0.0, stream::TrackerConfig{});
+  for (const double t : {10.0, 20.0, 30.0}) {
+    source.Observe(stream::EngagementType::kView, t);
+  }
+  const std::string blob = source.Serialize();
+  const std::string window = "\n3 30 3\n10 1\n20 1\n30 1\n";
+  const size_t at = blob.find(window);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* tampered : {"\n3 30 2\n20 1\n30 2\n",   // sizes grow
+                               "\n3 30 1\n30 3\n"}) {        // size 3
+    std::string bad = blob;
+    bad.replace(at, window.size(), tampered);
+    stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
+    EXPECT_FALSE(tracker.Deserialize(bad)) << tampered;
+  }
+}
+
 }  // namespace
 }  // namespace horizon

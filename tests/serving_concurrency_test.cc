@@ -317,5 +317,83 @@ TEST_F(ServingConcurrencyTest, IngestBatchGroupCommitCoalescesLockAcquisitions) 
       << " events over 4 shards";
 }
 
+// stats() sums per-thread counter slots; once the writers have joined it
+// must equal what each call reported, exactly.  8 threads on disjoint
+// ids run every entry point that moves a counter.  Each round a thread
+// registers two items that go live at kBirth and get events and queries,
+// and one created at 0 that never gets a view: any thread's sweep at
+// kSweep (past the 14-day idle age, before kBirth) retires those and
+// leaves the rest alone.
+TEST_F(ServingConcurrencyTest, StatsEqualPerThreadTalliesExactly) {
+  PredictionService service = MakeService();
+  constexpr double kBirth = 100 * kDay;
+  constexpr double kSweep = 30 * kDay;
+  constexpr int kRounds = 25;
+  struct Tally {
+    uint64_t registered = 0, ingested = 0, answered = 0, retired = 0;
+  };
+  std::vector<Tally> tallies(kNumThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kNumThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Tally& tally = tallies[static_cast<size_t>(t)];
+      for (int round = 0; round < kRounds; ++round) {
+        const int64_t base = (static_cast<int64_t>(t) * kRounds + round) * 3;
+        const int64_t live[2] = {base, base + 1};
+        const int64_t doomed = base + 2;
+        for (const int64_t id : {live[0], live[1], doomed}) {
+          const auto& cascade = CascadeFor(id);
+          const double creation = id == doomed ? 0.0 : kBirth;
+          if (service.RegisterItem(id, creation, dataset_->PageOf(cascade.post),
+                                   cascade.post)
+                  .ok()) {
+            ++tally.registered;
+          }
+        }
+        std::vector<IngestEvent> batch;
+        for (int k = 0; k < 6; ++k) {
+          const double at = kBirth + 60.0 * (k + 1);
+          if (service.Ingest(live[0], stream::EngagementType::kView, at).ok()) {
+            ++tally.ingested;
+          }
+          batch.push_back({live[1], stream::EngagementType::kView, at});
+          batch.push_back({live[1], stream::EngagementType::kShare, at});
+        }
+        batch.push_back({live[1], stream::EngagementType::kView, kBirth});  // late
+        tally.ingested += service.IngestBatch(batch);
+        if (service.Query(live[0], kBirth + kHour, kDay).ok()) ++tally.answered;
+        QueryRequest request;
+        request.ids = {live[0], live[1], doomed, -1};
+        request.s = kBirth + kHour;
+        request.delta = kDay;
+        const auto response = service.BatchQuery(request);
+        if (response.ok()) tally.answered += response->results.size();
+        if (round % 5 == 4) tally.retired += service.RetireDeadItems(kSweep);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  Tally sum;
+  for (const Tally& tally : tallies) {
+    sum.registered += tally.registered;
+    sum.ingested += tally.ingested;
+    sum.answered += tally.answered;
+    sum.retired += tally.retired;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.items_registered, sum.registered);
+  EXPECT_EQ(stats.events_ingested, sum.ingested);
+  EXPECT_EQ(stats.queries_answered, sum.answered);
+  EXPECT_EQ(stats.items_retired, sum.retired);
+  EXPECT_EQ(sum.registered, static_cast<uint64_t>(kNumThreads * kRounds * 3));
+  EXPECT_EQ(sum.ingested, static_cast<uint64_t>(kNumThreads * kRounds * 18));
+  EXPECT_EQ(service.LiveItems(), sum.registered - sum.retired);
+  // Each thread's last sweep ran after its own last registration, so at
+  // least that round's doomed item is gone; every live item stays.
+  EXPECT_GE(sum.retired, static_cast<uint64_t>(kNumThreads));
+  EXPECT_GE(service.LiveItems(), static_cast<size_t>(kNumThreads * kRounds * 2));
+}
+
 }  // namespace
 }  // namespace horizon::serving

@@ -1,7 +1,8 @@
 // Serving-API fuzz suite.  A seeded loop sends every public serving entry
 // point -- RegisterItem, Ingest, IngestBatch, Query, BatchQuery and
 // RetireDeadItems -- hostile inputs: times and horizons that are NaN,
-// +-inf, negative, zero or +-1e300; unknown and duplicate ids;
+// +-inf, negative, zero or +-1e300 (times past kMaxAbsTime); unknown and
+// duplicate ids;
 // out-of-order events and events before creation; empty and 10^5-event
 // batches; top_k of 0, 1 and SIZE_MAX.  Every call must return, every
 // rejection must carry its documented code and bump its
@@ -40,6 +41,9 @@ constexpr int64_t kIdRange = kIds + 8;
 /// The hostile times and horizons every entry point must survive.
 constexpr std::array<double, 8> kHostile = {kNaN, kInf,   -kInf,  -1.0 * kDay,
                                             0.0,  1e300, -1e300, -0.0};
+
+/// Whether the service accepts `t` as a time.
+bool Usable(double t) { return std::abs(t) <= kMaxAbsTime; }
 
 bool SameBits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
@@ -84,7 +88,7 @@ class Harness {
         dataset_->cascades[static_cast<size_t>(id) % dataset_->cascades.size()];
     const Status status =
         fuzzed_.RegisterItem(id, creation, dataset_->PageOf(cascade.post), cascade.post);
-    if (!std::isfinite(creation)) {
+    if (!Usable(creation)) {
       Expect(status, StatusCode::kInvalidArgument);
     } else if (items_.count(id) > 0) {
       Expect(status, StatusCode::kAlreadyExists);
@@ -101,7 +105,7 @@ class Harness {
   void Ingest(int64_t id, stream::EngagementType type, double t) {
     const Status status = fuzzed_.Ingest(id, type, t);
     const auto it = items_.find(id);
-    if (!std::isfinite(t)) {
+    if (!Usable(t)) {
       Expect(status, StatusCode::kInvalidArgument);
     } else if (it == items_.end()) {
       Expect(status, StatusCode::kNotFound);
@@ -120,7 +124,7 @@ class Harness {
     std::vector<IngestEvent> valid;
     for (const IngestEvent& e : events) {
       const auto it = items_.find(e.item_id);
-      if (!std::isfinite(e.time)) {
+      if (!Usable(e.time)) {
         ++expected_errors_[static_cast<int>(StatusCode::kInvalidArgument)];
       } else if (it == items_.end()) {
         continue;
@@ -149,7 +153,7 @@ class Harness {
 
   void BatchQuery(const QueryRequest& request) {
     const StatusOr<QueryResponse> response = fuzzed_.BatchQuery(request);
-    if (!std::isfinite(request.s) || !std::isfinite(request.delta) ||
+    if (!Usable(request.s) || !std::isfinite(request.delta) ||
         request.delta < 0.0 || (request.ids.empty() && request.top_k == 0)) {
       Expect(response.status(), StatusCode::kInvalidArgument);
       return;
@@ -188,7 +192,7 @@ class Harness {
 
   void Retire(double now) {
     const size_t retired = fuzzed_.RetireDeadItems(now);
-    if (!std::isfinite(now)) {
+    if (!Usable(now)) {
       EXPECT_EQ(retired, 0u);
       ++expected_errors_[static_cast<int>(StatusCode::kInvalidArgument)];
       CheckCounters();
@@ -247,7 +251,7 @@ class Harness {
   }
 
   StatusCode ExpectedQueryCode(int64_t id, double s, double delta) const {
-    if (!std::isfinite(s) || !std::isfinite(delta) || delta < 0.0) {
+    if (!Usable(s) || !std::isfinite(delta) || delta < 0.0) {
       return StatusCode::kInvalidArgument;
     }
     const auto it = items_.find(id);
@@ -366,6 +370,63 @@ TEST_F(ServingFuzzTest, EveryEntryPointSurvivesEveryHostileTime) {
   h.ExpectSameAnswers(2 * kDay, 1 * kHour);
 }
 
+// Every entry point that takes a time rejects one just past kMaxAbsTime
+// with kInvalidArgument, and counts it; at the bound, answers are finite,
+// and so is every feature of a tracker whose ages reach 2 * kMaxAbsTime.
+TEST_F(ServingFuzzTest, TimesPastTheBoundAreRejectedAndCounted) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  PredictionService service(model_, extractor_, config);
+  const datagen::Cascade& cascade = dataset_->cascades[0];
+  const datagen::PageProfile& page = dataset_->PageOf(cascade.post);
+  const double past = 0x1.0000000000001p50;  // the next double up
+  ASSERT_GT(past, kMaxAbsTime);
+  const auto view = stream::EngagementType::kView;
+  for (const double t : {past, -past, 1e300}) {
+    SCOPED_TRACE(t);
+    EXPECT_EQ(service.RegisterItem(1, t, page, cascade.post).code(),
+              StatusCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(service.RegisterItem(1, -kMaxAbsTime, page, cascade.post).ok());
+  ASSERT_TRUE(service.Ingest(1, view, -kMaxAbsTime).ok());
+  EXPECT_EQ(service.Ingest(1, view, past).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.IngestBatch({{1, view, past}, {1, view, 1e300}}), 0u);
+  ASSERT_TRUE(service.Ingest(1, view, kMaxAbsTime).ok());
+  EXPECT_EQ(service.Query(1, past, 0.0).code(), StatusCode::kInvalidArgument);
+  QueryRequest request;
+  request.ids = {1};
+  request.s = past;
+  request.delta = kDay;
+  EXPECT_EQ(service.BatchQuery(request).code(), StatusCode::kInvalidArgument);
+  request.ids.clear();
+  request.top_k = 1;
+  EXPECT_EQ(service.BatchQuery(request).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.RetireDeadItems(past), 0u);
+  EXPECT_EQ(registry.GetCounter("horizon_serving_errors_invalid_argument_total")->Value(),
+            10u);
+  EXPECT_EQ(service.stats().events_ingested, 2u);
+
+  const StatusOr<PredictionResult> answer = service.Query(1, kMaxAbsTime, kDay);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(std::isfinite(answer->observed_views));
+  EXPECT_TRUE(std::isfinite(answer->predicted_views));
+  EXPECT_TRUE(std::isfinite(answer->alpha));
+
+  stream::CascadeTracker tracker(-kMaxAbsTime, extractor_->tracker_config());
+  for (int type = 0; type < stream::kNumEngagementTypes; ++type) {
+    for (const double t : {-kMaxAbsTime, 0.0, kMaxAbsTime, kMaxAbsTime}) {
+      tracker.Observe(static_cast<stream::EngagementType>(type), t);
+    }
+  }
+  std::vector<float> row(extractor_->schema().size());
+  extractor_->ExtractIntoStrided(page, cascade.post, tracker.Snapshot(kMaxAbsTime),
+                                 row.data(), 1);
+  for (size_t f = 0; f < row.size(); ++f) {
+    EXPECT_TRUE(std::isfinite(row[f])) << extractor_->schema().def(f).name;
+  }
+}
+
 /// A time for an event of `type` on `id`: mostly the next in-order one,
 /// otherwise late, before creation, or hostile.
 double EventTime(Rng& rng, const std::map<int64_t, ShadowItem>& items, int64_t id,
@@ -422,7 +483,7 @@ TEST_F(ServingFuzzTest, SeededHostileCallsMatchCleanService) {
               rng.UniformInt(stream::kNumEngagementTypes));
           const double t = EventTime(rng, batch_items, e_id, e_type);
           const auto it = batch_items.find(e_id);
-          if (it != batch_items.end() && std::isfinite(t) && it->second.Accepts(e_type, t)) {
+          if (it != batch_items.end() && Usable(t) && it->second.Accepts(e_type, t)) {
             it->second.last_age[static_cast<int>(e_type)] = t - it->second.creation;
           }
           events.push_back({e_id, e_type, t});
@@ -449,7 +510,7 @@ TEST_F(ServingFuzzTest, SeededHostileCallsMatchCleanService) {
       if (::testing::Test::HasFailure()) return;
     }
     h.ExpectSameAnswers(4 * kDay, 1 * kDay);
-    h.ExpectSameAnswers(1e300, 0.0);
+    h.ExpectSameAnswers(kMaxAbsTime, 0.0);
   }
 }
 

@@ -1,9 +1,16 @@
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/units.h"
+#include "reference_dgim.h"
 #include "stream/exponential_histogram.h"
 #include "stream/sliding_window.h"
 
@@ -83,6 +90,109 @@ TEST(ExponentialHistogramTest, QueryAfterLongSilenceIsZero) {
   ExponentialHistogram h(5.0, 0.1);
   for (int i = 0; i < 100; ++i) h.Add(static_cast<double>(i) * 0.01);
   EXPECT_EQ(h.Count(100.0), 0u);
+}
+
+/// Event times with ties, bursts and long gaps: mostly about a minute
+/// apart, sometimes the same time again, sometimes a burst of 100-2000
+/// events ~20 ms apart, and now and then a silence of hours or of 31-60
+/// days, longer than every window.
+std::vector<double> TiesBurstsAndGaps(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<double> times;
+  times.reserve(n);
+  double t = 1000.0;
+  size_t burst = 0;
+  while (times.size() < n) {
+    const double u = rng.Uniform();
+    if (burst > 0) {
+      --burst;
+      t += rng.Exponential(50.0);
+    } else if (u < 0.1) {
+      // a tie: the same time again
+    } else if (u < 0.11) {
+      burst = 100 + rng.UniformInt(1900);
+    } else if (u < 0.1105) {
+      t += rng.Uniform(31.0, 60.0) * kDay;
+    } else if (u < 0.12) {
+      t += rng.Uniform(1.0, 12.0) * kHour;
+    } else {
+      t += rng.Exponential(1.0 / 60.0);
+    }
+    times.push_back(t);
+  }
+  return times;
+}
+
+class DgimOracleTest : public ::testing::TestWithParam<double> {};
+
+// dgim::Add against the scan-based Add it replaced (reference_dgim.h):
+// after every event, every window holds the same buckets, bit for bit.
+// Every ~1000 events each window's buckets also survive a Write/Read
+// round trip, so Read admits everything Add produces.
+TEST_P(DgimOracleTest, AddMatchesScanningReferenceAfterEveryEvent) {
+  const double epsilon = GetParam();
+  const size_t k = dgim::MaxPerSize(epsilon);
+  const std::vector<double> windows = {1.0, 60.0, kHour, kDay, 30 * kDay};
+  struct Window {
+    std::vector<dgim::Bucket> got, want;
+    size_t n_got = 0, n_want = 0;
+  };
+  // 64 sizes of at most k buckets each, plus the room Add appends into.
+  std::vector<Window> state(windows.size());
+  for (Window& w : state) {
+    w.got.resize(64 * k + 1);
+    w.want.resize(64 * k + 1);
+  }
+  const std::vector<double> times = TiesBurstsAndGaps(
+      0xD61A0000u + static_cast<uint64_t>(1.0 / epsilon), 100000);
+  for (size_t e = 0; e < times.size(); ++e) {
+    const double t = times[e];
+    for (size_t i = 0; i < windows.size(); ++i) {
+      Window& w = state[i];
+      w.n_got = dgim::Add(w.got.data(), w.n_got, t, windows[i], k);
+      w.n_want = reference::DgimAdd(w.want.data(), w.n_want, t, windows[i], k);
+      ASSERT_EQ(w.n_got, w.n_want) << "event " << e << ", window " << windows[i];
+      if (std::memcmp(w.got.data(), w.want.data(), w.n_got * sizeof(dgim::Bucket)) != 0) {
+        for (size_t b = 0; b < w.n_got; ++b) {
+          ASSERT_EQ(w.got[b].newest, w.want[b].newest)
+              << "event " << e << ", window " << windows[i] << ", bucket " << b;
+          ASSERT_EQ(w.got[b].size, w.want[b].size)
+              << "event " << e << ", window " << windows[i] << ", bucket " << b;
+        }
+      }
+      if (e % 997 == 0) {
+        std::stringstream blob;
+        blob.precision(17);
+        dgim::Write(blob, e + 1, t, {w.got.data(), w.n_got});
+        uint64_t total = 0;
+        double last_t = 0.0;
+        std::vector<dgim::Bucket> read;
+        ASSERT_TRUE(dgim::Read(blob, k, &total, &last_t, &read))
+            << "event " << e << ", window " << windows[i];
+        ASSERT_EQ(read.size(), w.n_got);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Epsilons, DgimOracleTest,
+                         ::testing::Values(1.0, 0.5, 0.1, 0.05, 0.01));
+
+// Bucket sequences Add never produces, each well formed otherwise (sorted
+// times at or before the last one, sizes summing to at most the total).
+// An epsilon of 0.5 keeps at most 3 buckets per size.
+TEST(ExponentialHistogramTest, DeserializeRejectsBucketsAddCannotProduce) {
+  const auto reads = [](const std::string& blob) {
+    ExponentialHistogram h(100.0, 0.5);
+    std::istringstream is(blob);
+    return h.DeserializeFrom(is);
+  };
+  EXPECT_TRUE(reads("4 3 3\n1 2\n2 1\n3 1\n"));
+  EXPECT_TRUE(reads("3 3 3\n1 1\n2 1\n3 1\n"));
+  EXPECT_FALSE(reads("4 3 2\n1 3\n3 1\n")) << "a size-3 bucket";
+  EXPECT_FALSE(reads("4 3 3\n1 1\n2 1\n3 2\n")) << "sizes grow toward newer";
+  EXPECT_FALSE(reads("4 3 4\n0 1\n1 1\n2 1\n3 1\n")) << "4 buckets of size 1";
+  EXPECT_FALSE(reads("8 3 3\n1 2\n2 4\n3 2\n")) << "a larger size between smaller";
 }
 
 }  // namespace
