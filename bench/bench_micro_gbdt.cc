@@ -1,10 +1,8 @@
 // Micro-benchmark (google-benchmark): GBDT inference and training cost.
 //
-// The headline trajectory is batch predictions/s across the inference
-// paths introduced by the vectorized hot-path rework:
+// The headline trajectory is batch predictions/s of the blocked forest
+// kernels:
 //
-//   BM_GbdtBatchFlatScalar     FlatForest::PredictStrided (the pre-rework
-//                              depth-first scalar baseline)
 //   BM_GbdtBatchBlocked/<k>    BlockForest::PredictStrided under kernel
 //                              flavor <k> (0 = scalar, 1 = avx2)
 //   BM_GbdtKernelRows/<k>/<n> float kernel <k> called directly on <n>
@@ -24,9 +22,7 @@
 // running CPU cannot execute are skipped.  Unless --benchmark_out is
 // given, results are written to BENCH_gbdt.json (google-benchmark JSON
 // format), whose context also records this code's build type and the CPU
-// model; the acceptance bar is blocked-AVX2 (or the widest available
-// flavor) >= 5x the flat scalar baseline on the same model and batch.  The
-// committed file comes from a Release build run with
+// model.  The committed file comes from a Release build run with
 // --benchmark_repetitions=5.
 #include <benchmark/benchmark.h>
 
@@ -120,18 +116,6 @@ void UnpinKernel() {
   ::unsetenv("HORIZON_SIMD");
   RefreshKernelFromEnv();
 }
-
-void BM_GbdtBatchFlatScalar(benchmark::State& state) {
-  InferenceSetup& s = Setup();
-  for (auto _ : state) {
-    s.model.flat_forest().PredictStrided(s.x.Row(0), kBatchRows, kNumFeatures,
-                                         1, s.out.data());
-    benchmark::DoNotOptimize(s.out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kBatchRows));
-}
-BENCHMARK(BM_GbdtBatchFlatScalar)->Unit(benchmark::kMillisecond);
 
 void BM_GbdtBatchBlocked(benchmark::State& state) {
   const auto flavor = static_cast<SimdKernel>(state.range(0));

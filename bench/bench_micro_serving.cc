@@ -157,7 +157,7 @@ void BM_ServingQuery(benchmark::State& state) {
 BENCHMARK(BM_ServingQuery)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
 // -- BatchQuery: one caller resolves the whole item set per call; the
-//    service batches every row through the flat forests in one pass.
+//    service batches every row through the forests in one pass.
 
 void BM_ServingBatchQuery(benchmark::State& state) {
   serving::PredictionService* service = MakeLoadedService(/*feed_events=*/true);

@@ -11,43 +11,38 @@
 
 namespace horizon::gbdt {
 
-BlockForest BlockForest::Compile(const FlatForest& flat) {
+BlockForest BlockForest::Compile(const std::vector<RegressionTree>& trees,
+                                 double base_score, double learning_rate) {
   BlockForest out;
-  if (!flat.compiled()) return out;
-
-  const std::vector<int32_t>& feature = flat.raw_features();
-  const std::vector<float>& threshold = flat.raw_thresholds();
-  const std::vector<int32_t>& left = flat.raw_left();
-  const std::vector<double>& value = flat.raw_values();
-  const std::vector<int32_t>& roots = flat.raw_roots();
 
   // Pass 1: forest-wide padded depth = deepest leaf level of any tree.
   int depth = 0;
   {
-    std::vector<std::pair<int32_t, int>> stack;  // (flat node, level)
-    for (const int32_t root : roots) {
-      stack.emplace_back(root, 0);
+    std::vector<std::pair<int32_t, int>> stack;  // (tree node, level)
+    for (const RegressionTree& tree : trees) {
+      const std::vector<TreeNode>& nodes = tree.nodes();
+      stack.emplace_back(0, 0);
       while (!stack.empty()) {
         const auto [idx, level] = stack.back();
         stack.pop_back();
-        if (feature[static_cast<size_t>(idx)] < 0) {
+        const TreeNode& n = nodes[static_cast<size_t>(idx)];
+        if (n.feature < 0) {
           depth = std::max(depth, level);
           continue;
         }
-        if (level >= kMaxBlockedDepth) return out;  // uncompiled fallback
-        const int32_t l = left[static_cast<size_t>(idx)];
-        stack.emplace_back(l, level + 1);
-        stack.emplace_back(l + 1, level + 1);
+        if (level >= kMaxBlockedDepth) return out;  // too deep: uncompiled
+        stack.emplace_back(n.left, level + 1);
+        stack.emplace_back(n.right, level + 1);
       }
     }
   }
 
   out.depth_ = depth;
-  out.num_trees_ = roots.size();
+  out.num_trees_ = trees.size();
   out.nodes_per_tree_ = (size_t{1} << depth) - 1;
   out.leaves_per_tree_ = size_t{1} << depth;
-  out.base_score_ = flat.base_score();
-  out.learning_rate_ = flat.learning_rate();
+  out.base_score_ = base_score;
+  out.learning_rate_ = learning_rate;
   // Pseudo-node defaults: feature 0, threshold +inf -- every row compares
   // <= +inf and goes left, so padded levels are decision-free.
   out.feat_.assign(out.num_trees_ * out.nodes_per_tree_, 0);
@@ -65,29 +60,27 @@ BlockForest BlockForest::Compile(const FlatForest& flat) {
   };
   std::vector<Frame> stack;
   for (size_t t = 0; t < out.num_trees_; ++t) {
+    const std::vector<TreeNode>& nodes = trees[t].nodes();
     int32_t* tf = out.feat_.data() + t * out.nodes_per_tree_;
     float* tt = out.thresh_.data() + t * out.nodes_per_tree_;
     double* tl = out.leaves_.data() + t * out.leaves_per_tree_;
-    stack.push_back(Frame{roots[t], 0, 0});
+    stack.push_back(Frame{0, 0, 0});
     while (!stack.empty()) {
       const Frame fr = stack.back();
       stack.pop_back();
-      const int32_t f = feature[static_cast<size_t>(fr.idx)];
-      if (f < 0) {
-        const double v = value[static_cast<size_t>(fr.idx)];
+      const TreeNode& n = nodes[static_cast<size_t>(fr.idx)];
+      if (n.feature < 0) {
         const size_t lo = fr.pos << (depth - fr.level);
         const size_t hi = (fr.pos + 1) << (depth - fr.level);
-        for (size_t p = lo; p < hi; ++p) tl[p] = v;
+        for (size_t p = lo; p < hi; ++p) tl[p] = n.value;
         continue;
       }
       const size_t slot = (size_t{1} << fr.level) - 1 + fr.pos;
-      tf[slot] = f;
-      tt[slot] = threshold[static_cast<size_t>(fr.idx)];
-      out.max_feature_ = std::max(out.max_feature_, f);
-      const int32_t l = left[static_cast<size_t>(fr.idx)];
-      stack.push_back(Frame{l, fr.level + 1, 2 * fr.pos});
-      stack.push_back(Frame{static_cast<int32_t>(l + 1), fr.level + 1,
-                            2 * fr.pos + 1});
+      tf[slot] = n.feature;
+      tt[slot] = n.threshold;
+      out.max_feature_ = std::max(out.max_feature_, n.feature);
+      stack.push_back(Frame{n.left, fr.level + 1, 2 * fr.pos});
+      stack.push_back(Frame{n.right, fr.level + 1, 2 * fr.pos + 1});
     }
   }
 

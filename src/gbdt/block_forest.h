@@ -1,10 +1,10 @@
 // Breadth-first blocked forest layout for data-parallel inference.
 //
-// FlatForest is a pointer-light structure-of-arrays, but its traversal is
-// still one dependent load chain per row: each level reads left_[idx]
-// before the next level can start.  BlockForest re-lays every tree into
-// an implicit-heap ("breadth-first blocked") form padded to the forest's
-// maximum depth D:
+// A trained RegressionTree is a node vector with explicit child indices,
+// so walking it is one dependent load chain per row: each level reads the
+// child index before the next level can start.  BlockForest lays every
+// tree out as an implicit heap ("breadth-first blocked") padded to the
+// forest's maximum depth D:
 //
 //   - internal node i of a tree lives at slot i of a (2^D - 1)-entry
 //     level-order array; its children are ALWAYS at 2i+1 and 2i+2, so no
@@ -23,15 +23,15 @@
 // The fixed-depth, branchless step makes batches of rows traverse in
 // lockstep, which is what the AVX2 kernel (forest_kernels.h) exploits:
 // 8 rows per AVX2 vector walk one tree with three gathers per level.
-// Predictions are bit-identical to FlatForest/GbdtRegressor::Predict --
-// the comparison predicate and the per-row accumulation order (base
-// score, then trees in boosting order, each scaled by the learning rate)
-// are preserved exactly.
+// Predictions are bit-identical to walking the trees themselves
+// (base score, then += learning_rate * RegressionTree::Predict per tree
+// in boosting order, as GbdtRegressor::Fit accumulates): the comparison
+// predicate and the per-row accumulation order are preserved exactly.
 //
 // Cost: padding a tree to depth D wastes slots when the tree is
 // unbalanced, bounded by the trained max_depth (default 5; 2^5 = 32
 // leaf slots per tree).  Ensembles deeper than kMaxBlockedDepth do not
-// compile; GbdtRegressor then walks the FlatForest instead.
+// compile, and GbdtRegressor neither trains nor loads them.
 #ifndef HORIZON_GBDT_BLOCK_FOREST_H_
 #define HORIZON_GBDT_BLOCK_FOREST_H_
 
@@ -39,7 +39,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "gbdt/flat_forest.h"
+#include "gbdt/tree.h"
 
 namespace horizon::gbdt {
 
@@ -47,17 +47,20 @@ namespace horizon::gbdt {
 /// threads (all methods const, no mutable state).
 class BlockForest {
  public:
-  /// Trees deeper than this fall back to FlatForest (padding is 2^depth
-  /// per tree, so the blow-up must be capped).  Far above the trained
-  /// default (TreeParams.max_depth = 5).
+  /// The deepest tree that compiles (padding is 2^depth per tree, so the
+  /// blow-up must be capped).  Far above the trained default
+  /// (TreeParams.max_depth = 5); GbdtRegressor rejects a deeper max_depth.
   static constexpr int kMaxBlockedDepth = 12;
 
   BlockForest() = default;
 
-  /// Re-lays a compiled FlatForest.  The result is uncompiled() when any
-  /// tree exceeds kMaxBlockedDepth; callers must then keep using the
-  /// FlatForest traversal.
-  static BlockForest Compile(const FlatForest& flat);
+  /// Lays out `trees` (each a well-formed binary tree: every node reached
+  /// once from the root through its left/right indices).  `trees` may be
+  /// empty (the constant model).  The result is uncompiled() when any
+  /// tree is deeper than kMaxBlockedDepth; this is the one place a tree's
+  /// depth is measured against the bound.
+  static BlockForest Compile(const std::vector<RegressionTree>& trees,
+                             double base_score, double learning_rate);
 
   bool compiled() const { return compiled_; }
   int depth() const { return depth_; }

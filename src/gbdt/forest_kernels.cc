@@ -16,9 +16,8 @@ namespace horizon::gbdt::kernels {
 
 namespace {
 
-/// Rows per accumulation block: one block's outputs stay in L1 while the
-/// whole node pool streams past once per block (same blocking factor as
-/// FlatForest::PredictStrided).
+/// Rows per accumulation block of the AVX2 kernel: one block's outputs
+/// stay in L1 while the whole node pool streams past once per block.
 constexpr size_t kBlockRows = 64;
 
 /// One row through one tree; returns the absolute heap index of the leaf

@@ -6,8 +6,9 @@
 // `idx = 2*idx + 1 + (went right)`.  After `depth` steps the index maps
 // straight into the leaf array and the leaf value is accumulated as
 // `out[r] += learning_rate * leaf` (separate multiply and add -- never a
-// fused multiply-add -- so both flavors reproduce FlatForest's doubles
-// bit for bit).
+// fused multiply-add -- so both flavors reproduce, bit for bit, the
+// doubles of the trees' own walk: base score, then
+// += learning_rate * RegressionTree::Predict per tree in boosting order).
 //
 // Comparison semantics, shared by both flavors: a row goes right iff
 // !(value <= threshold).  The scalar kernel writes exactly that; AVX2

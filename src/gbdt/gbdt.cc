@@ -24,6 +24,8 @@ GbdtRegressor::GbdtRegressor(GbdtParams params) : params_(std::move(params)) {
   HORIZON_CHECK_GE(params_.num_trees, 1);
   HORIZON_CHECK_GT(params_.learning_rate, 0.0);
   HORIZON_CHECK(params_.subsample > 0.0 && params_.subsample <= 1.0);
+  // The trees Fit grows must compile into the blocked layout.
+  HORIZON_CHECK_LE(params_.tree.max_depth, BlockForest::kMaxBlockedDepth);
 }
 
 void GbdtRegressor::Fit(const DataMatrix& x, const std::vector<double>& y) {
@@ -129,8 +131,7 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const BinnedDataset& binned
     trees_.resize(best_num_trees);
     gains_ = std::move(best_gains);
   }
-  flat_ = FlatForest::Compile(trees_, base_score_, params_.learning_rate);
-  blocked_ = BlockForest::Compile(flat_);
+  blocked_ = BlockForest::Compile(trees_, base_score_, params_.learning_rate);
   trained_ = true;
 }
 
@@ -144,11 +145,7 @@ void GbdtRegressor::PredictStrided(const float* data, size_t num_rows,
                                    size_t row_stride, size_t feat_stride,
                                    double* out) const {
   HORIZON_DCHECK(trained_);
-  if (blocked_.compiled()) {
-    blocked_.PredictStrided(data, num_rows, row_stride, feat_stride, out);
-  } else {
-    flat_.PredictStrided(data, num_rows, row_stride, feat_stride, out);
-  }
+  blocked_.PredictStrided(data, num_rows, row_stride, feat_stride, out);
 }
 
 std::vector<double> GbdtRegressor::PredictBatch(const ExampleBatch& x) const {
@@ -197,7 +194,7 @@ std::string GbdtRegressor::Serialize() const {
 bool GbdtRegressor::Deserialize(const std::string& text) {
   // Deserialization must be safe on untrusted bytes (truncated, bit-flipped
   // or garbage input): every count is bounded before allocation and every
-  // node is validated before FlatForest::Compile walks the tree, so a
+  // node is validated before BlockForest::Compile walks the tree, so a
   // malformed blob returns false instead of corrupting memory or looping.
   constexpr size_t kMaxFeatures = 1u << 20;
   constexpr size_t kMaxTrees = 1u << 20;
@@ -218,7 +215,7 @@ bool GbdtRegressor::Deserialize(const std::string& text) {
     size_t num_nodes = 0;
     if (!(is >> num_nodes) || num_nodes == 0 || num_nodes > kMaxNodes) return false;
     std::vector<TreeNode> nodes(num_nodes);
-    // Reachability from the root: FlatForest::Compile requires the nodes
+    // Reachability from the root: BlockForest::Compile requires the nodes
     // to form EXACTLY a binary tree (every node reachable once).  Children
     // pointing forward rules out cycles; the in-degree accounting below
     // rules out orphaned and shared nodes.
@@ -257,13 +254,17 @@ bool GbdtRegressor::Deserialize(const std::string& text) {
     }
     trees.emplace_back(std::move(nodes));
   }
+  // The blob is untrusted: Compile measures depth iteratively and stops
+  // at kMaxBlockedDepth, where the recursive RegressionTree::MaxDepth
+  // could exhaust the stack on a long chain.
+  BlockForest blocked = BlockForest::Compile(trees, base, lr);
+  if (!blocked.compiled()) return false;  // a tree too deep to serve
   num_features_ = num_features;
   base_score_ = base;
   params_.learning_rate = lr;
   trees_ = std::move(trees);
   gains_.assign(num_features_, 0.0);
-  flat_ = FlatForest::Compile(trees_, base_score_, params_.learning_rate);
-  blocked_ = BlockForest::Compile(flat_);
+  blocked_ = std::move(blocked);
   trained_ = true;
   return true;
 }

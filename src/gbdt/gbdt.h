@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "gbdt/block_forest.h"
 #include "gbdt/dataset.h"
-#include "gbdt/flat_forest.h"
 #include "gbdt/tree.h"
 
 namespace horizon::gbdt {
@@ -62,10 +61,9 @@ class GbdtRegressor {
   /// The one batch routine: predicts rows laid out at
   /// data[r*row_stride + f*feat_stride] into out[0..num_rows) on the
   /// calling thread, through the blocked kernel BlockForest::PredictStrided
-  /// dispatches to, or the flat walk for ensembles too deep to block.
-  /// Row-major rows pass (num_features, 1), column-major ones
-  /// (1, num_rows).  Touches no instrument; HawkesPredictor walks every
-  /// forest through it.  Bit-identical to per-row Predict.
+  /// dispatches to.  Row-major rows pass (num_features, 1), column-major
+  /// ones (1, num_rows).  Touches no instrument; HawkesPredictor walks
+  /// every forest through it.  Bit-identical to per-row Predict.
   void PredictStrided(const float* data, size_t num_rows, size_t row_stride,
                       size_t feat_stride, double* out) const;
 
@@ -86,15 +84,14 @@ class GbdtRegressor {
   const GbdtParams& params() const { return params_; }
   const std::vector<RegressionTree>& trees() const { return trees_; }
   double base_score() const { return base_score_; }
-  /// The compiled inference forest (valid once trained).
-  const FlatForest& flat_forest() const { return flat_; }
-  /// The vectorized blocked layout (uncompiled for over-deep ensembles).
+  /// The blocked layout every prediction walks (compiled once trained).
   const BlockForest& block_forest() const { return blocked_; }
 
   /// Serializes the trained model to a portable ASCII string.
   std::string Serialize() const;
-  /// Restores a model from Serialize() output.  Returns false on parse
-  /// failure (model left untrained).
+  /// Restores a model from Serialize() output.  Returns false, leaving
+  /// the model unchanged, on parse failure or when a tree is deeper than
+  /// BlockForest::kMaxBlockedDepth.
   bool Deserialize(const std::string& text);
 
  private:
@@ -109,8 +106,7 @@ class GbdtRegressor {
   double base_score_ = 0.0;
   std::vector<RegressionTree> trees_;
   std::vector<double> gains_;
-  FlatForest flat_;      ///< compiled at the end of Fit/Deserialize
-  BlockForest blocked_;  ///< vectorized layout derived from flat_
+  BlockForest blocked_;  ///< compiled from trees_ at the end of Fit/Deserialize
 };
 
 }  // namespace horizon::gbdt

@@ -548,7 +548,7 @@ size_t PredictionService::RetireDeadItems(double now) {
         // Eager retirement: with the EWMA rate as the lambda(now) proxy
         // and the model's alpha as the decay scale, the probability that
         // the cascade produces no further views (Appendix A.14, u = 0
-        // transform) exceeds the threshold.
+        // transform) reaches the threshold.
         extractor_->ExtractIntoStrided(item.statics, snapshot, row.data(), 1);
         const double alpha = model_->PredictAlpha(row.data());
         const double p_dead = pp::ProbabilityNoNewEvents(

@@ -75,10 +75,12 @@ inline constexpr double kMaxAbsTime = 0x1p50;
 /// Service configuration.
 struct ServiceConfig {
   stream::TrackerConfig tracker;
-  /// Items with no engagement for this long are retired by RetireIdle.
+  /// Items with no view for this long (counted from creation if they never
+  /// had one) are retired by RetireDeadItems.
   double idle_retirement_age = 14 * kDay;
-  /// Items whose probability of any further view (per the decaying
-  /// intensity proxy) falls below this are retired eagerly.
+  /// Items whose probability of no further view (per the decaying
+  /// intensity proxy, Appendix A.14) reaches this are retired eagerly by
+  /// RetireDeadItems.
   double death_probability_threshold = 0.99;
   /// Number of item shards (>= 1).  More shards mean less lock contention
   /// at slightly more memory; the default suits up to ~32 serving threads.
@@ -227,8 +229,9 @@ class PredictionService {
   StatusOr<PredictionResult> Query(int64_t item_id, double s,
                                    double delta) const;
 
-  /// Retires items that are idle (no event for idle_retirement_age) or
-  /// whose death probability exceeds the configured threshold at `now`.
+  /// Retires items that are idle (no view for idle_retirement_age) or
+  /// whose death probability -- the probability of no further view --
+  /// is at least death_probability_threshold at `now`.
   /// Returns the number retired; a `now` that is non-finite or past
   /// kMaxAbsTime retires nothing and counts an invalid_argument error.
   /// Sets the horizon_serving_tracker_bytes gauge to the summed

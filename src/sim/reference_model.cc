@@ -5,9 +5,25 @@
 #include <limits>
 
 #include "common/math_util.h"
+#include "gbdt/gbdt.h"
 #include "pointprocess/transform.h"
 
 namespace horizon::sim {
+
+namespace {
+
+/// `model`'s raw prediction for `row` from its trees alone: the base
+/// score, then learning_rate * each tree's leaf in boosting order, the
+/// sum GbdtRegressor::Fit accumulates.  Shares no code with BlockForest.
+double TreeWalk(const gbdt::GbdtRegressor& model, const float* row) {
+  double out = model.base_score();
+  for (const gbdt::RegressionTree& tree : model.trees()) {
+    out += model.params().learning_rate * tree.Predict(row);
+  }
+  return out;
+}
+
+}  // namespace
 
 ReferenceService::ReferenceService(const core::HawkesPredictor* model,
                                    const features::FeatureExtractor* extractor,
@@ -46,25 +62,25 @@ StatusCode ReferenceService::Answer(int64_t id, double s, double delta,
   const stream::TrackerSnapshot snapshot = item.tracker.Snapshot(s);
   out->row = extractor_->Extract(item.page, item.post, snapshot);
   out->observed = static_cast<double>(snapshot.views().total);
-  out->alpha = FlatAlpha(out->row.data());
-  out->increment = FlatIncrement(out->row.data(), out->alpha, delta);
+  out->alpha = TreeWalkAlpha(out->row.data());
+  out->increment = TreeWalkIncrement(out->row.data(), out->alpha, delta);
   out->predicted = out->observed + out->increment;
   return StatusCode::kOk;
 }
 
-double ReferenceService::FlatAlpha(const float* row) const {
+double ReferenceService::TreeWalkAlpha(const float* row) const {
   const core::HawkesPredictorParams& params = model_->params();
-  return Clamp(std::exp(model_->alpha_model().flat_forest().Predict(row)),
+  return Clamp(std::exp(TreeWalk(model_->alpha_model(), row)),
                params.alpha_min, params.alpha_max);
 }
 
-double ReferenceService::FlatIncrement(const float* row, double alpha,
-                                       double delta) const {
+double ReferenceService::TreeWalkIncrement(const float* row, double alpha,
+                                           double delta) const {
   if (delta == 0.0) return 0.0;
   std::vector<double> increments(model_->num_reference_horizons());
   for (size_t i = 0; i < increments.size(); ++i) {
     increments[i] = std::max(
-        std::expm1(model_->count_model(i).flat_forest().Predict(row)), 0.0);
+        std::expm1(TreeWalk(model_->count_model(i), row)), 0.0);
   }
   return model_->CombineIncrement(increments.data(), increments.size(), alpha,
                                   delta);
@@ -103,7 +119,7 @@ size_t ReferenceService::Retire(double now) {
     if (!dead && views.ewma_rate > 0.0) {
       const std::vector<float> row =
           extractor_->Extract(item.page, item.post, snapshot);
-      const double alpha = FlatAlpha(row.data());
+      const double alpha = TreeWalkAlpha(row.data());
       const double p_dead = pp::ProbabilityNoNewEvents(
           views.ewma_rate, std::numeric_limits<double>::infinity(), alpha);
       if (p_dead >= death_probability_threshold_) dead = true;

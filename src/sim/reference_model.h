@@ -2,13 +2,14 @@
 //
 // The simulator executes every op against both the real sharded service
 // and this shadow: a plain std::map of CascadeTrackers whose rows are
-// scored by each forest's depth-first FlatForest walk, not by the blocked
-// kernels the service (and the model's per-row entry points) run.
-// Because every blocked kernel is bit-identical to the flat walk (a
-// contract the block-forest tests pin down) and tracker state round-trips
-// bit-exactly, the comparison can demand EXACT equality of every observed
-// count, predicted count, and alpha -- there is no tolerance to hide a
-// divergence in.
+// scored by walking each forest's trained trees one by one
+// (RegressionTree::Predict, accumulated as GbdtRegressor::Fit does), not
+// by the blocked kernels the service (and the model's per-row entry
+// points) run.  Because every blocked kernel is bit-identical to the tree
+// walk (a contract the block-forest tests pin down) and tracker state
+// round-trips bit-exactly, the comparison can demand EXACT equality of
+// every observed count, predicted count, and alpha -- there is no
+// tolerance to hide a divergence in.
 #ifndef HORIZON_SIM_REFERENCE_MODEL_H_
 #define HORIZON_SIM_REFERENCE_MODEL_H_
 
@@ -86,9 +87,9 @@ class ReferenceService {
 
  private:
   /// The model's alpha_hat and increment for one row, every forest scored
-  /// through its FlatForest walk.
-  double FlatAlpha(const float* row) const;
-  double FlatIncrement(const float* row, double alpha, double delta) const;
+  /// by walking its trees.
+  double TreeWalkAlpha(const float* row) const;
+  double TreeWalkIncrement(const float* row, double alpha, double delta) const;
 
   const core::HawkesPredictor* model_;
   const features::FeatureExtractor* extractor_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "gbdt/forest_kernels.h"
 #include "gbdt/gbdt.h"
 #include "gbdt/tree.h"
+#include "reference_forest.h"
 
 // This suite deliberately does NOT guard HORIZON_SIMD: the ctest variants
 // (block_forest_test_simd_*) pin it per process to sweep both kernel
@@ -20,6 +20,10 @@
 
 namespace horizon::gbdt {
 namespace {
+
+using reference::GbdtText;
+using reference::MakeChainTree;
+using reference::TreeWalk;
 
 DataMatrix RandomMatrix(size_t rows, size_t features, uint64_t seed,
                         double lo = -2.0, double hi = 2.0) {
@@ -58,7 +62,7 @@ GbdtRegressor TrainRandomModel(uint64_t seed, int num_trees = 60,
 }
 
 /// Every row of `x` through one PredictStrided call, row-major.  Works for
-/// FlatForest, BlockForest and GbdtRegressor alike.
+/// BlockForest and GbdtRegressor alike.
 template <typename Forest>
 std::vector<double> PredictRows(const Forest& forest, const DataMatrix& x) {
   std::vector<double> out(x.num_rows());
@@ -89,13 +93,33 @@ void SprinkleNonFinite(DataMatrix* x) {
   }
 }
 
+/// Sets every feature some split of `trees` reads to one of that feature's
+/// thresholds, rotating by row, so rows sit exactly on split points: the
+/// one input on which `v <= t` and `v < t` part ways.
+void SnapToThresholds(const std::vector<RegressionTree>& trees, DataMatrix* x) {
+  std::vector<std::vector<float>> thresholds(x->num_features());
+  for (const RegressionTree& tree : trees) {
+    for (const TreeNode& n : tree.nodes()) {
+      if (n.feature >= 0) thresholds[static_cast<size_t>(n.feature)].push_back(n.threshold);
+    }
+  }
+  for (size_t r = 0; r < x->num_rows(); ++r) {
+    for (size_t f = 0; f < x->num_features(); ++f) {
+      const std::vector<float>& t = thresholds[f];
+      if (!t.empty()) x->Set(r, f, t[(r * 7 + f) % t.size()]);
+    }
+  }
+}
+
 /// Batches of 1 to kernels::kSmallBatchRows rows of `pool`, row-major and
-/// column-major, through PredictStrided: sizes below the threshold take
-/// the tree-interleaved scalar walk under every flavor, the last one the
-/// pinned flavor's kernel.  Every output must equal the flat forest's
-/// depth-first walk bit for bit.
-void ExpectSmallBatchesMatchFlat(const FlatForest& flat, const BlockForest& blocked,
-                                 const DataMatrix& pool) {
+/// column-major, through `blocked`'s PredictStrided: sizes below the
+/// threshold take the tree-interleaved scalar walk under every flavor, the
+/// last one the pinned flavor's kernel.  Every output must equal the walk
+/// of the ensemble (`trees`, `base_score`, `learning_rate`) bit for bit.
+void ExpectSmallBatchesMatchTreeWalk(const std::vector<RegressionTree>& trees,
+                                     double base_score, double learning_rate,
+                                     const BlockForest& blocked,
+                                     const DataMatrix& pool) {
   ASSERT_GE(pool.num_rows(), kernels::kSmallBatchRows);
   for (size_t n = 1; n <= kernels::kSmallBatchRows; ++n) {
     const ExampleBatch soa = ColumnMajor(pool, n);
@@ -104,11 +128,20 @@ void ExpectSmallBatchesMatchFlat(const FlatForest& flat, const BlockForest& bloc
     blocked.PredictStrided(pool.Row(0), n, pool.num_features(), 1, row_major.data());
     blocked.PredictStrided(soa.data(), n, 1, soa.feature_stride(), col_major.data());
     for (size_t r = 0; r < n; ++r) {
-      const double expected = flat.Predict(pool.Row(r));
+      const double expected =
+          TreeWalk(trees, base_score, learning_rate, pool.Row(r));
       ASSERT_EQ(row_major[r], expected) << "n=" << n << " row " << r;
       ASSERT_EQ(col_major[r], expected) << "n=" << n << " row " << r;
     }
   }
+}
+
+/// The same, for a model's own trees and blocked forest.
+void ExpectSmallBatchesMatchTreeWalk(const GbdtRegressor& model,
+                                     const DataMatrix& pool) {
+  ExpectSmallBatchesMatchTreeWalk(model.trees(), model.base_score(),
+                                  model.params().learning_rate,
+                                  model.block_forest(), pool);
 }
 
 TEST(BlockForestTest, CompilesTrainedModel) {
@@ -122,15 +155,33 @@ TEST(BlockForestTest, CompilesTrainedModel) {
   EXPECT_EQ(blocked.nodes_per_tree() + 1, blocked.leaves_per_tree());
 }
 
-TEST(BlockForestTest, BitExactVsFlatForestOn10kRandomRows) {
+TEST(BlockForestTest, BitExactVsTreeWalkOn10kRandomRows) {
   const GbdtRegressor model = TrainRandomModel(7);
+  // Rows beyond the training range exercise every threshold direction.
   const DataMatrix x = RandomMatrix(10000, model.num_features(), 99);
-  const std::vector<double> reference = PredictRows(model.flat_forest(), x);
   const std::vector<double> blocked = PredictRows(model.block_forest(), x);
-  ASSERT_EQ(blocked.size(), reference.size());
-  for (size_t i = 0; i < blocked.size(); ++i) {
+  const std::vector<double> regressor = PredictRows(model, x);
+  ASSERT_EQ(blocked.size(), x.num_rows());
+  for (size_t i = 0; i < x.num_rows(); ++i) {
     // Bit-exact: same predicate, same accumulation order, no tolerance.
-    ASSERT_EQ(blocked[i], reference[i]) << "row " << i;
+    const double expected = TreeWalk(model, x.Row(i));
+    ASSERT_EQ(blocked[i], expected) << "row " << i;
+    ASSERT_EQ(regressor[i], expected) << "row " << i;
+    ASSERT_EQ(model.Predict(x.Row(i)), expected) << "row " << i;
+  }
+}
+
+TEST(BlockForestTest, ParityAfterSerializeDeserializeRoundTrip) {
+  const GbdtRegressor model = TrainRandomModel(11);
+  GbdtRegressor restored;
+  ASSERT_TRUE(restored.Deserialize(model.Serialize()));
+  const DataMatrix x = RandomMatrix(10000, model.num_features(), 123);
+  const std::vector<double> a = PredictRows(model, x);
+  const std::vector<double> b = PredictRows(restored, x);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i], b[i]) << "row " << i;
+    ASSERT_EQ(b[i], TreeWalk(model, x.Row(i))) << "row " << i;
   }
 }
 
@@ -155,9 +206,9 @@ TEST(BlockForestTest, RegressorBatchPathsAreBitExactVsPerRowPredict) {
   const std::vector<double> via_matrix = PredictRows(model, x);
   const std::vector<double> via_batch = model.PredictBatch(soa);
   for (size_t r = 0; r < x.num_rows(); ++r) {
-    // The flat forest's depth-first walk is the oracle: per-row Predict
-    // itself runs the blocked scalar walk under test.
-    const double expected = model.flat_forest().Predict(x.Row(r));
+    // The trees' own walk is the oracle: per-row Predict itself runs the
+    // blocked scalar walk under test.
+    const double expected = TreeWalk(model, x.Row(r));
     ASSERT_EQ(via_matrix[r], expected) << "row " << r;
     ASSERT_EQ(via_batch[r], expected) << "row " << r;
     ASSERT_EQ(model.Predict(x.Row(r)), expected) << "row " << r;
@@ -168,15 +219,14 @@ TEST(BlockForestTest, OddSizesCoverSimdTails) {
   const GbdtRegressor model = TrainRandomModel(17, /*num_trees=*/20);
   // Below kSmallBatchRows (32) both flavors run the scalar walk; 32..71
   // span the AVX2 kernel's 32-row groups and scalar remainders within a
-  // 64-row block.
+  // 64-row block, and 130 two whole blocks and a remainder.
   for (size_t n : {0u, 1u, 2u, 3u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
-                   35u, 40u, 47u, 63u, 71u}) {
+                   35u, 40u, 47u, 63u, 64u, 65u, 71u, 130u}) {
     const DataMatrix x = RandomMatrix(n, model.num_features(), 1000 + n);
     const std::vector<double> got = PredictRows(model.block_forest(), x);
     ASSERT_EQ(got.size(), n);
     for (size_t r = 0; r < n; ++r) {
-      ASSERT_EQ(got[r], model.flat_forest().Predict(x.Row(r)))
-          << "n=" << n << " row " << r;
+      ASSERT_EQ(got[r], TreeWalk(model, x.Row(r))) << "n=" << n << " row " << r;
     }
   }
 }
@@ -194,66 +244,27 @@ TEST(BlockForestTest, NonFiniteFeaturesMatchScalarSemantics) {
   }
   const std::vector<double> got = PredictRows(model.block_forest(), x);
   for (size_t r = 0; r < x.num_rows(); ++r) {
-    ASSERT_EQ(got[r], model.flat_forest().Predict(x.Row(r))) << "row " << r;
+    ASSERT_EQ(got[r], TreeWalk(model, x.Row(r))) << "row " << r;
   }
 }
 
 // The scalar walk takes trees 8 at a time, so the counts straddle
 // multiples of that lane width: fewer trees than one group, exactly one,
-// one group plus a remainder, and the default ensemble size.
-TEST(BlockForestTest, SmallBatchesMatchFlatForestAcrossTreeCounts) {
+// one group plus a remainder, and the default ensemble size.  Each pool
+// runs random, then on split thresholds, then with non-finite values too.
+TEST(BlockForestTest, SmallBatchesMatchTreeWalkAcrossTreeCounts) {
   for (const int num_trees : {1, 7, 8, 9, 120}) {
     SCOPED_TRACE(testing::Message() << num_trees << " trees");
     const GbdtRegressor model = TrainRandomModel(23, num_trees);
     ASSERT_EQ(model.block_forest().num_trees(), static_cast<size_t>(num_trees));
     DataMatrix pool = RandomMatrix(kernels::kSmallBatchRows, model.num_features(),
                                    static_cast<uint64_t>(num_trees));
-    ExpectSmallBatchesMatchFlat(model.flat_forest(), model.block_forest(), pool);
+    ExpectSmallBatchesMatchTreeWalk(model, pool);
+    SnapToThresholds(model.trees(), &pool);
+    ExpectSmallBatchesMatchTreeWalk(model, pool);
     SprinkleNonFinite(&pool);
-    ExpectSmallBatchesMatchFlat(model.flat_forest(), model.block_forest(), pool);
+    ExpectSmallBatchesMatchTreeWalk(model, pool);
   }
-}
-
-/// Builds a degenerate left-spine tree of the given internal depth.
-RegressionTree MakeChainTree(int depth) {
-  std::vector<TreeNode> nodes;
-  const int32_t num_internal = depth;
-  for (int32_t i = 0; i < num_internal; ++i) {
-    TreeNode n;
-    n.feature = 0;
-    n.threshold = -static_cast<float>(i);  // descending: left goes deeper
-    n.left = (i + 1 < num_internal) ? (i + 1) : num_internal;
-    n.right = num_internal + 1 + i;
-    nodes.push_back(n);
-  }
-  // Leaf reached by the full left spine, then one right leaf per level.
-  for (int32_t i = 0; i <= num_internal; ++i) {
-    TreeNode leaf;
-    leaf.feature = -1;
-    leaf.left = -1;
-    leaf.right = -1;
-    leaf.value = static_cast<double>(i);
-    nodes.push_back(leaf);
-  }
-  return RegressionTree(std::move(nodes));
-}
-
-/// `trees` as the text GbdtRegressor::Serialize writes (`gbdt v1`).
-std::string GbdtText(const std::vector<RegressionTree>& trees, size_t num_features,
-                     double base_score, double learning_rate) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "gbdt v1\n"
-     << num_features << " " << base_score << " " << learning_rate << " " << trees.size()
-     << "\n";
-  for (const RegressionTree& tree : trees) {
-    os << tree.num_nodes() << "\n";
-    for (const TreeNode& n : tree.nodes()) {
-      os << n.feature << " " << n.threshold << " " << n.left << " " << n.right << " "
-         << n.value << "\n";
-    }
-  }
-  return os.str();
 }
 
 /// Two levels on features 1 and 2.
@@ -267,22 +278,20 @@ RegressionTree MakeShallowTree() {
   return RegressionTree(std::move(nodes));
 }
 
-// An ensemble deeper than kMaxBlockedDepth does not block, and a
-// regressor holding one walks the flat forest under every entry point:
-// per-row Predict, PredictStrided in both layouts, and PredictBatch, at
-// sizes around the 32-row SIMD group and past one 256-row chunk, with
-// NaN and +-inf features in half the runs.
-TEST(BlockForestTest, OverDeepEnsembleStaysUncompiledAndRegressorFallsBack) {
+// A blob whose deepest tree sits exactly at kMaxBlockedDepth loads, and
+// every entry point of the loaded model -- per-row Predict,
+// PredictStrided in both layouts, and PredictBatch -- walks it as the
+// trees do, at sizes around the 32-row SIMD group and past one 256-row
+// chunk, with NaN and +-inf features in half the runs.  One level deeper
+// is refused (FuzzGbdtDeserialize.TreeDeeperThanTheBlockedLayoutRejected).
+TEST(BlockForestTest, MaxDepthBlobLoadsAndMatchesTreeWalk) {
   std::vector<RegressionTree> trees;
-  trees.push_back(MakeChainTree(BlockForest::kMaxBlockedDepth + 1));
-  const FlatForest flat = FlatForest::Compile(trees, 0.5, 0.1);
-  const BlockForest blocked = BlockForest::Compile(flat);
-  EXPECT_FALSE(blocked.compiled());
-
+  trees.push_back(MakeChainTree(BlockForest::kMaxBlockedDepth));
   trees.push_back(MakeShallowTree());
   GbdtRegressor model;
   ASSERT_TRUE(model.Deserialize(GbdtText(trees, 3, 0.5, 0.1)));
-  ASSERT_FALSE(model.block_forest().compiled());
+  ASSERT_TRUE(model.block_forest().compiled());
+  EXPECT_EQ(model.block_forest().depth(), BlockForest::kMaxBlockedDepth);
   for (const bool non_finite : {false, true}) {
     DataMatrix pool(300, 3);
     Rng rng(91);
@@ -301,7 +310,7 @@ TEST(BlockForestTest, OverDeepEnsembleStaysUncompiledAndRegressorFallsBack) {
       model.PredictStrided(soa.data(), n, 1, soa.feature_stride(), col_major.data());
       const std::vector<double> batch = model.PredictBatch(soa);
       for (size_t r = 0; r < n; ++r) {
-        const double expected = model.flat_forest().Predict(pool.Row(r));
+        const double expected = TreeWalk(trees, 0.5, 0.1, pool.Row(r));
         ASSERT_EQ(model.Predict(pool.Row(r)), expected) << "row " << r;
         ASSERT_EQ(row_major[r], expected) << "row " << r;
         ASSERT_EQ(col_major[r], expected) << "row " << r;
@@ -317,8 +326,7 @@ TEST(BlockForestTest, MaxDepthEnsembleCompilesAndMatches) {
   for (int t = 0; t < 9; ++t) {
     trees.push_back(MakeChainTree(BlockForest::kMaxBlockedDepth - t % 3));
   }
-  const FlatForest flat = FlatForest::Compile(trees, 0.5, 0.1);
-  const BlockForest blocked = BlockForest::Compile(flat);
+  const BlockForest blocked = BlockForest::Compile(trees, 0.5, 0.1);
   ASSERT_TRUE(blocked.compiled());
   EXPECT_EQ(blocked.depth(), BlockForest::kMaxBlockedDepth);
   DataMatrix x(40, 1);
@@ -328,11 +336,15 @@ TEST(BlockForestTest, MaxDepthEnsembleCompilesAndMatches) {
   }
   const std::vector<double> got = PredictRows(blocked, x);
   for (size_t r = 0; r < x.num_rows(); ++r) {
-    ASSERT_EQ(got[r], flat.Predict(x.Row(r))) << "row " << r;
+    ASSERT_EQ(got[r], TreeWalk(trees, 0.5, 0.1, x.Row(r))) << "row " << r;
   }
-  ExpectSmallBatchesMatchFlat(flat, blocked, x);
+  ExpectSmallBatchesMatchTreeWalk(trees, 0.5, 0.1, blocked, x);
   SprinkleNonFinite(&x);
-  ExpectSmallBatchesMatchFlat(flat, blocked, x);
+  ExpectSmallBatchesMatchTreeWalk(trees, 0.5, 0.1, blocked, x);
+
+  // One level more and the ensemble does not compile.
+  trees.push_back(MakeChainTree(BlockForest::kMaxBlockedDepth + 1));
+  EXPECT_FALSE(BlockForest::Compile(trees, 0.5, 0.1).compiled());
 }
 
 /// A single-node tree: the root is a leaf with the given value.
@@ -350,25 +362,44 @@ TEST(BlockForestTest, ConstantModelRootLeafTrees) {
   // one leaf slot per tree.
   std::vector<RegressionTree> trees;
   trees.push_back(MakeLeafTree(2.5));
-  const FlatForest flat = FlatForest::Compile(trees, 1.0, 0.5);
-  const BlockForest blocked = BlockForest::Compile(flat);
+  const BlockForest blocked = BlockForest::Compile(trees, 1.0, 0.5);
   ASSERT_TRUE(blocked.compiled());
   EXPECT_EQ(blocked.depth(), 0);
   DataMatrix x = RandomMatrix(kernels::kSmallBatchRows, 3, 8);
   const std::vector<double> got = PredictRows(blocked, x);
   for (const double v : got) ASSERT_EQ(v, 1.0 + 0.5 * 2.5);
-  ExpectSmallBatchesMatchFlat(flat, blocked, x);
+  ExpectSmallBatchesMatchTreeWalk(trees, 1.0, 0.5, blocked, x);
 
   // Nine leaf-only trees: a full group of the scalar walk and a
   // remainder, accumulated in tree order.
   for (int t = 1; t < 9; ++t) trees.push_back(MakeLeafTree(0.1 * t - 0.35));
-  const FlatForest flat9 = FlatForest::Compile(trees, 1.0, 0.5);
-  const BlockForest blocked9 = BlockForest::Compile(flat9);
+  const BlockForest blocked9 = BlockForest::Compile(trees, 1.0, 0.5);
   ASSERT_TRUE(blocked9.compiled());
   EXPECT_EQ(blocked9.depth(), 0);
-  ExpectSmallBatchesMatchFlat(flat9, blocked9, x);
+  ExpectSmallBatchesMatchTreeWalk(trees, 1.0, 0.5, blocked9, x);
   SprinkleNonFinite(&x);
-  ExpectSmallBatchesMatchFlat(flat9, blocked9, x);
+  ExpectSmallBatchesMatchTreeWalk(trees, 1.0, 0.5, blocked9, x);
+}
+
+// A blob with no trees is the constant model: it loads, compiles to a
+// depth-0 forest with no trees, and predicts its base score for every row
+// and batch size, non-finite features included.
+TEST(BlockForestTest, EmptyEnsembleIsTheConstantModel) {
+  GbdtRegressor model;
+  ASSERT_TRUE(model.Deserialize("gbdt v1\n1 3.25 0.1 0\n"));
+  const BlockForest& blocked = model.block_forest();
+  ASSERT_TRUE(blocked.compiled());
+  EXPECT_EQ(blocked.num_trees(), 0u);
+  EXPECT_EQ(blocked.depth(), 0);
+  DataMatrix x = RandomMatrix(70, 1, 6);
+  SprinkleNonFinite(&x);
+  for (const size_t n : {1u, 70u}) {
+    std::vector<double> out(n);
+    model.PredictStrided(x.Row(0), n, x.num_features(), 1, out.data());
+    for (size_t r = 0; r < n; ++r) ASSERT_EQ(out[r], 3.25) << "n=" << n << " row " << r;
+  }
+  const float row[1] = {0.0f};
+  EXPECT_EQ(model.Predict(row), 3.25);
 }
 
 }  // namespace

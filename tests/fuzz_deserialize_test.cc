@@ -16,7 +16,9 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/hawkes_predictor.h"
+#include "gbdt/block_forest.h"
 #include "gbdt/gbdt.h"
+#include "reference_forest.h"
 #include "stream/cascade_tracker.h"
 
 namespace horizon {
@@ -182,6 +184,25 @@ TEST(FuzzGbdtDeserialize, CyclicNodeIndicesRejected) {
       "0 0.25 1 0 2.0\n";  // node 2 points back at nodes 1 and 0
   gbdt::GbdtRegressor model2;
   EXPECT_FALSE(model2.Deserialize(backward_edge));
+}
+
+TEST(FuzzGbdtDeserialize, TreeDeeperThanTheBlockedLayoutRejected) {
+  // Well-formed chains one level past BlockForest::kMaxBlockedDepth, and
+  // far past it (deep enough to put a recursive depth count at risk of
+  // the stack), parse as valid trees that no inference path walks:
+  // Deserialize refuses them and leaves the model as it was.
+  for (const int depth : {gbdt::BlockForest::kMaxBlockedDepth + 1, 1 << 16}) {
+    SCOPED_TRACE(testing::Message() << "depth " << depth);
+    const std::string blob = gbdt::reference::GbdtText(
+        {gbdt::reference::MakeChainTree(depth)}, 1, 0.5, 0.1);
+    gbdt::GbdtRegressor fresh;
+    EXPECT_FALSE(fresh.Deserialize(blob));
+    EXPECT_FALSE(fresh.trained());
+    gbdt::GbdtRegressor trained = TrainSmallGbdt();
+    const std::string before = trained.Serialize();
+    EXPECT_FALSE(trained.Deserialize(blob));
+    EXPECT_EQ(trained.Serialize(), before);
+  }
 }
 
 // -- HawkesPredictor::Deserialize ----------------------------------------

@@ -16,8 +16,10 @@
 #include "core/trainer.h"
 #include "datagen/generator.h"
 #include "features/extractor.h"
+#include "gbdt/block_forest.h"
 #include "gbdt/dataset.h"
 #include "gbdt/tree.h"
+#include "reference_forest.h"
 #include "reference_tree_learner.h"
 
 namespace horizon::gbdt {
@@ -375,6 +377,18 @@ TEST(GbdtRegressorTest, SerializeDeserializeRoundTrip) {
   }
 }
 
+// Fit could otherwise grow trees too deep for the blocked layout every
+// prediction walks; the constructor refuses such a max_depth up front.
+TEST(GbdtRegressorDeathTest, MaxDepthPastTheBlockedLayoutAborts) {
+  GbdtParams params;
+  params.tree.max_depth = BlockForest::kMaxBlockedDepth;
+  GbdtRegressor at_bound(params);
+  EXPECT_FALSE(at_bound.trained());
+  params.tree.max_depth = BlockForest::kMaxBlockedDepth + 1;
+  EXPECT_DEATH(GbdtRegressor{params},
+               "CHECK failed at .*gbdt\\.cc:[0-9]+: .*kMaxBlockedDepth");
+}
+
 TEST(GbdtRegressorTest, DeserializeRejectsGarbage) {
   GbdtRegressor model;
   EXPECT_FALSE(model.Deserialize("not a model"));
@@ -428,7 +442,7 @@ TEST(GbdtRegressorTest, PredictBatchMatchesSinglePredictions) {
   model.PredictStrided(x.Row(0), 100, 2, 1, strided.data());
   for (size_t i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(batch[i], model.Predict(x.Row(i)));
-    EXPECT_EQ(batch[i], model.flat_forest().Predict(x.Row(i)));
+    EXPECT_EQ(batch[i], reference::TreeWalk(model, x.Row(i)));
     EXPECT_EQ(strided[i], batch[i]);
   }
 }

@@ -35,11 +35,10 @@ forest-traversal  Outside src/gbdt/, no direct indexing into a compiled
               forest's node arrays (the raw_features / raw_thresholds /
               raw_left / raw_values / raw_roots / raw_leaves
               accessors): call sites must go through the traversal API
-              (Predict / PredictStrided, on FlatForest, BlockForest and
-              GbdtRegressor alike), which is what keeps the node layout
-              -- depth-first flat vs breadth-first blocked -- free to
-              change without breaking callers.  The raw spans exist for
-              the gbdt kernels, serialization, and tests.
+              (GbdtRegressor::Predict, or PredictStrided on BlockForest
+              and GbdtRegressor alike), which is what keeps the node
+              layout free to change without breaking callers.  The raw
+              spans exist for the gbdt kernels, serialization, and tests.
 atomic-order  Every `memory_order_*` use carries an `// order:` comment
               naming the site it pairs with, so a reader can check the
               synchronizes-with edge without reconstructing it.  The
