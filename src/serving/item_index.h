@@ -69,16 +69,6 @@ class ItemIndex {
     return true;
   }
 
-  /// Stores `value` (non-null) under `id`, replacing any value there.
-  // horizon-lint: allow(serving-status) -- internal table, cannot fail
-  void InsertOrAssign(int64_t id, uint64_t hash, std::unique_ptr<T> value) {
-    HORIZON_DCHECK(value != nullptr && hash == MixId(id));
-    ReserveOneMore();
-    Slot& slot = slots_[Probe(id, hash)];
-    if (slot.value == nullptr) ++size_;
-    slot = {id, std::move(value)};
-  }
-
   /// Erases every value for which `pred(id, const T&)` is true, calling
   /// it exactly once per value; returns the number erased.
   template <typename Pred>
@@ -112,17 +102,11 @@ class ItemIndex {
     }
   }
 
-  /// Erases every value and frees the slots.
-  // horizon-lint: allow(serving-status) -- internal table, cannot fail
-  void Clear() {
-    slots_ = std::vector<Slot>();
-    size_ = 0;
-    shift_ = 64;
-  }
-
   size_t size() const { return size_; }
   /// Slots allocated: 0, or a power of two >= kMinCapacity.
   size_t capacity() const { return slots_.size(); }
+  /// Bytes of the slot array: capacity() slots of an id and a pointer.
+  size_t SlotBytes() const { return slots_.size() * sizeof(Slot); }
 
  private:
   /// A slot is empty when `value` is null.

@@ -12,6 +12,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/annotations.h"
 #include "common/check.h"
@@ -199,6 +200,7 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
   }
   m_live_items_ = registry_->GetGauge("horizon_serving_live_items");
   m_tracker_bytes_ = registry_->GetGauge("horizon_serving_tracker_bytes");
+  m_item_index_bytes_ = registry_->GetGauge("horizon_serving_item_index_bytes");
   m_ingest_commits_ =
       registry_->GetCounter("horizon_serving_ingest_commits_total");
   m_ingest_latency_ = registry_->GetHistogram("horizon_serving_ingest_latency_seconds");
@@ -528,8 +530,10 @@ size_t PredictionService::RetireDeadItems(double now) {
   const obs::ScopedTimer timer(m_retire_latency_);
   std::atomic<size_t> retired_total{0};
   // The sweep visits every item under its shard lock anyway, so it is
-  // what refreshes the tracker-bytes gauge; ingest and query pay nothing.
+  // what refreshes the tracker-bytes and item-index-bytes gauges; ingest
+  // and query pay nothing.
   std::atomic<size_t> tracker_bytes{0};
+  std::atomic<size_t> index_bytes{0};
   ParallelFor(shards_.size(), 1, [&](size_t begin, size_t end) {
     std::vector<float> row(extractor_->schema().size());
     const auto dead = [&](const Item& item) {
@@ -571,6 +575,8 @@ size_t PredictionService::RetireDeadItems(double now) {
       retired_total.fetch_add(retired, std::memory_order_relaxed);
       // order: relaxed; see above.
       tracker_bytes.fetch_add(bytes, std::memory_order_relaxed);
+      // order: relaxed; see above.
+      index_bytes.fetch_add(shard.items.SlotBytes(), std::memory_order_relaxed);
     }
   });
   // order: relaxed; read after the ParallelFor join (drain_mu handoff
@@ -578,6 +584,8 @@ size_t PredictionService::RetireDeadItems(double now) {
   const size_t retired = retired_total.load(std::memory_order_relaxed);
   // order: relaxed; same post-join read as `retired` above.
   m_tracker_bytes_->Set(static_cast<double>(tracker_bytes.load(std::memory_order_relaxed)));
+  // order: relaxed; same post-join read as `retired` above.
+  m_item_index_bytes_->Set(static_cast<double>(index_bytes.load(std::memory_order_relaxed)));
   items_retired_.Add(retired);
   m_items_retired_->Add(retired);
   // order: relaxed; gauge source paired with LiveItems()'s relaxed
@@ -900,9 +908,12 @@ Status PredictionService::Restore(const std::string& dir) {
         "mismatch)"));
   }
 
-  // Stage every item first; the live service is only touched once the
-  // whole checkpoint has been read and verified.
-  std::vector<std::pair<int64_t, std::unique_ptr<Item>>> staged;
+  // Stage every item first, into one index per live shard; the live
+  // service is only touched once the whole checkpoint has been read and
+  // verified.  Items re-shard by id hash, so a restored service may even
+  // use a different shard count than the writer.
+  std::vector<ItemIndex<Item>> staged(shards_.size());
+  size_t staged_items = 0;
   for (size_t f = 0; f < num_shard_files; ++f) {
     std::string file;
     uint32_t crc = 0;
@@ -963,27 +974,27 @@ Status PredictionService::Restore(const std::string& dir) {
       if (!item->tracker.Deserialize(blob)) {
         return CountError(Status::Corruption("shard file: bad tracker state"));
       }
-      staged.emplace_back(id, std::move(item));
+      // Shard files written by Checkpoint list each id once; one listed
+      // twice would restore one record over the other.
+      const uint64_t hash = MixId(id);
+      if (!staged[ShardIndex(hash)].Insert(id, hash, std::move(item))) {
+        return CountError(Status::Corruption("shard file: item id listed twice"));
+      }
+      ++staged_items;
     }
   }
 
-  // Swap the staged state in.  Items re-shard by id hash, so a restored
-  // service may even use a different shard count than the writer.
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->items.Clear();
-  }
-  for (auto& [id, item] : staged) {
-    const uint64_t hash = MixId(id);
-    Shard& shard = *shards_[ShardIndex(hash)];
-    MutexLock lock(shard.mu);
-    shard.items.InsertOrAssign(id, hash, std::move(item));
+  // Swap the staged indexes in; the replaced items are freed after the
+  // locks are released, with `staged`.
+  for (size_t sh = 0; sh < shards_.size(); ++sh) {
+    MutexLock lock(shards_[sh]->mu);
+    std::swap(shards_[sh]->items, staged[sh]);
   }
   // order: relaxed; Restore runs before the service takes traffic --
   // publication to other threads happens when the caller hands the
   // service over, and LiveItems() reads are relaxed-paired.
-  live_items_.store(staged.size(), std::memory_order_relaxed);
-  m_live_items_->Set(static_cast<double>(staged.size()));
+  live_items_.store(staged_items, std::memory_order_relaxed);
+  m_live_items_->Set(static_cast<double>(staged_items));
   const std::pair<obs::Counter*, uint64_t> restored[] = {
       {&items_registered_, counters.items_registered},
       {&events_ingested_, counters.events_ingested},

@@ -235,7 +235,9 @@ class PredictionService {
   /// Returns the number retired; a `now` that is non-finite or past
   /// kMaxAbsTime retires nothing and counts an invalid_argument error.
   /// Sets the horizon_serving_tracker_bytes gauge to the summed
-  /// CascadeTracker::MemoryBytes() of the items it keeps.
+  /// CascadeTracker::MemoryBytes() of the items it keeps, and the
+  /// horizon_serving_item_index_bytes gauge to the summed slot bytes of
+  /// the shards' item indexes.
   // horizon-lint: allow(serving-status) -- infallible maintenance sweep:
   // the retired count is the result, there is no failure to report.
   size_t RetireDeadItems(double now);
@@ -343,6 +345,7 @@ class PredictionService {
   obs::Counter* m_errors_[kNumStatusCodes];  // indexed by StatusCode
   obs::Gauge* m_live_items_;
   obs::Gauge* m_tracker_bytes_;  // refreshed by RetireDeadItems
+  obs::Gauge* m_item_index_bytes_;  // refreshed by RetireDeadItems
   obs::Counter* m_ingest_commits_;  // IngestBatch shard-lock acquisitions
   obs::Histogram* m_ingest_latency_;
   obs::Histogram* m_ingest_batch_latency_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -33,18 +34,38 @@ TrackerLayout::TrackerLayout(TrackerConfig tracker_config)
 
 namespace {
 
+/// A stream's scalars.  An empty stream has no block and reads
+/// kEmptyStream.
+struct StreamScalars {
+  uint64_t total = 0;
+  KahanSum age_sum;
+  double first_age = -1.0;
+  double last_age = -1.0;
+  // Events per second as of the last event, at age last_age.  Landmark
+  // j is done (its count final) once last_age passes its age.
+  double ewma_rate = 0.0;
+};
+static_assert(std::is_trivially_copyable_v<StreamScalars>);
+const StreamScalars kEmptyStream{};
+
 // A stream's block, for a layout of L landmarks and W windows, is
-//   uint64_t     landmark_counts[L];
-//   uint32_t     used[W];  // buckets window i holds
-//   uint32_t     cap[W];   // buckets window i's region has room for
-//   dgim::Bucket buckets[cap[0] + ... + cap[W - 1]];
-// with window i's region after those of windows 0 .. i-1.  The header is
-// L + W eight-byte words, so the buckets stay 8-byte aligned.
+//   StreamScalars scalars;
+//   uint64_t      landmark_counts[L];
+//   uint32_t      used[W];  // buckets window i holds
+//   uint32_t      cap[W];   // buckets window i's region has room for
+//   double        newest[C];     // C = cap[0] + ... + cap[W - 1]
+//   uint8_t       log2_size[C];
+// with window i's region of each bucket array after those of windows
+// 0 .. i-1.  The scalars are six eight-byte words and the rest of the
+// header L + W more, so `newest` stays 8-byte aligned; a bucket slot
+// costs 9 bytes.
 struct BlockView {
+  StreamScalars* scalars;
   uint64_t* landmarks;
   uint32_t* used;
   uint32_t* cap;
-  dgim::Bucket* buckets;
+  double* newest;
+  uint8_t* log2_size;
 };
 
 /// A full region doubles.  A block whose regions have room for more than
@@ -61,26 +82,45 @@ size_t NumWindows(const TrackerLayout& layout) {
   return layout.config.window_lengths.size();
 }
 
+/// The bytes before the bucket arrays.
+size_t HeaderBytes(const TrackerLayout& layout) {
+  return sizeof(StreamScalars) +
+         sizeof(uint64_t) * (NumLandmarks(layout) + NumWindows(layout));
+}
+
+uint32_t* Caps(std::byte* block, const TrackerLayout& layout) {
+  return reinterpret_cast<uint32_t*>(block + HeaderBytes(layout)) - NumWindows(layout);
+}
+
+size_t Capacity(const uint32_t* caps, const TrackerLayout& layout) {
+  size_t capacity = 0;
+  for (size_t i = 0; i < NumWindows(layout); ++i) capacity += caps[i];
+  return capacity;
+}
+
 BlockView View(std::byte* block, const TrackerLayout& layout) {
-  const size_t landmarks = NumLandmarks(layout);
-  const size_t windows = NumWindows(layout);
-  auto* words = reinterpret_cast<uint64_t*>(block);
-  auto* used = reinterpret_cast<uint32_t*>(words + landmarks);
-  return {words, used, used + windows,
-          reinterpret_cast<dgim::Bucket*>(words + landmarks + windows)};
+  uint32_t* cap = Caps(block, layout);
+  auto* newest = reinterpret_cast<double*>(block + HeaderBytes(layout));
+  return {reinterpret_cast<StreamScalars*>(block),
+          reinterpret_cast<uint64_t*>(block + sizeof(StreamScalars)),
+          cap - NumWindows(layout),
+          cap,
+          newest,
+          reinterpret_cast<uint8_t*>(newest + Capacity(cap, layout))};
+}
+
+/// The scalars of the stream whose block this is (null: an empty stream).
+const StreamScalars& ScalarsOf(std::byte* block) {
+  return block != nullptr ? *reinterpret_cast<const StreamScalars*>(block) : kEmptyStream;
 }
 
 /// The bytes of a block whose regions have room for `capacity` buckets.
 size_t BlockBytes(const TrackerLayout& layout, size_t capacity) {
-  return sizeof(uint64_t) * (NumLandmarks(layout) + NumWindows(layout)) +
-         sizeof(dgim::Bucket) * capacity;
+  return HeaderBytes(layout) + (sizeof(double) + sizeof(uint8_t)) * capacity;
 }
 
 size_t BlockBytes(std::byte* block, const TrackerLayout& layout) {
-  const BlockView v = View(block, layout);
-  size_t capacity = 0;
-  for (size_t i = 0; i < NumWindows(layout); ++i) capacity += v.cap[i];
-  return BlockBytes(layout, capacity);
+  return BlockBytes(layout, Capacity(Caps(block, layout), layout));
 }
 
 std::byte* AllocateBlock(size_t bytes) {
@@ -88,28 +128,29 @@ std::byte* AllocateBlock(size_t bytes) {
 }
 
 /// A block whose window i has room for caps[i] buckets and holds
-/// `from`'s landmarks and buckets (none, with zero landmarks, when `from`
-/// is null).
+/// `from`'s scalars, landmarks and buckets (an empty stream's, when
+/// `from` is null).
 std::byte* BuildBlock(const TrackerLayout& layout, const uint32_t* caps,
                       std::byte* from) {
   const size_t windows = NumWindows(layout);
-  size_t capacity = 0;
-  for (size_t i = 0; i < windows; ++i) capacity += caps[i];
-  std::byte* block = AllocateBlock(BlockBytes(layout, capacity));
+  std::byte* block = AllocateBlock(BlockBytes(layout, Capacity(caps, layout)));
+  std::copy(caps, caps + windows, Caps(block, layout));
   const BlockView to = View(block, layout);
-  std::copy(caps, caps + windows, to.cap);
   if (from == nullptr) {
+    *to.scalars = kEmptyStream;
     std::fill(to.landmarks, to.landmarks + NumLandmarks(layout), uint64_t{0});
     std::fill(to.used, to.used + windows, uint32_t{0});
     return block;
   }
   const BlockView old = View(from, layout);
+  *to.scalars = *old.scalars;
   std::copy(old.landmarks, old.landmarks + NumLandmarks(layout), to.landmarks);
   std::copy(old.used, old.used + windows, to.used);
-  dgim::Bucket* src = old.buckets;
-  dgim::Bucket* dst = to.buckets;
+  size_t src = 0, dst = 0;
   for (size_t i = 0; i < windows; ++i) {
-    std::copy(src, src + old.used[i], dst);
+    std::copy(old.newest + src, old.newest + src + old.used[i], to.newest + dst);
+    std::copy(old.log2_size + src, old.log2_size + src + old.used[i],
+              to.log2_size + dst);
     src += old.cap[i];
     dst += caps[i];
   }
@@ -129,7 +170,7 @@ void CascadeTracker::FreeBlock::operator()(std::byte* block) const noexcept {
 }
 
 void CascadeTracker::StreamState::Add(double age, const TrackerLayout& layout) {
-  HORIZON_CHECK_GE(age, last_age);
+  HORIZON_CHECK_GE(age, ScalarsOf(block.get()).last_age);
   const TrackerConfig& config = layout.config;
   const size_t windows = config.window_lengths.size();
   std::array<uint32_t, kMaxTrackerLayout> caps{};
@@ -154,49 +195,52 @@ void CascadeTracker::StreamState::Add(double age, const TrackerLayout& layout) {
     block.reset(BuildBlock(layout, caps.data(), block.get()));
     v = View(block.get(), layout);
   }
+  StreamScalars& s = *v.scalars;
   // Finalize landmarks that this event's age has passed: their count is the
   // total *before* this event, because the landmark is "events with age <=
   // landmark".
   for (size_t j = 0; j < config.landmark_ages.size(); ++j) {
-    if (!LandmarkDone(total, last_age, config.landmark_ages[j]) &&
+    if (!LandmarkDone(s.total, s.last_age, config.landmark_ages[j]) &&
         age > config.landmark_ages[j]) {
-      v.landmarks[j] = total;
+      v.landmarks[j] = s.total;
     }
-  }
-  dgim::Bucket* region = v.buckets;
-  size_t buckets = 0, room = 0;
-  for (size_t i = 0; i < windows; ++i) {
-    v.used[i] = static_cast<uint32_t>(dgim::Add(
-        region, v.used[i], age, config.window_lengths[i], layout.max_per_size));
-    region += v.cap[i];
-    buckets += v.used[i];
-    room += v.cap[i];
-  }
-  if (room > kShrinkFactor * buckets + windows) {
-    for (size_t i = 0; i < windows; ++i) caps[i] = v.used[i] + 1;
-    block.reset(BuildBlock(layout, caps.data(), block.get()));
   }
   // EWMA intensity estimator: decay over the time since the last event,
   // then add the unit impulse 1/tau.  An empty stream's rate is 0, so its
   // decay factor does not matter.
-  ewma_rate = ewma_rate * std::exp(-(age - last_age) / config.ewma_tau) +
-              1.0 / config.ewma_tau;
-  ++total;
-  age_sum.Add(age);
-  if (first_age < 0.0) first_age = age;
-  last_age = age;
+  s.ewma_rate = s.ewma_rate * std::exp(-(age - s.last_age) / config.ewma_tau) +
+                1.0 / config.ewma_tau;
+  ++s.total;
+  s.age_sum.Add(age);
+  if (s.first_age < 0.0) s.first_age = age;
+  s.last_age = age;
+  size_t region = 0, buckets = 0;
+  for (size_t i = 0; i < windows; ++i) {
+    v.used[i] = static_cast<uint32_t>(
+        dgim::Add(v.newest + region, v.log2_size + region, v.used[i], age,
+                  config.window_lengths[i], layout.max_per_size));
+    region += v.cap[i];
+    buckets += v.used[i];
+  }
+  if (region > kShrinkFactor * buckets + windows) {
+    for (size_t i = 0; i < windows; ++i) caps[i] = v.used[i] + 1;
+    block.reset(BuildBlock(layout, caps.data(), block.get()));
+  }
 }
 
 void CascadeTracker::StreamState::Snapshot(double age, const TrackerLayout& layout,
                                            StreamSnapshot* out) const {
   const TrackerConfig& config = layout.config;
-  out->total = total;
+  const StreamScalars& s = ScalarsOf(block.get());
+  out->total = s.total;
+  // A landmark is done only after an event, so only with a block.
+  const BlockView v = block != nullptr ? View(block.get(), layout) : BlockView{};
   if (block != nullptr) {
-    const BlockView v = View(block.get(), layout);
-    const dgim::Bucket* region = v.buckets;
+    size_t region = 0;
     for (size_t i = 0; i < config.window_lengths.size(); ++i) {
       out->window_counts[i] =
-          dgim::Count({region, v.used[i]}, age, config.window_lengths[i]);
+          dgim::Count({v.newest + region, v.log2_size + region, v.used[i]}, age,
+                      config.window_lengths[i]);
       out->window_rates[i] =
           static_cast<double>(out->window_counts[i]) / config.window_lengths[i];
       region += v.cap[i];
@@ -205,17 +249,17 @@ void CascadeTracker::StreamState::Snapshot(double age, const TrackerLayout& layo
   for (size_t j = 0; j < config.landmark_ages.size(); ++j) {
     // If the landmark has been passed, report the finalized value; otherwise
     // every event so far happened before the landmark age.
-    const bool done = LandmarkDone(total, last_age, config.landmark_ages[j]);
-    out->landmark_counts[j] = (done && age > config.landmark_ages[j])
-                                  ? View(block.get(), layout).landmarks[j]
-                                  : total;
+    const bool done = LandmarkDone(s.total, s.last_age, config.landmark_ages[j]);
+    out->landmark_counts[j] =
+        (done && age > config.landmark_ages[j]) ? v.landmarks[j] : s.total;
   }
-  out->ewma_rate =
-      total > 0 ? ewma_rate * std::exp(-(age - last_age) / config.ewma_tau) : 0.0;
+  out->ewma_rate = s.total > 0
+                       ? s.ewma_rate * std::exp(-(age - s.last_age) / config.ewma_tau)
+                       : 0.0;
   out->mean_event_age =
-      total > 0 ? age_sum.value() / static_cast<double>(total) : 0.0;
-  out->first_event_age = first_age;
-  out->last_event_age = last_age;
+      s.total > 0 ? s.age_sum.value() / static_cast<double>(s.total) : 0.0;
+  out->first_event_age = s.first_age;
+  out->last_event_age = s.last_age;
 }
 
 CascadeTracker::CascadeTracker(double creation_time,
@@ -230,18 +274,11 @@ CascadeTracker::CascadeTracker(double creation_time, const TrackerConfig& config
 CascadeTracker::CascadeTracker(const CascadeTracker& other)
     : layout_(other.layout_), creation_time_(other.creation_time_) {
   for (int i = 0; i < kNumEngagementTypes; ++i) {
-    const StreamState& from = other.streams_[i];
-    StreamState& to = streams_[i];
-    if (from.block != nullptr) {
-      const size_t bytes = BlockBytes(from.block.get(), *layout_);
-      to.block.reset(AllocateBlock(bytes));
-      std::copy(from.block.get(), from.block.get() + bytes, to.block.get());
-    }
-    to.total = from.total;
-    to.age_sum = from.age_sum;
-    to.first_age = from.first_age;
-    to.last_age = from.last_age;
-    to.ewma_rate = from.ewma_rate;
+    std::byte* from = other.streams_[i].block.get();
+    if (from == nullptr) continue;
+    const size_t bytes = BlockBytes(from, *layout_);
+    streams_[i].block.reset(AllocateBlock(bytes));
+    std::copy(from, from + bytes, streams_[i].block.get());
   }
 }
 
@@ -254,7 +291,8 @@ bool CascadeTracker::Accepts(EngagementType type, double t) const {
   // The same comparisons Observe checks: the window counters require
   // ages non-decreasing per stream.
   return t >= creation_time_ &&
-         t - creation_time_ >= streams_[static_cast<int>(type)].last_age;
+         t - creation_time_ >=
+             ScalarsOf(streams_[static_cast<int>(type)].block.get()).last_age;
 }
 
 void CascadeTracker::Observe(EngagementType type, double t) {
@@ -263,7 +301,7 @@ void CascadeTracker::Observe(EngagementType type, double t) {
 }
 
 uint64_t CascadeTracker::TotalCount(EngagementType type) const {
-  return streams_[static_cast<int>(type)].total;
+  return ScalarsOf(streams_[static_cast<int>(type)].block.get()).total;
 }
 
 size_t CascadeTracker::MemoryBytes() const {
@@ -331,34 +369,31 @@ std::string CascadeTracker::Serialize() const {
   os << creation_time_ << " " << config.window_lengths.size() << " "
      << config.landmark_ages.size() << "\n";
   for (const StreamState& stream : streams_) {
+    const StreamScalars& s = ScalarsOf(stream.block.get());
     // An empty stream's EWMA time serializes as 0, a non-empty one's as
     // its last event age; Deserialize checks both.
-    os << stream.total << " " << stream.first_age << " " << stream.last_age << " "
-       << stream.ewma_rate << " " << (stream.total > 0 ? stream.last_age : 0.0)
-       << " " << stream.age_sum.value() << " " << stream.age_sum.compensation()
-       << "\n";
+    os << s.total << " " << s.first_age << " " << s.last_age << " " << s.ewma_rate
+       << " " << (s.total > 0 ? s.last_age : 0.0) << " " << s.age_sum.value() << " "
+       << s.age_sum.compensation() << "\n";
     const bool has_block = stream.block != nullptr;
     const BlockView v = has_block ? View(stream.block.get(), *layout_) : BlockView{};
     for (size_t j = 0; j < config.landmark_ages.size(); ++j) {
       os << (has_block ? v.landmarks[j] : 0) << " "
-         << (LandmarkDone(stream.total, stream.last_age, config.landmark_ages[j])
-                 ? 1
-                 : 0)
+         << (LandmarkDone(s.total, s.last_age, config.landmark_ages[j]) ? 1 : 0)
          << " ";
     }
     os << "\n";
     // The format gives every window a total and last time; they are the
     // stream's, and Deserialize rejects a blob where they differ.
     os << config.window_lengths.size() << "\n";
-    const dgim::Bucket* region = v.buckets;
+    size_t region = 0;
     for (size_t i = 0; i < config.window_lengths.size(); ++i) {
-      std::span<const dgim::Bucket> buckets;
+      dgim::BucketSpan buckets;
       if (has_block) {
-        buckets = {region, v.used[i]};
+        buckets = {v.newest + region, v.log2_size + region, v.used[i]};
         region += v.cap[i];
       }
-      dgim::Write(os, stream.total, WindowLastTime(stream.total, stream.last_age),
-                  buckets);
+      dgim::Write(os, s.total, WindowLastTime(s.total, s.last_age), buckets);
     }
   }
   return os.str();
@@ -379,25 +414,25 @@ bool CascadeTracker::Deserialize(const std::string& text) {
     return false;
   }
   std::array<StreamState, kNumEngagementTypes> streams;
-  std::array<std::vector<dgim::Bucket>, kMaxTrackerLayout> windows;
+  std::array<dgim::Buckets, kMaxTrackerLayout> windows;
   for (StreamState& stream : streams) {
+    StreamScalars s;
     double ewma_time = 0.0, sum = 0.0, comp = 0.0;
-    if (!(is >> stream.total >> stream.first_age >> stream.last_age >>
-          stream.ewma_rate >> ewma_time >> sum >> comp)) {
+    if (!(is >> s.total >> s.first_age >> s.last_age >> s.ewma_rate >> ewma_time >>
+          sum >> comp)) {
       return false;
     }
-    if (!PlausibleScalars(stream.total, stream.first_age, stream.last_age,
-                          stream.ewma_rate, ewma_time, sum, comp,
-                          config.ewma_tau)) {
+    if (!PlausibleScalars(s.total, s.first_age, s.last_age, s.ewma_rate, ewma_time,
+                          sum, comp, config.ewma_tau)) {
       return false;
     }
-    stream.age_sum.Restore(sum, comp);
+    s.age_sum.Restore(sum, comp);
     std::array<uint64_t, kMaxTrackerLayout> landmarks{};
     for (size_t j = 0; j < num_landmarks; ++j) {
       int done = 0;
       if (!(is >> landmarks[j] >> done) ||
-          !PlausibleLandmark(stream.total, stream.first_age, stream.last_age,
-                             config.landmark_ages[j], landmarks[j], done)) {
+          !PlausibleLandmark(s.total, s.first_age, s.last_age, config.landmark_ages[j],
+                             landmarks[j], done)) {
         return false;
       }
     }
@@ -406,32 +441,36 @@ bool CascadeTracker::Deserialize(const std::string& text) {
     // Windows keep no total or last time of their own, so each one the
     // blob carries must be the stream's; dgim::Read has checked its
     // buckets against them.
-    const double last_t = WindowLastTime(stream.total, stream.last_age);
+    const double last_t = WindowLastTime(s.total, s.last_age);
     for (size_t i = 0; i < num_windows; ++i) {
       uint64_t window_total = 0;
       double window_last_t = 0.0;
       if (!dgim::Read(is, layout_->max_per_size, &window_total, &window_last_t,
                       &windows[i]) ||
-          window_total != stream.total || window_last_t != last_t ||
+          window_total != s.total || window_last_t != last_t ||
           windows[i].size() >= std::numeric_limits<uint32_t>::max()) {
         return false;
       }
     }
-    // An empty stream has no block: its landmarks count 0 and dgim::Read
+    // An empty stream has no block: PlausibleScalars has checked its
+    // scalars are kEmptyStream's, its landmarks count 0 and dgim::Read
     // admits no bucket in its windows.  Otherwise the block is fitted to
     // the buckets read.
-    if (stream.total == 0) continue;
+    if (s.total == 0) continue;
     std::array<uint32_t, kMaxTrackerLayout> caps{};
     for (size_t i = 0; i < num_windows; ++i) {
       caps[i] = static_cast<uint32_t>(windows[i].size() + 1);
     }
     stream.block.reset(BuildBlock(*layout_, caps.data(), nullptr));
     const BlockView v = View(stream.block.get(), *layout_);
+    *v.scalars = s;
     std::copy(landmarks.begin(), landmarks.begin() + num_landmarks, v.landmarks);
-    dgim::Bucket* region = v.buckets;
+    size_t region = 0;
     for (size_t i = 0; i < num_windows; ++i) {
       v.used[i] = static_cast<uint32_t>(windows[i].size());
-      std::copy(windows[i].begin(), windows[i].end(), region);
+      std::copy(windows[i].newest.begin(), windows[i].newest.end(), v.newest + region);
+      std::copy(windows[i].log2_size.begin(), windows[i].log2_size.end(),
+                v.log2_size + region);
       region += caps[i];
     }
   }

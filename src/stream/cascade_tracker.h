@@ -14,6 +14,13 @@
 //     velocity proxy for the stochastic intensity lambda(s),
 //   * the running mean of event ages (the state behind the mean-value
 //     estimator of the effective growth exponent).
+//
+// Per-item state is sized to what it holds.  The tracker object is a
+// pointer to the shared layout, the creation time and one block pointer
+// per engagement stream (56 bytes); a stream that has seen no event has
+// no block.  A stream's first event allocates its block, which holds the
+// stream's scalars, its landmark counts and its windows' DGIM buckets at
+// 9 bytes a bucket (exponential_histogram.h).
 #ifndef HORIZON_STREAM_CASCADE_TRACKER_H_
 #define HORIZON_STREAM_CASCADE_TRACKER_H_
 
@@ -173,7 +180,8 @@ class CascadeTracker {
   struct FreeBlock {
     void operator()(std::byte* block) const noexcept;
   };
-  /// A stream's landmark counts and its windows' DGIM buckets, one region
+  /// A stream's scalars (event total, age sum, first and last event ages,
+  /// EWMA rate), landmark counts and its windows' DGIM buckets, one region
   /// per window, in one allocation sized from the layout (see
   /// cascade_tracker.cc for the layout of the bytes).
   using Block = std::unique_ptr<std::byte[], FreeBlock>;
@@ -184,15 +192,8 @@ class CascadeTracker {
                   StreamSnapshot* out) const;
 
     // Made at the stream's first event and grown when a window's region
-    // fills, so an empty stream costs only the scalars below.
+    // fills, so an empty stream costs only this pointer.
     Block block;
-    uint64_t total = 0;
-    KahanSum age_sum;
-    double first_age = -1.0;
-    double last_age = -1.0;
-    // Events per second as of the last event, at age last_age.  Landmark
-    // j is done (its count final) once last_age passes its age.
-    double ewma_rate = 0.0;
   };
 
   std::shared_ptr<const TrackerLayout> layout_;

@@ -17,61 +17,67 @@ size_t MaxPerSize(double epsilon) {
   return static_cast<size_t>(std::ceil(1.0 / epsilon)) + 1;
 }
 
-size_t Add(Bucket* b, size_t n, double t, double window,
+size_t Add(double* newest, uint8_t* log2_size, size_t n, double t, double window,
            size_t max_per_size) {
   // Expire on the write path, never in Count: reads stay pure, so
   // concurrent const callers of Count() need no synchronization.  Newest
   // times are non-decreasing, so the expired buckets form a prefix.
   const double cutoff = t - window;
   size_t live = 0;
-  while (live < n && b[live].newest <= cutoff) ++live;
+  while (live < n && newest[live] <= cutoff) ++live;
   if (live > 0) {
-    std::copy(b + live, b + n, b);
+    std::copy(newest + live, newest + n, newest);
+    std::copy(log2_size + live, log2_size + n, log2_size);
     n -= live;
   }
-  b[n++] = {t, 1};
+  newest[n] = t;
+  log2_size[n] = 0;
+  ++n;
   // Sizes are non-increasing toward the newest bucket and no size occurs
-  // more than max_per_size times (see the header), so the run of `size`
+  // more than max_per_size times (see the header), so the run of one size
   // whose newest bucket is `last` is over-full exactly when the bucket
   // max_per_size places older has the same size.  Merge the run's two
   // oldest buckets into one of double the size: it becomes the newest
   // bucket of the next run, which may now be over-full in turn.
   size_t last = n - 1;
-  for (uint64_t size = 1;
-       last >= max_per_size && b[last - max_per_size].size == size; size *= 2) {
+  for (uint8_t log2 = 0;
+       last >= max_per_size && log2_size[last - max_per_size] == log2; ++log2) {
     const size_t i = last - max_per_size;
-    b[i] = {b[i + 1].newest, size * 2};
-    std::copy(b + i + 2, b + n, b + i + 1);
+    newest[i] = newest[i + 1];
+    std::copy(newest + i + 2, newest + n, newest + i + 1);
+    // Buckets i + 1 .. last all have this size, so dropping bucket i + 1's
+    // size drops bucket last's: only the smaller sizes after it move, and
+    // at the first merge there are none.
+    log2_size[i] = static_cast<uint8_t>(log2 + 1);
+    std::copy(log2_size + last + 1, log2_size + n, log2_size + last);
     --n;
     last = i;
   }
   return n;
 }
 
-uint64_t Count(std::span<const Bucket> buckets, double now, double window) {
+uint64_t Count(BucketSpan buckets, double now, double window) {
+  // Times are non-decreasing, so the fully expired buckets form a prefix.
   const double cutoff = now - window;
+  size_t oldest = 0;
+  while (oldest < buckets.n && buckets.newest[oldest] <= cutoff) ++oldest;
+  if (oldest == buckets.n) return 0;
   uint64_t sum = 0;
-  uint64_t straddler = 0;  // oldest surviving bucket's size
-  for (const Bucket& b : buckets) {
-    if (b.newest <= cutoff) continue;  // fully expired
-    if (straddler == 0) straddler = b.size;
-    sum += b.size;
-  }
+  for (size_t i = oldest; i < buckets.n; ++i) sum += buckets.SizeOf(i);
   // The oldest surviving bucket straddles the window boundary; count half
   // of it, which is what bounds the relative error.
-  return sum - straddler / 2;
+  return sum - buckets.SizeOf(oldest) / 2;
 }
 
-void Write(std::ostream& os, uint64_t total, double last_t,
-           std::span<const Bucket> buckets) {
-  os << total << " " << last_t << " " << buckets.size() << "\n";
-  for (const Bucket& b : buckets) {
-    os << b.newest << " " << b.size << "\n";
+void Write(std::ostream& os, uint64_t total, double last_t, BucketSpan buckets) {
+  os << total << " " << last_t << " " << buckets.n << "\n";
+  for (size_t i = 0; i < buckets.n; ++i) {
+    os << buckets.newest[i] << " " << buckets.SizeOf(i) << "\n";
   }
 }
 
 bool Read(std::istream& is, size_t max_per_size, uint64_t* total,
-          double* last_t, std::vector<Bucket>* buckets) {
+          double* last_t, Buckets* buckets) {
   uint64_t parsed_total = 0;
   double parsed_last_t = 0.0;
   size_t num_buckets = 0;
@@ -79,28 +85,28 @@ bool Read(std::istream& is, size_t max_per_size, uint64_t* total,
   // A valid window keeps O(log(total)/eps) buckets; anything beyond this
   // bound is corrupt input, rejected before allocating.
   if (num_buckets > 64 * (max_per_size + 1)) return false;
-  std::vector<Bucket> parsed;
+  Buckets parsed;
   uint64_t sum = 0;
   size_t run = 0;  // buckets of the last bucket's size, itself included
   for (size_t i = 0; i < num_buckets; ++i) {
-    Bucket b{};
-    if (!(is >> b.newest >> b.size) || !std::isfinite(b.newest)) {
-      return false;
-    }
+    double newest = 0.0;
+    uint64_t size = 0;
+    if (!(is >> newest >> size) || !std::isfinite(newest)) return false;
     // Add relies on sorted times at or before the last event, sizes that
     // never exceed the events the window has seen, and the invariant it
-    // keeps: power-of-two sizes, non-increasing toward newer buckets, at
-    // most max_per_size of each.
-    if ((!parsed.empty() && b.newest < parsed.back().newest) ||
-        b.newest > parsed_last_t || b.size > parsed_total - sum ||
-        !std::has_single_bit(b.size) ||
-        (!parsed.empty() && b.size > parsed.back().size)) {
+    // keeps: power-of-two sizes (so log2 <= 63), non-increasing toward
+    // newer buckets, at most max_per_size of each.
+    if (!std::has_single_bit(size)) return false;
+    const auto log2 = static_cast<uint8_t>(std::countr_zero(size));
+    if ((i > 0 && newest < parsed.newest.back()) || newest > parsed_last_t ||
+        size > parsed_total - sum || (i > 0 && log2 > parsed.log2_size.back())) {
       return false;
     }
-    run = !parsed.empty() && b.size == parsed.back().size ? run + 1 : 1;
+    run = i > 0 && log2 == parsed.log2_size.back() ? run + 1 : 1;
     if (run > max_per_size) return false;
-    sum += b.size;
-    parsed.push_back(b);
+    sum += size;
+    parsed.newest.push_back(newest);
+    parsed.log2_size.push_back(log2);
   }
   *total = parsed_total;
   *last_t = parsed_last_t;
@@ -121,17 +127,22 @@ void ExponentialHistogram::Add(double t) {
   HORIZON_CHECK_GE(t, last_t_);
   last_t_ = t;
   ++total_;
+  // Room for the bucket dgim::Add appends.
   const size_t n = buckets_.size();
-  buckets_.emplace_back();  // the room dgim::Add appends into
-  buckets_.resize(dgim::Add(buckets_.data(), n, t, window_, max_per_size_));
+  buckets_.newest.resize(n + 1);
+  buckets_.log2_size.resize(n + 1);
+  const size_t kept = dgim::Add(buckets_.newest.data(), buckets_.log2_size.data(), n, t,
+                                window_, max_per_size_);
+  buckets_.newest.resize(kept);
+  buckets_.log2_size.resize(kept);
 }
 
 uint64_t ExponentialHistogram::Count(double now) const {
-  return dgim::Count(buckets_, now, window_);
+  return dgim::Count(buckets_.span(), now, window_);
 }
 
 void ExponentialHistogram::SerializeTo(std::ostream& os) const {
-  dgim::Write(os, total_, last_t_, buckets_);
+  dgim::Write(os, total_, last_t_, buckets_.span());
 }
 
 bool ExponentialHistogram::DeserializeFrom(std::istream& is) {

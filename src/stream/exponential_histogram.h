@@ -4,29 +4,46 @@
 // temporal "velocity" features computable in O(1) amortized time and
 // O(log^2 W / eps)-ish space per content item, independent of cascade size.
 //
-// The bucket logic lives once, in namespace dgim, as functions over a
-// caller-owned bucket array.  ExponentialHistogram wraps it for one
-// standalone window in a vector; CascadeTracker runs it over each window
-// region of a stream's heap block and keeps the window length, the
-// per-size cap, the event total and the last event time itself, shared
-// across windows.
+// The bucket logic lives once, in namespace dgim, as functions over
+// caller-owned bucket storage.  A bucket's size is a power of two, so a
+// window keeps it as its log2 in one byte: a window's buckets are an array
+// of newest-event times and a parallel array of log2 sizes, 9 bytes a
+// bucket.  ExponentialHistogram wraps the functions for one standalone
+// window in two vectors; CascadeTracker runs them over each window region
+// of a stream's heap block and keeps the window length, the per-size cap,
+// the event total and the last event time itself, shared across windows.
 #ifndef HORIZON_STREAM_EXPONENTIAL_HISTOGRAM_H_
 #define HORIZON_STREAM_EXPONENTIAL_HISTOGRAM_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 namespace horizon::stream {
 
 namespace dgim {
 
-/// `size` events (a power of two), the newest of them at time `newest`.
-struct Bucket {
-  double newest;
-  uint64_t size;
+/// A window's n buckets, oldest first, in two parallel arrays: bucket i
+/// holds 2^log2_size[i] events (log2_size[i] <= 63), the newest of them
+/// at time newest[i].
+struct BucketSpan {
+  const double* newest = nullptr;
+  const uint8_t* log2_size = nullptr;
+  size_t n = 0;
+
+  /// Events in bucket i.
+  uint64_t SizeOf(size_t i) const { return uint64_t{1} << log2_size[i]; }
+};
+
+/// A window's buckets in two vectors of equal length, laid out as in
+/// BucketSpan.
+struct Buckets {
+  std::vector<double> newest;
+  std::vector<uint8_t> log2_size;
+
+  size_t size() const { return newest.size(); }
+  BucketSpan span() const { return {newest.data(), log2_size.data(), newest.size()}; }
 };
 
 /// The last-event time a window reports (and serializes) before its
@@ -38,26 +55,26 @@ inline constexpr double kNoEventTime = -1e300;
 size_t MaxPerSize(double epsilon);
 
 /// Records one event at time `t` (>= every earlier event) in the `n`
-/// buckets at `buckets` (oldest first), which must have room for n + 1:
-/// drops the prefix that has left the window of length `window` in one
-/// move, appends a size-1 bucket, then merges the two oldest buckets of
-/// any size that has more than `max_per_size`.  Returns the new count.
+/// buckets at `newest` and `log2_size` (oldest first, as in BucketSpan),
+/// which must both have room for n + 1: drops the prefix that has left
+/// the window of length `window`, appends a size-1 bucket, then merges
+/// the two oldest buckets of any size that has more than `max_per_size`.
+/// Returns the new count.
 ///
 /// Invariant: after every Add, sizes are powers of two, non-increasing
 /// from the oldest bucket to the newest, and no size occurs more than
 /// `max_per_size` times.  Add keeps it (expiry only drops the oldest
 /// prefix) and relies on it: it finds an over-full run in O(1) instead of
 /// scanning for it.  Read admits only buckets that hold it.
-size_t Add(Bucket* buckets, size_t n, double t, double window,
+size_t Add(double* newest, uint8_t* log2_size, size_t n, double t, double window,
            size_t max_per_size);
 
 /// Estimated number of events in (now - window, now].  A pure read:
 /// buckets that have expired since the last Add are skipped, not dropped.
-uint64_t Count(std::span<const Bucket> buckets, double now, double window);
+uint64_t Count(BucketSpan buckets, double now, double window);
 
 /// Writes "total last_t count" and one "newest size" line per bucket.
-void Write(std::ostream& os, uint64_t total, double last_t,
-           std::span<const Bucket> buckets);
+void Write(std::ostream& os, uint64_t total, double last_t, BucketSpan buckets);
 
 /// Reads what Write wrote.  Rejects, before allocating, more buckets than
 /// a window with this per-size cap can hold; then rejects a non-finite or
@@ -67,7 +84,7 @@ void Write(std::ostream& os, uint64_t total, double last_t,
 /// `max_per_size` buckets of one size.  On false the outputs are
 /// unchanged.
 bool Read(std::istream& is, size_t max_per_size, uint64_t* total,
-          double* last_t, std::vector<Bucket>* buckets);
+          double* last_t, Buckets* buckets);
 
 }  // namespace dgim
 
@@ -115,7 +132,7 @@ class ExponentialHistogram {
   // Front = oldest.  Expired buckets are dropped on the write path (Add)
   // only: Count() is a PURE read, so const callers may share one
   // histogram across threads without synchronization.
-  std::vector<dgim::Bucket> buckets_;
+  dgim::Buckets buckets_;
   uint64_t total_ = 0;
   double last_t_ = dgim::kNoEventTime;
 };

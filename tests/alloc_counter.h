@@ -1,8 +1,8 @@
-// Counts the heap allocations the calling thread makes, and the bytes it
-// holds, through a replaced global operator new.  Include from exactly one
-// source file of a test binary (the replacements are definitions) and read
-// horizon::test::ThreadAllocations() or ThreadLiveBytes() around the code
-// under test.
+// Counts the heap allocations the calling thread makes, and the blocks and
+// bytes it holds, through a replaced global operator new.  Include from
+// exactly one source file of a test binary (the replacements are
+// definitions) and read horizon::test::ThreadAllocations(),
+// ThreadLiveBlocks() or ThreadLiveBytes() around the code under test.
 //
 // Sanitizer runtimes own operator new, so sanitized builds keep the
 // default, define HORIZON_TEST_SANITIZED, and must skip tests that count.
@@ -27,10 +27,16 @@
 #ifndef HORIZON_TEST_SANITIZED
 namespace horizon::test {
 inline thread_local size_t t_allocations = 0;
+inline thread_local std::ptrdiff_t t_live_blocks = 0;
 inline thread_local std::ptrdiff_t t_live_bytes = 0;
 
 /// Allocations the calling thread has made so far.
 inline size_t ThreadAllocations() { return t_allocations; }
+
+/// Blocks the calling thread has allocated through operator new, less the
+/// blocks it has freed.  A block freed by another thread counts against
+/// that thread.
+inline std::ptrdiff_t ThreadLiveBlocks() { return t_live_blocks; }
 
 /// Bytes the calling thread has allocated through operator new, less the
 /// bytes it has freed: the requested sizes, without allocator overhead.
@@ -53,6 +59,7 @@ inline void* Allocate(std::size_t size, std::size_t align) {
                    : std::malloc(size + header);
   if (base == nullptr) throw std::bad_alloc();
   ++t_allocations;
+  ++t_live_blocks;
   t_live_bytes += static_cast<std::ptrdiff_t>(size);
   char* p = static_cast<char*>(base) + header;
   std::memcpy(p - sizeof(size), &size, sizeof(size));
@@ -63,6 +70,7 @@ inline void Free(void* p, std::size_t align) noexcept {
   if (p == nullptr) return;
   std::size_t size = 0;
   std::memcpy(&size, static_cast<char*>(p) - sizeof(size), sizeof(size));
+  --t_live_blocks;
   t_live_bytes -= static_cast<std::ptrdiff_t>(size);
   std::free(static_cast<char*>(p) - HeaderBytes(align));
 }

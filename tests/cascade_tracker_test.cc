@@ -175,7 +175,7 @@ TEST(CascadeTrackerTest, WindowCountsMatchStandaloneHistogram) {
 
 /// One stream's windows, run by the scan-based reference Add.
 struct OracleWindow {
-  std::vector<dgim::Bucket> buckets;
+  std::vector<reference::Bucket> buckets;
   size_t n = 0;
 };
 using OracleStreams = std::array<std::vector<OracleWindow>, kNumEngagementTypes>;
@@ -202,7 +202,7 @@ std::string WithOracleWindows(const std::string& blob, const OracleStreams& orac
       std::getline(in, line);
       std::istringstream(line) >> total >> last_t >> buckets;
       for (size_t b = 0; b < buckets; ++b) std::getline(in, line);
-      dgim::Write(out, total, last_t, {w.buckets.data(), w.n});
+      reference::WriteBuckets(out, total, last_t, w.buckets.data(), w.n);
     }
   }
   return out.str();
@@ -289,12 +289,62 @@ TEST(CascadeTrackerTest, ConvenienceConstructorCopiesTheConfig) {
 // A regression guard on the per-item constant: an empty tracker of the
 // default layout (4 windows, 4 landmarks, 4 streams) allocates nothing,
 // so its footprint is the object itself: the layout pointer, the creation
-// time and each stream's scalars and block pointer.  Per-window state
-// held inline would break the bound.
+// time and each stream's block pointer.  Per-stream scalars or per-window
+// state held inline would break the bound.
 TEST(CascadeTrackerTest, EmptyTrackerIsSmall) {
   const CascadeTracker tracker(0.0, TrackerConfig{});
   EXPECT_EQ(tracker.MemoryBytes(), sizeof(CascadeTracker));
-  EXPECT_LE(tracker.MemoryBytes(), 248u);
+  EXPECT_LE(tracker.MemoryBytes(), 56u);
+}
+
+// An empty stream costs one null pointer: a tracker whose only events are
+// views owns exactly one heap block, the view stream's, through every
+// growth and every refit after a gap empties its windows.
+TEST(CascadeTrackerTest, ViewsOnlyTrackerOwnsOneBlock) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes own operator new";
+#else
+  const auto layout = std::make_shared<const TrackerLayout>(TrackerConfig{});
+  const std::ptrdiff_t before = test::ThreadLiveBlocks();
+  {
+    CascadeTracker tracker(0.0, layout);
+    EXPECT_EQ(test::ThreadLiveBlocks(), before);
+    double t = 0.0;
+    for (int i = 0; i < 5000; ++i) {
+      t += i % 1000 == 999 ? 2 * kDay : 1.0;
+      tracker.Observe(EngagementType::kView, t);
+      ASSERT_EQ(test::ThreadLiveBlocks() - before, 1) << "event " << i;
+    }
+    EXPECT_EQ(tracker.TotalCount(EngagementType::kView), 5000u);
+  }
+  EXPECT_EQ(test::ThreadLiveBlocks(), before);
+#endif
+}
+
+// Deserialize builds a block only for a stream with events: a views-only
+// blob restores into one block, an empty tracker's blob into none.
+TEST(CascadeTrackerTest, DeserializeAllocatesNoBlockForAnEmptyStream) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes own operator new";
+#else
+  const auto layout = std::make_shared<const TrackerLayout>(TrackerConfig{});
+  CascadeTracker source(0.0, layout);
+  for (const double t : {10.0, 20.0, 4000.0}) source.Observe(EngagementType::kView, t);
+  const std::string views_blob = source.Serialize();
+  const std::string empty_blob = CascadeTracker(0.0, layout).Serialize();
+  const std::ptrdiff_t before = test::ThreadLiveBlocks();
+  {
+    CascadeTracker restored(0.0, layout);
+    ASSERT_TRUE(restored.Deserialize(views_blob));
+    EXPECT_EQ(test::ThreadLiveBlocks() - before, 1);
+    EXPECT_EQ(restored.Serialize(), views_blob);
+    ASSERT_TRUE(restored.Deserialize(empty_blob));
+    EXPECT_EQ(test::ThreadLiveBlocks(), before);
+    EXPECT_EQ(restored.MemoryBytes(), sizeof(CascadeTracker));
+    EXPECT_EQ(restored.Serialize(), empty_blob);
+  }
+  EXPECT_EQ(test::ThreadLiveBlocks(), before);
+#endif
 }
 
 // MemoryBytes() counts every byte the tracker allocates: past the object

@@ -449,6 +449,42 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithTamperedTracker) {
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
+// A re-framed shard can list one item id twice with valid CRCs.  Restore
+// used to load both records, the second over the first, and then report
+// one live item more than the service held; it must refuse the
+// checkpoint with kCorruption and leave the service untouched.
+TEST_F(CheckpointTest, RestoreRejectsAnItemIdListedTwice) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+
+  // A v2 shard holds "shard v2", its item count, then per item the id,
+  // the static features and the tracker's byte count, one line each,
+  // and the tracker blob.  Give the second item the first item's id.
+  const auto duplicate = [](std::string* payload) {
+    std::istringstream in(*payload);
+    std::string magic, version, first_id, statics, second_id;
+    size_t items = 0, blob_bytes = 0;
+    in >> magic >> version >> items >> first_id >> std::ws;
+    if (items < 2 || !std::getline(in, statics) || !(in >> blob_bytes)) return false;
+    in.ignore(1);  // the newline after the byte count
+    in.ignore(static_cast<std::streamsize>(blob_bytes));
+    const auto at = static_cast<size_t>(in.tellg());
+    if (!(in >> second_id)) return false;
+    payload->replace(at, second_id.size(), first_id);
+    return true;
+  };
+  ASSERT_TRUE(ReframeShard(Dir(), duplicate));
+
+  PredictionService restored = MakeService();
+  Load(&restored, 3, kAge);
+  const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+  const Status status = restored.Restore(Dir());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_EQ(restored.LiveItems(), 3u);
+  ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+}
+
 // A re-framed shard whose view stream carries an EWMA rate of 1e300: a
 // value no event sequence produces, which used to restore fine and then
 // read as an infinite feature.  Restore must refuse it with kCorruption.

@@ -335,6 +335,43 @@ TEST(FuzzTrackerDeserialize, RoundTripIsByteIdentical) {
   }
 }
 
+// A window keeps each bucket's size as its log2 in one byte, and the
+// largest size a power-of-two uint64 holds is 2^63 (log2 63).  A view
+// stream of 2^63 events whose windows each hold one such bucket restores
+// and writes itself back byte for byte.
+TEST(FuzzTrackerDeserialize, LargestBucketRoundTrips) {
+  const uint64_t n = uint64_t{1} << 63;
+  const stream::TrackerConfig config;
+  stream::CascadeTracker one_view(0.0, config);
+  one_view.Observe(stream::EngagementType::kView, 10.0);
+  // The blob of one view at age 10, with the view stream's total, age
+  // sum and bucket sizes raised to 2^63 events at that age.
+  std::ostringstream views;
+  views.precision(17);
+  views << n << " 10 10 " << 1.0 / config.ewma_tau << " 10 "
+        << 10.0 * static_cast<double>(n) << " 0\n";
+  for (size_t j = 0; j < config.landmark_ages.size(); ++j) views << "0 0 ";
+  views << "\n" << config.window_lengths.size() << "\n";
+  for (size_t i = 0; i < config.window_lengths.size(); ++i) {
+    views << n << " 10 1\n10 " << n << "\n";
+  }
+  std::istringstream in(one_view.Serialize());
+  std::string blob, line;
+  for (int i = 0; i < 2 && std::getline(in, line); ++i) blob += line + "\n";
+  blob += views.str();
+  // Skip the one-view stream: scalars, landmarks, the window count and
+  // each window's header and one bucket.
+  for (size_t i = 0; i < 3 + 2 * config.window_lengths.size(); ++i) std::getline(in, line);
+  while (std::getline(in, line)) blob += line + "\n";
+
+  stream::CascadeTracker restored(0.0, config);
+  ASSERT_TRUE(restored.Deserialize(blob)) << blob;
+  EXPECT_EQ(restored.Serialize(), blob);
+  EXPECT_EQ(restored.TotalCount(stream::EngagementType::kView), n);
+  // The one bucket straddles every window's boundary: half of it counts.
+  EXPECT_EQ(restored.Snapshot(10.0).views().window_counts[0], n / 2);
+}
+
 TEST(FuzzTrackerDeserialize, TruncationsNeverCrash) {
   const std::string blob = BusyTracker().Serialize();
   for (size_t len = 0; len <= blob.size(); len = (len < 64 || len + 64 >= blob.size()) ? len + 1 : len + 7) {

@@ -160,27 +160,21 @@ TEST(ItemIndexTest, EraseIfAllAndNone) {
   EXPECT_EQ(index.EraseIf([](int64_t, const int64_t&) { return true; }), 0u);
 }
 
-TEST(ItemIndexTest, InsertOrAssign) {
+// Restore stages a checkpoint's items with Insert and rejects the
+// checkpoint when it refuses one: an id already present keeps its value.
+TEST(ItemIndexTest, InsertRefusesAPresentId) {
   Index index;
   ASSERT_TRUE(Insert(index, 5));
-  index.InsertOrAssign(5, MixId(5), std::make_unique<int64_t>(-1));
+  EXPECT_FALSE(index.Insert(5, MixId(5), std::make_unique<int64_t>(-1)));
   EXPECT_EQ(index.size(), 1u);
-  EXPECT_EQ(*index.Find(5, MixId(5)), -1);
-  index.InsertOrAssign(6, MixId(6), std::make_unique<int64_t>(-2));
-  EXPECT_EQ(index.size(), 2u);
-  EXPECT_EQ(*index.Find(6, MixId(6)), -2);
-  EXPECT_FALSE(index.Insert(6, MixId(6), std::make_unique<int64_t>(-3)));
-  EXPECT_EQ(*index.Find(6, MixId(6)), -2);
-  index.Clear();
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_EQ(index.capacity(), 0u);
-  EXPECT_EQ(index.Find(5, MixId(5)), nullptr);
-  ASSERT_TRUE(Insert(index, 5));
-  ExpectHolds(index, {5});
+  EXPECT_EQ(*index.Find(5, MixId(5)), 50);
+  ASSERT_TRUE(Insert(index, 6));
+  EXPECT_FALSE(index.Insert(6, MixId(6), std::make_unique<int64_t>(-2)));
+  ExpectHolds(index, {5, 6});
 }
 
-// Random inserts, assigns and erases over a small id range (so runs are
-// long and collide) against std::map.
+// Random inserts and erases over a small id range (so runs are long and
+// collide) against std::map.
 TEST(ItemIndexTest, MatchesAMapUnderRandomOperations) {
   Rng rng(0x17E41D3Cu);
   Index index;
@@ -188,12 +182,9 @@ TEST(ItemIndexTest, MatchesAMapUnderRandomOperations) {
   for (int step = 0; step < 20000; ++step) {
     const int64_t id = static_cast<int64_t>(rng.UniformInt(400)) - 200;
     const double op = rng.Uniform();
-    if (op < 0.45) {
+    if (op < 0.55) {
       const bool inserted = Insert(index, id);
       EXPECT_EQ(inserted, oracle.emplace(id, id * 10).second);
-    } else if (op < 0.55) {
-      index.InsertOrAssign(id, MixId(id), std::make_unique<int64_t>(step));
-      oracle[id] = step;
     } else if (op < 0.95) {
       const size_t erased =
           index.EraseIf([&](int64_t key, const int64_t&) { return key == id; });

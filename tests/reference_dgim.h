@@ -5,19 +5,26 @@
 // After appending the size-1 bucket it walks back from the newest bucket
 // over every smaller run to find the run of the current size, counts it,
 // and merges its two oldest buckets while it holds more than max_per_size.
+// It keeps each bucket as a (newest, size) pair, not in the windows'
+// (newest, log2 size) arrays, so it shares no storage code with them.
 #ifndef HORIZON_TESTS_REFERENCE_DGIM_H_
 #define HORIZON_TESTS_REFERENCE_DGIM_H_
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-
-#include "stream/exponential_histogram.h"
+#include <ostream>
 
 namespace horizon::stream::reference {
 
-/// Same contract as dgim::Add.
-inline size_t DgimAdd(dgim::Bucket* b, size_t n, double t, double window,
+/// `size` events, the newest of them at time `newest`.
+struct Bucket {
+  double newest;
+  uint64_t size;
+};
+
+/// dgim::Add's contract, on one array of buckets.
+inline size_t DgimAdd(Bucket* b, size_t n, double t, double window,
                       size_t max_per_size) {
   // Expire on the write path, never in Count: reads stay pure, so
   // concurrent const callers of Count() need no synchronization.  Newest
@@ -53,6 +60,13 @@ inline size_t DgimAdd(dgim::Bucket* b, size_t n, double t, double window,
     size *= 2;
   }
   return n;
+}
+
+/// What dgim::Write writes for these buckets, at the stream's precision.
+inline void WriteBuckets(std::ostream& os, uint64_t total, double last_t,
+                         const Bucket* b, size_t n) {
+  os << total << " " << last_t << " " << n << "\n";
+  for (size_t i = 0; i < n; ++i) os << b[i].newest << " " << b[i].size << "\n";
 }
 
 }  // namespace horizon::stream::reference

@@ -586,6 +586,26 @@ TEST_F(PredictionServiceTest, TrackerBytesGaugeIsRefreshedByRetirement) {
   EXPECT_EQ(gauge->Value(), 0.0);
 }
 
+// The item-index gauge, also written by the sweep only, sums the slot
+// bytes of every shard's index: 100 items in one shard fill 128 slots at
+// the 7/8 load cap, 16 bytes (an id and a pointer) each.
+TEST_F(PredictionServiceTest, ItemIndexBytesGaugeIsRefreshedByRetirement) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  config.num_shards = 1;
+  PredictionService service = MakeService(config);
+  const obs::Gauge* gauge = registry.GetGauge("horizon_serving_item_index_bytes");
+  for (int64_t id = 0; id < 100; ++id) {
+    const auto& cascade = dataset_->cascades[static_cast<size_t>(id)];
+    ASSERT_TRUE(service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
+                                     cascade.post).ok());
+  }
+  EXPECT_EQ(gauge->Value(), 0.0);  // registration leaves it alone
+  EXPECT_EQ(service.RetireDeadItems(0.0), 0u);
+  EXPECT_EQ(gauge->Value(), 128.0 * 16.0);
+}
+
 // Non-finite times would trip the tracker's ordering checks and abort the
 // process (+inf only on the item's NEXT event); the service boundary
 // rejects them and counts each as an invalid argument.

@@ -134,13 +134,15 @@ TEST_P(DgimOracleTest, AddMatchesScanningReferenceAfterEveryEvent) {
   const size_t k = dgim::MaxPerSize(epsilon);
   const std::vector<double> windows = {1.0, 60.0, kHour, kDay, 30 * kDay};
   struct Window {
-    std::vector<dgim::Bucket> got, want;
+    dgim::Buckets got;
+    std::vector<reference::Bucket> want;
     size_t n_got = 0, n_want = 0;
   };
   // 64 sizes of at most k buckets each, plus the room Add appends into.
   std::vector<Window> state(windows.size());
   for (Window& w : state) {
-    w.got.resize(64 * k + 1);
+    w.got.newest.resize(64 * k + 1);
+    w.got.log2_size.resize(64 * k + 1);
     w.want.resize(64 * k + 1);
   }
   const std::vector<double> times = TiesBurstsAndGaps(
@@ -149,24 +151,26 @@ TEST_P(DgimOracleTest, AddMatchesScanningReferenceAfterEveryEvent) {
     const double t = times[e];
     for (size_t i = 0; i < windows.size(); ++i) {
       Window& w = state[i];
-      w.n_got = dgim::Add(w.got.data(), w.n_got, t, windows[i], k);
+      w.n_got = dgim::Add(w.got.newest.data(), w.got.log2_size.data(), w.n_got, t,
+                          windows[i], k);
       w.n_want = reference::DgimAdd(w.want.data(), w.n_want, t, windows[i], k);
       ASSERT_EQ(w.n_got, w.n_want) << "event " << e << ", window " << windows[i];
-      if (std::memcmp(w.got.data(), w.want.data(), w.n_got * sizeof(dgim::Bucket)) != 0) {
-        for (size_t b = 0; b < w.n_got; ++b) {
-          ASSERT_EQ(w.got[b].newest, w.want[b].newest)
+      const dgim::BucketSpan got{w.got.newest.data(), w.got.log2_size.data(), w.n_got};
+      for (size_t b = 0; b < w.n_got; ++b) {
+        if (got.newest[b] != w.want[b].newest || got.SizeOf(b) != w.want[b].size) {
+          ASSERT_EQ(got.newest[b], w.want[b].newest)
               << "event " << e << ", window " << windows[i] << ", bucket " << b;
-          ASSERT_EQ(w.got[b].size, w.want[b].size)
+          ASSERT_EQ(got.SizeOf(b), w.want[b].size)
               << "event " << e << ", window " << windows[i] << ", bucket " << b;
         }
       }
       if (e % 997 == 0) {
         std::stringstream blob;
         blob.precision(17);
-        dgim::Write(blob, e + 1, t, {w.got.data(), w.n_got});
+        dgim::Write(blob, e + 1, t, got);
         uint64_t total = 0;
         double last_t = 0.0;
-        std::vector<dgim::Bucket> read;
+        dgim::Buckets read;
         ASSERT_TRUE(dgim::Read(blob, k, &total, &last_t, &read))
             << "event " << e << ", window " << windows[i];
         ASSERT_EQ(read.size(), w.n_got);
