@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+
+#include "common/text_codec.h"
 
 namespace horizon::io {
 
@@ -93,60 +95,94 @@ bool FaultInjector::ShouldFail(FaultPoint /*point*/) {
 // ---------------------------------------------------------------------------
 // CRC32 framing
 
-uint32_t Crc32(std::string_view data) {
-  // Table-driven reflected CRC-32 (polynomial 0xEDB88320).
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
+namespace {
+
+using CrcTable = std::array<uint32_t, 256>;
+
+/// Table 0 is the bytewise table of the reflected polynomial; table k
+/// carries a byte's contribution k more bytes along, so the slicing-by-8
+/// loop folds in eight bytes with eight independent lookups.
+constexpr std::array<CrcTable, 8> MakeCrcTables() {
+  std::array<CrcTable, 8> tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    tables[0][i] = c;
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      tables[k][i] = (tables[k - 1][i] >> 8) ^ tables[0][tables[k - 1][i] & 0xFFu];
+    }
+  }
+  return tables;
+}
+constexpr std::array<CrcTable, 8> kCrcTables = MakeCrcTables();
+
+/// The four bytes at `p` as a little-endian word.
+uint32_t Load32(const unsigned char* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
+}
+
+}  // namespace
+
+uint32_t Crc32(uint32_t prev, std::string_view data) {
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
+  uint32_t crc = ~prev;
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ Load32(p);
+    const uint32_t hi = Load32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
+  return ~crc;
+}
+
+uint32_t Crc32(std::string_view data) { return Crc32(0, data); }
+
+std::string CrcFrameHeader(std::string_view payload) {
+  char header[64];
+  const int n = std::snprintf(header, sizeof(header), "hzf1 %zu %08x\n",
+                              payload.size(), Crc32(payload));
+  return std::string(header, static_cast<size_t>(n));
 }
 
 std::string WrapCrcFrame(std::string_view payload) {
-  char header[64];
-  std::snprintf(header, sizeof(header), "hzf1 %zu %08x\n", payload.size(),
-                Crc32(payload));
-  std::string out(header);
-  out.append(payload.data(), payload.size());
+  std::string out = CrcFrameHeader(payload);
+  out.append(payload);
   return out;
 }
 
-StatusOr<std::string> UnwrapCrcFrame(std::string_view frame) {
+StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame) {
   const size_t eol = frame.find('\n');
   if (eol == std::string_view::npos) {
     return Status::Corruption("CRC frame: missing header line");
   }
-  std::istringstream header{std::string(frame.substr(0, eol))};
-  std::string magic;
+  text::Reader header(frame.substr(0, eol));
+  std::string_view magic, crc_hex;
   size_t size = 0;
-  std::string crc_hex;
-  if (!(header >> magic >> size >> crc_hex) || magic != "hzf1") {
+  if (!header.ReadWord(&magic) || magic != "hzf1" || !header.Read(&size) ||
+      !header.ReadWord(&crc_hex)) {
     return Status::Corruption("CRC frame: malformed header");
   }
-  char* end = nullptr;
-  const unsigned long crc = std::strtoul(crc_hex.c_str(), &end, 16);
-  if (end == crc_hex.c_str() || *end != '\0') {
+  uint32_t crc = 0;
+  const char* const hex_end = crc_hex.data() + crc_hex.size();
+  if (const auto [end, ec] = std::from_chars(crc_hex.data(), hex_end, crc, 16);
+      ec != std::errc() || end != hex_end) {
     return Status::Corruption("CRC frame: bad checksum field");
   }
   const std::string_view payload = frame.substr(eol + 1);
   if (payload.size() != size) {  // torn or padded file
     return Status::Corruption("CRC frame: payload size mismatch");
   }
-  if (Crc32(payload) != static_cast<uint32_t>(crc)) {
+  if (Crc32(payload) != crc) {
     return Status::Corruption("CRC frame: checksum mismatch");
   }
-  return std::string(payload);
+  return payload;
 }
 
 // ---------------------------------------------------------------------------
@@ -181,20 +217,30 @@ bool FsyncParentDir(const std::string& path) {
 
 }  // namespace
 
-Status WriteFileAtomic(const std::string& path, std::string_view contents) {
+Status WriteFileAtomic(const std::string& path,
+                       std::initializer_list<std::string_view> parts) {
   FaultInjector& faults = FaultInjector::Global();
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::IoError("open " + tmp + ": " + std::strerror(errno));
   if (faults.ShouldFail(FaultPoint::kWrite)) {
     // Simulated crash mid-write: leave a torn prefix behind.
-    WriteAll(fd, contents.data(), contents.size() / 2);
+    size_t torn = 0;
+    for (const std::string_view part : parts) torn += part.size();
+    torn /= 2;
+    for (const std::string_view part : parts) {
+      const size_t n = std::min(torn, part.size());
+      WriteAll(fd, part.data(), n);
+      torn -= n;
+    }
     ::close(fd);
     return Status::IoError("injected crash writing " + tmp);
   }
-  if (!WriteAll(fd, contents.data(), contents.size())) {
-    ::close(fd);
-    return Status::IoError("write " + tmp + ": " + std::strerror(errno));
+  for (const std::string_view part : parts) {
+    if (!WriteAll(fd, part.data(), part.size())) {
+      ::close(fd);
+      return Status::IoError("write " + tmp + ": " + std::strerror(errno));
+    }
   }
   if (faults.ShouldFail(FaultPoint::kFsync) || ::fsync(fd) != 0) {
     ::close(fd);
@@ -221,6 +267,10 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   return Status::Ok();
 }
 
+Status WriteFileAtomic(const std::string& path, std::string_view contents) {
+  return WriteFileAtomic(path, {contents});
+}
+
 StatusOr<std::string> ReadFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -228,18 +278,27 @@ StatusOr<std::string> ReadFile(const std::string& path) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
   }
   std::string out;
-  char buf[1 << 16];
+  struct stat st{};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) out.resize(static_cast<size_t>(st.st_size));
+  // Reads into `out` until it is full, then through `more` until the end
+  // of the file: a file that grew after the fstat is read whole.
+  size_t done = 0;
   for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    char more[4096];
+    const bool full = done == out.size();
+    const ssize_t n = full ? ::read(fd, more, sizeof(more))
+                           : ::read(fd, out.data() + done, out.size() - done);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       return Status::IoError("read " + path + ": " + std::strerror(errno));
     }
     if (n == 0) break;
-    out.append(buf, static_cast<size_t>(n));
+    if (full) out.append(more, static_cast<size_t>(n));
+    done += static_cast<size_t>(n);
   }
   ::close(fd);
+  out.resize(done);  // the file shrank after the fstat
   return out;
 }
 

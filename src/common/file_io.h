@@ -13,6 +13,7 @@
 #define HORIZON_COMMON_FILE_IO_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,25 +86,39 @@ class FaultInjector {
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `data`.
 uint32_t Crc32(std::string_view data);
 
-/// Wraps a payload in a CRC frame:
-///   "hzf1 <payload size> <crc32 hex>\n" + payload
-/// The frame detects truncation, bit flips, and concatenation damage.
+/// The CRC-32 of the bytes whose prefix has CRC-32 `prev` and whose
+/// suffix is `data`: Crc32(Crc32(a), b) == Crc32(a + b).
+uint32_t Crc32(uint32_t prev, std::string_view data);
+
+/// The header of the CRC frame around `payload`:
+///   "hzf1 <payload size> <crc32 hex>\n"
+/// The frame, header then payload, detects truncation, bit flips, and
+/// concatenation damage.
+std::string CrcFrameHeader(std::string_view payload);
+
+/// The CRC frame around `payload`, header and payload in one string.
 std::string WrapCrcFrame(std::string_view payload);
 
-/// Validates and strips a CRC frame.  Returns kCorruption when the header
-/// is malformed, the size disagrees with the actual byte count, or the
-/// CRC does not match -- i.e. for every torn or corrupted file.
-StatusOr<std::string> UnwrapCrcFrame(std::string_view frame);
+/// Validates a CRC frame and returns its payload, a view into `frame`.
+/// Returns kCorruption when the header is malformed, the size disagrees
+/// with the actual byte count, or the CRC does not match -- i.e. for
+/// every torn or corrupted file.
+StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame);
 
-/// Atomically replaces `path` with `contents`: writes `path + ".tmp"`,
-/// fsyncs it, renames it over `path`, and fsyncs the parent directory.
-/// Either the old file or the complete new file survives a crash at any
-/// step; a torn temp file is never visible under `path`.  Returns
-/// kIoError on any IO error or injected fault.
+/// Atomically replaces `path` with `parts`, written one after the other:
+/// writes `path + ".tmp"`, fsyncs it, renames it over `path`, and fsyncs
+/// the parent directory.  Either the old file or the complete new file
+/// survives a crash at any step; a torn temp file is never visible under
+/// `path`.  Returns kIoError on any IO error or injected fault.
+Status WriteFileAtomic(const std::string& path,
+                       std::initializer_list<std::string_view> parts);
+
+/// WriteFileAtomic of a file holding `contents`.
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
-/// Reads a whole file.  Returns kNotFound when it does not exist and
-/// kIoError when it exists but cannot be opened or read.
+/// Reads a whole file into a string sized once from the file's size.
+/// Returns kNotFound when it does not exist and kIoError when it exists
+/// but cannot be opened or read.
 StatusOr<std::string> ReadFile(const std::string& path);
 
 /// Creates a directory (and missing parents).  OK when the directory

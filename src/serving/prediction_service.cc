@@ -17,6 +17,7 @@
 #include "common/annotations.h"
 #include "common/check.h"
 #include "common/file_io.h"
+#include "common/text_codec.h"
 #include "common/thread_pool.h"
 #include "pointprocess/transform.h"
 #include "serving/item_index.h"
@@ -201,6 +202,7 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
   m_live_items_ = registry_->GetGauge("horizon_serving_live_items");
   m_tracker_bytes_ = registry_->GetGauge("horizon_serving_tracker_bytes");
   m_item_index_bytes_ = registry_->GetGauge("horizon_serving_item_index_bytes");
+  m_checkpoint_bytes_ = registry_->GetGauge("horizon_serving_checkpoint_bytes");
   m_ingest_commits_ =
       registry_->GetCounter("horizon_serving_ingest_commits_total");
   m_ingest_latency_ = registry_->GetHistogram("horizon_serving_ingest_latency_seconds");
@@ -632,12 +634,12 @@ std::string Trim(const std::string& text) {
 
 // Shard files of version v1 carry each item's page and post profiles,
 // which Restore turns into the item's static features.
-bool DeserializePage(std::istream& is, datagen::PageProfile* p) {
+bool DeserializePage(text::Reader* in, datagen::PageProfile* p) {
   int category = 0;
-  if (!(is >> p->id >> p->followers >> p->fans >> p->posts_last_month >>
-        p->page_age_days >> category >> p->verified >> p->hist_mean_views >>
-        p->hist_mean_halflife >> p->hist_share_rate >> p->hist_comment_rate >>
-        p->quality >> p->audience_tau >> p->shareability >> p->alpha_page)) {
+  if (!in->Read(&p->id, &p->followers, &p->fans, &p->posts_last_month,
+                &p->page_age_days, &category, &p->verified, &p->hist_mean_views,
+                &p->hist_mean_halflife, &p->hist_share_rate, &p->hist_comment_rate,
+                &p->quality, &p->audience_tau, &p->shareability, &p->alpha_page)) {
     return false;
   }
   if (category < 0 || category >= datagen::kNumPageCategories) return false;
@@ -645,12 +647,12 @@ bool DeserializePage(std::istream& is, datagen::PageProfile* p) {
   return true;
 }
 
-bool DeserializePost(std::istream& is, datagen::PostProfile* p) {
+bool DeserializePost(text::Reader* in, datagen::PostProfile* p) {
   int media = 0;
-  if (!(is >> p->id >> p->page_id >> media >> p->language >> p->num_mentions >>
-        p->num_hashtags >> p->text_length >> p->creation_tod >> p->day_of_week >>
-        p->in_group >> p->group_members >> p->has_question >> p->creation_time >>
-        p->lambda0 >> p->beta >> p->rho1 >> p->mark_sigma_log)) {
+  if (!in->Read(&p->id, &p->page_id, &media, &p->language, &p->num_mentions,
+                &p->num_hashtags, &p->text_length, &p->creation_tod, &p->day_of_week,
+                &p->in_group, &p->group_members, &p->has_question, &p->creation_time,
+                &p->lambda0, &p->beta, &p->rho1, &p->mark_sigma_log)) {
     return false;
   }
   if (media < 0 || media >= datagen::kNumMediaTypes) return false;
@@ -660,19 +662,24 @@ bool DeserializePost(std::istream& is, datagen::PostProfile* p) {
 
 // Shard files of version v2 carry each item's static features, on one
 // line, to float precision: what a v2 shard writes reads back bit for bit.
-void WriteStatics(std::ostream& os, const features::StaticFeatures& statics) {
+constexpr int kStaticDigits = std::numeric_limits<float>::max_digits10;
+// A static feature at its widest ("-1.17549435e-38"), with the byte after
+// it.
+constexpr size_t kStaticBytes = 16;
+
+void AppendStatics(std::string* out, const features::StaticFeatures& statics) {
   for (size_t k = 0; k < statics.size(); ++k) {
-    if (k > 0) os << ' ';
-    os << statics[k];
+    if (k > 0) out->push_back(' ');
+    text::AppendDouble(out, statics[k], kStaticDigits);
   }
-  os << '\n';
+  out->push_back('\n');
 }
 
-/// Reads the line WriteStatics wrote: false unless it holds exactly
+/// Reads the line AppendStatics wrote: false unless it holds exactly
 /// kNumStaticFeatures finite values.
-bool ReadStatics(std::istream& is, features::StaticFeatures* statics) {
-  std::string line;
-  if (!(is >> std::ws) || !std::getline(is, line)) return false;
+bool ReadStatics(text::Reader* in, features::StaticFeatures* statics) {
+  std::string_view line;
+  if (!in->ReadLine(&line)) return false;
   const char* at = line.data();
   const char* const end = at + line.size();
   for (float& value : *statics) {
@@ -682,6 +689,39 @@ bool ReadStatics(std::istream& is, features::StaticFeatures* statics) {
     at = next;
   }
   return at == end;
+}
+
+/// The `shard v2` payload of `items`: a header line, the item count, then
+/// per item its id, its static features and its tracker blob after the
+/// blob's byte count, built in one string sized before the first item.
+std::string ShardPayload(const std::vector<std::pair<int64_t, Item>>& items) {
+  // "shard v2", then the item count, each id and each blob's byte count,
+  // each an integer of at most 20 digits and its newline.
+  constexpr size_t kInt = 21;
+  size_t bound = 9 + kInt;
+  for (const auto& [id, item] : items) {
+    bound += 2 * kInt + kStaticBytes * features::kNumStaticFeatures +
+             item.tracker.SerializedBytesBound();
+  }
+  std::string out;
+  out.reserve(bound);
+  out.append("shard v2\n");
+  text::AppendInt(&out, items.size());
+  out.push_back('\n');
+  for (const auto& [id, item] : items) {
+    text::AppendInt(&out, id);
+    out.push_back('\n');
+    AppendStatics(&out, item.statics);
+    // The byte count goes before the blob, so it is inserted once the
+    // blob is written; the reservation leaves room for it.
+    const size_t blob_at = out.size();
+    item.tracker.SerializeTo(&out);
+    char count[kInt];
+    char* end = std::to_chars(count, count + kInt - 1, out.size() - blob_at).ptr;
+    *end++ = '\n';
+    out.insert(blob_at, count, static_cast<size_t>(end - count));
+  }
+  return out;
 }
 
 }  // namespace
@@ -721,21 +761,13 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
         shard.items.ForEach(
             [&](int64_t id, const Item& item) { snapshot.emplace_back(id, item); });
       }
-      std::ostringstream os;
-      os.precision(std::numeric_limits<float>::max_digits10);
-      os << "shard v2\n" << snapshot.size() << "\n";
-      for (const auto& [id, item] : snapshot) {
-        os << id << "\n";
-        WriteStatics(os, item.statics);
-        const std::string tracker = item.tracker.Serialize();
-        os << tracker.size() << "\n" << tracker;
-      }
-      const std::string framed = io::WrapCrcFrame(os.str());
-      shard_crc[sh] = io::Crc32(framed);
-      shard_bytes[sh] = framed.size();
+      const std::string payload = ShardPayload(snapshot);
+      const std::string header = io::CrcFrameHeader(payload);
+      shard_crc[sh] = io::Crc32(io::Crc32(header), payload);
+      shard_bytes[sh] = header.size() + payload.size();
       shard_items[sh] = snapshot.size();
       const Status wrote =
-          io::WriteFileAtomic(ckpt + "/" + ShardFileName(sh), framed);
+          io::WriteFileAtomic(ckpt + "/" + ShardFileName(sh), {header, payload});
       if (!wrote.ok()) {
         MutexLock lock(error_mu);
         if (shard_error.ok()) shard_error = wrote;
@@ -743,8 +775,8 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
     }
   });
   HORIZON_RETURN_IF_ERROR(shard_error);
-  HORIZON_RETURN_IF_ERROR(
-      io::WriteFileAtomic(ckpt + "/model.hwk", io::WrapCrcFrame(model_blob)));
+  const std::string model_file = io::WrapCrcFrame(model_blob);
+  HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(ckpt + "/model.hwk", model_file));
 
   std::ostringstream manifest;
   manifest.precision(17);
@@ -768,11 +800,14 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
     manifest << ShardFileName(sh) << " " << shard_crc[sh] << " " << shard_bytes[sh]
              << " " << shard_items[sh] << "\n";
   }
-  HORIZON_RETURN_IF_ERROR(
-      io::WriteFileAtomic(ckpt + "/MANIFEST", io::WrapCrcFrame(manifest.str())));
+  const std::string manifest_file = io::WrapCrcFrame(manifest.str());
+  HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(ckpt + "/MANIFEST", manifest_file));
   // Commit point: once CURRENT names the new directory, the checkpoint is
   // the one Restore will load.
   HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(dir + "/CURRENT", name + "\n"));
+  m_checkpoint_bytes_->Set(static_cast<double>(
+      std::accumulate(shard_bytes.begin(), shard_bytes.end(), size_t{0}) +
+      model_file.size() + manifest_file.size()));
 
   // GC: drop checkpoints older than the committed one's predecessor
   // (including partial directories left by crashed attempts).
@@ -808,7 +843,7 @@ Status PredictionService::Restore(const std::string& dir) {
   const auto manifest = io::UnwrapCrcFrame(*manifest_file);
   if (!manifest.ok()) return CountError(manifest.status());
 
-  std::istringstream is(*manifest);
+  std::istringstream is{std::string(*manifest)};
   std::string magic, version, key;
   uint64_t epoch = 0;
   uint32_t model_crc = 0;
@@ -931,20 +966,21 @@ Status PredictionService::Restore(const std::string& dir) {
     }
     const auto payload = io::UnwrapCrcFrame(*raw);
     if (!payload.ok()) return CountError(payload.status());
-    std::istringstream ss(*payload);
-    std::string smagic, sversion;
+    // The items are parsed in place, from the bytes `raw` holds.
+    text::Reader in(*payload);
+    std::string_view smagic, sversion;
     size_t num_items = 0;
-    if (!(ss >> smagic >> sversion) || smagic != "shard" ||
+    if (!in.ReadWord(&smagic) || !in.ReadWord(&sversion) || smagic != "shard" ||
         (sversion != "v1" && sversion != "v2")) {
       return CountError(Status::Corruption("shard file: bad magic/version"));
     }
     const bool has_profiles = sversion == "v1";
-    if (!(ss >> num_items) || num_items != items) {
+    if (!in.Read(&num_items) || num_items != items) {
       return CountError(Status::Corruption("shard file: item count mismatch"));
     }
     for (size_t i = 0; i < num_items; ++i) {
       int64_t id = 0;
-      if (!(ss >> id)) {
+      if (!in.Read(&id)) {
         return CountError(Status::Corruption("shard file: truncated item id"));
       }
       // A v1 item's static features come from its profiles, through the
@@ -953,22 +989,23 @@ Status PredictionService::Restore(const std::string& dir) {
       if (has_profiles) {
         datagen::PageProfile page;
         datagen::PostProfile post;
-        if (!DeserializePage(ss, &page) || !DeserializePost(ss, &post)) {
+        if (!DeserializePage(&in, &page) || !DeserializePost(&in, &post)) {
           return CountError(Status::Corruption("shard file: bad item profile"));
         }
         statics = features::FeatureExtractor::ExtractStatic(page, post);
-      } else if (!ReadStatics(ss, &statics)) {
+      } else if (!ReadStatics(&in, &statics)) {
         return CountError(Status::Corruption("shard file: bad static features"));
       }
       size_t blob_size = 0;
-      if (!(ss >> blob_size) || blob_size > 1u << 24) {
+      if (!in.Read(&blob_size) || blob_size > 1u << 24) {
         return CountError(Status::Corruption("shard file: bad tracker size"));
       }
-      ss.ignore(1);  // the newline after the size
-      std::string blob(blob_size, '\0');
-      if (!ss.read(blob.data(), static_cast<std::streamsize>(blob_size))) {
+      // The byte after the size is its newline; the blob follows it.
+      std::string_view blob;
+      if (!in.Take(blob_size + 1, &blob)) {
         return CountError(Status::Corruption("shard file: truncated tracker"));
       }
+      blob.remove_prefix(1);
       auto item = std::make_unique<Item>(
           Item{stream::CascadeTracker(0.0, tracker_layout_), statics});
       if (!item->tracker.Deserialize(blob)) {

@@ -263,6 +263,8 @@ class PredictionService {
   /// snapshotted under their own locks and serialized/written outside
   /// them, so concurrent Ingest/Query keep running during a checkpoint.
   /// kIoError on any write failure (the previous checkpoint survives).
+  /// Once it commits, sets the horizon_serving_checkpoint_bytes gauge to
+  /// the bytes of the checkpoint's files: shards, model and manifest.
   Status Checkpoint(const std::string& dir) const;
 
   /// Restores the checkpoint committed under `dir`.  Verifies the CRC of
@@ -346,6 +348,7 @@ class PredictionService {
   obs::Gauge* m_live_items_;
   obs::Gauge* m_tracker_bytes_;  // refreshed by RetireDeadItems
   obs::Gauge* m_item_index_bytes_;  // refreshed by RetireDeadItems
+  obs::Gauge* m_checkpoint_bytes_;  // set by Checkpoint once it commits
   obs::Counter* m_ingest_commits_;  // IngestBatch shard-lock acquisitions
   obs::Histogram* m_ingest_latency_;
   obs::Histogram* m_ingest_batch_latency_;

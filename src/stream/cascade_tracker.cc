@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 
 #include "common/check.h"
+#include "common/text_codec.h"
 
 namespace horizon::stream {
 
@@ -361,31 +361,41 @@ bool PlausibleLandmark(uint64_t total, double first_age, double last_age,
 
 }  // namespace
 
-std::string CascadeTracker::Serialize() const {
+void CascadeTracker::SerializeTo(std::string* out) const {
   const TrackerConfig& config = layout_->config;
-  std::ostringstream os;
-  os.precision(17);
-  os << "trk v1\n";
-  os << creation_time_ << " " << config.window_lengths.size() << " "
-     << config.landmark_ages.size() << "\n";
+  const auto space = [out] { out->push_back(' '); };
+  const auto newline = [out] { out->push_back('\n'); };
+  out->append("trk v1\n");
+  text::AppendDouble(out, creation_time_);
+  space();
+  text::AppendInt(out, config.window_lengths.size());
+  space();
+  text::AppendInt(out, config.landmark_ages.size());
+  newline();
   for (const StreamState& stream : streams_) {
     const StreamScalars& s = ScalarsOf(stream.block.get());
     // An empty stream's EWMA time serializes as 0, a non-empty one's as
     // its last event age; Deserialize checks both.
-    os << s.total << " " << s.first_age << " " << s.last_age << " " << s.ewma_rate
-       << " " << (s.total > 0 ? s.last_age : 0.0) << " " << s.age_sum.value() << " "
-       << s.age_sum.compensation() << "\n";
+    text::AppendInt(out, s.total);
+    for (const double value : {s.first_age, s.last_age, s.ewma_rate,
+                               s.total > 0 ? s.last_age : 0.0, s.age_sum.value(),
+                               s.age_sum.compensation()}) {
+      space();
+      text::AppendDouble(out, value);
+    }
+    newline();
     const bool has_block = stream.block != nullptr;
     const BlockView v = has_block ? View(stream.block.get(), *layout_) : BlockView{};
     for (size_t j = 0; j < config.landmark_ages.size(); ++j) {
-      os << (has_block ? v.landmarks[j] : 0) << " "
-         << (LandmarkDone(s.total, s.last_age, config.landmark_ages[j]) ? 1 : 0)
-         << " ";
+      text::AppendInt(out, has_block ? v.landmarks[j] : 0);
+      out->append(LandmarkDone(s.total, s.last_age, config.landmark_ages[j]) ? " 1 "
+                                                                             : " 0 ");
     }
-    os << "\n";
+    newline();
     // The format gives every window a total and last time; they are the
     // stream's, and Deserialize rejects a blob where they differ.
-    os << config.window_lengths.size() << "\n";
+    text::AppendInt(out, config.window_lengths.size());
+    newline();
     size_t region = 0;
     for (size_t i = 0; i < config.window_lengths.size(); ++i) {
       dgim::BucketSpan buckets;
@@ -393,22 +403,49 @@ std::string CascadeTracker::Serialize() const {
         buckets = {v.newest + region, v.log2_size + region, v.used[i]};
         region += v.cap[i];
       }
-      dgim::Write(os, s.total, WindowLastTime(s.total, s.last_age), buckets);
+      dgim::Write(out, s.total, WindowLastTime(s.total, s.last_age), buckets);
     }
   }
-  return os.str();
 }
 
-bool CascadeTracker::Deserialize(const std::string& text) {
+std::string CascadeTracker::Serialize() const {
+  std::string out;
+  out.reserve(SerializedBytesBound());
+  SerializeTo(&out);
+  return out;
+}
+
+size_t CascadeTracker::SerializedBytesBound() const {
+  // Each token at its widest, with the byte after it: a double at 17
+  // digits ("-2.2250738585072014e-308"), an integer ("18446744073709551615"),
+  // a done bit.
+  constexpr size_t kDouble = 25, kInt = 21, kBit = 2;
+  const size_t windows = NumWindows(*layout_);
+  size_t bytes = 7 + kDouble + 2 * kInt;  // "trk v1", creation time, layout
+  for (const StreamState& stream : streams_) {
+    bytes += kInt + 6 * kDouble + NumLandmarks(*layout_) * (kInt + kBit) + 1 + kInt +
+             windows * (2 * kInt + kDouble);
+    if (stream.block != nullptr) {
+      const BlockView v = View(stream.block.get(), *layout_);
+      for (size_t i = 0; i < windows; ++i) bytes += v.used[i] * (kDouble + kInt);
+    }
+  }
+  return bytes;
+}
+
+bool CascadeTracker::Deserialize(std::string_view blob) {
   const TrackerConfig& config = layout_->config;
   const size_t num_windows = config.window_lengths.size();
   const size_t num_landmarks = config.landmark_ages.size();
-  std::istringstream is(text);
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != "trk" || version != "v1") return false;
+  text::Reader in(blob);
+  std::string_view magic, version;
+  if (!in.ReadWord(&magic) || !in.ReadWord(&version) || magic != "trk" ||
+      version != "v1") {
+    return false;
+  }
   double creation_time = 0.0;
   size_t blob_windows = 0, blob_landmarks = 0;
-  if (!(is >> creation_time >> blob_windows >> blob_landmarks)) return false;
+  if (!in.Read(&creation_time, &blob_windows, &blob_landmarks)) return false;
   if (!std::isfinite(creation_time) || blob_windows != num_windows ||
       blob_landmarks != num_landmarks) {
     return false;
@@ -418,8 +455,8 @@ bool CascadeTracker::Deserialize(const std::string& text) {
   for (StreamState& stream : streams) {
     StreamScalars s;
     double ewma_time = 0.0, sum = 0.0, comp = 0.0;
-    if (!(is >> s.total >> s.first_age >> s.last_age >> s.ewma_rate >> ewma_time >>
-          sum >> comp)) {
+    if (!in.Read(&s.total, &s.first_age, &s.last_age, &s.ewma_rate, &ewma_time, &sum,
+                 &comp)) {
       return false;
     }
     if (!PlausibleScalars(s.total, s.first_age, s.last_age, s.ewma_rate, ewma_time,
@@ -430,14 +467,14 @@ bool CascadeTracker::Deserialize(const std::string& text) {
     std::array<uint64_t, kMaxTrackerLayout> landmarks{};
     for (size_t j = 0; j < num_landmarks; ++j) {
       int done = 0;
-      if (!(is >> landmarks[j] >> done) ||
+      if (!in.Read(&landmarks[j], &done) ||
           !PlausibleLandmark(s.total, s.first_age, s.last_age, config.landmark_ages[j],
                              landmarks[j], done)) {
         return false;
       }
     }
     size_t n = 0;
-    if (!(is >> n) || n != num_windows) return false;
+    if (!in.Read(&n) || n != num_windows) return false;
     // Windows keep no total or last time of their own, so each one the
     // blob carries must be the stream's; dgim::Read has checked its
     // buckets against them.
@@ -445,7 +482,7 @@ bool CascadeTracker::Deserialize(const std::string& text) {
     for (size_t i = 0; i < num_windows; ++i) {
       uint64_t window_total = 0;
       double window_last_t = 0.0;
-      if (!dgim::Read(is, layout_->max_per_size, &window_total, &window_last_t,
+      if (!dgim::Read(&in, layout_->max_per_size, &window_total, &window_last_t,
                       &windows[i]) ||
           window_total != s.total || window_last_t != last_t ||
           windows[i].size() >= std::numeric_limits<uint32_t>::max()) {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/math_util.h"
@@ -160,21 +161,30 @@ class CascadeTracker {
   /// its non-empty streams.  The shared layout is not counted.
   size_t MemoryBytes() const;
 
-  /// Serializes the full O(1) state (creation time, totals, sliding-window
-  /// histograms, landmarks, EWMA rate, running age sums) to a portable
-  /// ASCII blob.  Doubles are printed with 17 significant digits, so a
-  /// restore reproduces every quantity bit-exactly.
+  /// Appends the full O(1) state (creation time, totals, sliding-window
+  /// histograms, landmarks, EWMA rate, running age sums) to `out` as a
+  /// portable ASCII blob (`trk v1`).  Doubles are printed with 17
+  /// significant digits, so a restore reproduces every quantity
+  /// bit-exactly.  Allocates nothing when `out` has room for
+  /// SerializedBytesBound() more bytes.
+  void SerializeTo(std::string* out) const;
+
+  /// The blob SerializeTo appends, in a string of its own.
   std::string Serialize() const;
 
-  /// Restores state written by Serialize into this tracker.  The tracker
+  /// At least the number of bytes SerializeTo appends.
+  size_t SerializedBytesBound() const;
+
+  /// Restores state written by SerializeTo into this tracker.  The tracker
   /// must have been constructed with the same configuration (window and
   /// landmark layout).  Returns false, leaving the tracker unchanged, on
-  /// parse failure, a layout mismatch, stream scalars no sequence of
-  /// Observe calls produces (EWMA rate and time, first and last event
-  /// ages, the age sum, landmark counts and done bits), a window whose
-  /// total or last time differs from its stream's (an empty stream's
-  /// windows read dgim::kNoEventTime), or buckets dgim::Read rejects.
-  bool Deserialize(const std::string& text);
+  /// parse failure (text::Reader's rules), a layout mismatch, stream
+  /// scalars no sequence of Observe calls produces (EWMA rate and time,
+  /// first and last event ages, the age sum, landmark counts and done
+  /// bits), a window whose total or last time differs from its stream's
+  /// (an empty stream's windows read dgim::kNoEventTime), or buckets
+  /// dgim::Read rejects.  Text after the last window is not read.
+  bool Deserialize(std::string_view text);
 
  private:
   struct FreeBlock {

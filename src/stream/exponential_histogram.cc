@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <utility>
 
 #include "common/check.h"
+#include "common/text_codec.h"
 
 namespace horizon::stream {
 
@@ -69,29 +68,39 @@ uint64_t Count(BucketSpan buckets, double now, double window) {
   return sum - buckets.SizeOf(oldest) / 2;
 }
 
-void Write(std::ostream& os, uint64_t total, double last_t, BucketSpan buckets) {
-  os << total << " " << last_t << " " << buckets.n << "\n";
+void Write(std::string* out, uint64_t total, double last_t, BucketSpan buckets) {
+  text::AppendInt(out, total);
+  out->push_back(' ');
+  text::AppendDouble(out, last_t);
+  out->push_back(' ');
+  text::AppendInt(out, buckets.n);
+  out->push_back('\n');
   for (size_t i = 0; i < buckets.n; ++i) {
-    os << buckets.newest[i] << " " << buckets.SizeOf(i) << "\n";
+    text::AppendDouble(out, buckets.newest[i]);
+    out->push_back(' ');
+    text::AppendInt(out, buckets.SizeOf(i));
+    out->push_back('\n');
   }
 }
 
-bool Read(std::istream& is, size_t max_per_size, uint64_t* total,
-          double* last_t, Buckets* buckets) {
+bool Read(text::Reader* in, size_t max_per_size, uint64_t* total, double* last_t,
+          Buckets* buckets) {
   uint64_t parsed_total = 0;
   double parsed_last_t = 0.0;
   size_t num_buckets = 0;
-  if (!(is >> parsed_total >> parsed_last_t >> num_buckets)) return false;
+  if (!in->Read(&parsed_total, &parsed_last_t, &num_buckets)) return false;
   // A valid window keeps O(log(total)/eps) buckets; anything beyond this
   // bound is corrupt input, rejected before allocating.
   if (num_buckets > 64 * (max_per_size + 1)) return false;
   Buckets parsed;
+  parsed.newest.reserve(num_buckets);
+  parsed.log2_size.reserve(num_buckets);
   uint64_t sum = 0;
   size_t run = 0;  // buckets of the last bucket's size, itself included
   for (size_t i = 0; i < num_buckets; ++i) {
     double newest = 0.0;
     uint64_t size = 0;
-    if (!(is >> newest >> size) || !std::isfinite(newest)) return false;
+    if (!in->Read(&newest, &size) || !std::isfinite(newest)) return false;
     // Add relies on sorted times at or before the last event, sizes that
     // never exceed the events the window has seen, and the invariant it
     // keeps: power-of-two sizes (so log2 <= 63), non-increasing toward
@@ -141,12 +150,12 @@ uint64_t ExponentialHistogram::Count(double now) const {
   return dgim::Count(buckets_.span(), now, window_);
 }
 
-void ExponentialHistogram::SerializeTo(std::ostream& os) const {
-  dgim::Write(os, total_, last_t_, buckets_.span());
+void ExponentialHistogram::SerializeTo(std::string* out) const {
+  dgim::Write(out, total_, last_t_, buckets_.span());
 }
 
-bool ExponentialHistogram::DeserializeFrom(std::istream& is) {
-  return dgim::Read(is, max_per_size_, &total_, &last_t_, &buckets_);
+bool ExponentialHistogram::DeserializeFrom(text::Reader* in) {
+  return dgim::Read(in, max_per_size_, &total_, &last_t_, &buckets_);
 }
 
 }  // namespace horizon::stream

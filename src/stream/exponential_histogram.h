@@ -17,8 +17,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
+#include <string>
 #include <vector>
+
+namespace horizon::text {
+class Reader;
+}  // namespace horizon::text
 
 namespace horizon::stream {
 
@@ -73,8 +77,9 @@ size_t Add(double* newest, uint8_t* log2_size, size_t n, double t, double window
 /// buckets that have expired since the last Add are skipped, not dropped.
 uint64_t Count(BucketSpan buckets, double now, double window);
 
-/// Writes "total last_t count" and one "newest size" line per bucket.
-void Write(std::ostream& os, uint64_t total, double last_t, BucketSpan buckets);
+/// Appends "total last_t count" and one "newest size" line per bucket to
+/// `out`, times at 17 significant digits.
+void Write(std::string* out, uint64_t total, double last_t, BucketSpan buckets);
 
 /// Reads what Write wrote.  Rejects, before allocating, more buckets than
 /// a window with this per-size cap can hold; then rejects a non-finite or
@@ -83,8 +88,8 @@ void Write(std::ostream& os, uint64_t total, double last_t, BucketSpan buckets);
 /// not a power of two, one larger than an older bucket's, or more than
 /// `max_per_size` buckets of one size.  On false the outputs are
 /// unchanged.
-bool Read(std::istream& is, size_t max_per_size, uint64_t* total,
-          double* last_t, Buckets* buckets);
+bool Read(text::Reader* in, size_t max_per_size, uint64_t* total, double* last_t,
+          Buckets* buckets);
 
 }  // namespace dgim
 
@@ -116,15 +121,15 @@ class ExponentialHistogram {
 
   double window_length() const { return window_; }
 
-  /// Writes the dynamic state (total, last timestamp, buckets) to `os`.
+  /// Appends the dynamic state (total, last timestamp, buckets) to `out`.
   /// The window length and epsilon are configuration, not state: restore
   /// into a histogram constructed with the same parameters.
-  void SerializeTo(std::ostream& os) const;
+  void SerializeTo(std::string* out) const;
 
-  /// Restores state written by SerializeTo.  Returns false on malformed
-  /// or inconsistent input (see dgim::Read), leaving the histogram as it
-  /// was.
-  bool DeserializeFrom(std::istream& is);
+  /// Restores state written by SerializeTo from `in`.  Returns false on
+  /// malformed or inconsistent input (see dgim::Read), leaving the
+  /// histogram as it was.
+  bool DeserializeFrom(text::Reader* in);
 
  private:
   double window_;

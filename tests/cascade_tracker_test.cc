@@ -347,6 +347,28 @@ TEST(CascadeTrackerTest, DeserializeAllocatesNoBlockForAnEmptyStream) {
 #endif
 }
 
+// A checkpoint appends a shard's trackers to one buffer sized up front
+// from SerializedBytesBound(): a tracker appends to a buffer with room
+// without allocating.
+TEST(CascadeTrackerTest, SerializeToABufferWithRoomAllocatesNothing) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes own operator new";
+#else
+  CascadeTracker tracker(1000.0, TrackerConfig{});
+  for (int i = 0; i < 600; ++i) {
+    tracker.Observe(static_cast<EngagementType>(i % 3), 1000.0 + 7.5 * i);
+  }
+  const std::string blob = tracker.Serialize();
+  ASSERT_LE(blob.size(), tracker.SerializedBytesBound());
+  std::string buffer = "shard v2\n";
+  buffer.reserve(buffer.size() + tracker.SerializedBytesBound());
+  const size_t before = test::ThreadAllocations();
+  tracker.SerializeTo(&buffer);
+  EXPECT_EQ(test::ThreadAllocations(), before);
+  EXPECT_EQ(buffer, "shard v2\n" + blob);
+#endif
+}
+
 // MemoryBytes() counts every byte the tracker allocates: past the object
 // itself, it is what the thread's live heap grew by while the tracker
 // took its events, copies included.  Day-long gaps empty the windows, so

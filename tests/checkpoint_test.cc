@@ -19,9 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "common/file_io.h"
 #include "core/trainer.h"
 #include "env_guard.h"
+#include "obs/metrics.h"
 
 namespace horizon::serving {
 namespace {
@@ -311,6 +313,12 @@ TEST_F(CheckpointTest, CrashAtEveryFaultPointNeverCorrupts) {
   EXPECT_GT(points_exercised, 10);
 }
 
+/// The payload of the CRC-framed file at `path`.
+std::string FramedPayload(const std::string& path) {
+  const std::string file = io::ReadFile(path).value();
+  return std::string(io::UnwrapCrcFrame(file).value());
+}
+
 /// The directory of the checkpoint CURRENT names under `dir`.
 std::string CommittedCheckpoint(const std::string& dir) {
   std::string pointer = io::ReadFile(dir + "/CURRENT").value();
@@ -318,6 +326,73 @@ std::string CommittedCheckpoint(const std::string& dir) {
     pointer.pop_back();
   }
   return dir + "/" + pointer;
+}
+
+// horizon_serving_checkpoint_bytes holds the bytes of the last committed
+// checkpoint: its shard files, model and manifest, as they lie on disk.
+TEST_F(CheckpointTest, CheckpointBytesGaugeMatchesTheFilesOnDisk) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  const obs::Gauge* gauge = registry.GetGauge("horizon_serving_checkpoint_bytes");
+  EXPECT_EQ(gauge->Value(), 0.0);
+  for (const int64_t items : {kItems, 3 * kItems}) {
+    PredictionService service = MakeService(config);
+    Load(&service, items, kAge);
+    ASSERT_TRUE(service.Checkpoint(Dir()).ok());
+    const std::string ckpt = CommittedCheckpoint(Dir());
+    size_t bytes = 0, shard_files = 0;
+    for (const std::string& name : io::ListDir(ckpt)) {
+      bytes += io::ReadFile(ckpt + "/" + name).value().size();
+      shard_files += name.rfind("shard-", 0) == 0;
+    }
+    EXPECT_EQ(shard_files, static_cast<size_t>(service.num_shards()));
+    EXPECT_EQ(gauge->Value(), static_cast<double>(bytes)) << items << " items";
+    // A checkpoint that fails to commit leaves the gauge alone.
+    io::FaultInjector::Global().ArmCrashAt(0);
+    EXPECT_FALSE(service.Checkpoint(Dir()).ok());
+    io::FaultInjector::Global().Disarm();
+    EXPECT_EQ(gauge->Value(), static_cast<double>(bytes));
+  }
+}
+
+// A checkpoint copies each shard's items under its lock, then builds the
+// shard's file in one buffer sized up front.  Past the item copies (a
+// tracker copy allocates one block per stream with events), what it
+// allocates on the thread that serializes does not grow with the item
+// count: no string per item.  With one shard, that thread is the
+// caller's.
+TEST_F(CheckpointTest, CheckpointAllocatesNoStringPerItem) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes own operator new";
+#else
+  ServiceConfig config;
+  config.num_shards = 1;
+  const auto allocations_past_item_copies = [&](int64_t items) -> std::ptrdiff_t {
+    PredictionService service = MakeService(config);
+    Load(&service, items, kAge);
+    size_t blocks = 0;
+    for (int64_t id = 0; id < items; ++id) {
+      const auto& cascade =
+          dataset_->cascades[static_cast<size_t>(id) % dataset_->cascades.size()];
+      blocks += !cascade.views.empty() && cascade.views.front().time < kAge;
+      for (const auto* times : {&cascade.share_times, &cascade.comment_times,
+                                &cascade.reaction_times}) {
+        blocks += !times->empty() && times->front() < kAge;
+      }
+    }
+    const size_t before = test::ThreadAllocations();
+    EXPECT_TRUE(service.Checkpoint(Dir() + "/" + std::to_string(items)).ok());
+    return static_cast<std::ptrdiff_t>(test::ThreadAllocations() - before) -
+           static_cast<std::ptrdiff_t>(blocks);
+  };
+  const std::ptrdiff_t few = allocations_past_item_copies(8);
+  const std::ptrdiff_t many = allocations_past_item_copies(960);
+  EXPECT_GT(few, 0);
+  // A string per item would add ~950; a payload grown by doubling, ~7.
+  EXPECT_LE(many - few, 2) << few << " allocations past the item copies at 8 items, "
+                           << many << " at 960";
+#endif
 }
 
 TEST_F(CheckpointTest, RestoreRejectsCorruptedShardFile) {
@@ -358,13 +433,11 @@ size_t ReframeShards(const std::string& dir,
                      const std::function<bool(std::string*)>& edit,
                      bool every_shard) {
   const std::string ckpt = CommittedCheckpoint(dir);
-  std::string manifest =
-      io::UnwrapCrcFrame(io::ReadFile(ckpt + "/MANIFEST").value()).value();
+  std::string manifest = FramedPayload(ckpt + "/MANIFEST");
   size_t rewritten = 0;
   for (const std::string& name : io::ListDir(ckpt)) {
     if (name.rfind("shard-", 0) != 0) continue;
-    std::string payload =
-        io::UnwrapCrcFrame(io::ReadFile(ckpt + "/" + name).value()).value();
+    std::string payload = FramedPayload(ckpt + "/" + name);
     EXPECT_EQ(payload.rfind("shard v2\n", 0), 0u) << name;
     if (!edit(&payload)) continue;
     const std::string framed = io::WrapCrcFrame(payload);
@@ -712,8 +785,7 @@ TEST_F(CheckpointTest, RestoresManifestWithLegacyQforestLine) {
 
   const std::string ckpt = CommittedCheckpoint(Dir());
   EXPECT_FALSE(io::ReadFile(ckpt + "/model.qforest").ok());
-  const std::string manifest =
-      io::UnwrapCrcFrame(io::ReadFile(ckpt + "/MANIFEST").value()).value();
+  const std::string manifest = FramedPayload(ckpt + "/MANIFEST");
   EXPECT_EQ(manifest.find("qforest"), std::string::npos);
   const size_t windows = manifest.find("\nwindows ") + 1;
   ASSERT_NE(windows, 0u);

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "common/rng.h"
 #include "env_guard.h"
 
 namespace horizon::io {
@@ -44,6 +48,54 @@ TEST(Crc32Test, KnownAnswers) {
   EXPECT_EQ(Crc32("abc"), 0x352441C2u);
 }
 
+/// The bytewise table loop Crc32 ran before slicing-by-8, kept as its
+/// reference.
+uint32_t BytewiseCrc32(std::string_view data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Random buffers of every length from 0 to 4096, at every alignment of
+// their start modulo 8.
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLength) {
+  Rng rng(0xC4C32);
+  std::string bytes(4096 + 8, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
+  for (size_t len = 0; len <= 4096; ++len) {
+    const std::string_view data(bytes.data() + len % 8, len);
+    ASSERT_EQ(Crc32(data), BytewiseCrc32(data)) << "length " << len;
+  }
+}
+
+// Crc32(Crc32(a), b) is the CRC of a followed by b, so the CRC of a framed
+// file comes from its header and payload without joining them.
+TEST(Crc32Test, ContinuationIsTheCrcOfTheConcatenation) {
+  Rng rng(0xC4C33);
+  std::string bytes(300, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const std::string_view all(bytes);
+    EXPECT_EQ(Crc32(Crc32(all.substr(0, split)), all.substr(split)), Crc32(all))
+        << "split at " << split;
+  }
+  EXPECT_EQ(Crc32(0, "123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(Crc32("1234"), ""), Crc32("1234"));
+}
+
 TEST(Crc32Test, SensitiveToEveryBit) {
   const std::string base = "the quick brown fox";
   const uint32_t crc = Crc32(base);
@@ -69,6 +121,17 @@ TEST(CrcFrameTest, RoundTrip) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, payload);
   }
+}
+
+TEST(CrcFrameTest, HeaderThenPayloadIsTheFrame) {
+  const std::string payload = "123456789";
+  EXPECT_EQ(CrcFrameHeader(payload), "hzf1 9 cbf43926\n");
+  EXPECT_EQ(CrcFrameHeader(payload) + payload, WrapCrcFrame(payload));
+  // The payload UnwrapCrcFrame returns is a view into the frame.
+  const std::string frame = WrapCrcFrame(payload);
+  const auto back = UnwrapCrcFrame(frame);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->data(), frame.data() + frame.size() - payload.size());
 }
 
 TEST(CrcFrameTest, RejectsTruncation) {
@@ -128,6 +191,40 @@ TEST(WriteFileAtomicTest, WritesAndReplaces) {
   ASSERT_TRUE(WriteFileAtomic(path, "second, longer contents").ok());
   EXPECT_EQ(ContentsOrMissing(path), "second, longer contents");
   RemoveTree(dir);
+}
+
+TEST(WriteFileAtomicTest, WritesPartsOneAfterAnother) {
+  const std::string dir = TestDir("parts");
+  const std::string path = dir + "/file";
+  const std::string payload(100000, 'p');
+  const std::string header = CrcFrameHeader(payload);
+  ASSERT_TRUE(WriteFileAtomic(path, {header, payload}).ok());
+  EXPECT_EQ(ContentsOrMissing(path), WrapCrcFrame(payload));
+  ASSERT_TRUE(WriteFileAtomic(path, {"", "a", "", "bc"}).ok());
+  EXPECT_EQ(ContentsOrMissing(path), "abc");
+  RemoveTree(dir);
+}
+
+// ReadFile sizes its string from the file's size; empty files, files past
+// any chunk size and files whose size fstat does not know read whole.
+TEST(ReadFileTest, ReadsFilesOfEverySize) {
+  const std::string dir = TestDir("read");
+  Rng rng(0xF11E);
+  for (const size_t size : {0, 1, 4095, 4096, 4097, 65536, 65537, 300001}) {
+    std::string contents(size, '\0');
+    for (char& c : contents) c = static_cast<char>(rng.UniformInt(256));
+    const std::string path = dir + "/f" + std::to_string(size);
+    ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
+    const StatusOr<std::string> read = ReadFile(path);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(*read, contents) << size << " bytes";
+  }
+  RemoveTree(dir);
+  // fstat gives a /proc file's size as 0; it still reads whole.
+  const StatusOr<std::string> proc = ReadFile("/proc/self/stat");
+  ASSERT_TRUE(proc.ok());
+  EXPECT_GT(proc->size(), 0u);
+  EXPECT_EQ(proc->back(), '\n');
 }
 
 TEST(ReadFileTest, MissingFileIsNullopt) {
@@ -212,6 +309,23 @@ TEST_F(FaultInjectionTest, TornWriteLeavesPrefixInTempOnly) {
   if (torn.ok()) {
     EXPECT_FALSE(UnwrapCrcFrame(*torn).ok());
   }
+  RemoveTree(dir);
+}
+
+// A write of several parts torn by a crash leaves a prefix of their
+// concatenation, half of it, in the temp file only.
+TEST_F(FaultInjectionTest, TornWriteOfPartsLeavesAPrefixOfTheirConcatenation) {
+  const std::string dir = TestDir("torn_parts");
+  const std::string path = dir + "/file";
+  ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
+  const std::string payload = "a payload written after its frame header";
+  const std::string header = CrcFrameHeader(payload);
+  FaultInjector::Global().ArmCrashAt(0);
+  EXPECT_FALSE(WriteFileAtomic(path, {header, payload}).ok());
+  FaultInjector::Global().Disarm();
+  EXPECT_EQ(ContentsOrMissing(path), "old");
+  const std::string frame = header + payload;
+  EXPECT_EQ(ContentsOrMissing(path + ".tmp"), frame.substr(0, frame.size() / 2));
   RemoveTree(dir);
 }
 

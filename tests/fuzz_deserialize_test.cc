@@ -8,17 +8,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/text_codec.h"
 #include "common/units.h"
 #include "core/hawkes_predictor.h"
 #include "gbdt/block_forest.h"
 #include "gbdt/gbdt.h"
 #include "reference_forest.h"
+#include "reference_tracker_codec.h"
 #include "stream/cascade_tracker.h"
 
 namespace horizon {
@@ -500,6 +507,409 @@ TEST(FuzzTrackerDeserialize, BucketsAddCannotProduceRejected) {
     bad.replace(at, window.size(), tampered);
     stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
     EXPECT_FALSE(tracker.Deserialize(bad)) << tampered;
+  }
+}
+
+// --- The tracker codec against the iostream codec it replaced ---------
+//
+// reference_tracker_codec.h keeps the old iostream writer and parser.  The
+// writer must match it byte for byte; the parser must reject everything
+// the old one rejects, and read everything else the old one reads to the
+// same values, except for the input classes text::Reader lists
+// (common/text_codec.h), which it newly rejects:
+//   * kNoSeparator: a number that runs into the next token ("5-3",
+//     "0x1p3", or a token glued to the end of the blob, "1J"), which
+//     operator>> splits;
+//   * kLeadingPlus: "+5";
+//   * kMinusInUnsigned: "-0", or "-1", which operator>> reads as 2^64 - 1;
+//   * kUnderflow: a decimal number below the smallest subnormal, which
+//     operator>> reads as 0.
+// "inf", "nan" and "infinity" both parsers reject; a hex float is a
+// kNoSeparator case ("0" then "x1p3").
+
+namespace ref = stream::reference;
+
+/// Why the new parser may reject a blob the old one reads.
+enum class NewlyRejected { kNone, kNoSeparator, kLeadingPlus, kMinusInUnsigned, kUnderflow };
+
+/// The first token of `tokens` (as ref::Read took them from `text`) in one
+/// of the classes only the new parser rejects.
+NewlyRejected Classify(const std::string& text, const std::vector<ref::Token>& tokens) {
+  for (const ref::Token& t : tokens) {
+    if (t.kind == ref::FieldKind::kWord) continue;
+    const std::string_view token(text.data() + t.begin, t.end - t.begin);
+    if (token.front() == '+') return NewlyRejected::kLeadingPlus;
+    if (t.kind == ref::FieldKind::kUnsigned && token.front() == '-') {
+      return NewlyRejected::kMinusInUnsigned;
+    }
+    if (t.end < text.size() && !text::IsSpace(text[t.end])) {
+      return NewlyRejected::kNoSeparator;
+    }
+    double value = 0.0;
+    if (t.kind == ref::FieldKind::kFloating &&
+        std::from_chars(token.data(), token.data() + token.size(), value).ec ==
+            std::errc::result_out_of_range) {
+      return NewlyRejected::kUnderflow;
+    }
+  }
+  return NewlyRejected::kNone;
+}
+
+/// What a tracker that read `t` writes back: the fields the tracker does
+/// not keep (an empty stream's scalars, the EWMA time, each window's total
+/// and last time) take the values it derives, which the old parser
+/// checked equal to these.
+ref::TrackerText Canonical(ref::TrackerText t) {
+  for (ref::StreamText& s : t.streams) {
+    if (s.total == 0) {
+      s.first_age = s.last_age = -1.0;
+      s.ewma_rate = s.ewma_time = s.age_sum = s.age_comp = 0.0;
+    } else {
+      s.ewma_time = s.last_age;
+    }
+    for (ref::WindowText& w : s.windows) {
+      w.total = s.total;
+      w.last_t = s.total == 0 ? stream::dgim::kNoEventTime : s.last_age;
+    }
+  }
+  return t;
+}
+
+/// A tracker layout and a state in it that the old parser accepts.
+struct RandomTracker {
+  stream::TrackerConfig config;
+  ref::TrackerText text;
+};
+
+/// A random finite double of magnitude class `scale`, with a full
+/// mantissa: 0 subnormal, 1 ordinary, 2 near 1e300.
+double RandomMagnitude(Rng* rng, int scale) {
+  static constexpr int kLowExponent[] = {-1074, -30, 990};
+  static constexpr int kExponentSpan[] = {50, 60, 20};
+  const int e = kLowExponent[scale] + static_cast<int>(rng->UniformInt(kExponentSpan[scale]));
+  return std::ldexp(1.0 + rng->Uniform(), e);
+}
+
+/// A random layout (1-8 windows, 0-8 landmarks, epsilon 1 to 0.01) and a
+/// random state in it: each stream empty or not; times subnormal,
+/// ordinary or near 1e300; totals up to 2^64 - 1; windows with no bucket
+/// or up to 40, sizes up to 2^63; landmarks pending, done with a count,
+/// and done with none.
+RandomTracker MakeRandomTracker(Rng* rng) {
+  static constexpr double kEpsilons[] = {1.0, 0.5, 0.1, 0.05, 0.01};
+  static constexpr double kTaus[] = {3600.0, 1.0, 1e-3, 86400.0};
+  RandomTracker r;
+  const int scale = static_cast<int>(rng->UniformInt(3));
+  r.config.window_lengths.resize(1 + rng->UniformInt(stream::kMaxTrackerLayout));
+  for (double& w : r.config.window_lengths) w = rng->Uniform(1.0, 1e6);
+  r.config.landmark_ages.resize(rng->UniformInt(stream::kMaxTrackerLayout + 1));
+  for (double& a : r.config.landmark_ages) a = RandomMagnitude(rng, scale);
+  r.config.epsilon = kEpsilons[rng->UniformInt(5)];
+  r.config.ewma_tau = kTaus[rng->UniformInt(4)];
+  const size_t max_per_size = stream::dgim::MaxPerSize(r.config.epsilon);
+  r.text.creation_time = (rng->Bernoulli(0.5) ? -1.0 : 1.0) *
+                         RandomMagnitude(rng, static_cast<int>(rng->UniformInt(3)));
+  for (ref::StreamText& s : r.text.streams) {
+    s.landmarks.assign(r.config.landmark_ages.size(), {0, 0});
+    s.windows.assign(r.config.window_lengths.size(), {0, stream::dgim::kNoEventTime, {}});
+    if (rng->Bernoulli(0.35)) continue;  // an empty stream
+    // Event ages at this scale, sorted: the first and last, and the
+    // candidates for bucket times.
+    std::vector<double> ages(2 + rng->UniformInt(60));
+    for (double& a : ages) a = RandomMagnitude(rng, scale);
+    std::sort(ages.begin(), ages.end());
+    s.first_age = ages.front();
+    s.last_age = ages.back();
+    switch (rng->UniformInt(3)) {
+      case 0: s.total = 1 + rng->UniformInt(50); break;
+      case 1: s.total = 1 + rng->UniformInt(uint64_t{1} << 40); break;
+      default: s.total = (uint64_t{1} << 63) + rng->UniformInt(uint64_t{1} << 63); break;
+    }
+    // The age sum is about total * last_age, so that stays finite.
+    while (!std::isfinite(2.0 * static_cast<double>(s.total) * s.last_age)) {
+      s.total = 1 + rng->UniformInt(1000);
+    }
+    if (s.total == 1) s.first_age = s.last_age;
+    const double total = static_cast<double>(s.total);
+    const double slack = 1e-9 * total * s.last_age;
+    s.ewma_time = s.last_age;
+    s.ewma_rate = rng->Bernoulli(0.2) ? (rng->Bernoulli(0.5) ? 0.0 : -0.0)
+                                      : rng->Uniform() * total / r.config.ewma_tau;
+    s.age_sum = total * ages[rng->UniformInt(ages.size())];
+    if (s.total == 1) s.age_sum = s.first_age;
+    s.age_comp = rng->Bernoulli(0.3) ? -0.0 : rng->Uniform(-1.0, 1.0) * slack;
+    for (size_t j = 0; j < s.landmarks.size(); ++j) {
+      const double age = r.config.landmark_ages[j];
+      if (s.last_age <= age) continue;  // pending: (0, 0)
+      s.landmarks[j] = {s.first_age <= age ? 1 + rng->UniformInt(s.total - 1) : 0, 1};
+    }
+    for (ref::WindowText& w : s.windows) {
+      w.total = s.total;
+      w.last_t = s.last_age;
+      // Sizes non-increasing toward newer buckets, at most max_per_size
+      // of each, summing to at most the total; times sorted.
+      uint64_t left = s.total;
+      int log2 = std::min<int>(63, std::bit_width(left) - 1);
+      if (rng->Bernoulli(0.5)) log2 = static_cast<int>(rng->UniformInt(log2 + 1));
+      size_t run = 0;
+      std::vector<double> times;
+      const size_t buckets = rng->UniformInt(41);
+      while (times.size() < buckets && log2 >= 0) {
+        const uint64_t size = uint64_t{1} << log2;
+        if (size > left || run == max_per_size || rng->Bernoulli(0.2)) {
+          --log2;
+          run = 0;
+          continue;
+        }
+        w.buckets.push_back({0.0, size});
+        left -= size;
+        ++run;
+        times.push_back(ages[rng->UniformInt(ages.size())]);
+      }
+      std::sort(times.begin(), times.end());
+      for (size_t b = 0; b < times.size(); ++b) w.buckets[b].first = times[b];
+    }
+  }
+  return r;
+}
+
+TEST(FuzzTrackerCodec, WriterIsByteIdenticalToTheIostreamWriter) {
+  Rng rng(0xC0DEC001);
+  size_t empty_streams = 0, big_buckets = 0, pending = 0, counted = 0, uncounted = 0;
+  std::array<size_t, 3> scales{};
+  for (int trial = 0; trial < 1500; ++trial) {
+    const RandomTracker r = MakeRandomTracker(&rng);
+    const std::string want = ref::Write(r.text, r.config);
+    ref::TrackerText read;
+    ASSERT_TRUE(ref::Read(want, r.config, &read)) << "generated an invalid state:\n" << want;
+    stream::CascadeTracker tracker(0.0, r.config);
+    ASSERT_TRUE(tracker.Deserialize(want)) << want;
+    std::string got = "prefix\n";
+    tracker.SerializeTo(&got);
+    ASSERT_EQ(got, "prefix\n" + want);
+    EXPECT_EQ(tracker.Serialize(), want);
+    EXPECT_LE(want.size(), tracker.SerializedBytesBound());
+    for (const ref::StreamText& s : r.text.streams) {
+      if (s.total == 0) {
+        ++empty_streams;
+        continue;
+      }
+      ++scales[s.last_age < 1e-300 ? 0 : s.last_age > 1e290 ? 2 : 1];
+      for (const auto& [count, done] : s.landmarks) {
+        ++(done == 0 ? pending : count > 0 ? counted : uncounted);
+      }
+      for (const ref::WindowText& w : s.windows) {
+        for (const auto& bucket : w.buckets) big_buckets += bucket.second == uint64_t{1} << 63;
+      }
+    }
+  }
+  EXPECT_GT(empty_streams, 100u);
+  EXPECT_GT(big_buckets, 100u);
+  for (const size_t streams : scales) EXPECT_GT(streams, 100u);
+  EXPECT_GT(pending, 100u);
+  EXPECT_GT(counted, 100u);
+  EXPECT_GT(uncounted, 100u);
+  SUCCEED() << empty_streams << " empty streams, " << big_buckets
+            << " buckets of 2^63 events, landmarks " << pending << " pending, "
+            << counted << " done with a count, " << uncounted << " done with none";
+}
+
+// Trackers that took their events through Observe write what the old
+// writer writes for the values their blobs hold.
+TEST(FuzzTrackerCodec, ObservedTrackersWriteAsTheIostreamWriter) {
+  const stream::TrackerConfig config;
+  std::vector<stream::CascadeTracker> trackers = {BusyTracker(),
+                                                  stream::CascadeTracker(-2.5, config)};
+  Rng rng(0xC0DEC002);
+  for (int i = 0; i < 50; ++i) {
+    stream::CascadeTracker tracker(rng.Uniform(0.0, 1e9), config);
+    double t = tracker.creation_time();
+    for (int e = static_cast<int>(rng.UniformInt(300)); e > 0; --e) {
+      t += rng.Exponential(1.0 / 120.0);
+      tracker.Observe(static_cast<stream::EngagementType>(rng.UniformInt(4)), t);
+    }
+    trackers.push_back(std::move(tracker));
+  }
+  for (const stream::CascadeTracker& tracker : trackers) {
+    const std::string blob = tracker.Serialize();
+    ref::TrackerText read;
+    ASSERT_TRUE(ref::Read(blob, config, &read)) << blob;
+    EXPECT_EQ(ref::Write(read, config), blob);
+  }
+}
+
+/// Runs both parsers on `text` and checks the new one against the old:
+/// it rejects what the old one rejects; when the old one reads the blob,
+/// the new one reads it to the same values, or rejects it for one of the
+/// listed classes.  Counts the outcomes.
+struct ParserDiff {
+  explicit ParserDiff(stream::TrackerConfig layout) : config(std::move(layout)) {}
+
+  void Check(const std::string& text) {
+    ref::TrackerText read;
+    std::vector<ref::Token> tokens;
+    const bool old_ok = ref::Read(text, config, &read, &tokens);
+    stream::CascadeTracker tracker(0.0, config);
+    const bool new_ok = tracker.Deserialize(text);
+    if (!old_ok) {
+      EXPECT_FALSE(new_ok) << "the old parser rejects this blob:\n" << text;
+      ++both_reject;
+      return;
+    }
+    const NewlyRejected why = Classify(text, tokens);
+    if (!new_ok) {
+      EXPECT_NE(why, NewlyRejected::kNone) << "only the new parser rejects:\n" << text;
+      ++newly_rejected[static_cast<int>(why)];
+      return;
+    }
+    EXPECT_EQ(why, NewlyRejected::kNone) << text;
+    EXPECT_EQ(tracker.Serialize(), ref::Write(Canonical(read), config)) << text;
+    ++both_accept;
+  }
+
+  stream::TrackerConfig config;
+  size_t both_reject = 0, both_accept = 0;
+  std::array<size_t, 5> newly_rejected{};
+};
+
+/// The whitespace-separated tokens of `text`.
+std::vector<std::string> Tokenize(const std::string& text) {
+  std::vector<std::string> tokens;
+  std::istringstream is(text);
+  for (std::string token; is >> token;) tokens.push_back(token);
+  return tokens;
+}
+
+TEST(FuzzTrackerCodec, ParserRejectsWhatTheIostreamParserRejects) {
+  // A busy tracker, and one with a few views and three empty streams,
+  // whose many zero fields take "-0", "+0" and "1e-400".
+  stream::CascadeTracker sparse(0.0, stream::TrackerConfig{});
+  for (const double t : {10.0, 20.0, 30.0}) sparse.Observe(stream::EngagementType::kView, t);
+  // Extreme but well-formed values, and each class the parsers treat
+  // differently, swapped in for whole tokens; tokens joined by every kind
+  // of whitespace, and now and then by none.
+  const std::vector<std::string> values = {
+      "0", "1", "-1", "2", "3", "64", "1409", "1e-300", "-1e300", "1e300",
+      "1.7976931348623157e308", "18446744073709551615", "9223372036854775808",
+      "-0", "+0", "+1", "0.5", "86400", "1000", "1e-400", "4.9406564584124654e-324",
+      "inf", "-inf", "nan", "infinity", "0x10", "0x1p3", "1e", "1.5.5", "5-3", ".5",
+      "1.", "-.5", "007", "1E+2"};
+  const char kSeparators[] = {' ', '\n', '\t', '\v', '\f', '\r'};
+  ParserDiff diff{stream::TrackerConfig{}};
+  Rng rng(0xC0DEC003);
+  for (const std::string& blob : {BusyTracker().Serialize(), sparse.Serialize()}) {
+    for (size_t len = 0; len <= blob.size();
+         len = (len < 64 || len + 64 >= blob.size()) ? len + 1 : len + 7) {
+      diff.Check(blob.substr(0, len));
+    }
+    for (int trial = 0; trial < 3000; ++trial) {
+      std::string mutated = blob;
+      const int flips = 1 + static_cast<int>(rng.UniformInt(3));
+      for (int f = 0; f < flips; ++f) {
+        const size_t pos = rng.UniformInt(mutated.size());
+        mutated[pos] = static_cast<char>(mutated[pos] ^ (1u << rng.UniformInt(8)));
+      }
+      diff.Check(mutated);
+    }
+    const std::vector<std::string> tokens = Tokenize(blob);
+    for (int trial = 0; trial < 3000; ++trial) {
+      std::vector<std::string> mutated = tokens;
+      const int swaps = 1 + static_cast<int>(rng.UniformInt(2));
+      for (int k = 0; k < swaps; ++k) {
+        mutated[2 + rng.UniformInt(mutated.size() - 2)] = values[rng.UniformInt(values.size())];
+      }
+      std::string text;
+      for (const std::string& token : mutated) {
+        text += token;
+        if (!rng.Bernoulli(0.001)) text += kSeparators[rng.UniformInt(6)];
+      }
+      diff.Check(text);
+    }
+  }
+  // Blobs of random layouts, bit-flipped.
+  for (int trial = 0; trial < 100; ++trial) {
+    const RandomTracker r = MakeRandomTracker(&rng);
+    ParserDiff random_layout(r.config);
+    const std::string good = ref::Write(r.text, r.config);
+    random_layout.Check(good);
+    for (int k = 0; k < 20; ++k) {
+      std::string mutated = good;
+      const size_t pos = rng.UniformInt(mutated.size());
+      mutated[pos] = static_cast<char>(mutated[pos] ^ (1u << rng.UniformInt(8)));
+      random_layout.Check(mutated);
+    }
+    diff.both_accept += random_layout.both_accept;
+    diff.both_reject += random_layout.both_reject;
+    for (int c = 0; c < 5; ++c) diff.newly_rejected[c] += random_layout.newly_rejected[c];
+  }
+  EXPECT_GT(diff.both_accept, 500u);
+  EXPECT_GT(diff.both_reject, 5000u);
+  for (const NewlyRejected why : {NewlyRejected::kNoSeparator, NewlyRejected::kLeadingPlus,
+                                  NewlyRejected::kMinusInUnsigned,
+                                  NewlyRejected::kUnderflow}) {
+    EXPECT_GT(diff.newly_rejected[static_cast<int>(why)], 0u) << static_cast<int>(why);
+  }
+  SUCCEED() << diff.both_accept << " read by both, " << diff.both_reject
+            << " rejected by both; newly rejected: " << diff.newly_rejected[1]
+            << " no separator, " << diff.newly_rejected[2] << " leading +, "
+            << diff.newly_rejected[3] << " - in unsigned, " << diff.newly_rejected[4]
+            << " underflow";
+}
+
+// One blob per input class, each a well-formed blob with one token
+// changed.  The old parser reads every one of them; the new one rejects
+// the four listed classes and reads the rest to the same values.
+TEST(FuzzTrackerCodec, NewlyRejectedInputClasses) {
+  const stream::TrackerConfig config;
+  stream::CascadeTracker source(0.0, config);
+  for (const double t : {10.0, 20.0, 30.0}) source.Observe(stream::EngagementType::kView, t);
+  const std::string blob = source.Serialize();
+  const std::string window = "\n3 30 3\n10 1\n20 1\n30 1\n";
+  ASSERT_NE(blob.find(window), std::string::npos);
+  const auto with_window = [&](const std::string& replacement) {
+    std::string text = blob;
+    text.replace(text.find(window), window.size(), replacement);
+    return text;
+  };
+  // The shares stream is empty: "0 -1 -1 0 0 0 0".
+  const std::string empty_stream = "\n0 -1 -1 0 0 0 0\n";
+  ASSERT_NE(blob.find(empty_stream), std::string::npos);
+  const auto with_empty_stream = [&](const std::string& replacement) {
+    std::string text = blob;
+    text.replace(text.find(empty_stream), empty_stream.size(), replacement);
+    return text;
+  };
+  const struct {
+    std::string text;
+    NewlyRejected why;
+  } cases[] = {
+      {with_empty_stream("\n0-1-1 0 0 0 0\n"), NewlyRejected::kNoSeparator},
+      // The last token, a bucket count of 0, made a hex float "0x1p3".
+      {blob.substr(0, blob.size() - 1) + "x1p3\n", NewlyRejected::kNoSeparator},
+      {blob.substr(0, blob.size() - 1) + "J", NewlyRejected::kNoSeparator},
+      {with_window("\n+3 30 3\n10 1\n20 1\n30 1\n"), NewlyRejected::kLeadingPlus},
+      {with_window("\n3 +30 3\n10 1\n20 1\n30 1\n"), NewlyRejected::kLeadingPlus},
+      {with_empty_stream("\n-0 -1 -1 0 0 0 0\n"), NewlyRejected::kMinusInUnsigned},
+      {with_empty_stream("\n0 -1 -1 0 0 1e-400 0\n"), NewlyRejected::kUnderflow},
+      // Read alike by both.
+      {with_empty_stream("\n0\t-1\v-1\f0\r0 -0 0\n"), NewlyRejected::kNone},
+      {with_window("\n3 3e1 3\n1e1 1\n20. 1\n30 01\n"), NewlyRejected::kNone},
+  };
+  for (const auto& c : cases) {
+    ref::TrackerText read;
+    std::vector<ref::Token> tokens;
+    ASSERT_TRUE(ref::Read(c.text, config, &read, &tokens)) << c.text;
+    EXPECT_EQ(Classify(c.text, tokens), c.why) << c.text;
+    stream::CascadeTracker tracker(0.0, config);
+    EXPECT_EQ(tracker.Deserialize(c.text), c.why == NewlyRejected::kNone) << c.text;
+  }
+  // "inf", "nan" and hex floats: neither parser reads them.
+  for (const char* token : {"inf", "nan", "infinity", "-inf", "0x1e"}) {
+    const std::string text = with_window(std::string("\n3 ") + token + " 3\n10 1\n20 1\n30 1\n");
+    ref::TrackerText read;
+    EXPECT_FALSE(ref::Read(text, config, &read)) << token;
+    stream::CascadeTracker tracker(0.0, config);
+    EXPECT_FALSE(tracker.Deserialize(text)) << token;
   }
 }
 

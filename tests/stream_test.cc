@@ -2,13 +2,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/text_codec.h"
 #include "common/units.h"
 #include "reference_dgim.h"
 #include "stream/exponential_histogram.h"
@@ -165,13 +165,13 @@ TEST_P(DgimOracleTest, AddMatchesScanningReferenceAfterEveryEvent) {
         }
       }
       if (e % 997 == 0) {
-        std::stringstream blob;
-        blob.precision(17);
-        dgim::Write(blob, e + 1, t, got);
+        std::string blob;
+        dgim::Write(&blob, e + 1, t, got);
+        text::Reader in(blob);
         uint64_t total = 0;
         double last_t = 0.0;
         dgim::Buckets read;
-        ASSERT_TRUE(dgim::Read(blob, k, &total, &last_t, &read))
+        ASSERT_TRUE(dgim::Read(&in, k, &total, &last_t, &read))
             << "event " << e << ", window " << windows[i];
         ASSERT_EQ(read.size(), w.n_got);
       }
@@ -188,8 +188,8 @@ INSTANTIATE_TEST_SUITE_P(Epsilons, DgimOracleTest,
 TEST(ExponentialHistogramTest, DeserializeRejectsBucketsAddCannotProduce) {
   const auto reads = [](const std::string& blob) {
     ExponentialHistogram h(100.0, 0.5);
-    std::istringstream is(blob);
-    return h.DeserializeFrom(is);
+    text::Reader in(blob);
+    return h.DeserializeFrom(&in);
   };
   EXPECT_TRUE(reads("4 3 3\n1 2\n2 1\n3 1\n"));
   EXPECT_TRUE(reads("3 3 3\n1 1\n2 1\n3 1\n"));
