@@ -230,7 +230,7 @@ void BM_ServingIngestBatch(benchmark::State& state) {
 BENCHMARK(BM_ServingIngestBatch)->Arg(1024)->Arg(8192);
 
 // -- TopK: one caller runs BatchQuery scan mode; the service scans shards
-//    in parallel and batches the whole shard through the forests.
+//    in parallel, each through the forests 64 items at a time.
 
 void BM_ServingTopK(benchmark::State& state) {
   serving::PredictionService* service = MakeLoadedService(/*feed_events=*/true);

@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
+#include "common/check.h"
 #include "common/text_codec.h"
 
 namespace horizon::io {
@@ -99,6 +101,10 @@ namespace {
 
 using CrcTable = std::array<uint32_t, 256>;
 
+/// The reflected CRC-32 polynomial: bit 31 - k holds the coefficient of
+/// x^k, for k < 32 (x^32 is implied).
+constexpr uint32_t kCrcPoly = 0xEDB88320u;
+
 /// Table 0 is the bytewise table of the reflected polynomial; table k
 /// carries a byte's contribution k more bytes along, so the slicing-by-8
 /// loop folds in eight bytes with eight independent lookups.
@@ -106,7 +112,7 @@ constexpr std::array<CrcTable, 8> MakeCrcTables() {
   std::array<CrcTable, 8> tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? kCrcPoly ^ (c >> 1) : c >> 1;
     tables[0][i] = c;
   }
   for (size_t k = 1; k < tables.size(); ++k) {
@@ -123,6 +129,28 @@ uint32_t Load32(const unsigned char* p) {
   return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
          uint32_t{p[3]} << 24;
 }
+
+/// a(x) * b(x) mod P(x), both in the reflected order of kCrcPoly.
+constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t bit = 1u << 31; bit != 0; bit >>= 1) {
+    if ((a & bit) != 0) product ^= b;
+    b = (b & 1u) ? kCrcPoly ^ (b >> 1) : b >> 1;  // b(x) * x
+  }
+  return product;
+}
+
+/// Entry k is x^(2^k) mod P(x): the factor that moves a CRC register
+/// 2^k bits along.  67 entries cover 8 * (2^64 - 1) bits.
+constexpr std::array<uint32_t, 67> MakeX2nTable() {
+  std::array<uint32_t, 67> table{};
+  table[0] = 1u << 30;  // x^1
+  for (size_t k = 1; k < table.size(); ++k) {
+    table[k] = MultModP(table[k - 1], table[k - 1]);
+  }
+  return table;
+}
+constexpr std::array<uint32_t, 67> kX2nTable = MakeX2nTable();
 
 }  // namespace
 
@@ -143,6 +171,17 @@ uint32_t Crc32(uint32_t prev, std::string_view data) {
 }
 
 uint32_t Crc32(std::string_view data) { return Crc32(0, data); }
+
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b) {
+  // Appending b moves a's register 8 * len_b bits along, a product with
+  // x^(8 len_b); b's own CRC then adds in.  The pre- and post-inversions
+  // of the two CRCs cancel in the sum.
+  uint32_t shift = 1u << 31;  // x^0
+  for (size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if ((len_b & 1u) != 0) shift = MultModP(kX2nTable[k], shift);
+  }
+  return MultModP(shift, crc_a) ^ crc_b;
+}
 
 std::string CrcFrameHeader(std::string_view payload) {
   char header[64];
@@ -215,33 +254,11 @@ bool FsyncParentDir(const std::string& path) {
   return ok;
 }
 
-}  // namespace
-
-Status WriteFileAtomic(const std::string& path,
-                       std::initializer_list<std::string_view> parts) {
+/// The protocol's steps after the write, on the temp file `tmp` open as
+/// `fd` (closed on every path): fsync it, rename it over `path`, fsync
+/// the parent directory.  Three of the four fault points.
+Status SyncAndPublish(int fd, const std::string& tmp, const std::string& path) {
   FaultInjector& faults = FaultInjector::Global();
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::IoError("open " + tmp + ": " + std::strerror(errno));
-  if (faults.ShouldFail(FaultPoint::kWrite)) {
-    // Simulated crash mid-write: leave a torn prefix behind.
-    size_t torn = 0;
-    for (const std::string_view part : parts) torn += part.size();
-    torn /= 2;
-    for (const std::string_view part : parts) {
-      const size_t n = std::min(torn, part.size());
-      WriteAll(fd, part.data(), n);
-      torn -= n;
-    }
-    ::close(fd);
-    return Status::IoError("injected crash writing " + tmp);
-  }
-  for (const std::string_view part : parts) {
-    if (!WriteAll(fd, part.data(), part.size())) {
-      ::close(fd);
-      return Status::IoError("write " + tmp + ": " + std::strerror(errno));
-    }
-  }
   if (faults.ShouldFail(FaultPoint::kFsync) || ::fsync(fd) != 0) {
     ::close(fd);
     return Status::IoError("fsync " + tmp);
@@ -267,8 +284,128 @@ Status WriteFileAtomic(const std::string& path,
   return Status::Ok();
 }
 
+/// Writes `value` as exactly FramedFileWriter::kFieldDigits decimal
+/// digits, zero-padded, at `out`.
+void FormatField(uint64_t value, char* out) {
+  for (size_t i = FramedFileWriter::kFieldDigits; i > 0; --i, value /= 10) {
+    out[i - 1] = static_cast<char>('0' + value % 10);
+  }
+}
+
+/// "hzf1 " + the size field + " " + 8 hex digits + "\n".
+constexpr size_t kPaddedHeaderBytes = 5 + FramedFileWriter::kFieldDigits + 1 + 8 + 1;
+
+}  // namespace
+
 Status WriteFileAtomic(const std::string& path, std::string_view contents) {
-  return WriteFileAtomic(path, {contents});
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return Status::IoError("open " + tmp + ": " + std::strerror(errno));
+  if (FaultInjector::Global().ShouldFail(FaultPoint::kWrite)) {
+    // Simulated crash mid-write: leave a torn prefix, half the bytes.
+    WriteAll(fd, contents.data(), contents.size() / 2);
+    ::close(fd);
+    return Status::IoError("injected crash writing " + tmp);
+  }
+  if (!WriteAll(fd, contents.data(), contents.size())) {
+    ::close(fd);
+    return Status::IoError("write " + tmp + ": " + std::strerror(errno));
+  }
+  return SyncAndPublish(fd, tmp, path);
+}
+
+// ---------------------------------------------------------------------------
+// FramedFileWriter
+
+FramedFileWriter::FramedFileWriter(std::string path)
+    : path_(std::move(path)), tmp_(path_ + ".tmp") {
+  fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd_ < 0) {
+    status_ = Status::IoError("open " + tmp_ + ": " + std::strerror(errno));
+    return;
+  }
+  char header[kPaddedHeaderBytes + 1];
+  std::snprintf(header, sizeof(header), "hzf1 %0*d %08x\n",
+                static_cast<int>(kFieldDigits), 0, 0u);
+  status_ = Write({header, kPaddedHeaderBytes});
+}
+
+FramedFileWriter::~FramedFileWriter() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status FramedFileWriter::Write(std::string_view bytes) {
+  if (!WriteAll(fd_, bytes.data(), bytes.size())) {
+    return Status::IoError("write " + tmp_ + ": " + std::strerror(errno));
+  }
+  return Status::Ok();
+}
+
+Status FramedFileWriter::Append(std::string_view bytes) {
+  if (!status_.ok()) return status_;
+  status_ = Write(bytes);
+  if (!status_.ok()) return status_;
+  if (has_count_) {
+    tail_crc_ = Crc32(tail_crc_, bytes);
+    tail_bytes_ += bytes.size();
+  } else {
+    head_crc_ = Crc32(head_crc_, bytes);
+  }
+  payload_bytes_ += bytes.size();
+  return Status::Ok();
+}
+
+Status FramedFileWriter::AppendCountField() {
+  HORIZON_CHECK(!has_count_);
+  if (!status_.ok()) return status_;
+  char zeros[kFieldDigits];
+  FormatField(0, zeros);
+  // Not CRC'd: Commit folds the real digits in between head and tail.
+  status_ = Write({zeros, kFieldDigits});
+  if (!status_.ok()) return status_;
+  has_count_ = true;
+  count_at_ = payload_bytes_;
+  payload_bytes_ += kFieldDigits;
+  return Status::Ok();
+}
+
+Status FramedFileWriter::Commit(uint64_t count) {
+  if (!status_.ok()) return status_;
+  uint32_t payload_crc = head_crc_;
+  char field[kFieldDigits];
+  if (has_count_) {
+    FormatField(count, field);
+    payload_crc = Crc32Combine(Crc32(head_crc_, {field, kFieldDigits}), tail_crc_,
+                               tail_bytes_);
+  }
+  char header[kPaddedHeaderBytes + 1];
+  std::snprintf(header, sizeof(header), "hzf1 %0*llu %08x\n",
+                static_cast<int>(kFieldDigits),
+                static_cast<unsigned long long>(payload_bytes_), payload_crc);
+  const auto patch = [&](const char* bytes, size_t size, uint64_t offset) {
+    const ssize_t n = ::pwrite(fd_, bytes, size, static_cast<off_t>(offset));
+    if (n != static_cast<ssize_t>(size)) {
+      status_ = Status::IoError("write " + tmp_ + ": " + std::strerror(errno));
+    }
+  };
+  patch(header, kPaddedHeaderBytes, 0);
+  if (has_count_) patch(field, kFieldDigits, kPaddedHeaderBytes + count_at_);
+  if (!status_.ok()) return status_;
+  file_crc_ = Crc32Combine(Crc32({header, kPaddedHeaderBytes}), payload_crc,
+                           payload_bytes_);
+  file_bytes_ = kPaddedHeaderBytes + payload_bytes_;
+
+  const int fd = std::exchange(fd_, -1);
+  if (FaultInjector::Global().ShouldFail(FaultPoint::kWrite)) {
+    // Simulated crash mid-write: leave the first half of the bytes.
+    const bool torn = ::ftruncate(fd, static_cast<off_t>(file_bytes_ / 2)) == 0;
+    ::close(fd);
+    status_ = Status::IoError(torn ? "injected crash writing " + tmp_
+                                   : "truncate " + tmp_ + ": " + std::strerror(errno));
+    return status_;
+  }
+  status_ = SyncAndPublish(fd, tmp_, path_);
+  return status_;
 }
 
 StatusOr<std::string> ReadFile(const std::string& path) {

@@ -13,7 +13,6 @@
 #define HORIZON_COMMON_FILE_IO_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -90,6 +89,11 @@ uint32_t Crc32(std::string_view data);
 /// suffix is `data`: Crc32(Crc32(a), b) == Crc32(a + b).
 uint32_t Crc32(uint32_t prev, std::string_view data);
 
+/// The CRC-32 of a + b from the CRC-32 of a, the CRC-32 of b and b's
+/// length, without reading either: Crc32Combine(Crc32(a), Crc32(b),
+/// b.size()) == Crc32(a + b).  O(log len_b).
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b);
+
 /// The header of the CRC frame around `payload`:
 ///   "hzf1 <payload size> <crc32 hex>\n"
 /// The frame, header then payload, detects truncation, bit flips, and
@@ -105,16 +109,76 @@ std::string WrapCrcFrame(std::string_view payload);
 /// every torn or corrupted file.
 StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame);
 
-/// Atomically replaces `path` with `parts`, written one after the other:
-/// writes `path + ".tmp"`, fsyncs it, renames it over `path`, and fsyncs
-/// the parent directory.  Either the old file or the complete new file
-/// survives a crash at any step; a torn temp file is never visible under
-/// `path`.  Returns kIoError on any IO error or injected fault.
-Status WriteFileAtomic(const std::string& path,
-                       std::initializer_list<std::string_view> parts);
-
-/// WriteFileAtomic of a file holding `contents`.
+/// Atomically replaces `path` with `contents`: writes `path + ".tmp"`,
+/// fsyncs it, renames it over `path`, and fsyncs the parent directory.
+/// Either the old file or the complete new file survives a crash at any
+/// step; a torn temp file (the first half of `contents`) is never visible
+/// under `path`.  Returns kIoError on any IO error or injected fault.
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
+
+/// Streams a CRC-framed file into place a piece at a time, so a file of
+/// any size is written from a buffer of the caller's choosing, with
+/// WriteFileAtomic's protocol and its four fault points (all consulted
+/// by Commit).  The frame header's size and one count field in the
+/// payload are not known until the last piece: both are written as
+/// kFieldDigits zeros and filled in by Commit, and read back as ordinary
+/// integers ("hzf1 00000000000000000042 <crc>\n").  Each payload byte is
+/// CRC'd once, as it is appended; Commit combines the CRCs of the pieces
+/// around the count field with Crc32Combine.
+///
+/// The first failure sticks: every later Append and the Commit return
+/// it, and the temp file stays behind, as a failed WriteFileAtomic
+/// leaves it.
+class FramedFileWriter {
+ public:
+  /// Digits of the zero-padded size and count fields: any uint64_t fits.
+  static constexpr size_t kFieldDigits = 20;
+
+  /// Creates `path + ".tmp"` and writes a frame header with blank fields.
+  explicit FramedFileWriter(std::string path);
+  /// Closes the temp file unless Commit did.
+  ~FramedFileWriter();
+  FramedFileWriter(const FramedFileWriter&) = delete;
+  FramedFileWriter& operator=(const FramedFileWriter&) = delete;
+
+  /// Appends `bytes` to the payload.
+  Status Append(std::string_view bytes);
+
+  /// Appends the count field, kFieldDigits zeros that Commit fills in.
+  /// At most once per file.
+  Status AppendCountField();
+
+  /// Fills in the payload size and CRC and the count field (`count` is
+  /// ignored if no field was appended), then fsyncs the temp file,
+  /// renames it over `path` and fsyncs the parent directory.  A fault
+  /// injected at the write leaves the first half of the file's final
+  /// bytes in the temp file, as WriteFileAtomic's torn write does.
+  Status Commit(uint64_t count);
+
+  /// The CRC-32 and size of the whole file, header included, once Commit
+  /// has filled in the fields.
+  uint32_t file_crc() const { return file_crc_; }
+  uint64_t file_bytes() const { return file_bytes_; }
+
+ private:
+  /// Writes `bytes` at the end of the temp file.
+  Status Write(std::string_view bytes);
+
+  std::string path_;
+  std::string tmp_;
+  int fd_ = -1;
+  Status status_;
+  uint64_t payload_bytes_ = 0;
+  // The payload is a head, the count field, then a tail: the head's CRC
+  // runs until the field is appended, the tail's from then on.
+  uint32_t head_crc_ = 0;
+  uint32_t tail_crc_ = 0;
+  uint64_t tail_bytes_ = 0;
+  bool has_count_ = false;
+  uint64_t count_at_ = 0;  // payload offset of the count field
+  uint32_t file_crc_ = 0;
+  uint64_t file_bytes_ = 0;
+};
 
 /// Reads a whole file into a string sized once from the file's size.
 /// Returns kNotFound when it does not exist and kIoError when it exists

@@ -1,6 +1,7 @@
 #include "serving/prediction_service.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <chrono>
@@ -8,7 +9,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <numeric>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "common/file_io.h"
 #include "common/text_codec.h"
 #include "common/thread_pool.h"
+#include "gbdt/forest_kernels.h"
 #include "pointprocess/transform.h"
 #include "serving/item_index.h"
 
@@ -64,6 +66,17 @@ Status CheckQueryTimes(double s, double delta) {
   return Status::Ok();
 }
 
+/// Items a scan, or a by-id query, resolves under a shard lock at a time
+/// and then scores together outside it: at least the forest kernels'
+/// kSmallBatchRows, so a full chunk takes the SIMD kernel, and few enough
+/// that a thread's Scratch stays near 100 KB (~1.5 KB a row).
+constexpr size_t kChunkRows = 64;
+static_assert(kChunkRows >= gbdt::kernels::kSmallBatchRows);
+
+/// Items a checkpoint copies under a shard lock at a time, to serialize
+/// them outside it into one buffer that is then streamed to the file.
+constexpr size_t kCheckpointChunkItems = 16;
+
 /// What a query copies out of an item under its shard lock: everything
 /// extraction reads.
 struct Resolved {
@@ -71,10 +84,8 @@ struct Resolved {
   features::StaticFeatures statics;
 };
 
-/// The items a query resolved under the shard locks, and what
-/// ExtractAndScore makes of them.  AnswerIds keeps one per thread and
-/// reuses it, so a thread's point queries allocate nothing once the first
-/// has sized it.
+/// The items of one chunk, resolved under a shard lock, and what
+/// ExtractAndScore makes of them.
 struct Scratch {
   std::vector<Resolved> resolved;
   /// Column-major: feature f of resolved row r at [f * rows + r].
@@ -84,9 +95,15 @@ struct Scratch {
   std::vector<double> alphas;
 };
 
-/// Calls with more ids than this free the scratch storage they grew, so a
-/// thread keeps under 1 MB (~1.5 KB per row) between calls.
-constexpr size_t kKeptScratchRows = 256;
+/// The calling thread's Scratch, which AnswerIds and ShardScanTopK share
+/// and reuse: it grows to one chunk, so a thread's point queries allocate
+/// nothing once the first has sized it.  The two never run nested on one
+/// thread (a chunk's inference fits one PredictStrided chunk and runs
+/// inline).
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
 
 /// The extract-and-score step of AnswerIds and ShardScanTopK, run outside
 /// the shard locks: extracts every resolved item into one column-major
@@ -115,11 +132,34 @@ void ExtractAndScore(const features::FeatureExtractor& extractor,
                        scratch->alphas.data());
 }
 
+/// What the manifest records of one shard file.
+struct ShardFile {
+  uint32_t crc = 0;
+  uint64_t bytes = 0;
+  uint64_t items = 0;
+};
+
 }  // namespace
 
 struct PredictionService::Shard {
   mutable Mutex mu;
   ItemIndex<Item> items HORIZON_GUARDED_BY(mu);
+
+  /// The shard's ids, listed under the lock.  A scan or a checkpoint then
+  /// reads the items behind them a chunk at a time, so it holds 8 bytes
+  /// per item besides its chunk, however large the shard; an id retired
+  /// since the listing is skipped, and one registered since is not seen.
+  std::vector<int64_t> Ids() const {
+    MutexLock lock(mu);
+    std::vector<int64_t> ids;
+    ids.reserve(items.size());
+    items.ForEach([&](int64_t id, const Item&) { ids.push_back(id); });
+    return ids;
+  }
+
+  /// Streams the `shard v2` file of the shard's items to `path` (see
+  /// Checkpoint) and records what the manifest needs of it.
+  Status WriteCheckpoint(const std::string& path, ShardFile* file) const;
 };
 
 Status ServiceConfig::Validate(const features::FeatureExtractor* extractor) const {
@@ -353,7 +393,8 @@ size_t PredictionService::IngestBatch(const std::vector<IngestEvent>& events) {
 void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
                                   double delta, Status* statuses,
                                   PredictionResult* results) const {
-  thread_local Scratch scratch;
+  HORIZON_DCHECK(ids.size() <= kChunkRows);
+  Scratch& scratch = ThreadScratch();
   scratch.resolved.clear();
   for (size_t i = 0; i < ids.size(); ++i) {
     const uint64_t hash = MixId(ids[i]);
@@ -369,8 +410,7 @@ void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
       scratch.resolved.push_back({item->tracker.Snapshot(s), item->statics});
     }
   }
-  const size_t rows = scratch.resolved.size();
-  if (rows == 0) return;
+  if (scratch.resolved.empty()) return;
   ExtractAndScore(*extractor_, *model_, delta, &scratch);
   for (size_t i = 0, r = 0; i < ids.size(); ++i) {
     if (!statuses[i].ok()) continue;
@@ -379,7 +419,6 @@ void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
     results[i] = {observed, observed + scratch.increments[r], scratch.alphas[r]};
     ++r;
   }
-  if (rows > kKeptScratchRows) scratch = Scratch();
 }
 
 void PredictionService::CountAnswered(size_t n) const {
@@ -389,19 +428,23 @@ void PredictionService::CountAnswered(size_t n) const {
 
 StatusOr<QueryResponse> PredictionService::QueryByIds(
     const QueryRequest& request) const {
-  const size_t n = request.ids.size();
-  std::vector<Status> statuses(n);
-  std::vector<PredictionResult> predictions(n);
-  AnswerIds(request.ids, request.s, request.delta, statuses.data(),
-            predictions.data());
-
+  const std::span<const int64_t> ids(request.ids);
   QueryResponse response;
-  response.results.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (statuses[i].ok()) {
-      response.results.push_back({request.ids[i], predictions[i]});
-    } else {
-      response.errors.push_back({request.ids[i], std::move(statuses[i])});
+  response.results.reserve(ids.size());
+  // One chunk of ids at a time, so a request of any size holds one
+  // chunk's working storage besides its answer.
+  std::array<Status, kChunkRows> statuses;
+  std::array<PredictionResult, kChunkRows> predictions;
+  for (size_t begin = 0; begin < ids.size(); begin += kChunkRows) {
+    const std::span<const int64_t> chunk =
+        ids.subspan(begin, std::min(kChunkRows, ids.size() - begin));
+    AnswerIds(chunk, request.s, request.delta, statuses.data(), predictions.data());
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      if (statuses[i].ok()) {
+        response.results.push_back({chunk[i], predictions[i]});
+      } else {
+        response.errors.push_back({chunk[i], std::move(statuses[i])});
+      }
     }
   }
   if (request.top_k > 0 && response.results.size() > request.top_k) {
@@ -425,38 +468,44 @@ StatusOr<QueryResponse> PredictionService::QueryByIds(
 
 std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     const Shard& shard, double s, double delta, size_t k) const {
-  Scratch scratch;
-  std::vector<int64_t> ids;
-  {
-    MutexLock lock(shard.mu);
-    scratch.resolved.reserve(shard.items.size());
-    ids.reserve(shard.items.size());
-    shard.items.ForEach([&](int64_t id, const Item& item) {
-      if (s < item.tracker.creation_time()) return;  // not yet live
-      ids.push_back(id);
-      scratch.resolved.push_back({item.tracker.Snapshot(s), item.statics});
-    });
+  const std::vector<int64_t> ids = shard.Ids();
+  Scratch& scratch = ThreadScratch();
+  std::array<int64_t, kChunkRows> row_ids;
+  // A heap of the best k so far, the lowest-ranked on top.
+  std::vector<ScanCandidate> top;
+  top.reserve(std::min(k, ids.size()));
+  for (size_t begin = 0; begin < ids.size(); begin += kChunkRows) {
+    const size_t end = std::min(ids.size(), begin + kChunkRows);
+    scratch.resolved.clear();
+    {
+      MutexLock lock(shard.mu);
+      for (size_t i = begin; i < end; ++i) {
+        const Item* item = shard.items.Find(ids[i], MixId(ids[i]));
+        // Retired since the listing, or not yet live.
+        if (item == nullptr || s < item->tracker.creation_time()) continue;
+        row_ids[scratch.resolved.size()] = ids[i];
+        scratch.resolved.push_back({item->tracker.Snapshot(s), item->statics});
+      }
+    }
+    if (scratch.resolved.empty()) continue;
+    ExtractAndScore(*extractor_, *model_, delta, &scratch);
+    for (size_t r = 0; r < scratch.resolved.size(); ++r) {
+      const double observed =
+          static_cast<double>(scratch.resolved[r].snapshot.views().total);
+      const ScanCandidate c{row_ids[r], observed, scratch.increments[r],
+                            scratch.alphas[r]};
+      if (top.size() < k) {
+        top.push_back(c);
+        std::push_heap(top.begin(), top.end(), ScanCandidate::RanksAbove);
+      } else if (ScanCandidate::RanksAbove(c, top.front())) {
+        std::pop_heap(top.begin(), top.end(), ScanCandidate::RanksAbove);
+        top.back() = c;
+        std::push_heap(top.begin(), top.end(), ScanCandidate::RanksAbove);
+      }
+    }
   }
-  if (ids.empty()) return {};
-  ExtractAndScore(*extractor_, *model_, delta, &scratch);
-
-  // Keep only the shard's k best; each carries its whole answer.
-  std::vector<size_t> order(ids.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  const size_t take = std::min(k, order.size());
-  std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(take),
-                    order.end(), [&](size_t a, size_t b) {
-                      return scratch.increments[a] > scratch.increments[b];
-                    });
-  std::vector<ScanCandidate> out;
-  out.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    const size_t r = order[i];
-    const double observed =
-        static_cast<double>(scratch.resolved[r].snapshot.views().total);
-    out.push_back({ids[r], observed, scratch.increments[r], scratch.alphas[r]});
-  }
-  return out;
+  std::sort_heap(top.begin(), top.end(), ScanCandidate::RanksAbove);
+  return top;
 }
 
 StatusOr<QueryResponse> PredictionService::QueryScan(
@@ -475,9 +524,7 @@ StatusOr<QueryResponse> PredictionService::QueryScan(
   }
   const size_t take = std::min(k, merged.size());
   std::partial_sort(merged.begin(), merged.begin() + static_cast<ptrdiff_t>(take),
-                    merged.end(), [](const ScanCandidate& a, const ScanCandidate& b) {
-                      return a.increment > b.increment;
-                    });
+                    merged.end(), ScanCandidate::RanksAbove);
   merged.resize(take);
 
   QueryResponse response;
@@ -691,40 +738,83 @@ bool ReadStatics(text::Reader* in, features::StaticFeatures* statics) {
   return at == end;
 }
 
-/// The `shard v2` payload of `items`: a header line, the item count, then
-/// per item its id, its static features and its tracker blob after the
-/// blob's byte count, built in one string sized before the first item.
-std::string ShardPayload(const std::vector<std::pair<int64_t, Item>>& items) {
-  // "shard v2", then the item count, each id and each blob's byte count,
-  // each an integer of at most 20 digits and its newline.
+/// Appends the `shard v2` records of `items` to `out`: per item its id,
+/// its static features, and its tracker blob after the blob's byte count,
+/// in room reserved before the first.
+void AppendRecords(const std::vector<std::pair<int64_t, Item>>& items,
+                   std::string* out) {
+  // Each id and each blob's byte count: an integer of at most 20 digits
+  // and its newline.
   constexpr size_t kInt = 21;
-  size_t bound = 9 + kInt;
+  size_t bound = out->size();
   for (const auto& [id, item] : items) {
     bound += 2 * kInt + kStaticBytes * features::kNumStaticFeatures +
              item.tracker.SerializedBytesBound();
   }
-  std::string out;
-  out.reserve(bound);
-  out.append("shard v2\n");
-  text::AppendInt(&out, items.size());
-  out.push_back('\n');
+  out->reserve(bound);
   for (const auto& [id, item] : items) {
-    text::AppendInt(&out, id);
-    out.push_back('\n');
-    AppendStatics(&out, item.statics);
+    text::AppendInt(out, id);
+    out->push_back('\n');
+    AppendStatics(out, item.statics);
     // The byte count goes before the blob, so it is inserted once the
     // blob is written; the reservation leaves room for it.
-    const size_t blob_at = out.size();
-    item.tracker.SerializeTo(&out);
+    const size_t blob_at = out->size();
+    item.tracker.SerializeTo(out);
     char count[kInt];
-    char* end = std::to_chars(count, count + kInt - 1, out.size() - blob_at).ptr;
+    char* end = std::to_chars(count, count + kInt - 1, out->size() - blob_at).ptr;
     *end++ = '\n';
-    out.insert(blob_at, count, static_cast<size_t>(end - count));
+    out->insert(blob_at, count, static_cast<size_t>(end - count));
   }
-  return out;
 }
 
 }  // namespace
+
+Status PredictionService::Shard::WriteCheckpoint(const std::string& path,
+                                                 ShardFile* file) const {
+  // A header line and the item count, then the records, a chunk of items
+  // at a time: copied under the lock, serialized outside it into one
+  // buffer, and streamed to the file.  The count, known once the last
+  // chunk is copied, is filled in when the file commits.
+  const std::vector<int64_t> ids = Ids();
+  io::FramedFileWriter writer(path);
+  HORIZON_RETURN_IF_ERROR(writer.Append("shard v2\n"));
+  HORIZON_RETURN_IF_ERROR(writer.AppendCountField());
+  HORIZON_RETURN_IF_ERROR(writer.Append("\n"));
+  std::vector<std::pair<int64_t, Item>> chunk;
+  chunk.reserve(kCheckpointChunkItems);
+  std::string buffer;
+  uint64_t written = 0;
+  for (size_t begin = 0; begin < ids.size(); begin += kCheckpointChunkItems) {
+    const size_t end = std::min(ids.size(), begin + kCheckpointChunkItems);
+    chunk.clear();
+    {
+      MutexLock lock(mu);
+      for (size_t i = begin; i < end; ++i) {
+        // An id retired since the listing is skipped.
+        if (const Item* item = items.Find(ids[i], MixId(ids[i]))) {
+          chunk.emplace_back(ids[i], *item);
+        }
+      }
+    }
+    buffer.clear();
+    AppendRecords(chunk, &buffer);
+    HORIZON_RETURN_IF_ERROR(writer.Append(buffer));
+    written += chunk.size();
+  }
+  HORIZON_RETURN_IF_ERROR(writer.Commit(written));
+  *file = {writer.file_crc(), writer.file_bytes(), written};
+  return Status::Ok();
+}
+
+const PredictionService::ModelFile& PredictionService::model_file() const {
+  std::call_once(model_file_once_, [this] {
+    const std::string blob = model_->Serialize();
+    model_file_.crc = io::Crc32(blob);
+    model_file_.size = blob.size();
+    model_file_.file = io::WrapCrcFrame(blob);
+  });
+  return model_file_;
+}
 
 Status PredictionService::Checkpoint(const std::string& dir) const {
   const obs::ScopedTimer latency(m_checkpoint_latency_);
@@ -740,34 +830,19 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
   // One coherent counter snapshot up front; events ingested while the
   // shards are being copied belong to the next checkpoint.
   const ServiceStats counters = stats();
-  const std::string model_blob = model_->Serialize();
+  const ModelFile& model = model_file();
 
-  // Snapshot each shard under its lock (a copy of the O(1)-state items),
-  // then serialize and write the file outside the lock so ingest/query
-  // never stall behind disk IO.  Shards proceed in parallel.
+  // Each shard's items are copied a chunk at a time under its lock, then
+  // serialized and written outside it, so ingest/query never stall behind
+  // disk IO.  Shards proceed in parallel.
   const size_t num_shards = shards_.size();
-  std::vector<uint32_t> shard_crc(num_shards, 0);
-  std::vector<size_t> shard_bytes(num_shards, 0);
-  std::vector<size_t> shard_items(num_shards, 0);
+  std::vector<ShardFile> shard_files(num_shards);
   Mutex error_mu;
   Status shard_error;  // first failure wins
   ParallelFor(num_shards, 1, [&](size_t begin, size_t end) {
     for (size_t sh = begin; sh < end; ++sh) {
-      const Shard& shard = *shards_[sh];
-      std::vector<std::pair<int64_t, Item>> snapshot;
-      {
-        MutexLock lock(shard.mu);
-        snapshot.reserve(shard.items.size());
-        shard.items.ForEach(
-            [&](int64_t id, const Item& item) { snapshot.emplace_back(id, item); });
-      }
-      const std::string payload = ShardPayload(snapshot);
-      const std::string header = io::CrcFrameHeader(payload);
-      shard_crc[sh] = io::Crc32(io::Crc32(header), payload);
-      shard_bytes[sh] = header.size() + payload.size();
-      shard_items[sh] = snapshot.size();
       const Status wrote =
-          io::WriteFileAtomic(ckpt + "/" + ShardFileName(sh), {header, payload});
+          shards_[sh]->WriteCheckpoint(ckpt + "/" + ShardFileName(sh), &shard_files[sh]);
       if (!wrote.ok()) {
         MutexLock lock(error_mu);
         if (shard_error.ok()) shard_error = wrote;
@@ -775,14 +850,13 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
     }
   });
   HORIZON_RETURN_IF_ERROR(shard_error);
-  const std::string model_file = io::WrapCrcFrame(model_blob);
-  HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(ckpt + "/model.hwk", model_file));
+  HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(ckpt + "/model.hwk", model.file));
 
   std::ostringstream manifest;
   manifest.precision(17);
   manifest << "manifest v1\n";
   manifest << "epoch " << epoch << "\n";
-  manifest << "model " << io::Crc32(model_blob) << " " << model_blob.size() << "\n";
+  manifest << "model " << model.crc << " " << model.size << "\n";
   const stream::TrackerConfig& tracker = config_.tracker;
   manifest << "windows " << tracker.window_lengths.size();
   for (double w : tracker.window_lengths) manifest << " " << w;
@@ -796,18 +870,20 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
            << counters.events_ingested << " " << counters.queries_answered << " "
            << counters.items_retired << "\n";
   manifest << "shards " << num_shards << "\n";
+  uint64_t checkpoint_bytes = 0;
   for (size_t sh = 0; sh < num_shards; ++sh) {
-    manifest << ShardFileName(sh) << " " << shard_crc[sh] << " " << shard_bytes[sh]
-             << " " << shard_items[sh] << "\n";
+    const ShardFile& file = shard_files[sh];
+    manifest << ShardFileName(sh) << " " << file.crc << " " << file.bytes << " "
+             << file.items << "\n";
+    checkpoint_bytes += file.bytes;
   }
   const std::string manifest_file = io::WrapCrcFrame(manifest.str());
   HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(ckpt + "/MANIFEST", manifest_file));
   // Commit point: once CURRENT names the new directory, the checkpoint is
   // the one Restore will load.
   HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(dir + "/CURRENT", name + "\n"));
-  m_checkpoint_bytes_->Set(static_cast<double>(
-      std::accumulate(shard_bytes.begin(), shard_bytes.end(), size_t{0}) +
-      model_file.size() + manifest_file.size()));
+  m_checkpoint_bytes_->Set(static_cast<double>(checkpoint_bytes + model.file.size() +
+                                               manifest_file.size()));
 
   // GC: drop checkpoints older than the committed one's predecessor
   // (including partial directories left by crashed attempts).
@@ -936,8 +1012,8 @@ Status PredictionService::Restore(const std::string& dir) {
   }
 
   // Bit-identical predictions require the identical model.
-  const std::string model_blob = model_->Serialize();
-  if (io::Crc32(model_blob) != model_crc || model_blob.size() != model_size) {
+  const ModelFile& model = model_file();
+  if (model.crc != model_crc || model.size != model_size) {
     return CountError(Status::ConfigMismatch(
         "checkpoint was written by a different model (serialization digest "
         "mismatch)"));

@@ -50,6 +50,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -132,7 +133,8 @@ struct QueryRequest {
   double s = 0.0;      ///< prediction time (absolute stream time)
   double delta = 0.0;  ///< horizon (seconds, > 0)
   /// 0 keeps every resolved id in request order; > 0 ranks by predicted
-  /// increment descending and truncates.
+  /// increment descending and truncates.  Scan mode breaks ties by item
+  /// id, ascending.
   size_t top_k = 0;
 };
 
@@ -217,7 +219,12 @@ class PredictionService {
   /// is non-finite or past kMaxAbsTime, a non-finite `delta` or one < 0,
   /// empty ids with top_k == 0) return kInvalidArgument; per-item
   /// problems land in QueryResponse::errors.
-  /// Inference is batched: one forest pass over every resolved item.
+  /// Inference is batched, 64 items at a time: ids are resolved under the
+  /// shard locks and scored outside them a chunk at a time, and a scan
+  /// keeps a running top k per shard.  So a call holds one chunk of
+  /// working storage besides its answer (a scan also one 8-byte id per
+  /// item of each shard it walks), and a scan reads each chunk at its own
+  /// instant, not a shard at one instant.
   StatusOr<QueryResponse> BatchQuery(const QueryRequest& request) const;
 
   /// The point query: BatchQuery's per-id answer for one id, bit for bit,
@@ -257,11 +264,15 @@ class PredictionService {
   // any write/fsync/rename therefore leaves the previous checkpoint fully
   // intact, and Restore never loads a torn file (the CRCs reject it).
 
-  /// Writes a consistent snapshot of every live tracker, each item's
-  /// static features, the model, and the service counters (shard files
-  /// `shard v2`).  Shards are
-  /// snapshotted under their own locks and serialized/written outside
-  /// them, so concurrent Ingest/Query keep running during a checkpoint.
+  /// Writes a snapshot of every live tracker, each item's static
+  /// features, the model, and the service counters (shard files
+  /// `shard v2`).  Each shard's ids are listed under its lock and its
+  /// items copied 16 at a time under it; each chunk is serialized and
+  /// streamed to the shard file outside the lock, so concurrent
+  /// Ingest/Query keep running and a checkpoint holds one chunk per pool
+  /// thread, not a copy of the shard.  An item retired mid-checkpoint is
+  /// left out; one registered after its shard's listing waits for the
+  /// next checkpoint.
   /// kIoError on any write failure (the previous checkpoint survives).
   /// Once it commits, sets the horizon_serving_checkpoint_bytes gauge to
   /// the bytes of the checkpoint's files: shards, model and manifest.
@@ -292,22 +303,41 @@ class PredictionService {
     double observed = 0.0;
     double increment = 0.0;
     double alpha = 0.0;
+
+    /// The scan's ranking, a total order: larger increment first, then
+    /// smaller id, so tied items rank alike whatever the shard count, the
+    /// slot order or the chunking.
+    static bool RanksAbove(const ScanCandidate& a, const ScanCandidate& b) {
+      return a.increment > b.increment || (a.increment == b.increment && a.id < b.id);
+    }
+  };
+
+  /// The model's checkpoint file, model.hwk (its serialization,
+  /// CRC-framed), and the serialization's CRC and size, which the
+  /// manifest records.
+  struct ModelFile {
+    std::string file;
+    uint32_t crc = 0;
+    size_t size = 0;
   };
 
   /// The shard of the item whose id hashes (MixId) to `hash`.
   size_t ShardIndex(uint64_t hash) const;
 
-  /// Per-shard scan: snapshots every live item under the lock, then
-  /// extracts and predicts them outside it in the extract-and-score step
-  /// AnswerIds runs, and returns the shard's k best candidates.
+  /// Per-shard scan: lists the shard's ids under its lock, then resolves
+  /// them a chunk at a time under the lock and extracts and predicts each
+  /// chunk outside it, in the extract-and-score step AnswerIds runs,
+  /// keeping a running top k.  Returns the shard's k best candidates,
+  /// best first.
   std::vector<ScanCandidate> ShardScanTopK(const Shard& shard, double s,
                                            double delta, size_t k) const;
 
-  /// The per-id path of Query and BatchQuery: resolves each id under its
-  /// shard lock (kNotFound / kNotYetLive, counted into statuses[i]), then
-  /// extracts and predicts every resolved id outside the locks in one
-  /// PredictStrided pass, into results[i].  Working storage is per thread
-  /// and reused.
+  /// The per-id path of Query and BatchQuery, for one chunk of at most
+  /// 64 ids (kChunkRows in prediction_service.cc): resolves each id under
+  /// its shard lock (kNotFound / kNotYetLive, counted into statuses[i]),
+  /// then extracts and predicts every resolved id outside the locks in
+  /// one PredictStrided pass, into results[i].  Working storage is per
+  /// thread and reused.
   void AnswerIds(std::span<const int64_t> ids, double s, double delta,
                  Status* statuses, PredictionResult* results) const;
   /// Adds n answered queries to stats() and horizon_serving_queries_total.
@@ -319,12 +349,18 @@ class PredictionService {
   /// Increments the per-code error counter and forwards `status`.
   Status CountError(Status status) const;
 
+  /// Built on first use, by Checkpoint or Restore: the model cannot
+  /// change while the service holds it.
+  const ModelFile& model_file() const;
+
   const core::HawkesPredictor* model_;
   const features::FeatureExtractor* extractor_;
   ServiceConfig config_;
   // config_.tracker, frozen once; every item's tracker shares it.
   std::shared_ptr<const stream::TrackerLayout> tracker_layout_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::once_flag model_file_once_;
+  mutable ModelFile model_file_;  // written once, under model_file_once_
 
   // An exact fetch_add / fetch_sub source for the live-items gauge.
   std::atomic<size_t> live_items_{0};

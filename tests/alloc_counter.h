@@ -2,7 +2,8 @@
 // bytes it holds, through a replaced global operator new.  Include from
 // exactly one source file of a test binary (the replacements are
 // definitions) and read horizon::test::ThreadAllocations(),
-// ThreadLiveBlocks() or ThreadLiveBytes() around the code under test.
+// ThreadLiveBlocks(), ThreadLiveBytes() or ThreadPeakLiveBytes() around
+// the code under test.
 //
 // Sanitizer runtimes own operator new, so sanitized builds keep the
 // default, define HORIZON_TEST_SANITIZED, and must skip tests that count.
@@ -29,6 +30,7 @@ namespace horizon::test {
 inline thread_local size_t t_allocations = 0;
 inline thread_local std::ptrdiff_t t_live_blocks = 0;
 inline thread_local std::ptrdiff_t t_live_bytes = 0;
+inline thread_local std::ptrdiff_t t_peak_live_bytes = 0;
 
 /// Allocations the calling thread has made so far.
 inline size_t ThreadAllocations() { return t_allocations; }
@@ -42,6 +44,13 @@ inline std::ptrdiff_t ThreadLiveBlocks() { return t_live_blocks; }
 /// bytes it has freed: the requested sizes, without allocator overhead.
 /// A block freed by another thread counts against that thread.
 inline std::ptrdiff_t ThreadLiveBytes() { return t_live_bytes; }
+
+/// The most ThreadLiveBytes() has read since the last
+/// ResetThreadPeakLiveBytes(), or since the thread started.
+inline std::ptrdiff_t ThreadPeakLiveBytes() { return t_peak_live_bytes; }
+
+/// Starts a new peak at the current ThreadLiveBytes().
+inline void ResetThreadPeakLiveBytes() { t_peak_live_bytes = t_live_bytes; }
 
 namespace detail {
 
@@ -61,6 +70,7 @@ inline void* Allocate(std::size_t size, std::size_t align) {
   ++t_allocations;
   ++t_live_blocks;
   t_live_bytes += static_cast<std::ptrdiff_t>(size);
+  if (t_live_bytes > t_peak_live_bytes) t_peak_live_bytes = t_live_bytes;
   char* p = static_cast<char*>(base) + header;
   std::memcpy(p - sizeof(size), &size, sizeof(size));
   return p;

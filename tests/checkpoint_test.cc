@@ -11,16 +11,22 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
 #include "common/file_io.h"
+#include "common/rng.h"
+#include "common/text_codec.h"
 #include "core/trainer.h"
 #include "env_guard.h"
 #include "obs/metrics.h"
@@ -392,6 +398,134 @@ TEST_F(CheckpointTest, CheckpointAllocatesNoStringPerItem) {
   // A string per item would add ~950; a payload grown by doubling, ~7.
   EXPECT_LE(many - few, 2) << few << " allocations past the item copies at 8 items, "
                            << many << " at 960";
+#endif
+}
+
+// The model's checkpoint file is built once per service, on first use: a
+// second Checkpoint writes the same model.hwk without serializing the
+// model again.  Serializing it holds its bytes at least twice at once
+// (the serialization and the framed file), so the first checkpoint's
+// heap peak passes the second's by at least the model's bytes.
+TEST_F(CheckpointTest, SecondCheckpointDoesNotSerializeTheModelAgain) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes own operator new";
+#else
+  ServiceConfig config;
+  config.num_shards = 1;
+  PredictionService service = MakeService(config);
+  Load(&service, 8, kAge);
+  const std::string model_blob = model_->Serialize();
+  const auto model_bytes = static_cast<std::ptrdiff_t>(model_blob.size());
+  const auto checkpoint_peak = [&] {
+    test::ResetThreadPeakLiveBytes();
+    const std::ptrdiff_t before = test::ThreadLiveBytes();
+    EXPECT_TRUE(service.Checkpoint(Dir()).ok());
+    return test::ThreadPeakLiveBytes() - before;
+  };
+  const std::ptrdiff_t first = checkpoint_peak();
+  const std::ptrdiff_t second = checkpoint_peak();
+  EXPECT_GE(first - second, model_bytes)
+      << "peaks " << first << " and " << second << " B";
+  EXPECT_EQ(io::ReadFile(CommittedCheckpoint(Dir()) + "/model.hwk").value(),
+            io::WrapCrcFrame(model_blob));
+  PredictionService restored = MakeService(config);
+  ASSERT_TRUE(restored.Restore(Dir()).ok());
+  ExpectIdentical(Snapshot(service, 8, kAge, 1 * kDay),
+                  Snapshot(restored, 8, kAge, 1 * kDay));
+#endif
+}
+
+#ifndef HORIZON_TEST_SANITIZED
+/// The heap bytes `op` held at its peak, less the bytes of the answer it
+/// built (which `op` returns).  It runs on a thread of its own, so
+/// storage it keeps after it returns, such as a per-thread scratch,
+/// counts, and none is left over from an earlier call.
+template <typename Op>
+std::ptrdiff_t HeldBytes(const Op& op) {
+  std::ptrdiff_t held = 0;
+  std::thread([&] {
+    const std::ptrdiff_t before = test::ThreadLiveBytes();
+    test::ResetThreadPeakLiveBytes();
+    const std::ptrdiff_t answer = op();
+    held = test::ThreadPeakLiveBytes() - before - answer;
+  }).join();
+  return held;
+}
+
+/// The heap bytes of `response`'s vectors.
+std::ptrdiff_t AnswerBytes(const StatusOr<QueryResponse>& response) {
+  return static_cast<std::ptrdiff_t>(
+      response->results.capacity() * sizeof(ItemPrediction) +
+      response->errors.capacity() * sizeof(ItemError));
+}
+#endif
+
+// A scan, a checkpoint and a BatchQuery over every live id each walk the
+// shard a chunk at a time.  On a one-shard service, whose one pool task
+// runs on the calling thread, the heap bytes each holds at its peak past
+// its answer grow from 500 to 4,000 items by at most the shard's id
+// list, 8 bytes an item.  Holding every item's snapshot row, for the
+// call or in a scratch kept after it, would add ~1.5 KB an item.  Every
+// item is the same cascade, so every full chunk is the same size and the
+// growth is only what scales with the item count.  No call is warmed up:
+// each starts a thread's scratch, and the checkpoint builds the model
+// file, the same bytes at both sizes.
+TEST_F(CheckpointTest, ScanCheckpointAndBatchQueryHoldTheIdListAndOneChunk) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes own operator new";
+#else
+  ServiceConfig config;
+  config.num_shards = 1;
+  const datagen::Cascade& cascade = dataset_->cascades[0];
+  struct Held {
+    std::ptrdiff_t scan, checkpoint, batch;
+  };
+  // `leaf` names the checkpoint directory: one length at both sizes.
+  const auto held = [&](int64_t items, const char* leaf) {
+    PredictionService service = MakeService(config);
+    for (int64_t id = 0; id < items; ++id) {
+      EXPECT_TRUE(service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
+                                       cascade.post).ok());
+      for (const auto& e : cascade.views) {
+        if (e.time >= kAge) break;
+        EXPECT_TRUE(service.Ingest(id, stream::EngagementType::kView, e.time).ok());
+      }
+    }
+    QueryRequest scan;
+    scan.s = kAge;
+    scan.delta = 1 * kDay;
+    scan.top_k = 10;
+    QueryRequest batch = scan;
+    batch.top_k = 0;
+    for (int64_t id = 0; id < items; ++id) batch.ids.push_back(id);
+    const std::string dir = Dir() + leaf;
+    Held h{};
+    h.scan = HeldBytes([&] {
+      const StatusOr<QueryResponse> response = service.BatchQuery(scan);
+      EXPECT_EQ(response->results.size(), scan.top_k);
+      return AnswerBytes(response);
+    });
+    h.checkpoint = HeldBytes([&] {
+      EXPECT_TRUE(service.Checkpoint(dir).ok());
+      return std::ptrdiff_t{0};
+    });
+    h.batch = HeldBytes([&] {
+      const StatusOr<QueryResponse> response = service.BatchQuery(batch);
+      EXPECT_EQ(response->results.size(), batch.ids.size());
+      return AnswerBytes(response);
+    });
+    return h;
+  };
+  const Held few = held(500, "/a");
+  const Held many = held(4000, "/b");
+  const std::ptrdiff_t id_list = 8 * (4000 - 500);
+  EXPECT_LE(many.scan - few.scan, id_list) << few.scan << " B at 500 items";
+  // The checkpoint's manifest also holds the counters, which have more
+  // digits at 4,000 items: a few bytes, not a few per item.
+  constexpr std::ptrdiff_t kDigits = 1024;
+  EXPECT_LE(many.checkpoint - few.checkpoint, id_list + kDigits)
+      << few.checkpoint << " B at 500 items";
+  EXPECT_LE(many.batch - few.batch, id_list) << few.batch << " B at 500 items";
 #endif
 }
 
@@ -819,6 +953,208 @@ TEST_F(CheckpointTest, RestoresManifestWithLegacyQforestLine) {
   const Status status = truncated.Restore(Dir());
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
   EXPECT_EQ(truncated.LiveItems(), 0u);
+}
+
+// The scan ranks by increment descending, then by id ascending: a total
+// order.  Items with identical profiles, one creation time and no events
+// tie on every feature, so they come back in id order however the shards
+// and their slots hold them: with 1 shard (300 items, five chunks), with
+// 16, and after a checkpoint and a restore.
+TEST_F(CheckpointTest, ScanRanksTiedItemsById) {
+  const auto& cascade = dataset_->cascades[0];
+  std::vector<int64_t> ids;
+  for (int64_t i = 0; i < 300; ++i) ids.push_back(1000 + 37 * i);
+  Rng rng(27);
+  for (size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng.UniformInt(i + 1)]);
+  }
+  std::vector<int64_t> want = ids;
+  std::sort(want.begin(), want.end());
+  const auto scan_ids = [&](const PredictionService& service, size_t top_k) {
+    QueryRequest scan;
+    scan.s = 2 * kHour;
+    scan.delta = 1 * kDay;
+    scan.top_k = top_k;
+    const StatusOr<QueryResponse> response = service.BatchQuery(scan);
+    EXPECT_TRUE(response.ok());
+    std::vector<int64_t> got;
+    for (const ItemPrediction& p : response->results) {
+      EXPECT_EQ(p.prediction.predicted_views,
+                response->results[0].prediction.predicted_views);
+      got.push_back(p.item_id);
+    }
+    return got;
+  };
+  const std::vector<int64_t> top_20(want.begin(), want.begin() + 20);
+  for (const int shards : {1, 16}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    ServiceConfig config;
+    config.num_shards = shards;
+    PredictionService service = MakeService(config);
+    for (const int64_t id : ids) {
+      ASSERT_TRUE(service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
+                                       cascade.post).ok());
+    }
+    EXPECT_EQ(scan_ids(service, 20), top_20);
+    EXPECT_EQ(scan_ids(service, ids.size()), want);
+    ASSERT_TRUE(service.Checkpoint(Dir()).ok());
+    for (const int restored_shards : {1, 3}) {
+      config.num_shards = restored_shards;
+      PredictionService restored = MakeService(config);
+      ASSERT_TRUE(restored.Restore(Dir()).ok());
+      EXPECT_EQ(scan_ids(restored, 20), top_20) << restored_shards << " restored shards";
+    }
+  }
+}
+
+/// The ids of the records of the `shard v2` payload `payload`, in file
+/// order; fails the test unless the item count before them equals the
+/// number of records that follow it.
+std::vector<int64_t> ShardRecordIds(std::string_view payload) {
+  text::Reader in(payload);
+  std::string_view magic, version, statics, blob;
+  size_t count = 0;
+  EXPECT_TRUE(in.ReadWord(&magic) && in.ReadWord(&version) && in.Read(&count));
+  EXPECT_EQ(std::string(magic) + " " + std::string(version), "shard v2");
+  std::vector<int64_t> ids;
+  int64_t id = 0;
+  size_t blob_bytes = 0;
+  while (in.Read(&id)) {
+    if (!in.ReadLine(&statics) || !in.Read(&blob_bytes) ||
+        !in.Take(blob_bytes + 1, &blob)) {
+      ADD_FAILURE() << "truncated record of item " << id;
+      break;
+    }
+    ids.push_back(id);
+  }
+  EXPECT_EQ(ids.size(), count) << "records after the count";
+  return ids;
+}
+
+// Shard files stream with the frame size and the item count zero-padded
+// to 20 digits.  Checkpoints written before carry both unpadded
+// ("hzf1 1234 <crc>", "shard v2\n48\n"); one re-framed that way restores
+// to bit-identical answers.
+TEST_F(CheckpointTest, RestoresUnpaddedSizesAndCountsBitIdentically) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+  const std::string ckpt = CommittedCheckpoint(Dir());
+  size_t records = 0;
+  for (const std::string& name : io::ListDir(ckpt)) {
+    if (name.rfind("shard-", 0) != 0) continue;
+    const std::string file = io::ReadFile(ckpt + "/" + name).value();
+    ASSERT_GT(file.size(), 35u);
+    EXPECT_EQ(file.substr(0, 5), "hzf1 ");
+    EXPECT_EQ(file.find_first_not_of("0123456789", 5), 25u) << name;
+    const std::string payload = FramedPayload(ckpt + "/" + name);
+    EXPECT_EQ(payload.find_first_not_of("0123456789", 9), 29u) << name;
+    records += ShardRecordIds(payload).size();
+  }
+  EXPECT_EQ(records, static_cast<size_t>(kItems));
+
+  // "shard v2\n" and the count's 20 digits, then its newline.
+  const size_t shards = ReframeShards(
+      Dir(),
+      [](std::string* payload) {
+        payload->replace(9, 20, std::to_string(std::stoull(payload->substr(9, 20))));
+        return true;
+      },
+      /*every_shard=*/true);
+  ASSERT_EQ(shards, static_cast<size_t>(source.num_shards()));
+  const std::string reframed = io::ReadFile(ckpt + "/shard-0000").value();
+  ASSERT_EQ(reframed.substr(0, reframed.find('\n') + 1),
+            io::CrcFrameHeader(FramedPayload(ckpt + "/shard-0000")));
+
+  PredictionService restored = MakeService();
+  const Status status = restored.Restore(Dir());
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(restored.LiveItems(), source.LiveItems());
+  for (const double delta : {1 * kHour, 1 * kDay, 7 * kDay}) {
+    ExpectIdentical(Snapshot(source, kItems, kAge, delta),
+                    Snapshot(restored, kItems, kAge, delta));
+  }
+}
+
+// Scans and checkpoints run while other threads register, ingest and
+// retire.  A scan lists each shard's ids once, so no id comes back twice;
+// a checkpoint skips an id retired mid-way, so each shard file's count
+// equals the records that follow it, no id is listed twice, and every
+// checkpoint restores.
+TEST_F(CheckpointTest, ScansAndCheckpointsRaceRegistrationIngestAndRetirement) {
+  ServiceConfig config;
+  config.num_shards = 4;
+  config.idle_retirement_age = 2 * kHour;
+  PredictionService service = MakeService(config);
+  constexpr int64_t kPreloaded = 300;
+  Load(&service, kPreloaded, kAge);
+
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> next_id{kPreloaded};
+  std::vector<std::thread> threads;
+  // Registers new items, each with a few views.
+  threads.emplace_back([&] {
+    while (!done.load()) {
+      const int64_t id = next_id.fetch_add(1);
+      const auto& cascade =
+          dataset_->cascades[static_cast<size_t>(id) % dataset_->cascades.size()];
+      EXPECT_TRUE(service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
+                                       cascade.post).ok());
+      for (size_t e = 0; e < 3 && e < cascade.views.size(); ++e) {
+        (void)service.Ingest(id, stream::EngagementType::kView, cascade.views[e].time);
+      }
+    }
+  });
+  // Ingests late views into random items; retired ones answer kNotFound.
+  threads.emplace_back([&] {
+    Rng rng(271);
+    for (double t = kAge; !done.load(); t += kMinute) {
+      const auto id = static_cast<int64_t>(rng.UniformInt(
+          static_cast<uint64_t>(next_id.load())));
+      (void)service.Ingest(id, stream::EngagementType::kView, t);
+    }
+  });
+  // Retires idle items, at ever later times.
+  threads.emplace_back([&] {
+    for (double now = kAge; !done.load(); now += 10 * kMinute) {
+      (void)service.RetireDeadItems(now);
+    }
+  });
+  // Scans every live item.
+  threads.emplace_back([&] {
+    while (!done.load()) {
+      QueryRequest scan;
+      scan.s = kAge;
+      scan.delta = 1 * kDay;
+      scan.top_k = 1u << 20;
+      const StatusOr<QueryResponse> response = service.BatchQuery(scan);
+      ASSERT_TRUE(response.ok());
+      std::set<int64_t> seen;
+      for (const ItemPrediction& p : response->results) {
+        EXPECT_TRUE(seen.insert(p.item_id).second)
+            << "scan returned " << p.item_id << " twice";
+      }
+    }
+  });
+
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE(testing::Message() << "checkpoint " << round);
+    ASSERT_TRUE(service.Checkpoint(Dir()).ok());
+    const std::string ckpt = CommittedCheckpoint(Dir());
+    std::set<int64_t> listed;
+    for (const std::string& name : io::ListDir(ckpt)) {
+      if (name.rfind("shard-", 0) != 0) continue;
+      for (const int64_t id : ShardRecordIds(FramedPayload(ckpt + "/" + name))) {
+        EXPECT_TRUE(listed.insert(id).second) << "item " << id << " listed twice";
+      }
+    }
+    PredictionService restored = MakeService(config);
+    const Status status = restored.Restore(Dir());
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(restored.LiveItems(), listed.size());
+  }
+  done.store(true);
+  for (std::thread& thread : threads) thread.join();
 }
 
 TEST_F(CheckpointTest, RestoreRejectsMismatchedModel) {

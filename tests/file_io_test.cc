@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -94,6 +95,35 @@ TEST(Crc32Test, ContinuationIsTheCrcOfTheConcatenation) {
   }
   EXPECT_EQ(Crc32(0, "123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(Crc32("1234"), ""), Crc32("1234"));
+}
+
+// Crc32Combine gives the CRC of a followed by b from the two CRCs and b's
+// length: on random buffers of every length from 0 to 4096, split at a
+// random point, it equals the Crc32(prev, data) continuation.
+TEST(Crc32Test, CombineEqualsTheContinuationAtEverySplitLength) {
+  Rng rng(0xC4C34);
+  std::string bytes(4096, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    const std::string_view all(bytes.data(), len);
+    const size_t split = rng.UniformInt(len + 1);
+    const std::string_view a = all.substr(0, split);
+    const std::string_view b = all.substr(split);
+    ASSERT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), Crc32(Crc32(a), b))
+        << "length " << len << ", split at " << split;
+  }
+  EXPECT_EQ(Crc32Combine(Crc32("1234"), Crc32("56789"), 5), 0xCBF43926u);
+  EXPECT_EQ(Crc32Combine(0x12345678u, Crc32(""), 0), 0x12345678u);
+  // Lengths no buffer here reaches: combining a, b, c in either grouping
+  // gives one CRC only if the shift by len_b + len_c is the shift by len_b
+  // after the shift by len_c, up to the table's last entries.
+  for (const uint64_t len_b : {uint64_t{1} << 32, (uint64_t{1} << 62) + 5}) {
+    const uint64_t len_c = (uint64_t{1} << 62) + 7;
+    const uint32_t a = 0x9E3779B9u, b = 0x7F4A7C15u, c = 0xF39CC060u;
+    EXPECT_EQ(Crc32Combine(Crc32Combine(a, b, len_b), c, len_c),
+              Crc32Combine(a, Crc32Combine(b, c, len_c), len_b + len_c))
+        << "len_b " << len_b;
+  }
 }
 
 TEST(Crc32Test, SensitiveToEveryBit) {
@@ -193,18 +223,6 @@ TEST(WriteFileAtomicTest, WritesAndReplaces) {
   RemoveTree(dir);
 }
 
-TEST(WriteFileAtomicTest, WritesPartsOneAfterAnother) {
-  const std::string dir = TestDir("parts");
-  const std::string path = dir + "/file";
-  const std::string payload(100000, 'p');
-  const std::string header = CrcFrameHeader(payload);
-  ASSERT_TRUE(WriteFileAtomic(path, {header, payload}).ok());
-  EXPECT_EQ(ContentsOrMissing(path), WrapCrcFrame(payload));
-  ASSERT_TRUE(WriteFileAtomic(path, {"", "a", "", "bc"}).ok());
-  EXPECT_EQ(ContentsOrMissing(path), "abc");
-  RemoveTree(dir);
-}
-
 // ReadFile sizes its string from the file's size; empty files, files past
 // any chunk size and files whose size fstat does not know read whole.
 TEST(ReadFileTest, ReadsFilesOfEverySize) {
@@ -225,6 +243,68 @@ TEST(ReadFileTest, ReadsFilesOfEverySize) {
   ASSERT_TRUE(proc.ok());
   EXPECT_GT(proc->size(), 0u);
   EXPECT_EQ(proc->back(), '\n');
+}
+
+// -- FramedFileWriter ----------------------------------------------------
+
+/// The frame a FramedFileWriter writes around `payload`: its header with
+/// the size zero-padded to FramedFileWriter::kFieldDigits digits.
+std::string PaddedFrame(const std::string& payload) {
+  char header[64];
+  std::snprintf(header, sizeof(header), "hzf1 %020zu %08x\n", payload.size(),
+                Crc32(payload));
+  return header + payload;
+}
+
+// A payload streamed in pieces, with the count field between them, lands
+// as one CRC frame whose size and count are zero-padded; the frame reads
+// back through UnwrapCrcFrame, and file_crc() and file_bytes() describe
+// the file on disk.
+TEST(FramedFileWriterTest, StreamsOneFrameWithPaddedSizeAndCount) {
+  const std::string dir = TestDir("writer");
+  const std::string path = dir + "/file";
+  Rng rng(0xF4A3);
+  std::string tail(70000, '\0');
+  for (char& c : tail) c = static_cast<char>(rng.UniformInt(256));
+  {
+    FramedFileWriter writer(path);
+    ASSERT_TRUE(writer.Append("shard v2\n").ok());
+    ASSERT_TRUE(writer.AppendCountField().ok());
+    ASSERT_TRUE(writer.Append("\n").ok());
+    ASSERT_TRUE(writer.Append("").ok());
+    for (size_t at = 0; at < tail.size(); at += 4099) {
+      ASSERT_TRUE(writer.Append(std::string_view(tail).substr(at, 4099)).ok());
+    }
+    ASSERT_TRUE(writer.Commit(1234567).ok());
+    const std::string payload = "shard v2\n00000000000001234567\n" + tail;
+    const std::string file = ContentsOrMissing(path);
+    EXPECT_EQ(file, PaddedFrame(payload));
+    EXPECT_EQ(writer.file_crc(), Crc32(file));
+    EXPECT_EQ(writer.file_bytes(), file.size());
+    const auto back = UnwrapCrcFrame(file);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, payload);
+  }
+  // No count field, and an empty payload.
+  for (const char* const payload : {"no count field", ""}) {
+    FramedFileWriter writer(path);
+    ASSERT_TRUE(writer.Append(payload).ok());
+    ASSERT_TRUE(writer.Commit(99).ok());
+    EXPECT_EQ(ContentsOrMissing(path), PaddedFrame(payload));
+    EXPECT_EQ(writer.file_crc(), Crc32(PaddedFrame(payload)));
+  }
+  EXPECT_FALSE(ReadFile(path + ".tmp").ok());
+  RemoveTree(dir);
+}
+
+// An error sticks: every later call returns it and nothing is published.
+TEST(FramedFileWriterTest, FailureSticksAndPublishesNothing) {
+  const std::string path = ::testing::TempDir() + "horizon_file_io_missing/dir/file";
+  FramedFileWriter writer(path);
+  EXPECT_EQ(writer.Append("x").code(), StatusCode::kIoError);
+  EXPECT_EQ(writer.AppendCountField().code(), StatusCode::kIoError);
+  EXPECT_EQ(writer.Commit(1).code(), StatusCode::kIoError);
+  EXPECT_FALSE(ReadFile(path).ok());
 }
 
 TEST(ReadFileTest, MissingFileIsNullopt) {
@@ -312,20 +392,90 @@ TEST_F(FaultInjectionTest, TornWriteLeavesPrefixInTempOnly) {
   RemoveTree(dir);
 }
 
-// A write of several parts torn by a crash leaves a prefix of their
-// concatenation, half of it, in the temp file only.
-TEST_F(FaultInjectionTest, TornWriteOfPartsLeavesAPrefixOfTheirConcatenation) {
-  const std::string dir = TestDir("torn_parts");
+// A write torn by a crash leaves the first half of its bytes in the temp
+// file only.
+TEST_F(FaultInjectionTest, TornWriteLeavesTheFirstHalfOfTheBytes) {
+  const std::string dir = TestDir("torn_half");
   const std::string path = dir + "/file";
   ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
-  const std::string payload = "a payload written after its frame header";
-  const std::string header = CrcFrameHeader(payload);
+  const std::string frame = WrapCrcFrame("a payload written after its frame header");
   FaultInjector::Global().ArmCrashAt(0);
-  EXPECT_FALSE(WriteFileAtomic(path, {header, payload}).ok());
+  EXPECT_FALSE(WriteFileAtomic(path, frame).ok());
   FaultInjector::Global().Disarm();
   EXPECT_EQ(ContentsOrMissing(path), "old");
-  const std::string frame = header + payload;
   EXPECT_EQ(ContentsOrMissing(path + ".tmp"), frame.substr(0, frame.size() / 2));
+  RemoveTree(dir);
+}
+
+/// Streams "<head><count field>\n<tail>" to `path` in 1000-byte pieces.
+Status StreamFrame(const std::string& path, const std::string& tail, uint64_t count) {
+  FramedFileWriter writer(path);
+  HORIZON_RETURN_IF_ERROR(writer.Append("head\n"));
+  HORIZON_RETURN_IF_ERROR(writer.AppendCountField());
+  HORIZON_RETURN_IF_ERROR(writer.Append("\n"));
+  for (size_t at = 0; at < tail.size(); at += 1000) {
+    HORIZON_RETURN_IF_ERROR(writer.Append(std::string_view(tail).substr(at, 1000)));
+  }
+  return writer.Commit(count);
+}
+
+// The streamed writer keeps WriteFileAtomic's protocol: the same fault
+// points per file, and a crash at any of them leaves the old file or the
+// complete new one under the final name.
+TEST_F(FaultInjectionTest, StreamedWriterCrashAtEveryPointPreservesOldFile) {
+  const std::string dir = TestDir("stream_faults");
+  const std::string path = dir + "/file";
+  const std::string tail(5500, 't');
+  auto& injector = FaultInjector::Global();
+  injector.ArmCrashAt(1000);
+  ASSERT_TRUE(WriteFileAtomic(path, "x").ok());
+  const int per_atomic_write = injector.ops_seen();
+  injector.ArmCrashAt(1000);
+  ASSERT_TRUE(StreamFrame(path, tail, 7).ok());
+  EXPECT_EQ(injector.ops_seen(), per_atomic_write);
+  injector.Disarm();
+  const std::string old_file = ContentsOrMissing(path);
+  const std::string new_file =
+      PaddedFrame("head\n00000000000000000008\n" + tail);
+
+  bool succeeded = false;
+  int points = 0;
+  for (int n = 0; n < 100 && !succeeded; ++n, ++points) {
+    injector.ArmCrashAt(n);
+    const bool ok = StreamFrame(path, tail, 8).ok();
+    const bool crashed = injector.crashed();
+    injector.Disarm();
+    const std::string contents = ContentsOrMissing(path);
+    if (ok) {
+      EXPECT_FALSE(crashed);
+      EXPECT_EQ(contents, new_file);
+      succeeded = true;
+    } else {
+      EXPECT_TRUE(crashed) << "failed without a fault at n=" << n;
+      EXPECT_TRUE(contents == old_file || contents == new_file)
+          << "torn file after crash at op " << n;
+    }
+  }
+  EXPECT_TRUE(succeeded);
+  EXPECT_EQ(points, per_atomic_write + 1);
+  RemoveTree(dir);
+}
+
+// A streamed write torn by a crash leaves the first half of the file's
+// final bytes, fields filled in, in the temp file only; it never unwraps.
+TEST_F(FaultInjectionTest, TornStreamedWriteLeavesAPrefixOfTheFrame) {
+  const std::string dir = TestDir("stream_torn");
+  const std::string path = dir + "/file";
+  ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
+  const std::string tail(3000, 'q');
+  FaultInjector::Global().ArmCrashAt(0);
+  EXPECT_EQ(StreamFrame(path, tail, 12).code(), StatusCode::kIoError);
+  FaultInjector::Global().Disarm();
+  EXPECT_EQ(ContentsOrMissing(path), "old");
+  const std::string frame = PaddedFrame("head\n00000000000000000012\n" + tail);
+  const std::string torn = ContentsOrMissing(path + ".tmp");
+  EXPECT_EQ(torn, frame.substr(0, frame.size() / 2));
+  EXPECT_FALSE(UnwrapCrcFrame(torn).ok());
   RemoveTree(dir);
 }
 

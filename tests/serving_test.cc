@@ -809,8 +809,8 @@ TEST_F(PredictionServiceTest, PointQueryAllocatesNothingAfterWarmUp) {
 // Query and BatchQuery share one per-id routine: over random (id, s,
 // delta) triples, delta = 0 included, Query equals BatchQuery({id}) and
 // the module-level recomputation (snapshot -> extract ->
-// PredictCountBatch) bit for bit.  So does one BatchQuery over more ids
-// than one 256-row inference chunk.
+// PredictCountBatch) bit for bit.  So does one BatchQuery over 300 ids,
+// which it answers 64 at a time.
 TEST_F(PredictionServiceTest, QueryEqualsBatchQueryAndRecomputation) {
   constexpr int64_t kItems = 24;
   PredictionService service = MakeService();
@@ -866,9 +866,9 @@ TEST_F(PredictionServiceTest, QueryEqualsBatchQueryAndRecomputation) {
 // A scan scores every live item in the extract-and-score step a point
 // query runs, so each answer equals Query(id, s, delta) bit for bit, both
 // when every item is returned and after a top-5 cut.  One shard of 320
-// items makes one batch that crosses the 32-row SIMD group and the
-// 256-row chunk.  Each forest scores each live row once: the winners get
-// no second alpha walk.
+// items makes five 64-row chunks, each two 32-row SIMD groups.  Each
+// forest scores each live row once: the winners get no second alpha
+// walk.
 TEST_F(PredictionServiceTest, ScanAnswersMatchPointQueriesBitForBit) {
   constexpr size_t kItems = 320;  // ids past 250 reuse the fixture's cascades
   ServiceConfig config;
