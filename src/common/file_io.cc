@@ -196,7 +196,8 @@ std::string WrapCrcFrame(std::string_view payload) {
   return out;
 }
 
-StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame) {
+StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame,
+                                          uint32_t* frame_crc) {
   const size_t eol = frame.find('\n');
   if (eol == std::string_view::npos) {
     return Status::Corruption("CRC frame: missing header line");
@@ -220,6 +221,9 @@ StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame) {
   }
   if (Crc32(payload) != crc) {
     return Status::Corruption("CRC frame: checksum mismatch");
+  }
+  if (frame_crc != nullptr) {
+    *frame_crc = Crc32Combine(Crc32(frame.substr(0, eol + 1)), crc, payload.size());
   }
   return payload;
 }

@@ -7,8 +7,7 @@
 // Error reporting: the fallible helpers return Status / StatusOr with
 // typed codes -- kNotFound (no such file), kIoError (the OS or the fault
 // injector refused an operation), kCorruption (bytes fail CRC/size
-// validation).  Both types are contextually bool / optional compatible,
-// so pre-Status call sites keep compiling (see common/status.h).
+// validation).  Callers test `.ok()` or `.code()` (see common/status.h).
 #ifndef HORIZON_COMMON_FILE_IO_H_
 #define HORIZON_COMMON_FILE_IO_H_
 
@@ -106,8 +105,11 @@ std::string WrapCrcFrame(std::string_view payload);
 /// Validates a CRC frame and returns its payload, a view into `frame`.
 /// Returns kCorruption when the header is malformed, the size disagrees
 /// with the actual byte count, or the CRC does not match -- i.e. for
-/// every torn or corrupted file.
-StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame);
+/// every torn or corrupted file.  When `frame_crc` is non-null, a valid
+/// frame also sets it to Crc32(frame), combined from the header line's
+/// CRC and the payload's (Crc32Combine), so each byte is read once.
+StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame,
+                                          uint32_t* frame_crc = nullptr);
 
 /// Atomically replaces `path` with `contents`: writes `path + ".tmp"`,
 /// fsyncs it, renames it over `path`, and fsyncs the parent directory.

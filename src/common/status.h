@@ -17,7 +17,8 @@
 namespace horizon {
 
 /// Error taxonomy of the serving stack.  Keep the numeric values stable:
-/// they are exported as metric labels (`horizon_errors_total{code=...}`).
+/// they index per-code arrays, and each code's name (StatusCodeName) names
+/// the service's error counter `horizon_serving_errors_<name>_total`.
 enum class StatusCode : int {
   kOk = 0,
   kNotFound = 1,        ///< the item/file/checkpoint does not exist
@@ -36,8 +37,8 @@ enum class StatusCode : int {
 /// moves with a new code.
 inline constexpr int kNumStatusCodes = 10;
 
-/// Stable lower-case name of a code ("ok", "not_found", ...), used as the
-/// Prometheus label value and in Status::ToString.
+/// Stable lower-case name of a code ("ok", "not_found", ...), used in the
+/// error counters' names and in Status::ToString.
 std::string_view StatusCodeName(StatusCode code);
 
 /// A code plus an optional message.  OK statuses carry no message and are

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "common/text_codec.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 
@@ -206,35 +206,47 @@ std::vector<double> HawkesPredictor::PredictCountBatch(
 
 std::string HawkesPredictor::Serialize() const {
   HORIZON_CHECK(trained_);
-  std::ostringstream os;
-  os.precision(17);
-  os << "hwk v1\n";
-  os << params_.reference_horizons.size() << " "
-     << (params_.aggregation == Aggregation::kGeometricMean ? "geo" : "arith") << " "
-     << params_.alpha_min << " " << params_.alpha_max << "\n";
-  for (double ref : params_.reference_horizons) os << ref << " ";
-  os << "\n";
-  auto append_model = [&os](const gbdt::GbdtRegressor& model) {
+  std::string out = "hwk v1\n";
+  text::AppendInt(&out, params_.reference_horizons.size());
+  out.append(params_.aggregation == Aggregation::kGeometricMean ? " geo " : " arith ");
+  text::AppendDouble(&out, params_.alpha_min);
+  out.push_back(' ');
+  text::AppendDouble(&out, params_.alpha_max);
+  out.push_back('\n');
+  for (const double ref : params_.reference_horizons) {
+    text::AppendDouble(&out, ref);
+    out.push_back(' ');
+  }
+  out.push_back('\n');
+  const auto append_model = [&out](const gbdt::GbdtRegressor& model) {
     const std::string blob = model.Serialize();
-    os << blob.size() << "\n" << blob;
+    text::AppendInt(&out, blob.size());
+    out.push_back('\n');
+    out.append(blob);
   };
   for (const auto& f : f_models_) append_model(f);
   append_model(g_model_);
-  return os.str();
+  return out;
 }
 
-bool HawkesPredictor::Deserialize(const std::string& text) {
+bool HawkesPredictor::Deserialize(std::string_view text) {
   // Must be safe on untrusted bytes: counts and sizes are bounded before
   // any allocation, reference horizons must be strictly increasing, and
   // the alpha clamp range must be a valid positive interval, mirroring the
   // constructor's contract.
   constexpr size_t kMaxReferenceHorizons = 64;
-  std::istringstream is(text);
-  std::string magic, version, agg;
+  text::Reader in(text);
+  std::string_view magic, version, agg;
   size_t m = 0;
   double alpha_min = 0.0, alpha_max = 0.0;
-  if (!(is >> magic >> version) || magic != "hwk" || version != "v1") return false;
-  if (!(is >> m >> agg >> alpha_min >> alpha_max) || m == 0) return false;
+  if (!in.ReadWord(&magic) || !in.ReadWord(&version) || magic != "hwk" ||
+      version != "v1") {
+    return false;
+  }
+  if (!in.Read(&m) || !in.ReadWord(&agg) || !in.Read(&alpha_min, &alpha_max) ||
+      m == 0) {
+    return false;
+  }
   if (m > kMaxReferenceHorizons) return false;
   if (agg != "geo" && agg != "arith") return false;
   if (!std::isfinite(alpha_min) || !std::isfinite(alpha_max) || alpha_min <= 0.0 ||
@@ -243,19 +255,21 @@ bool HawkesPredictor::Deserialize(const std::string& text) {
   }
   std::vector<double> refs(m);
   for (size_t i = 0; i < m; ++i) {
-    if (!(is >> refs[i]) || refs[i] <= 0.0 || !std::isfinite(refs[i])) return false;
+    if (!in.Read(&refs[i]) || refs[i] <= 0.0 || !std::isfinite(refs[i])) return false;
     if (i > 0 && refs[i] <= refs[i - 1]) return false;
   }
-  auto read_model = [&is](gbdt::GbdtRegressor* model) {
+  const auto read_model = [&in](gbdt::GbdtRegressor* model) {
     // Model blobs beyond this size cannot come from a legitimately
     // serialized ensemble (the node caps bound the text length).
     constexpr size_t kMaxBlobBytes = 1u << 28;
     size_t size = 0;
-    if (!(is >> size) || size == 0 || size > kMaxBlobBytes) return false;
-    is.ignore(1);  // the newline after the size
-    std::string blob(size, '\0');
-    if (!is.read(blob.data(), static_cast<std::streamsize>(size))) return false;
-    return model->Deserialize(blob);
+    std::string_view blob;
+    // The byte after the size is its newline; the blob follows it.
+    if (!in.Read(&size) || size == 0 || size > kMaxBlobBytes ||
+        !in.Take(size + 1, &blob)) {
+      return false;
+    }
+    return model->Deserialize(blob.substr(1));
   };
   std::vector<gbdt::GbdtRegressor> f_models(m);
   for (auto& f : f_models) {

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.h"
@@ -105,12 +106,13 @@ class HawkesPredictor {
 
   /// Serializes the whole trained model (all count predictors, the alpha
   /// predictor, and the transfer-formula parameters) to a portable ASCII
-  /// string; restorable with Deserialize.
+  /// string (`hwk v1`, each forest's `gbdt v1` blob after its byte count);
+  /// restorable with Deserialize.
   std::string Serialize() const;
-  /// Restores a model serialized by Serialize.  Returns false on parse
-  /// failure (model state is then unspecified but safe to destroy or
-  /// re-Deserialize).
-  bool Deserialize(const std::string& text);
+  /// Restores a model serialized by Serialize, parsing each forest's blob
+  /// in place.  Returns false on parse failure (text::Reader's rules),
+  /// leaving the model unchanged.
+  bool Deserialize(std::string_view text);
 
   bool trained() const { return trained_; }
   size_t num_reference_horizons() const { return params_.reference_horizons.size(); }

@@ -1,12 +1,11 @@
 #include "gbdt/gbdt.h"
 
 #include <cmath>
-#include <limits>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
+#include "common/text_codec.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 
@@ -29,7 +28,7 @@ GbdtRegressor::GbdtRegressor(GbdtParams params) : params_(std::move(params)) {
 }
 
 void GbdtRegressor::Fit(const DataMatrix& x, const std::vector<double>& y) {
-  FitInternal(x, BinnedDataset::Create(x, params_.max_bins), y, nullptr, nullptr, 0);
+  Fit(x, BinnedDataset::Create(x, params_.max_bins), y);
 }
 
 void GbdtRegressor::Fit(const DataMatrix& x, const BinnedDataset& binned,
@@ -37,32 +36,10 @@ void GbdtRegressor::Fit(const DataMatrix& x, const BinnedDataset& binned,
   HORIZON_CHECK_EQ(binned.num_rows(), x.num_rows());
   HORIZON_CHECK_EQ(binned.num_features(), x.num_features());
   HORIZON_CHECK_EQ(binned.max_bins(), params_.max_bins);
-  FitInternal(x, binned, y, nullptr, nullptr, 0);
-}
-
-int GbdtRegressor::FitWithValidation(const DataMatrix& x, const std::vector<double>& y,
-                                     const DataMatrix& x_valid,
-                                     const std::vector<double>& y_valid,
-                                     int early_stopping_rounds) {
-  HORIZON_CHECK_EQ(x_valid.num_rows(), y_valid.size());
-  HORIZON_CHECK_GT(x_valid.num_rows(), 0u);
-  HORIZON_CHECK_EQ(x_valid.num_features(), x.num_features());
-  HORIZON_CHECK_GE(early_stopping_rounds, 1);
-  FitInternal(x, BinnedDataset::Create(x, params_.max_bins), y, &x_valid, &y_valid,
-              early_stopping_rounds);
-  return static_cast<int>(trees_.size());
-}
-
-void GbdtRegressor::FitInternal(const DataMatrix& x, const BinnedDataset& binned,
-                                const std::vector<double>& y,
-                                const DataMatrix* x_valid,
-                                const std::vector<double>* y_valid,
-                                int early_stopping_rounds) {
   HORIZON_CHECK_EQ(x.num_rows(), y.size());
   HORIZON_CHECK_GT(x.num_rows(), 0u);
   num_features_ = x.num_features();
   trees_.clear();
-  gains_.assign(num_features_, 0.0);
 
   TreeLearner learner(binned, params_.tree);
   Rng rng(params_.seed);
@@ -77,14 +54,6 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const BinnedDataset& binned
   std::vector<uint32_t> all_rows(y.size());
   std::iota(all_rows.begin(), all_rows.end(), 0u);
 
-  // Early-stopping state.
-  std::vector<double> valid_pred;
-  double best_valid_mse = std::numeric_limits<double>::infinity();
-  size_t best_num_trees = 0;
-  std::vector<double> best_gains;  // gains_ after the best_num_trees trees
-  int rounds_since_best = 0;
-  if (x_valid != nullptr) valid_pred.assign(y_valid->size(), base_score_);
-
   for (int m = 0; m < params_.num_trees; ++m) {
     std::vector<uint32_t> rows;
     if (params_.subsample < 1.0) {
@@ -97,7 +66,7 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const BinnedDataset& binned
       rows = all_rows;
     }
 
-    RegressionTree tree = learner.Fit(rows, residual, &gains_);
+    RegressionTree tree = learner.Fit(rows, residual);
     // Update predictions on ALL rows with the shrunken tree output, and
     // the residuals the next tree fits.
     ParallelFor(y.size(), kRowGrain, [&](size_t begin, size_t end) {
@@ -107,29 +76,6 @@ void GbdtRegressor::FitInternal(const DataMatrix& x, const BinnedDataset& binned
       }
     });
     trees_.push_back(std::move(tree));
-
-    if (x_valid != nullptr) {
-      double mse = 0.0;
-      for (size_t i = 0; i < y_valid->size(); ++i) {
-        valid_pred[i] +=
-            params_.learning_rate * trees_.back().Predict(x_valid->Row(i));
-        const double d = valid_pred[i] - (*y_valid)[i];
-        mse += d * d;
-      }
-      mse /= static_cast<double>(y_valid->size());
-      if (mse < best_valid_mse) {
-        best_valid_mse = mse;
-        best_num_trees = trees_.size();
-        best_gains = gains_;
-        rounds_since_best = 0;
-      } else if (++rounds_since_best >= early_stopping_rounds) {
-        break;
-      }
-    }
-  }
-  if (x_valid != nullptr && best_num_trees > 0) {
-    trees_.resize(best_num_trees);
-    gains_ = std::move(best_gains);
   }
   blocked_ = BlockForest::Compile(trees_, base_score_, params_.learning_rate);
   trained_ = true;
@@ -165,33 +111,39 @@ std::vector<double> GbdtRegressor::PredictBatch(const ExampleBatch& x) const {
   return out;
 }
 
-std::vector<double> GbdtRegressor::GainImportance() const {
-  std::vector<double> out = gains_;
-  const double total = std::accumulate(out.begin(), out.end(), 0.0);
-  if (total > 0.0) {
-    for (double& g : out) g /= total;
+std::string GbdtRegressor::Serialize() const {
+  HORIZON_CHECK(trained_);
+  std::string out = "gbdt v1\n";
+  const auto space = [&out] { out.push_back(' '); };
+  const auto newline = [&out] { out.push_back('\n'); };
+  text::AppendInt(&out, num_features_);
+  space();
+  text::AppendDouble(&out, base_score_);
+  space();
+  text::AppendDouble(&out, params_.learning_rate);
+  space();
+  text::AppendInt(&out, trees_.size());
+  newline();
+  for (const RegressionTree& tree : trees_) {
+    text::AppendInt(&out, tree.num_nodes());
+    newline();
+    for (const TreeNode& n : tree.nodes()) {
+      text::AppendInt(&out, n.feature);
+      space();
+      text::AppendDouble(&out, n.threshold);  // a float widens exactly
+      space();
+      text::AppendInt(&out, n.left);
+      space();
+      text::AppendInt(&out, n.right);
+      space();
+      text::AppendDouble(&out, n.value);
+      newline();
+    }
   }
   return out;
 }
 
-std::string GbdtRegressor::Serialize() const {
-  HORIZON_CHECK(trained_);
-  std::ostringstream os;
-  os.precision(17);
-  os << "gbdt v1\n";
-  os << num_features_ << " " << base_score_ << " " << params_.learning_rate << " "
-     << trees_.size() << "\n";
-  for (const RegressionTree& tree : trees_) {
-    os << tree.num_nodes() << "\n";
-    for (const TreeNode& n : tree.nodes()) {
-      os << n.feature << " " << n.threshold << " " << n.left << " " << n.right << " "
-         << n.value << "\n";
-    }
-  }
-  return os.str();
-}
-
-bool GbdtRegressor::Deserialize(const std::string& text) {
+bool GbdtRegressor::Deserialize(std::string_view text) {
   // Deserialization must be safe on untrusted bytes (truncated, bit-flipped
   // or garbage input): every count is bounded before allocation and every
   // node is validated before BlockForest::Compile walks the tree, so a
@@ -199,12 +151,15 @@ bool GbdtRegressor::Deserialize(const std::string& text) {
   constexpr size_t kMaxFeatures = 1u << 20;
   constexpr size_t kMaxTrees = 1u << 20;
   constexpr size_t kMaxNodes = 1u << 22;
-  std::istringstream is(text);
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != "gbdt" || version != "v1") return false;
+  text::Reader in(text);
+  std::string_view magic, version;
+  if (!in.ReadWord(&magic) || !in.ReadWord(&version) || magic != "gbdt" ||
+      version != "v1") {
+    return false;
+  }
   size_t num_features = 0, num_trees = 0;
   double base = 0.0, lr = 0.0;
-  if (!(is >> num_features >> base >> lr >> num_trees)) return false;
+  if (!in.Read(&num_features, &base, &lr, &num_trees)) return false;
   if (num_features == 0 || num_features > kMaxFeatures || num_trees > kMaxTrees ||
       !std::isfinite(base) || !std::isfinite(lr) || lr <= 0.0) {
     return false;
@@ -213,7 +168,7 @@ bool GbdtRegressor::Deserialize(const std::string& text) {
   trees.reserve(num_trees);
   for (size_t t = 0; t < num_trees; ++t) {
     size_t num_nodes = 0;
-    if (!(is >> num_nodes) || num_nodes == 0 || num_nodes > kMaxNodes) return false;
+    if (!in.Read(&num_nodes) || num_nodes == 0 || num_nodes > kMaxNodes) return false;
     std::vector<TreeNode> nodes(num_nodes);
     // Reachability from the root: BlockForest::Compile requires the nodes
     // to form EXACTLY a binary tree (every node reachable once).  Children
@@ -223,9 +178,7 @@ bool GbdtRegressor::Deserialize(const std::string& text) {
     reachable[0] = 1;
     for (size_t i = 0; i < num_nodes; ++i) {
       TreeNode& n = nodes[i];
-      if (!(is >> n.feature >> n.threshold >> n.left >> n.right >> n.value)) {
-        return false;
-      }
+      if (!in.Read(&n.feature, &n.threshold, &n.left, &n.right, &n.value)) return false;
       if (!std::isfinite(n.threshold) || !std::isfinite(n.value)) return false;
       if (!reachable[i]) return false;  // orphan: no earlier parent points here
       if (n.feature < 0) {
@@ -263,7 +216,6 @@ bool GbdtRegressor::Deserialize(const std::string& text) {
   base_score_ = base;
   params_.learning_rate = lr;
   trees_ = std::move(trees);
-  gains_.assign(num_features_, 0.0);
   blocked_ = std::move(blocked);
   trained_ = true;
   return true;

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -45,15 +46,6 @@ class GbdtRegressor {
   void Fit(const DataMatrix& x, const BinnedDataset& binned,
            const std::vector<double>& y);
 
-  /// Fits with early stopping: after each tree, the validation MSE is
-  /// evaluated; training stops once it has not improved for
-  /// `early_stopping_rounds` consecutive trees, and the ensemble is
-  /// truncated to the best iteration, and its gain importances to those of
-  /// the trees kept.  Returns the number of trees kept.
-  int FitWithValidation(const DataMatrix& x, const std::vector<double>& y,
-                        const DataMatrix& x_valid, const std::vector<double>& y_valid,
-                        int early_stopping_rounds = 10);
-
   /// Predicts one dense feature row (size num_features): PredictStrided
   /// over one row.
   double Predict(const float* row) const;
@@ -75,10 +67,6 @@ class GbdtRegressor {
   /// walks).  Only bench_e2e's replays and tests call it.
   std::vector<double> PredictBatch(const ExampleBatch& x) const;
 
-  /// Total split gain attributed to each feature during training
-  /// (normalized to sum to 1; zeros if never split).
-  std::vector<double> GainImportance() const;
-
   bool trained() const { return trained_; }
   size_t num_features() const { return num_features_; }
   const GbdtParams& params() const { return params_; }
@@ -87,25 +75,20 @@ class GbdtRegressor {
   /// The blocked layout every prediction walks (compiled once trained).
   const BlockForest& block_forest() const { return blocked_; }
 
-  /// Serializes the trained model to a portable ASCII string.
+  /// Serializes the trained model to a portable ASCII string (`gbdt v1`,
+  /// doubles at 17 significant digits, through common/text_codec.h).
   std::string Serialize() const;
   /// Restores a model from Serialize() output.  Returns false, leaving
-  /// the model unchanged, on parse failure or when a tree is deeper than
-  /// BlockForest::kMaxBlockedDepth.
-  bool Deserialize(const std::string& text);
+  /// the model unchanged, on parse failure (text::Reader's rules) or when
+  /// a tree is deeper than BlockForest::kMaxBlockedDepth.
+  bool Deserialize(std::string_view text);
 
  private:
-  void FitInternal(const DataMatrix& x, const BinnedDataset& binned,
-                   const std::vector<double>& y,
-                   const DataMatrix* x_valid, const std::vector<double>* y_valid,
-                   int early_stopping_rounds);
-
   GbdtParams params_;
   bool trained_ = false;
   size_t num_features_ = 0;
   double base_score_ = 0.0;
   std::vector<RegressionTree> trees_;
-  std::vector<double> gains_;
   BlockForest blocked_;  ///< compiled from trees_ at the end of Fit/Deserialize
 };
 

@@ -109,8 +109,7 @@ TreeLearner::TreeLearner(const BinnedDataset& binned, TreeParams params)
 }
 
 RegressionTree TreeLearner::Fit(const std::vector<uint32_t>& row_indices,
-                                const std::vector<double>& grad_targets,
-                                std::vector<double>* gain_out) const {
+                                const std::vector<double>& grad_targets) const {
   HORIZON_CHECK(!row_indices.empty());
   const size_t num_features = binned_.num_features();
   const size_t num_blocks = std::clamp<size_t>(num_features, 1, kFeatureBlocks);
@@ -215,8 +214,8 @@ RegressionTree TreeLearner::Fit(const std::vector<uint32_t>& row_indices,
     level_end = grown.size();
   }
 
-  // Number the nodes and add their gains in depth-first order, right child
-  // popped first: the order a node-at-a-time learner met them in.
+  // Number the nodes in depth-first order, right child popped first: the
+  // order a node-at-a-time learner met them in.
   std::vector<TreeNode> nodes(1);
   std::vector<std::pair<size_t, size_t>> stack{{0, 0}};  // (grown id, node id)
   while (!stack.empty()) {
@@ -229,7 +228,6 @@ RegressionTree TreeLearner::Fit(const std::vector<uint32_t>& row_indices,
       continue;
     }
     const size_t f = static_cast<size_t>(node.split.feature);
-    if (gain_out != nullptr) (*gain_out)[f] += node.split.gain;
     const size_t left_id = nodes.size();
     nodes.resize(left_id + 2);
     nodes[id].feature = node.split.feature;

@@ -55,23 +55,20 @@ struct TreeParams {
 /// Each depth is one pass: a ParallelFor over feature blocks builds and
 /// scans the histograms of every splittable node at that depth from the
 /// row-major bin codes, then each node takes its best split serially.  The
-/// trees and gains are those of a depth-first, node-at-a-time search
+/// trees are those of a depth-first, node-at-a-time search
 /// (tests/reference_tree_learner.h), bit for bit: every bin, node and leaf
 /// sum adds the node's rows in their order, the gain expression and the
 /// first-max tie-break (lowest feature, then lowest bin) are unchanged,
-/// and nodes are numbered and gains accumulated in depth-first order,
-/// right child popped first.  Its working buffers live for one Fit call.
+/// and nodes are numbered in depth-first order, right child popped first.
+/// Its working buffers live for one Fit call.
 class TreeLearner {
  public:
   TreeLearner(const BinnedDataset& binned, TreeParams params);
 
   /// Learns a tree on the given subset of rows.  `row_indices` may be a
   /// subsample; `grad_targets` is indexed by absolute row id.
-  /// Per-feature split gains are accumulated into `gain_out` when non-null
-  /// (size num_features).
   RegressionTree Fit(const std::vector<uint32_t>& row_indices,
-                     const std::vector<double>& grad_targets,
-                     std::vector<double>* gain_out = nullptr) const;
+                     const std::vector<double>& grad_targets) const;
 
  private:
   const BinnedDataset& binned_;

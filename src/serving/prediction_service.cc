@@ -9,10 +9,9 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/annotations.h"
@@ -211,10 +210,11 @@ Status ServiceConfig::Validate(const features::FeatureExtractor* extractor) cons
 PredictionService::PredictionService(const core::HawkesPredictor* model,
                                      const features::FeatureExtractor* extractor,
                                      const ServiceConfig& config)
-    : model_(model), extractor_(extractor), config_(config) {
-  HORIZON_CHECK(model != nullptr);
+    : model_(model),
+      extractor_(extractor),
+      config_(config),
+      model_digest_(DigestOf(model)) {
   HORIZON_CHECK(extractor != nullptr);
-  HORIZON_CHECK(model->trained());
   const Status valid = config_.Validate(extractor);
   if (!valid.ok()) {
     std::fprintf(stderr, "rejected ServiceConfig: %s\n", valid.ToString().c_str());
@@ -260,6 +260,14 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
 }
 
 PredictionService::~PredictionService() = default;
+
+PredictionService::ModelDigest PredictionService::DigestOf(
+    const core::HawkesPredictor* model) {
+  HORIZON_CHECK(model != nullptr);
+  HORIZON_CHECK(model->trained());
+  const std::string blob = model->Serialize();
+  return {io::Crc32(blob), blob.size()};
+}
 
 Status PredictionService::CountError(Status status) const {
   const int code = static_cast<int>(status.code());
@@ -679,6 +687,29 @@ std::string Trim(const std::string& text) {
   return text.substr(b, e - b);
 }
 
+/// Appends a space and `value`: an integer in decimal, a double at 17
+/// significant digits, a list of doubles as its length and its elements.
+template <typename T>
+void AppendValue(std::string* out, const T& value) {
+  out->push_back(' ');
+  if constexpr (std::is_floating_point_v<T>) {
+    text::AppendDouble(out, value);
+  } else if constexpr (std::is_integral_v<T>) {
+    text::AppendInt(out, value);
+  } else {
+    text::AppendInt(out, value.size());
+    for (const double element : value) AppendValue(out, element);
+  }
+}
+
+/// Appends one manifest line: `key`, then `values`, space-separated.
+template <typename... T>
+void AppendLine(std::string* out, std::string_view key, const T&... values) {
+  out->append(key);
+  (AppendValue(out, values), ...);
+  out->push_back('\n');
+}
+
 // Shard files of version v1 carry each item's page and post profiles,
 // which Restore turns into the item's static features.
 bool DeserializePage(text::Reader* in, datagen::PageProfile* p) {
@@ -806,16 +837,6 @@ Status PredictionService::Shard::WriteCheckpoint(const std::string& path,
   return Status::Ok();
 }
 
-const PredictionService::ModelFile& PredictionService::model_file() const {
-  std::call_once(model_file_once_, [this] {
-    const std::string blob = model_->Serialize();
-    model_file_.crc = io::Crc32(blob);
-    model_file_.size = blob.size();
-    model_file_.file = io::WrapCrcFrame(blob);
-  });
-  return model_file_;
-}
-
 Status PredictionService::Checkpoint(const std::string& dir) const {
   const obs::ScopedTimer latency(m_checkpoint_latency_);
   HORIZON_RETURN_IF_ERROR(io::EnsureDir(dir));
@@ -830,7 +851,6 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
   // One coherent counter snapshot up front; events ingested while the
   // shards are being copied belong to the next checkpoint.
   const ServiceStats counters = stats();
-  const ModelFile& model = model_file();
 
   // Each shard's items are copied a chunk at a time under its lock, then
   // serialized and written outside it, so ingest/query never stall behind
@@ -850,40 +870,30 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
     }
   });
   HORIZON_RETURN_IF_ERROR(shard_error);
-  HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(ckpt + "/model.hwk", model.file));
 
-  std::ostringstream manifest;
-  manifest.precision(17);
-  manifest << "manifest v1\n";
-  manifest << "epoch " << epoch << "\n";
-  manifest << "model " << model.crc << " " << model.size << "\n";
+  std::string manifest = "manifest v1\n";
+  AppendLine(&manifest, "epoch", epoch);
+  AppendLine(&manifest, "model", model_digest_.crc, model_digest_.size);
   const stream::TrackerConfig& tracker = config_.tracker;
-  manifest << "windows " << tracker.window_lengths.size();
-  for (double w : tracker.window_lengths) manifest << " " << w;
-  manifest << "\n";
-  manifest << "landmarks " << tracker.landmark_ages.size();
-  for (double l : tracker.landmark_ages) manifest << " " << l;
-  manifest << "\n";
-  manifest << "ewma_tau " << tracker.ewma_tau << "\n";
-  manifest << "epsilon " << tracker.epsilon << "\n";
-  manifest << "counters " << counters.items_registered << " "
-           << counters.events_ingested << " " << counters.queries_answered << " "
-           << counters.items_retired << "\n";
-  manifest << "shards " << num_shards << "\n";
+  AppendLine(&manifest, "windows", tracker.window_lengths);
+  AppendLine(&manifest, "landmarks", tracker.landmark_ages);
+  AppendLine(&manifest, "ewma_tau", tracker.ewma_tau);
+  AppendLine(&manifest, "epsilon", tracker.epsilon);
+  AppendLine(&manifest, "counters", counters.items_registered, counters.events_ingested,
+             counters.queries_answered, counters.items_retired);
+  AppendLine(&manifest, "shards", num_shards);
   uint64_t checkpoint_bytes = 0;
   for (size_t sh = 0; sh < num_shards; ++sh) {
     const ShardFile& file = shard_files[sh];
-    manifest << ShardFileName(sh) << " " << file.crc << " " << file.bytes << " "
-             << file.items << "\n";
+    AppendLine(&manifest, ShardFileName(sh), file.crc, file.bytes, file.items);
     checkpoint_bytes += file.bytes;
   }
-  const std::string manifest_file = io::WrapCrcFrame(manifest.str());
+  const std::string manifest_file = io::WrapCrcFrame(manifest);
   HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(ckpt + "/MANIFEST", manifest_file));
   // Commit point: once CURRENT names the new directory, the checkpoint is
   // the one Restore will load.
   HORIZON_RETURN_IF_ERROR(io::WriteFileAtomic(dir + "/CURRENT", name + "\n"));
-  m_checkpoint_bytes_->Set(static_cast<double>(checkpoint_bytes + model.file.size() +
-                                               manifest_file.size()));
+  m_checkpoint_bytes_->Set(static_cast<double>(checkpoint_bytes + manifest_file.size()));
 
   // GC: drop checkpoints older than the committed one's predecessor
   // (including partial directories left by crashed attempts).
@@ -919,38 +929,40 @@ Status PredictionService::Restore(const std::string& dir) {
   const auto manifest = io::UnwrapCrcFrame(*manifest_file);
   if (!manifest.ok()) return CountError(manifest.status());
 
-  std::istringstream is{std::string(*manifest)};
-  std::string magic, version, key;
+  text::Reader fields(*manifest);
+  std::string_view magic, version, key;
   uint64_t epoch = 0;
   uint32_t model_crc = 0;
-  size_t model_size = 0;
-  if (!(is >> magic >> version) || magic != "manifest" || version != "v1") {
+  uint64_t model_size = 0;
+  if (!fields.ReadWord(&magic) || !fields.ReadWord(&version) || magic != "manifest" ||
+      version != "v1") {
     return CountError(Status::Corruption("manifest: bad magic/version"));
   }
-  if (!(is >> key >> epoch) || key != "epoch") {
+  if (!fields.ReadWord(&key) || key != "epoch" || !fields.Read(&epoch)) {
     return CountError(Status::Corruption("manifest: missing epoch"));
   }
-  if (!(is >> key >> model_crc >> model_size) || key != "model") {
+  if (!fields.ReadWord(&key) || key != "model" || !fields.Read(&model_crc, &model_size)) {
     return CountError(Status::Corruption("manifest: missing model digest"));
   }
   // Older checkpoints carry a `qforest <crc> <size>` line here, the digest
   // of a model.qforest file holding the quantized forests.  That blob was a
   // deterministic function of the model, whose digest is checked below, so
   // the line is parsed and ignored and the file is never opened.
-  if (is >> key && key == "qforest") {
+  bool has_key = fields.ReadWord(&key);
+  if (has_key && key == "qforest") {
     uint32_t legacy_crc = 0;
-    size_t legacy_size = 0;
-    if (!(is >> legacy_crc >> legacy_size)) {
+    uint64_t legacy_size = 0;
+    if (!fields.Read(&legacy_crc, &legacy_size)) {
       return CountError(Status::Corruption("manifest: truncated qforest digest"));
     }
-    is >> key;
+    has_key = fields.ReadWord(&key);
   }
 
   // The restored trackers only make sense if this service interprets their
   // state with the same window/landmark layout and EWMA constants.
   const stream::TrackerConfig& tracker = config_.tracker;
   size_t n = 0;
-  if (!is || key != "windows" || !(is >> n)) {
+  if (!has_key || key != "windows" || !fields.Read(&n)) {
     return CountError(Status::Corruption("manifest: missing windows"));
   }
   if (n != tracker.window_lengths.size()) {
@@ -959,7 +971,7 @@ Status PredictionService::Restore(const std::string& dir) {
   }
   for (size_t i = 0; i < n; ++i) {
     double w = 0.0;
-    if (!(is >> w)) {
+    if (!fields.Read(&w)) {
       return CountError(Status::Corruption("manifest: truncated windows"));
     }
     if (w != tracker.window_lengths[i]) {
@@ -967,7 +979,7 @@ Status PredictionService::Restore(const std::string& dir) {
           Status::ConfigMismatch("checkpoint uses a different window layout"));
     }
   }
-  if (!(is >> key >> n) || key != "landmarks") {
+  if (!fields.ReadWord(&key) || key != "landmarks" || !fields.Read(&n)) {
     return CountError(Status::Corruption("manifest: missing landmarks"));
   }
   if (n != tracker.landmark_ages.size()) {
@@ -976,7 +988,7 @@ Status PredictionService::Restore(const std::string& dir) {
   }
   for (size_t i = 0; i < n; ++i) {
     double l = 0.0;
-    if (!(is >> l)) {
+    if (!fields.Read(&l)) {
       return CountError(Status::Corruption("manifest: truncated landmarks"));
     }
     if (l != tracker.landmark_ages[i]) {
@@ -985,14 +997,14 @@ Status PredictionService::Restore(const std::string& dir) {
     }
   }
   double ewma_tau = 0.0, epsilon = 0.0;
-  if (!(is >> key >> ewma_tau) || key != "ewma_tau") {
+  if (!fields.ReadWord(&key) || key != "ewma_tau" || !fields.Read(&ewma_tau)) {
     return CountError(Status::Corruption("manifest: missing ewma_tau"));
   }
   if (ewma_tau != tracker.ewma_tau) {
     return CountError(
         Status::ConfigMismatch("checkpoint uses a different ewma_tau"));
   }
-  if (!(is >> key >> epsilon) || key != "epsilon") {
+  if (!fields.ReadWord(&key) || key != "epsilon" || !fields.Read(&epsilon)) {
     return CountError(Status::Corruption("manifest: missing epsilon"));
   }
   if (epsilon != tracker.epsilon) {
@@ -1000,20 +1012,19 @@ Status PredictionService::Restore(const std::string& dir) {
         Status::ConfigMismatch("checkpoint uses a different epsilon"));
   }
   ServiceStats counters;
-  if (!(is >> key >> counters.items_registered >> counters.events_ingested >>
-        counters.queries_answered >> counters.items_retired) ||
-      key != "counters") {
+  if (!fields.ReadWord(&key) || key != "counters" ||
+      !fields.Read(&counters.items_registered, &counters.events_ingested,
+               &counters.queries_answered, &counters.items_retired)) {
     return CountError(Status::Corruption("manifest: missing counters"));
   }
   size_t num_shard_files = 0;
-  if (!(is >> key >> num_shard_files) || key != "shards" ||
+  if (!fields.ReadWord(&key) || key != "shards" || !fields.Read(&num_shard_files) ||
       num_shard_files > 1u << 20) {
     return CountError(Status::Corruption("manifest: bad shard table"));
   }
 
   // Bit-identical predictions require the identical model.
-  const ModelFile& model = model_file();
-  if (model.crc != model_crc || model.size != model_size) {
+  if (model_crc != model_digest_.crc || model_size != model_digest_.size) {
     return CountError(Status::ConfigMismatch(
         "checkpoint was written by a different model (serialization digest "
         "mismatch)"));
@@ -1026,22 +1037,30 @@ Status PredictionService::Restore(const std::string& dir) {
   std::vector<ItemIndex<Item>> staged(shards_.size());
   size_t staged_items = 0;
   for (size_t f = 0; f < num_shard_files; ++f) {
-    std::string file;
+    std::string_view file;
     uint32_t crc = 0;
-    size_t bytes = 0, items = 0;
-    if (!(is >> file >> crc >> bytes >> items)) {
+    uint64_t bytes = 0, items = 0;
+    if (!fields.ReadWord(&file) || !fields.Read(&crc, &bytes, &items)) {
       return CountError(Status::Corruption("manifest: truncated shard table"));
     }
-    if (file.find('/') != std::string::npos) {
+    if (file.find('/') != std::string_view::npos) {
       return CountError(Status::Corruption("manifest: shard name escapes dir"));
     }
-    const auto raw = io::ReadFile(ckpt + "/" + file);
-    if (!raw.ok() || raw->size() != bytes || io::Crc32(*raw) != crc) {
+    const std::string name(file);
+    const auto raw = io::ReadFile(ckpt + "/" + name);
+    if (!raw.ok() || raw->size() != bytes) {
       return CountError(
-          Status::Corruption("shard file " + file + " missing or damaged"));
+          Status::Corruption("shard file " + name + " missing or damaged"));
     }
-    const auto payload = io::UnwrapCrcFrame(*raw);
+    // Checking the frame reads each byte once and yields the CRC of the
+    // whole file, which the manifest vouches for.
+    uint32_t file_crc = 0;
+    const auto payload = io::UnwrapCrcFrame(*raw, &file_crc);
     if (!payload.ok()) return CountError(payload.status());
+    if (file_crc != crc) {
+      return CountError(Status::Corruption("shard file " + name +
+                                           " is not the file the manifest lists"));
+    }
     // The items are parsed in place, from the bytes `raw` holds.
     text::Reader in(*payload);
     std::string_view smagic, sversion;

@@ -50,7 +50,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -258,14 +257,15 @@ class PredictionService {
   // --- Crash-safe persistence -------------------------------------------
   // Checkpoint layout under `dir`:
   //   CURRENT            -> name of the last committed checkpoint directory
-  //   ckpt-<epoch>/      -> MANIFEST, model.hwk, shard-NNNN files
+  //   ckpt-<epoch>/      -> MANIFEST, shard-NNNN files
   // Every file is CRC32-framed and written atomically (temp -> fsync ->
   // rename); the CURRENT pointer update is the commit point.  A crash at
   // any write/fsync/rename therefore leaves the previous checkpoint fully
   // intact, and Restore never loads a torn file (the CRCs reject it).
+  // The model is not written: the MANIFEST records its digest.
 
   /// Writes a snapshot of every live tracker, each item's static
-  /// features, the model, and the service counters (shard files
+  /// features, the model's digest, and the service counters (shard files
   /// `shard v2`).  Each shard's ids are listed under its lock and its
   /// items copied 16 at a time under it; each chunk is serialized and
   /// streamed to the shard file outside the lock, so concurrent
@@ -275,12 +275,13 @@ class PredictionService {
   /// next checkpoint.
   /// kIoError on any write failure (the previous checkpoint survives).
   /// Once it commits, sets the horizon_serving_checkpoint_bytes gauge to
-  /// the bytes of the checkpoint's files: shards, model and manifest.
+  /// the bytes of the checkpoint's files: shards and manifest.
   Status Checkpoint(const std::string& dir) const;
 
   /// Restores the checkpoint committed under `dir`.  Verifies the CRC of
-  /// every file, that this service uses the same model (bit-identical
-  /// serialization), and the same tracker configuration; on any failure
+  /// every file, that this service uses the same model (the manifest's
+  /// digest of its serialization), and the same tracker configuration;
+  /// a model.hwk that older checkpoints hold is never read.  On any failure
   /// the service is NOT modified and the code says why: kNotFound (no
   /// committed checkpoint there), kCorruption (torn or damaged bytes),
   /// kConfigMismatch (different model or tracker layout).  On success
@@ -312,14 +313,15 @@ class PredictionService {
     }
   };
 
-  /// The model's checkpoint file, model.hwk (its serialization,
-  /// CRC-framed), and the serialization's CRC and size, which the
-  /// manifest records.
-  struct ModelFile {
-    std::string file;
+  /// What a checkpoint's manifest records of the model: the CRC-32 and
+  /// size of its serialization.
+  struct ModelDigest {
     uint32_t crc = 0;
-    size_t size = 0;
+    uint64_t size = 0;
   };
+
+  /// The digest of `model`, which must be non-null and trained.
+  static ModelDigest DigestOf(const core::HawkesPredictor* model);
 
   /// The shard of the item whose id hashes (MixId) to `hash`.
   size_t ShardIndex(uint64_t hash) const;
@@ -349,21 +351,19 @@ class PredictionService {
   /// Increments the per-code error counter and forwards `status`.
   Status CountError(Status status) const;
 
-  /// Built on first use, by Checkpoint or Restore: the model cannot
-  /// change while the service holds it.
-  const ModelFile& model_file() const;
-
   const core::HawkesPredictor* model_;
   const features::FeatureExtractor* extractor_;
   ServiceConfig config_;
+  // Made once: the model cannot change while the service holds it.
+  const ModelDigest model_digest_;
   // config_.tracker, frozen once; every item's tracker shares it.
   std::shared_ptr<const stream::TrackerLayout> tracker_layout_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::once_flag model_file_once_;
-  mutable ModelFile model_file_;  // written once, under model_file_once_
 
-  // An exact fetch_add / fetch_sub source for the live-items gauge.
-  std::atomic<size_t> live_items_{0};
+  // An exact fetch_add / fetch_sub source for the live-items gauge, on a
+  // cache line of its own: every registration and retirement writes it,
+  // and every query reads shards_ just above it.
+  alignas(64) std::atomic<size_t> live_items_{0};
   // The stats() counters: like every obs::Counter, one cache-line slot
   // per writer thread (up to obs::kCounterSlots threads), so concurrent
   // writers do not bump a shared line; stats() sums the slots.  (The registry's counters are shared by every service that

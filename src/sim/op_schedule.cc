@@ -268,9 +268,10 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
       ++checkpoint_count;
       const double t0 = start + 0.95 * round;
       // A service checkpoint performs at most 4 faultable IO ops per file
-      // over (shards + model + MANIFEST + CURRENT) files; drawing the
-      // fault index a little past that range occasionally arms a fault
-      // that never fires, covering the "armed but clean" path too.
+      // over (shards + MANIFEST + CURRENT) files; drawing the fault index
+      // past that range occasionally arms a fault that never fires,
+      // covering the "armed but clean" path too.  The seeded schedules
+      // depend on this bound's value.
       const int max_fault_ops = 4 * (8 + 2);
       if (mode == "none") {
         Op op;

@@ -335,7 +335,7 @@ std::string CommittedCheckpoint(const std::string& dir) {
 }
 
 // horizon_serving_checkpoint_bytes holds the bytes of the last committed
-// checkpoint: its shard files, model and manifest, as they lie on disk.
+// checkpoint: its shard files and manifest, as they lie on disk.
 TEST_F(CheckpointTest, CheckpointBytesGaugeMatchesTheFilesOnDisk) {
   obs::MetricsRegistry registry;
   ServiceConfig config;
@@ -401,37 +401,65 @@ TEST_F(CheckpointTest, CheckpointAllocatesNoStringPerItem) {
 #endif
 }
 
-// The model's checkpoint file is built once per service, on first use: a
-// second Checkpoint writes the same model.hwk without serializing the
-// model again.  Serializing it holds its bytes at least twice at once
-// (the serialization and the framed file), so the first checkpoint's
-// heap peak passes the second's by at least the model's bytes.
+// A checkpoint records the model's digest, made once when the service is
+// built, and neither serializes the model nor writes it: what a
+// checkpoint, the first or a later one, holds at its peak does not grow
+// with the model's size, and the checkpoint holds only the manifest and
+// the shard files.  Two services hold the same items, one over the
+// suite's model and one over a model with 16x the trees.
 TEST_F(CheckpointTest, SecondCheckpointDoesNotSerializeTheModelAgain) {
 #ifdef HORIZON_TEST_SANITIZED
   GTEST_SKIP() << "sanitizer runtimes own operator new";
 #else
+  core::HawkesPredictorParams params;
+  params.reference_horizons = {1 * kDay};
+  params.gbdt_count.num_trees = 400;
+  params.gbdt_alpha.num_trees = 400;
+  core::HawkesPredictor large(params);
+  {
+    std::vector<size_t> indices(dataset_->cascades.size());
+    for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+    core::ExampleSetOptions options;
+    options.reference_horizons = params.reference_horizons;
+    const auto examples =
+        core::BuildExampleSet(*dataset_, indices, *extractor_, options);
+    large.Fit(examples.x, examples.log1p_increments, examples.alpha_targets);
+  }
+  const auto extra_model_bytes = static_cast<std::ptrdiff_t>(
+      large.Serialize().size() - model_->Serialize().size());
+  ASSERT_GT(extra_model_bytes, 100'000);
+
   ServiceConfig config;
   config.num_shards = 1;
-  PredictionService service = MakeService(config);
-  Load(&service, 8, kAge);
-  const std::string model_blob = model_->Serialize();
-  const auto model_bytes = static_cast<std::ptrdiff_t>(model_blob.size());
-  const auto checkpoint_peak = [&] {
-    test::ResetThreadPeakLiveBytes();
-    const std::ptrdiff_t before = test::ThreadLiveBytes();
-    EXPECT_TRUE(service.Checkpoint(Dir()).ok());
-    return test::ThreadPeakLiveBytes() - before;
+  const auto checkpoint_peaks = [&](const core::HawkesPredictor* model,
+                                    const std::string& dir) {
+    PredictionService service(model, extractor_, config);
+    Load(&service, 8, kAge);
+    std::vector<std::ptrdiff_t> peaks;
+    for (int round = 0; round < 2; ++round) {
+      test::ResetThreadPeakLiveBytes();
+      const std::ptrdiff_t before = test::ThreadLiveBytes();
+      EXPECT_TRUE(service.Checkpoint(dir).ok());
+      peaks.push_back(test::ThreadPeakLiveBytes() - before);
+    }
+    for (const std::string& name : io::ListDir(CommittedCheckpoint(dir))) {
+      EXPECT_TRUE(name == "MANIFEST" || name.rfind("shard-", 0) == 0) << name;
+    }
+    PredictionService restored(model, extractor_, config);
+    EXPECT_TRUE(restored.Restore(dir).ok());
+    ExpectIdentical(Snapshot(service, 8, kAge, 1 * kDay),
+                    Snapshot(restored, 8, kAge, 1 * kDay));
+    return peaks;
   };
-  const std::ptrdiff_t first = checkpoint_peak();
-  const std::ptrdiff_t second = checkpoint_peak();
-  EXPECT_GE(first - second, model_bytes)
-      << "peaks " << first << " and " << second << " B";
-  EXPECT_EQ(io::ReadFile(CommittedCheckpoint(Dir()) + "/model.hwk").value(),
-            io::WrapCrcFrame(model_blob));
-  PredictionService restored = MakeService(config);
-  ASSERT_TRUE(restored.Restore(Dir()).ok());
-  ExpectIdentical(Snapshot(service, 8, kAge, 1 * kDay),
-                  Snapshot(restored, 8, kAge, 1 * kDay));
+  const std::vector<std::ptrdiff_t> small_peaks = checkpoint_peaks(model_, Dir() + "/a");
+  const std::vector<std::ptrdiff_t> large_peaks = checkpoint_peaks(&large, Dir() + "/b");
+  // The manifest's digest has a few more digits with the larger model.
+  constexpr std::ptrdiff_t kDigits = 1024;
+  for (size_t round = 0; round < 2; ++round) {
+    EXPECT_LE(large_peaks[round] - small_peaks[round], kDigits)
+        << "checkpoint " << round << ": peaks " << small_peaks[round] << " and "
+        << large_peaks[round] << " B, models " << extra_model_bytes << " B apart";
+  }
 #endif
 }
 
@@ -468,8 +496,7 @@ std::ptrdiff_t AnswerBytes(const StatusOr<QueryResponse>& response) {
 // call or in a scratch kept after it, would add ~1.5 KB an item.  Every
 // item is the same cascade, so every full chunk is the same size and the
 // growth is only what scales with the item count.  No call is warmed up:
-// each starts a thread's scratch, and the checkpoint builds the model
-// file, the same bytes at both sizes.
+// each starts a thread's scratch, the same bytes at both sizes.
 TEST_F(CheckpointTest, ScanCheckpointAndBatchQueryHoldTheIdListAndOneChunk) {
 #ifdef HORIZON_TEST_SANITIZED
   GTEST_SKIP() << "sanitizer runtimes own operator new";
@@ -553,6 +580,42 @@ TEST_F(CheckpointTest, RestoreRejectsCorruptedShardFile) {
   Load(&restored, 3, kAge);  // pre-existing state must survive the failure
   const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
   EXPECT_FALSE(restored.Restore(Dir()).ok());
+  EXPECT_EQ(restored.LiveItems(), 3u);
+  ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+}
+
+// Restore checks each shard file's frame and derives the file's CRC,
+// which the manifest vouches for, from the frame's in one pass over the
+// bytes.  A validly framed shard file of another checkpoint, copied in
+// with the manifest left as it was, is still refused: the two services
+// hold the same items, created at 1 s and at 2 s, so their shard files
+// are as long and differ only in each tracker's creation time.
+TEST_F(CheckpointTest, RestoreRejectsAShardFileFromAnotherCheckpoint) {
+  ServiceConfig config;
+  config.num_shards = 2;
+  const auto checkpoint = [&](double creation_time, const std::string& dir) {
+    PredictionService service = MakeService(config);
+    for (int64_t id = 0; id < 12; ++id) {
+      const auto& cascade = dataset_->cascades[static_cast<size_t>(id)];
+      EXPECT_TRUE(service.RegisterItem(id, creation_time, dataset_->PageOf(cascade.post),
+                                       cascade.post).ok());
+    }
+    EXPECT_TRUE(service.Checkpoint(dir).ok());
+    return CommittedCheckpoint(dir) + "/shard-0000";
+  };
+  const std::string ours = checkpoint(1.0, Dir() + "/ours");
+  const std::string theirs = checkpoint(2.0, Dir() + "/theirs");
+  const std::string copied = io::ReadFile(theirs).value();
+  ASSERT_TRUE(io::UnwrapCrcFrame(copied).ok());
+  ASSERT_EQ(copied.size(), io::ReadFile(ours).value().size());
+  ASSERT_NE(copied, io::ReadFile(ours).value());
+  ASSERT_TRUE(io::WriteFileAtomic(ours, copied).ok());
+
+  PredictionService restored = MakeService(config);
+  Load(&restored, 3, kAge);
+  const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+  const Status status = restored.Restore(Dir() + "/ours");
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
   EXPECT_EQ(restored.LiveItems(), 3u);
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
@@ -955,6 +1018,113 @@ TEST_F(CheckpointTest, RestoresManifestWithLegacyQforestLine) {
   EXPECT_EQ(truncated.LiveItems(), 0u);
 }
 
+/// Replaces the MANIFEST of the committed checkpoint under `dir` with a
+/// fresh CRC frame around `payload`: a re-framed, not a torn, manifest.
+void ReframeManifest(const std::string& dir, const std::string& payload) {
+  const std::string framed = io::WrapCrcFrame(payload);
+  std::ofstream out(CommittedCheckpoint(dir) + "/MANIFEST",
+                    std::ios::binary | std::ios::trunc);
+  out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
+}
+
+// The manifest parser reads tokens as operator>> read them but for four
+// input classes (common/text_codec.h), which a re-framed manifest may
+// carry.  Each is kCorruption, with the service left untouched; the old
+// parser read "1model", "+1", "-1" and "shards -0" (the last restoring
+// an empty service), and took "0x1p3" and "1e-400" for a differing
+// ewma_tau and epsilon (kConfigMismatch).
+TEST_F(CheckpointTest, RestoreRejectsManifestTokensOfTheNewlyRejectedClasses) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+  const std::string manifest = FramedPayload(CommittedCheckpoint(Dir()) + "/MANIFEST");
+  ASSERT_EQ(manifest.rfind("manifest v1\nepoch 1\nmodel ", 0), 0u);
+  const auto replace = [&](const std::string& from, const std::string& to) {
+    const size_t at = manifest.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return manifest.substr(0, at) + to + manifest.substr(at + from.size());
+  };
+  const std::string epsilon = manifest.substr(manifest.find("\nepsilon "));
+  const std::string cases[] = {
+      replace("epoch 1\nmodel", "epoch 1model"),  // no separator
+      replace("ewma_tau 3600\n", "ewma_tau 0x1p3\n"),
+      replace("epoch 1\n", "epoch +1\n"),          // a leading '+'
+      replace("epoch 1\n", "epoch -1\n"),          // '-' in an unsigned field
+      replace("\nshards 16\n", "\nshards -0\n"),
+      replace(epsilon.substr(0, epsilon.find('\n', 1)), "\nepsilon 1e-400"),  // underflow
+  };
+  for (const std::string& text : cases) {
+    SCOPED_TRACE(text.substr(0, 120));
+    ReframeManifest(Dir(), text);
+    PredictionService restored = MakeService();
+    Load(&restored, 3, kAge);
+    const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+    const Status status = restored.Restore(Dir());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(restored.LiveItems(), 3u);
+    ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+  }
+}
+
+// A re-framed manifest cut short anywhere, or with tokens swapped for
+// extreme or malformed ones, never aborts Restore: a truncated one fails
+// with kCorruption or kConfigMismatch, and a swap that fails leaves the
+// service untouched.  (A swap may also restore, e.g. another epoch or
+// counter value.)
+TEST_F(CheckpointTest, TruncatedOrSwappedManifestFailsCleanly) {
+  ServiceConfig config;
+  config.num_shards = 2;
+  PredictionService source = MakeService(config);
+  Load(&source, 12, kAge);
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+  const std::string manifest = FramedPayload(CommittedCheckpoint(Dir()) + "/MANIFEST");
+  ASSERT_EQ(manifest.back(), '\n');
+  // Restores `text` as the manifest into a service holding 3 items.
+  const auto restore = [&](const std::string& text) {
+    ReframeManifest(Dir(), text);
+    PredictionService restored = MakeService(config);
+    Load(&restored, 3, kAge);
+    const uint64_t events = restored.stats().events_ingested;
+    const Status status = restored.Restore(Dir());
+    if (status.ok()) {
+      EXPECT_EQ(restored.LiveItems(), 12u) << text;
+    } else {
+      EXPECT_TRUE(status.code() == StatusCode::kCorruption ||
+                  status.code() == StatusCode::kConfigMismatch)
+          << status.ToString() << "\n" << text;
+      EXPECT_EQ(restored.LiveItems(), 3u) << text;
+      EXPECT_EQ(restored.stats().events_ingested, events) << text;
+    }
+    return status;
+  };
+  ASSERT_TRUE(restore(manifest).ok());
+  // Every prefix short of the last line's newline.
+  for (size_t len = 0; len + 1 < manifest.size(); ++len) {
+    EXPECT_FALSE(restore(manifest.substr(0, len)).ok()) << "prefix of " << len;
+  }
+  std::vector<std::string> tokens;
+  {
+    std::istringstream is(manifest);
+    for (std::string token; is >> token;) tokens.push_back(token);
+  }
+  const std::vector<std::string> values = {
+      "0", "1", "-1", "+1", "-0", "2", "16", "3600", "1e-400", "1e300", "inf", "nan",
+      "0x10", "5-3", "1.5", "4294967296", "18446744073709551615", "shard-0000",
+      "../shard-0000", "model", "qforest", "windows", "shards"};
+  Rng rng(0x3A41F357);
+  size_t failed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::string> mutated = tokens;
+    for (int k = 1 + static_cast<int>(rng.UniformInt(2)); k > 0; --k) {
+      mutated[rng.UniformInt(mutated.size())] = values[rng.UniformInt(values.size())];
+    }
+    std::string text;
+    for (const std::string& token : mutated) text += token + (rng.Bernoulli(0.5) ? " " : "\n");
+    failed += !restore(text).ok();
+  }
+  EXPECT_GT(failed, 200u);
+}
+
 // The scan ranks by increment descending, then by id ascending: a total
 // order.  Items with identical profiles, one creation time and no events
 // tie on every feature, so they come back in id order however the shards
@@ -1218,6 +1388,91 @@ TEST_F(CheckpointTest, CheckpointWhileServingKeepsWorking) {
   PredictionService restored = MakeService();
   EXPECT_TRUE(restored.Restore(Dir()).ok());
   EXPECT_EQ(restored.LiveItems(), static_cast<size_t>(kItems));
+}
+
+// tests/data/golden_checkpoint is a checkpoint written by the code that
+// still stored the model's file, model.hwk, beside the manifest: 12
+// items (static features and all four engagement streams up to 6 h) on 2
+// shards, served by a small model over the full feature schema (3 trees
+// of depth 3 per forest, reference horizons 6 h and 1 d, trained on 120
+// generated posts of seed 2028).  It pins, with no training: the model
+// codec (model.hwk's payload reads and writes back byte for byte); that
+// such a checkpoint restores, model.hwk ignored; answers recorded from
+// the service that wrote it, bit for bit; and the manifest and shard
+// writers' bytes.
+const std::string kGoldenCheckpoint =
+    std::string(HORIZON_TEST_DATA_DIR) + "/golden_checkpoint";
+
+/// The payload of the fixture's model.hwk.
+std::string GoldenModelText() {
+  return FramedPayload(kGoldenCheckpoint + "/ckpt-000000001/model.hwk");
+}
+
+TEST(GoldenCheckpointTest, ModelReadsAndWritesBackByteForByte) {
+  const std::string text = GoldenModelText();
+  core::HawkesPredictor model;
+  ASSERT_TRUE(model.Deserialize(text));
+  const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+  EXPECT_EQ(model.alpha_model().num_features(), extractor.schema().size());
+  EXPECT_EQ(model.num_reference_horizons(), 2u);
+  EXPECT_EQ(model.Serialize(), text);
+}
+
+TEST(GoldenCheckpointTest, RestoresToTheRecordedAnswers) {
+  core::HawkesPredictor model;
+  ASSERT_TRUE(model.Deserialize(GoldenModelText()));
+  const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+  PredictionService service(&model, &extractor, ServiceConfig{});
+  const Status status = service.Restore(kGoldenCheckpoint);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(service.LiveItems(), 12u);
+  EXPECT_EQ(service.stats().items_registered, 12u);
+  EXPECT_EQ(service.stats().events_ingested, 391u);
+  const struct {
+    int64_t id;
+    double delta, observed, predicted, alpha;
+  } answers[] = {
+      {100, 1 * kDay, 0x1.4p+3, 0x1.14b45b06dad8cp+5, 0x1.66f7172cb922dp-17},
+      {107, 7 * kDay, 0x1.3p+4, 0x1.0cbb2cf5f191cp+6, 0x1.4c2b56e0b8d2bp-17},
+      {121, 1 * kHour, 0x1p+0, 0x1.ed0cd5bb9bc24p+0, 0x1.9e3e544f7ce18p-17},
+      {142, 1 * kDay, 0x1.bcp+6, 0x1.462f33ff421f8p+7, 0x1.cd7a4eb31bae3p-18},
+      {149, 7 * kDay, 0x1.28p+7, 0x1.6227810f2e59fp+8, 0x1.6297407b47338p-18},
+      {170, 1 * kHour, 0x1.4p+5, 0x1.53590952d742bp+5, 0x1.4c2b56e0b8d2bp-17},
+      {177, 1 * kDay, 0x1.cp+2, 0x1.68ea581d1e24ap+4, 0x1.948b7f2eebb25p-17},
+  };
+  for (const auto& want : answers) {
+    const StatusOr<PredictionResult> got = service.Query(want.id, 6 * kHour, want.delta);
+    ASSERT_TRUE(got.ok()) << want.id << ": " << got.status().ToString();
+    EXPECT_EQ(got->observed_views, want.observed) << want.id;
+    EXPECT_EQ(got->predicted_views, want.predicted) << want.id;
+    EXPECT_EQ(got->alpha, want.alpha) << want.id;
+  }
+}
+
+// Restored onto as many shards, the fixture checkpoints again to the
+// same manifest and shard files, byte for byte (less model.hwk): the
+// manifest and shard writers write what they wrote then.
+TEST(GoldenCheckpointTest, RestoredFixtureCheckpointsToTheSameBytes) {
+  core::HawkesPredictor model;
+  ASSERT_TRUE(model.Deserialize(GoldenModelText()));
+  const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+  ServiceConfig config;
+  config.num_shards = 2;
+  PredictionService service(&model, &extractor, config);
+  ASSERT_TRUE(service.Restore(kGoldenCheckpoint).ok());
+  const std::string dir = ::testing::TempDir() + "horizon_golden_" +
+                          std::to_string(::getpid());
+  io::RemoveTree(dir);
+  ASSERT_TRUE(service.Checkpoint(dir).ok());
+  const std::string golden = kGoldenCheckpoint + "/ckpt-000000001/";
+  EXPECT_EQ(io::ListDir(dir + "/ckpt-000000001"),
+            (std::vector<std::string>{"MANIFEST", "shard-0000", "shard-0001"}));
+  for (const char* name : {"MANIFEST", "shard-0000", "shard-0001"}) {
+    EXPECT_EQ(io::ReadFile(dir + "/ckpt-000000001/" + name).value(),
+              io::ReadFile(golden + name).value())
+        << name;
+  }
+  io::RemoveTree(dir);
 }
 
 }  // namespace

@@ -256,6 +256,24 @@ std::string PaddedFrame(const std::string& payload) {
   return header + payload;
 }
 
+// UnwrapCrcFrame's frame CRC, combined from the header line's and the
+// payload's, is the CRC of the whole frame, padded or not.
+TEST(CrcFrameTest, FrameCrcIsTheCrcOfTheWholeFrame) {
+  Rng rng(0xF4A4);
+  std::string random(5000, '\0');
+  for (char& c : random) c = static_cast<char>(rng.UniformInt(256));
+  for (const std::string& payload :
+       {std::string(), std::string("x"), std::string("shard v2\n0\n"), random}) {
+    for (const std::string& frame : {WrapCrcFrame(payload), PaddedFrame(payload)}) {
+      uint32_t crc = 0;
+      const auto back = UnwrapCrcFrame(frame, &crc);
+      ASSERT_TRUE(back.ok());
+      EXPECT_EQ(*back, payload);
+      EXPECT_EQ(crc, Crc32(frame)) << frame.substr(0, frame.find('\n'));
+    }
+  }
+}
+
 // A payload streamed in pieces, with the count field between them, lands
 // as one CRC frame whose size and count are zero-padded; the frame reads
 // back through UnwrapCrcFrame, and file_crc() and file_bytes() describe

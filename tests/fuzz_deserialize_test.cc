@@ -283,6 +283,170 @@ TEST(FuzzHawkesDeserialize, AbsurdHeadersRejected) {
   EXPECT_FALSE(model.trained());
 }
 
+// -- The model codec against the iostream writer ------------------------
+
+/// A finite double from random bits: every exponent, subnormals, -0.
+double RandomFiniteDouble(Rng* rng) {
+  for (;;) {
+    const double value = std::bit_cast<double>(rng->Next());
+    if (std::isfinite(value)) return value;
+  }
+}
+
+/// A finite float from random bits.
+float RandomFiniteFloat(Rng* rng) {
+  for (;;) {
+    const float value = std::bit_cast<float>(static_cast<uint32_t>(rng->Next()));
+    if (std::isfinite(value)) return value;
+  }
+}
+
+/// A random tree Deserialize accepts: nodes numbered breadth first (every
+/// child after its parent), at most gbdt::BlockForest::kMaxBlockedDepth
+/// deep, with random features below `num_features`, thresholds and leaf
+/// values.
+gbdt::RegressionTree RandomTree(Rng* rng, size_t num_features) {
+  std::vector<gbdt::TreeNode> nodes(1);
+  std::vector<int> depth(1, 0);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (depth[i] < gbdt::BlockForest::kMaxBlockedDepth && nodes.size() < 64 &&
+        rng->Bernoulli(0.6)) {
+      nodes[i].feature = static_cast<int32_t>(rng->UniformInt(num_features));
+      nodes[i].threshold = RandomFiniteFloat(rng);
+      nodes[i].left = static_cast<int32_t>(nodes.size());
+      nodes[i].right = static_cast<int32_t>(nodes.size() + 1);
+      nodes.resize(nodes.size() + 2);
+      depth.resize(nodes.size(), depth[i] + 1);
+    } else {
+      nodes[i].value = RandomFiniteDouble(rng);
+    }
+  }
+  return gbdt::RegressionTree(std::move(nodes));
+}
+
+/// The `gbdt v1` text of a random ensemble, as the iostream writer wrote it.
+std::string RandomGbdtText(Rng* rng) {
+  const size_t num_features = 1 + rng->UniformInt(rng->Bernoulli(0.5) ? 8 : 1u << 20);
+  std::vector<gbdt::RegressionTree> trees(rng->UniformInt(6));
+  for (auto& tree : trees) tree = RandomTree(rng, num_features);
+  double learning_rate = 0.0;
+  while (!(learning_rate > 0.0)) learning_rate = std::abs(RandomFiniteDouble(rng));
+  return gbdt::reference::GbdtText(trees, num_features, RandomFiniteDouble(rng),
+                                   learning_rate);
+}
+
+// Serialize writes the bytes the iostream writer wrote, and Deserialize
+// reads all it wrote: every ensemble the old writer's text describes --
+// thresholds and leaf values of every magnitude, subnormal and -0
+// included -- reads back and writes out byte for byte.
+TEST(FuzzModelCodec, GbdtTextRoundTripsByteForByte) {
+  Rng rng(0xC0DEC101);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string text = RandomGbdtText(&rng);
+    gbdt::GbdtRegressor model;
+    ASSERT_TRUE(model.Deserialize(text)) << text;
+    EXPECT_EQ(model.Serialize(), text);
+  }
+}
+
+TEST(FuzzModelCodec, HwkTextRoundTripsByteForByte) {
+  Rng rng(0xC0DEC102);
+  for (int trial = 0; trial < 100; ++trial) {
+    // The alpha bounds around strictly increasing positive reference
+    // horizons.
+    std::vector<double> values(3 + rng.UniformInt(4));
+    for (double& v : values) v = std::abs(RandomFiniteDouble(&rng));
+    std::sort(values.begin(), values.end());
+    if (values[0] == 0.0 ||
+        std::adjacent_find(values.begin(), values.end()) != values.end()) {
+      continue;
+    }
+    const std::vector<double> refs(values.begin() + 1, values.end() - 1);
+    std::ostringstream os;
+    os.precision(17);
+    os << "hwk v1\n"
+       << refs.size() << " " << (rng.Bernoulli(0.5) ? "geo" : "arith") << " "
+       << values.front() << " " << values.back() << "\n";
+    for (const double ref : refs) os << ref << " ";
+    os << "\n";
+    for (size_t i = 0; i <= refs.size(); ++i) {
+      const std::string blob = RandomGbdtText(&rng);
+      os << blob.size() << "\n" << blob;
+    }
+    const std::string text = os.str();
+    core::HawkesPredictor model;
+    ASSERT_TRUE(model.Deserialize(text)) << text;
+    EXPECT_EQ(model.Serialize(), text);
+  }
+}
+
+// One text per input class text::Reader rejects (common/text_codec.h
+// lists them), each a trained blob with one token changed.  Each is
+// refused, leaving the model untrained.  The iostream parsers read every
+// gbdt case, and the hwk cases whose header values still pass its checks
+// ("2geo", "+2", a blob's byte count fused to the blob).
+TEST(FuzzModelCodec, NewlyRejectedInputClasses) {
+  const std::string gbdt_blob = TrainSmallGbdt().Serialize();
+  const std::string hwk_blob = TrainSmallPredictor().Serialize();
+  // "gbdt v1\n<features> <base> <lr> <trees>\n...": the header's tokens.
+  const size_t header_end = gbdt_blob.find('\n', 8);
+  std::vector<std::string> header;
+  {
+    std::istringstream is(gbdt_blob.substr(8, header_end - 8));
+    for (std::string token; is >> token;) header.push_back(token);
+  }
+  ASSERT_EQ(header.size(), 4u);
+  const auto with_header = [&](size_t token, const std::string& value) {
+    std::vector<std::string> edited = header;
+    edited[token] = value;
+    return "gbdt v1\n" + edited[0] + " " + edited[1] + " " + edited[2] + " " +
+           edited[3] + gbdt_blob.substr(header_end);
+  };
+  const std::string hwk_head = "hwk v1\n2 geo ";
+  ASSERT_EQ(hwk_blob.rfind(hwk_head, 0), 0u);
+  // A leaf's line: "-1 0 -1 -1 <value>".
+  const size_t leaf = gbdt_blob.find("\n-1 0 -1 -1 ");
+  ASSERT_NE(leaf, std::string::npos);
+  const std::string gbdt_cases[] = {
+      // A number running into the next token, or into a hex-float tail.
+      gbdt_blob.substr(0, leaf) + "\n-1 0-1 -1 " + gbdt_blob.substr(leaf + 12),
+      gbdt_blob.substr(0, gbdt_blob.size() - 1) + "x1p3\n",
+      with_header(0, "+" + header[0]),                // a leading '+'
+      with_header(3, "-0"),                           // '-' in an unsigned field
+      with_header(1, "1e-400"),                       // underflow to zero
+  };
+  for (const std::string& text : gbdt_cases) {
+    gbdt::GbdtRegressor model;
+    EXPECT_FALSE(model.Deserialize(text)) << text.substr(0, 80);
+    EXPECT_FALSE(model.trained());
+  }
+  const std::string hwk_cases[] = {
+      "hwk v1\n2geo " + hwk_blob.substr(hwk_head.size()),
+      "hwk v1\n+2 geo " + hwk_blob.substr(hwk_head.size()),
+      "hwk v1\n-2 geo " + hwk_blob.substr(hwk_head.size()),
+      hwk_head + "1e-400 " + hwk_blob.substr(hwk_blob.find(' ', hwk_head.size()) + 1),
+      // A forest's blob whose count runs into its first byte.
+      [&] {
+        std::string text = hwk_blob;
+        const size_t blob = text.find("\ngbdt v1");
+        text.replace(blob, 1, "x");
+        return text;
+      }(),
+  };
+  for (const std::string& text : hwk_cases) {
+    core::HawkesPredictor model;
+    EXPECT_FALSE(model.Deserialize(text)) << text.substr(0, 80);
+    EXPECT_FALSE(model.trained());
+  }
+  // Whitespace of every kind between tokens reads alike.
+  std::string spaced = gbdt_blob;
+  std::replace(spaced.begin(), spaced.begin() + static_cast<std::ptrdiff_t>(header_end),
+               ' ', '\t');
+  gbdt::GbdtRegressor model;
+  ASSERT_TRUE(model.Deserialize(spaced));
+  EXPECT_EQ(model.Serialize(), gbdt_blob);
+}
+
 // -- CascadeTracker::Deserialize -----------------------------------------
 
 /// A tracker whose blob has every section populated: all four streams,

@@ -1,6 +1,5 @@
 #include "gbdt/gbdt.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -135,14 +134,6 @@ TEST(TreeLearnerTest, PureTargetsMakeLeaf) {
   EXPECT_EQ(tree.num_nodes(), 1u);
 }
 
-void ExpectSameBits(const std::vector<double>& got, const std::vector<double>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(got[i]), std::bit_cast<uint64_t>(want[i]))
-        << "entry " << i << ": " << got[i] << " vs " << want[i];
-  }
-}
-
 void ExpectSameTree(const RegressionTree& got, const RegressionTree& want) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
   for (size_t i = 0; i < got.num_nodes(); ++i) {
@@ -158,8 +149,8 @@ void ExpectSameTree(const RegressionTree& got, const RegressionTree& want) {
 
 /// Runs `rounds` boosting rounds in which TreeLearner and the depth-first
 /// reference fit the same residuals on the same row subsample, and expects
-/// every tree and the accumulated gains to match bit for bit.  Residuals
-/// advance with the reference's tree, so a mismatch cannot compound.
+/// every tree to match bit for bit.  Residuals advance with the reference's
+/// tree, so a mismatch cannot compound.
 void ExpectMatchesReference(const DataMatrix& x, const std::vector<double>& y,
                             const TreeParams& params, double subsample,
                             int max_bins, int rounds) {
@@ -168,7 +159,6 @@ void ExpectMatchesReference(const DataMatrix& x, const std::vector<double>& y,
   const ReferenceTreeLearner reference(binned, params);
   const double base = std::accumulate(y.begin(), y.end(), 0.0) / y.size();
   std::vector<double> pred(y.size(), base), residual(y.size());
-  std::vector<double> gains(x.num_features(), 0.0), want_gains = gains;
   Rng rng(101);
   for (int round = 0; round < rounds; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
@@ -177,9 +167,8 @@ void ExpectMatchesReference(const DataMatrix& x, const std::vector<double>& y,
     for (uint32_t r = 0; r < y.size(); ++r) {
       if (subsample >= 1.0 || rng.Bernoulli(subsample)) rows.push_back(r);
     }
-    const RegressionTree want = reference.Fit(rows, residual, &want_gains);
-    ExpectSameTree(learner.Fit(rows, residual, &gains), want);
-    ExpectSameBits(gains, want_gains);
+    const RegressionTree want = reference.Fit(rows, residual);
+    ExpectSameTree(learner.Fit(rows, residual), want);
     for (size_t i = 0; i < y.size(); ++i) pred[i] += 0.3 * want.Predict(x.Row(i));
   }
 }
@@ -340,21 +329,6 @@ TEST(GbdtRegressorTest, DeterministicWithSeed) {
   EXPECT_DOUBLE_EQ(a.Predict(row), b.Predict(row));
 }
 
-TEST(GbdtRegressorTest, GainImportanceConcentratesOnSignal) {
-  Rng rng(11);
-  const size_t n = 2000;
-  DataMatrix x(n, 4);
-  std::vector<double> y(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t f = 0; f < 4; ++f) x.Set(i, f, static_cast<float>(rng.Uniform()));
-    y[i] = 10.0 * x.Get(i, 2);  // only feature 2 matters
-  }
-  GbdtRegressor model(SmallParams());
-  model.Fit(x, y);
-  const auto importance = model.GainImportance();
-  EXPECT_GT(importance[2], 0.9);
-}
-
 TEST(GbdtRegressorTest, SerializeDeserializeRoundTrip) {
   Rng rng(13);
   DataMatrix x(400, 2);
@@ -447,61 +421,6 @@ TEST(GbdtRegressorTest, PredictBatchMatchesSinglePredictions) {
   }
 }
 
-TEST(GbdtRegressorTest, EarlyStoppingLimitsTrees) {
-  // Tiny noisy dataset: more trees overfit; validation must stop growth.
-  Rng rng(23);
-  const size_t n = 300;
-  DataMatrix x(n, 2), xv(100, 2);
-  std::vector<double> y(n), yv(100);
-  auto fill = [&](DataMatrix& m, std::vector<double>& t, size_t rows) {
-    for (size_t i = 0; i < rows; ++i) {
-      m.Set(i, 0, static_cast<float>(rng.Uniform()));
-      m.Set(i, 1, static_cast<float>(rng.Uniform()));
-      t[i] = m.Get(i, 0) + rng.Normal(0.0, 0.5);  // heavy noise
-    }
-  };
-  fill(x, y, n);
-  fill(xv, yv, 100);
-
-  GbdtParams params = SmallParams();
-  params.num_trees = 400;
-  params.tree.min_samples_leaf = 2;
-  GbdtRegressor model(params);
-  const int kept = model.FitWithValidation(x, y, xv, yv, /*early_stopping_rounds=*/8);
-  EXPECT_LT(kept, 400);
-  EXPECT_EQ(model.trees().size(), static_cast<size_t>(kept));
-  EXPECT_TRUE(model.trained());
-}
-
-TEST(GbdtRegressorTest, EarlyStoppedGainImportanceCountsKeptTreesOnly) {
-  // The dropped trees' gains must not count: the early-stopped model's
-  // importances are those of a model fit with num_trees = the kept count.
-  Rng rng(37);
-  const size_t n = 300;
-  DataMatrix x(n, 3), xv(100, 3);
-  std::vector<double> y(n), yv(100);
-  auto fill = [&](DataMatrix& m, std::vector<double>& t, size_t rows) {
-    for (size_t i = 0; i < rows; ++i) {
-      for (size_t f = 0; f < 3; ++f) m.Set(i, f, static_cast<float>(rng.Uniform()));
-      t[i] = m.Get(i, 0) + rng.Normal(0.0, 0.5);
-    }
-  };
-  fill(x, y, n);
-  fill(xv, yv, 100);
-  GbdtParams params = SmallParams();
-  params.num_trees = 400;
-  params.subsample = 0.8;
-  params.tree.min_samples_leaf = 2;
-  GbdtRegressor stopped(params);
-  const int kept = stopped.FitWithValidation(x, y, xv, yv, /*early_stopping_rounds=*/8);
-  ASSERT_LT(kept, 400);
-  params.num_trees = kept;
-  GbdtRegressor refit(params);
-  refit.Fit(x, y);
-  ASSERT_EQ(stopped.Serialize(), refit.Serialize());
-  ExpectSameBits(stopped.GainImportance(), refit.GainImportance());
-}
-
 TEST(GbdtRegressorTest, PreBinnedFitMatchesFit) {
   Rng rng(43);
   DataMatrix x(500, 3);
@@ -516,59 +435,6 @@ TEST(GbdtRegressorTest, PreBinnedFitMatchesFit) {
   a.Fit(x, y);
   b.Fit(x, BinnedDataset::Create(x, params.max_bins), y);
   EXPECT_EQ(a.Serialize(), b.Serialize());
-  ExpectSameBits(a.GainImportance(), b.GainImportance());
-}
-
-TEST(GbdtRegressorTest, EarlyStoppingNoWorseThanFullFitOnValidation) {
-  Rng rng(29);
-  const size_t n = 600;
-  DataMatrix x(n, 2), xv(200, 2);
-  std::vector<double> y(n), yv(200);
-  auto fill = [&](DataMatrix& m, std::vector<double>& t, size_t rows) {
-    for (size_t i = 0; i < rows; ++i) {
-      m.Set(i, 0, static_cast<float>(rng.Uniform()));
-      m.Set(i, 1, static_cast<float>(rng.Uniform()));
-      t[i] = std::sin(6.0 * m.Get(i, 0)) + rng.Normal(0.0, 0.4);
-    }
-  };
-  fill(x, y, n);
-  fill(xv, yv, 200);
-
-  auto valid_mse = [&](const GbdtRegressor& model) {
-    double mse = 0.0;
-    for (size_t i = 0; i < 200; ++i) {
-      const double d = model.Predict(xv.Row(i)) - yv[i];
-      mse += d * d;
-    }
-    return mse / 200.0;
-  };
-  GbdtParams params = SmallParams();
-  params.num_trees = 300;
-  params.tree.min_samples_leaf = 2;
-  GbdtRegressor stopped(params), full(params);
-  stopped.FitWithValidation(x, y, xv, yv, 10);
-  full.Fit(x, y);
-  EXPECT_LE(valid_mse(stopped), valid_mse(full) + 1e-9);
-}
-
-TEST(GbdtRegressorTest, EarlyStoppedModelSerializes) {
-  Rng rng(31);
-  DataMatrix x(200, 1), xv(50, 1);
-  std::vector<double> y(200), yv(50);
-  for (size_t i = 0; i < 200; ++i) {
-    x.Set(i, 0, static_cast<float>(rng.Uniform()));
-    y[i] = x.Get(i, 0);
-  }
-  for (size_t i = 0; i < 50; ++i) {
-    xv.Set(i, 0, static_cast<float>(rng.Uniform()));
-    yv[i] = xv.Get(i, 0);
-  }
-  GbdtRegressor model(SmallParams());
-  model.FitWithValidation(x, y, xv, yv, 5);
-  GbdtRegressor restored;
-  ASSERT_TRUE(restored.Deserialize(model.Serialize()));
-  const float row[1] = {0.4f};
-  EXPECT_DOUBLE_EQ(model.Predict(row), restored.Predict(row));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The depth-first, node-at-a-time tree learner that gbdt::TreeLearner's
 // level-wise pass replaced, kept as the oracle the learner must match node
-// for node and gain for gain (gbdt_test, TreeLearnerTest).
+// for node (gbdt_test, TreeLearnerTest).
 //
 // It pops one node at a time (right child first), sums its rows, builds and
 // scans one histogram per feature over the node's rows, and takes the first
@@ -30,8 +30,7 @@ class ReferenceTreeLearner {
 
   /// Same contract as TreeLearner::Fit.
   RegressionTree Fit(const std::vector<uint32_t>& row_indices,
-                     const std::vector<double>& grad_targets,
-                     std::vector<double>* gain_out = nullptr) const {
+                     const std::vector<double>& grad_targets) const {
     HORIZON_CHECK(!row_indices.empty());
     std::vector<TreeNode> nodes;
 
@@ -63,10 +62,6 @@ class ReferenceTreeLearner {
         node.feature = -1;
         node.value = sum / (static_cast<double>(work.rows.size()) + params_.l2_reg);
         continue;
-      }
-
-      if (gain_out != nullptr) {
-        (*gain_out)[static_cast<size_t>(split.feature)] += split.gain;
       }
 
       node.feature = split.feature;

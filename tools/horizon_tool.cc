@@ -57,6 +57,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "core/hawkes_predictor.h"
 #include "core/trainer.h"
 #include "datagen/io.h"
@@ -66,7 +67,6 @@
 #include "serving/prediction_service.h"
 #include "sim/simulator.h"
 
-#include <fstream>
 #include <sstream>
 
 namespace {
@@ -168,22 +168,22 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   core::HawkesPredictor model(params);
   model.Fit(examples.x, examples.log1p_increments, examples.alpha_targets);
 
-  std::ofstream out(model_path);
-  if (!out) return Fail("cannot open --model path for writing");
-  out << model.Serialize();
-  if (!out) return Fail("failed to write model");
+  // Written to a temp file and renamed over --model: a crash mid-write
+  // leaves the old file or none, never a torn one.
+  const Status wrote = io::WriteFileAtomic(model_path, model.Serialize());
+  if (!wrote.ok()) {
+    std::fprintf(stderr, "error: failed to write model: %s\n", wrote.ToString().c_str());
+    return 1;
+  }
   std::printf("trained HWK on %zu examples from %zu cascades; model -> %s\n",
               examples.size(), dataset->cascades.size(), model_path.c_str());
   return 0;
 }
 
 std::optional<core::HawkesPredictor> LoadModel(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::stringstream ss;
-  ss << in.rdbuf();
+  const StatusOr<std::string> text = io::ReadFile(path);
   core::HawkesPredictor model;
-  if (!model.Deserialize(ss.str())) return std::nullopt;
+  if (!text.ok() || !model.Deserialize(*text)) return std::nullopt;
   return model;
 }
 
