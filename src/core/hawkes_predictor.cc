@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/file_io.h"
 #include "common/math_util.h"
 #include "common/text_codec.h"
 #include "common/thread_pool.h"
@@ -59,7 +60,18 @@ void HawkesPredictor::Fit(const gbdt::DataMatrix& x,
   } else {
     g_model_.Fit(x, log_alpha);
   }
+  FinishTraining();
+}
+
+void HawkesPredictor::FinishTraining() {
   trained_ = true;
+  const std::string text = Serialize();
+  digest_ = {io::Crc32(text), text.size()};
+}
+
+const ModelDigest& HawkesPredictor::digest() const {
+  HORIZON_CHECK(trained_);
+  return digest_;
 }
 
 double HawkesPredictor::PredictAlpha(const float* row) const {
@@ -285,7 +297,7 @@ bool HawkesPredictor::Deserialize(std::string_view text) {
   params_.alpha_max = alpha_max;
   f_models_ = std::move(f_models);
   g_model_ = std::move(g_model);
-  trained_ = true;
+  FinishTraining();
   return true;
 }
 

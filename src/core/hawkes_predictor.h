@@ -9,6 +9,7 @@
 #define HORIZON_CORE_HAWKES_PREDICTOR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +40,13 @@ struct HawkesPredictorParams {
   /// times.
   double alpha_min = 1.0 / (365 * kDay);
   double alpha_max = 1.0 / (3 * kMinute);
+};
+
+/// The CRC-32 and byte size of a model's Serialize() text: what a
+/// checkpoint's manifest records of the model it was written with.
+struct ModelDigest {
+  uint32_t crc = 0;
+  uint64_t size = 0;
 };
 
 /// Trained arbitrary-horizon popularity predictor.
@@ -114,6 +122,11 @@ class HawkesPredictor {
   /// leaving the model unchanged.
   bool Deserialize(std::string_view text);
 
+  /// The digest of Serialize()'s text, computed once, by whichever of Fit
+  /// and Deserialize made the model, so reading it serializes nothing.
+  /// Requires trained().
+  const ModelDigest& digest() const;
+
   bool trained() const { return trained_; }
   size_t num_reference_horizons() const { return params_.reference_horizons.size(); }
   const HawkesPredictorParams& params() const { return params_; }
@@ -143,8 +156,12 @@ class HawkesPredictor {
   double TransferTerms(double term_sum, double alpha_hat, double delta,
                        size_t m) const;
 
+  /// Marks the model trained and computes its digest.
+  void FinishTraining();
+
   HawkesPredictorParams params_;
   bool trained_ = false;
+  ModelDigest digest_;
   std::vector<gbdt::GbdtRegressor> f_models_;
   gbdt::GbdtRegressor g_model_;
 };

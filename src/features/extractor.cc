@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -47,21 +48,23 @@ std::string StreamName(EngagementType type, const char* suffix, double seconds) 
 /// each feature value has one implementation.
 ///
 /// The static half: the kNumStaticFeatures features fixed when the post is
-/// published, in StaticFeatures order.  The first kStaticHead lead a
-/// schema row; the rest end it, after the temporal half.
-template <typename Emit>
+/// published, in row order.  The first kStaticHead lead a schema row; the
+/// rest end it, after the temporal half.  A one-hot group is one call of
+/// emit_group(field, name_of, category, size, index): `size` features,
+/// the i-th named name_of(i), the index-th 1 and the rest 0 (all 0 when
+/// `index` is out of range), kept in StaticFeatures::*field.
+template <typename Emit, typename EmitGroup>
 void EmitStatic(const datagen::PageProfile& page, const datagen::PostProfile& post,
-                Emit&& emit) {
+                Emit&& emit, EmitGroup&& emit_group) {
   using FC = FeatureCategory;
 
   // --- Content features ---
-  for (int m = 0; m < datagen::kNumMediaTypes; ++m) {
-    emit([m] {
-           return std::string("content/media_") +
-                  datagen::MediaTypeName(static_cast<datagen::MediaType>(m));
-         },
-         FC::kContent, static_cast<int>(post.media) == m ? 1.0f : 0.0f);
-  }
+  emit_group(&StaticFeatures::media,
+             [](int m) {
+               return std::string("content/media_") +
+                      datagen::MediaTypeName(static_cast<datagen::MediaType>(m));
+             },
+             FC::kContent, datagen::kNumMediaTypes, static_cast<int>(post.media));
   emit([] { return "content/language"; }, FC::kContent,
        static_cast<float>(post.language));
   emit([] { return "content/num_mentions"; }, FC::kContent,
@@ -85,13 +88,12 @@ void EmitStatic(const datagen::PageProfile& page, const datagen::PostProfile& po
   emit([] { return "page/age_days"; }, FC::kPage,
        static_cast<float>(page.page_age_days));
   emit([] { return "page/verified"; }, FC::kPage, static_cast<float>(page.verified));
-  for (int c = 0; c < datagen::kNumPageCategories; ++c) {
-    emit([c] {
-           return std::string("page/category_") +
-                  datagen::PageCategoryName(static_cast<datagen::PageCategory>(c));
-         },
-         FC::kPage, static_cast<int>(page.category) == c ? 1.0f : 0.0f);
-  }
+  emit_group(&StaticFeatures::category,
+             [](int c) {
+               return std::string("page/category_") +
+                      datagen::PageCategoryName(static_cast<datagen::PageCategory>(c));
+             },
+             FC::kPage, datagen::kNumPageCategories, static_cast<int>(page.category));
 
   // --- Cumulative engagement on the page's other posts ---
   emit([] { return "page_hist/log1p_mean_views"; }, FC::kEngagementPageViews,
@@ -193,29 +195,56 @@ FeatureExtractor::FeatureExtractor(const stream::TrackerConfig& tracker_config)
           "horizon_features_rows_extracted_total")) {
   // Walk the schema over dummy inputs; only the names and categories count.
   std::vector<FeatureDef> statics;
-  EmitStatic(datagen::PageProfile{}, datagen::PostProfile{},
-             [&](const auto& name, FeatureCategory cat, float) {
-               statics.push_back({std::string(name()), cat});
-             });
+  std::vector<std::pair<const uint8_t*, size_t>> groups;  // field, first index
+  const StaticFeatures record;
+  EmitStatic(
+      datagen::PageProfile{}, datagen::PostProfile{},
+      [&](const auto& name, FeatureCategory cat, float) {
+        statics.push_back({std::string(name()), cat});
+      },
+      [&](uint8_t StaticFeatures::*field, const auto& name_of, FeatureCategory cat,
+          int size, int /*index*/) {
+        groups.emplace_back(&(record.*field), statics.size());
+        for (int i = 0; i < size; ++i) statics.push_back({name_of(i), cat});
+      });
   HORIZON_CHECK_EQ(statics.size(), kNumStaticFeatures);
-  for (size_t k = 0; k < kStaticHead; ++k) {
-    schema_.Add(statics[k].name, statics[k].category);
+  // A record's rows (VisitStatic) put its groups where the walk named them.
+  size_t k = 0, g = 0;
+  VisitStatic(
+      record, [&](float) { ++k; },
+      [&](const uint8_t& hot, size_t size) {
+        HORIZON_CHECK(g < groups.size() && groups[g].first == &hot &&
+                      groups[g].second == k);
+        ++g;
+        k += size;
+      });
+  HORIZON_CHECK(k == kNumStaticFeatures && g == groups.size());
+  for (size_t i = 0; i < kStaticHead; ++i) {
+    schema_.Add(statics[i].name, statics[i].category);
   }
   EmitTemporal(TrackerSnapshot{}, tracker_layout_->config,
                [this](const auto& name, FeatureCategory cat, float) {
                  schema_.Add(std::string(name()), cat);
                });
-  for (size_t k = kStaticHead; k < kNumStaticFeatures; ++k) {
-    schema_.Add(statics[k].name, statics[k].category);
+  for (size_t i = kStaticHead; i < kNumStaticFeatures; ++i) {
+    schema_.Add(statics[i].name, statics[i].category);
   }
 }
 
 StaticFeatures FeatureExtractor::ExtractStatic(const datagen::PageProfile& page,
                                                const datagen::PostProfile& post) {
-  StaticFeatures statics{};
+  StaticFeatures statics;
   size_t k = 0;
-  EmitStatic(page, post, [&](const auto& /*name*/, FeatureCategory /*cat*/,
-                             float value) { statics[k++] = value; });
+  EmitStatic(
+      page, post,
+      [&](const auto& /*name*/, FeatureCategory /*cat*/, float value) {
+        statics.floats[k++] = value;
+      },
+      [&](uint8_t StaticFeatures::*field, const auto& /*name_of*/,
+          FeatureCategory /*cat*/, int size, int index) {
+        statics.*field = index >= 0 && index < size ? static_cast<uint8_t>(index)
+                                                    : StaticFeatures::kNoneHot;
+      });
   return statics;
 }
 
@@ -245,18 +274,23 @@ void FeatureExtractor::ExtractIntoStrided(const StaticFeatures& statics,
   // is a sampled latency probe plus a wait-free row counter.
   const obs::ScopedTimer timer(obs::SampleEvery(64, extract_latency_));
   rows_extracted_->Increment();
-  size_t i = 0;
-  const auto put = [&](float value) {
+  const auto put = [&](size_t i, float value) {
     HORIZON_DCHECK(std::isfinite(value));
-    out[i++ * stride] = value;
+    out[i * stride] = value;
   };
-  for (size_t k = 0; k < kStaticHead; ++k) put(statics[k]);
+  // The static features lead the row up to kStaticHead and end it.
+  const size_t tail_shift = schema_.size() - kNumStaticFeatures;
+  size_t k = 0;
+  ForEachStaticValue(statics, [&](float value) {
+    put(k < kStaticHead ? k : k + tail_shift, value);
+    ++k;
+  });
+  size_t i = kStaticHead;
   EmitTemporal(snapshot, tracker_config(),
                [&](const auto& /*name*/, FeatureCategory /*cat*/, float value) {
-                 put(value);
+                 put(i++, value);
                });
-  for (size_t k = kStaticHead; k < kNumStaticFeatures; ++k) put(statics[k]);
-  HORIZON_CHECK_EQ(i, schema_.size());
+  HORIZON_CHECK_EQ(i, kStaticHead + tail_shift);
 }
 
 stream::TrackerSnapshot FeatureExtractor::ReplaySnapshot(

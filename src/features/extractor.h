@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -25,9 +26,52 @@ namespace horizon::features {
 inline constexpr size_t kNumStaticFeatures = 32;
 inline constexpr size_t kStaticHead = 29;
 
-/// One item's static features, in the order a schema row holds them:
-/// computed once, at registration, by FeatureExtractor::ExtractStatic.
-using StaticFeatures = std::array<float, kNumStaticFeatures>;
+/// Static features that are not part of a one-hot group: all but the
+/// media type's and the page category's.
+inline constexpr size_t kNumStaticFloats =
+    kNumStaticFeatures - datagen::kNumMediaTypes - datagen::kNumPageCategories;
+
+/// One item's static features, computed once, at registration, by
+/// FeatureExtractor::ExtractStatic.  The media type's and the page
+/// category's one-hot groups are kept as the index of their 1 (kNoneHot,
+/// for a profile value out of range, stands for an all-0 group); the
+/// other kNumStaticFloats features are floats.  84 bytes, where the
+/// kNumStaticFeatures floats a row holds take 128.  VisitStatic walks it
+/// in row order.
+struct StaticFeatures {
+  static constexpr uint8_t kNoneHot = 255;
+
+  std::array<float, kNumStaticFloats> floats{};
+  uint8_t media = kNoneHot;     ///< a datagen::MediaType
+  uint8_t category = kNoneHot;  ///< a datagen::PageCategory
+};
+
+/// Walks `statics` in the order a schema row holds its features: calls
+/// on_float(f) for each float and on_group(hot, size) for each one-hot
+/// group, which stands for `size` features, the hot-th of them 1 and the
+/// rest 0.  The media type's group leads; the page category's follows
+/// the content and page floats.  `Record` is StaticFeatures or
+/// const StaticFeatures; FeatureExtractor's constructor checks that this
+/// order is the one its schema names.
+template <typename Record, typename OnFloat, typename OnGroup>
+void VisitStatic(Record& statics, OnFloat&& on_float, OnGroup&& on_group) {
+  constexpr size_t kFloatsBeforeCategory = 12;
+  on_group(statics.media, size_t{datagen::kNumMediaTypes});
+  for (size_t k = 0; k < kFloatsBeforeCategory; ++k) on_float(statics.floats[k]);
+  on_group(statics.category, size_t{datagen::kNumPageCategories});
+  for (size_t k = kFloatsBeforeCategory; k < kNumStaticFloats; ++k) {
+    on_float(statics.floats[k]);
+  }
+}
+
+/// Calls put(value) for each of the kNumStaticFeatures features of
+/// `statics`, in row order, each one-hot group expanded.
+template <typename Put>
+void ForEachStaticValue(const StaticFeatures& statics, Put&& put) {
+  VisitStatic(statics, put, [&put](uint8_t hot, size_t size) {
+    for (size_t j = 0; j < size; ++j) put(j == hot ? 1.0f : 0.0f);
+  });
+}
 
 /// Stateless feature extractor; the schema is fixed at construction from
 /// the tracker configuration (window/landmark layouts).  The constructor
@@ -65,14 +109,16 @@ class FeatureExtractor {
                           size_t stride) const;
 
   /// The item's static features: the values the profile-taking calls
-  /// above write at the static schema indices.  Allocation-free and
-  /// uninstrumented, so registration can afford it.
+  /// above write at the static schema indices, built straight from the
+  /// profiles.  Allocation-free and uninstrumented, so registration can
+  /// afford it.
   static StaticFeatures ExtractStatic(const datagen::PageProfile& page,
                                       const datagen::PostProfile& post);
 
   /// ExtractIntoStrided from a static-feature record: writes the same row
   /// as the profile-taking form given the profiles `statics` came from,
-  /// computing only the temporal features.
+  /// expanding its one-hot groups and computing only the temporal
+  /// features.
   void ExtractIntoStrided(const StaticFeatures& statics,
                           const stream::TrackerSnapshot& snapshot, float* out,
                           size_t stride) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <chrono>
@@ -190,9 +191,10 @@ Status ServiceConfig::Validate(const features::FeatureExtractor* extractor) cons
       return Status::InvalidArgument("ServiceConfig: window lengths must be positive");
     }
   }
-  if (!(tracker.ewma_tau > 0.0) || !(tracker.epsilon > 0.0) || tracker.epsilon > 1.0) {
+  if (!(tracker.ewma_tau > 0.0) || !(tracker.epsilon >= stream::kMinEpsilon) ||
+      tracker.epsilon > 1.0) {
     return Status::InvalidArgument(
-        "ServiceConfig: tracker needs ewma_tau > 0 and epsilon in (0, 1]");
+        "ServiceConfig: tracker needs ewma_tau > 0 and epsilon in [1/1021, 1]");
   }
   if (extractor != nullptr) {
     const stream::TrackerConfig& other = extractor->tracker_config();
@@ -210,10 +212,8 @@ Status ServiceConfig::Validate(const features::FeatureExtractor* extractor) cons
 PredictionService::PredictionService(const core::HawkesPredictor* model,
                                      const features::FeatureExtractor* extractor,
                                      const ServiceConfig& config)
-    : model_(model),
-      extractor_(extractor),
-      config_(config),
-      model_digest_(DigestOf(model)) {
+    : model_(model), extractor_(extractor), config_(config) {
+  HORIZON_CHECK(model != nullptr && model->trained());
   HORIZON_CHECK(extractor != nullptr);
   const Status valid = config_.Validate(extractor);
   if (!valid.ok()) {
@@ -260,14 +260,6 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
 }
 
 PredictionService::~PredictionService() = default;
-
-PredictionService::ModelDigest PredictionService::DigestOf(
-    const core::HawkesPredictor* model) {
-  HORIZON_CHECK(model != nullptr);
-  HORIZON_CHECK(model->trained());
-  const std::string blob = model->Serialize();
-  return {io::Crc32(blob), blob.size()};
-}
 
 Status PredictionService::CountError(Status status) const {
   const int code = static_cast<int>(status.code());
@@ -746,27 +738,46 @@ constexpr int kStaticDigits = std::numeric_limits<float>::max_digits10;
 constexpr size_t kStaticBytes = 16;
 
 void AppendStatics(std::string* out, const features::StaticFeatures& statics) {
-  for (size_t k = 0; k < statics.size(); ++k) {
-    if (k > 0) out->push_back(' ');
-    text::AppendDouble(out, statics[k], kStaticDigits);
-  }
+  bool first = true;
+  features::ForEachStaticValue(statics, [&](float value) {
+    if (!first) out->push_back(' ');
+    first = false;
+    text::AppendDouble(out, value, kStaticDigits);
+  });
   out->push_back('\n');
 }
 
 /// Reads the line AppendStatics wrote: false unless it holds exactly
-/// kNumStaticFeatures finite values.
+/// kNumStaticFeatures finite values, each one-hot group among them one 1
+/// among 0s or all 0s (a -0 is not a 0 here).
 bool ReadStatics(text::Reader* in, features::StaticFeatures* statics) {
   std::string_view line;
   if (!in->ReadLine(&line)) return false;
   const char* at = line.data();
   const char* const end = at + line.size();
-  for (float& value : *statics) {
+  const auto next = [&](float* value) {
     while (at < end && *at == ' ') ++at;
-    const auto [next, error] = std::from_chars(at, end, value);
-    if (error != std::errc() || !std::isfinite(value)) return false;
-    at = next;
-  }
-  return at == end;
+    const auto [after, error] = std::from_chars(at, end, *value);
+    at = after;
+    return error == std::errc() && std::isfinite(*value);
+  };
+  bool ok = true;
+  features::VisitStatic(
+      *statics, [&](float& value) { ok = ok && next(&value); },
+      [&](uint8_t& hot, size_t size) {
+        hot = features::StaticFeatures::kNoneHot;
+        for (size_t j = 0; ok && j < size; ++j) {
+          float value = 0.0f;
+          if (!next(&value)) {
+            ok = false;
+          } else if (value == 1.0f && hot == features::StaticFeatures::kNoneHot) {
+            hot = static_cast<uint8_t>(j);
+          } else {
+            ok = std::bit_cast<uint32_t>(value) == 0;
+          }
+        }
+      });
+  return ok && at == end;
 }
 
 /// Appends the `shard v2` records of `items` to `out`: per item its id,
@@ -873,7 +884,8 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
 
   std::string manifest = "manifest v1\n";
   AppendLine(&manifest, "epoch", epoch);
-  AppendLine(&manifest, "model", model_digest_.crc, model_digest_.size);
+  const core::ModelDigest& model = model_->digest();
+  AppendLine(&manifest, "model", model.crc, model.size);
   const stream::TrackerConfig& tracker = config_.tracker;
   AppendLine(&manifest, "windows", tracker.window_lengths);
   AppendLine(&manifest, "landmarks", tracker.landmark_ages);
@@ -916,7 +928,8 @@ Status PredictionService::Restore(const std::string& dir) {
     return CountError(current.status());
   }
   const std::string name = Trim(*current);
-  if (!ParseCheckpointEpoch(name).has_value()) {
+  const std::optional<uint64_t> dir_epoch = ParseCheckpointEpoch(name);
+  if (!dir_epoch.has_value()) {
     return CountError(Status::Corruption("CURRENT names no valid checkpoint"));
   }
   const std::string ckpt = dir + "/" + name;
@@ -940,6 +953,12 @@ Status PredictionService::Restore(const std::string& dir) {
   }
   if (!fields.ReadWord(&key) || key != "epoch" || !fields.Read(&epoch)) {
     return CountError(Status::Corruption("manifest: missing epoch"));
+  }
+  // Checkpoint writes each manifest into the directory named after its
+  // epoch.
+  if (epoch != *dir_epoch) {
+    return CountError(
+        Status::Corruption("manifest: epoch differs from its directory's"));
   }
   if (!fields.ReadWord(&key) || key != "model" || !fields.Read(&model_crc, &model_size)) {
     return CountError(Status::Corruption("manifest: missing model digest"));
@@ -1024,7 +1043,7 @@ Status PredictionService::Restore(const std::string& dir) {
   }
 
   // Bit-identical predictions require the identical model.
-  if (model_crc != model_digest_.crc || model_size != model_digest_.size) {
+  if (model_crc != model_->digest().crc || model_size != model_->digest().size) {
     return CountError(Status::ConfigMismatch(
         "checkpoint was written by a different model (serialization digest "
         "mismatch)"));

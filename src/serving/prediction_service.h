@@ -313,16 +313,6 @@ class PredictionService {
     }
   };
 
-  /// What a checkpoint's manifest records of the model: the CRC-32 and
-  /// size of its serialization.
-  struct ModelDigest {
-    uint32_t crc = 0;
-    uint64_t size = 0;
-  };
-
-  /// The digest of `model`, which must be non-null and trained.
-  static ModelDigest DigestOf(const core::HawkesPredictor* model);
-
   /// The shard of the item whose id hashes (MixId) to `hash`.
   size_t ShardIndex(uint64_t hash) const;
 
@@ -354,8 +344,6 @@ class PredictionService {
   const core::HawkesPredictor* model_;
   const features::FeatureExtractor* extractor_;
   ServiceConfig config_;
-  // Made once: the model cannot change while the service holds it.
-  const ModelDigest model_digest_;
   // config_.tracker, frozen once; every item's tracker shares it.
   std::shared_ptr<const stream::TrackerLayout> tracker_layout_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -21,15 +21,29 @@ const char* EngagementTypeName(EngagementType type) {
   return "unknown";
 }
 
+namespace {
+
+// A stream block keeps its per-window counts in 16 bits (see the block
+// layout below); at kMinEpsilon, dgim::MaxPerSize is 1022.
+static_assert(dgim::MaxBuckets(1022) <= std::numeric_limits<uint16_t>::max());
+
+/// `epsilon`, checked to lie in [kMinEpsilon, 1] before MaxPerSize
+/// divides by it.
+double CheckedEpsilon(double epsilon) {
+  HORIZON_CHECK(epsilon >= kMinEpsilon && epsilon <= 1.0);
+  return epsilon;
+}
+
+}  // namespace
+
 TrackerLayout::TrackerLayout(TrackerConfig tracker_config)
     : config(std::move(tracker_config)),
-      max_per_size(dgim::MaxPerSize(config.epsilon)) {
+      max_per_size(dgim::MaxPerSize(CheckedEpsilon(config.epsilon))) {
   HORIZON_CHECK(!config.window_lengths.empty());
   HORIZON_CHECK_LE(config.window_lengths.size(), kMaxTrackerLayout);
   HORIZON_CHECK_LE(config.landmark_ages.size(), kMaxTrackerLayout);
   for (const double w : config.window_lengths) HORIZON_CHECK_GT(w, 0.0);
   HORIZON_CHECK_GT(config.ewma_tau, 0.0);
-  HORIZON_CHECK(config.epsilon > 0.0 && config.epsilon <= 1.0);
 }
 
 namespace {
@@ -51,29 +65,31 @@ const StreamScalars kEmptyStream{};
 // A stream's block, for a layout of L landmarks and W windows, is
 //   StreamScalars scalars;
 //   uint64_t      landmark_counts[L];
-//   uint32_t      used[W];  // buckets window i holds
-//   uint32_t      cap[W];   // buckets window i's region has room for
+//   uint16_t      used[W];  // buckets window i holds
+//   uint16_t      cap[W];   // buckets window i's region has room for
+//   (padding to a multiple of 8 bytes)
 //   double        newest[C];     // C = cap[0] + ... + cap[W - 1]
 //   uint8_t       log2_size[C];
 // with window i's region of each bucket array after those of windows
-// 0 .. i-1.  The scalars are six eight-byte words and the rest of the
-// header L + W more, so `newest` stays 8-byte aligned; a bucket slot
-// costs 9 bytes.
+// 0 .. i-1.  The scalars are six eight-byte words and the landmarks L
+// more; the padding keeps `newest` 8-byte aligned.  The default layout
+// (L = W = 4) has a 96-byte header and no padding; a bucket slot costs 9
+// bytes.  TrackerLayout's epsilon bound makes every count fit 16 bits.
 struct BlockView {
   StreamScalars* scalars;
   uint64_t* landmarks;
-  uint32_t* used;
-  uint32_t* cap;
+  uint16_t* used;
+  uint16_t* cap;
   double* newest;
   uint8_t* log2_size;
 };
 
-/// A full region doubles.  A block whose regions have room for more than
+/// A full region grows by half (by one bucket while it holds fewer than
+/// two), up to MaxRegion.  A block whose regions have room for more than
 /// kShrinkFactor times the buckets they hold (expiry emptied them) is
 /// refitted: every region keeps room for one bucket more than it holds,
 /// as at the stream's first event and after a restore.
-constexpr uint64_t kRegionGrowth = 2;
-constexpr size_t kShrinkFactor = 4;
+constexpr size_t kShrinkFactor = 2;
 
 size_t NumLandmarks(const TrackerLayout& layout) {
   return layout.config.landmark_ages.size();
@@ -82,24 +98,36 @@ size_t NumWindows(const TrackerLayout& layout) {
   return layout.config.window_lengths.size();
 }
 
+/// Where the per-window counts start: after the scalars and landmarks.
+size_t CountsOffset(const TrackerLayout& layout) {
+  return sizeof(StreamScalars) + sizeof(uint64_t) * NumLandmarks(layout);
+}
+
 /// The bytes before the bucket arrays.
 size_t HeaderBytes(const TrackerLayout& layout) {
-  return sizeof(StreamScalars) +
-         sizeof(uint64_t) * (NumLandmarks(layout) + NumWindows(layout));
+  const size_t counts = 2 * sizeof(uint16_t) * NumWindows(layout);
+  return CountsOffset(layout) + (counts + sizeof(double) - 1) / sizeof(double) *
+                                    sizeof(double);
 }
 
-uint32_t* Caps(std::byte* block, const TrackerLayout& layout) {
-  return reinterpret_cast<uint32_t*>(block + HeaderBytes(layout)) - NumWindows(layout);
+uint16_t* Caps(std::byte* block, const TrackerLayout& layout) {
+  return reinterpret_cast<uint16_t*>(block + CountsOffset(layout)) + NumWindows(layout);
 }
 
-size_t Capacity(const uint32_t* caps, const TrackerLayout& layout) {
+/// The most buckets a region ever needs room for: Add's n + 1 at most,
+/// and the most dgim::Read admits.
+size_t MaxRegion(const TrackerLayout& layout) {
+  return dgim::MaxBuckets(layout.max_per_size);
+}
+
+size_t Capacity(const uint16_t* caps, const TrackerLayout& layout) {
   size_t capacity = 0;
   for (size_t i = 0; i < NumWindows(layout); ++i) capacity += caps[i];
   return capacity;
 }
 
 BlockView View(std::byte* block, const TrackerLayout& layout) {
-  uint32_t* cap = Caps(block, layout);
+  uint16_t* cap = Caps(block, layout);
   auto* newest = reinterpret_cast<double*>(block + HeaderBytes(layout));
   return {reinterpret_cast<StreamScalars*>(block),
           reinterpret_cast<uint64_t*>(block + sizeof(StreamScalars)),
@@ -130,7 +158,7 @@ std::byte* AllocateBlock(size_t bytes) {
 /// A block whose window i has room for caps[i] buckets and holds
 /// `from`'s scalars, landmarks and buckets (an empty stream's, when
 /// `from` is null).
-std::byte* BuildBlock(const TrackerLayout& layout, const uint32_t* caps,
+std::byte* BuildBlock(const TrackerLayout& layout, const uint16_t* caps,
                       std::byte* from) {
   const size_t windows = NumWindows(layout);
   std::byte* block = AllocateBlock(BlockBytes(layout, Capacity(caps, layout)));
@@ -139,7 +167,7 @@ std::byte* BuildBlock(const TrackerLayout& layout, const uint32_t* caps,
   if (from == nullptr) {
     *to.scalars = kEmptyStream;
     std::fill(to.landmarks, to.landmarks + NumLandmarks(layout), uint64_t{0});
-    std::fill(to.used, to.used + windows, uint32_t{0});
+    std::fill(to.used, to.used + windows, uint16_t{0});
     return block;
   }
   const BlockView old = View(from, layout);
@@ -173,22 +201,23 @@ void CascadeTracker::StreamState::Add(double age, const TrackerLayout& layout) {
   HORIZON_CHECK_GE(age, ScalarsOf(block.get()).last_age);
   const TrackerConfig& config = layout.config;
   const size_t windows = config.window_lengths.size();
-  std::array<uint32_t, kMaxTrackerLayout> caps{};
+  std::array<uint16_t, kMaxTrackerLayout> caps{};
   if (block == nullptr) {
     caps.fill(1);
     block.reset(BuildBlock(layout, caps.data(), nullptr));
   }
   BlockView v = View(block.get(), layout);
   // dgim::Add needs room for one more bucket in every window; the block
-  // is rebuilt once for all full regions.
+  // is rebuilt once for all full regions.  A full region holds at most
+  // MaxRegion - 64 buckets (dgim's invariant), so it always has room to
+  // grow.
   bool full = false;
   for (size_t i = 0; i < windows; ++i) {
     caps[i] = v.cap[i];
     if (v.used[i] == v.cap[i]) {
       full = true;
-      const uint64_t grown = std::max<uint64_t>(v.cap[i] * kRegionGrowth, 1);
-      HORIZON_CHECK_LE(grown, std::numeric_limits<uint32_t>::max());
-      caps[i] = static_cast<uint32_t>(grown);
+      const size_t grown = v.cap[i] + std::max<size_t>(v.cap[i] / 2, 1);
+      caps[i] = static_cast<uint16_t>(std::min(grown, MaxRegion(layout)));
     }
   }
   if (full) {
@@ -216,14 +245,14 @@ void CascadeTracker::StreamState::Add(double age, const TrackerLayout& layout) {
   s.last_age = age;
   size_t region = 0, buckets = 0;
   for (size_t i = 0; i < windows; ++i) {
-    v.used[i] = static_cast<uint32_t>(
+    v.used[i] = static_cast<uint16_t>(
         dgim::Add(v.newest + region, v.log2_size + region, v.used[i], age,
                   config.window_lengths[i], layout.max_per_size));
     region += v.cap[i];
     buckets += v.used[i];
   }
   if (region > kShrinkFactor * buckets + windows) {
-    for (size_t i = 0; i < windows; ++i) caps[i] = v.used[i] + 1;
+    for (size_t i = 0; i < windows; ++i) caps[i] = static_cast<uint16_t>(v.used[i] + 1);
     block.reset(BuildBlock(layout, caps.data(), block.get()));
   }
 }
@@ -484,19 +513,19 @@ bool CascadeTracker::Deserialize(std::string_view blob) {
       double window_last_t = 0.0;
       if (!dgim::Read(&in, layout_->max_per_size, &window_total, &window_last_t,
                       &windows[i]) ||
-          window_total != s.total || window_last_t != last_t ||
-          windows[i].size() >= std::numeric_limits<uint32_t>::max()) {
+          window_total != s.total || window_last_t != last_t) {
         return false;
       }
     }
     // An empty stream has no block: PlausibleScalars has checked its
     // scalars are kEmptyStream's, its landmarks count 0 and dgim::Read
     // admits no bucket in its windows.  Otherwise the block is fitted to
-    // the buckets read.
+    // the buckets read.  dgim::Read admits fewer than MaxRegion buckets,
+    // so the counts fit 16 bits.
     if (s.total == 0) continue;
-    std::array<uint32_t, kMaxTrackerLayout> caps{};
+    std::array<uint16_t, kMaxTrackerLayout> caps{};
     for (size_t i = 0; i < num_windows; ++i) {
-      caps[i] = static_cast<uint32_t>(windows[i].size() + 1);
+      caps[i] = static_cast<uint16_t>(windows[i].size() + 1);
     }
     stream.block.reset(BuildBlock(*layout_, caps.data(), nullptr));
     const BlockView v = View(stream.block.get(), *layout_);
@@ -504,7 +533,7 @@ bool CascadeTracker::Deserialize(std::string_view blob) {
     std::copy(landmarks.begin(), landmarks.begin() + num_landmarks, v.landmarks);
     size_t region = 0;
     for (size_t i = 0; i < num_windows; ++i) {
-      v.used[i] = static_cast<uint32_t>(windows[i].size());
+      v.used[i] = static_cast<uint16_t>(windows[i].size());
       std::copy(windows[i].newest.begin(), windows[i].newest.end(), v.newest + region);
       std::copy(windows[i].log2_size.begin(), windows[i].log2_size.end(),
                 v.log2_size + region);

@@ -19,8 +19,9 @@
 // pointer to the shared layout, the creation time and one block pointer
 // per engagement stream (56 bytes); a stream that has seen no event has
 // no block.  A stream's first event allocates its block, which holds the
-// stream's scalars, its landmark counts and its windows' DGIM buckets at
-// 9 bytes a bucket (exponential_histogram.h).
+// stream's scalars, its landmark counts, 16-bit bucket counts per window
+// and its windows' DGIM buckets at 9 bytes a bucket
+// (exponential_histogram.h).
 #ifndef HORIZON_STREAM_CASCADE_TRACKER_H_
 #define HORIZON_STREAM_CASCADE_TRACKER_H_
 
@@ -55,6 +56,12 @@ const char* EngagementTypeName(EngagementType type);
 /// serving::ServiceConfig::Validate rejects a layout over it.
 inline constexpr size_t kMaxTrackerLayout = 8;
 
+/// Smallest TrackerConfig::epsilon a tracker layout accepts.  A stream
+/// block keeps each window's bucket count and capacity in 16 bits: at
+/// epsilon >= 1/1021, dgim::MaxPerSize(epsilon) <= 1022, so every count
+/// dgim::Read admits, at most dgim::MaxBuckets(1022) = 65472, fits.
+inline constexpr double kMinEpsilon = 1.0 / 1021;
+
 /// Configuration shared by all engagement streams of a tracker.
 struct TrackerConfig {
   /// Sliding-window lengths in seconds (recent activity windows); 1 to
@@ -65,7 +72,7 @@ struct TrackerConfig {
   std::vector<double> landmark_ages{30 * 60.0, 3600.0, 6 * 3600.0, 24 * 3600.0};
   /// Time constant of the EWMA rate estimator (seconds).
   double ewma_tau = 3600.0;
-  /// Relative error of the sliding-window counters.
+  /// Relative error of the sliding-window counters, in [kMinEpsilon, 1].
   double epsilon = 0.05;
 };
 
@@ -76,7 +83,7 @@ struct TrackerConfig {
 struct TrackerLayout {
   /// Checks the config: 1 to kMaxTrackerLayout positive window lengths,
   /// at most kMaxTrackerLayout landmark ages, ewma_tau > 0 and epsilon
-  /// in (0, 1].
+  /// in [kMinEpsilon, 1].
   explicit TrackerLayout(TrackerConfig tracker_config);
 
   const TrackerConfig config;

@@ -91,7 +91,7 @@ bool Read(text::Reader* in, size_t max_per_size, uint64_t* total, double* last_t
   if (!in->Read(&parsed_total, &parsed_last_t, &num_buckets)) return false;
   // A valid window keeps O(log(total)/eps) buckets; anything beyond this
   // bound is corrupt input, rejected before allocating.
-  if (num_buckets > 64 * (max_per_size + 1)) return false;
+  if (num_buckets > MaxBuckets(max_per_size)) return false;
   Buckets parsed;
   parsed.newest.reserve(num_buckets);
   parsed.log2_size.reserve(num_buckets);

@@ -58,6 +58,11 @@ inline constexpr double kNoEventTime = -1e300;
 /// bounds the relative error of Count by epsilon.
 size_t MaxPerSize(double epsilon);
 
+/// The most buckets a window with this per-size cap holds, and room for
+/// the one Add appends: 64 sizes (2^0 .. 2^63) of at most
+/// max_per_size + 1 buckets each.  Read rejects more, before allocating.
+constexpr size_t MaxBuckets(size_t max_per_size) { return 64 * (max_per_size + 1); }
+
 /// Records one event at time `t` (>= every earlier event) in the `n`
 /// buckets at `newest` and `log2_size` (oldest first, as in BucketSpan),
 /// which must both have room for n + 1: drops the prefix that has left

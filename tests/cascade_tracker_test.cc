@@ -1,5 +1,6 @@
 #include "stream/cascade_tracker.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -414,6 +415,44 @@ TEST(CascadeTrackerTest, MemoryIsBoundedInTheEventCount) {
   // O(log(W) / epsilon) buckets per window.
   EXPECT_LT(tracker.MemoryBytes(), 64u * 1024u);
   EXPECT_LE(tracker.MemoryBytes(), after_half + 4096u);
+}
+
+// A stream block keeps each window's bucket count and capacity in 16
+// bits.  At the smallest epsilon a layout accepts, windows hold thousands
+// of buckets (1022 of each size): the counts stay within epsilon and the
+// tracker round-trips through its blob.  A smaller epsilon is refused.
+TEST(CascadeTrackerTest, SmallestEpsilonKeepsThousandsOfBucketsPerWindow) {
+  TrackerConfig config;
+  config.epsilon = kMinEpsilon;
+  const auto layout = std::make_shared<const TrackerLayout>(config);
+  EXPECT_EQ(layout->max_per_size, 1022u);
+  CascadeTracker tracker(0.0, layout);
+  constexpr int kEvents = 20000;
+  for (int i = 1; i <= kEvents; ++i) {
+    tracker.Observe(EngagementType::kView, static_cast<double>(i));
+  }
+  const TrackerSnapshot snap = tracker.Snapshot(kEvents);
+  for (size_t w = 0; w < config.window_lengths.size(); ++w) {
+    const double exact = std::min<double>(kEvents, config.window_lengths[w]);
+    EXPECT_NEAR(static_cast<double>(snap.views().window_counts[w]), exact,
+                exact * kMinEpsilon)
+        << "window " << w;
+  }
+  // More than 8192 bucket slots, 9 bytes each.
+  EXPECT_GT(tracker.MemoryBytes(), 9u * 8192u);
+  const std::string blob = tracker.Serialize();
+  CascadeTracker restored(0.0, layout);
+  ASSERT_TRUE(restored.Deserialize(blob));
+  EXPECT_EQ(restored.Serialize(), blob);
+  tracker.Observe(EngagementType::kView, kEvents + 1.0);
+  restored.Observe(EngagementType::kView, kEvents + 1.0);
+  EXPECT_EQ(restored.Serialize(), tracker.Serialize());
+}
+
+TEST(CascadeTrackerDeathTest, LayoutRefusesEpsilonBelowTheMinimum) {
+  TrackerConfig config;
+  config.epsilon = std::nextafter(kMinEpsilon, 0.0);
+  EXPECT_DEATH(TrackerLayout{config}, "");
 }
 
 TEST(CascadeTrackerTest, DeserializeRejectsWindowDisagreeingWithItsStream) {

@@ -921,6 +921,23 @@ TEST_F(CheckpointTest, RestoresShardV1CheckpointBitIdentically) {
                   Snapshot(again, kItems, kAge, 1 * kDay));
 }
 
+/// ReframeShard with the first item's static-feature line (a shard file's
+/// fourth) replaced by tamper(line).
+bool ReframeFirstStatics(const std::string& dir,
+                         const std::function<std::string(const std::string&)>& tamper) {
+  return ReframeShard(dir, [&](std::string* payload) {
+    size_t line = 0;
+    for (int i = 0; i < 3 && line != std::string::npos; ++i) {
+      line = payload->find('\n', line);
+      if (line != std::string::npos) ++line;
+    }
+    if (line == std::string::npos || line >= payload->size()) return false;
+    const size_t end = payload->find('\n', line);
+    payload->replace(line, end - line, tamper(payload->substr(line, end - line)));
+    return true;
+  });
+}
+
 // A shard v2 item's static features are one line of kNumStaticFeatures
 // finite floats.  A line with a non-finite or out-of-range value, or with
 // a value missing, fails Restore with kCorruption and leaves the service
@@ -947,18 +964,7 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithBadStaticFeatures) {
   for (const Row& row : rows) {
     SCOPED_TRACE(row.what);
     ASSERT_TRUE(source.Checkpoint(Dir()).ok());
-    // A shard's fourth line is its first item's static features.
-    ASSERT_TRUE(ReframeShard(Dir(), [&](std::string* payload) {
-      size_t line = 0;
-      for (int i = 0; i < 3 && line != std::string::npos; ++i) {
-        line = payload->find('\n', line);
-        if (line != std::string::npos) ++line;
-      }
-      if (line == std::string::npos || line >= payload->size()) return false;
-      const size_t end = payload->find('\n', line);
-      payload->replace(line, end - line, row.tamper(payload->substr(line, end - line)));
-      return true;
-    }));
+    ASSERT_TRUE(ReframeFirstStatics(Dir(), row.tamper));
 
     PredictionService restored = MakeService();
     Load(&restored, 3, kAge);
@@ -968,6 +974,85 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithBadStaticFeatures) {
     EXPECT_EQ(restored.LiveItems(), 3u);
     ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
   }
+}
+
+// A shard v2 record writes the media type's and the page category's
+// one-hot groups value by value: one 1 among 0s, or all 0s.  A re-framed
+// record whose group holds another value (0.5), two 1s or a -0 fails
+// Restore with kCorruption and leaves the service untouched; an all-0
+// group restores, and checkpoints back to the line it was read from.
+TEST_F(CheckpointTest, RestoreRejectsReframedShardWithMalformedOneHotGroup) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  // A record's line starts with the row's head, so a group's first value
+  // is at its first feature's schema index.
+  const features::FeatureSchema& schema = extractor_->schema();
+  const auto index_of = [&](const std::string& name) {
+    size_t i = 0;
+    while (i < schema.size() && schema.def(i).name != name) ++i;
+    EXPECT_LT(i, schema.size()) << name;
+    return i;
+  };
+  const size_t media = index_of(std::string("content/media_") +
+                                datagen::MediaTypeName(datagen::MediaType{}));
+  const size_t category = index_of(std::string("page/category_") +
+                                   datagen::PageCategoryName(datagen::PageCategory{}));
+  // Sets the values from `first` on.
+  const auto set = [](size_t first, std::vector<std::string> values) {
+    return [first, values](const std::string& line) {
+      std::vector<std::string> tokens;
+      std::istringstream is(line);
+      for (std::string token; is >> token;) tokens.push_back(token);
+      for (size_t j = 0; j < values.size(); ++j) tokens[first + j] = values[j];
+      std::string out;
+      for (const std::string& token : tokens) out += (out.empty() ? "" : " ") + token;
+      return out;
+    };
+  };
+  struct Row {
+    const char* what;
+    std::function<std::string(const std::string&)> tamper;
+  };
+  const Row rows[] = {
+      {"media 0.5", set(media, {"0.5", "0", "0", "0", "0"})},
+      {"media two 1s", set(media, {"1", "0", "0", "1", "0"})},
+      {"media -0", set(media, {"0", "-0", "0", "0", "0"})},
+      {"category 0.5", set(category, {"0", "0", "0", "0", "0", "0", "0.5"})},
+      {"category two 1s", set(category, {"1", "1", "0", "0", "0", "0", "0"})},
+      {"category -0", set(category, {"0", "0", "1", "0", "-0", "0", "0"})},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+    ASSERT_TRUE(ReframeFirstStatics(Dir(), row.tamper));
+    PredictionService restored = MakeService();
+    Load(&restored, 3, kAge);
+    const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+    const Status status = restored.Restore(Dir());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(restored.LiveItems(), 3u);
+    ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+  }
+
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+  std::string zeroed;
+  ASSERT_TRUE(ReframeFirstStatics(Dir(), [&](const std::string& line) {
+    zeroed = set(media, {"0", "0", "0", "0", "0"})(line);
+    return zeroed;
+  }));
+  PredictionService restored = MakeService();
+  ASSERT_TRUE(restored.Restore(Dir()).ok());
+  EXPECT_EQ(restored.LiveItems(), static_cast<size_t>(kItems));
+  ASSERT_TRUE(restored.Checkpoint(Dir()).ok());
+  const std::string ckpt = CommittedCheckpoint(Dir());
+  size_t found = 0;
+  for (const std::string& name : io::ListDir(ckpt)) {
+    if (name.rfind("shard-", 0) == 0) {
+      found += FramedPayload(ckpt + "/" + name).find("\n" + zeroed + "\n") !=
+               std::string::npos;
+    }
+  }
+  EXPECT_EQ(found, 1u);
 }
 
 // Checkpoints written while the service still kept quantized forests hold
@@ -1066,11 +1151,42 @@ TEST_F(CheckpointTest, RestoreRejectsManifestTokensOfTheNewlyRejectedClasses) {
   }
 }
 
+// Checkpoint writes each manifest into the directory named after its
+// epoch.  A re-framed manifest whose epoch differs from its directory's
+// fails Restore with kCorruption and leaves the service untouched.
+TEST_F(CheckpointTest, RestoreRejectsAManifestEpochOtherThanItsDirectorys) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+  const std::string manifest = FramedPayload(CommittedCheckpoint(Dir()) + "/MANIFEST");
+  const std::string head = "manifest v1\nepoch 1\n";
+  ASSERT_EQ(manifest.rfind(head, 0), 0u);
+  for (const char* epoch : {"0", "2", "18446744073709551615"}) {
+    SCOPED_TRACE(epoch);
+    ReframeManifest(Dir(), "manifest v1\nepoch " + std::string(epoch) + "\n" +
+                               manifest.substr(head.size()));
+    PredictionService restored = MakeService();
+    Load(&restored, 3, kAge);
+    const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+    const ServiceStats stats = restored.stats();
+    const Status status = restored.Restore(Dir());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(restored.LiveItems(), 3u);
+    EXPECT_EQ(restored.stats().items_registered, stats.items_registered);
+    EXPECT_EQ(restored.stats().events_ingested, stats.events_ingested);
+    ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+  }
+  ReframeManifest(Dir(), manifest);
+  PredictionService restored = MakeService();
+  ASSERT_TRUE(restored.Restore(Dir()).ok());
+  EXPECT_EQ(restored.LiveItems(), static_cast<size_t>(kItems));
+}
+
 // A re-framed manifest cut short anywhere, or with tokens swapped for
 // extreme or malformed ones, never aborts Restore: a truncated one fails
 // with kCorruption or kConfigMismatch, and a swap that fails leaves the
-// service untouched.  (A swap may also restore, e.g. another epoch or
-// counter value.)
+// service untouched.  (A swap may also restore, e.g. another counter
+// value: the counters are not checked against the shard files.)
 TEST_F(CheckpointTest, TruncatedOrSwappedManifestFailsCleanly) {
   ServiceConfig config;
   config.num_shards = 2;

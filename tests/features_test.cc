@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -225,10 +227,68 @@ TEST(FeatureExtractorTest, StaticRecordRowMatchesProfileRow) {
         EXPECT_EQ(std::bit_cast<uint32_t>(row[i]), std::bit_cast<uint32_t>(expected[i]))
             << schema.def(i).name;
       }
-      for (size_t k = 0; k < kNumStaticFeatures; ++k) {
+      size_t k = 0;
+      ForEachStaticValue(statics, [&](float value) {
         const size_t i = k < kStaticHead ? k : tail + k - kStaticHead;
-        EXPECT_EQ(std::bit_cast<uint32_t>(statics[k]), std::bit_cast<uint32_t>(row[i]));
-      }
+        EXPECT_EQ(std::bit_cast<uint32_t>(value), std::bit_cast<uint32_t>(row[i]));
+        ++k;
+      });
+      EXPECT_EQ(k, kNumStaticFeatures);
+    }
+  }
+}
+
+// The record keeps the media type and the page category as indices and
+// expands their one-hot groups into each row.  Over every MediaType and
+// PageCategory, and one out-of-range value of each (an all-0 group), the
+// row extracted from the record is the row of the 32-float record it
+// replaced, bit for bit: the hashes below were recorded with that record.
+// Each group also reads as the profile's value, by feature name.
+TEST(FeatureExtractorTest, RecordRowsEqualTheFloatRecordsRows) {
+  const auto data = SmallDataset();
+  FeatureExtractor extractor(stream::TrackerConfig{});
+  const FeatureSchema& schema = extractor.schema();
+  EXPECT_EQ(sizeof(StaticFeatures), 84u);
+  constexpr int kMedia[] = {0, 1, 2, 3, 4, datagen::kNumMediaTypes, 0, 1};
+  constexpr int kCategory[] = {0, 1, 2, 3, 4, 5, 6, datagen::kNumPageCategories};
+  // An FNV-1a hash of each row's float bits, a 32-bit word at a time.
+  constexpr uint64_t kRowHash[] = {
+      0x784982daf0a11e41ull, 0x6fd9cf849afb2363ull, 0xa4c5f7df0eb71afeull,
+      0x557afe5f2a892c79ull, 0x8cfec674f5986e98ull, 0xf0d8aa867773f8e4ull,
+      0xe819c296bd106c45ull, 0xfbb4a4483841c874ull};
+  const auto index_of = [&](const std::string& name) {
+    for (size_t i = 0; i < schema.size(); ++i) {
+      if (schema.def(i).name == name) return i;
+    }
+    ADD_FAILURE() << "no feature " << name;
+    return size_t{0};
+  };
+  for (size_t j = 0; j < std::size(kRowHash); ++j) {
+    const auto& cascade = data.cascades[j];
+    datagen::PostProfile post = cascade.post;
+    datagen::PageProfile page = data.PageOf(post);
+    post.media = static_cast<datagen::MediaType>(kMedia[j]);
+    page.category = static_cast<datagen::PageCategory>(kCategory[j]);
+    const StaticFeatures statics = FeatureExtractor::ExtractStatic(page, post);
+    std::vector<float> row(schema.size());
+    extractor.ExtractIntoStrided(statics, extractor.ReplaySnapshot(cascade, kHour),
+                                 row.data(), 1);
+    uint64_t hash = 14695981039346656037ull;
+    for (const float value : row) {
+      hash ^= std::bit_cast<uint32_t>(value);
+      hash *= 1099511628211ull;
+    }
+    EXPECT_EQ(hash, kRowHash[j]) << "case " << j;
+    for (int m = 0; m < datagen::kNumMediaTypes; ++m) {
+      const std::string name = std::string("content/media_") +
+                               datagen::MediaTypeName(static_cast<datagen::MediaType>(m));
+      EXPECT_EQ(row[index_of(name)], m == kMedia[j] ? 1.0f : 0.0f) << name;
+    }
+    for (int c = 0; c < datagen::kNumPageCategories; ++c) {
+      const std::string name =
+          std::string("page/category_") +
+          datagen::PageCategoryName(static_cast<datagen::PageCategory>(c));
+      EXPECT_EQ(row[index_of(name)], c == kCategory[j] ? 1.0f : 0.0f) << name;
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "core/trainer.h"
+#include "datagen/event_stream.h"
 #include "eval/split.h"
 
 namespace horizon::serving {
@@ -441,11 +442,18 @@ TEST_F(PredictionServiceTest, ValidateRejectsBadConfigs) {
   ServiceConfig zero_tau;
   zero_tau.tracker.ewma_tau = 0.0;
   EXPECT_EQ(zero_tau.Validate().code(), StatusCode::kInvalidArgument);
-  for (const double epsilon : {0.0, 1.5, std::nan("")}) {
+  // Below kMinEpsilon a window's bucket count could outgrow the 16 bits a
+  // stream block keeps it in.
+  for (const double epsilon :
+       {0.0, 1.5, std::nan(""), 1e-300, stream::kMinEpsilon / 2,
+        std::nextafter(stream::kMinEpsilon, 0.0)}) {
     ServiceConfig bad_epsilon;
     bad_epsilon.tracker.epsilon = epsilon;
     EXPECT_EQ(bad_epsilon.Validate().code(), StatusCode::kInvalidArgument) << epsilon;
   }
+  ServiceConfig finest_epsilon;
+  finest_epsilon.tracker.epsilon = stream::kMinEpsilon;
+  EXPECT_TRUE(finest_epsilon.Validate().ok());
 
   // Snapshots hold at most kMaxTrackerLayout windows and landmarks inline.
   ServiceConfig many_windows;
@@ -803,6 +811,81 @@ TEST_F(PredictionServiceTest, PointQueryAllocatesNothingAfterWarmUp) {
   request.delta = kDay;
   ASSERT_TRUE(service.BatchQuery(request).ok());
   EXPECT_GT(test::ThreadAllocations() - before, 0u);
+#endif
+}
+
+// Building a service allocates nothing model-sized: the digest a
+// checkpoint's manifest records (the CRC-32 and size of the model's
+// text) is computed once, when the model is trained or read, and the
+// constructor only reads it.  The model here has over 256 KB of text.
+TEST_F(PredictionServiceTest, ConstructorAllocatesNothingModelSized) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#else
+  std::vector<size_t> indices(dataset_->cascades.size());
+  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  core::ExampleSetOptions options;
+  options.reference_horizons = {6 * kHour, 1 * kDay, 7 * kDay};
+  const auto examples = core::BuildExampleSet(*dataset_, indices, *extractor_, options);
+  core::HawkesPredictorParams params;
+  params.reference_horizons = options.reference_horizons;
+  core::HawkesPredictor model(params);
+  model.Fit(examples.x, examples.log1p_increments, examples.alpha_targets);
+  const std::string text = model.Serialize();
+  ASSERT_GE(text.size(), 256u * 1024u);
+  EXPECT_EQ(model.digest().size, text.size());
+  EXPECT_EQ(model.digest().crc, io::Crc32(text));
+  core::HawkesPredictor read;
+  ASSERT_TRUE(read.Deserialize(text));
+  EXPECT_EQ(read.digest().size, text.size());
+  EXPECT_EQ(read.digest().crc, io::Crc32(text));
+
+  // The service's own shards and instruments take ~25 KB.
+  const std::ptrdiff_t base = test::ThreadLiveBytes();
+  test::ResetThreadPeakLiveBytes();
+  {
+    const PredictionService service(&model, extractor_, ServiceConfig{});
+    EXPECT_LT(test::ThreadPeakLiveBytes() - base,
+              static_cast<std::ptrdiff_t>(text.size() / 8));
+  }
+#endif
+}
+
+// Per-item state, what Prop. 3.2 keeps O(1): ~2,000 posts of the shape the
+// end-to-end benchmark serves (mean cascade 6, a page per ten posts),
+// registered on one thread with all their events ingested, hold at most
+// kMaxBytesPerItem live heap bytes per item: the item (its tracker and
+// static-feature record), its streams' blocks and its index slot.
+TEST_F(PredictionServiceTest, LiveHeapBytesPerItemStayBounded) {
+#ifdef HORIZON_TEST_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#else
+  // Measured 451.2 bytes.  A 32-float record, 112-byte block headers and
+  // regions that doubled read 550.8.
+  constexpr double kMaxBytesPerItem = 465.0;
+  datagen::GeneratorConfig config;
+  config.num_posts = 2000;
+  config.num_pages = 200;
+  config.base_mean_size = 6.0;
+  config.seed = 30;
+  const datagen::SyntheticDataset data = datagen::Generator(config).Generate();
+  const std::vector<datagen::PlatformEvent> events = datagen::BuildEventStream(data);
+  PredictionService service = MakeService();
+  const std::ptrdiff_t base = test::ThreadLiveBytes();
+  for (const auto& cascade : data.cascades) {
+    ASSERT_TRUE(service
+                    .RegisterItem(cascade.post.id, cascade.post.creation_time,
+                                  data.PageOf(cascade.post), cascade.post)
+                    .ok());
+  }
+  for (const datagen::PlatformEvent& e : events) {
+    ASSERT_TRUE(service.Ingest(e.post_id, e.type, e.time).ok());
+  }
+  ASSERT_EQ(service.LiveItems(), data.cascades.size());
+  const double per_item = static_cast<double>(test::ThreadLiveBytes() - base) /
+                          static_cast<double>(service.LiveItems());
+  EXPECT_LE(per_item, kMaxBytesPerItem);
+  RecordProperty("bytes_per_item", std::to_string(per_item));
 #endif
 }
 
