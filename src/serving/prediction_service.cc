@@ -257,6 +257,8 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
       registry_->GetHistogram("horizon_serving_checkpoint_latency_seconds");
   m_restore_latency_ =
       registry_->GetHistogram("horizon_serving_restore_latency_seconds");
+  m_scan_skipped_after_s_ =
+      registry_->GetCounter("horizon_serving_scan_items_with_events_after_s_total");
 }
 
 PredictionService::~PredictionService() = default;
@@ -474,6 +476,7 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
   // A heap of the best k so far, the lowest-ranked on top.
   std::vector<ScanCandidate> top;
   top.reserve(std::min(k, ids.size()));
+  size_t after_s = 0;
   for (size_t begin = 0; begin < ids.size(); begin += kChunkRows) {
     const size_t end = std::min(ids.size(), begin + kChunkRows);
     scratch.resolved.clear();
@@ -483,6 +486,10 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
         const Item* item = shard.items.Find(ids[i], MixId(ids[i]));
         // Retired since the listing, or not yet live.
         if (item == nullptr || s < item->tracker.creation_time()) continue;
+        if (item->tracker.HasEventAfter(s)) {
+          ++after_s;
+          continue;
+        }
         row_ids[scratch.resolved.size()] = ids[i];
         scratch.resolved.push_back({item->tracker.Snapshot(s), item->statics});
       }
@@ -504,6 +511,7 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
       }
     }
   }
+  if (after_s > 0) m_scan_skipped_after_s_->Add(after_s);
   std::sort_heap(top.begin(), top.end(), ScanCandidate::RanksAbove);
   return top;
 }
@@ -589,6 +597,9 @@ size_t PredictionService::RetireDeadItems(double now) {
       if (now < item.tracker.creation_time()) {
         return false;  // not yet live; nothing to retire
       }
+      // An event after `now` makes the item neither idle nor dead, and
+      // nothing is extracted for it.
+      if (item.tracker.HasEventAfter(now)) return false;
       const auto snapshot = item.tracker.Snapshot(now);
       const auto& views = snapshot.views();
       if (views.last_event_age >= 0.0) {

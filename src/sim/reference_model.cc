@@ -87,10 +87,15 @@ double ReferenceService::TreeWalkIncrement(const float* row, double alpha,
 }
 
 std::vector<std::pair<int64_t, RefAnswer>> ReferenceService::Scan(
-    double s, double delta) const {
+    double s, double delta, size_t* after_s) const {
   std::vector<std::pair<int64_t, RefAnswer>> out;
+  *after_s = 0;
   for (const auto& [id, item] : items_) {
     if (s < item.tracker.creation_time()) continue;  // not yet live
+    if (item.tracker.HasEventAfter(s)) {
+      ++*after_s;
+      continue;
+    }
     RefAnswer answer;
     const StatusCode code = Answer(id, s, delta, &answer);
     if (code == StatusCode::kOk) out.emplace_back(id, std::move(answer));
@@ -102,7 +107,7 @@ size_t ReferenceService::Retire(double now) {
   size_t retired = 0;
   for (auto it = items_.begin(); it != items_.end();) {
     const Item& item = it->second;
-    if (now < item.tracker.creation_time()) {
+    if (now < item.tracker.creation_time() || item.tracker.HasEventAfter(now)) {
       ++it;
       continue;
     }

@@ -68,12 +68,16 @@ class ReferenceService {
   /// the item's creation time -- the service's liveness rule).
   StatusCode Answer(int64_t id, double s, double delta, RefAnswer* out) const;
 
-  /// Answers every item live at `s` (skipping not-yet-live ones), in
-  /// ascending id order.  The scan-mode oracle.
-  std::vector<std::pair<int64_t, RefAnswer>> Scan(double s, double delta) const;
+  /// Answers every item live at `s`, in ascending id order, skipping
+  /// not-yet-live items and items with an event after `s` (the service's
+  /// scan rule); the latter are counted into *after_s.  The scan-mode
+  /// oracle.
+  std::vector<std::pair<int64_t, RefAnswer>> Scan(double s, double delta,
+                                                  size_t* after_s) const;
 
   /// Retires items with the service's exact predicate (idle age OR
-  /// Appendix A.14 death probability).  Returns the number retired.
+  /// Appendix A.14 death probability; an item with an event after `now`
+  /// is kept).  Returns the number retired.
   size_t Retire(double now);
 
   size_t live_items() const { return items_.size(); }

@@ -42,6 +42,7 @@ struct Expected {
   uint64_t obs_ingested = 0;
   uint64_t obs_queries = 0;
   uint64_t obs_scan_results = 0;
+  uint64_t obs_scan_after_s = 0;
   uint64_t obs_retired = 0;
   uint64_t errors[kNumStatusCodes] = {};
   // Histogram sample counts, per instrument (ingest latency is sampled
@@ -342,8 +343,9 @@ class Execution {
   }
 
   std::string DoScan(const Op& op) {
+    size_t after_s = 0;
     std::vector<std::pair<int64_t, RefAnswer>> all =
-        reference_.Scan(op.s, op.delta);
+        reference_.Scan(op.s, op.delta, &after_s);
     std::vector<double> want_incs;
     want_incs.reserve(all.size());
     for (const auto& [id, answer] : all) want_incs.push_back(answer.increment);
@@ -429,6 +431,7 @@ class Execution {
       }
     }
     expected_.obs_scan_results += take;
+    expected_.obs_scan_after_s += after_s;
     return "";
   }
 
@@ -649,6 +652,8 @@ class Execution {
         {"horizon_serving_events_ingested_total", expected_.obs_ingested},
         {"horizon_serving_queries_total", expected_.obs_queries},
         {"horizon_serving_scan_results_total", expected_.obs_scan_results},
+        {"horizon_serving_scan_items_with_events_after_s_total",
+         expected_.obs_scan_after_s},
         {"horizon_serving_items_retired_total", expected_.obs_retired},
     };
     for (const CounterCheck& check : counters) {

@@ -324,6 +324,14 @@ bool CascadeTracker::Accepts(EngagementType type, double t) const {
              ScalarsOf(streams_[static_cast<int>(type)].block.get()).last_age;
 }
 
+bool CascadeTracker::HasEventAfter(double s) const {
+  for (const StreamState& stream : streams_) {
+    const StreamScalars& scalars = ScalarsOf(stream.block.get());
+    if (scalars.total > 0 && s - creation_time_ < scalars.last_age) return true;
+  }
+  return false;
+}
+
 void CascadeTracker::Observe(EngagementType type, double t) {
   HORIZON_CHECK_GE(t, creation_time_);
   streams_[static_cast<int>(type)].Add(t - creation_time_, *layout_);

@@ -155,6 +155,13 @@ class CascadeTracker {
   /// before the creation time, nor before the last event of `type`.
   bool Accepts(EngagementType type, double t) const;
 
+  /// Whether an event of any type lies after absolute time `s`, its age
+  /// compared as Accepts compares it.  Snapshot(s) keeps its contract
+  /// only when this is false: a snapshot below an event counts it, and
+  /// its EWMA rates decay backwards, to inf once the gap passes ~710
+  /// ewma_tau.
+  bool HasEventAfter(double s) const;
+
   /// Total events of the given type so far.
   uint64_t TotalCount(EngagementType type) const;
 

@@ -8,9 +8,12 @@
 #include "common/annotations.h"
 
 #include <gtest/gtest.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <source_location>
 #include <string>
 #include <thread>
@@ -84,6 +87,80 @@ TEST(AnnotationsTest, MutexProvidesExclusion) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(counter, kThreads * kIters);
+}
+
+void BusyFor(std::chrono::microseconds span) {
+  const auto until = std::chrono::steady_clock::now() + span;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// Every hold (~50 us) outlasts Lock's spin budget, so waiters spin, park
+// in std::mutex::lock and are woken: the bounded spin must hand over to
+// the parking path without losing exclusion or a wake-up.
+TEST(AnnotationsTest, MutexExcludesWhenHoldsOutlastTheSpin) {
+  Mutex mu;
+  int counter = 0;
+  int inside = 0;
+  bool overlapped = false;
+  constexpr int kThreads = 8;
+  constexpr int kIters = 25;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        MutexLock lock(mu);
+        overlapped = overlapped || ++inside != 1;
+        BusyFor(std::chrono::microseconds(50));
+        ++counter;
+        --inside;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(counter, kThreads * kIters);
+  EXPECT_FALSE(overlapped);
+}
+
+int64_t ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+}
+
+// The spin is bounded: a thread blocked behind a 50 ms hold parks, so it
+// burns a few microseconds of CPU, not the hold's 50 ms.
+TEST(AnnotationsTest, WaiterBehindALongHoldParksInsteadOfSpinning) {
+  using std::chrono::milliseconds;
+  Mutex mu;
+  std::atomic<bool> held{false};
+  std::atomic<bool> waiting{false};
+  int64_t waiter_cpu_ns = -1;
+  int64_t waiter_wall_ns = -1;
+  std::thread holder([&] {
+    MutexLock lock(mu);
+    held = true;
+    while (!waiting) std::this_thread::yield();
+    std::this_thread::sleep_for(milliseconds(50));
+  });
+  while (!held) std::this_thread::yield();
+  std::thread waiter([&] {
+    const int64_t cpu0 = ThreadCpuNs();
+    const auto wall0 = std::chrono::steady_clock::now();
+    waiting = true;
+    { MutexLock lock(mu); }
+    waiter_wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::steady_clock::now() - wall0)
+                         .count();
+    waiter_cpu_ns = ThreadCpuNs() - cpu0;
+  });
+  waiter.join();
+  holder.join();
+  // It did wait out (most of) the hold ...
+  EXPECT_GE(waiter_wall_ns, 10'000'000);
+  // ... without spinning through it.
+  EXPECT_LT(waiter_cpu_ns, 10'000'000);
 }
 
 // Deliberately juggles raw TryLock/Unlock across threads; the analysis

@@ -570,6 +570,28 @@ TEST(CascadeTrackerTest, SnapshotAgeIsRelativeToCreation) {
   EXPECT_DOUBLE_EQ(snap.age, 10.0);
 }
 
+// Scans and retirement sweeps skip a snapshot at s when HasEventAfter(s);
+// from the creation time on, that is exactly some stream's Accepts(type, s)
+// failing, down to the last double before the latest event.
+TEST(CascadeTrackerTest, HasEventAfterNegatesAcceptsOverEveryStream) {
+  CascadeTracker tracker(1000.1, SmallConfig());
+  for (double s : {-1e9, 0.0, 1000.1, 1e9}) {
+    EXPECT_FALSE(tracker.HasEventAfter(s)) << "an empty tracker, s = " << s;
+  }
+  tracker.Observe(EngagementType::kShare, 1020.7);
+  tracker.Observe(EngagementType::kView, 1010.3);
+  const double before_share = std::nextafter(1020.7, 0.0);
+  EXPECT_TRUE(tracker.HasEventAfter(before_share));
+  EXPECT_FALSE(tracker.HasEventAfter(1020.7));
+  for (double s : {1000.1, 1005.0, 1010.3, before_share, 1020.7, 1e9}) {
+    bool refused = false;
+    for (int type = 0; type < kNumEngagementTypes; ++type) {
+      refused |= !tracker.Accepts(static_cast<EngagementType>(type), s);
+    }
+    EXPECT_EQ(tracker.HasEventAfter(s), refused) << "s = " << s;
+  }
+}
+
 // Checkpoint shard files hold Serialize() blobs, so this pins the byte
 // format: a layout change that moves one byte would stop existing
 // checkpoints from restoring.  The default layout (epsilon = 0.05) sees

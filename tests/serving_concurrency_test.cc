@@ -3,14 +3,19 @@
 // target of the CI concurrency job.
 #include "serving/prediction_service.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/trainer.h"
+#include "datagen/event_stream.h"
 
 namespace horizon::serving {
 namespace {
@@ -128,6 +133,97 @@ TEST_F(ServingConcurrencyTest, EightThreadIngestQueryHammer) {
   EXPECT_EQ(retired, static_cast<size_t>(kItems));
   EXPECT_EQ(service.LiveItems(), 0u);
   EXPECT_EQ(service.stats().items_retired, static_cast<uint64_t>(kItems));
+}
+
+// ingest_replay's shape: two producers split a generated stream by
+// id % 2, each registering an item when its creation time comes up and
+// then sending its events in stream order, into a 16-shard service.  Any
+// interleaving of the two must leave the service where a one-thread
+// replay of the stream leaves it: every answer bit for bit, and the same
+// stats().
+TEST_F(ServingConcurrencyTest, InterleavedProducersReachTheSerialState) {
+  struct Op {
+    double time;
+    int32_t id;
+    int type;  // < 0: RegisterItem
+  };
+  const auto& cascades = dataset_->cascades;
+  for (size_t i = 0; i < cascades.size(); ++i) {
+    ASSERT_EQ(cascades[i].post.id, static_cast<int32_t>(i));
+  }
+  std::vector<int32_t> by_creation(cascades.size());
+  std::iota(by_creation.begin(), by_creation.end(), 0);
+  std::stable_sort(by_creation.begin(), by_creation.end(), [&](int32_t a, int32_t b) {
+    return cascades[static_cast<size_t>(a)].post.creation_time <
+           cascades[static_cast<size_t>(b)].post.creation_time;
+  });
+  std::vector<Op> serial;
+  std::array<std::vector<Op>, 2> split;
+  const auto add = [&](const Op& op) {
+    serial.push_back(op);
+    split[static_cast<size_t>(op.id % 2)].push_back(op);
+  };
+  size_t next = 0;
+  const auto register_through = [&](double t) {
+    for (; next < by_creation.size(); ++next) {
+      const datagen::PostProfile& post =
+          cascades[static_cast<size_t>(by_creation[next])].post;
+      if (post.creation_time > t) break;
+      add({post.creation_time, post.id, -1});
+    }
+  };
+  const std::vector<datagen::PlatformEvent> events = datagen::BuildEventStream(*dataset_);
+  ASSERT_FALSE(events.empty());
+  for (const datagen::PlatformEvent& e : events) {
+    register_through(e.time);
+    add({e.time, e.post_id, static_cast<int>(e.type)});
+  }
+  register_through(std::numeric_limits<double>::infinity());
+
+  const auto replay = [&](PredictionService& service, const std::vector<Op>& ops) {
+    uint64_t failed = 0;
+    for (const Op& op : ops) {
+      const datagen::PostProfile& post = cascades[static_cast<size_t>(op.id)].post;
+      const Status status =
+          op.type < 0
+              ? service.RegisterItem(op.id, op.time, dataset_->PageOf(post), post)
+              : service.Ingest(op.id, static_cast<stream::EngagementType>(op.type),
+                               op.time);
+      failed += status.ok() ? 0 : 1;
+    }
+    return failed;
+  };
+  ServiceConfig config;
+  config.num_shards = 16;
+  PredictionService want = MakeService(config);
+  EXPECT_EQ(replay(want, serial), 0u);
+  PredictionService got = MakeService(config);
+  std::array<uint64_t, 2> failed{};
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < 2; ++p) {
+    producers.emplace_back([&, p] { failed[p] = replay(got, split[p]); });
+  }
+  for (auto& th : producers) th.join();
+  EXPECT_EQ(failed[0] + failed[1], 0u);
+
+  const double s = events.back().time;  // past every event
+  for (int32_t id = 0; id < static_cast<int32_t>(cascades.size()); ++id) {
+    for (const double delta : {1 * kHour, 1 * kDay, 7 * kDay}) {
+      const auto a = got.Query(id, s, delta);
+      const auto b = want.Query(id, s, delta);
+      ASSERT_TRUE(a.ok() && b.ok()) << "item " << id;
+      EXPECT_EQ(a->observed_views, b->observed_views) << "item " << id;
+      EXPECT_EQ(a->predicted_views, b->predicted_views) << "item " << id;
+      EXPECT_EQ(a->alpha, b->alpha) << "item " << id;
+    }
+  }
+  const ServiceStats a = got.stats();
+  const ServiceStats b = want.stats();
+  EXPECT_EQ(a.items_registered, b.items_registered);
+  EXPECT_EQ(a.events_ingested, b.events_ingested);
+  EXPECT_EQ(a.events_ingested, events.size());
+  EXPECT_EQ(a.queries_answered, b.queries_answered);
+  EXPECT_EQ(a.items_retired, b.items_retired);
 }
 
 TEST_F(ServingConcurrencyTest, ConcurrentRegisterQueryRetire) {

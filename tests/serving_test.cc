@@ -405,6 +405,57 @@ TEST_F(PredictionServiceTest, ScanSkipsItemsNotYetLive) {
   }
 }
 
+// A snapshot below an item's last event would count that event, and its
+// EWMA decays backwards, to inf 40 days out.  A scan skips such an item
+// and counts it; a sweep keeps it, and extracts nothing for it.
+TEST_F(PredictionServiceTest, ScansSkipAndSweepsKeepItemsWithEventsAfterS) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  PredictionService service = MakeService(config);
+  const double s = kDay;
+  for (int64_t id = 0; id < 3; ++id) {
+    const auto& cascade = dataset_->cascades[static_cast<size_t>(id)];
+    ASSERT_TRUE(service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
+                                     cascade.post).ok());
+    ASSERT_TRUE(service.Ingest(id, stream::EngagementType::kView, kHour).ok());
+  }
+  // Item 1 has a view 40 days after s.
+  ASSERT_TRUE(service.Ingest(1, stream::EngagementType::kView, s + 40 * kDay).ok());
+
+  QueryRequest scan;
+  scan.s = s;
+  scan.delta = kDay;
+  scan.top_k = 10;
+  const auto response = service.BatchQuery(scan);
+  ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(response->errors.empty());
+  ASSERT_EQ(response->results.size(), 2u);
+  for (const ItemPrediction& p : response->results) {
+    EXPECT_NE(p.item_id, 1);
+    EXPECT_TRUE(std::isfinite(p.prediction.predicted_views));
+  }
+  const obs::Counter* after_s =
+      registry.GetCounter("horizon_serving_scan_items_with_events_after_s_total");
+  EXPECT_EQ(after_s->Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("horizon_serving_scan_results_total")->Value(), 2u);
+
+  // Item 2 gets a share 40 days after s; its views, like item 0's, are
+  // idle 14 days after s.  The sweep retires item 0 and keeps the two
+  // with an event after it.
+  ASSERT_TRUE(service.Ingest(2, stream::EngagementType::kShare, s + 40 * kDay).ok());
+  EXPECT_EQ(service.RetireDeadItems(s + 14 * kDay), 1u);
+  EXPECT_FALSE(service.HasItem(0));
+  EXPECT_TRUE(service.HasItem(1));
+  EXPECT_TRUE(service.HasItem(2));
+  // Past their last events, both are scanned, and nothing more is counted.
+  scan.s = s + 40 * kDay;
+  const auto later = service.BatchQuery(scan);
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->results.size(), 2u);
+  EXPECT_EQ(after_s->Value(), 1u);
+}
+
 TEST_F(PredictionServiceTest, ValidateRejectsBadConfigs) {
   ServiceConfig bad_shards;
   bad_shards.num_shards = 0;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""bench_ab: A/B two builds of a google-benchmark binary on one host.
+"""bench_ab: A/B two builds on one host, a micro benchmark or bench_e2e.
 
 One run of a micro benchmark cannot tell a code change from host drift:
 the same binary can read 20-40 % apart from one minute to the next on a
@@ -16,17 +16,46 @@ wins most rounds, not if one run happens to read lower.
 
 `--metric` names a field of google-benchmark's JSON output: a time
 (`cpu_time`, the default, or `real_time`, in the benchmark's unit) or a
-user counter such as `ns_per_event`; lower is better.  `--self-test`
-checks the JSON parsing and the round tally on canned output and exits.
+user counter such as `ns_per_event`; lower is better.
+
+The end-to-end mode A/Bs two checkouts (a parent and a change) with
+bench_e2e:
+
+    tools/bench_ab.py --e2e PARENT_DIR CHANGE_DIR --first-seed S \\
+        [--pairs 10] [--workloads ingest_replay,...]
+
+Per workload it runs N pairs, seeds S, S + 1, ..., both sides on one seed
+and the side that goes first alternating, each run `python3
+bench_e2e/run.py --workload W --seed SEED --seconds T --trace 0` from the
+checkout's root, T being BENCHMARK.json's run_seconds (run.py builds
+under the directory it runs from, so the two builds stay apart).  Pick
+seeds not used while the change was written.  Per workload and end-to-end metric of
+PARENT_DIR/BENCHMARK.json it prints both medians, the parent's quartiles,
+the pairs the change won, the failed operations of each side, whether the
+change is worse than the metric's bound, and whether it is a clear gain:
+at least 10 pairs, better in at least 9 of 10, no more failed operations
+than the parent, and medians further apart than the parent's
+interquartile range.  A run that prints no result line stops the A/B
+with the checkout, workload and seed, and the tail of its stderr.
+
+`--self-test` checks the JSON parsing, the round tally, the end-to-end
+tally and verdicts on canned output, and the message of a run that prints
+no result line, and exits.
 """
 
 import argparse
 import json
+import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 REPETITIONS = 3
+GAIN_WIN_SHARE = 0.9
+GAIN_MIN_PAIRS = 10
+STDERR_TAIL_LINES = 20
 
 
 def medians(report, metric):
@@ -66,6 +95,127 @@ def tally(rounds):
     return summary
 
 
+def parse_result(stdout):
+    """The result object bench_e2e prints as its last line of stdout."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("bench_e2e printed nothing")
+    result = json.loads(lines[-1])
+    if "metrics" not in result or "failed" not in result:
+        raise ValueError(f"not a bench_e2e result line: {lines[-1][:200]}")
+    return result
+
+
+def run_e2e(checkout, workload, seed, seconds):
+    cmd = [sys.executable, "bench_e2e/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
+    try:
+        return parse_result(proc.stdout)
+    except ValueError as err:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
+        raise SystemExit(f"bench_ab: {workload} seed {seed} in {checkout} "
+                         f"(exit status {proc.returncode}): {err}\n{tail}")
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def e2e_tally(pairs, metrics):
+    """pairs: list of (parent_result, change_result) of one workload, as
+    parse_result returns them; metrics: BENCHMARK.json's end_to_end list.
+    Per metric both sides report: parent and change medians, the parent's
+    quartiles, pairs the change won and pairs counted, each side's failed
+    operations, `worse` (the change's median is worse than the parent's
+    by more than the metric's relative bound) and `gain` (at least
+    GAIN_MIN_PAIRS pairs, the change won at least GAIN_WIN_SHARE of them
+    and failed no more operations than the parent, and the medians differ
+    in its favour by more than the parent's interquartile range)."""
+    failed = (sum(p["failed"] for p, _ in pairs), sum(c["failed"] for _, c in pairs))
+    rows = {}
+    for metric in metrics:
+        name = metric["name"]
+        higher = metric["better"] == "higher"
+        values = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                  for p, c in pairs if name in p["metrics"] and name in c["metrics"]]
+        if not values:
+            continue
+        parent = [p for p, _ in values]
+        change = [c for _, c in values]
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        q1, q3 = quartiles(parent)
+        wins = sum((c > p) if higher else (c < p) for p, c in values)
+        # How much worse the change's median is, relative to the parent's.
+        loss = (p_med - c_med) if higher else (c_med - p_med)
+        rel_loss = loss / abs(p_med) if p_med != 0 else (math.inf if loss > 0 else 0.0)
+        rows[name] = {
+            "parent": p_med, "change": c_med, "q1": q1, "q3": q3,
+            "wins": wins, "n": len(values), "failed": failed,
+            "worse": rel_loss > metric["bound"],
+            "gain": (len(values) >= GAIN_MIN_PAIRS and failed[1] <= failed[0]
+                     and wins >= math.ceil(GAIN_WIN_SHARE * len(values))
+                     and -loss > q3 - q1),
+        }
+    return rows
+
+
+def format_rows(workload, rows):
+    lines = []
+    for name, r in rows.items():
+        delta = (r["change"] / r["parent"] - 1) * 100 if r["parent"] != 0 else math.nan
+        lines.append(
+            f"| {workload} | {name} | {r['parent']:.4g} | {r['change']:.4g} | "
+            f"{delta:+.1f} % | {r['q1']:.4g}-{r['q3']:.4g} | {r['wins']}/{r['n']} | "
+            f"{r['failed'][0]}/{r['failed'][1]} | {'WORSE' if r['worse'] else 'ok'} | "
+            f"{'yes' if r['gain'] else 'no'} |")
+    return lines
+
+
+TABLE_HEADER = [
+    "| workload | metric | parent median | change median | change | parent Q1-Q3 "
+    "| change won | failed ops parent/change | bound | clear gain |",
+    "|---|---|---|---|---|---|---|---|---|---|",
+]
+
+
+def run_e2e_ab(args):
+    with open(os.path.join(args.base, "BENCHMARK.json")) as f:
+        benchmark = json.load(f)
+    metrics = benchmark["end_to_end"]
+    seconds = benchmark["run_seconds"]
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in benchmark["workloads"]])
+    table = []
+    for workload in workloads:
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            order = [("parent", args.base), ("change", args.new)]
+            if i % 2 == 1:
+                order.reverse()
+            result = {side: run_e2e(checkout, workload, seed, seconds)
+                      for side, checkout in order}
+            pairs.append((result["parent"], result["change"]))
+            summary = "  ".join(
+                f"{name} {result['parent']['metrics'][name]['value']:.4g}/"
+                f"{result['change']['metrics'][name]['value']:.4g}"
+                for name in sorted(result["parent"]["metrics"])
+                if name in result["change"]["metrics"])
+            print(f"{workload} seed {seed} ({order[0][0]} first) parent/change: {summary}"
+                  f"  failed {result['parent']['failed']}/{result['change']['failed']}",
+                  flush=True)
+        table += format_rows(workload, e2e_tally(pairs, metrics))
+    print(f"\n{args.pairs} pairs per workload, seeds {args.first_seed}-"
+          f"{args.first_seed + args.pairs - 1}, {seconds} s runs")
+    print("\n".join(TABLE_HEADER + table))
+    return 0
+
+
 def self_test():
     def report(name, values):
         return {"benchmarks": [
@@ -86,6 +236,78 @@ def self_test():
         pass
     else:
         raise AssertionError("a missing metric must fail")
+
+    def line(failed, **values):
+        metrics = {k: {"value": v, "unit": ""} for k, v in values.items()}
+        return json.dumps({"correct": failed == 0, "attempted": 10, "failed": failed,
+                           "metrics": metrics})
+    assert parse_result("build noise\n{\"report\": 1}\n" + line(0, setup_s=1.0) + "\n") == {
+        "correct": True, "attempted": 10, "failed": 0,
+        "metrics": {"setup_s": {"value": 1.0, "unit": ""}}}
+    for bad in ("", "{\"report\": \"bench_e2e\"}"):
+        try:
+            parse_result(bad)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(f"{bad!r} must not parse as a result line")
+    metrics = [{"name": "rate", "better": "higher", "bound": 0.25},
+               {"name": "lat", "better": "lower", "bound": 0.1},
+               {"name": "ape", "better": "lower", "bound": 0.25}]
+    # rate: the change wins 9 of 10 pairs, its median 13 against 10, the
+    # parent's quartiles 9.875-10.125: a clear gain, unless the change
+    # fails more operations than the parent.  lat: the change loses every
+    # pair, its median 12 % above the parent's: worse than 10 %.  ape:
+    # identical on every seed.
+    rates = [(10.0, 13.0), (9.0, 12.0), (11.0, 14.0), (10.0, 13.0), (10.5, 13.5),
+             (9.5, 12.5), (10.0, 9.0), (10.0, 13.0), (10.0, 13.0), (10.0, 13.0)]
+
+    def rate_pairs(parent_failed, change_failed):
+        return [(parse_result(line(parent_failed if i == 0 else 0, rate=p, lat=1.0,
+                                   ape=0.5)),
+                 parse_result(line(change_failed if i == 0 else 0, rate=c, lat=1.12,
+                                   ape=0.5)))
+                for i, (p, c) in enumerate(rates)]
+    rows = e2e_tally(rate_pairs(0, 0), metrics)
+    assert rows["rate"] == {"parent": 10.0, "change": 13.0, "q1": 9.875, "q3": 10.125,
+                            "wins": 9, "n": 10, "failed": (0, 0),
+                            "worse": False, "gain": True}, rows["rate"]
+    assert rows["lat"]["wins"] == 0 and rows["lat"]["worse"] and not rows["lat"]["gain"]
+    assert rows["ape"]["wins"] == 0 and not rows["ape"]["worse"] and not rows["ape"]["gain"]
+    for parent_failed, change_failed, gain in ((0, 1, False), (2, 1, True), (1, 1, True)):
+        rows = e2e_tally(rate_pairs(parent_failed, change_failed), metrics)
+        assert rows["rate"]["failed"] == (parent_failed, change_failed), rows["rate"]
+        assert rows["rate"]["gain"] == gain, (parent_failed, change_failed, rows["rate"])
+    # Fewer than 10 pairs is no clear gain, however one-sided: 9 of 9, or
+    # the one pair of --pairs 1 (whose quartiles are both its value).
+    for n in (9, 1):
+        rows = e2e_tally([(parse_result(line(0, rate=10.0)),
+                           parse_result(line(0, rate=13.0)))] * n, metrics)
+        assert rows["rate"]["wins"] == n and not rows["rate"]["gain"], rows["rate"]
+    # 8 wins of 10 is no clear gain, however far apart the medians; a drop
+    # of 20 % in a rate is within a 25 % bound, one of 30 % is not.
+    rows = e2e_tally([(parse_result(line(0, rate=10.0)), parse_result(line(0, rate=c)))
+                      for c in [20.0] * 8 + [5.0] * 2], metrics)
+    assert rows["rate"]["wins"] == 8 and not rows["rate"]["gain"], rows["rate"]
+    for change, worse in ((8.0, False), (7.0, True)):
+        rows = e2e_tally([(parse_result(line(0, rate=10.0)),
+                           parse_result(line(0, rate=change)))], metrics)
+        assert rows["rate"]["worse"] == worse, (change, rows["rate"])
+    assert list(rows) == ["rate"]  # a metric neither side reports has no row
+    # A run that prints no result line names its checkout and seed, and
+    # shows its stderr.
+    with tempfile.TemporaryDirectory() as checkout:
+        os.mkdir(os.path.join(checkout, "bench_e2e"))
+        with open(os.path.join(checkout, "bench_e2e", "run.py"), "w") as f:
+            f.write("import sys\nsys.stderr.write('build step failed\\n')\nsys.exit(3)\n")
+        try:
+            run_e2e(checkout, "ingest_replay", 7, 1)
+        except SystemExit as err:
+            message = str(err)
+            assert checkout in message and "seed 7" in message, message
+            assert "exit status 3" in message and "build step failed" in message, message
+        else:
+            raise AssertionError("a run without a result line must stop the A/B")
     print("bench_ab self-test: ok")
 
 
@@ -96,11 +318,21 @@ def main():
     parser.add_argument("--benchmark_filter", default=".")
     parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--metric", default="cpu_time")
+    parser.add_argument("--e2e", action="store_true",
+                        help="BASE and NEW are checkouts to A/B with bench_e2e")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int)
+    parser.add_argument("--workloads", default="",
+                        help="comma-separated; default every BENCHMARK.json workload")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
         self_test()
         return 0
+    if args.e2e:
+        if not args.base or not args.new or args.first_seed is None or args.pairs < 1:
+            parser.error("need PARENT_DIR, CHANGE_DIR, --first-seed and --pairs >= 1")
+        return run_e2e_ab(args)
     if not args.base or not args.new or args.rounds < 1:
         parser.error("need BASE and NEW binaries and --rounds >= 1")
 
