@@ -11,6 +11,11 @@
 //                              kernels::kSmallBatchRows (n = 1 is the
 //                              single-id query shape)
 //
+//   BM_HawkesPredictorRow/<c> one row through the served model's shape
+//                              (the model BM_HawkesPredictorFit fits),
+//                              warm (c = 0) or with L1/L2 evicted before
+//                              each call (c = 1)
+//
 // and training cost: BM_GbdtTrain on 100 uniform 255-bin features, and
 // BM_HawkesPredictorFit on the real training shape -- bench_e2e's held-out
 // corpus (4,000 x 111 rows, many binary and low-cardinality features) fit
@@ -26,6 +31,9 @@
 // --benchmark_repetitions=5.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -216,20 +224,27 @@ void BM_GbdtTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtTrain)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 
+/// bench_e2e's training corpus: 2,000 posts on 200 pages, mean cascade
+/// 6, seed 20211215, every cascade's examples.  Built once.
+const core::ExampleSet& ServedExamples() {
+  static const core::ExampleSet* examples = [] {
+    datagen::GeneratorConfig config;
+    config.num_posts = 2000;
+    config.num_pages = 200;
+    config.base_mean_size = 6.0;
+    config.seed = 20211215;
+    const datagen::SyntheticDataset data = datagen::Generator(config).Generate();
+    std::vector<size_t> indices(data.cascades.size());
+    for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+    const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+    return new core::ExampleSet(
+        core::BuildExampleSet(data, indices, extractor, core::ExampleSetOptions{}));
+  }();
+  return *examples;
+}
+
 void BM_HawkesPredictorFit(benchmark::State& state) {
-  // bench_e2e's training corpus: 2,000 posts on 200 pages, mean cascade 6,
-  // seed 20211215, every cascade's examples.
-  datagen::GeneratorConfig config;
-  config.num_posts = 2000;
-  config.num_pages = 200;
-  config.base_mean_size = 6.0;
-  config.seed = 20211215;
-  const datagen::SyntheticDataset data = datagen::Generator(config).Generate();
-  std::vector<size_t> indices(data.cascades.size());
-  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  const features::FeatureExtractor extractor{stream::TrackerConfig{}};
-  const core::ExampleSet examples =
-      core::BuildExampleSet(data, indices, extractor, core::ExampleSetOptions{});
+  const core::ExampleSet& examples = ServedExamples();
   for (auto _ : state) {
     core::HawkesPredictor predictor;
     predictor.Fit(examples.x, examples.log1p_increments, examples.alpha_targets);
@@ -239,6 +254,49 @@ void BM_HawkesPredictorFit(benchmark::State& state) {
                           static_cast<int64_t>(examples.x.num_rows()));
 }
 BENCHMARK(BM_HawkesPredictorFit)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// A single-id query's forest stage on the served model's shape: the model
+// BM_HawkesPredictorFit fits (2 forests x 120 trees, depth 5, 111
+// features), one row at a time through HawkesPredictor::PredictStrided as
+// the service's point query calls it, stepping through the corpus' rows.
+// Arg 0 runs warm; arg 1 first writes a buffer twice the L2 size, so the
+// forests and the row come from L3, as in live_mix, where ingest and
+// scans evict them between queries.  Each call is timed alone (manual
+// time), so the eviction is not counted.
+void BM_HawkesPredictorRow(benchmark::State& state) {
+  const bool cold = state.range(0) != 0;
+  const core::ExampleSet& examples = ServedExamples();
+  static const core::HawkesPredictor* predictor = [&] {
+    auto* p = new core::HawkesPredictor();
+    p->Fit(examples.x, examples.log1p_increments, examples.alpha_targets);
+    return p;
+  }();
+  const long l2 = ::sysconf(_SC_LEVEL2_CACHE_SIZE);
+  std::vector<char> evict(2 * static_cast<size_t>(l2 > 0 ? l2 : 2 << 20));
+  const size_t rows = examples.x.num_rows();
+  const size_t width = examples.x.num_features();
+  const double delta = 1 * kDay;
+  double increment = 0.0, alpha = 0.0;
+  size_t row = 0;
+  char fill = 0;
+  for (auto _ : state) {
+    if (cold) {
+      std::memset(evict.data(), ++fill, evict.size());
+      benchmark::ClobberMemory();
+    }
+    const auto start = std::chrono::steady_clock::now();
+    predictor->PredictStrided(examples.x.Row(row), 1, width, 1, &delta, &increment,
+                              &alpha);
+    benchmark::DoNotOptimize(increment);
+    benchmark::DoNotOptimize(alpha);
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+    row = row + 1 < rows ? row + 1 : 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(cold ? "L1/L2 evicted" : "warm");
+}
+BENCHMARK(BM_HawkesPredictorRow)->Arg(0)->Arg(1)->UseManualTime();
 
 void BM_BinnedDatasetCreate(benchmark::State& state) {
   std::vector<double> y;

@@ -289,6 +289,10 @@ bool HawkesPredictor::Deserialize(std::string_view text) {
   }
   gbdt::GbdtRegressor g_model;
   if (!read_model(&g_model)) return false;
+  // Every forest reads the same feature row.
+  for (const auto& f : f_models) {
+    if (f.num_features() != g_model.num_features()) return false;
+  }
 
   params_.reference_horizons = std::move(refs);
   params_.aggregation =

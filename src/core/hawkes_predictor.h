@@ -118,8 +118,9 @@ class HawkesPredictor {
   /// restorable with Deserialize.
   std::string Serialize() const;
   /// Restores a model serialized by Serialize, parsing each forest's blob
-  /// in place.  Returns false on parse failure (text::Reader's rules),
-  /// leaving the model unchanged.
+  /// in place.  Returns false on parse failure (text::Reader's rules) or
+  /// when the forests disagree on num_features, leaving the model
+  /// unchanged.
   bool Deserialize(std::string_view text);
 
   /// The digest of Serialize()'s text, computed once, by whichever of Fit
@@ -132,6 +133,8 @@ class HawkesPredictor {
   const HawkesPredictorParams& params() const { return params_; }
   const gbdt::GbdtRegressor& count_model(size_t i) const { return f_models_[i]; }
   const gbdt::GbdtRegressor& alpha_model() const { return g_model_; }
+  /// The width of the feature row every forest reads.
+  size_t num_features() const { return g_model_.num_features(); }
 
   /// Combines the m reference predictions into the increment for `delta`
   /// using the transfer formula and the configured aggregation.

@@ -1,6 +1,8 @@
 #include "features/extractor.h"
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -18,6 +20,18 @@ using stream::TrackerConfig;
 using stream::TrackerSnapshot;
 
 float Log1p(double v) { return static_cast<float>(std::log1p(std::max(v, 0.0))); }
+
+/// Log1p of every count below kLog1pTableCounts.
+const std::array<float, kLog1pTableCounts>& Log1pTable() {
+  static const std::array<float, kLog1pTableCounts> table = [] {
+    std::array<float, kLog1pTableCounts> t{};
+    for (uint64_t n = 0; n < kLog1pTableCounts; ++n) {
+      t[n] = Log1p(static_cast<double>(n));
+    }
+    return t;
+  }();
+  return table;
+}
 
 /// Category a given engagement stream's features belong to.
 FeatureCategory CategoryOf(EngagementType type) {
@@ -130,18 +144,18 @@ void EmitTemporal(const TrackerSnapshot& snap, const TrackerConfig& cfg,
     const FC cat = CategoryOf(type);
 
     emit([type] { return StreamName(type, "log1p_total"); }, cat,
-         Log1p(static_cast<double>(s.total)));
+         Log1pCount(s.total));
     for (size_t w = 0; w < cfg.window_lengths.size(); ++w) {
       const double length = cfg.window_lengths[w];
       emit([type, length] { return StreamName(type, "log1p_last_", length); }, cat,
-           Log1p(static_cast<double>(s.window_counts[w])));
+           Log1pCount(s.window_counts[w]));
       emit([type, length] { return StreamName(type, "rate_per_h_last_", length); },
            cat, static_cast<float>(s.window_rates[w] * kHour));
     }
     for (size_t l = 0; l < cfg.landmark_ages.size(); ++l) {
       const double age = cfg.landmark_ages[l];
       emit([type, age] { return StreamName(type, "log1p_first_", age); }, cat,
-           Log1p(static_cast<double>(s.landmark_counts[l])));
+           Log1pCount(s.landmark_counts[l]));
     }
     emit([type] { return StreamName(type, "log1p_ewma_per_h"); }, cat,
          Log1p(s.ewma_rate * kHour));
@@ -186,6 +200,10 @@ void EmitTemporal(const TrackerSnapshot& snap, const TrackerConfig& cfg,
 }
 
 }  // namespace
+
+float Log1pCount(uint64_t n) {
+  return n < kLog1pTableCounts ? Log1pTable()[n] : Log1p(static_cast<double>(n));
+}
 
 FeatureExtractor::FeatureExtractor(const stream::TrackerConfig& tracker_config)
     : tracker_layout_(std::make_shared<const stream::TrackerLayout>(tracker_config)),
@@ -268,10 +286,10 @@ void FeatureExtractor::ExtractIntoStrided(const StaticFeatures& statics,
                                           const stream::TrackerSnapshot& snapshot,
                                           float* out, size_t stride) const {
   // Extraction runs in tight per-row loops.  On a 4-vCPU Xeon a row takes
-  // ~0.5 us from a static-feature record and ~0.7 us from profiles in a
-  // warm loop, and ~1.2 us as features.extract_us of `bench_e2e --trace 1`
-  // (a profile-taking replay over a 10^5-item corpus).  So the trace hook
-  // is a sampled latency probe plus a wait-free row counter.
+  // ~0.12 us from a static-feature record in a warm loop, and ~0.44 us as
+  // features.extract_us of `bench_e2e --trace 1` (a profile-taking replay
+  // over a 10^5-item corpus; query_zipf, Release).  So the trace hook is a
+  // sampled latency probe plus a wait-free row counter.
   const obs::ScopedTimer timer(obs::SampleEvery(64, extract_latency_));
   rows_extracted_->Increment();
   const auto put = [&](size_t i, float value) {

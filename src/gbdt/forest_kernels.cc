@@ -1,8 +1,13 @@
 #include "gbdt/forest_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+
+#include "common/check.h"
+#include "gbdt/block_forest.h"
 
 // The AVX2 flavor is built only for x86-64 and carries a target
 // attribute, so this translation unit still compiles without -mavx2 (the
@@ -20,31 +25,21 @@ namespace {
 /// stay in L1 while the whole node pool streams past once per block.
 constexpr size_t kBlockRows = 64;
 
-/// One row through one tree; returns the absolute heap index of the leaf
-/// level (caller subtracts nodes-per-tree).  Right iff !(v <= t): NaN
-/// goes right, the +inf pseudo-threshold keeps every row left.
-inline size_t TraverseFloat(const int32_t* tf, const float* tt, int depth,
-                            const float* row, size_t feat_stride) {
-  size_t idx = 0;
-  for (int l = 0; l < depth; ++l) {
-    const float v = row[static_cast<size_t>(tf[idx]) * feat_stride];
-    idx = 2 * idx + 1 + (v <= tt[idx] ? size_t{0} : size_t{1});
-  }
-  return idx;
-}
-
-/// Trees one row walks at a time in PredictFloatScalar.  A tree's levels
+/// Trees one row walks at a time in the scalar walk.  A tree's levels
 /// form one serial load->compare->index chain; eight chains keep the
 /// loads of eight trees in flight together.
 constexpr size_t kTreeLanes = 8;
 
-}  // namespace
-
-void PredictFloatScalar(const FloatForestSpan& f, const float* data,
-                        size_t num_rows, size_t row_stride, size_t feat_stride,
-                        double* out) {
-  const size_t npt = (size_t{1} << f.depth) - 1;
-  const size_t lpt = size_t{1} << f.depth;
+/// The scalar walk of a forest padded to `kDepth` levels.  The depth is a
+/// compile-time constant, so the level loops unroll and every node offset
+/// is an immediate.  Right iff !(v <= t): NaN goes right, the +inf
+/// pseudo-threshold keeps every row left.
+template <int kDepth>
+void PredictFloatScalarAtDepth(const FloatForestSpan& f, const float* data,
+                               size_t num_rows, size_t row_stride,
+                               size_t feat_stride, double* out) {
+  constexpr size_t npt = (size_t{1} << kDepth) - 1;
+  constexpr size_t lpt = size_t{1} << kDepth;
   for (size_t r = 0; r < num_rows; ++r) {
     const float* row = data + r * row_stride;
     double acc = f.base_score;
@@ -53,7 +48,7 @@ void PredictFloatScalar(const FloatForestSpan& f, const float* data,
       const int32_t* tf = f.feat + t * npt;
       const float* tt = f.thresh + t * npt;
       size_t idx[kTreeLanes] = {};
-      for (int l = 0; l < f.depth; ++l) {
+      for (int l = 0; l < kDepth; ++l) {
         for (size_t k = 0; k < kTreeLanes; ++k) {
           const size_t node = k * npt + idx[k];
           const float v = row[static_cast<size_t>(tf[node]) * feat_stride];
@@ -67,12 +62,40 @@ void PredictFloatScalar(const FloatForestSpan& f, const float* data,
       }
     }
     for (; t < f.num_trees; ++t) {
-      const size_t leaf =
-          TraverseFloat(f.feat + t * npt, f.thresh + t * npt, f.depth, row, feat_stride);
-      acc += f.learning_rate * f.leaves[t * lpt + leaf - npt];
+      const int32_t* tf = f.feat + t * npt;
+      const float* tt = f.thresh + t * npt;
+      size_t idx = 0;
+      for (int l = 0; l < kDepth; ++l) {
+        const float v = row[static_cast<size_t>(tf[idx]) * feat_stride];
+        idx = 2 * idx + 1 + (v <= tt[idx] ? size_t{0} : size_t{1});
+      }
+      acc += f.learning_rate * f.leaves[t * lpt + idx - npt];
     }
     out[r] = acc;
   }
+}
+
+using ScalarWalk = void (*)(const FloatForestSpan&, const float*, size_t,
+                            size_t, size_t, double*);
+
+template <int... kDepths>
+constexpr std::array<ScalarWalk, sizeof...(kDepths)> MakeScalarWalks(
+    std::integer_sequence<int, kDepths...>) {
+  return {&PredictFloatScalarAtDepth<kDepths>...};
+}
+
+/// One instance per padded depth a BlockForest can have, indexed by it.
+constexpr auto kScalarWalks = MakeScalarWalks(
+    std::make_integer_sequence<int, BlockForest::kMaxBlockedDepth + 1>());
+
+}  // namespace
+
+void PredictFloatScalar(const FloatForestSpan& f, const float* data,
+                        size_t num_rows, size_t row_stride, size_t feat_stride,
+                        double* out) {
+  HORIZON_CHECK(f.depth >= 0 && f.depth <= BlockForest::kMaxBlockedDepth);
+  kScalarWalks[static_cast<size_t>(f.depth)](f, data, num_rows, row_stride,
+                                             feat_stride, out);
 }
 
 #if HORIZON_GBDT_X86

@@ -51,7 +51,10 @@ struct FloatForestSpan {
 /// Scalar flavor: one row at a time, walking 8 trees at a time as
 /// independent dependency chains and then adding their leaves in tree
 /// order (separate multiply and add), so it matches the AVX2 flavor bit
-/// for bit.  Addresses with size_t, so any stride is safe.
+/// for bit.  The walk is compiled once per padded depth 0 ..
+/// BlockForest::kMaxBlockedDepth, with its level loops unrolled, and
+/// `f.depth` picks the instance; a deeper span is a contract violation
+/// (HORIZON_CHECK).  Addresses with size_t, so any stride is safe.
 void PredictFloatScalar(const FloatForestSpan& f, const float* data,
                         size_t num_rows, size_t row_stride, size_t feat_stride,
                         double* out);
@@ -59,8 +62,10 @@ void PredictFloatScalar(const FloatForestSpan& f, const float* data,
 /// Batches with fewer rows than this -- every single-id query -- take
 /// PredictFloatScalar under both flavors: the AVX2 kernel vectorizes only
 /// whole 32-row groups and sends smaller batches to the scalar walk
-/// itself.  See BM_GbdtKernelRows in BENCH_gbdt.json for the per-row
-/// cost of each flavor at 1-64 rows.
+/// itself.  This is where AVX2 can start, not where it wins: with the
+/// walk compiled per depth, BM_GbdtKernelRows in BENCH_gbdt.json reads
+/// scalar ahead at 32 and 64 rows too (6.6 against 7.7 us and 13.2
+/// against 14.9 us on a 4-vCPU Xeon, Release).
 inline constexpr size_t kSmallBatchRows = 32;
 
 /// AVX2 flavor, four interleaved 8-row vectors (gather-throughput bound)

@@ -78,8 +78,12 @@ static_assert(kChunkRows >= gbdt::kernels::kSmallBatchRows);
 constexpr size_t kCheckpointChunkItems = 16;
 
 /// What a query copies out of an item under its shard lock: everything
-/// extraction reads.
+/// extraction reads.  Built in place in the scratch vector, so the
+/// snapshot is written once, into its slot.
 struct Resolved {
+  Resolved(const Item& item, double s)
+      : snapshot(item.tracker.Snapshot(s)), statics(item.statics) {}
+
   stream::TrackerSnapshot snapshot;
   features::StaticFeatures statics;
 };
@@ -114,10 +118,11 @@ void ExtractAndScore(const features::FeatureExtractor& extractor,
                      const core::HawkesPredictor& model, double delta,
                      Scratch* scratch) {
   // The forests index features by position, so a model trained on
-  // another schema must not get here.
+  // another schema must not get here (the constructor refuses one; this
+  // catches a model reloaded in place after it).
   const size_t rows = scratch->resolved.size();
   const size_t width = extractor.schema().size();
-  HORIZON_CHECK_EQ(width, model.alpha_model().num_features());
+  HORIZON_CHECK_EQ(width, model.num_features());
   scratch->features.resize(rows * width);
   for (size_t r = 0; r < rows; ++r) {
     const Resolved& item = scratch->resolved[r];
@@ -220,6 +225,13 @@ PredictionService::PredictionService(const core::HawkesPredictor* model,
     std::fprintf(stderr, "rejected ServiceConfig: %s\n", valid.ToString().c_str());
   }
   HORIZON_CHECK(valid.ok());
+  // The forests index features by position, so a model trained on
+  // another schema is refused here rather than walked past its row.
+  if (model->num_features() != extractor->schema().size()) {
+    std::fprintf(stderr, "rejected model: it reads %zu features, the extractor writes %zu\n",
+                 model->num_features(), extractor->schema().size());
+  }
+  HORIZON_CHECK_EQ(model->num_features(), extractor->schema().size());
   tracker_layout_ = std::make_shared<const stream::TrackerLayout>(config_.tracker);
   shards_.reserve(static_cast<size_t>(config_.num_shards));
   for (int i = 0; i < config_.num_shards; ++i) {
@@ -409,7 +421,7 @@ void PredictionService::AnswerIds(std::span<const int64_t> ids, double s,
       statuses[i] = CountError(Status::NotYetLive("item goes live after s"));
     } else {
       statuses[i] = Status::Ok();
-      scratch.resolved.push_back({item->tracker.Snapshot(s), item->statics});
+      scratch.resolved.emplace_back(*item, s);
     }
   }
   if (scratch.resolved.empty()) return;
@@ -491,7 +503,7 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
           continue;
         }
         row_ids[scratch.resolved.size()] = ids[i];
-        scratch.resolved.push_back({item->tracker.Snapshot(s), item->statics});
+        scratch.resolved.emplace_back(*item, s);
       }
     }
     if (scratch.resolved.empty()) continue;

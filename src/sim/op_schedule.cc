@@ -61,6 +61,7 @@ struct ItemState {
   bool registered = false;
   std::vector<StreamEvent> stream;
   size_t cursor = 0;  ///< next stream event to ingest
+  int ran_out_round = -1;  ///< the round that pooled its last stream event
 };
 
 }  // namespace
@@ -103,6 +104,8 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
 
   // Decouple the schedule stream from other consumers of the same seed.
   Rng rng(seed ^ 0x5157'0b5c'4edc'1e5fULL);
+  // The reads below the last event draw from their own stream.
+  Rng past_rng(seed ^ 0x2d35'8dcc'aa6c'78a5ULL);
 
   const int num_items = config.num_items;
   const double round = config.round_duration;
@@ -174,6 +177,7 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
         pool.push_back(out);
       }
       item.cursor += take;
+      if (item.cursor == item.stream.size()) item.ran_out_round = r;
     }
     std::stable_sort(pool.begin(), pool.end(),
                      [](const serving::IngestEvent& a,
@@ -187,6 +191,22 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
       out.type = stream::EngagementType::kView;
       out.time = deadline;
       pool.push_back(out);
+    }
+    // A late reaction, at this round's deadline, for each item whose
+    // stream ran out in an earlier round, in a batch of its own: the sweep
+    // below, at a `now` before the deadline, then finds its views idle
+    // since that round and a reaction still to come.
+    Op late;
+    late.kind = OpKind::kIngestBatch;
+    late.time = deadline;
+    for (int i = 0; i < num_items && config.reads_before_last_event; ++i) {
+      const int ran_out = items[static_cast<size_t>(i)].ran_out_round;
+      if (ran_out < 0 || ran_out >= r) continue;
+      serving::IngestEvent out;
+      out.item_id = i;
+      out.type = stream::EngagementType::kReaction;
+      out.time = deadline;
+      late.events.push_back(out);
     }
     if (!pool.empty()) {
       const size_t chunks = 1 + rng.UniformInt(3);
@@ -202,6 +222,7 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
         push(op);
       }
     }
+    if (!late.events.empty()) push(std::move(late));
 
     // --- Query phase: s past the ingest deadline so snapshots are legal.
     // Times are drawn independently, so the round's query/scan ops are
@@ -239,6 +260,17 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
       op.top_k = 1 + rng.UniformInt(static_cast<uint64_t>(num_items) + 3);
       round_queries.push_back(std::move(op));
     }
+    if (config.reads_before_last_event) {
+      // Items with an event stamped after s (most rounds clamp some at
+      // the deadline) are skipped and counted.
+      Op op;
+      op.kind = OpKind::kScan;
+      op.time = past_rng.Uniform(deadline, start + 0.9 * round);
+      op.s = past_rng.Uniform(start, deadline);
+      op.delta = kDeltaGrid[1 + past_rng.UniformInt(kDeltaGridSize - 1)];
+      op.top_k = 1 + past_rng.UniformInt(static_cast<uint64_t>(num_items) + 3);
+      round_queries.push_back(std::move(op));
+    }
     std::stable_sort(round_queries.begin(), round_queries.end(),
                      [](const Op& a, const Op& b) { return a.time < b.time; });
     for (Op& op : round_queries) push(std::move(op));
@@ -250,10 +282,20 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
       push(op);
     }
 
+    if (config.reads_before_last_event) {
+      // Items with an event stamped after `now` (the late reactions, and
+      // most rounds clamp some events at the deadline) must be kept.
+      Op op;
+      op.kind = OpKind::kRetire;
+      op.time = start + 0.93 * round;
+      op.now = past_rng.Uniform(start, deadline);
+      push(op);
+    }
     if (r % 4 == 3) {
       Op op;
       op.kind = OpKind::kRetire;
       op.time = start + 0.94 * round;
+      op.now = op.time;
       push(op);
     }
 
@@ -371,6 +413,8 @@ std::string FormatOp(const Op& op) {
       os << " pick=" << op.corrupt_pick;
       break;
     case OpKind::kRetire:
+      if (op.now != op.time) os << " now=" << FormatSeconds(op.now);
+      break;
     case OpKind::kCheckpoint:
     case OpKind::kRestore:
     case OpKind::kCheck:

@@ -31,7 +31,7 @@ enum class OpKind : int {
   kQuery = 3,       ///< BatchQuery over an explicit id list
   kScan = 4,        ///< BatchQuery scan mode (ids empty, top_k > 0)
   kBadQuery = 5,    ///< malformed request; must fail kInvalidArgument
-  kRetire = 6,      ///< RetireDeadItems(now)
+  kRetire = 6,      ///< RetireDeadItems(Op::now)
   kCheckpoint = 7,  ///< Checkpoint that must succeed
   kCheckpointCrash = 8,     ///< Checkpoint under an armed crash fault
   kCheckpointTransient = 9, ///< Checkpoint under a fail-once fault + retry
@@ -63,6 +63,10 @@ struct Op {
   size_t top_k = 0;
   int bad_variant = 0;  ///< which malformed request kBadQuery issues
 
+  // kRetire: the sweep's `now`.  The op's time, except for the sweeps of
+  // ScheduleConfig::reads_before_last_event.
+  double now = 0.0;
+
   // kCheckpointCrash / kCheckpointTransient
   int fault_at = 0;  ///< faultable-op index handed to the FaultInjector
 
@@ -82,6 +86,15 @@ struct ScheduleConfig {
   double round_duration = 45 * kMinute;
   std::string faults = "mixed";
   size_t max_events_per_item_per_round = 48;
+  /// Also scans at an s, and sweeps at a now, below some live items' last
+  /// event (one of each a round), and sends each item whose stream ran out
+  /// a late reaction at every later round's deadline.  These draw from an
+  /// rng of their own, so the rest of a seed's schedule is the one it has
+  /// with this off.  A scan must skip the items with an event after s and
+  /// count them; a sweep must keep those with an event after now.  The
+  /// seed sweeps and `horizon_tool sim` turn it on; off is the schedule
+  /// shape SimTest.ScheduleGoldenForSeed77 pins.
+  bool reads_before_last_event = false;
 };
 
 /// True for the schedule names listed on ScheduleConfig::faults.

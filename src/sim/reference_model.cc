@@ -103,11 +103,17 @@ std::vector<std::pair<int64_t, RefAnswer>> ReferenceService::Scan(
   return out;
 }
 
-size_t ReferenceService::Retire(double now) {
+size_t ReferenceService::Retire(double now, size_t* after_now) {
   size_t retired = 0;
+  *after_now = 0;
   for (auto it = items_.begin(); it != items_.end();) {
     const Item& item = it->second;
-    if (now < item.tracker.creation_time() || item.tracker.HasEventAfter(now)) {
+    if (now < item.tracker.creation_time()) {
+      ++it;
+      continue;
+    }
+    if (item.tracker.HasEventAfter(now)) {
+      ++*after_now;
       ++it;
       continue;
     }

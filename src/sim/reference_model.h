@@ -77,8 +77,8 @@ class ReferenceService {
 
   /// Retires items with the service's exact predicate (idle age OR
   /// Appendix A.14 death probability; an item with an event after `now`
-  /// is kept).  Returns the number retired.
-  size_t Retire(double now);
+  /// is kept, and counted into *after_now).  Returns the number retired.
+  size_t Retire(double now, size_t* after_now);
 
   size_t live_items() const { return items_.size(); }
   bool Has(int64_t id) const { return items_.count(id) > 0; }

@@ -111,6 +111,8 @@ class Execution {
     report.restores_attempted = restores_attempted_;
     report.restores_failed = restores_failed_;
     for (const uint64_t e : expected_.errors) report.errors_observed += e;
+    report.scan_skipped_after_s = expected_.obs_scan_after_s;
+    report.retire_kept_after_now = retire_kept_after_now_;
     return report;
   }
 
@@ -465,8 +467,9 @@ class Execution {
   }
 
   std::string DoRetire(const Op& op) {
-    const size_t want = reference_.Retire(op.time);
-    const size_t got = service_.RetireDeadItems(op.time);
+    size_t after_now = 0;
+    const size_t want = reference_.Retire(op.now, &after_now);
+    const size_t got = service_.RetireDeadItems(op.now);
     ++expected_.retire_calls;
     if (got != want) {
       std::ostringstream os;
@@ -475,6 +478,7 @@ class Execution {
     }
     expected_.stats.items_retired += want;
     expected_.obs_retired += want;
+    retire_kept_after_now_ += after_now;
     return "";
   }
 
@@ -736,6 +740,7 @@ class Execution {
   int transient_retries_ = 0;
   int restores_attempted_ = 0;
   int restores_failed_ = 0;
+  uint64_t retire_kept_after_now_ = 0;
 };
 
 }  // namespace

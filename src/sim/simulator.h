@@ -87,6 +87,10 @@ struct SimReport {
   int restores_attempted = 0;
   int restores_failed = 0;      ///< expected kNotFound/kCorruption restores
   uint64_t errors_observed = 0; ///< typed per-item/op errors across the run
+  /// Live items a scan skipped, and a sweep kept, for an event after its
+  /// s or now (the reference's counts).
+  uint64_t scan_skipped_after_s = 0;
+  uint64_t retire_kept_after_now = 0;
 
   /// Compact human-readable outcome (seed, schedule, failure if any).
   std::string Summary() const;

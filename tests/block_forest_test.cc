@@ -1,6 +1,8 @@
 #include "gbdt/block_forest.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -345,6 +347,94 @@ TEST(BlockForestTest, MaxDepthEnsembleCompilesAndMatches) {
   // One level more and the ensemble does not compile.
   trees.push_back(MakeChainTree(BlockForest::kMaxBlockedDepth + 1));
   EXPECT_FALSE(BlockForest::Compile(trees, 0.5, 0.1).compiled());
+}
+
+/// Grows, from `level`, a random subtree of `nodes` that stops at
+/// `depth`: a node off the left spine becomes a leaf early at random.
+/// Splits read a random feature of `features` at a threshold in [-1, 1].
+/// Returns the subtree root's index (nodes are in preorder).
+int32_t GrowRandomTree(int level, int depth, bool spine, size_t features, Rng* rng,
+                       std::vector<TreeNode>* nodes) {
+  const auto idx = static_cast<int32_t>(nodes->size());
+  nodes->emplace_back();
+  if (level == depth || (!spine && rng->Bernoulli(0.3))) {
+    (*nodes)[static_cast<size_t>(idx)].value = rng->Uniform(-1.0, 1.0);
+    return idx;
+  }
+  const auto feature = static_cast<int32_t>(rng->UniformInt(features));
+  const auto threshold = static_cast<float>(rng->Uniform(-1.0, 1.0));
+  const int32_t left = GrowRandomTree(level + 1, depth, spine, features, rng, nodes);
+  const int32_t right = GrowRandomTree(level + 1, depth, false, features, rng, nodes);
+  (*nodes)[static_cast<size_t>(idx)] = {feature, threshold, left, right, 0.0};
+  return idx;
+}
+
+/// A random tree exactly `depth` levels deep: its left spine reaches it.
+RegressionTree RandomTreeOfDepth(int depth, size_t features, Rng* rng) {
+  std::vector<TreeNode> nodes;
+  GrowRandomTree(0, depth, /*spine=*/true, features, rng, &nodes);
+  return RegressionTree(std::move(nodes));
+}
+
+// The scalar kernel has one walk per padded depth, each with its level
+// loops fixed at compile time.  A forest of each depth 0..kMaxBlockedDepth
+// -- nine random trees, one exactly that deep and the others up to two
+// levels shallower, so one 8-tree group and a remainder -- goes through
+// PredictFloatScalar itself, on one row and on odd batch sizes, row-major
+// and column-major, on random rows, rows on split thresholds and rows with
+// NaN and +-inf, and must match the trees' own walk bit for bit.
+TEST(BlockForestTest, ScalarWalkMatchesTreeWalkAtEveryPaddedDepth) {
+  constexpr size_t kFeatures = 6;
+  for (int depth = 0; depth <= BlockForest::kMaxBlockedDepth; ++depth) {
+    SCOPED_TRACE(testing::Message() << "depth " << depth);
+    Rng rng(static_cast<uint64_t>(depth) + 500);
+    std::vector<RegressionTree> trees;
+    for (int t = 0; t < 9; ++t) {
+      trees.push_back(RandomTreeOfDepth(std::max(depth - t % 3, 0), kFeatures, &rng));
+    }
+    const BlockForest blocked = BlockForest::Compile(trees, 0.25, 0.1);
+    ASSERT_TRUE(blocked.compiled());
+    ASSERT_EQ(blocked.depth(), depth);
+    const kernels::FloatForestSpan span{
+        blocked.raw_features().data(), blocked.raw_thresholds().data(),
+        blocked.raw_leaves().data(),   blocked.num_trees(),
+        blocked.depth(),               blocked.base_score(),
+        blocked.learning_rate()};
+    DataMatrix pool = RandomMatrix(33, kFeatures, static_cast<uint64_t>(depth));
+    for (int variant = 0; variant < 3; ++variant) {
+      if (variant == 1) SnapToThresholds(trees, &pool);
+      if (variant == 2) SprinkleNonFinite(&pool);
+      for (const size_t n : {1u, 3u, 7u, 9u, 33u}) {
+        SCOPED_TRACE(testing::Message() << n << " rows, variant " << variant);
+        const ExampleBatch soa = ColumnMajor(pool, n);
+        std::vector<double> row_major(n);
+        std::vector<double> col_major(n);
+        kernels::PredictFloatScalar(span, pool.Row(0), n, kFeatures, 1,
+                                    row_major.data());
+        kernels::PredictFloatScalar(span, soa.data(), n, 1, soa.feature_stride(),
+                                    col_major.data());
+        for (size_t r = 0; r < n; ++r) {
+          const double expected = TreeWalk(trees, 0.25, 0.1, pool.Row(r));
+          ASSERT_EQ(row_major[r], expected) << "row " << r;
+          ASSERT_EQ(col_major[r], expected) << "row " << r;
+        }
+      }
+    }
+  }
+}
+
+// No BlockForest is deeper than kMaxBlockedDepth, so no walk is compiled
+// past it: a span that claims a deeper (or negative) depth is refused
+// before any node is read.
+TEST(BlockForestTest, ScalarWalkRefusesASpanDeeperThanTheBound) {
+  const float row[1] = {0.0f};
+  double out = 0.0;
+  for (const int depth : {BlockForest::kMaxBlockedDepth + 1, -1}) {
+    kernels::FloatForestSpan span;
+    span.depth = depth;
+    EXPECT_DEATH(kernels::PredictFloatScalar(span, row, 1, 1, 1, &out), "CHECK failed")
+        << depth;
+  }
 }
 
 /// A single-node tree: the root is a leaf with the given value.

@@ -29,6 +29,7 @@
 #include "common/text_codec.h"
 #include "core/trainer.h"
 #include "env_guard.h"
+#include "model_of_width.h"
 #include "obs/metrics.h"
 
 namespace horizon::serving {
@@ -1477,8 +1478,14 @@ TEST_F(CheckpointTest, RestoreRejectsMismatchedTrackerConfig) {
   ServiceConfig other;
   other.tracker.window_lengths = {1 * kHour};  // different window layout
   features::FeatureExtractor other_extractor(other.tracker);
-  PredictionService restored(model_, &other_extractor, other);
-  EXPECT_FALSE(restored.Restore(Dir()).ok());
+  const core::HawkesPredictor other_model =
+      test::ModelOfWidth(other_extractor.schema().size());
+  PredictionService restored(&other_model, &other_extractor, other);
+  // The model differs too; the window layout is what must be refused.
+  const Status status = restored.Restore(Dir());
+  EXPECT_EQ(status.code(), StatusCode::kConfigMismatch);
+  EXPECT_NE(status.message().find("window layout"), std::string::npos)
+      << status.message();
   EXPECT_EQ(restored.LiveItems(), 0u);
 }
 

@@ -293,6 +293,21 @@ TEST(FeatureExtractorTest, RecordRowsEqualTheFloatRecordsRows) {
   }
 }
 
+// A count's feature is float(log1p(n)) whether the table answers (below
+// kLog1pTableCounts) or log1p runs (above): every count from 0 to well
+// past the bound, and a few far above it, bit for bit.
+TEST(FeatureExtractorTest, Log1pCountIsTheLog1pOfEveryCount) {
+  const auto log1p_of = [](uint64_t n) {
+    return std::bit_cast<uint32_t>(static_cast<float>(std::log1p(static_cast<double>(n))));
+  };
+  for (uint64_t n = 0; n < 4 * kLog1pTableCounts; ++n) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(Log1pCount(n)), log1p_of(n)) << n;
+  }
+  for (const uint64_t n : {uint64_t{1} << 32, uint64_t{1} << 53, ~uint64_t{0}}) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(Log1pCount(n)), log1p_of(n)) << n;
+  }
+}
+
 TEST(FeatureExtractorTest, MediaOneHotMatchesPost) {
   const auto data = SmallDataset();
   FeatureExtractor extractor(stream::TrackerConfig{});

@@ -283,6 +283,46 @@ TEST(FuzzHawkesDeserialize, AbsurdHeadersRejected) {
   EXPECT_FALSE(model.trained());
 }
 
+/// `hwk v1` text with one reference horizon (1 day), the count forest's
+/// blob and then the alpha forest's.
+std::string HawkesText(const std::string& count_blob, const std::string& alpha_blob) {
+  std::string out = "hwk v1\n1 geo 1e-8 0.01\n86400\n";
+  for (const std::string* blob : {&count_blob, &alpha_blob}) {
+    out += std::to_string(blob->size()) + "\n" + *blob;
+  }
+  return out;
+}
+
+// Every forest walks the one row the extractor writes, so a model whose
+// count forest declares a wider row than its alpha forest -- here 5,000
+// features with a split on feature 4,000, against the alpha forest's 4 --
+// would read past that row on its first query.  Deserialize refuses it
+// and leaves the model as it was; the same forests at one width load.
+TEST(FuzzHawkesDeserialize, ForestsOfDifferentWidthsRejected) {
+  using gbdt::reference::GbdtText;
+  std::vector<gbdt::RegressionTree> wide(1);
+  {
+    std::vector<gbdt::TreeNode> nodes(3);
+    nodes[0] = {4000, 0.5f, 1, 2, 0.0};
+    nodes[1] = {-1, 0.0f, -1, -1, 1.0};
+    nodes[2] = {-1, 0.0f, -1, -1, 2.0};
+    wide[0] = gbdt::RegressionTree(std::move(nodes));
+  }
+  const std::vector<gbdt::RegressionTree> none;
+  core::HawkesPredictor model = TrainSmallPredictor();
+  const std::string before = model.Serialize();
+  EXPECT_FALSE(model.Deserialize(
+      HawkesText(GbdtText(wide, 5000, 0.1, 0.1), GbdtText(none, 4, 1e-5, 0.1))));
+  EXPECT_FALSE(model.Deserialize(
+      HawkesText(GbdtText(none, 4, 0.1, 0.1), GbdtText(wide, 5000, 1e-5, 0.1))));
+  EXPECT_EQ(model.Serialize(), before);
+  EXPECT_EQ(model.num_features(), 4u);
+
+  ASSERT_TRUE(model.Deserialize(
+      HawkesText(GbdtText(wide, 5000, 0.1, 0.1), GbdtText(none, 5000, 1e-5, 0.1))));
+  EXPECT_EQ(model.num_features(), 5000u);
+}
+
 // -- The model codec against the iostream writer ------------------------
 
 /// A finite double from random bits: every exponent, subnormals, -0.
@@ -324,9 +364,14 @@ gbdt::RegressionTree RandomTree(Rng* rng, size_t num_features) {
   return gbdt::RegressionTree(std::move(nodes));
 }
 
-/// The `gbdt v1` text of a random ensemble, as the iostream writer wrote it.
-std::string RandomGbdtText(Rng* rng) {
-  const size_t num_features = 1 + rng->UniformInt(rng->Bernoulli(0.5) ? 8 : 1u << 20);
+/// A random row width: half the time at most 8, else up to 2^20.
+size_t RandomNumFeatures(Rng* rng) {
+  return 1 + rng->UniformInt(rng->Bernoulli(0.5) ? 8 : 1u << 20);
+}
+
+/// The `gbdt v1` text of a random ensemble over rows of `num_features`, as
+/// the iostream writer wrote it.
+std::string RandomGbdtText(Rng* rng, size_t num_features) {
   std::vector<gbdt::RegressionTree> trees(rng->UniformInt(6));
   for (auto& tree : trees) tree = RandomTree(rng, num_features);
   double learning_rate = 0.0;
@@ -342,7 +387,7 @@ std::string RandomGbdtText(Rng* rng) {
 TEST(FuzzModelCodec, GbdtTextRoundTripsByteForByte) {
   Rng rng(0xC0DEC101);
   for (int trial = 0; trial < 300; ++trial) {
-    const std::string text = RandomGbdtText(&rng);
+    const std::string text = RandomGbdtText(&rng, RandomNumFeatures(&rng));
     gbdt::GbdtRegressor model;
     ASSERT_TRUE(model.Deserialize(text)) << text;
     EXPECT_EQ(model.Serialize(), text);
@@ -369,8 +414,10 @@ TEST(FuzzModelCodec, HwkTextRoundTripsByteForByte) {
        << values.front() << " " << values.back() << "\n";
     for (const double ref : refs) os << ref << " ";
     os << "\n";
+    // The forests of one model read rows of one width.
+    const size_t num_features = RandomNumFeatures(&rng);
     for (size_t i = 0; i <= refs.size(); ++i) {
-      const std::string blob = RandomGbdtText(&rng);
+      const std::string blob = RandomGbdtText(&rng, num_features);
       os << blob.size() << "\n" << blob;
     }
     const std::string text = os.str();

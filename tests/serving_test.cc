@@ -17,6 +17,7 @@
 #include "core/trainer.h"
 #include "datagen/event_stream.h"
 #include "eval/split.h"
+#include "model_of_width.h"
 
 namespace horizon::serving {
 namespace {
@@ -456,6 +457,34 @@ TEST_F(PredictionServiceTest, ScansSkipAndSweepsKeepItemsWithEventsAfterS) {
   EXPECT_EQ(after_s->Value(), 1u);
 }
 
+// The forests index the extractor's row by position, so the service
+// refuses a model trained on a row of another width when it is built, as
+// it refuses a bad ServiceConfig, instead of walking past the row (or
+// aborting) on the first query.
+TEST_F(PredictionServiceTest, ConstructorRefusesAModelOfAnotherWidth) {
+  const size_t width = extractor_->schema().size();
+  for (const size_t features : {width - 1, width + 1}) {
+    const core::HawkesPredictor model = test::ModelOfWidth(features);
+    ASSERT_EQ(model.num_features(), features);
+    EXPECT_DEATH(PredictionService(&model, extractor_, ServiceConfig{}),
+                 "rejected model: it reads [0-9]+ features, the extractor writes");
+  }
+}
+
+// The service keeps a pointer to a model its caller owns, so one reloaded
+// in place at another width after the constructor's check must abort the
+// next query instead of walking past the row.
+TEST_F(PredictionServiceTest, QueryAbortsOnAModelReloadedAtAnotherWidth) {
+  const size_t width = extractor_->schema().size();
+  core::HawkesPredictor model = test::ModelOfWidth(width);
+  PredictionService service(&model, extractor_, ServiceConfig{});
+  const auto& cascade = dataset_->cascades[0];
+  ASSERT_TRUE(service.RegisterItem(1, 0.0, dataset_->PageOf(cascade.post), cascade.post).ok());
+  ASSERT_TRUE(service.Query(1, kHour, kDay).ok());
+  ASSERT_TRUE(model.Deserialize(test::ModelOfWidth(width + 1).Serialize()));
+  EXPECT_DEATH((void)service.Query(1, kHour, kDay), "CHECK failed");
+}
+
 TEST_F(PredictionServiceTest, ValidateRejectsBadConfigs) {
   ServiceConfig bad_shards;
   bad_shards.num_shards = 0;
@@ -566,8 +595,14 @@ TEST_F(PredictionServiceTest, RestoreUnderDifferentLayoutIsConfigMismatch) {
   ServiceConfig skewed;
   skewed.tracker.window_lengths.push_back(99 * kDay);
   const features::FeatureExtractor skewed_extractor(skewed.tracker);
-  PredictionService reader(model_, &skewed_extractor, skewed);
-  EXPECT_EQ(reader.Restore(dir).code(), StatusCode::kConfigMismatch);
+  const core::HawkesPredictor skewed_model =
+      test::ModelOfWidth(skewed_extractor.schema().size());
+  PredictionService reader(&skewed_model, &skewed_extractor, skewed);
+  // The reader's model differs too; the layout is what must be refused.
+  const Status restored = reader.Restore(dir);
+  EXPECT_EQ(restored.code(), StatusCode::kConfigMismatch);
+  EXPECT_NE(restored.message().find("window layout"), std::string::npos)
+      << restored.message();
   io::RemoveTree(dir);
 }
 

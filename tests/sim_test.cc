@@ -53,16 +53,30 @@ class SimTest : public ::testing::Test {
 
   /// Runs `num_seeds` consecutive seeds and returns the reports, failing
   /// the test on any divergence (with the minimized repro in the message).
+  /// The schedules also scan and sweep below some items' last event, over
+  /// 16 rounds: long enough for an early item's views to idle past the
+  /// 8-hour retirement age before a sweep that must keep it for a late
+  /// reaction still to come.
   static std::vector<SimReport> Sweep(const std::string& faults,
                                       uint64_t first_seed, int num_seeds) {
-    Simulator simulator(context_, TestConfig(faults));
+    SimConfig config = TestConfig(faults, /*rounds=*/16);
+    config.schedule.reads_before_last_event = true;
+    Simulator simulator(context_, config);
     std::vector<SimReport> reports;
+    uint64_t skipped = 0, kept = 0;
     for (int i = 0; i < num_seeds; ++i) {
       reports.push_back(simulator.Run(first_seed + static_cast<uint64_t>(i)));
       const SimReport& r = reports.back();
       EXPECT_TRUE(r.ok) << r.Summary() << "\nminimized repro:\n"
                         << r.minimized_trace;
+      skipped += r.scan_skipped_after_s;
+      kept += r.retire_kept_after_now;
     }
+    // Scans skip, and count, the items with an event after their s, and
+    // sweeps keep the items with an event after their now; the rule goes
+    // unchecked unless they meet such items.
+    EXPECT_GT(skipped, 0u) << "no scan met an item with an event after its s";
+    EXPECT_GT(kept, 0u) << "no sweep met an item with an event after its now";
     return reports;
   }
 
@@ -118,6 +132,35 @@ TEST_F(SimTest, NoFaultScheduleSweep) {
 
 TEST_F(SimTest, MixedFaultScheduleSweep) { Sweep("mixed", 5000, 8); }
 
+// The reads below the last event only add ops: the scans and sweeps, and
+// batches of late reactions.  Without them, a seed's schedule is the one
+// it has with them off.
+TEST_F(SimTest, ReadsBeforeLastEventOnlyAddOps) {
+  const ScheduleConfig off = TestConfig("mixed").schedule;
+  ScheduleConfig on = off;
+  on.reads_before_last_event = true;
+  for (const uint64_t seed : {77u, 6000u}) {
+    OpSchedule with = GenerateOpSchedule(context_->dataset, on, seed);
+    size_t scans = 0, sweeps = 0;
+    std::erase_if(with.ops, [&](const Op& op) {
+      const bool scan = op.kind == OpKind::kScan && op.s < op.time;
+      const bool sweep = op.kind == OpKind::kRetire && op.now < op.time;
+      const bool late_reactions =
+          op.kind == OpKind::kIngestBatch &&
+          std::all_of(op.events.begin(), op.events.end(), [&](const auto& e) {
+            return e.type == stream::EngagementType::kReaction && e.time == op.time;
+          });
+      scans += scan;
+      sweeps += sweep;
+      return scan || sweep || late_reactions;
+    });
+    EXPECT_EQ(scans, static_cast<size_t>(on.rounds));
+    EXPECT_EQ(sweeps, static_cast<size_t>(on.rounds));
+    with.config = off;
+    EXPECT_EQ(FormatTrace(with), FormatTrace(GenerateOpSchedule(context_->dataset, off, seed)));
+  }
+}
+
 // --- Determinism. ------------------------------------------------------
 
 TEST_F(SimTest, SameSeedYieldsIdenticalScheduleAndReport) {
@@ -169,12 +212,15 @@ TEST_F(SimTest, DifferentSeedsYieldDifferentSchedules) {
 
 TEST_F(SimTest, ScheduleTimesAreMonotone) {
   for (const char* faults : {"none", "crash", "transient", "corrupt", "mixed"}) {
-    const OpSchedule schedule =
-        GenerateOpSchedule(context_->dataset, TestConfig(faults).schedule, 9);
-    double prev = 0.0;
-    for (const Op& op : schedule.ops) {
-      EXPECT_GE(op.time, prev) << FormatOp(op) << " (faults=" << faults << ")";
-      prev = op.time;
+    for (const bool reads_before_last_event : {false, true}) {
+      ScheduleConfig config = TestConfig(faults).schedule;
+      config.reads_before_last_event = reads_before_last_event;
+      const OpSchedule schedule = GenerateOpSchedule(context_->dataset, config, 9);
+      double prev = 0.0;
+      for (const Op& op : schedule.ops) {
+        EXPECT_GE(op.time, prev) << FormatOp(op) << " (faults=" << faults << ")";
+        prev = op.time;
+      }
     }
   }
 }

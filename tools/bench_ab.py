@@ -38,15 +38,33 @@ than the parent, and medians further apart than the parent's
 interquartile range.  A run that prints no result line stops the A/B
 with the checkout, workload and seed, and the tail of its stderr.
 
+The record mode runs every workload of one checkout N times and writes
+the trajectory file:
+
+    tools/bench_ab.py --record BENCH_e2e.json --runs N [--first-seed S] \\
+        [--workloads ...] [CHECKOUT]
+
+Each run is `bench_e2e/run.py --trace 0` at BENCHMARK.json's
+run_seconds, seeds S.. (default 1), from CHECKOUT (default the current
+directory).  Per workload and end-to-end metric the file holds every
+run's value, the median and the CV (interquartile range / median), the
+seeds and each run's failed operations, and the machine: nproc, CPU
+model and compiler (as bench_e2e reports them) and the checkout's `git
+describe --always --dirty`.  That names only the commit below an
+uncommitted change, so the file also holds the git tree id of the
+measured code, `src` and `bench_e2e`, as the checkout held it: once that
+state is committed, `git rev-parse COMMIT:src` gives the same id.
+
 `--self-test` checks the JSON parsing, the round tally, the end-to-end
-tally and verdicts on canned output, and the message of a run that prints
-no result line, and exits.
+tally and verdicts, and the record's aggregation on canned output, and
+the message of a run that prints no result line, and exits.
 """
 
 import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -106,13 +124,25 @@ def parse_result(stdout):
     return result
 
 
+def parse_context(stdout):
+    """The `context` of bench_e2e's report line (machine and settings), or
+    {} when no line carries one."""
+    for line in stdout.splitlines():
+        if line.startswith("{") and '"context"' in line:
+            return json.loads(line).get("context", {})
+    return {}
+
+
 def run_e2e(checkout, workload, seed, seconds):
+    """The run's result line, with its report's context under "context"."""
     cmd = [sys.executable, "bench_e2e/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
     try:
-        return parse_result(proc.stdout)
+        result = parse_result(proc.stdout)
+        result["context"] = parse_context(proc.stdout)
+        return result
     except ValueError as err:
         tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
         raise SystemExit(f"bench_ab: {workload} seed {seed} in {checkout} "
@@ -216,6 +246,89 @@ def run_e2e_ab(args):
     return 0
 
 
+def record_summary(results, metrics):
+    """results: one workload's runs, as run_e2e returns them; metrics:
+    BENCHMARK.json's end_to_end list.  Per metric the runs report: the
+    unit, which way is better, every run's value, the median and the CV
+    (interquartile range / median)."""
+    summary = {}
+    for metric in metrics:
+        name = metric["name"]
+        runs = [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
+        if not runs:
+            continue
+        median = statistics.median(runs)
+        q1, q3 = quartiles(runs)
+        summary[name] = {"unit": metric["unit"], "better": metric["better"],
+                         "runs": runs, "median": median,
+                         "cv": (q3 - q1) / abs(median) if median != 0 else 0.0}
+    return summary
+
+
+def git_describe(checkout):
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+MEASURED_DIRS = ("src", "bench_e2e")
+
+
+def git_trees(checkout, dirs=MEASURED_DIRS):
+    """Each directory's git tree id as the checkout holds it, uncommitted
+    and untracked (not ignored) files included: the id `git rev-parse
+    COMMIT:DIR` gives for a commit of that state.  Staged in an index of
+    its own, so the checkout's index is not touched.  {} unless CHECKOUT
+    is the root of a git work tree with a commit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+
+        def git(*argv):
+            proc = subprocess.run(["git", *argv], cwd=checkout, env=env, text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            return proc.stdout.strip() if proc.returncode == 0 else None
+
+        if (git("rev-parse", "--show-prefix") != "" or git("read-tree", "HEAD") is None
+                or git("add", "-A", "--", *dirs) is None):
+            return {}
+        return {d: git("write-tree", f"--prefix={d}/") for d in dirs}
+
+
+def run_record(args):
+    checkout = args.base or "."
+    with open(os.path.join(checkout, "BENCHMARK.json")) as f:
+        benchmark = json.load(f)
+    metrics = benchmark["end_to_end"]
+    seconds = benchmark["run_seconds"]
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in benchmark["workloads"]])
+    first_seed = 1 if args.first_seed is None else args.first_seed
+    seeds = list(range(first_seed, first_seed + args.runs))
+    record = {"benchmark": "bench_e2e", "commit": git_describe(checkout),
+              "trees": git_trees(checkout), "machine": {}, "run_seconds": seconds,
+              "seeds": seeds, "workloads": {}}
+    for workload in workloads:
+        results = []
+        for seed in seeds:
+            result = run_e2e(checkout, workload, seed, seconds)
+            results.append(result)
+            print(f"{workload} seed {seed}: " + "  ".join(
+                f"{name} {m['value']:.4g}" for name, m in sorted(result["metrics"].items()))
+                + f"  failed {result['failed']}", flush=True)
+        context = results[-1]["context"]
+        for key in ("nproc", "cpu_model", "compiler"):
+            record["machine"].setdefault(key, context.get(key, "unknown"))
+        record["workloads"][workload] = {
+            "failed": [r["failed"] for r in results],
+            "correct": [r["correct"] for r in results],
+            "metrics": record_summary(results, metrics)}
+    with open(args.record, "w") as f:
+        json.dump(record, f, indent=2)
+        f.write("\n")
+    print(f"wrote {args.record}: {len(workloads)} workloads x {args.runs} runs")
+    return 0
+
+
 def self_test():
     def report(name, values):
         return {"benchmarks": [
@@ -294,6 +407,46 @@ def self_test():
                            parse_result(line(0, rate=change)))], metrics)
         assert rows["rate"]["worse"] == worse, (change, rows["rate"])
     assert list(rows) == ["rate"]  # a metric neither side reports has no row
+    # The record: every run in order, the median, and the IQR over the
+    # median (quartiles 9.5 and 12.5 of 9, 10, 11, 12, 13: CV 3/11).
+    runs = [parse_result(line(0, rate=v, lat=1.0)) for v in (11.0, 9.0, 13.0, 10.0, 12.0)]
+    summary = record_summary(runs, [dict(m, unit="u") for m in metrics])
+    assert summary["rate"] == {"unit": "u", "better": "higher",
+                               "runs": [11.0, 9.0, 13.0, 10.0, 12.0],
+                               "median": 11.0, "cv": 3.0 / 11.0}, summary["rate"]
+    assert summary["lat"]["cv"] == 0.0 and list(summary) == ["rate", "lat"], summary
+    assert parse_context('noise\n{"report": "bench_e2e", "context": {"nproc": "4"}}\n'
+                         + line(0, rate=1.0)) == {"nproc": "4"}
+    assert parse_context(line(0, rate=1.0)) == {}
+    # The record's tree ids survive committing the uncommitted state they
+    # were taken from, and leave the checkout's index as it was.
+    if shutil.which("git"):
+        with tempfile.TemporaryDirectory() as repo:
+            def git(*argv):
+                return subprocess.run(
+                    ["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv], cwd=repo,
+                    check=True, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                    text=True).stdout.strip()
+
+            def put(path, text):
+                os.makedirs(os.path.dirname(os.path.join(repo, path)), exist_ok=True)
+                with open(os.path.join(repo, path), "w") as f:
+                    f.write(text)
+
+            git("init", "-q")
+            put("src/a.cc", "1\n")
+            put("bench_e2e/run.py", "2\n")
+            git("add", "-A")
+            git("commit", "-q", "-m", "base")
+            assert git_trees(os.path.join(repo, "src")) == {}  # not the root
+            put("src/a.cc", "3\n")
+            put("src/new.cc", "4\n")
+            trees = git_trees(repo)
+            assert git("diff", "--cached", "--name-only") == "", "index touched"
+            assert trees["src"] != git("rev-parse", "HEAD:src"), trees
+            git("add", "-A")
+            git("commit", "-q", "-m", "change")
+            assert trees == {d: git("rev-parse", f"HEAD:{d}") for d in MEASURED_DIRS}, trees
     # A run that prints no result line names its checkout and seed, and
     # shows its stderr.
     with tempfile.TemporaryDirectory() as checkout:
@@ -324,11 +477,18 @@ def main():
     parser.add_argument("--first-seed", type=int)
     parser.add_argument("--workloads", default="",
                         help="comma-separated; default every BENCHMARK.json workload")
+    parser.add_argument("--record", metavar="OUT",
+                        help="run each workload --runs times and write OUT")
+    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
         self_test()
         return 0
+    if args.record:
+        if args.new or args.runs < 1:
+            parser.error("--record takes at most one CHECKOUT and --runs >= 1")
+        return run_record(args)
     if args.e2e:
         if not args.base or not args.new or args.first_seed is None or args.pairs < 1:
             parser.error("need PARENT_DIR, CHANGE_DIR, --first-seed and --pairs >= 1")

@@ -180,10 +180,21 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-std::optional<core::HawkesPredictor> LoadModel(const std::string& path) {
+/// Loads a model that reads the rows `extractor` writes (the forests index
+/// features by position); otherwise prints why and returns nullopt.
+std::optional<core::HawkesPredictor> LoadModel(
+    const std::string& path, const features::FeatureExtractor& extractor) {
   const StatusOr<std::string> text = io::ReadFile(path);
   core::HawkesPredictor model;
-  if (!text.ok() || !model.Deserialize(*text)) return std::nullopt;
+  if (!text.ok() || !model.Deserialize(*text)) {
+    Fail("failed to load model");
+    return std::nullopt;
+  }
+  if (model.num_features() != extractor.schema().size()) {
+    std::fprintf(stderr, "error: model reads %zu features, extractor writes %zu\n",
+                 model.num_features(), extractor.schema().size());
+    return std::nullopt;
+  }
   return model;
 }
 
@@ -201,8 +212,9 @@ int CmdPredict(const std::map<std::string, std::string>& flags) {
   }
   const auto dataset = datagen::LoadDatasetCsv(data_dir);
   if (!dataset.has_value()) return Fail("failed to load dataset CSVs");
-  auto model = LoadModel(model_path);
-  if (!model.has_value()) return Fail("failed to load model");
+  const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+  auto model = LoadModel(model_path, extractor);
+  if (!model.has_value()) return 1;
 
   const datagen::Cascade* cascade = nullptr;
   for (const auto& c : dataset->cascades) {
@@ -210,7 +222,6 @@ int CmdPredict(const std::map<std::string, std::string>& flags) {
   }
   if (cascade == nullptr) return Fail("unknown --post id");
 
-  const features::FeatureExtractor extractor{stream::TrackerConfig{}};
   const auto snapshot = extractor.ReplaySnapshot(*cascade, *time);
   const auto row =
       extractor.Extract(dataset->PageOf(cascade->post), cascade->post, snapshot);
@@ -236,10 +247,10 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
   if (!horizon.has_value()) return Fail("bad --horizon");
   const auto dataset = datagen::LoadDatasetCsv(data_dir);
   if (!dataset.has_value()) return Fail("failed to load dataset CSVs");
-  auto model = LoadModel(model_path);
-  if (!model.has_value()) return Fail("failed to load model");
-
   const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+  auto model = LoadModel(model_path, extractor);
+  if (!model.has_value()) return 1;
+
   std::vector<size_t> all(dataset->cascades.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
   core::ExampleSetOptions options;
@@ -273,10 +284,10 @@ int CmdCheckpoint(const std::map<std::string, std::string>& flags) {
   if (!time.has_value()) return Fail("bad --time duration");
   const auto dataset = datagen::LoadDatasetCsv(data_dir);
   if (!dataset.has_value()) return Fail("failed to load dataset CSVs");
-  auto model = LoadModel(model_path);
-  if (!model.has_value()) return Fail("failed to load model");
-
   const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+  auto model = LoadModel(model_path, extractor);
+  if (!model.has_value()) return 1;
+
   serving::PredictionService service(&*model, &extractor, serving::ServiceConfig{});
   for (const auto& cascade : dataset->cascades) {
     const int64_t id = cascade.post.id;
@@ -320,10 +331,10 @@ int CmdRestore(const std::map<std::string, std::string>& flags) {
   if (model_path.empty() || ckpt.empty()) {
     return Fail("restore requires --model FILE and --ckpt CKPTDIR");
   }
-  auto model = LoadModel(model_path);
-  if (!model.has_value()) return Fail("failed to load model");
-
   const features::FeatureExtractor extractor{stream::TrackerConfig{}};
+  auto model = LoadModel(model_path, extractor);
+  if (!model.has_value()) return 1;
+
   serving::PredictionService service(&*model, &extractor, serving::ServiceConfig{});
   const Status restore_status = service.Restore(ckpt);
   if (!restore_status.ok()) {
@@ -458,6 +469,7 @@ int CmdSim(const std::map<std::string, std::string>& flags) {
   config.schedule.rounds = steps;
   config.schedule.num_items = items;
   config.schedule.faults = faults;
+  config.schedule.reads_before_last_event = true;
   const char* tmp = std::getenv("TMPDIR");
   config.scratch_dir = tmp != nullptr ? tmp : "/tmp";
   sim::Simulator simulator(&context, config);
