@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cctype>
 #include <charconv>
 #include <chrono>
@@ -162,7 +161,7 @@ struct PredictionService::Shard {
     return ids;
   }
 
-  /// Streams the `shard v2` file of the shard's items to `path` (see
+  /// Streams the `shard v3` file of the shard's items to `path` (see
   /// Checkpoint) and records what the manifest needs of it.
   Status WriteCheckpoint(const std::string& path, ShardFile* file) const;
 };
@@ -725,85 +724,47 @@ void AppendLine(std::string* out, std::string_view key, const T&... values) {
   out->push_back('\n');
 }
 
-// Shard files of version v1 carry each item's page and post profiles,
-// which Restore turns into the item's static features.
-bool DeserializePage(text::Reader* in, datagen::PageProfile* p) {
-  int category = 0;
-  if (!in->Read(&p->id, &p->followers, &p->fans, &p->posts_last_month,
-                &p->page_age_days, &category, &p->verified, &p->hist_mean_views,
-                &p->hist_mean_halflife, &p->hist_share_rate, &p->hist_comment_rate,
-                &p->quality, &p->audience_tau, &p->shareability, &p->alpha_page)) {
-    return false;
-  }
-  if (category < 0 || category >= datagen::kNumPageCategories) return false;
-  p->category = static_cast<datagen::PageCategory>(category);
-  return true;
-}
-
-bool DeserializePost(text::Reader* in, datagen::PostProfile* p) {
-  int media = 0;
-  if (!in->Read(&p->id, &p->page_id, &media, &p->language, &p->num_mentions,
-                &p->num_hashtags, &p->text_length, &p->creation_tod, &p->day_of_week,
-                &p->in_group, &p->group_members, &p->has_question, &p->creation_time,
-                &p->lambda0, &p->beta, &p->rho1, &p->mark_sigma_log)) {
-    return false;
-  }
-  if (media < 0 || media >= datagen::kNumMediaTypes) return false;
-  p->media = static_cast<datagen::MediaType>(media);
-  return true;
-}
-
-// Shard files of version v2 carry each item's static features, on one
-// line, to float precision: what a v2 shard writes reads back bit for bit.
+// A shard file's static-feature record is one line: the kNumStaticFloats
+// floats to float precision, so they read back bit for bit, then the
+// media type's and the page category's one-hot indices.
 constexpr int kStaticDigits = std::numeric_limits<float>::max_digits10;
-// A static feature at its widest ("-1.17549435e-38"), with the byte after
-// it.
-constexpr size_t kStaticBytes = 16;
+// A static float at its widest ("-1.17549435e-38"), and a one-hot index
+// ("255"), each with the byte after it.
+constexpr size_t kStaticFloatBytes = 16, kStaticIndexBytes = 4;
 
 void AppendStatics(std::string* out, const features::StaticFeatures& statics) {
-  bool first = true;
-  features::ForEachStaticValue(statics, [&](float value) {
-    if (!first) out->push_back(' ');
-    first = false;
+  for (const float value : statics.floats) {
     text::AppendDouble(out, value, kStaticDigits);
-  });
+    out->push_back(' ');
+  }
+  text::AppendInt(out, statics.media);
+  out->push_back(' ');
+  text::AppendInt(out, statics.category);
   out->push_back('\n');
 }
 
-/// Reads the line AppendStatics wrote: false unless it holds exactly
-/// kNumStaticFeatures finite values, each one-hot group among them one 1
-/// among 0s or all 0s (a -0 is not a 0 here).
-bool ReadStatics(text::Reader* in, features::StaticFeatures* statics) {
-  std::string_view line;
-  if (!in->ReadLine(&line)) return false;
-  const char* at = line.data();
-  const char* const end = at + line.size();
-  const auto next = [&](float* value) {
-    while (at < end && *at == ' ') ++at;
-    const auto [after, error] = std::from_chars(at, end, *value);
-    at = after;
-    return error == std::errc() && std::isfinite(*value);
-  };
-  bool ok = true;
-  features::VisitStatic(
-      *statics, [&](float& value) { ok = ok && next(&value); },
-      [&](uint8_t& hot, size_t size) {
-        hot = features::StaticFeatures::kNoneHot;
-        for (size_t j = 0; ok && j < size; ++j) {
-          float value = 0.0f;
-          if (!next(&value)) {
-            ok = false;
-          } else if (value == 1.0f && hot == features::StaticFeatures::kNoneHot) {
-            hot = static_cast<uint8_t>(j);
-          } else {
-            ok = std::bit_cast<uint32_t>(value) == 0;
-          }
-        }
-      });
-  return ok && at == end;
+/// Whether `hot` is an index of a one-hot group of `size` features, or
+/// kNoneHot (the group is all 0).
+bool ValidHot(uint8_t hot, size_t size) {
+  return hot < size || hot == features::StaticFeatures::kNoneHot;
 }
 
-/// Appends the `shard v2` records of `items` to `out`: per item its id,
+/// Reads the line AppendStatics wrote: false unless it holds exactly
+/// kNumStaticFloats floats and two valid one-hot indices.
+bool ReadStatics(text::Reader* in, features::StaticFeatures* statics) {
+  std::string_view line, extra;
+  if (!in->ReadLine(&line)) return false;
+  text::Reader fields(line);
+  for (float& value : statics->floats) {
+    if (!fields.Read(&value)) return false;
+  }
+  return fields.Read(&statics->media, &statics->category) &&
+         ValidHot(statics->media, datagen::kNumMediaTypes) &&
+         ValidHot(statics->category, datagen::kNumPageCategories) &&
+         !fields.ReadWord(&extra);
+}
+
+/// Appends the `shard v3` records of `items` to `out`: per item its id,
 /// its static features, and its tracker blob after the blob's byte count,
 /// in room reserved before the first.
 void AppendRecords(const std::vector<std::pair<int64_t, Item>>& items,
@@ -813,8 +774,8 @@ void AppendRecords(const std::vector<std::pair<int64_t, Item>>& items,
   constexpr size_t kInt = 21;
   size_t bound = out->size();
   for (const auto& [id, item] : items) {
-    bound += 2 * kInt + kStaticBytes * features::kNumStaticFeatures +
-             item.tracker.SerializedBytesBound();
+    bound += 2 * kInt + kStaticFloatBytes * features::kNumStaticFloats +
+             2 * kStaticIndexBytes + item.tracker.SerializedBytesBound();
   }
   out->reserve(bound);
   for (const auto& [id, item] : items) {
@@ -842,7 +803,7 @@ Status PredictionService::Shard::WriteCheckpoint(const std::string& path,
   // chunk is copied, is filled in when the file commits.
   const std::vector<int64_t> ids = Ids();
   io::FramedFileWriter writer(path);
-  HORIZON_RETURN_IF_ERROR(writer.Append("shard v2\n"));
+  HORIZON_RETURN_IF_ERROR(writer.Append("shard v3\n"));
   HORIZON_RETURN_IF_ERROR(writer.AppendCountField());
   HORIZON_RETURN_IF_ERROR(writer.Append("\n"));
   std::vector<std::pair<int64_t, Item>> chunk;
@@ -986,25 +947,12 @@ Status PredictionService::Restore(const std::string& dir) {
   if (!fields.ReadWord(&key) || key != "model" || !fields.Read(&model_crc, &model_size)) {
     return CountError(Status::Corruption("manifest: missing model digest"));
   }
-  // Older checkpoints carry a `qforest <crc> <size>` line here, the digest
-  // of a model.qforest file holding the quantized forests.  That blob was a
-  // deterministic function of the model, whose digest is checked below, so
-  // the line is parsed and ignored and the file is never opened.
-  bool has_key = fields.ReadWord(&key);
-  if (has_key && key == "qforest") {
-    uint32_t legacy_crc = 0;
-    uint64_t legacy_size = 0;
-    if (!fields.Read(&legacy_crc, &legacy_size)) {
-      return CountError(Status::Corruption("manifest: truncated qforest digest"));
-    }
-    has_key = fields.ReadWord(&key);
-  }
 
   // The restored trackers only make sense if this service interprets their
   // state with the same window/landmark layout and EWMA constants.
   const stream::TrackerConfig& tracker = config_.tracker;
   size_t n = 0;
-  if (!has_key || key != "windows" || !fields.Read(&n)) {
+  if (!fields.ReadWord(&key) || key != "windows" || !fields.Read(&n)) {
     return CountError(Status::Corruption("manifest: missing windows"));
   }
   if (n != tracker.window_lengths.size()) {
@@ -1108,10 +1056,9 @@ Status PredictionService::Restore(const std::string& dir) {
     std::string_view smagic, sversion;
     size_t num_items = 0;
     if (!in.ReadWord(&smagic) || !in.ReadWord(&sversion) || smagic != "shard" ||
-        (sversion != "v1" && sversion != "v2")) {
+        sversion != "v3") {
       return CountError(Status::Corruption("shard file: bad magic/version"));
     }
-    const bool has_profiles = sversion == "v1";
     if (!in.Read(&num_items) || num_items != items) {
       return CountError(Status::Corruption("shard file: item count mismatch"));
     }
@@ -1120,17 +1067,8 @@ Status PredictionService::Restore(const std::string& dir) {
       if (!in.Read(&id)) {
         return CountError(Status::Corruption("shard file: truncated item id"));
       }
-      // A v1 item's static features come from its profiles, through the
-      // same code RegisterItem runs.
-      features::StaticFeatures statics{};
-      if (has_profiles) {
-        datagen::PageProfile page;
-        datagen::PostProfile post;
-        if (!DeserializePage(&in, &page) || !DeserializePost(&in, &post)) {
-          return CountError(Status::Corruption("shard file: bad item profile"));
-        }
-        statics = features::FeatureExtractor::ExtractStatic(page, post);
-      } else if (!ReadStatics(&in, &statics)) {
+      features::StaticFeatures statics;
+      if (!ReadStatics(&in, &statics)) {
         return CountError(Status::Corruption("shard file: bad static features"));
       }
       size_t blob_size = 0;
@@ -1145,7 +1083,11 @@ Status PredictionService::Restore(const std::string& dir) {
       blob.remove_prefix(1);
       auto item = std::make_unique<Item>(
           Item{stream::CascadeTracker(0.0, tracker_layout_), statics});
-      if (!item->tracker.Deserialize(blob)) {
+      // RegisterItem and Ingest refuse times past kMaxAbsTime, past which
+      // an age feature can overflow; so does Restore.
+      if (!item->tracker.Deserialize(blob) ||
+          !UsableTime(item->tracker.creation_time()) ||
+          item->tracker.HasEventAfter(kMaxAbsTime)) {
         return CountError(Status::Corruption("shard file: bad tracker state"));
       }
       // Shard files written by Checkpoint list each id once; one listed

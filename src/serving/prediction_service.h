@@ -276,11 +276,11 @@ class PredictionService {
 
   /// Writes a snapshot of every live tracker, each item's static
   /// features, the model's digest, and the service counters (shard files
-  /// `shard v2`).  Each shard's ids are listed under its lock and its
-  /// items copied 16 at a time under it; each chunk is serialized and
-  /// streamed to the shard file outside the lock, so concurrent
-  /// Ingest/Query keep running and a checkpoint holds one chunk per pool
-  /// thread, not a copy of the shard.  An item retired mid-checkpoint is
+  /// `shard v3` of `trk v2` tracker blobs).  Each shard's ids are listed
+  /// under its lock and its items copied 16 at a time under it; each
+  /// chunk is serialized and streamed to the shard file outside the lock,
+  /// so concurrent Ingest/Query keep running and a checkpoint holds one
+  /// chunk per pool thread, not a copy of the shard.  An item retired mid-checkpoint is
   /// left out; one registered after its shard's listing waits for the
   /// next checkpoint.
   /// kIoError on any write failure (the previous checkpoint survives).
@@ -291,14 +291,13 @@ class PredictionService {
   /// Restores the checkpoint committed under `dir`.  Verifies the CRC of
   /// every file, that this service uses the same model (the manifest's
   /// digest of its serialization), and the same tracker configuration;
-  /// a model.hwk that older checkpoints hold is never read.  On any failure
+  /// a file the manifest does not list is never read.  On any failure
   /// the service is NOT modified and the code says why: kNotFound (no
-  /// committed checkpoint there), kCorruption (torn or damaged bytes),
+  /// committed checkpoint there), kCorruption (torn or damaged bytes, or
+  /// shard files or tracker blobs of another format version),
   /// kConfigMismatch (different model or tracker layout).  On success
   /// replaces all live items and counters, and subsequent predictions are
-  /// bit-identical to the checkpointed service's.  Also reads `shard v1`
-  /// files, which carry each item's profiles in place of its static
-  /// features, and computes the features from them as RegisterItem does.
+  /// bit-identical to the checkpointed service's.
   Status Restore(const std::string& dir);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }

@@ -47,8 +47,12 @@ StatusCode ReferenceService::Register(int64_t id, double creation_time,
 
 StatusCode ReferenceService::IngestCode(int64_t id, stream::EngagementType type,
                                         double t) {
+  // The service's checks, in its order: a time that is NaN or past
+  // kMaxAbsTime before the id lookup, then the tracker's ordering rule.
+  if (!(std::abs(t) <= serving::kMaxAbsTime)) return StatusCode::kInvalidArgument;
   const auto it = items_.find(id);
   if (it == items_.end()) return StatusCode::kNotFound;
+  if (!it->second.tracker.Accepts(type, t)) return StatusCode::kInvalidArgument;
   it->second.tracker.Observe(type, t);
   return StatusCode::kOk;
 }

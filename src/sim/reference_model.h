@@ -61,7 +61,10 @@ class ReferenceService {
                       const datagen::PageProfile& page,
                       const datagen::PostProfile& post);
 
-  /// kOk, or kNotFound for an unknown (never registered / retired) id.
+  /// kOk; kInvalidArgument for a time that is NaN or past kMaxAbsTime
+  /// (whatever the id), or one the item's tracker does not accept (before
+  /// its creation time or its last event of this type); else kNotFound
+  /// for an unknown (never registered / retired) id.
   StatusCode IngestCode(int64_t id, stream::EngagementType type, double t);
 
   /// kOk (answer in *out), kNotFound, or kNotYetLive (s strictly before

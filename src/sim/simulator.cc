@@ -228,10 +228,13 @@ class Execution {
   std::string DoIngestBatch(const Op& op) {
     size_t want = 0;
     for (const serving::IngestEvent& e : op.events) {
-      if (reference_.IngestCode(e.item_id, e.type, e.time) == StatusCode::kOk) {
-        ++want;
+      // Unknown items are dropped silently in batch mode: no error
+      // counter.  Invalid events are dropped and counted.
+      const StatusCode code = reference_.IngestCode(e.item_id, e.type, e.time);
+      if (code == StatusCode::kOk) ++want;
+      if (code == StatusCode::kInvalidArgument) {
+        ++expected_.errors[static_cast<int>(StatusCode::kInvalidArgument)];
       }
-      // Unknown items are dropped silently in batch mode: no error counter.
     }
     const size_t got = service_.IngestBatch(op.events);
     ++expected_.ingest_batch_calls;

@@ -351,48 +351,34 @@ size_t CascadeTracker::MemoryBytes() const {
 
 namespace {
 
-/// The last time a window of a stream with these events serializes.
-double WindowLastTime(uint64_t total, double last_age) {
-  return total == 0 ? dgim::kNoEventTime : last_age;
-}
-
-/// Whether some sequence of Observe calls leaves a stream with these
-/// scalar fields (the EWMA time is the serialized one): an empty stream
-/// holds the fresh values; otherwise
-/// 0 <= first_age <= last_age = ewma_time, the EWMA rate lies in
+/// Whether some sequence of Observe calls leaves a non-empty stream with
+/// these scalar fields: 0 <= first_age <= last_age, the EWMA rate in
 /// [0, total / ewma_tau] (each event adds 1/tau, decay only shrinks it),
 /// and the age sum in [total * first_age, total * last_age].  The two
 /// bounds allow rounding: each EWMA step rounds twice, the Kahan sum is
 /// off by a few ulps of its value.  Written so that NaN fails every test.
 bool PlausibleScalars(uint64_t total, double first_age, double last_age,
-                      double ewma_rate, double ewma_time, double age_sum,
-                      double age_comp, double ewma_tau) {
-  if (total == 0) {
-    return first_age == -1.0 && last_age == -1.0 && ewma_rate == 0.0 &&
-           ewma_time == 0.0 && age_sum == 0.0 && age_comp == 0.0;
-  }
+                      double ewma_rate, double age_sum, double age_comp,
+                      double ewma_tau) {
   const double n = static_cast<double>(total);
   const double rate_slack =
       1.0 + 4.0 * (n + 1.0) * std::numeric_limits<double>::epsilon();
   const double sum_slack = 1e-9 * n * last_age;
   return std::isfinite(last_age) && first_age >= 0.0 && first_age <= last_age &&
-         ewma_time == last_age && ewma_rate >= 0.0 &&
-         ewma_rate <= n / ewma_tau * rate_slack &&
+         ewma_rate >= 0.0 && ewma_rate <= n / ewma_tau * rate_slack &&
          age_sum >= n * first_age - sum_slack &&
          age_sum <= n * last_age + sum_slack && std::abs(age_comp) <= sum_slack;
 }
 
 /// Whether StreamState::Add leaves a landmark at age `landmark_age` of a
-/// stream with these scalars at (count, done).  The landmark is done
-/// exactly when an event past it has arrived: total > 0 and last_age >
-/// landmark_age.  A done count is the number of events at or before the
-/// landmark, so it is 0 when the first event came after it and lies in
-/// [1, total - 1] otherwise.  A landmark that is not done counts 0.
+/// non-empty stream with these scalars at `count`.  The landmark is done
+/// exactly when an event past it has arrived (LandmarkDone).  A done
+/// count is the number of events at or before the landmark, so it is 0
+/// when the first event came after it and lies in [1, total - 1]
+/// otherwise.  A landmark that is not done counts 0.
 bool PlausibleLandmark(uint64_t total, double first_age, double last_age,
-                       double landmark_age, uint64_t count, int done) {
-  const bool passed = LandmarkDone(total, last_age, landmark_age);
-  if (done != (passed ? 1 : 0)) return false;
-  if (!passed) return count == 0;
+                       double landmark_age, uint64_t count) {
+  if (!LandmarkDone(total, last_age, landmark_age)) return count == 0;
   return first_age <= landmark_age ? count >= 1 && count < total : count == 0;
 }
 
@@ -400,47 +386,39 @@ bool PlausibleLandmark(uint64_t total, double first_age, double last_age,
 
 void CascadeTracker::SerializeTo(std::string* out) const {
   const TrackerConfig& config = layout_->config;
-  const auto space = [out] { out->push_back(' '); };
-  const auto newline = [out] { out->push_back('\n'); };
-  out->append("trk v1\n");
+  out->append("trk v2\n");
   text::AppendDouble(out, creation_time_);
-  space();
+  out->push_back(' ');
   text::AppendInt(out, config.window_lengths.size());
-  space();
+  out->push_back(' ');
   text::AppendInt(out, config.landmark_ages.size());
-  newline();
+  out->push_back('\n');
   for (const StreamState& stream : streams_) {
-    const StreamScalars& s = ScalarsOf(stream.block.get());
-    // An empty stream's EWMA time serializes as 0, a non-empty one's as
-    // its last event age; Deserialize checks both.
+    // An empty stream is its total alone.  A non-empty one writes its
+    // scalars and landmark counts on one line, then its windows; the
+    // EWMA time (the last event age), the landmarks' done bits and each
+    // window's total and last time are derived, not written.
+    if (stream.block == nullptr) {
+      out->append("0\n");
+      continue;
+    }
+    const BlockView v = View(stream.block.get(), *layout_);
+    const StreamScalars& s = *v.scalars;
     text::AppendInt(out, s.total);
-    for (const double value : {s.first_age, s.last_age, s.ewma_rate,
-                               s.total > 0 ? s.last_age : 0.0, s.age_sum.value(),
+    for (const double value : {s.first_age, s.last_age, s.ewma_rate, s.age_sum.value(),
                                s.age_sum.compensation()}) {
-      space();
+      out->push_back(' ');
       text::AppendDouble(out, value);
     }
-    newline();
-    const bool has_block = stream.block != nullptr;
-    const BlockView v = has_block ? View(stream.block.get(), *layout_) : BlockView{};
     for (size_t j = 0; j < config.landmark_ages.size(); ++j) {
-      text::AppendInt(out, has_block ? v.landmarks[j] : 0);
-      out->append(LandmarkDone(s.total, s.last_age, config.landmark_ages[j]) ? " 1 "
-                                                                             : " 0 ");
+      out->push_back(' ');
+      text::AppendInt(out, v.landmarks[j]);
     }
-    newline();
-    // The format gives every window a total and last time; they are the
-    // stream's, and Deserialize rejects a blob where they differ.
-    text::AppendInt(out, config.window_lengths.size());
-    newline();
+    out->push_back('\n');
     size_t region = 0;
     for (size_t i = 0; i < config.window_lengths.size(); ++i) {
-      dgim::BucketSpan buckets;
-      if (has_block) {
-        buckets = {v.newest + region, v.log2_size + region, v.used[i]};
-        region += v.cap[i];
-      }
-      dgim::Write(out, s.total, WindowLastTime(s.total, s.last_age), buckets);
+      dgim::Write(out, {v.newest + region, v.log2_size + region, v.used[i]});
+      region += v.cap[i];
     }
   }
 }
@@ -454,18 +432,18 @@ std::string CascadeTracker::Serialize() const {
 
 size_t CascadeTracker::SerializedBytesBound() const {
   // Each token at its widest, with the byte after it: a double at 17
-  // digits ("-2.2250738585072014e-308"), an integer ("18446744073709551615"),
-  // a done bit.
-  constexpr size_t kDouble = 25, kInt = 21, kBit = 2;
+  // digits ("-2.2250738585072014e-308"), an integer ("18446744073709551615").
+  constexpr size_t kDouble = 25, kInt = 21;
   const size_t windows = NumWindows(*layout_);
-  size_t bytes = 7 + kDouble + 2 * kInt;  // "trk v1", creation time, layout
+  size_t bytes = 7 + kDouble + 2 * kInt;  // "trk v2", creation time, layout
   for (const StreamState& stream : streams_) {
-    bytes += kInt + 6 * kDouble + NumLandmarks(*layout_) * (kInt + kBit) + 1 + kInt +
-             windows * (2 * kInt + kDouble);
-    if (stream.block != nullptr) {
-      const BlockView v = View(stream.block.get(), *layout_);
-      for (size_t i = 0; i < windows; ++i) bytes += v.used[i] * (kDouble + kInt);
+    if (stream.block == nullptr) {
+      bytes += 2;  // "0\n"
+      continue;
     }
+    bytes += kInt + 5 * kDouble + NumLandmarks(*layout_) * kInt;
+    const BlockView v = View(stream.block.get(), *layout_);
+    for (size_t i = 0; i < windows; ++i) bytes += kInt + v.used[i] * (kDouble + kInt);
   }
   return bytes;
 }
@@ -477,7 +455,7 @@ bool CascadeTracker::Deserialize(std::string_view blob) {
   text::Reader in(blob);
   std::string_view magic, version;
   if (!in.ReadWord(&magic) || !in.ReadWord(&version) || magic != "trk" ||
-      version != "v1") {
+      version != "v2") {
     return false;
   }
   double creation_time = 0.0;
@@ -490,47 +468,34 @@ bool CascadeTracker::Deserialize(std::string_view blob) {
   std::array<StreamState, kNumEngagementTypes> streams;
   std::array<dgim::Buckets, kMaxTrackerLayout> windows;
   for (StreamState& stream : streams) {
+    // An empty stream is its total, 0, alone, and gets no block.
     StreamScalars s;
-    double ewma_time = 0.0, sum = 0.0, comp = 0.0;
-    if (!in.Read(&s.total, &s.first_age, &s.last_age, &s.ewma_rate, &ewma_time, &sum,
-                 &comp)) {
-      return false;
-    }
-    if (!PlausibleScalars(s.total, s.first_age, s.last_age, s.ewma_rate, ewma_time,
-                          sum, comp, config.ewma_tau)) {
+    if (!in.Read(&s.total)) return false;
+    if (s.total == 0) continue;
+    double sum = 0.0, comp = 0.0;
+    if (!in.Read(&s.first_age, &s.last_age, &s.ewma_rate, &sum, &comp) ||
+        !PlausibleScalars(s.total, s.first_age, s.last_age, s.ewma_rate, sum, comp,
+                          config.ewma_tau)) {
       return false;
     }
     s.age_sum.Restore(sum, comp);
     std::array<uint64_t, kMaxTrackerLayout> landmarks{};
     for (size_t j = 0; j < num_landmarks; ++j) {
-      int done = 0;
-      if (!in.Read(&landmarks[j], &done) ||
+      if (!in.Read(&landmarks[j]) ||
           !PlausibleLandmark(s.total, s.first_age, s.last_age, config.landmark_ages[j],
-                             landmarks[j], done)) {
+                             landmarks[j])) {
         return false;
       }
     }
-    size_t n = 0;
-    if (!in.Read(&n) || n != num_windows) return false;
-    // Windows keep no total or last time of their own, so each one the
-    // blob carries must be the stream's; dgim::Read has checked its
-    // buckets against them.
-    const double last_t = WindowLastTime(s.total, s.last_age);
+    // Each window's buckets are checked against the stream's total and
+    // last event age, which are the window's own.
     for (size_t i = 0; i < num_windows; ++i) {
-      uint64_t window_total = 0;
-      double window_last_t = 0.0;
-      if (!dgim::Read(&in, layout_->max_per_size, &window_total, &window_last_t,
-                      &windows[i]) ||
-          window_total != s.total || window_last_t != last_t) {
+      if (!dgim::Read(&in, layout_->max_per_size, s.total, s.last_age, &windows[i])) {
         return false;
       }
     }
-    // An empty stream has no block: PlausibleScalars has checked its
-    // scalars are kEmptyStream's, its landmarks count 0 and dgim::Read
-    // admits no bucket in its windows.  Otherwise the block is fitted to
-    // the buckets read.  dgim::Read admits fewer than MaxRegion buckets,
-    // so the counts fit 16 bits.
-    if (s.total == 0) continue;
+    // The block is fitted to the buckets read.  dgim::Read admits fewer
+    // than MaxRegion buckets, so the counts fit 16 bits.
     std::array<uint16_t, kMaxTrackerLayout> caps{};
     for (size_t i = 0; i < num_windows; ++i) {
       caps[i] = static_cast<uint16_t>(windows[i].size() + 1);

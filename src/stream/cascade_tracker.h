@@ -175,12 +175,14 @@ class CascadeTracker {
   /// its non-empty streams.  The shared layout is not counted.
   size_t MemoryBytes() const;
 
-  /// Appends the full O(1) state (creation time, totals, sliding-window
-  /// histograms, landmarks, EWMA rate, running age sums) to `out` as a
-  /// portable ASCII blob (`trk v1`).  Doubles are printed with 17
-  /// significant digits, so a restore reproduces every quantity
-  /// bit-exactly.  Allocates nothing when `out` has room for
-  /// SerializedBytesBound() more bytes.
+  /// Appends the O(1) state the tracker holds to `out` as a portable
+  /// ASCII blob (`trk v2`): the creation time and the layout's window and
+  /// landmark counts, then per stream its total, alone for an empty
+  /// stream; otherwise also its first and last event ages, EWMA rate and
+  /// Kahan age sum, its landmark counts, and per window its bucket count
+  /// and buckets.  Doubles are printed with 17 significant digits, so a
+  /// restore reproduces every quantity bit-exactly.  Allocates nothing
+  /// when `out` has room for SerializedBytesBound() more bytes.
   void SerializeTo(std::string* out) const;
 
   /// The blob SerializeTo appends, in a string of its own.
@@ -193,11 +195,10 @@ class CascadeTracker {
   /// must have been constructed with the same configuration (window and
   /// landmark layout).  Returns false, leaving the tracker unchanged, on
   /// parse failure (text::Reader's rules), a layout mismatch, stream
-  /// scalars no sequence of Observe calls produces (EWMA rate and time,
-  /// first and last event ages, the age sum, landmark counts and done
-  /// bits), a window whose total or last time differs from its stream's
-  /// (an empty stream's windows read dgim::kNoEventTime), or buckets
-  /// dgim::Read rejects.  Text after the last window is not read.
+  /// scalars no sequence of Observe calls produces (EWMA rate, first and
+  /// last event ages, the age sum and landmark counts), or buckets
+  /// dgim::Read rejects against their stream's total and last event age.
+  /// Text after the last window is not read.
   bool Deserialize(std::string_view text);
 
  private:

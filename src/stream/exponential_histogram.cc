@@ -68,11 +68,7 @@ uint64_t Count(BucketSpan buckets, double now, double window) {
   return sum - buckets.SizeOf(oldest) / 2;
 }
 
-void Write(std::string* out, uint64_t total, double last_t, BucketSpan buckets) {
-  text::AppendInt(out, total);
-  out->push_back(' ');
-  text::AppendDouble(out, last_t);
-  out->push_back(' ');
+void Write(std::string* out, BucketSpan buckets) {
   text::AppendInt(out, buckets.n);
   out->push_back('\n');
   for (size_t i = 0; i < buckets.n; ++i) {
@@ -83,12 +79,10 @@ void Write(std::string* out, uint64_t total, double last_t, BucketSpan buckets) 
   }
 }
 
-bool Read(text::Reader* in, size_t max_per_size, uint64_t* total, double* last_t,
+bool Read(text::Reader* in, size_t max_per_size, uint64_t total, double last_t,
           Buckets* buckets) {
-  uint64_t parsed_total = 0;
-  double parsed_last_t = 0.0;
   size_t num_buckets = 0;
-  if (!in->Read(&parsed_total, &parsed_last_t, &num_buckets)) return false;
+  if (!in->Read(&num_buckets)) return false;
   // A valid window keeps O(log(total)/eps) buckets; anything beyond this
   // bound is corrupt input, rejected before allocating.
   if (num_buckets > MaxBuckets(max_per_size)) return false;
@@ -107,8 +101,8 @@ bool Read(text::Reader* in, size_t max_per_size, uint64_t* total, double* last_t
     // newer buckets, at most max_per_size of each.
     if (!std::has_single_bit(size)) return false;
     const auto log2 = static_cast<uint8_t>(std::countr_zero(size));
-    if ((i > 0 && newest < parsed.newest.back()) || newest > parsed_last_t ||
-        size > parsed_total - sum || (i > 0 && log2 > parsed.log2_size.back())) {
+    if ((i > 0 && newest < parsed.newest.back()) || newest > last_t ||
+        size > total - sum || (i > 0 && log2 > parsed.log2_size.back())) {
       return false;
     }
     run = i > 0 && log2 == parsed.log2_size.back() ? run + 1 : 1;
@@ -117,8 +111,6 @@ bool Read(text::Reader* in, size_t max_per_size, uint64_t* total, double* last_t
     parsed.newest.push_back(newest);
     parsed.log2_size.push_back(log2);
   }
-  *total = parsed_total;
-  *last_t = parsed_last_t;
   *buckets = std::move(parsed);
   return true;
 }
@@ -148,14 +140,6 @@ void ExponentialHistogram::Add(double t) {
 
 uint64_t ExponentialHistogram::Count(double now) const {
   return dgim::Count(buckets_.span(), now, window_);
-}
-
-void ExponentialHistogram::SerializeTo(std::string* out) const {
-  dgim::Write(out, total_, last_t_, buckets_.span());
-}
-
-bool ExponentialHistogram::DeserializeFrom(text::Reader* in) {
-  return dgim::Read(in, max_per_size_, &total_, &last_t_, &buckets_);
 }
 
 }  // namespace horizon::stream

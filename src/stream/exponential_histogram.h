@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -50,10 +51,6 @@ struct Buckets {
   BucketSpan span() const { return {newest.data(), log2_size.data(), newest.size()}; }
 };
 
-/// The last-event time a window reports (and serializes) before its
-/// first event.
-inline constexpr double kNoEventTime = -1e300;
-
 /// Most buckets of one size a window keeps: ceil(1/epsilon) + 1, which
 /// bounds the relative error of Count by epsilon.
 size_t MaxPerSize(double epsilon);
@@ -82,18 +79,19 @@ size_t Add(double* newest, uint8_t* log2_size, size_t n, double t, double window
 /// buckets that have expired since the last Add are skipped, not dropped.
 uint64_t Count(BucketSpan buckets, double now, double window);
 
-/// Appends "total last_t count" and one "newest size" line per bucket to
-/// `out`, times at 17 significant digits.
-void Write(std::string* out, uint64_t total, double last_t, BucketSpan buckets);
+/// Appends the bucket count and one "newest size" line per bucket to
+/// `out`, times at 17 significant digits.  A window keeps no total or
+/// last time of its own: they are its stream's.
+void Write(std::string* out, BucketSpan buckets);
 
-/// Reads what Write wrote.  Rejects, before allocating, more buckets than
+/// Reads what Write wrote, for a window of a stream of `total` events,
+/// the last at `last_t`.  Rejects, before allocating, more buckets than
 /// a window with this per-size cap can hold; then rejects a non-finite or
 /// decreasing `newest`, a `newest` past `last_t`, sizes that sum to more
 /// than `total`, and buckets that break Add's invariant: a size that is
 /// not a power of two, one larger than an older bucket's, or more than
-/// `max_per_size` buckets of one size.  On false the outputs are
-/// unchanged.
-bool Read(text::Reader* in, size_t max_per_size, uint64_t* total, double* last_t,
+/// `max_per_size` buckets of one size.  On false `buckets` is unchanged.
+bool Read(text::Reader* in, size_t max_per_size, uint64_t total, double last_t,
           Buckets* buckets);
 
 }  // namespace dgim
@@ -126,16 +124,6 @@ class ExponentialHistogram {
 
   double window_length() const { return window_; }
 
-  /// Appends the dynamic state (total, last timestamp, buckets) to `out`.
-  /// The window length and epsilon are configuration, not state: restore
-  /// into a histogram constructed with the same parameters.
-  void SerializeTo(std::string* out) const;
-
-  /// Restores state written by SerializeTo from `in`.  Returns false on
-  /// malformed or inconsistent input (see dgim::Read), leaving the
-  /// histogram as it was.
-  bool DeserializeFrom(text::Reader* in);
-
  private:
   double window_;
   size_t max_per_size_;
@@ -144,7 +132,7 @@ class ExponentialHistogram {
   // histogram across threads without synchronization.
   dgim::Buckets buckets_;
   uint64_t total_ = 0;
-  double last_t_ = dgim::kNoEventTime;
+  double last_t_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace horizon::stream

@@ -183,8 +183,8 @@ using OracleStreams = std::array<std::vector<OracleWindow>, kNumEngagementTypes>
 
 /// The blob a tracker whose windows ran the reference Add would write:
 /// `blob` with every window's buckets replaced by the oracle's.  The rest
-/// of the blob (stream scalars, landmarks, each window's total and last
-/// time) does not depend on Add and is copied.
+/// of the blob (stream scalars and landmarks; an empty stream's total,
+/// which is all it writes) does not depend on Add and is copied.
 std::string WithOracleWindows(const std::string& blob, const OracleStreams& oracle) {
   std::istringstream in(blob);
   std::ostringstream out;
@@ -193,17 +193,16 @@ std::string WithOracleWindows(const std::string& blob, const OracleStreams& orac
   const auto copy_lines = [&](int lines) {
     for (int i = 0; i < lines && std::getline(in, line); ++i) out << line << "\n";
   };
-  copy_lines(2);  // "trk v1", then the creation time and the layout
+  copy_lines(2);  // "trk v2", then the creation time and the layout
   for (const std::vector<OracleWindow>& windows : oracle) {
-    copy_lines(3);  // scalars, landmarks, window count
+    copy_lines(1);  // the scalars and landmarks, or an empty stream's "0"
+    if (line == "0") continue;
     for (const OracleWindow& w : windows) {
-      uint64_t total = 0;
-      double last_t = 0.0;
       size_t buckets = 0;
       std::getline(in, line);
-      std::istringstream(line) >> total >> last_t >> buckets;
+      std::istringstream(line) >> buckets;
       for (size_t b = 0; b < buckets; ++b) std::getline(in, line);
-      reference::WriteBuckets(out, total, last_t, w.buckets.data(), w.n);
+      reference::WriteBuckets(out, w.buckets.data(), w.n);
     }
   }
   return out.str();
@@ -361,12 +360,12 @@ TEST(CascadeTrackerTest, SerializeToABufferWithRoomAllocatesNothing) {
   }
   const std::string blob = tracker.Serialize();
   ASSERT_LE(blob.size(), tracker.SerializedBytesBound());
-  std::string buffer = "shard v2\n";
+  std::string buffer = "shard v3\n";
   buffer.reserve(buffer.size() + tracker.SerializedBytesBound());
   const size_t before = test::ThreadAllocations();
   tracker.SerializeTo(&buffer);
   EXPECT_EQ(test::ThreadAllocations(), before);
-  EXPECT_EQ(buffer, "shard v2\n" + blob);
+  EXPECT_EQ(buffer, "shard v3\n" + blob);
 #endif
 }
 
@@ -455,6 +454,10 @@ TEST(CascadeTrackerDeathTest, LayoutRefusesEpsilonBelowTheMinimum) {
   EXPECT_DEATH(TrackerLayout{config}, "");
 }
 
+// A window keeps no total or last time of its own: its buckets are
+// checked against its stream's.  Buckets newer than the stream's last
+// event, or summing past its total, are rejected, as are times that
+// decrease.
 TEST(CascadeTrackerTest, DeserializeRejectsWindowDisagreeingWithItsStream) {
   CascadeTracker source(0.0, TrackerConfig{});
   for (const double t : {10.0, 20.0, 30.0}) source.Observe(EngagementType::kView, t);
@@ -466,16 +469,16 @@ TEST(CascadeTrackerTest, DeserializeRejectsWindowDisagreeingWithItsStream) {
     if (at != std::string::npos) out.replace(at, from.size(), to);
     return out;
   };
-  // The view stream's first window: "total last_t buckets", then buckets.
-  ASSERT_NE(blob.find("\n3 30 3\n10 1\n20 1\n30 1\n"), std::string::npos);
+  // The view stream's scalars and landmarks, then its first window: the
+  // bucket count, then the buckets.
+  const std::string views = "\n3 10 30 0.00083102386796723451 60 0 0 0 0 0\n";
+  ASSERT_NE(blob.find(views + "3\n10 1\n20 1\n30 1\n"), std::string::npos);
   const std::vector<std::string> bad = {
-      tamper("\n3 30 3\n", "\n3 1000000000 3\n"),    // last_t != last_age
-      tamper("\n3 30 3\n", "\n4 30 3\n"),            // total != stream total
+      // The stream's last event before its newest bucket.
+      tamper(views, "\n3 10 29.5 0.00083102386796723451 60 0 0 0 0 0\n"),
       tamper("\n10 1\n20 1\n", "\n20 1\n10 1\n"),    // times decrease
-      tamper("\n30 1\n", "\n31 1\n"),                 // past last_t
+      tamper("\n30 1\n", "\n31 1\n"),                 // past the last event
       tamper("\n20 1\n30 1\n", "\n20 2\n30 1\n"),    // sizes sum past total
-      // An empty stream's windows must read -1e300.
-      tamper("0 -1.0000000000000001e+300 0", "0 -1 0"),
   };
   for (const std::string& text : bad) {
     CascadeTracker tracker(5.0, TrackerConfig{});
@@ -508,50 +511,35 @@ TEST(CascadeTrackerTest, DeserializeRejectsImpossibleScalarFields) {
     if (at != std::string::npos) out.replace(at, from.size(), to);
     return out;
   };
-  // The view stream: "total first_age last_age ewma_rate ewma_time
-  // age_sum compensation", then "count done" per landmark; the share
-  // stream is empty.  The reaction stream's two events straddle the
-  // first landmark (30 min), which is done with count 1; the view
-  // stream's events all precede it.
-  const std::string views = "\n3 10 30 0.00083102386796723451 30 60 0\n";
-  const std::string empty = "\n0 -1 -1 0 0 0 0\n";
-  const std::string reactions =
-      "\n2 100 2000 0.00044164289865134432 2000 2100 0\n";
-  ASSERT_NE(blob.find(views + "0 0 "), std::string::npos);
-  ASSERT_NE(blob.find(empty), std::string::npos);
-  ASSERT_NE(blob.find(reactions + "1 1 "), std::string::npos);
+  // The view stream: "total first_age last_age ewma_rate age_sum
+  // compensation", then a count per landmark; the share stream is empty.
+  // The reaction stream's two events straddle the first landmark (30
+  // min), which is done with count 1; the view stream's events all
+  // precede it.
+  const std::string views = "\n3 10 30 0.00083102386796723451 60 0 ";
+  const std::string reactions = "\n2 100 2000 0.00044164289865134432 2100 0 ";
+  ASSERT_NE(blob.find(views + "0 0 0 0\n"), std::string::npos);
+  ASSERT_NE(blob.find("\n0\n"), std::string::npos);
+  ASSERT_NE(blob.find(reactions + "1 0 0 0\n"), std::string::npos);
   const std::vector<std::string> bad = {
-      // ewma_time != last_age
-      tamper(views, "\n3 10 30 0.00083102386796723451 29 60 0\n"),
       // first_age < 0, and first_age > last_age
-      tamper(views, "\n3 -10 30 0.00083102386796723451 30 60 0\n"),
-      tamper(views, "\n3 31 30 0.00083102386796723451 30 60 0\n"),
+      tamper(views, "\n3 -10 30 0.00083102386796723451 60 0 "),
+      tamper(views, "\n3 31 30 0.00083102386796723451 60 0 "),
       // EWMA rate below 0, above total / ewma_tau = 8.33e-4, and huge
-      tamper(views, "\n3 10 30 -0.00083102386796723451 30 60 0\n"),
-      tamper(views, "\n3 10 30 0.00084 30 60 0\n"),
-      tamper(views, "\n3 10 30 1e300 30 60 0\n"),
+      tamper(views, "\n3 10 30 -0.00083102386796723451 60 0 "),
+      tamper(views, "\n3 10 30 0.00084 60 0 "),
+      tamper(views, "\n3 10 30 1e300 60 0 "),
       // age sum below total * first_age = 30, above total * last_age = 90,
       // and a compensation term no Kahan sum of these ages carries
-      tamper(views, "\n3 10 30 0.00083102386796723451 30 29 0\n"),
-      tamper(views, "\n3 10 30 0.00083102386796723451 30 91 0\n"),
-      tamper(views, "\n3 10 30 0.00083102386796723451 30 60 1\n"),
-      // An empty stream holds the fresh tracker's values, field by field.
-      tamper(empty, "\n0 2 -1 0 0 0 0\n"),
-      tamper(empty, "\n0 -1 7 0 0 0 0\n"),
-      tamper(empty, "\n0 -1 -1 1e300 0 0 0\n"),
-      tamper(empty, "\n0 -1 -1 0 5 0 0\n"),
-      tamper(empty, "\n0 -1 -1 0 0 3 0\n"),
-      tamper(empty, "\n0 -1 -1 0 0 0 0.001\n"),
-      // A landmark is done exactly when an event past it arrived: flipped
-      // to done before any has, and back to pending after one has.
-      tamper(views + "0 0 ", views + "0 1 "),
-      tamper(reactions + "1 1 ", reactions + "0 0 "),
+      tamper(views, "\n3 10 30 0.00083102386796723451 29 0 "),
+      tamper(views, "\n3 10 30 0.00083102386796723451 91 0 "),
+      tamper(views, "\n3 10 30 0.00083102386796723451 60 1 "),
       // A done count lies in [1, total - 1] once the first event precedes
       // the landmark: equal to the total, and 0, are both impossible.
-      tamper(reactions + "1 1 ", reactions + "2 1 "),
-      tamper(reactions + "1 1 ", reactions + "0 1 "),
+      tamper(reactions + "1 ", reactions + "2 "),
+      tamper(reactions + "1 ", reactions + "0 "),
       // A pending landmark counts 0.
-      tamper(views + "0 0 ", views + "1 0 "),
+      tamper(views + "0 ", views + "1 "),
   };
   for (const std::string& text : bad) {
     CascadeTracker tracker(5.0, TrackerConfig{});
@@ -593,16 +581,16 @@ TEST(CascadeTrackerTest, HasEventAfterNegatesAcceptsOverEveryStream) {
 }
 
 // Checkpoint shard files hold Serialize() blobs, so this pins the byte
-// format: a layout change that moves one byte would stop existing
-// checkpoints from restoring.  The default layout (epsilon = 0.05) sees
+// format (`trk v2`): a layout change that moves one byte would stop
+// existing checkpoints from restoring.  The default layout (epsilon = 0.05) sees
 // events of all four types that cross window expiry, every landmark age
 // and several bucket merges.  To regenerate after an INTENTIONAL format
 // change (which also needs a "trk" version bump): HORIZON_PRINT_GOLDEN=1
 // ./cascade_tracker_test --gtest_filter=CascadeTrackerTest.SerializeGolden,
 // then paste the printed constants below.
 TEST(CascadeTrackerTest, SerializeGolden) {
-  constexpr uint32_t kBlobCrc = 0xDCE58050u;
-  constexpr size_t kBlobBytes = 4883;
+  constexpr uint32_t kBlobCrc = 0x12E9B294u;
+  constexpr size_t kBlobBytes = 4561;
   constexpr double kCreation = 1000.0;
   CascadeTracker tracker(kCreation, TrackerConfig{});
   const auto at = [&](EngagementType type, double age) {
@@ -637,8 +625,7 @@ TEST(CascadeTrackerTest, SerializeGolden) {
   EXPECT_EQ(restored.Serialize(), blob);
 }
 
-// An empty tracker's blob, verbatim: every window of an empty stream
-// writes its last time as -1e300.
+// An empty tracker's blob, verbatim: each empty stream is its total alone.
 TEST(CascadeTrackerTest, SerializeGoldenEmpty) {
   const std::string blob = CascadeTracker(0.5, SmallConfig()).Serialize();
   if (std::getenv("HORIZON_PRINT_GOLDEN") != nullptr) {
@@ -646,28 +633,12 @@ TEST(CascadeTrackerTest, SerializeGoldenEmpty) {
     return;
   }
   EXPECT_EQ(blob,
-            "trk v1\n"
+            "trk v2\n"
             "0.5 2 2\n"
-            "0 -1 -1 0 0 0 0\n"
-            "0 0 0 0 \n"
-            "2\n"
-            "0 -1.0000000000000001e+300 0\n"
-            "0 -1.0000000000000001e+300 0\n"
-            "0 -1 -1 0 0 0 0\n"
-            "0 0 0 0 \n"
-            "2\n"
-            "0 -1.0000000000000001e+300 0\n"
-            "0 -1.0000000000000001e+300 0\n"
-            "0 -1 -1 0 0 0 0\n"
-            "0 0 0 0 \n"
-            "2\n"
-            "0 -1.0000000000000001e+300 0\n"
-            "0 -1.0000000000000001e+300 0\n"
-            "0 -1 -1 0 0 0 0\n"
-            "0 0 0 0 \n"
-            "2\n"
-            "0 -1.0000000000000001e+300 0\n"
-            "0 -1.0000000000000001e+300 0\n");
+            "0\n"
+            "0\n"
+            "0\n"
+            "0\n");
 }
 
 TEST(EngagementTypeTest, Names) {

@@ -24,9 +24,9 @@
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
+#include "checkpoint_files.h"
 #include "common/file_io.h"
 #include "common/rng.h"
-#include "common/text_codec.h"
 #include "core/trainer.h"
 #include "env_guard.h"
 #include "model_of_width.h"
@@ -34,6 +34,13 @@
 
 namespace horizon::serving {
 namespace {
+
+using test::CommittedCheckpoint;
+using test::FramedPayload;
+using test::ReframeShard;
+using test::ReframeShards;
+using test::ShardText;
+using test::SplitShard;
 
 // This suite arms the fault injector itself; a HORIZON_FAULT_CRASH_AT
 // leaking in from the shell would crash unrelated checkpoint writes.
@@ -320,21 +327,6 @@ TEST_F(CheckpointTest, CrashAtEveryFaultPointNeverCorrupts) {
   EXPECT_GT(points_exercised, 10);
 }
 
-/// The payload of the CRC-framed file at `path`.
-std::string FramedPayload(const std::string& path) {
-  const std::string file = io::ReadFile(path).value();
-  return std::string(io::UnwrapCrcFrame(file).value());
-}
-
-/// The directory of the checkpoint CURRENT names under `dir`.
-std::string CommittedCheckpoint(const std::string& dir) {
-  std::string pointer = io::ReadFile(dir + "/CURRENT").value();
-  while (!pointer.empty() && (pointer.back() == '\n' || pointer.back() == ' ')) {
-    pointer.pop_back();
-  }
-  return dir + "/" + pointer;
-}
-
 // horizon_serving_checkpoint_bytes holds the bytes of the last committed
 // checkpoint: its shard files and manifest, as they lie on disk.
 TEST_F(CheckpointTest, CheckpointBytesGaugeMatchesTheFilesOnDisk) {
@@ -361,6 +353,28 @@ TEST_F(CheckpointTest, CheckpointBytesGaugeMatchesTheFilesOnDisk) {
     io::FaultInjector::Global().Disarm();
     EXPECT_EQ(gauge->Value(), static_cast<double>(bytes));
   }
+}
+
+// What a checkpoint writes per item: the suite's corpus (120 posts, all
+// four engagement streams up to 6 h) holds at most kMaxBytesPerItem
+// checkpoint bytes (horizon_serving_checkpoint_bytes) per live item.
+TEST_F(CheckpointTest, CheckpointBytesPerItemStayBounded) {
+  // Measured 1,248.5 bytes.  Shard v2 files of trk v1 blobs, which wrote
+  // every empty stream's placeholder windows, 32 expanded static values
+  // and copies of values the tracker derives, read 1,806.8.
+  constexpr double kMaxBytesPerItem = 1373.0;
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  PredictionService service = MakeService(config);
+  const auto items = static_cast<int64_t>(dataset_->cascades.size());
+  Load(&service, items, kAge);
+  ASSERT_TRUE(service.Checkpoint(Dir()).ok());
+  const double per_item =
+      registry.GetGauge("horizon_serving_checkpoint_bytes")->Value() /
+      static_cast<double>(service.LiveItems());
+  EXPECT_LE(per_item, kMaxBytesPerItem);
+  RecordProperty("checkpoint_bytes_per_item", std::to_string(per_item));
 }
 
 // A checkpoint copies each shard's items under its lock, then builds the
@@ -621,62 +635,12 @@ TEST_F(CheckpointTest, RestoreRejectsAShardFileFromAnotherCheckpoint) {
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
-/// Re-frames the shard files of the committed checkpoint under `dir` whose
-/// payload `edit` changes, with fresh CRCs in each file and in the
-/// manifest entry that vouches for it: what a re-framed (rather than torn)
-/// shard file holds.  Every payload handed to `edit` is a shard v2 one.
-/// Stops after the first edited shard unless `every_shard`; returns how
-/// many shards it rewrote.
-size_t ReframeShards(const std::string& dir,
-                     const std::function<bool(std::string*)>& edit,
-                     bool every_shard) {
-  const std::string ckpt = CommittedCheckpoint(dir);
-  std::string manifest = FramedPayload(ckpt + "/MANIFEST");
-  size_t rewritten = 0;
-  for (const std::string& name : io::ListDir(ckpt)) {
-    if (name.rfind("shard-", 0) != 0) continue;
-    std::string payload = FramedPayload(ckpt + "/" + name);
-    EXPECT_EQ(payload.rfind("shard v2\n", 0), 0u) << name;
-    if (!edit(&payload)) continue;
-    const std::string framed = io::WrapCrcFrame(payload);
-    EXPECT_TRUE(io::WriteFileAtomic(ckpt + "/" + name, framed).ok());
-    // Manifest entry: "<name> <crc> <bytes> <items>".
-    const size_t line = manifest.find("\n" + name + " ");
-    if (line == std::string::npos) {
-      ADD_FAILURE() << name << " has no manifest entry";
-      return rewritten;
-    }
-    const size_t at = line + 1;
-    const size_t end = manifest.find('\n', at);
-    std::istringstream entry(manifest.substr(at, end - at));
-    std::string file;
-    uint32_t crc = 0;
-    size_t bytes = 0, items = 0;
-    entry >> file >> crc >> bytes >> items;
-    manifest.replace(at, end - at,
-                     name + " " + std::to_string(io::Crc32(framed)) + " " +
-                         std::to_string(framed.size()) + " " +
-                         std::to_string(items));
-    EXPECT_TRUE(
-        io::WriteFileAtomic(ckpt + "/MANIFEST", io::WrapCrcFrame(manifest)).ok());
-    ++rewritten;
-    if (!every_shard) break;
-  }
-  return rewritten;
-}
-
-/// ReframeShards on the first shard `edit` changes; false if it declined
-/// every shard.
-bool ReframeShard(const std::string& dir,
-                  const std::function<bool(std::string*)>& edit) {
-  return ReframeShards(dir, edit, /*every_shard=*/false) == 1;
-}
-
 // The CRCs catch bytes flipped at rest, not a shard re-framed with valid
-// CRCs around inconsistent tracker state.  A view window whose last time
-// runs ahead of its stream's last event once restored fine and aborted
-// the process on the item's next event; Restore must now refuse it with
-// kCorruption and leave the service untouched.
+// CRCs around inconsistent tracker state.  A view window whose newest
+// bucket is later than its stream's last event holds a state no event
+// sequence produces, and the item's next event would put its buckets out
+// of time order; Restore must refuse it with kCorruption and leave the
+// service untouched.
 TEST_F(CheckpointTest, RestoreRejectsReframedShardWithTamperedTracker) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
@@ -690,20 +654,28 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithTamperedTracker) {
     EXPECT_EQ(control.LiveItems(), static_cast<size_t>(kItems));
   }
 
-  // Raise the leading digit of a non-empty view stream's first window
-  // last time (byte counts unchanged).  A tracker blob's sixth line is
-  // that window's "total last_t buckets" header.
+  // A tracker blob's third line is its view stream's "total first_age
+  // last_age ...", and for a non-empty stream the fourth is its first
+  // window's bucket count.  That window's newest bucket holds the last
+  // event; raise its time's leading digit (byte counts unchanged).
   const auto tamper = [](std::string* payload) {
-    for (size_t at = payload->find("trk v1\n"); at != std::string::npos;
-         at = payload->find("trk v1\n", at + 1)) {
+    for (size_t at = payload->find("trk v2\n"); at != std::string::npos;
+         at = payload->find("trk v2\n", at + 1)) {
       size_t line = at;
-      for (int i = 0; i < 5; ++i) line = payload->find('\n', line) + 1;
-      std::istringstream header(payload->substr(line, payload->find('\n', line) - line));
+      for (int i = 0; i < 2; ++i) line = payload->find('\n', line) + 1;
+      std::istringstream scalars(payload->substr(line, payload->find('\n', line) - line));
       uint64_t total = 0;
-      std::string last_t;
-      header >> total >> last_t;
-      if (total > 0 && last_t[0] >= '1' && last_t[0] <= '8') {
-        (*payload)[line + std::to_string(total).size() + 1] = '9';
+      scalars >> total;
+      if (total == 0) continue;
+      line = payload->find('\n', line) + 1;
+      const size_t buckets =
+          std::stoul(payload->substr(line, payload->find('\n', line) - line));
+      if (buckets == 0) continue;
+      // Buckets are written oldest first, so `buckets` lines on from the
+      // count is the newest bucket's line.
+      for (size_t b = 0; b < buckets; ++b) line = payload->find('\n', line) + 1;
+      if ((*payload)[line] >= '1' && (*payload)[line] <= '8') {
+        (*payload)[line] = '9';
         return true;
       }
     }
@@ -729,20 +701,12 @@ TEST_F(CheckpointTest, RestoreRejectsAnItemIdListedTwice) {
   Load(&source, kItems, kAge);
   ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
-  // A v2 shard holds "shard v2", its item count, then per item the id,
-  // the static features and the tracker's byte count, one line each,
-  // and the tracker blob.  Give the second item the first item's id.
+  // Give the second item the first item's id.
   const auto duplicate = [](std::string* payload) {
-    std::istringstream in(*payload);
-    std::string magic, version, first_id, statics, second_id;
-    size_t items = 0, blob_bytes = 0;
-    in >> magic >> version >> items >> first_id >> std::ws;
-    if (items < 2 || !std::getline(in, statics) || !(in >> blob_bytes)) return false;
-    in.ignore(1);  // the newline after the byte count
-    in.ignore(static_cast<std::streamsize>(blob_bytes));
-    const auto at = static_cast<size_t>(in.tellg());
-    if (!(in >> second_id)) return false;
-    payload->replace(at, second_id.size(), first_id);
+    ShardText shard = SplitShard(*payload);
+    if (shard.records.size() < 2) return false;
+    shard.records[1].id = shard.records[0].id;
+    *payload = shard.Join();
     return true;
   };
   ASSERT_TRUE(ReframeShard(Dir(), duplicate));
@@ -768,8 +732,8 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithImpossibleEwmaRate) {
   // first_age last_age ewma_rate ...".  Zero-pad "1e300" to the width of
   // a non-empty stream's rate so the blob's byte count stays the same.
   const auto tamper = [](std::string* payload) {
-    for (size_t at = payload->find("trk v1\n"); at != std::string::npos;
-         at = payload->find("trk v1\n", at + 1)) {
+    for (size_t at = payload->find("trk v2\n"); at != std::string::npos;
+         at = payload->find("trk v2\n", at + 1)) {
       size_t line = at;
       for (int i = 0; i < 2; ++i) line = payload->find('\n', line) + 1;
       std::istringstream scalars(
@@ -797,6 +761,49 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithImpossibleEwmaRate) {
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
+// RegisterItem and Ingest refuse times past kMaxAbsTime.  A re-framed
+// tracker whose creation time (-1e300) or last event (1e300 s after
+// creation) lies past it would restore, and the next scan of a Debug
+// build would abort on an infinite age feature; Restore must refuse it
+// with kCorruption and leave the service untouched.
+TEST_F(CheckpointTest, RestoreRejectsReframedShardWithTimesPastTheBound) {
+  ServiceConfig config;
+  config.num_shards = 1;
+  PredictionService source = MakeService(config);
+  const auto& cascade = dataset_->cascades[0];
+  ASSERT_TRUE(source.RegisterItem(7, 0.0, dataset_->PageOf(cascade.post), cascade.post)
+                  .ok());
+  ASSERT_TRUE(source.Ingest(7, stream::EngagementType::kView, 60.0).ok());
+  // The item's blob: created at 0, one view at age 60.
+  const std::string blob =
+      "trk v2\n0 4 4\n1 60 60 0.00027777777777777778 60 0 0 0 0 0\n"
+      "1\n60 1\n1\n60 1\n1\n60 1\n1\n60 1\n0\n0\n0\n";
+  std::string late_view = blob;
+  for (size_t at = late_view.find("60"); at != std::string::npos;
+       at = late_view.find("60", at)) {
+    late_view.replace(at, 2, "1e300");
+  }
+  for (const std::string& tampered :
+       {"trk v2\n-1e300" + blob.substr(blob.find(" 4 4\n")), late_view}) {
+    SCOPED_TRACE(tampered);
+    ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+    ASSERT_TRUE(ReframeShard(Dir(), [&](std::string* payload) {
+      const size_t at = payload->find(std::to_string(blob.size()) + "\n" + blob);
+      if (at == std::string::npos) return false;
+      payload->replace(at, payload->size() - at,
+                       std::to_string(tampered.size()) + "\n" + tampered);
+      return true;
+    }));
+    PredictionService restored = MakeService(config);
+    Load(&restored, 3, kAge);
+    const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+    const Status status = restored.Restore(Dir());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(restored.LiveItems(), 3u);
+    ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+  }
+}
+
 // A re-framed shard whose tracker has a passed landmark counting more
 // events than its stream holds: a count no event sequence produces, which
 // used to restore fine and then feed the landmark features.  Restore must
@@ -806,31 +813,25 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithLandmarkCountAboveTotal) {
   Load(&source, kItems, kAge);
   ASSERT_TRUE(source.Checkpoint(Dir()).ok());
 
-  // A tracker blob's third line is its view stream's scalars, starting
-  // with the total; the fourth holds its "count done" landmark pairs.
-  // Raise the first landmark's count to total + 1 where it is done, and
-  // fix the blob's length prefix on the line before "trk v1".
+  // A tracker blob's third line is its view stream's "total first_age
+  // last_age ewma_rate age_sum compensation", then its landmark counts.
+  // Where the first landmark (30 min) is done, raise its count to
+  // total + 1 (Join writes the blob's new byte count).
   const auto tamper = [](std::string* payload) {
-    for (size_t at = payload->find("trk v1\n"); at != std::string::npos;
-         at = payload->find("trk v1\n", at + 1)) {
-      size_t line = at;
-      for (int i = 0; i < 2; ++i) line = payload->find('\n', line) + 1;
-      const size_t landmarks = payload->find('\n', line) + 1;
-      std::istringstream scalars(payload->substr(line, landmarks - line));
-      std::istringstream pairs(
-          payload->substr(landmarks, payload->find('\n', landmarks) - landmarks));
+    ShardText shard = SplitShard(*payload);
+    for (ShardText::Record& record : shard.records) {
+      std::string& blob = record.blob;
+      size_t line = 0;
+      for (int i = 0; i < 2; ++i) line = blob.find('\n', line) + 1;
+      std::istringstream scalars(blob.substr(line, blob.find('\n', line) - line));
       uint64_t total = 0, count = 0;
-      int done = 0;
-      scalars >> total;
-      pairs >> count >> done;
-      if (done != 1) continue;
-      const std::string from = std::to_string(count);
-      const std::string to = std::to_string(total + 1);
-      payload->replace(landmarks, from.size(), to);
-      const size_t prefix = payload->rfind('\n', at - 2) + 1;
-      const size_t size = std::stoul(payload->substr(prefix, at - 1 - prefix));
-      payload->replace(prefix, at - 1 - prefix,
-                       std::to_string(size + to.size() - from.size()));
+      double first_age = 0.0, last_age = 0.0, rate = 0.0, sum = 0.0, comp = 0.0;
+      scalars >> total >> first_age >> last_age >> rate >> sum >> comp >> count;
+      if (total == 0 || last_age <= 30 * kMinute) continue;
+      size_t landmark = line;
+      for (int i = 0; i < 6; ++i) landmark = blob.find(' ', landmark) + 1;
+      blob.replace(landmark, std::to_string(count).size(), std::to_string(total + 1));
+      *payload = shard.Join();
       return true;
     }
     return false;
@@ -846,103 +847,23 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithLandmarkCountAboveTotal) {
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
-/// Rewrites a shard v2 payload into the v1 layout, which carried each
-/// item's page and post profiles, each on one line, where v2 carries its
-/// static features.  Item `id` holds the profiles CheckpointTest::Load
-/// registered for it.
-std::string ShardV1(const std::string& v2, const datagen::SyntheticDataset& data) {
-  std::istringstream in(v2);
-  std::string magic, version, statics;
-  size_t items = 0;
-  in >> magic >> version >> items;
-  std::ostringstream out;
-  out.precision(17);
-  out << "shard v1\n" << items << "\n";
-  for (size_t i = 0; i < items; ++i) {
-    int64_t id = 0;
-    size_t size = 0;
-    in >> id >> std::ws;
-    std::getline(in, statics);
-    in >> size;
-    in.ignore(1);
-    std::string tracker(size, '\0');
-    in.read(tracker.data(), static_cast<std::streamsize>(size));
-    const datagen::PostProfile& p =
-        data.cascades[static_cast<size_t>(id) % data.cascades.size()].post;
-    const datagen::PageProfile& g = data.PageOf(p);
-    out << id << "\n";
-    out << g.id << " " << g.followers << " " << g.fans << " " << g.posts_last_month
-        << " " << g.page_age_days << " " << static_cast<int>(g.category) << " "
-        << g.verified << " " << g.hist_mean_views << " " << g.hist_mean_halflife
-        << " " << g.hist_share_rate << " " << g.hist_comment_rate << " "
-        << g.quality << " " << g.audience_tau << " " << g.shareability << " "
-        << g.alpha_page << "\n";
-    out << p.id << " " << p.page_id << " " << static_cast<int>(p.media) << " "
-        << p.language << " " << p.num_mentions << " " << p.num_hashtags << " "
-        << p.text_length << " " << p.creation_tod << " " << p.day_of_week << " "
-        << p.in_group << " " << p.group_members << " " << p.has_question << " "
-        << p.creation_time << " " << p.lambda0 << " " << p.beta << " " << p.rho1
-        << " " << p.mark_sigma_log << "\n";
-    out << size << "\n" << tracker;
-  }
-  EXPECT_TRUE(in.good()) << "malformed shard v2 payload";
-  return out.str();
-}
-
-// Shard files of version v1 carry each item's profiles instead of its
-// static features.  Restore still reads them, computing the features
-// from the profiles as RegisterItem does, so a checkpoint written before
-// v2 restores to bit-identical predictions.
-TEST_F(CheckpointTest, RestoresShardV1CheckpointBitIdentically) {
-  PredictionService source = MakeService();
-  Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
-  const size_t shards = ReframeShards(
-      Dir(),
-      [](std::string* payload) {
-        *payload = ShardV1(*payload, *dataset_);
-        return true;
-      },
-      /*every_shard=*/true);
-  ASSERT_EQ(shards, static_cast<size_t>(source.num_shards()));
-
-  PredictionService restored = MakeService();
-  const Status status = restored.Restore(Dir());
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(restored.LiveItems(), source.LiveItems());
-  for (const double delta : {1 * kHour, 1 * kDay, 7 * kDay}) {
-    ExpectIdentical(Snapshot(source, kItems, kAge, delta),
-                    Snapshot(restored, kItems, kAge, delta));
-  }
-  // A restored service checkpoints as v2 again.
-  ASSERT_TRUE(restored.Checkpoint(Dir()).ok());
-  PredictionService again = MakeService();
-  ASSERT_TRUE(again.Restore(Dir()).ok());
-  ExpectIdentical(Snapshot(source, kItems, kAge, 1 * kDay),
-                  Snapshot(again, kItems, kAge, 1 * kDay));
-}
-
-/// ReframeShard with the first item's static-feature line (a shard file's
-/// fourth) replaced by tamper(line).
+/// ReframeShard with the first item's static-feature line replaced by
+/// tamper(line).
 bool ReframeFirstStatics(const std::string& dir,
                          const std::function<std::string(const std::string&)>& tamper) {
   return ReframeShard(dir, [&](std::string* payload) {
-    size_t line = 0;
-    for (int i = 0; i < 3 && line != std::string::npos; ++i) {
-      line = payload->find('\n', line);
-      if (line != std::string::npos) ++line;
-    }
-    if (line == std::string::npos || line >= payload->size()) return false;
-    const size_t end = payload->find('\n', line);
-    payload->replace(line, end - line, tamper(payload->substr(line, end - line)));
+    ShardText shard = SplitShard(*payload);
+    if (shard.records.empty()) return false;
+    shard.records[0].statics = tamper(shard.records[0].statics);
+    *payload = shard.Join();
     return true;
   });
 }
 
-// A shard v2 item's static features are one line of kNumStaticFeatures
-// finite floats.  A line with a non-finite or out-of-range value, or with
-// a value missing, fails Restore with kCorruption and leaves the service
-// untouched.
+// A shard v3 item's static features are one line of kNumStaticFloats
+// finite floats and the two one-hot indices.  A line with a non-finite or
+// out-of-range value, or with a value missing or one too many, fails
+// Restore with kCorruption and leaves the service untouched.
 TEST_F(CheckpointTest, RestoreRejectsReframedShardWithBadStaticFeatures) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
@@ -961,6 +882,7 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithBadStaticFeatures) {
       {"value beyond float range", set_first("1e39")},
       {"truncated record",
        [](const std::string& line) { return line.substr(0, line.rfind(' ')); }},
+      {"extra value", [](const std::string& line) { return line + " 0"; }},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.what);
@@ -977,34 +899,24 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithBadStaticFeatures) {
   }
 }
 
-// A shard v2 record writes the media type's and the page category's
-// one-hot groups value by value: one 1 among 0s, or all 0s.  A re-framed
-// record whose group holds another value (0.5), two 1s or a -0 fails
-// Restore with kCorruption and leaves the service untouched; an all-0
-// group restores, and checkpoints back to the line it was read from.
+// A shard v3 record ends with the media type's and the page category's
+// one-hot groups as the index of their 1, or 255 (kNoneHot) for a group
+// of all 0s.  A re-framed record whose index is at or above its group's
+// size, other than 255, or is no index at all, fails Restore with
+// kCorruption and leaves the service untouched; an all-0 group restores,
+// and checkpoints back to the line it was read from.
 TEST_F(CheckpointTest, RestoreRejectsReframedShardWithMalformedOneHotGroup) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
-  // A record's line starts with the row's head, so a group's first value
-  // is at its first feature's schema index.
-  const features::FeatureSchema& schema = extractor_->schema();
-  const auto index_of = [&](const std::string& name) {
-    size_t i = 0;
-    while (i < schema.size() && schema.def(i).name != name) ++i;
-    EXPECT_LT(i, schema.size()) << name;
-    return i;
-  };
-  const size_t media = index_of(std::string("content/media_") +
-                                datagen::MediaTypeName(datagen::MediaType{}));
-  const size_t category = index_of(std::string("page/category_") +
-                                   datagen::PageCategoryName(datagen::PageCategory{}));
-  // Sets the values from `first` on.
-  const auto set = [](size_t first, std::vector<std::string> values) {
-    return [first, values](const std::string& line) {
+  // The record's tokens: the floats, then the media and category indices.
+  constexpr size_t kMedia = features::kNumStaticFloats, kCategory = kMedia + 1;
+  const auto set = [](size_t index, std::string value) {
+    return [index, value](const std::string& line) {
       std::vector<std::string> tokens;
       std::istringstream is(line);
       for (std::string token; is >> token;) tokens.push_back(token);
-      for (size_t j = 0; j < values.size(); ++j) tokens[first + j] = values[j];
+      EXPECT_EQ(tokens.size(), kCategory + 1) << line;
+      tokens.at(index) = value;
       std::string out;
       for (const std::string& token : tokens) out += (out.empty() ? "" : " ") + token;
       return out;
@@ -1015,12 +927,14 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithMalformedOneHotGroup) {
     std::function<std::string(const std::string&)> tamper;
   };
   const Row rows[] = {
-      {"media 0.5", set(media, {"0.5", "0", "0", "0", "0"})},
-      {"media two 1s", set(media, {"1", "0", "0", "1", "0"})},
-      {"media -0", set(media, {"0", "-0", "0", "0", "0"})},
-      {"category 0.5", set(category, {"0", "0", "0", "0", "0", "0", "0.5"})},
-      {"category two 1s", set(category, {"1", "1", "0", "0", "0", "0", "0"})},
-      {"category -0", set(category, {"0", "0", "1", "0", "-0", "0", "0"})},
+      {"media past its group", set(kMedia, std::to_string(datagen::kNumMediaTypes))},
+      {"media 254", set(kMedia, "254")},
+      {"media past a byte", set(kMedia, "256")},
+      {"media -1", set(kMedia, "-1")},
+      {"category past its group",
+       set(kCategory, std::to_string(datagen::kNumPageCategories))},
+      {"category 254", set(kCategory, "254")},
+      {"category 1.5", set(kCategory, "1.5")},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.what);
@@ -1038,7 +952,7 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithMalformedOneHotGroup) {
   ASSERT_TRUE(source.Checkpoint(Dir()).ok());
   std::string zeroed;
   ASSERT_TRUE(ReframeFirstStatics(Dir(), [&](const std::string& line) {
-    zeroed = set(media, {"0", "0", "0", "0", "0"})(line);
+    zeroed = set(kMedia, "255")(line);
     return zeroed;
   }));
   PredictionService restored = MakeService();
@@ -1056,52 +970,79 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithMalformedOneHotGroup) {
   EXPECT_EQ(found, 1u);
 }
 
-// Checkpoints written while the service still kept quantized forests hold
-// a model.qforest file and a "qforest <crc> <size>" manifest line after
-// the model's.  Restore parses that line, ignores it and never opens the
-// file, so such a checkpoint restores to bit-identical predictions; a
-// truncated line still fails as corruption.
-TEST_F(CheckpointTest, RestoresManifestWithLegacyQforestLine) {
-  PredictionService source = MakeService();
-  Load(&source, kItems, kAge);
-  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
-
-  const std::string ckpt = CommittedCheckpoint(Dir());
-  EXPECT_FALSE(io::ReadFile(ckpt + "/model.qforest").ok());
-  const std::string manifest = FramedPayload(ckpt + "/MANIFEST");
-  EXPECT_EQ(manifest.find("qforest"), std::string::npos);
-  const size_t windows = manifest.find("\nwindows ") + 1;
-  ASSERT_NE(windows, 0u);
-  // Inserts `line` between the model and windows lines, with a fresh CRC
-  // frame.
-  const auto rewrite = [&](const std::string& line) {
-    ASSERT_TRUE(io::WriteFileAtomic(
-                    ckpt + "/MANIFEST",
-                    io::WrapCrcFrame(manifest.substr(0, windows) + line +
-                                     manifest.substr(windows)))
-                    .ok());
-  };
-  const std::string qforest_blob = "qhwk v1\n1\n0\n0\n";
-  ASSERT_TRUE(io::WriteFileAtomic(ckpt + "/model.qforest",
-                                  io::WrapCrcFrame(qforest_blob))
+// Restore reads one format: shard files `shard v3` holding `trk v2`
+// blobs.  A checkpoint written before them, a `shard v2` file of
+// 32-value static records and `trk v1` blobs, gets kCorruption, as does
+// a v3 file holding a `trk v1` blob, and the service is left untouched.
+// So does a manifest with the `qforest <crc> <size>` line that
+// checkpoints carried while the service kept quantized forests.
+TEST_F(CheckpointTest, RestoreReadsOnlyTheCurrentFormats) {
+  ServiceConfig config;
+  config.num_shards = 1;
+  PredictionService source = MakeService(config);
+  const auto& cascade = dataset_->cascades[0];
+  ASSERT_TRUE(source.RegisterItem(7, 0.0, dataset_->PageOf(cascade.post), cascade.post)
                   .ok());
-  rewrite("qforest " + std::to_string(io::Crc32(qforest_blob)) + " " +
-          std::to_string(qforest_blob.size()) + "\n");
-
-  PredictionService restored = MakeService();
-  const Status restored_status = restored.Restore(Dir());
-  ASSERT_TRUE(restored_status.ok()) << restored_status.ToString();
-  EXPECT_EQ(restored.LiveItems(), source.LiveItems());
-  for (const double delta : {1 * kHour, 1 * kDay, 7 * kDay}) {
-    ExpectIdentical(Snapshot(source, kItems, kAge, delta),
-                    Snapshot(restored, kItems, kAge, delta));
+  // An empty tracker of the default layout as `trk v1` wrote it: per
+  // stream its scalars, landmark (count, done) pairs, window count and
+  // per window "total last_time buckets".
+  std::string trk_v1 = "trk v1\n0 4 4\n";
+  for (int type = 0; type < stream::kNumEngagementTypes; ++type) {
+    trk_v1 += "0 -1 -1 0 0 0 0\n0 0 0 0 0 0 0 0 \n4\n";
+    for (int window = 0; window < 4; ++window) trk_v1 += "0 -1.0000000000000001e+300 0\n";
+  }
+  std::string statics_v2;
+  for (size_t i = 0; i < features::kNumStaticFeatures; ++i) {
+    statics_v2 += i == 0 ? "0" : " 0";
+  }
+  const struct {
+    const char* what;
+    std::function<std::string(const std::string&)> payload;
+  } cases[] = {
+      {"shard v2 of trk v1",
+       [&](const std::string&) {
+         return ShardText{"shard v2\n1\n", {{"7", statics_v2, trk_v1}}}.Join();
+       }},
+      {"shard v3 of trk v1",
+       [&](const std::string& v3) {
+         ShardText shard = SplitShard(v3);
+         shard.records.at(0).blob = trk_v1;
+         return shard.Join();
+       }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+    ASSERT_TRUE(ReframeShard(Dir(), [&](std::string* payload) {
+      *payload = c.payload(*payload);
+      return true;
+    }));
+    PredictionService restored = MakeService(config);
+    Load(&restored, 3, kAge);
+    const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+    const Status status = restored.Restore(Dir());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(restored.LiveItems(), 3u);
+    ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
   }
 
-  rewrite("qforest 17\n");
-  PredictionService truncated = MakeService();
-  const Status status = truncated.Restore(Dir());
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+  const std::string ckpt = CommittedCheckpoint(Dir());
+  const std::string manifest = FramedPayload(ckpt + "/MANIFEST");
+  const size_t windows = manifest.find("\nwindows ") + 1;
+  ASSERT_NE(windows, 0u);
+  ASSERT_TRUE(io::WriteFileAtomic(ckpt + "/MANIFEST",
+                                  io::WrapCrcFrame(manifest.substr(0, windows) +
+                                                   "qforest 17 4\n" +
+                                                   manifest.substr(windows)))
+                  .ok());
+  PredictionService restored = MakeService(config);
+  Load(&restored, 3, kAge);
+  const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+  const Status status = restored.Restore(Dir());
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
-  EXPECT_EQ(truncated.LiveItems(), 0u);
+  EXPECT_EQ(restored.LiveItems(), 3u);
+  ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
 /// Replaces the MANIFEST of the committed checkpoint under `dir` with a
@@ -1294,34 +1235,28 @@ TEST_F(CheckpointTest, ScanRanksTiedItemsById) {
   }
 }
 
-/// The ids of the records of the `shard v2` payload `payload`, in file
+/// The ids of the records of the `shard v3` payload `payload`, in file
 /// order; fails the test unless the item count before them equals the
 /// number of records that follow it.
-std::vector<int64_t> ShardRecordIds(std::string_view payload) {
-  text::Reader in(payload);
-  std::string_view magic, version, statics, blob;
+std::vector<int64_t> ShardRecordIds(const std::string& payload) {
+  const ShardText shard = SplitShard(payload);
+  std::istringstream header(shard.header);
+  std::string magic, version;
   size_t count = 0;
-  EXPECT_TRUE(in.ReadWord(&magic) && in.ReadWord(&version) && in.Read(&count));
-  EXPECT_EQ(std::string(magic) + " " + std::string(version), "shard v2");
+  EXPECT_TRUE(header >> magic >> version >> count);
+  EXPECT_EQ(magic + " " + version, "shard v3");
   std::vector<int64_t> ids;
-  int64_t id = 0;
-  size_t blob_bytes = 0;
-  while (in.Read(&id)) {
-    if (!in.ReadLine(&statics) || !in.Read(&blob_bytes) ||
-        !in.Take(blob_bytes + 1, &blob)) {
-      ADD_FAILURE() << "truncated record of item " << id;
-      break;
-    }
-    ids.push_back(id);
+  for (const ShardText::Record& record : shard.records) {
+    ids.push_back(std::stoll(record.id));
   }
   EXPECT_EQ(ids.size(), count) << "records after the count";
   return ids;
 }
 
 // Shard files stream with the frame size and the item count zero-padded
-// to 20 digits.  Checkpoints written before carry both unpadded
-// ("hzf1 1234 <crc>", "shard v2\n48\n"); one re-framed that way restores
-// to bit-identical answers.
+// to 20 digits.  Both read back as ordinary integers: a checkpoint
+// re-framed with both unpadded ("hzf1 1234 <crc>", "shard v3\n48\n")
+// restores to bit-identical answers.
 TEST_F(CheckpointTest, RestoresUnpaddedSizesAndCountsBitIdentically) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
@@ -1340,7 +1275,7 @@ TEST_F(CheckpointTest, RestoresUnpaddedSizesAndCountsBitIdentically) {
   }
   EXPECT_EQ(records, static_cast<size_t>(kItems));
 
-  // "shard v2\n" and the count's 20 digits, then its newline.
+  // "shard v3\n" and the count's 20 digits, then its newline.
   const size_t shards = ReframeShards(
       Dir(),
       [](std::string* payload) {
@@ -1513,16 +1448,20 @@ TEST_F(CheckpointTest, CheckpointWhileServingKeepsWorking) {
   EXPECT_EQ(restored.LiveItems(), static_cast<size_t>(kItems));
 }
 
-// tests/data/golden_checkpoint is a checkpoint written by the code that
-// still stored the model's file, model.hwk, beside the manifest: 12
-// items (static features and all four engagement streams up to 6 h) on 2
-// shards, served by a small model over the full feature schema (3 trees
-// of depth 3 per forest, reference horizons 6 h and 1 d, trained on 120
-// generated posts of seed 2028).  It pins, with no training: the model
-// codec (model.hwk's payload reads and writes back byte for byte); that
-// such a checkpoint restores, model.hwk ignored; answers recorded from
-// the service that wrote it, bit for bit; and the manifest and shard
-// writers' bytes.
+// tests/data/golden_checkpoint is a checkpoint of 12 items (static
+// features and all four engagement streams up to 6 h) on 2 shards,
+// served by a small model over the full feature schema (3 trees of depth
+// 3 per forest, reference horizons 6 h and 1 d, trained on 120 generated
+// posts of seed 2028).  It was written by the code that still stored the
+// model's file, model.hwk, beside the manifest, in `shard v2` files of
+// `trk v1` blobs; it was converted once to `shard v3` / `trk v2` by
+// restoring it with the reader of those formats and checkpointing it
+// again, on 2 shards, with the writer of these.  Its model.hwk and the
+// answers recorded from the service that first wrote it were kept as
+// they were.  It pins, with no training: the model codec (model.hwk's
+// payload reads and writes back byte for byte); that the checkpoint
+// restores, model.hwk ignored; the recorded answers, bit for bit; and
+// the manifest and shard writers' bytes.
 const std::string kGoldenCheckpoint =
     std::string(HORIZON_TEST_DATA_DIR) + "/golden_checkpoint";
 
@@ -1574,7 +1513,7 @@ TEST(GoldenCheckpointTest, RestoresToTheRecordedAnswers) {
 
 // Restored onto as many shards, the fixture checkpoints again to the
 // same manifest and shard files, byte for byte (less model.hwk): the
-// manifest and shard writers write what they wrote then.
+// manifest and shard writers write what they wrote when it was converted.
 TEST(GoldenCheckpointTest, RestoredFixtureCheckpointsToTheSameBytes) {
   core::HawkesPredictor model;
   ASSERT_TRUE(model.Deserialize(GoldenModelText()));

@@ -555,36 +555,25 @@ TEST(FuzzTrackerDeserialize, RoundTripIsByteIdentical) {
 
 // A window keeps each bucket's size as its log2 in one byte, and the
 // largest size a power-of-two uint64 holds is 2^63 (log2 63).  A view
-// stream of 2^63 events whose windows each hold one such bucket restores
-// and writes itself back byte for byte.
+// stream of 2^63 events at age 10, whose windows each hold one such
+// bucket, restores and writes itself back byte for byte.
 TEST(FuzzTrackerDeserialize, LargestBucketRoundTrips) {
   const uint64_t n = uint64_t{1} << 63;
   const stream::TrackerConfig config;
-  stream::CascadeTracker one_view(0.0, config);
-  one_view.Observe(stream::EngagementType::kView, 10.0);
-  // The blob of one view at age 10, with the view stream's total, age
-  // sum and bucket sizes raised to 2^63 events at that age.
-  std::ostringstream views;
-  views.precision(17);
-  views << n << " 10 10 " << 1.0 / config.ewma_tau << " 10 "
-        << 10.0 * static_cast<double>(n) << " 0\n";
-  for (size_t j = 0; j < config.landmark_ages.size(); ++j) views << "0 0 ";
-  views << "\n" << config.window_lengths.size() << "\n";
-  for (size_t i = 0; i < config.window_lengths.size(); ++i) {
-    views << n << " 10 1\n10 " << n << "\n";
-  }
-  std::istringstream in(one_view.Serialize());
-  std::string blob, line;
-  for (int i = 0; i < 2 && std::getline(in, line); ++i) blob += line + "\n";
-  blob += views.str();
-  // Skip the one-view stream: scalars, landmarks, the window count and
-  // each window's header and one bucket.
-  for (size_t i = 0; i < 3 + 2 * config.window_lengths.size(); ++i) std::getline(in, line);
-  while (std::getline(in, line)) blob += line + "\n";
+  std::ostringstream blob;
+  blob.precision(17);
+  blob << "trk v2\n0 " << config.window_lengths.size() << " "
+       << config.landmark_ages.size() << "\n";
+  blob << n << " 10 10 " << 1.0 / config.ewma_tau << " " << 10.0 * static_cast<double>(n)
+       << " 0";
+  for (size_t j = 0; j < config.landmark_ages.size(); ++j) blob << " 0";
+  blob << "\n";
+  for (size_t i = 0; i < config.window_lengths.size(); ++i) blob << "1\n10 " << n << "\n";
+  blob << "0\n0\n0\n";  // the other three streams are empty
 
   stream::CascadeTracker restored(0.0, config);
-  ASSERT_TRUE(restored.Deserialize(blob)) << blob;
-  EXPECT_EQ(restored.Serialize(), blob);
+  ASSERT_TRUE(restored.Deserialize(blob.str())) << blob.str();
+  EXPECT_EQ(restored.Serialize(), blob.str());
   EXPECT_EQ(restored.TotalCount(stream::EngagementType::kView), n);
   // The one bucket straddles every window's boundary: half of it counts.
   EXPECT_EQ(restored.Snapshot(10.0).views().window_counts[0], n / 2);
@@ -658,45 +647,46 @@ TEST(FuzzTrackerDeserialize, GarbageRejected) {
     for (auto& c : garbage) c = static_cast<char>(rng.UniformInt(256));
     stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
     EXPECT_FALSE(tracker.Deserialize(garbage));
-    EXPECT_FALSE(tracker.Deserialize("trk v1\n" + garbage));
+    EXPECT_FALSE(tracker.Deserialize("trk v2\n" + garbage));
   }
 }
 
 TEST(FuzzTrackerDeserialize, AbsurdBucketCountsRejectedWithoutAllocating) {
-  // Format: "trk v1", "<creation> <windows> <landmarks>", then per stream
-  // "<total> <first> <last> <ewma> <ewma_t> <sum> <comp>", the landmark
-  // pairs, "<windows>" and per window "<total> <last_t> <buckets>".
-  const std::string header =
-      "trk v1\n0 4 4\n0 -1 -1 0 0 0 0\n0 0 0 0 0 0 0 0\n4\n";
+  // Format: "trk v2", "<creation> <windows> <landmarks>", then per stream
+  // its total, and for a non-empty one "<first> <last> <ewma> <sum>
+  // <comp>" and a count per landmark on the same line, then per window
+  // "<buckets>" and the buckets.  One view at age 0:
+  const std::string header = "trk v2\n0 4 4\n1 0 0 0 0 0 0 0 0 0\n";
   stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
   // 64 * (ceil(1 / 0.05) + 2) = 1408 buckets is the cap for epsilon 0.05.
   for (const char* count : {"1409", "999999999999999999", "-1"}) {
-    EXPECT_FALSE(tracker.Deserialize(header + "0 -1e300 " + count + "\n"))
-        << count;
+    EXPECT_FALSE(tracker.Deserialize(header + count + "\n")) << count;
   }
-  EXPECT_FALSE(tracker.Deserialize(
-      "trk v1\n0 4 4\n0 -1 -1 0 0 0 0\n0 0 0 0 0 0 0 0\n999999999999\n"));
-  EXPECT_FALSE(tracker.Deserialize("trk v1\n0 999999999999 4\n"));
+  EXPECT_FALSE(tracker.Deserialize("trk v2\n0 999999999999 4\n"));
   EXPECT_EQ(tracker.Serialize(), stream::CascadeTracker(0.0, stream::TrackerConfig{})
                                      .Serialize());
 }
 
-// A window whose last time runs ahead of its stream's once passed the
-// parser and made the next Observe abort in the histogram's ordering
-// check; windows now take their last time from the stream, and a blob
-// that disagrees is rejected.
+// A window's header is its bucket count.  One more or one fewer than the
+// buckets that follow, or more than a window holds, shifts every later
+// token onto another field, and the blob is rejected; the tracker it was
+// read into still serves.
 TEST(FuzzTrackerDeserialize, TamperedWindowHeaderRejected) {
   stream::CascadeTracker source(0.0, stream::TrackerConfig{});
   for (const double t : {10.0, 20.0, 30.0}) {
     source.Observe(stream::EngagementType::kView, t);
   }
-  std::string blob = source.Serialize();
-  const size_t at = blob.find("\n3 30 3\n");
+  const std::string blob = source.Serialize();
+  const std::string window = "\n3\n10 1\n20 1\n30 1\n";
+  const size_t at = blob.find(window);
   ASSERT_NE(at, std::string::npos);
-  blob.replace(at, 8, "\n3 1000000000 3\n");
-  stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
-  EXPECT_FALSE(tracker.Deserialize(blob));
-  DriveForward(&tracker);
+  for (const char* count : {"2", "4", "1409"}) {
+    std::string bad = blob;
+    bad.replace(at + 1, 1, count);
+    stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
+    EXPECT_FALSE(tracker.Deserialize(bad)) << count;
+    DriveForward(&tracker);
+  }
 }
 
 // dgim::Add finds an over-full run from the invariant it keeps (sizes
@@ -709,11 +699,11 @@ TEST(FuzzTrackerDeserialize, BucketsAddCannotProduceRejected) {
     source.Observe(stream::EngagementType::kView, t);
   }
   const std::string blob = source.Serialize();
-  const std::string window = "\n3 30 3\n10 1\n20 1\n30 1\n";
+  const std::string window = "\n3\n10 1\n20 1\n30 1\n";
   const size_t at = blob.find(window);
   ASSERT_NE(at, std::string::npos);
-  for (const char* tampered : {"\n3 30 2\n20 1\n30 2\n",   // sizes grow
-                               "\n3 30 1\n30 3\n"}) {        // size 3
+  for (const char* tampered : {"\n2\n20 1\n30 2\n",   // sizes grow
+                               "\n1\n30 3\n"}) {        // size 3
     std::string bad = blob;
     bad.replace(at, window.size(), tampered);
     stream::CascadeTracker tracker(0.0, stream::TrackerConfig{});
@@ -721,13 +711,13 @@ TEST(FuzzTrackerDeserialize, BucketsAddCannotProduceRejected) {
   }
 }
 
-// --- The tracker codec against the iostream codec it replaced ---------
+// --- The tracker codec against an iostream codec of the same format -----
 //
-// reference_tracker_codec.h keeps the old iostream writer and parser.  The
-// writer must match it byte for byte; the parser must reject everything
-// the old one rejects, and read everything else the old one reads to the
-// same values, except for the input classes text::Reader lists
-// (common/text_codec.h), which it newly rejects:
+// reference_tracker_codec.h writes and parses `trk v2` through iostreams,
+// with no code of the library.  The writer must match it byte for byte;
+// the parser must reject everything it rejects, and read everything else
+// it reads to the same values, except for the input classes text::Reader
+// lists (common/text_codec.h), which it rejects and operator>> reads:
 //   * kNoSeparator: a number that runs into the next token ("5-3",
 //     "0x1p3", or a token glued to the end of the blob, "1J"), which
 //     operator>> splits;
@@ -740,11 +730,11 @@ TEST(FuzzTrackerDeserialize, BucketsAddCannotProduceRejected) {
 
 namespace ref = stream::reference;
 
-/// Why the new parser may reject a blob the old one reads.
+/// Why the text_codec parser may reject a blob the iostream one reads.
 enum class NewlyRejected { kNone, kNoSeparator, kLeadingPlus, kMinusInUnsigned, kUnderflow };
 
 /// The first token of `tokens` (as ref::Read took them from `text`) in one
-/// of the classes only the new parser rejects.
+/// of the classes only the text_codec parser rejects.
 NewlyRejected Classify(const std::string& text, const std::vector<ref::Token>& tokens) {
   for (const ref::Token& t : tokens) {
     if (t.kind == ref::FieldKind::kWord) continue;
@@ -766,27 +756,7 @@ NewlyRejected Classify(const std::string& text, const std::vector<ref::Token>& t
   return NewlyRejected::kNone;
 }
 
-/// What a tracker that read `t` writes back: the fields the tracker does
-/// not keep (an empty stream's scalars, the EWMA time, each window's total
-/// and last time) take the values it derives, which the old parser
-/// checked equal to these.
-ref::TrackerText Canonical(ref::TrackerText t) {
-  for (ref::StreamText& s : t.streams) {
-    if (s.total == 0) {
-      s.first_age = s.last_age = -1.0;
-      s.ewma_rate = s.ewma_time = s.age_sum = s.age_comp = 0.0;
-    } else {
-      s.ewma_time = s.last_age;
-    }
-    for (ref::WindowText& w : s.windows) {
-      w.total = s.total;
-      w.last_t = s.total == 0 ? stream::dgim::kNoEventTime : s.last_age;
-    }
-  }
-  return t;
-}
-
-/// A tracker layout and a state in it that the old parser accepts.
+/// A tracker layout and a state in it that the iostream parser accepts.
 struct RandomTracker {
   stream::TrackerConfig config;
   ref::TrackerText text;
@@ -821,9 +791,9 @@ RandomTracker MakeRandomTracker(Rng* rng) {
   r.text.creation_time = (rng->Bernoulli(0.5) ? -1.0 : 1.0) *
                          RandomMagnitude(rng, static_cast<int>(rng->UniformInt(3)));
   for (ref::StreamText& s : r.text.streams) {
-    s.landmarks.assign(r.config.landmark_ages.size(), {0, 0});
-    s.windows.assign(r.config.window_lengths.size(), {0, stream::dgim::kNoEventTime, {}});
     if (rng->Bernoulli(0.35)) continue;  // an empty stream
+    s.landmarks.assign(r.config.landmark_ages.size(), 0);
+    s.windows.assign(r.config.window_lengths.size(), {});
     // Event ages at this scale, sorted: the first and last, and the
     // candidates for bucket times.
     std::vector<double> ages(2 + rng->UniformInt(60));
@@ -843,7 +813,6 @@ RandomTracker MakeRandomTracker(Rng* rng) {
     if (s.total == 1) s.first_age = s.last_age;
     const double total = static_cast<double>(s.total);
     const double slack = 1e-9 * total * s.last_age;
-    s.ewma_time = s.last_age;
     s.ewma_rate = rng->Bernoulli(0.2) ? (rng->Bernoulli(0.5) ? 0.0 : -0.0)
                                       : rng->Uniform() * total / r.config.ewma_tau;
     s.age_sum = total * ages[rng->UniformInt(ages.size())];
@@ -851,12 +820,10 @@ RandomTracker MakeRandomTracker(Rng* rng) {
     s.age_comp = rng->Bernoulli(0.3) ? -0.0 : rng->Uniform(-1.0, 1.0) * slack;
     for (size_t j = 0; j < s.landmarks.size(); ++j) {
       const double age = r.config.landmark_ages[j];
-      if (s.last_age <= age) continue;  // pending: (0, 0)
-      s.landmarks[j] = {s.first_age <= age ? 1 + rng->UniformInt(s.total - 1) : 0, 1};
+      if (s.last_age <= age) continue;  // pending: 0
+      s.landmarks[j] = s.first_age <= age ? 1 + rng->UniformInt(s.total - 1) : 0;
     }
     for (ref::WindowText& w : s.windows) {
-      w.total = s.total;
-      w.last_t = s.last_age;
       // Sizes non-increasing toward newer buckets, at most max_per_size
       // of each, summing to at most the total; times sorted.
       uint64_t left = s.total;
@@ -872,13 +839,13 @@ RandomTracker MakeRandomTracker(Rng* rng) {
           run = 0;
           continue;
         }
-        w.buckets.push_back({0.0, size});
+        w.push_back({0.0, size});
         left -= size;
         ++run;
         times.push_back(ages[rng->UniformInt(ages.size())]);
       }
       std::sort(times.begin(), times.end());
-      for (size_t b = 0; b < times.size(); ++b) w.buckets[b].first = times[b];
+      for (size_t b = 0; b < times.size(); ++b) w[b].first = times[b];
     }
   }
   return r;
@@ -906,11 +873,13 @@ TEST(FuzzTrackerCodec, WriterIsByteIdenticalToTheIostreamWriter) {
         continue;
       }
       ++scales[s.last_age < 1e-300 ? 0 : s.last_age > 1e290 ? 2 : 1];
-      for (const auto& [count, done] : s.landmarks) {
-        ++(done == 0 ? pending : count > 0 ? counted : uncounted);
+      for (size_t j = 0; j < s.landmarks.size(); ++j) {
+        ++(s.last_age <= r.config.landmark_ages[j] ? pending
+           : s.landmarks[j] > 0                    ? counted
+                                                   : uncounted);
       }
       for (const ref::WindowText& w : s.windows) {
-        for (const auto& bucket : w.buckets) big_buckets += bucket.second == uint64_t{1} << 63;
+        for (const auto& bucket : w) big_buckets += bucket.second == uint64_t{1} << 63;
       }
     }
   }
@@ -925,8 +894,8 @@ TEST(FuzzTrackerCodec, WriterIsByteIdenticalToTheIostreamWriter) {
             << counted << " done with a count, " << uncounted << " done with none";
 }
 
-// Trackers that took their events through Observe write what the old
-// writer writes for the values their blobs hold.
+// Trackers that took their events through Observe write what the
+// iostream writer writes for the values their blobs hold.
 TEST(FuzzTrackerCodec, ObservedTrackersWriteAsTheIostreamWriter) {
   const stream::TrackerConfig config;
   std::vector<stream::CascadeTracker> trackers = {BusyTracker(),
@@ -949,10 +918,10 @@ TEST(FuzzTrackerCodec, ObservedTrackersWriteAsTheIostreamWriter) {
   }
 }
 
-/// Runs both parsers on `text` and checks the new one against the old:
-/// it rejects what the old one rejects; when the old one reads the blob,
-/// the new one reads it to the same values, or rejects it for one of the
-/// listed classes.  Counts the outcomes.
+/// Runs both parsers on `text` and checks the text_codec one against the
+/// iostream one: it rejects what the iostream one rejects; when the
+/// iostream one reads the blob, it reads it to the same values, or
+/// rejects it for one of the listed classes.  Counts the outcomes.
 struct ParserDiff {
   explicit ParserDiff(stream::TrackerConfig layout) : config(std::move(layout)) {}
 
@@ -963,18 +932,19 @@ struct ParserDiff {
     stream::CascadeTracker tracker(0.0, config);
     const bool new_ok = tracker.Deserialize(text);
     if (!old_ok) {
-      EXPECT_FALSE(new_ok) << "the old parser rejects this blob:\n" << text;
+      EXPECT_FALSE(new_ok) << "the iostream parser rejects this blob:\n" << text;
       ++both_reject;
       return;
     }
     const NewlyRejected why = Classify(text, tokens);
     if (!new_ok) {
-      EXPECT_NE(why, NewlyRejected::kNone) << "only the new parser rejects:\n" << text;
+      EXPECT_NE(why, NewlyRejected::kNone) << "only the text_codec parser rejects:\n"
+                                           << text;
       ++newly_rejected[static_cast<int>(why)];
       return;
     }
     EXPECT_EQ(why, NewlyRejected::kNone) << text;
-    EXPECT_EQ(tracker.Serialize(), ref::Write(Canonical(read), config)) << text;
+    EXPECT_EQ(tracker.Serialize(), ref::Write(read, config)) << text;
     ++both_accept;
   }
 
@@ -992,8 +962,7 @@ std::vector<std::string> Tokenize(const std::string& text) {
 }
 
 TEST(FuzzTrackerCodec, ParserRejectsWhatTheIostreamParserRejects) {
-  // A busy tracker, and one with a few views and three empty streams,
-  // whose many zero fields take "-0", "+0" and "1e-400".
+  // A busy tracker, and one with a few views and three empty streams.
   stream::CascadeTracker sparse(0.0, stream::TrackerConfig{});
   for (const double t : {10.0, 20.0, 30.0}) sparse.Observe(stream::EngagementType::kView, t);
   // Extreme but well-formed values, and each class the parsers treat
@@ -1068,43 +1037,47 @@ TEST(FuzzTrackerCodec, ParserRejectsWhatTheIostreamParserRejects) {
 }
 
 // One blob per input class, each a well-formed blob with one token
-// changed.  The old parser reads every one of them; the new one rejects
-// the four listed classes and reads the rest to the same values.
+// changed.  The iostream parser reads every one of them; the text_codec
+// one rejects the four listed classes and reads the rest to the same
+// values.
 TEST(FuzzTrackerCodec, NewlyRejectedInputClasses) {
   const stream::TrackerConfig config;
   stream::CascadeTracker source(0.0, config);
   for (const double t : {10.0, 20.0, 30.0}) source.Observe(stream::EngagementType::kView, t);
   const std::string blob = source.Serialize();
-  const std::string window = "\n3 30 3\n10 1\n20 1\n30 1\n";
-  ASSERT_NE(blob.find(window), std::string::npos);
-  const auto with_window = [&](const std::string& replacement) {
+  // Replaces the first `from` of the blob with `to`.
+  const auto with = [&](const std::string& from, const std::string& to) {
     std::string text = blob;
-    text.replace(text.find(window), window.size(), replacement);
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
     return text;
   };
-  // The shares stream is empty: "0 -1 -1 0 0 0 0".
-  const std::string empty_stream = "\n0 -1 -1 0 0 0 0\n";
-  ASSERT_NE(blob.find(empty_stream), std::string::npos);
-  const auto with_empty_stream = [&](const std::string& replacement) {
-    std::string text = blob;
-    text.replace(text.find(empty_stream), empty_stream.size(), replacement);
-    return text;
-  };
+  // The view stream's scalars and landmarks, its first window, and the
+  // empty share stream after its last window.
+  const std::string views = "\n3 10 30 0.00083102386796723451 60 0 0 0 0 0\n";
+  const std::string window = "\n3\n10 1\n20 1\n30 1\n";
+  const std::string shares = "\n30 1\n0\n";
   const struct {
     std::string text;
     NewlyRejected why;
   } cases[] = {
-      {with_empty_stream("\n0-1-1 0 0 0 0\n"), NewlyRejected::kNoSeparator},
-      // The last token, a bucket count of 0, made a hex float "0x1p3".
+      // The age sum runs into its compensation, "-0".
+      {with(views, "\n3 10 30 0.00083102386796723451 60-0 0 0 0 0\n"),
+       NewlyRejected::kNoSeparator},
+      // The last token, the reaction stream's total of 0, made a hex
+      // float "0x1p3", or glued to a letter.
       {blob.substr(0, blob.size() - 1) + "x1p3\n", NewlyRejected::kNoSeparator},
       {blob.substr(0, blob.size() - 1) + "J", NewlyRejected::kNoSeparator},
-      {with_window("\n+3 30 3\n10 1\n20 1\n30 1\n"), NewlyRejected::kLeadingPlus},
-      {with_window("\n3 +30 3\n10 1\n20 1\n30 1\n"), NewlyRejected::kLeadingPlus},
-      {with_empty_stream("\n-0 -1 -1 0 0 0 0\n"), NewlyRejected::kMinusInUnsigned},
-      {with_empty_stream("\n0 -1 -1 0 0 1e-400 0\n"), NewlyRejected::kUnderflow},
+      {with(window, "\n+3\n10 1\n20 1\n30 1\n"), NewlyRejected::kLeadingPlus},
+      {with(window, "\n3\n+10 1\n20 1\n30 1\n"), NewlyRejected::kLeadingPlus},
+      {with(shares, "\n30 1\n-0\n"), NewlyRejected::kMinusInUnsigned},
+      {with(views, "\n3 10 30 0.00083102386796723451 60 1e-400 0 0 0 0\n"),
+       NewlyRejected::kUnderflow},
       // Read alike by both.
-      {with_empty_stream("\n0\t-1\v-1\f0\r0 -0 0\n"), NewlyRejected::kNone},
-      {with_window("\n3 3e1 3\n1e1 1\n20. 1\n30 01\n"), NewlyRejected::kNone},
+      {with(views, "\n3\t10\v30\f0.00083102386796723451\r60 -0 0 0 0 0\n"),
+       NewlyRejected::kNone},
+      {with(window, "\n3\n1e1 1\n20. 1\n30 01\n"), NewlyRejected::kNone},
   };
   for (const auto& c : cases) {
     ref::TrackerText read;
@@ -1116,7 +1089,8 @@ TEST(FuzzTrackerCodec, NewlyRejectedInputClasses) {
   }
   // "inf", "nan" and hex floats: neither parser reads them.
   for (const char* token : {"inf", "nan", "infinity", "-inf", "0x1e"}) {
-    const std::string text = with_window(std::string("\n3 ") + token + " 3\n10 1\n20 1\n30 1\n");
+    const std::string text =
+        with(window, std::string("\n3\n") + token + " 1\n20 1\n30 1\n");
     ref::TrackerText read;
     EXPECT_FALSE(ref::Read(text, config, &read)) << token;
     stream::CascadeTracker tracker(0.0, config);

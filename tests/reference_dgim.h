@@ -63,9 +63,8 @@ inline size_t DgimAdd(Bucket* b, size_t n, double t, double window,
 }
 
 /// What dgim::Write writes for these buckets, at the stream's precision.
-inline void WriteBuckets(std::ostream& os, uint64_t total, double last_t,
-                         const Bucket* b, size_t n) {
-  os << total << " " << last_t << " " << n << "\n";
+inline void WriteBuckets(std::ostream& os, const Bucket* b, size_t n) {
+  os << n << "\n";
   for (size_t i = 0; i < n; ++i) os << b[i].newest << " " << b[i].size << "\n";
 }
 

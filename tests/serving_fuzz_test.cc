@@ -7,13 +7,18 @@
 // batches; top_k of 0, 1 and SIZE_MAX.  Every call must return, every
 // rejection must carry its documented code and bump its
 // horizon_serving_errors_* counter, and a second service sent only the
-// valid calls must give the same answers, bit for bit.  Labelled fuzz and
-// durability, so the sanitizer CI jobs run it.
+// valid calls must give the same answers, bit for bit.  Restore gets
+// re-framed shard files whose payloads are cut, bit-flipped and
+// token-swapped.  Labelled fuzz and durability, so the sanitizer CI jobs
+// run it.
 #include "serving/prediction_service.h"
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -24,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint_files.h"
+#include "common/file_io.h"
 #include "common/rng.h"
 #include "core/trainer.h"
 
@@ -512,6 +519,174 @@ TEST_F(ServingFuzzTest, SeededHostileCallsMatchCleanService) {
     h.ExpectSameAnswers(4 * kDay, 1 * kDay);
     h.ExpectSameAnswers(kMaxAbsTime, 0.0);
   }
+}
+
+// --- Restore from re-framed shard payloads ------------------------------
+//
+// The CRC frames catch bytes damaged at rest, so only a shard re-framed
+// with valid CRCs around a changed payload reaches the shard and tracker
+// parsers.  Every mutation of a `shard v3` payload -- cut at each line
+// boundary, bits flipped, tokens of its static records and tracker blobs
+// swapped for extreme ones -- restores into a loaded service either Ok or
+// with kCorruption and the service's answers unchanged, and never aborts.
+
+/// Where each whitespace-separated token of `text` starts, and its length.
+std::vector<std::pair<size_t, size_t>> TokenSpans(const std::string& text) {
+  std::vector<std::pair<size_t, size_t>> spans;
+  for (size_t at = 0; at < text.size();) {
+    if (std::isspace(static_cast<unsigned char>(text[at]))) {
+      ++at;
+      continue;
+    }
+    size_t end = at;
+    while (end < text.size() && !std::isspace(static_cast<unsigned char>(text[end]))) {
+      ++end;
+    }
+    spans.emplace_back(at, end - at);
+    at = end;
+  }
+  return spans;
+}
+
+TEST_F(ServingFuzzTest, ReframedShardMutationsRestoreOrFailCleanly) {
+  const std::string dir = ::testing::TempDir() + "horizon_reframe_fuzz_" +
+                          std::to_string(::getpid());
+  io::RemoveTree(dir);
+  ServiceConfig config;
+  config.num_shards = 1;
+  // Items with all four engagement streams up to 6 h, some of them empty.
+  const auto load = [&](PredictionService* service, int64_t items) {
+    for (int64_t id = 0; id < items; ++id) {
+      const datagen::Cascade& cascade = dataset_->cascades[static_cast<size_t>(id)];
+      ASSERT_TRUE(service->RegisterItem(id, 0.0, dataset_->PageOf(cascade.post),
+                                        cascade.post).ok());
+      std::vector<IngestEvent> events;
+      for (const auto& view : cascade.views) {
+        events.push_back({id, stream::EngagementType::kView, view.time});
+      }
+      const std::vector<double>* others[] = {&cascade.share_times, &cascade.comment_times,
+                                             &cascade.reaction_times};
+      for (int type = 1; type < stream::kNumEngagementTypes; ++type) {
+        for (const double t : *others[type - 1]) {
+          events.push_back({id, static_cast<stream::EngagementType>(type), t});
+        }
+      }
+      std::erase_if(events, [](const IngestEvent& e) { return e.time >= 6 * kHour; });
+      service->IngestBatch(events);
+    }
+  };
+  PredictionService source(model_, extractor_, config);
+  load(&source, 6);
+  ASSERT_TRUE(source.Checkpoint(dir).ok());
+  const std::string ckpt = test::CommittedCheckpoint(dir);
+  const std::string shard_file = io::ReadFile(ckpt + "/shard-0000").value();
+  const std::string manifest_file = io::ReadFile(ckpt + "/MANIFEST").value();
+  const std::string payload = test::FramedPayload(ckpt + "/shard-0000");
+  const test::ShardText shard = test::SplitShard(payload);
+  ASSERT_EQ(shard.records.size(), 6u);
+
+  size_t ok = 0, rejected = 0;
+  // Re-frames `mutated` in place of the payload and restores it into a
+  // service holding 3 items.
+  const auto restore = [&](const std::string& mutated) {
+    ASSERT_TRUE(io::WriteFileAtomic(ckpt + "/shard-0000", shard_file).ok());
+    ASSERT_TRUE(io::WriteFileAtomic(ckpt + "/MANIFEST", manifest_file).ok());
+    ASSERT_TRUE(test::ReframeShard(dir, [&](std::string* text) {
+      *text = mutated;
+      return true;
+    }));
+    PredictionService restored(model_, extractor_, config);
+    load(&restored, 3);
+    std::vector<PredictionResult> before;
+    for (int64_t id = 0; id < 3; ++id) {
+      before.push_back(restored.Query(id, 6 * kHour, kDay).value());
+    }
+    const Status status = restored.Restore(dir);
+    if (status.ok()) {
+      ++ok;
+      // A restored service serves: a scan at the checkpoint's time, and
+      // one a week on, return.
+      for (const double s : {6 * kHour, 7 * kDay}) {
+        QueryRequest scan;
+        scan.s = s;
+        scan.delta = kDay;
+        scan.top_k = kAll;
+        EXPECT_TRUE(restored.BatchQuery(scan).ok());
+      }
+      return;
+    }
+    ++rejected;
+    EXPECT_EQ(status.code(), StatusCode::kCorruption)
+        << status.ToString() << "\n" << mutated;
+    ASSERT_EQ(restored.LiveItems(), 3u);
+    for (int64_t id = 0; id < 3; ++id) {
+      ExpectSameResult(restored.Query(id, 6 * kHour, kDay).value(),
+                       before[static_cast<size_t>(id)]);
+    }
+  };
+
+  // Control: the payload as written restores.
+  restore(payload);
+  ASSERT_EQ(ok, 1u);
+  // The payload cut at every line boundary.
+  for (size_t at = 0; at < payload.size(); ++at) {
+    if (payload[at] == '\n') restore(payload.substr(0, at + 1));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Each tracker blob cut at each of its line boundaries, and each static
+  // record cut at each token boundary, with the blob's byte count fixed.
+  for (size_t r = 0; r < shard.records.size(); ++r) {
+    const test::ShardText::Record& record = shard.records[r];
+    for (size_t at = 0; at < record.blob.size(); ++at) {
+      if (record.blob[at] != '\n') continue;
+      test::ShardText cut = shard;
+      cut.records[r].blob.resize(at + 1);
+      restore(cut.Join());
+    }
+    for (size_t at = 0; at < record.statics.size(); ++at) {
+      if (record.statics[at] != ' ') continue;
+      test::ShardText cut = shard;
+      cut.records[r].statics.resize(at);
+      restore(cut.Join());
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  Rng rng(0x5EF1A3E);
+  // Bit flips anywhere in the payload.
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string mutated = payload;
+    for (int f = 1 + static_cast<int>(rng.UniformInt(3)); f > 0; --f) {
+      const size_t pos = rng.UniformInt(mutated.size());
+      mutated[pos] = static_cast<char>(mutated[pos] ^ (1u << rng.UniformInt(8)));
+    }
+    restore(mutated);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Tokens of a static record, or of a tracker blob, swapped for extreme
+  // or malformed ones, with the blob's byte count fixed.
+  const std::vector<std::string> values = {
+      "0", "1", "-1", "2", "3", "4", "5", "6", "7", "254", "255", "256", "64", "1409",
+      "1e-300", "-1e300", "1e300", "1e39", "3.4028235e38", "1.7976931348623157e308",
+      "18446744073709551615", "9223372036854775808", "-0", "+1", "0.5", "86400",
+      "1e-400", "inf", "nan", "0x10", "1e", "trk", "v1", "v3"};
+  for (int trial = 0; trial < 600; ++trial) {
+    test::ShardText mutated = shard;
+    test::ShardText::Record& record =
+        mutated.records[rng.UniformInt(mutated.records.size())];
+    std::string& field = trial % 2 == 0 ? record.statics : record.blob;
+    for (int k = 1 + static_cast<int>(rng.UniformInt(2)); k > 0; --k) {
+      const auto spans = TokenSpans(field);
+      const auto [at, length] = spans[rng.UniformInt(spans.size())];
+      field.replace(at, length, values[rng.UniformInt(values.size())]);
+    }
+    restore(mutated.Join());
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(ok, 1u);
+  EXPECT_GT(rejected, 1000u);
+  RecordProperty("restored", std::to_string(ok));
+  RecordProperty("rejected", std::to_string(rejected));
+  io::RemoveTree(dir);
 }
 
 }  // namespace

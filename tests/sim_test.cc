@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -223,6 +225,75 @@ TEST_F(SimTest, ScheduleTimesAreMonotone) {
       }
     }
   }
+}
+
+// --- Invalid ingests. ---------------------------------------------------
+
+// Events the service rejects as invalid arguments: before the item's
+// creation time, out of order within their type, NaN or infinite, past
+// kMaxAbsTime, and for an unknown id with an unusable time (rejected
+// before the id lookup).  The reference must reject each one as the
+// service does, through Ingest and through IngestBatch, and count what
+// the service counts, up to the check; it used to abort on the first.
+TEST_F(SimTest, InvalidIngestsMatchTheServicesChecks) {
+  OpSchedule schedule;
+  schedule.seed = 515151;
+  schedule.config = TestConfig("none").schedule;
+  for (const auto& [item, creation] :
+       std::vector<std::pair<int64_t, double>>{{0, 1000.0}, {1, 1000.0}, {2, 5000.0}}) {
+    Op reg;
+    reg.kind = OpKind::kRegister;
+    reg.item = item;
+    reg.creation_time = creation;
+    schedule.ops.push_back(reg);
+  }
+  using stream::EngagementType;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double past = 2 * serving::kMaxAbsTime;
+  Op ingest;
+  ingest.kind = OpKind::kIngest;
+  ingest.time = 6000.0;
+  ingest.events = {
+      {0, EngagementType::kView, 1100.0},   // ok
+      {0, EngagementType::kView, 1050.0},   // before the last view
+      {0, EngagementType::kShare, 900.0},   // before creation
+      {0, EngagementType::kShare, 1200.0},  // ok
+      {1, EngagementType::kView, nan},
+      {1, EngagementType::kView, -inf},
+      {1, EngagementType::kComment, past},
+      {1, EngagementType::kComment, 1500.0},  // ok
+      {99, EngagementType::kView, nan},     // unusable before unknown
+      {99, EngagementType::kView, 1200.0},  // unknown
+  };
+  schedule.ops.push_back(ingest);
+  Op batch;
+  batch.kind = OpKind::kIngestBatch;
+  batch.time = 6500.0;
+  batch.events = {
+      {2, EngagementType::kReaction, 4000.0},  // before creation
+      {2, EngagementType::kComment, 6000.0},   // ok
+      {2, EngagementType::kComment, 5500.0},   // before the last comment
+      {0, EngagementType::kView, 1200.0},      // ok
+      {0, EngagementType::kView, 1150.0},      // before the last view
+      {1, EngagementType::kShare, inf},
+      {1, EngagementType::kShare, -past},
+      {99, EngagementType::kView, 1300.0},     // unknown: dropped uncounted
+      {99, EngagementType::kView, nan},        // unusable: counted
+  };
+  schedule.ops.push_back(batch);
+  Op check;
+  check.kind = OpKind::kCheck;
+  check.time = 7000.0;
+  schedule.ops.push_back(check);
+
+  Simulator simulator(context_, TestConfig("none"));
+  const SimReport report = simulator.Execute(schedule);
+  EXPECT_TRUE(report.ok) << report.message;
+  EXPECT_EQ(report.ops_executed, schedule.ops.size());
+  EXPECT_EQ(report.final_stats.events_ingested, 5u);
+  // Ingest: 6 invalid and 1 unknown; IngestBatch: 6 invalid.
+  EXPECT_EQ(report.errors_observed, 13u);
 }
 
 // --- The minimizer. ----------------------------------------------------

@@ -166,12 +166,10 @@ TEST_P(DgimOracleTest, AddMatchesScanningReferenceAfterEveryEvent) {
       }
       if (e % 997 == 0) {
         std::string blob;
-        dgim::Write(&blob, e + 1, t, got);
+        dgim::Write(&blob, got);
         text::Reader in(blob);
-        uint64_t total = 0;
-        double last_t = 0.0;
         dgim::Buckets read;
-        ASSERT_TRUE(dgim::Read(&in, k, &total, &last_t, &read))
+        ASSERT_TRUE(dgim::Read(&in, k, e + 1, t, &read))
             << "event " << e << ", window " << windows[i];
         ASSERT_EQ(read.size(), w.n_got);
       }
@@ -183,20 +181,46 @@ INSTANTIATE_TEST_SUITE_P(Epsilons, DgimOracleTest,
                          ::testing::Values(1.0, 0.5, 0.1, 0.05, 0.01));
 
 // Bucket sequences Add never produces, each well formed otherwise (sorted
-// times at or before the last one, sizes summing to at most the total).
-// An epsilon of 0.5 keeps at most 3 buckets per size.
+// times at or before the stream's last event, sizes summing to at most
+// its total).  An epsilon of 0.5 keeps at most 3 buckets per size.
 TEST(ExponentialHistogramTest, DeserializeRejectsBucketsAddCannotProduce) {
-  const auto reads = [](const std::string& blob) {
-    ExponentialHistogram h(100.0, 0.5);
+  const auto reads = [](uint64_t total, const std::string& blob) {
     text::Reader in(blob);
-    return h.DeserializeFrom(&in);
+    dgim::Buckets buckets;
+    return dgim::Read(&in, dgim::MaxPerSize(0.5), total, /*last_t=*/3.0, &buckets);
   };
-  EXPECT_TRUE(reads("4 3 3\n1 2\n2 1\n3 1\n"));
-  EXPECT_TRUE(reads("3 3 3\n1 1\n2 1\n3 1\n"));
-  EXPECT_FALSE(reads("4 3 2\n1 3\n3 1\n")) << "a size-3 bucket";
-  EXPECT_FALSE(reads("4 3 3\n1 1\n2 1\n3 2\n")) << "sizes grow toward newer";
-  EXPECT_FALSE(reads("4 3 4\n0 1\n1 1\n2 1\n3 1\n")) << "4 buckets of size 1";
-  EXPECT_FALSE(reads("8 3 3\n1 2\n2 4\n3 2\n")) << "a larger size between smaller";
+  EXPECT_TRUE(reads(4, "3\n1 2\n2 1\n3 1\n"));
+  EXPECT_TRUE(reads(3, "3\n1 1\n2 1\n3 1\n"));
+  EXPECT_FALSE(reads(4, "2\n1 3\n3 1\n")) << "a size-3 bucket";
+  EXPECT_FALSE(reads(4, "3\n1 1\n2 1\n3 2\n")) << "sizes grow toward newer";
+  EXPECT_FALSE(reads(4, "4\n0 1\n1 1\n2 1\n3 1\n")) << "4 buckets of size 1";
+  EXPECT_FALSE(reads(8, "3\n1 2\n2 4\n3 2\n")) << "a larger size between smaller";
+}
+
+// The stream's total and last event age bound the buckets: times past
+// the last event, and sizes summing past the total, are rejected; a read
+// that fails leaves the output as it was.
+TEST(ExponentialHistogramTest, DeserializeRejectsBucketsPastTheStreamsTotalOrLastEvent) {
+  const auto reads = [](uint64_t total, double last_t, const std::string& blob) {
+    text::Reader in(blob);
+    dgim::Buckets buckets;
+    buckets.newest = {7.0};
+    buckets.log2_size = {0};
+    const bool ok = dgim::Read(&in, dgim::MaxPerSize(0.5), total, last_t, &buckets);
+    if (!ok) {
+      EXPECT_EQ(buckets.newest, std::vector<double>{7.0}) << blob;
+    }
+    return ok;
+  };
+  EXPECT_TRUE(reads(3, 30.0, "3\n10 1\n20 1\n30 1\n"));
+  EXPECT_FALSE(reads(3, 29.0, "3\n10 1\n20 1\n30 1\n")) << "past the last event";
+  EXPECT_FALSE(reads(2, 30.0, "3\n10 1\n20 1\n30 1\n")) << "sizes sum past the total";
+  EXPECT_FALSE(reads(0, 30.0, "1\n10 1\n")) << "a bucket of an empty stream";
+  EXPECT_FALSE(reads(3, 30.0, "3\n20 1\n10 1\n30 1\n")) << "times decrease";
+  EXPECT_FALSE(reads(3, 30.0, "3\n10 1\nnan 1\n30 1\n")) << "a NaN time";
+  EXPECT_TRUE(reads(0, 30.0, "0\n"));
+  // 64 * (ceil(1 / 0.5) + 2) = 256 buckets is the cap for epsilon 0.5.
+  EXPECT_FALSE(reads(1u << 20, 30.0, "257\n")) << "more buckets than a window holds";
 }
 
 }  // namespace

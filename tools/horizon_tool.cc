@@ -16,7 +16,8 @@
 //   horizon_tool checkpoint --data DIR --model FILE --out CKPTDIR
 //                           [--time AGE]
 //       Build a PredictionService over the workload (events up to AGE,
-//       default 6h) and write a crash-safe checkpoint of its live state.
+//       default 6h), write a crash-safe checkpoint of its live state and
+//       print its bytes and bytes per live item.
 //       Set HORIZON_FAULT_CRASH_AT=<n> to test the atomicity protocol by
 //       injecting a crash at the n-th write/fsync/rename.
 //
@@ -322,6 +323,10 @@ int CmdCheckpoint(const std::map<std::string, std::string>& flags) {
               service.LiveItems(),
               static_cast<unsigned long long>(stats.events_ingested),
               FormatDuration(*time).c_str(), out.c_str());
+  const double bytes =
+      service.metrics().GetGauge("horizon_serving_checkpoint_bytes")->Value();
+  std::printf("  %.0f bytes, %.1f per live item\n", bytes,
+              bytes / static_cast<double>(std::max<size_t>(service.LiveItems(), 1)));
   return 0;
 }
 
