@@ -3,12 +3,12 @@
 // The headline trajectory is batch predictions/s of the blocked forest
 // kernels:
 //
-//   BM_GbdtBatchBlocked/<k>    BlockForest::PredictStrided under kernel
-//                              flavor <k> (0 = scalar, 1 = avx2)
+//   BM_GbdtBatchBlocked/<k>    float kernel <k> (0 = scalar, 1 = avx2)
+//                              called directly on 16,384 column-major
+//                              rows
 //   BM_GbdtKernelRows/<k>/<n> float kernel <k> called directly on <n>
-//                              row-major rows, below PredictStrided's
-//                              dispatch: the per-row crossover that sets
-//                              kernels::kSmallBatchRows (n = 1 is the
+//                              row-major rows: the per-row crossover that
+//                              sets kernels::kSmallBatchRows (n = 1 is the
 //                              single-id query shape)
 //
 //   BM_HawkesPredictorRow/<c> one row through the served model's shape
@@ -34,7 +34,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -104,44 +103,38 @@ InferenceSetup& Setup() {
   return *setup;
 }
 
-bool Supported(SimdKernel flavor) {
-  for (SimdKernel k : SupportedKernels()) {
-    if (k == flavor) return true;
-  }
-  return false;
+/// Kernel `flavor`'s entry point, or nullptr when this CPU cannot run it.
+using KernelFn = void (*)(const kernels::FloatForestSpan&, const float*, size_t,
+                          size_t, size_t, double*);
+KernelFn KernelOf(SimdKernel flavor) {
+  if (flavor == SimdKernel::kScalar) return kernels::PredictFloatScalar;
+  return ActiveKernel() == SimdKernel::kAvx2 ? kernels::PredictFloatAvx2 : nullptr;
 }
 
-// Pins HORIZON_SIMD to `flavor` for the duration of one benchmark run.
-// Returns false (benchmark should skip) when the CPU cannot execute it.
-bool PinKernel(SimdKernel flavor) {
-  if (!Supported(flavor)) return false;
-  ::setenv("HORIZON_SIMD", SimdKernelName(flavor), /*overwrite=*/1);
-  RefreshKernelFromEnv();
-  return true;
-}
-
-void UnpinKernel() {
-  ::unsetenv("HORIZON_SIMD");
-  RefreshKernelFromEnv();
+/// The model's node pools, as the kernels take them.
+kernels::FloatForestSpan SpanOf(const BlockForest& forest) {
+  return {forest.raw_features().data(), forest.raw_thresholds().data(),
+          forest.raw_leaves().data(),   forest.num_trees(),
+          forest.depth(),               forest.base_score(),
+          forest.learning_rate()};
 }
 
 void BM_GbdtBatchBlocked(benchmark::State& state) {
   const auto flavor = static_cast<SimdKernel>(state.range(0));
-  if (!PinKernel(flavor)) {
+  const KernelFn kernel = KernelOf(flavor);
+  if (kernel == nullptr) {
     state.SkipWithError("kernel flavor unsupported on this CPU");
     return;
   }
   InferenceSetup& s = Setup();
+  const kernels::FloatForestSpan span = SpanOf(s.model.block_forest());
   // Column-major SoA input: row_stride 1, feature stride = num_rows --
   // the layout serving feeds the kernels.
   for (auto _ : state) {
-    s.model.block_forest().PredictStrided(s.soa.data(), kBatchRows,
-                                          /*row_stride=*/1,
-                                          /*feat_stride=*/kBatchRows,
-                                          s.out.data());
+    kernel(span, s.soa.data(), kBatchRows, /*row_stride=*/1,
+           /*feat_stride=*/kBatchRows, s.out.data());
     benchmark::DoNotOptimize(s.out.data());
   }
-  UnpinKernel();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kBatchRows));
   state.SetLabel(SimdKernelName(flavor));
@@ -154,21 +147,15 @@ BENCHMARK(BM_GbdtBatchBlocked)
 void BM_GbdtKernelRows(benchmark::State& state) {
   const auto flavor = static_cast<SimdKernel>(state.range(0));
   const auto rows = static_cast<size_t>(state.range(1));
-  if (!Supported(flavor)) {
+  const KernelFn kernel = KernelOf(flavor);
+  if (kernel == nullptr) {
     state.SkipWithError("kernel flavor unsupported on this CPU");
     return;
   }
   InferenceSetup& s = Setup();
-  // The raw node pools: this case times the kernels themselves, which
-  // PredictStrided would not reach for batches under kSmallBatchRows.
-  const BlockForest& forest = s.model.block_forest();
-  const kernels::FloatForestSpan span{
-      forest.raw_features().data(), forest.raw_thresholds().data(),
-      forest.raw_leaves().data(),   forest.num_trees(),
-      forest.depth(),               forest.base_score(),
-      forest.learning_rate()};
-  auto* kernel = flavor == SimdKernel::kAvx2 ? kernels::PredictFloatAvx2
-                                             : kernels::PredictFloatScalar;
+  // This case times the kernels themselves, which PredictStrided would
+  // not reach for batches under kSmallBatchRows.
+  const kernels::FloatForestSpan span = SpanOf(s.model.block_forest());
   // Steps through the batch so the walk sees run-time inputs rather than
   // one cached path.
   size_t first = 0;

@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -22,13 +21,6 @@ namespace horizon::io {
 
 // ---------------------------------------------------------------------------
 // FaultInjector
-
-FaultInjector::FaultInjector() {
-  const char* env = std::getenv("HORIZON_FAULT_CRASH_AT");
-  if (env != nullptr && *env != '\0') {
-    ArmCrashAt(std::atoi(env));
-  }
-}
 
 FaultInjector& FaultInjector::Global() {
   // horizon-lint: allow(naked-new) -- intentionally leaked singleton: the

@@ -37,9 +37,8 @@ enum class FaultPoint : int {
 /// file (a prefix of the intended bytes) behind, the worst case a real
 /// crash can produce; CRC framing must catch it.
 ///
-/// The injector can also be armed from the environment for tooling runs:
-/// setting HORIZON_FAULT_CRASH_AT=<n> arms it at process start.  When not
-/// armed, the hook is a single relaxed atomic load on each operation.
+/// Only this API arms it.  When not armed, each hook takes the injector's
+/// lock and returns.
 class FaultInjector {
  public:
   /// Process-wide injector consulted by the IO helpers.
@@ -71,7 +70,7 @@ class FaultInjector {
   bool ShouldFail(FaultPoint point);
 
  private:
-  FaultInjector();
+  FaultInjector() = default;
 
   mutable Mutex mu_;
   bool armed_ HORIZON_GUARDED_BY(mu_) = false;

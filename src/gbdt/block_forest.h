@@ -70,10 +70,11 @@ class BlockForest {
   /// Largest feature index any node reads (-1 for a constant model).
   int32_t max_feature() const { return max_feature_; }
 
-  /// Predicts rows laid out at data[r*row_stride + f*feat_stride] through
-  /// the runtime-dispatched kernel (scalar/AVX2 per simd_dispatch.h),
-  /// writing out[0..num_rows).  Batches narrower than
-  /// kernels::kSmallBatchRows take the scalar kernel under every flavor.
+  /// Predicts rows laid out at data[r*row_stride + f*feat_stride],
+  /// writing out[0..num_rows).  A batch of at least
+  /// kernels::kSmallBatchRows rows whose element offsets fit in int32
+  /// takes the AVX2 kernel on a CPU that has it (ActiveKernel()); every
+  /// other batch, every single-id query included, takes the scalar walk.
   /// Runs on the calling thread; the one entry point to the blocked
   /// kernels, reached through GbdtRegressor::PredictStrided.
   /// Row-major matrices pass (num_features, 1); column-major SoA batches

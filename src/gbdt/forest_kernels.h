@@ -60,12 +60,14 @@ void PredictFloatScalar(const FloatForestSpan& f, const float* data,
                         double* out);
 
 /// Batches with fewer rows than this -- every single-id query -- take
-/// PredictFloatScalar under both flavors: the AVX2 kernel vectorizes only
-/// whole 32-row groups and sends smaller batches to the scalar walk
-/// itself.  This is where AVX2 can start, not where it wins: with the
-/// walk compiled per depth, BM_GbdtKernelRows in BENCH_gbdt.json reads
-/// scalar ahead at 32 and 64 rows too (6.6 against 7.7 us and 13.2
-/// against 14.9 us on a 4-vCPU Xeon, Release).
+/// PredictFloatScalar on every CPU: the AVX2 kernel vectorizes only whole
+/// 32-row groups and sends smaller batches to the scalar walk itself.
+/// Warm, BM_GbdtKernelRows in BENCH_gbdt.json reads the scalar walk ahead
+/// at 32 and 64 rows too (6.6 against 7.7 us and 13.2 against 14.9 us on
+/// a 4-vCPU Xeon, Release), but in bench_e2e AVX2 wins from here: with
+/// the scalar walk pinned, live_mix read scan_p50_ms 9 % and
+/// batch_query_p50_us 8 % slower, and query_zipf's 64-id batches 7 %
+/// (10 alternating pairs each, 4-vCPU Xeon, Release).
 inline constexpr size_t kSmallBatchRows = 32;
 
 /// AVX2 flavor, four interleaved 8-row vectors (gather-throughput bound)

@@ -48,8 +48,12 @@ uint64_t ElapsedNs(SteadyClock::time_point start) {
           .count());
 }
 
-double PredictedIncrement(const ItemPrediction& p) {
-  return p.prediction.predicted_views - p.prediction.observed_views;
+/// By-id top-k ranks as a scan does (ScanCandidate::RanksAbove): larger
+/// predicted increment first, then smaller id.
+bool RanksAbove(const ItemPrediction& a, const ItemPrediction& b) {
+  const double ia = a.prediction.predicted_views - a.prediction.observed_views;
+  const double ib = b.prediction.predicted_views - b.prediction.observed_views;
+  return ia > ib || (ia == ib && a.item_id < b.item_id);
 }
 
 /// Whether the service accepts `t` as a time: |t| <= kMaxAbsTime, which
@@ -460,20 +464,12 @@ StatusOr<QueryResponse> PredictionService::QueryByIds(
       }
     }
   }
-  if (request.top_k > 0 && response.results.size() > request.top_k) {
+  if (request.top_k > 0) {
+    const size_t take = std::min(request.top_k, response.results.size());
     std::partial_sort(response.results.begin(),
-                      response.results.begin() +
-                          static_cast<ptrdiff_t>(request.top_k),
-                      response.results.end(),
-                      [](const ItemPrediction& a, const ItemPrediction& b) {
-                        return PredictedIncrement(a) > PredictedIncrement(b);
-                      });
-    response.results.resize(request.top_k);
-  } else if (request.top_k > 0) {
-    std::sort(response.results.begin(), response.results.end(),
-              [](const ItemPrediction& a, const ItemPrediction& b) {
-                return PredictedIncrement(a) > PredictedIncrement(b);
-              });
+                      response.results.begin() + static_cast<ptrdiff_t>(take),
+                      response.results.end(), RanksAbove);
+    response.results.resize(take);
   }
   CountAnswered(response.results.size());
   return response;

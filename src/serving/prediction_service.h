@@ -137,8 +137,7 @@ struct QueryRequest {
   double s = 0.0;      ///< prediction time (absolute stream time)
   double delta = 0.0;  ///< horizon (seconds, > 0)
   /// 0 keeps every resolved id in request order; > 0 ranks by predicted
-  /// increment descending and truncates.  Scan mode breaks ties by item
-  /// id, ascending.
+  /// increment descending, ties by item id ascending, and truncates.
   size_t top_k = 0;
 };
 
@@ -155,8 +154,8 @@ struct ItemError {
 };
 
 struct QueryResponse {
-  /// Answered items: request order in per-id mode, predicted-increment
-  /// descending when top_k > 0 (both modes).
+  /// Answered items: request order in per-id mode, ranked as `top_k`
+  /// says when top_k > 0 (both modes).
   std::vector<ItemPrediction> results;
   /// Ids that could not be answered (never populated in scan mode, which
   /// skips not-yet-live items and items with an event after s).

@@ -271,21 +271,22 @@ class Execution {
         ++expected_.errors[static_cast<int>(code)];
       }
     }
-    // Mirror the service's ranking exactly: same comparator, same
-    // algorithm, same input order, hence the same permutation (ties
-    // included -- both run in this process against the same STL).
-    const auto by_increment = [](const std::pair<int64_t, RefAnswer>& a,
-                                 const std::pair<int64_t, RefAnswer>& b) {
-      return a.second.predicted - a.second.observed >
-             b.second.predicted - b.second.observed;
+    // The documented ranking, a total order: larger predicted increment
+    // first, then smaller id.  Items that tie on both are the same id
+    // asked twice, with the same answer, so any algorithm yields one
+    // result list.
+    const auto ranks_above = [](const std::pair<int64_t, RefAnswer>& a,
+                                const std::pair<int64_t, RefAnswer>& b) {
+      const double ia = a.second.predicted - a.second.observed;
+      const double ib = b.second.predicted - b.second.observed;
+      return ia > ib || (ia == ib && a.first < b.first);
     };
-    if (top_k > 0 && resolved.size() > top_k) {
+    if (top_k > 0) {
+      const size_t take = std::min(top_k, resolved.size());
       std::partial_sort(resolved.begin(),
-                        resolved.begin() + static_cast<ptrdiff_t>(top_k),
-                        resolved.end(), by_increment);
-      resolved.resize(top_k);
-    } else if (top_k > 0) {
-      std::sort(resolved.begin(), resolved.end(), by_increment);
+                        resolved.begin() + static_cast<ptrdiff_t>(take),
+                        resolved.end(), ranks_above);
+      resolved.resize(take);
     }
 
     serving::QueryRequest request;

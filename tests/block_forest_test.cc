@@ -15,10 +15,11 @@
 #include "gbdt/tree.h"
 #include "reference_forest.h"
 
-// This suite deliberately does NOT guard HORIZON_SIMD: the ctest variants
-// (block_forest_test_simd_*) pin it per process to sweep both kernel
-// flavors, and the two are bit-exact, so the assertions below hold no
-// matter which one is active.
+// PredictStrided runs the kernel this CPU picks: the AVX2 kernel for
+// batches of kernels::kSmallBatchRows rows or more where the CPU has it,
+// the scalar walk otherwise.  ScalarWalkMatchesTreeWalkAtEveryPaddedDepth
+// checks the scalar walk on its own, and simd_dispatch_test holds the two
+// kernels' outputs bit for bit against each other.
 
 namespace horizon::gbdt {
 namespace {
@@ -115,9 +116,10 @@ void SnapToThresholds(const std::vector<RegressionTree>& trees, DataMatrix* x) {
 
 /// Batches of 1 to kernels::kSmallBatchRows rows of `pool`, row-major and
 /// column-major, through `blocked`'s PredictStrided: sizes below the
-/// threshold take the tree-interleaved scalar walk under every flavor, the
-/// last one the pinned flavor's kernel.  Every output must equal the walk
-/// of the ensemble (`trees`, `base_score`, `learning_rate`) bit for bit.
+/// threshold take the tree-interleaved scalar walk, the last one the
+/// kernel this CPU picks (AVX2 where it has it).  Every output must equal
+/// the walk of the ensemble (`trees`, `base_score`, `learning_rate`) bit
+/// for bit.
 void ExpectSmallBatchesMatchTreeWalk(const std::vector<RegressionTree>& trees,
                                      double base_score, double learning_rate,
                                      const BlockForest& blocked,
@@ -219,9 +221,10 @@ TEST(BlockForestTest, RegressorBatchPathsAreBitExactVsPerRowPredict) {
 
 TEST(BlockForestTest, OddSizesCoverSimdTails) {
   const GbdtRegressor model = TrainRandomModel(17, /*num_trees=*/20);
-  // Below kSmallBatchRows (32) both flavors run the scalar walk; 32..71
-  // span the AVX2 kernel's 32-row groups and scalar remainders within a
-  // 64-row block, and 130 two whole blocks and a remainder.
+  // Below kSmallBatchRows (32) every batch takes the scalar walk; on an
+  // AVX2 CPU, 32..71 span the AVX2 kernel's 32-row groups and scalar
+  // remainders within a 64-row block, and 130 two whole blocks and a
+  // remainder.
   for (size_t n : {0u, 1u, 2u, 3u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
                    35u, 40u, 47u, 63u, 64u, 65u, 71u, 130u}) {
     const DataMatrix x = RandomMatrix(n, model.num_features(), 1000 + n);

@@ -28,7 +28,6 @@
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "core/trainer.h"
-#include "env_guard.h"
 #include "model_of_width.h"
 #include "obs/metrics.h"
 
@@ -41,15 +40,6 @@ using test::ReframeShard;
 using test::ReframeShards;
 using test::ShardText;
 using test::SplitShard;
-
-// This suite arms the fault injector itself; a HORIZON_FAULT_CRASH_AT
-// leaking in from the shell would crash unrelated checkpoint writes.
-// (HORIZON_THREADS is deliberately NOT guarded: the _threadsN ctest
-// variants pin it on purpose.)
-const ::testing::Environment* const kFaultEnvGuard =
-    ::testing::AddGlobalTestEnvironment(
-        new horizon::test::EnvVarGuard("HORIZON_FAULT_CRASH_AT",
-                                       /*disarm_fault_injector=*/true));
 
 // Shared fixture: a small trained model plus its extractor and dataset.
 class CheckpointTest : public ::testing::Test {

@@ -1,91 +1,46 @@
 // Test hermeticity helpers for environment variables the library reads.
 //
-// The library consults HORIZON_THREADS (thread-pool width, read once at
-// global-pool construction) and HORIZON_FAULT_CRASH_AT (arms the IO fault
-// injector at FaultInjector::Global() construction).  A value leaking in
-// from the invoking shell would silently change what a test exercises --
-// or make every checkpoint write crash.  Tests that care register one of
-// these guards so the variable is UNSET for the whole test program and
-// restored afterwards, keeping runs hermetic no matter the caller's
-// environment.  (Deliberate per-process settings still work: ctest's
-// ENVIRONMENT property, as used by the checkpoint_test_threadsN variants,
-// applies to the child process before main runs, and those tests do not
-// register a guard for that variable.)
+// The library consults one: HORIZON_THREADS (thread-pool width, read
+// once at global-pool construction).  A value leaking in from the
+// invoking shell would silently change what a test exercises.  Tests that
+// care register a guard so the variable is UNSET for the whole test
+// program and restored afterwards, keeping runs hermetic no matter the
+// caller's environment.  (Deliberate per-process settings still work:
+// ctest's ENVIRONMENT property, as used by the checkpoint_test_threadsN
+// variants, applies to the child process before main runs, and those
+// tests do not register a guard for that variable.)
 #ifndef HORIZON_TESTS_ENV_GUARD_H_
 #define HORIZON_TESTS_ENV_GUARD_H_
 
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
-#include "common/file_io.h"
-
 namespace horizon::test {
 
-/// RAII: captures a variable's value, unsets (or overrides) it, restores
-/// the original at destruction.
-class ScopedEnvVar {
+/// gtest Environment that unsets one variable for the whole test program
+/// (SetUp) and restores the caller's value at exit (TearDown).
+class EnvVarGuard : public ::testing::Environment {
  public:
-  /// Unsets `name` for the guard's lifetime.
-  explicit ScopedEnvVar(std::string name) : name_(std::move(name)) {
-    Capture();
+  explicit EnvVarGuard(std::string name) : name_(std::move(name)) {}
+
+  void SetUp() override {
+    if (const char* value = std::getenv(name_.c_str())) saved_ = value;
     ::unsetenv(name_.c_str());
   }
 
-  /// Sets `name` to `value` for the guard's lifetime.
-  ScopedEnvVar(std::string name, const std::string& value)
-      : name_(std::move(name)) {
-    Capture();
-    ::setenv(name_.c_str(), value.c_str(), /*overwrite=*/1);
-  }
-
-  ~ScopedEnvVar() {
+  void TearDown() override {
     if (saved_.has_value()) {
       ::setenv(name_.c_str(), saved_->c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_.c_str());
     }
   }
 
-  ScopedEnvVar(const ScopedEnvVar&) = delete;
-  ScopedEnvVar& operator=(const ScopedEnvVar&) = delete;
-
  private:
-  void Capture() {
-    const char* value = std::getenv(name_.c_str());
-    if (value != nullptr) saved_ = std::string(value);
-  }
-
   std::string name_;
   std::optional<std::string> saved_;
-};
-
-/// gtest Environment that unsets one variable for the whole test program
-/// (SetUp) and restores it at exit (TearDown).  Optionally also disarms
-/// the global FaultInjector, covering the case where the variable already
-/// armed it before the guard ran.
-class EnvVarGuard : public ::testing::Environment {
- public:
-  explicit EnvVarGuard(std::string name, bool disarm_fault_injector = false)
-      : name_(std::move(name)),
-        disarm_fault_injector_(disarm_fault_injector) {}
-
-  void SetUp() override {
-    guard_.emplace(name_);
-    if (disarm_fault_injector_) io::FaultInjector::Global().Disarm();
-  }
-
-  void TearDown() override {
-    if (disarm_fault_injector_) io::FaultInjector::Global().Disarm();
-    guard_.reset();
-  }
-
- private:
-  std::string name_;
-  bool disarm_fault_injector_;
-  std::optional<ScopedEnvVar> guard_;
 };
 
 }  // namespace horizon::test

@@ -13,24 +13,15 @@
 #include <string_view>
 
 #include "common/rng.h"
-#include "env_guard.h"
 
 namespace horizon::io {
 namespace {
 
-// Keep the injector's state hermetic: a HORIZON_FAULT_CRASH_AT from the
-// invoking shell arms it at Global() construction and would tear every
-// write this suite performs.
 /// The file's contents, or "<missing>" when ReadFile fails.
 std::string ContentsOrMissing(const std::string& path) {
   const StatusOr<std::string> contents = ReadFile(path);
   return contents.ok() ? *contents : "<missing>";
 }
-
-const ::testing::Environment* const kFaultEnvGuard =
-    ::testing::AddGlobalTestEnvironment(
-        new horizon::test::EnvVarGuard("HORIZON_FAULT_CRASH_AT",
-                                       /*disarm_fault_injector=*/true));
 
 std::string TestDir(const std::string& leaf) {
   const std::string dir = ::testing::TempDir() + "horizon_file_io_" + leaf;

@@ -331,6 +331,30 @@ TEST_F(PredictionServiceTest, BatchQueryTopKOverIdsRanksAndTruncates) {
     EXPECT_GE(prev.predicted_views - prev.observed_views,
               cur.predicted_views - cur.observed_views);
   }
+
+  // Ties rank by id, ascending, as a scan ranks them, whatever the
+  // request's order: six items with one cascade's profiles, created
+  // together and with no events, predict the same increment.
+  const auto& cascade = dataset_->cascades[0];
+  QueryRequest tied;
+  for (int64_t id = 105; id >= 100; --id) {
+    ASSERT_TRUE(service.RegisterItem(id, 0.0, dataset_->PageOf(cascade.post), cascade.post).ok());
+    tied.ids.push_back(id);
+  }
+  tied.s = s;
+  tied.delta = kDay;
+  for (const size_t k : {6u, 4u}) {
+    tied.top_k = k;
+    const auto ranked = service.BatchQuery(tied);
+    ASSERT_TRUE(ranked.ok());
+    ASSERT_EQ(ranked->results.size(), k);
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(ranked->results[i].item_id, 100 + static_cast<int64_t>(i))
+          << "top " << k << ", rank " << i;
+      EXPECT_EQ(ranked->results[i].prediction.predicted_views,
+                ranked->results[0].prediction.predicted_views);
+    }
+  }
 }
 
 TEST_F(PredictionServiceTest, ScanOnEmptyServiceReturnsNothing) {

@@ -23,19 +23,11 @@
 #include <gtest/gtest.h>
 
 #include "common/file_io.h"
-#include "env_guard.h"
 #include "sim/op_schedule.h"
 #include "sim/simulator.h"
 
 namespace horizon::sim {
 namespace {
-
-// The simulator arms the global FaultInjector itself; a stray
-// HORIZON_FAULT_CRASH_AT from the invoking shell must not pre-arm it.
-const ::testing::Environment* const kFaultEnvGuard =
-    ::testing::AddGlobalTestEnvironment(
-        new horizon::test::EnvVarGuard("HORIZON_FAULT_CRASH_AT",
-                                       /*disarm_fault_injector=*/true));
 
 class SimTest : public ::testing::Test {
  protected:

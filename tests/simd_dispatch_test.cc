@@ -1,28 +1,18 @@
 #include "gbdt/simd_dispatch.h"
 
-#include <string>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "env_guard.h"
+#include "gbdt/block_forest.h"
+#include "gbdt/forest_kernels.h"
 #include "gbdt/gbdt.h"
 
 namespace horizon::gbdt {
 namespace {
-
-using horizon::test::ScopedEnvVar;
-
-/// Restores the auto-detected kernel after each test: the dispatch cache
-/// is process-global, so a forced choice must not leak into other tests.
-class SimdDispatchTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    ScopedEnvVar cleared("HORIZON_SIMD");
-    RefreshKernelFromEnv();
-  }
-};
 
 DataMatrix RandomMatrix(size_t rows, size_t features, uint64_t seed) {
   Rng rng(seed);
@@ -57,89 +47,76 @@ GbdtRegressor TrainSmallModel(uint64_t seed) {
   return model;
 }
 
-TEST_F(SimdDispatchTest, NamesRoundTrip) {
+/// Success iff `got` and `want` hold the same doubles bit for bit.
+::testing::AssertionResult BitIdentical(const std::vector<double>& got,
+                                        const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " outputs, want " << want.size();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::bit_cast<uint64_t>(got[i]) != std::bit_cast<uint64_t>(want[i])) {
+      return ::testing::AssertionFailure()
+             << "row " << i << ": " << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SimdDispatchTest, NamesRoundTrip) {
   EXPECT_STREQ(SimdKernelName(SimdKernel::kScalar), "scalar");
   EXPECT_STREQ(SimdKernelName(SimdKernel::kAvx2), "avx2");
 }
 
-TEST_F(SimdDispatchTest, SupportedKernelsStartAtScalar) {
-  const std::vector<SimdKernel> kernels = SupportedKernels();
-  ASSERT_FALSE(kernels.empty());
-  EXPECT_EQ(kernels.front(), SimdKernel::kScalar);
-  // Narrowest-first, contiguous up to the best.
-  for (size_t i = 0; i < kernels.size(); ++i) {
-    EXPECT_EQ(static_cast<int>(kernels[i]), static_cast<int>(i));
-  }
-  EXPECT_EQ(kernels.back(), DetectBestKernel());
-}
-
-TEST_F(SimdDispatchTest, EnvOverrideForcesEachSupportedKernel) {
-  for (const SimdKernel k : SupportedKernels()) {
-    ScopedEnvVar forced("HORIZON_SIMD", SimdKernelName(k));
-    EXPECT_EQ(RefreshKernelFromEnv(), k) << SimdKernelName(k);
-    EXPECT_EQ(ActiveKernel(), k) << SimdKernelName(k);
-  }
-}
-
-TEST_F(SimdDispatchTest, UnknownValueFallsBackToAutoDetection) {
-  // There is no SSE flavor, so "sse" must fall back like any unknown name.
-  for (const char* value : {"avx512-ultra", "sse"}) {
-    ScopedEnvVar forced("HORIZON_SIMD", value);
-    EXPECT_EQ(RefreshKernelFromEnv(), DetectBestKernel()) << value;
-  }
-}
-
-TEST_F(SimdDispatchTest, UnsetFallsBackToAutoDetection) {
-  ScopedEnvVar cleared("HORIZON_SIMD");
-  EXPECT_EQ(RefreshKernelFromEnv(), DetectBestKernel());
-}
-
-TEST_F(SimdDispatchTest, RequestsAboveBestClampDown) {
-  // Requesting the widest flavor never yields something the CPU can't
-  // run; on an AVX2 machine this degenerates to "avx2 selects avx2".
-  ScopedEnvVar forced("HORIZON_SIMD", "avx2");
-  EXPECT_LE(static_cast<int>(RefreshKernelFromEnv()),
-            static_cast<int>(DetectBestKernel()));
-}
-
-// The dispatch shim's core guarantee: every selectable kernel produces
-// IDENTICAL float-path outputs.  Forces each flavor in turn via the env
-// override and compares bitwise against the scalar baseline.
-TEST_F(SimdDispatchTest, AllKernelFlavorsProduceIdenticalFloatOutputs) {
+// The dispatch's core guarantee: both kernels produce IDENTICAL float
+// outputs, so the CPU the process runs on changes speed only.  Calls each
+// kernel directly on the model's forest, row-major and column-major, and
+// the dispatched PredictStrided and PredictBatch, and compares all of
+// them bitwise with the scalar walk.
+TEST(SimdDispatchTest, AllKernelFlavorsProduceIdenticalFloatOutputs) {
   const GbdtRegressor model = TrainSmallModel(23);
   // 2001 rows: exercises the 32-row AVX2 groups and the scalar tail.
   const DataMatrix x = RandomMatrix(2001, model.num_features(), 77);
-  ExampleBatch soa(x.num_rows(), x.num_features());
-  for (size_t r = 0; r < x.num_rows(); ++r) {
-    for (size_t f = 0; f < x.num_features(); ++f) soa.Set(r, f, x.Get(r, f));
+  const size_t n = x.num_rows();
+  const size_t nf = x.num_features();
+  ExampleBatch soa(n, nf);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t f = 0; f < nf; ++f) soa.Set(r, f, x.Get(r, f));
   }
-
-  // Row-major through PredictStrided, column-major through PredictBatch.
-  const auto predict_rows = [&] {
-    std::vector<double> out(x.num_rows());
-    model.PredictStrided(x.Row(0), x.num_rows(), x.num_features(), 1, out.data());
+  const BlockForest& forest = model.block_forest();
+  const kernels::FloatForestSpan span{
+      forest.raw_features().data(), forest.raw_thresholds().data(),
+      forest.raw_leaves().data(),   forest.num_trees(),
+      forest.depth(),               forest.base_score(),
+      forest.learning_rate()};
+  // Kernel `predict` over every row of `x`, row-major or column-major.
+  const auto rows = [&](auto* predict) {
+    std::vector<double> out(n);
+    predict(span, x.Row(0), n, nf, 1, out.data());
     return out;
   };
-  std::vector<double> baseline_rows, baseline_soa;
-  {
-    ScopedEnvVar forced("HORIZON_SIMD", "scalar");
-    RefreshKernelFromEnv();
-    baseline_rows = predict_rows();
-    baseline_soa = model.PredictBatch(soa);
+  const auto cols = [&](auto* predict) {
+    std::vector<double> out(n);
+    predict(span, soa.data(), n, 1, soa.feature_stride(), out.data());
+    return out;
+  };
+
+  const std::vector<double> scalar = rows(kernels::PredictFloatScalar);
+  EXPECT_TRUE(BitIdentical(cols(kernels::PredictFloatScalar), scalar))
+      << "scalar col-major";
+  std::vector<double> dispatched(n);
+  model.PredictStrided(x.Row(0), n, nf, 1, dispatched.data());
+  EXPECT_TRUE(BitIdentical(dispatched, scalar)) << "PredictStrided row-major";
+  EXPECT_TRUE(BitIdentical(model.PredictBatch(soa), scalar))
+      << "PredictBatch col-major";
+
+  if (ActiveKernel() == SimdKernel::kScalar) {
+    GTEST_SKIP() << "this CPU cannot run the AVX2 kernel";
   }
-  for (const SimdKernel k : SupportedKernels()) {
-    ScopedEnvVar forced("HORIZON_SIMD", SimdKernelName(k));
-    ASSERT_EQ(RefreshKernelFromEnv(), k);
-    const std::vector<double> rows = predict_rows();
-    const std::vector<double> cols = model.PredictBatch(soa);
-    ASSERT_EQ(rows.size(), baseline_rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ASSERT_EQ(rows[i], baseline_rows[i])
-          << SimdKernelName(k) << " row-major row " << i;
-      ASSERT_EQ(cols[i], baseline_soa[i])
-          << SimdKernelName(k) << " col-major row " << i;
-    }
-  }
+  EXPECT_TRUE(BitIdentical(rows(kernels::PredictFloatAvx2), scalar))
+      << "avx2 row-major";
+  EXPECT_TRUE(BitIdentical(cols(kernels::PredictFloatAvx2), scalar))
+      << "avx2 col-major";
 }
 
 }  // namespace

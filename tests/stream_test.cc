@@ -2,6 +2,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,13 @@ struct EhCase {
   int num_events;
   uint64_t seed;
 };
+
+/// Names each case by its fields: gtest would print the struct's bytes,
+/// padding included, and the names would change from build to build.
+void PrintTo(const EhCase& c, std::ostream* os) {
+  *os << "epsilon " << c.epsilon << " window " << c.window << " events "
+      << c.num_events << " seed " << c.seed;
+}
 
 class ExponentialHistogramErrorTest : public ::testing::TestWithParam<EhCase> {};
 

@@ -35,8 +35,14 @@ the pairs the change won, the failed operations of each side, whether the
 change is worse than the metric's bound, and whether it is a clear gain:
 at least 10 pairs, better in at least 9 of 10, no more failed operations
 than the parent, and medians further apart than the parent's
-interquartile range.  A run that prints no result line stops the A/B
-with the checkout, workload and seed, and the tail of its stderr.
+interquartile range.  Under that table, a second one shows every metric
+of the report line's `end_to_end` that BENCHMARK.json does not declare
+(such as `scan_p50_ms`, `batch_query_p50_us`, `checkpoint_s`): both
+medians, the parent's quartiles and the pairs the change won, lower
+being better unless the name ends in `_per_s`; reported, not gated, so
+with no bound or gain verdict.  A run that prints no result line stops
+the A/B with the checkout, workload and seed, and the tail of its
+stderr.
 
 The record mode runs every workload of one checkout N times and writes
 the trajectory file:
@@ -56,8 +62,9 @@ measured code, `src` and `bench_e2e`, as the checkout held it: once that
 state is committed, `git rev-parse COMMIT:src` gives the same id.
 
 `--self-test` checks the JSON parsing, the round tally, the end-to-end
-tally and verdicts, and the record's aggregation on canned output, and
-the message of a run that prints no result line, and exits.
+tally and verdicts, the reported-only table, and the record's
+aggregation on canned output, and the message of a run that prints no
+result line, and exits.
 """
 
 import argparse
@@ -124,24 +131,29 @@ def parse_result(stdout):
     return result
 
 
-def parse_context(stdout):
-    """The `context` of bench_e2e's report line (machine and settings), or
-    {} when no line carries one."""
+def parse_report(stdout):
+    """bench_e2e's report line, the one that carries a `context` (machine
+    and settings), or {} when no line does."""
     for line in stdout.splitlines():
         if line.startswith("{") and '"context"' in line:
-            return json.loads(line).get("context", {})
+            return json.loads(line)
     return {}
 
 
 def run_e2e(checkout, workload, seed, seconds):
-    """The run's result line, with its report's context under "context"."""
+    """The run's result line, with its report line's context under
+    "context" and its finite end_to_end values under "reported"."""
     cmd = [sys.executable, "bench_e2e/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
     try:
         result = parse_result(proc.stdout)
-        result["context"] = parse_context(proc.stdout)
+        report = parse_report(proc.stdout)
+        result["context"] = report.get("context", {})
+        result["reported"] = {name: m["value"]
+                              for name, m in report.get("end_to_end", {}).items()
+                              if m["value"] is not None}
         return result
     except ValueError as err:
         tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
@@ -156,11 +168,21 @@ def quartiles(values):
     return q1, q3
 
 
+def compare(values, higher):
+    """values: (parent, change) pairs of one metric.  Both medians, the
+    parent's quartiles, the pairs the change won and the pairs counted."""
+    parent = [p for p, _ in values]
+    q1, q3 = quartiles(parent)
+    return {"parent": statistics.median(parent),
+            "change": statistics.median(c for _, c in values), "q1": q1, "q3": q3,
+            "wins": sum((c > p) if higher else (c < p) for p, c in values),
+            "n": len(values)}
+
+
 def e2e_tally(pairs, metrics):
     """pairs: list of (parent_result, change_result) of one workload, as
     parse_result returns them; metrics: BENCHMARK.json's end_to_end list.
-    Per metric both sides report: parent and change medians, the parent's
-    quartiles, pairs the change won and pairs counted, each side's failed
+    Per metric both sides report: compare()'s row, each side's failed
     operations, `worse` (the change's median is worse than the parent's
     by more than the metric's relative bound) and `gain` (at least
     GAIN_MIN_PAIRS pairs, the change won at least GAIN_WIN_SHARE of them
@@ -175,34 +197,44 @@ def e2e_tally(pairs, metrics):
                   for p, c in pairs if name in p["metrics"] and name in c["metrics"]]
         if not values:
             continue
-        parent = [p for p, _ in values]
-        change = [c for _, c in values]
-        p_med, c_med = statistics.median(parent), statistics.median(change)
-        q1, q3 = quartiles(parent)
-        wins = sum((c > p) if higher else (c < p) for p, c in values)
+        row = compare(values, higher)
         # How much worse the change's median is, relative to the parent's.
+        p_med, c_med = row["parent"], row["change"]
         loss = (p_med - c_med) if higher else (c_med - p_med)
         rel_loss = loss / abs(p_med) if p_med != 0 else (math.inf if loss > 0 else 0.0)
-        rows[name] = {
-            "parent": p_med, "change": c_med, "q1": q1, "q3": q3,
-            "wins": wins, "n": len(values), "failed": failed,
-            "worse": rel_loss > metric["bound"],
-            "gain": (len(values) >= GAIN_MIN_PAIRS and failed[1] <= failed[0]
-                     and wins >= math.ceil(GAIN_WIN_SHARE * len(values))
-                     and -loss > q3 - q1),
-        }
+        rows[name] = dict(
+            row, failed=failed, worse=rel_loss > metric["bound"],
+            gain=(len(values) >= GAIN_MIN_PAIRS and failed[1] <= failed[0]
+                  and row["wins"] >= math.ceil(GAIN_WIN_SHARE * len(values))
+                  and -loss > row["q3"] - row["q1"]))
     return rows
+
+
+def reported_tally(pairs, metrics):
+    """pairs as for e2e_tally, each result with its report line's values
+    under "reported" (run_e2e).  Per report-line metric that `metrics`
+    (BENCHMARK.json's end_to_end list) does not declare, compare()'s row,
+    lower being better unless the name ends in `_per_s`."""
+    gated = {m["name"] for m in metrics}
+    names = set().union(*(p.get("reported", {}).keys() & c.get("reported", {}).keys()
+                          for p, c in pairs)) - gated
+    return {name: compare([(p["reported"][name], c["reported"][name]) for p, c in pairs
+                           if name in p.get("reported", {})
+                           and name in c.get("reported", {})],
+                          name.endswith("_per_s"))
+            for name in sorted(names)}
 
 
 def format_rows(workload, rows):
     lines = []
     for name, r in rows.items():
         delta = (r["change"] / r["parent"] - 1) * 100 if r["parent"] != 0 else math.nan
-        lines.append(
-            f"| {workload} | {name} | {r['parent']:.4g} | {r['change']:.4g} | "
-            f"{delta:+.1f} % | {r['q1']:.4g}-{r['q3']:.4g} | {r['wins']}/{r['n']} | "
-            f"{r['failed'][0]}/{r['failed'][1]} | {'WORSE' if r['worse'] else 'ok'} | "
-            f"{'yes' if r['gain'] else 'no'} |")
+        line = (f"| {workload} | {name} | {r['parent']:.4g} | {r['change']:.4g} | "
+                f"{delta:+.1f} % | {r['q1']:.4g}-{r['q3']:.4g} | {r['wins']}/{r['n']} |")
+        if "failed" in r:
+            line += (f" {r['failed'][0]}/{r['failed'][1]} | "
+                     f"{'WORSE' if r['worse'] else 'ok'} | {'yes' if r['gain'] else 'no'} |")
+        lines.append(line)
     return lines
 
 
@@ -210,6 +242,12 @@ TABLE_HEADER = [
     "| workload | metric | parent median | change median | change | parent Q1-Q3 "
     "| change won | failed ops parent/change | bound | clear gain |",
     "|---|---|---|---|---|---|---|---|---|---|",
+]
+
+REPORTED_HEADER = [
+    "| workload | metric | parent median | change median | change | parent Q1-Q3 "
+    "| change won |",
+    "|---|---|---|---|---|---|---|",
 ]
 
 
@@ -221,6 +259,7 @@ def run_e2e_ab(args):
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in benchmark["workloads"]])
     table = []
+    reported = []
     for workload in workloads:
         pairs = []
         for i in range(args.pairs):
@@ -240,9 +279,13 @@ def run_e2e_ab(args):
                   f"  failed {result['parent']['failed']}/{result['change']['failed']}",
                   flush=True)
         table += format_rows(workload, e2e_tally(pairs, metrics))
+        reported += format_rows(workload, reported_tally(pairs, metrics))
     print(f"\n{args.pairs} pairs per workload, seeds {args.first_seed}-"
           f"{args.first_seed + args.pairs - 1}, {seconds} s runs")
     print("\n".join(TABLE_HEADER + table))
+    print("\nReported, not gated (BENCHMARK.json declares no bound for these; "
+          "lower is better unless the name ends in _per_s):")
+    print("\n".join(REPORTED_HEADER + reported))
     return 0
 
 
@@ -415,9 +458,32 @@ def self_test():
                                "runs": [11.0, 9.0, 13.0, 10.0, 12.0],
                                "median": 11.0, "cv": 3.0 / 11.0}, summary["rate"]
     assert summary["lat"]["cv"] == 0.0 and list(summary) == ["rate", "lat"], summary
-    assert parse_context('noise\n{"report": "bench_e2e", "context": {"nproc": "4"}}\n'
-                         + line(0, rate=1.0)) == {"nproc": "4"}
-    assert parse_context(line(0, rate=1.0)) == {}
+    assert parse_report('noise\n{"report": "bench_e2e", "context": {"nproc": "4"}}\n'
+                        + line(0, rate=1.0)) == {"report": "bench_e2e",
+                                                 "context": {"nproc": "4"}}
+    assert parse_report(line(0, rate=1.0)) == {}
+    # The reported-only table: the report line's metrics BENCHMARK.json
+    # does not declare (not `rate`), lower better but for `_per_s`, a
+    # metric one side of a pair lacks counted in the other pairs only.
+    # scan_ms: parent 2.25-3 (quartiles 2.3125 and 2.9375 of four), the
+    # change lower in 3 of 4; ops_per_s: the change lower, so it wins none.
+    def reported(rate, **values):
+        result = parse_result(line(0, rate=rate))
+        result["reported"] = dict(values, rate=rate)
+        return result
+    scans = [(2.5, 2.0), (2.75, 2.5), (2.25, 2.5), (3.0, 2.25)]
+    pairs = [(reported(10.0, scan_ms=p, ops_per_s=900.0 + i, tail_ms=5.0),
+              reported(10.0, scan_ms=c, ops_per_s=900.0 - i,
+                       **({"tail_ms": 4.0} if i > 0 else {})))
+             for i, (p, c) in enumerate(scans)]
+    rows = reported_tally(pairs, metrics)
+    assert list(rows) == ["ops_per_s", "scan_ms", "tail_ms"], rows
+    assert rows["scan_ms"] == {"parent": 2.625, "change": 2.375, "q1": 2.3125,
+                               "q3": 2.9375, "wins": 3, "n": 4}, rows["scan_ms"]
+    assert rows["ops_per_s"]["wins"] == 0 and rows["ops_per_s"]["parent"] == 901.5
+    assert rows["tail_ms"]["n"] == 3 and rows["tail_ms"]["wins"] == 3, rows["tail_ms"]
+    assert format_rows("live_mix", {"scan_ms": rows["scan_ms"]}) == [
+        "| live_mix | scan_ms | 2.625 | 2.375 | -9.5 % | 2.312-2.938 | 3/4 |"]
     # The record's tree ids survive committing the uncommitted state they
     # were taken from, and leave the checkout's index as it was.
     if shutil.which("git"):
@@ -447,6 +513,19 @@ def self_test():
             git("add", "-A")
             git("commit", "-q", "-m", "change")
             assert trees == {d: git("rev-parse", f"HEAD:{d}") for d in MEASURED_DIRS}, trees
+    # A run keeps its report line's context and finite end_to_end values.
+    with tempfile.TemporaryDirectory() as checkout:
+        os.mkdir(os.path.join(checkout, "bench_e2e"))
+        report_line = json.dumps({
+            "report": "bench_e2e", "context": {"gbdt_kernel": "avx2"}, "details": {},
+            "end_to_end": {"scan_p50_ms": {"value": 2.5, "unit": "ms"},
+                           "setup_s": {"value": 1.0, "unit": "s"},
+                           "scan_tail_ms": {"value": None, "unit": "ms"}}})
+        with open(os.path.join(checkout, "bench_e2e", "run.py"), "w") as f:
+            f.write(f"print({report_line!r})\nprint({line(0, setup_s=1.0)!r})\n")
+        result = run_e2e(checkout, "live_mix", 7, 1)
+        assert result["context"] == {"gbdt_kernel": "avx2"}, result
+        assert result["reported"] == {"scan_p50_ms": 2.5, "setup_s": 1.0}, result
     # A run that prints no result line names its checkout and seed, and
     # shows its stderr.
     with tempfile.TemporaryDirectory() as checkout:

@@ -18,8 +18,6 @@
 //       Build a PredictionService over the workload (events up to AGE,
 //       default 6h), write a crash-safe checkpoint of its live state and
 //       print its bytes and bytes per live item.
-//       Set HORIZON_FAULT_CRASH_AT=<n> to test the atomicity protocol by
-//       injecting a crash at the n-th write/fsync/rename.
 //
 //   horizon_tool restore --model FILE --ckpt CKPTDIR
 //                        [--post ID --time AGE --horizon DELTA]
