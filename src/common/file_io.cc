@@ -14,7 +14,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/check.h"
 #include "common/text_codec.h"
 
 namespace horizon::io {
@@ -67,7 +66,7 @@ bool FaultInjector::crashed() const {
   return crashed_;
 }
 
-bool FaultInjector::ShouldFail(FaultPoint /*point*/) {
+bool FaultInjector::ShouldFail() {
   MutexLock lock(mu_);
   if (!armed_) return false;
   ++ops_;
@@ -93,8 +92,7 @@ namespace {
 
 using CrcTable = std::array<uint32_t, 256>;
 
-/// The reflected CRC-32 polynomial: bit 31 - k holds the coefficient of
-/// x^k, for k < 32 (x^32 is implied).
+/// The reflected CRC-32 polynomial.
 constexpr uint32_t kCrcPoly = 0xEDB88320u;
 
 /// Table 0 is the bytewise table of the reflected polynomial; table k
@@ -122,28 +120,6 @@ uint32_t Load32(const unsigned char* p) {
          uint32_t{p[3]} << 24;
 }
 
-/// a(x) * b(x) mod P(x), both in the reflected order of kCrcPoly.
-constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
-  uint32_t product = 0;
-  for (uint32_t bit = 1u << 31; bit != 0; bit >>= 1) {
-    if ((a & bit) != 0) product ^= b;
-    b = (b & 1u) ? kCrcPoly ^ (b >> 1) : b >> 1;  // b(x) * x
-  }
-  return product;
-}
-
-/// Entry k is x^(2^k) mod P(x): the factor that moves a CRC register
-/// 2^k bits along.  67 entries cover 8 * (2^64 - 1) bits.
-constexpr std::array<uint32_t, 67> MakeX2nTable() {
-  std::array<uint32_t, 67> table{};
-  table[0] = 1u << 30;  // x^1
-  for (size_t k = 1; k < table.size(); ++k) {
-    table[k] = MultModP(table[k - 1], table[k - 1]);
-  }
-  return table;
-}
-constexpr std::array<uint32_t, 67> kX2nTable = MakeX2nTable();
-
 }  // namespace
 
 uint32_t Crc32(uint32_t prev, std::string_view data) {
@@ -164,17 +140,6 @@ uint32_t Crc32(uint32_t prev, std::string_view data) {
 
 uint32_t Crc32(std::string_view data) { return Crc32(0, data); }
 
-uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b) {
-  // Appending b moves a's register 8 * len_b bits along, a product with
-  // x^(8 len_b); b's own CRC then adds in.  The pre- and post-inversions
-  // of the two CRCs cancel in the sum.
-  uint32_t shift = 1u << 31;  // x^0
-  for (size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
-    if ((len_b & 1u) != 0) shift = MultModP(kX2nTable[k], shift);
-  }
-  return MultModP(shift, crc_a) ^ crc_b;
-}
-
 std::string CrcFrameHeader(std::string_view payload) {
   char header[64];
   const int n = std::snprintf(header, sizeof(header), "hzf1 %zu %08x\n",
@@ -189,7 +154,7 @@ std::string WrapCrcFrame(std::string_view payload) {
 }
 
 StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame,
-                                          uint32_t* frame_crc) {
+                                          uint32_t* payload_crc) {
   const size_t eol = frame.find('\n');
   if (eol == std::string_view::npos) {
     return Status::Corruption("CRC frame: missing header line");
@@ -214,9 +179,7 @@ StatusOr<std::string_view> UnwrapCrcFrame(std::string_view frame,
   if (Crc32(payload) != crc) {
     return Status::Corruption("CRC frame: checksum mismatch");
   }
-  if (frame_crc != nullptr) {
-    *frame_crc = Crc32Combine(Crc32(frame.substr(0, eol + 1)), crc, payload.size());
-  }
+  if (payload_crc != nullptr) *payload_crc = crc;
   return payload;
 }
 
@@ -255,14 +218,14 @@ bool FsyncParentDir(const std::string& path) {
 /// the parent directory.  Three of the four fault points.
 Status SyncAndPublish(int fd, const std::string& tmp, const std::string& path) {
   FaultInjector& faults = FaultInjector::Global();
-  if (faults.ShouldFail(FaultPoint::kFsync) || ::fsync(fd) != 0) {
+  if (faults.ShouldFail() || ::fsync(fd) != 0) {  // the file's fsync
     ::close(fd);
     return Status::IoError("fsync " + tmp);
   }
   if (::close(fd) != 0) {
     return Status::IoError("close " + tmp + ": " + std::strerror(errno));
   }
-  if (faults.ShouldFail(FaultPoint::kRename)) {
+  if (faults.ShouldFail()) {  // the rename
     return Status::IoError("injected crash renaming " + tmp);
   }
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -271,21 +234,13 @@ Status SyncAndPublish(int fd, const std::string& tmp, const std::string& path) {
   // The rename has reached the filesystem; a crash at the directory fsync
   // below corresponds to the "rename made it to disk" outcome, so the
   // injected failure only aborts the protocol, it cannot undo the rename.
-  if (faults.ShouldFail(FaultPoint::kFsync)) {
+  if (faults.ShouldFail()) {  // the directory fsync
     return Status::IoError("injected crash fsyncing parent of " + path);
   }
   if (!FsyncParentDir(path)) {
     return Status::IoError("fsync parent dir of " + path);
   }
   return Status::Ok();
-}
-
-/// Writes `value` as exactly FramedFileWriter::kFieldDigits decimal
-/// digits, zero-padded, at `out`.
-void FormatField(uint64_t value, char* out) {
-  for (size_t i = FramedFileWriter::kFieldDigits; i > 0; --i, value /= 10) {
-    out[i - 1] = static_cast<char>('0' + value % 10);
-  }
 }
 
 /// "hzf1 " + the size field + " " + 8 hex digits + "\n".
@@ -297,7 +252,7 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::IoError("open " + tmp + ": " + std::strerror(errno));
-  if (FaultInjector::Global().ShouldFail(FaultPoint::kWrite)) {
+  if (FaultInjector::Global().ShouldFail()) {  // the write
     // Simulated crash mid-write: leave a torn prefix, half the bytes.
     WriteAll(fd, contents.data(), contents.size() / 2);
     ::close(fd);
@@ -341,60 +296,31 @@ Status FramedFileWriter::Append(std::string_view bytes) {
   if (!status_.ok()) return status_;
   status_ = Write(bytes);
   if (!status_.ok()) return status_;
-  if (has_count_) {
-    tail_crc_ = Crc32(tail_crc_, bytes);
-    tail_bytes_ += bytes.size();
-  } else {
-    head_crc_ = Crc32(head_crc_, bytes);
-  }
+  crc_ = Crc32(crc_, bytes);
   payload_bytes_ += bytes.size();
   return Status::Ok();
 }
 
-Status FramedFileWriter::AppendCountField() {
-  HORIZON_CHECK(!has_count_);
-  if (!status_.ok()) return status_;
-  char zeros[kFieldDigits];
-  FormatField(0, zeros);
-  // Not CRC'd: Commit folds the real digits in between head and tail.
-  status_ = Write({zeros, kFieldDigits});
-  if (!status_.ok()) return status_;
-  has_count_ = true;
-  count_at_ = payload_bytes_;
-  payload_bytes_ += kFieldDigits;
-  return Status::Ok();
+uint64_t FramedFileWriter::file_bytes() const {
+  return kPaddedHeaderBytes + payload_bytes_;
 }
 
-Status FramedFileWriter::Commit(uint64_t count) {
+Status FramedFileWriter::Commit() {
   if (!status_.ok()) return status_;
-  uint32_t payload_crc = head_crc_;
-  char field[kFieldDigits];
-  if (has_count_) {
-    FormatField(count, field);
-    payload_crc = Crc32Combine(Crc32(head_crc_, {field, kFieldDigits}), tail_crc_,
-                               tail_bytes_);
-  }
   char header[kPaddedHeaderBytes + 1];
   std::snprintf(header, sizeof(header), "hzf1 %0*llu %08x\n",
                 static_cast<int>(kFieldDigits),
-                static_cast<unsigned long long>(payload_bytes_), payload_crc);
-  const auto patch = [&](const char* bytes, size_t size, uint64_t offset) {
-    const ssize_t n = ::pwrite(fd_, bytes, size, static_cast<off_t>(offset));
-    if (n != static_cast<ssize_t>(size)) {
-      status_ = Status::IoError("write " + tmp_ + ": " + std::strerror(errno));
-    }
-  };
-  patch(header, kPaddedHeaderBytes, 0);
-  if (has_count_) patch(field, kFieldDigits, kPaddedHeaderBytes + count_at_);
-  if (!status_.ok()) return status_;
-  file_crc_ = Crc32Combine(Crc32({header, kPaddedHeaderBytes}), payload_crc,
-                           payload_bytes_);
-  file_bytes_ = kPaddedHeaderBytes + payload_bytes_;
+                static_cast<unsigned long long>(payload_bytes_), crc_);
+  if (::pwrite(fd_, header, kPaddedHeaderBytes, 0) !=
+      static_cast<ssize_t>(kPaddedHeaderBytes)) {
+    status_ = Status::IoError("write " + tmp_ + ": " + std::strerror(errno));
+    return status_;
+  }
 
   const int fd = std::exchange(fd_, -1);
-  if (FaultInjector::Global().ShouldFail(FaultPoint::kWrite)) {
+  if (FaultInjector::Global().ShouldFail()) {  // the write
     // Simulated crash mid-write: leave the first half of the bytes.
-    const bool torn = ::ftruncate(fd, static_cast<off_t>(file_bytes_ / 2)) == 0;
+    const bool torn = ::ftruncate(fd, static_cast<off_t>(file_bytes() / 2)) == 0;
     ::close(fd);
     status_ = Status::IoError(torn ? "injected crash writing " + tmp_
                                    : "truncate " + tmp_ + ": " + std::strerror(errno));

@@ -140,7 +140,8 @@ void ExtractAndScore(const features::FeatureExtractor& extractor,
                        scratch->alphas.data());
 }
 
-/// What the manifest records of one shard file.
+/// What the manifest records of one shard file: its payload's CRC (the
+/// one its frame header holds), its size and its item count.
 struct ShardFile {
   uint32_t crc = 0;
   uint64_t bytes = 0;
@@ -165,7 +166,7 @@ struct PredictionService::Shard {
     return ids;
   }
 
-  /// Streams the `shard v3` file of the shard's items to `path` (see
+  /// Streams the `shard v4` file of the shard's items to `path` (see
   /// Checkpoint) and records what the manifest needs of it.
   Status WriteCheckpoint(const std::string& path, ShardFile* file) const;
 };
@@ -760,7 +761,7 @@ bool ReadStatics(text::Reader* in, features::StaticFeatures* statics) {
          !fields.ReadWord(&extra);
 }
 
-/// Appends the `shard v3` records of `items` to `out`: per item its id,
+/// Appends the `shard v4` records of `items` to `out`: per item its id,
 /// its static features, and its tracker blob after the blob's byte count,
 /// in room reserved before the first.
 void AppendRecords(const std::vector<std::pair<int64_t, Item>>& items,
@@ -793,15 +794,13 @@ void AppendRecords(const std::vector<std::pair<int64_t, Item>>& items,
 
 Status PredictionService::Shard::WriteCheckpoint(const std::string& path,
                                                  ShardFile* file) const {
-  // A header line and the item count, then the records, a chunk of items
-  // at a time: copied under the lock, serialized outside it into one
-  // buffer, and streamed to the file.  The count, known once the last
-  // chunk is copied, is filled in when the file commits.
+  // A header line, then the records, a chunk of items at a time: copied
+  // under the lock, serialized outside it into one buffer, and streamed
+  // to the file.  The item count, known once the last chunk is copied,
+  // goes into the manifest.
   const std::vector<int64_t> ids = Ids();
   io::FramedFileWriter writer(path);
-  HORIZON_RETURN_IF_ERROR(writer.Append("shard v3\n"));
-  HORIZON_RETURN_IF_ERROR(writer.AppendCountField());
-  HORIZON_RETURN_IF_ERROR(writer.Append("\n"));
+  HORIZON_RETURN_IF_ERROR(writer.Append("shard v4\n"));
   std::vector<std::pair<int64_t, Item>> chunk;
   chunk.reserve(kCheckpointChunkItems);
   std::string buffer;
@@ -823,8 +822,8 @@ Status PredictionService::Shard::WriteCheckpoint(const std::string& path,
     HORIZON_RETURN_IF_ERROR(writer.Append(buffer));
     written += chunk.size();
   }
-  HORIZON_RETURN_IF_ERROR(writer.Commit(written));
-  *file = {writer.file_crc(), writer.file_bytes(), written};
+  HORIZON_RETURN_IF_ERROR(writer.Commit());
+  *file = {writer.payload_crc(), writer.file_bytes(), written};
   return Status::Ok();
 }
 
@@ -862,7 +861,7 @@ Status PredictionService::Checkpoint(const std::string& dir) const {
   });
   HORIZON_RETURN_IF_ERROR(shard_error);
 
-  std::string manifest = "manifest v1\n";
+  std::string manifest = "manifest v2\n";
   AppendLine(&manifest, "epoch", epoch);
   const core::ModelDigest& model = model_->digest();
   AppendLine(&manifest, "model", model.crc, model.size);
@@ -928,7 +927,7 @@ Status PredictionService::Restore(const std::string& dir) {
   uint32_t model_crc = 0;
   uint64_t model_size = 0;
   if (!fields.ReadWord(&magic) || !fields.ReadWord(&version) || magic != "manifest" ||
-      version != "v1") {
+      version != "v2") {
     return CountError(Status::Corruption("manifest: bad magic/version"));
   }
   if (!fields.ReadWord(&key) || key != "epoch" || !fields.Read(&epoch)) {
@@ -945,58 +944,45 @@ Status PredictionService::Restore(const std::string& dir) {
   }
 
   // The restored trackers only make sense if this service interprets their
-  // state with the same window/landmark layout and EWMA constants.
+  // state with the same window/landmark layout and EWMA constants.  A key
+  // missing or cut short is kCorruption; a value other than the service's,
+  // or a list of another length, is kConfigMismatch.
+  const auto read_list = [&](std::string_view name, const std::vector<double>& want,
+                             const std::string& layout) {
+    size_t n = 0;
+    if (!fields.ReadWord(&key) || key != name || !fields.Read(&n)) {
+      return Status::Corruption("manifest: missing " + std::string(name));
+    }
+    const Status differs =
+        Status::ConfigMismatch("checkpoint uses a different " + layout);
+    if (n != want.size()) return differs;
+    for (const double expected : want) {
+      double value = 0.0;
+      if (!fields.Read(&value)) {
+        return Status::Corruption("manifest: truncated " + std::string(name));
+      }
+      if (value != expected) return differs;
+    }
+    return Status::Ok();
+  };
+  const auto read_scalar = [&](std::string_view name, double want) {
+    double value = 0.0;
+    if (!fields.ReadWord(&key) || key != name || !fields.Read(&value)) {
+      return Status::Corruption("manifest: missing " + std::string(name));
+    }
+    if (value != want) {
+      return Status::ConfigMismatch("checkpoint uses a different " + std::string(name));
+    }
+    return Status::Ok();
+  };
   const stream::TrackerConfig& tracker = config_.tracker;
-  size_t n = 0;
-  if (!fields.ReadWord(&key) || key != "windows" || !fields.Read(&n)) {
-    return CountError(Status::Corruption("manifest: missing windows"));
+  Status layout = read_list("windows", tracker.window_lengths, "window layout");
+  if (layout.ok()) {
+    layout = read_list("landmarks", tracker.landmark_ages, "landmark layout");
   }
-  if (n != tracker.window_lengths.size()) {
-    return CountError(
-        Status::ConfigMismatch("checkpoint uses a different window layout"));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    double w = 0.0;
-    if (!fields.Read(&w)) {
-      return CountError(Status::Corruption("manifest: truncated windows"));
-    }
-    if (w != tracker.window_lengths[i]) {
-      return CountError(
-          Status::ConfigMismatch("checkpoint uses a different window layout"));
-    }
-  }
-  if (!fields.ReadWord(&key) || key != "landmarks" || !fields.Read(&n)) {
-    return CountError(Status::Corruption("manifest: missing landmarks"));
-  }
-  if (n != tracker.landmark_ages.size()) {
-    return CountError(
-        Status::ConfigMismatch("checkpoint uses a different landmark layout"));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    double l = 0.0;
-    if (!fields.Read(&l)) {
-      return CountError(Status::Corruption("manifest: truncated landmarks"));
-    }
-    if (l != tracker.landmark_ages[i]) {
-      return CountError(
-          Status::ConfigMismatch("checkpoint uses a different landmark layout"));
-    }
-  }
-  double ewma_tau = 0.0, epsilon = 0.0;
-  if (!fields.ReadWord(&key) || key != "ewma_tau" || !fields.Read(&ewma_tau)) {
-    return CountError(Status::Corruption("manifest: missing ewma_tau"));
-  }
-  if (ewma_tau != tracker.ewma_tau) {
-    return CountError(
-        Status::ConfigMismatch("checkpoint uses a different ewma_tau"));
-  }
-  if (!fields.ReadWord(&key) || key != "epsilon" || !fields.Read(&epsilon)) {
-    return CountError(Status::Corruption("manifest: missing epsilon"));
-  }
-  if (epsilon != tracker.epsilon) {
-    return CountError(
-        Status::ConfigMismatch("checkpoint uses a different epsilon"));
-  }
+  if (layout.ok()) layout = read_scalar("ewma_tau", tracker.ewma_tau);
+  if (layout.ok()) layout = read_scalar("epsilon", tracker.epsilon);
+  if (!layout.ok()) return CountError(layout);
   ServiceStats counters;
   if (!fields.ReadWord(&key) || key != "counters" ||
       !fields.Read(&counters.items_registered, &counters.events_ingested,
@@ -1038,27 +1024,24 @@ Status PredictionService::Restore(const std::string& dir) {
       return CountError(
           Status::Corruption("shard file " + name + " missing or damaged"));
     }
-    // Checking the frame reads each byte once and yields the CRC of the
-    // whole file, which the manifest vouches for.
-    uint32_t file_crc = 0;
-    const auto payload = io::UnwrapCrcFrame(*raw, &file_crc);
+    // The frame's CRC, which checking the frame verifies, is the one the
+    // manifest lists for the file.
+    uint32_t payload_crc = 0;
+    const auto payload = io::UnwrapCrcFrame(*raw, &payload_crc);
     if (!payload.ok()) return CountError(payload.status());
-    if (file_crc != crc) {
+    if (payload_crc != crc) {
       return CountError(Status::Corruption("shard file " + name +
                                            " is not the file the manifest lists"));
     }
-    // The items are parsed in place, from the bytes `raw` holds.
+    // The items are parsed in place, from the bytes `raw` holds: exactly
+    // the manifest's count of records, then nothing.
     text::Reader in(*payload);
-    std::string_view smagic, sversion;
-    size_t num_items = 0;
+    std::string_view smagic, sversion, extra;
     if (!in.ReadWord(&smagic) || !in.ReadWord(&sversion) || smagic != "shard" ||
-        sversion != "v3") {
+        sversion != "v4") {
       return CountError(Status::Corruption("shard file: bad magic/version"));
     }
-    if (!in.Read(&num_items) || num_items != items) {
-      return CountError(Status::Corruption("shard file: item count mismatch"));
-    }
-    for (size_t i = 0; i < num_items; ++i) {
+    for (uint64_t i = 0; i < items; ++i) {
       int64_t id = 0;
       if (!in.Read(&id)) {
         return CountError(Status::Corruption("shard file: truncated item id"));
@@ -1093,6 +1076,9 @@ Status PredictionService::Restore(const std::string& dir) {
         return CountError(Status::Corruption("shard file: item id listed twice"));
       }
       ++staged_items;
+    }
+    if (in.ReadWord(&extra)) {
+      return CountError(Status::Corruption("shard file: bytes after the last record"));
     }
   }
 

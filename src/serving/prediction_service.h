@@ -275,7 +275,7 @@ class PredictionService {
 
   /// Writes a snapshot of every live tracker, each item's static
   /// features, the model's digest, and the service counters (shard files
-  /// `shard v3` of `trk v2` tracker blobs).  Each shard's ids are listed
+  /// `shard v4` of `trk v2` tracker blobs).  Each shard's ids are listed
   /// under its lock and its items copied 16 at a time under it; each
   /// chunk is serialized and streamed to the shard file outside the lock,
   /// so concurrent Ingest/Query keep running and a checkpoint holds one
@@ -293,7 +293,7 @@ class PredictionService {
   /// a file the manifest does not list is never read.  On any failure
   /// the service is NOT modified and the code says why: kNotFound (no
   /// committed checkpoint there), kCorruption (torn or damaged bytes, or
-  /// shard files or tracker blobs of another format version),
+  /// a manifest, shard files or tracker blobs of another format version),
   /// kConfigMismatch (different model or tracker layout).  On success
   /// replaces all live items and counters, and subsequent predictions are
   /// bit-identical to the checkpointed service's.

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/units.h"
 
 namespace horizon::sim {
 
@@ -22,6 +23,11 @@ constexpr size_t kDeltaGridSize = sizeof(kDeltaGrid) / sizeof(kDeltaGrid[0]);
 /// Ids in this range are never registered; ingesting/querying them
 /// exercises the kNotFound paths.
 constexpr int64_t kUnknownIdBase = 100000;
+
+/// Simulated time per round, and the most stream events an item pools in
+/// one.
+constexpr double kRoundDuration = 45 * kMinute;
+constexpr size_t kMaxEventsPerItemPerRound = 48;
 
 /// One engagement event of an item's materialized stream (ages).
 struct StreamEvent {
@@ -94,7 +100,6 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
                               const ScheduleConfig& config, uint64_t seed) {
   HORIZON_CHECK_GT(config.num_items, 0);
   HORIZON_CHECK_GT(config.rounds, 0);
-  HORIZON_CHECK_GT(config.round_duration, 0.0);
   HORIZON_CHECK(IsValidFaultSchedule(config.faults));
   HORIZON_CHECK(!dataset.cascades.empty());
 
@@ -108,7 +113,7 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
   Rng past_rng(seed ^ 0x2d35'8dcc'aa6c'78a5ULL);
 
   const int num_items = config.num_items;
-  const double round = config.round_duration;
+  const double round = kRoundDuration;
 
   // Map items onto dataset cascades and stagger their registrations over
   // the first third of the simulation so churn (register / retire /
@@ -164,7 +169,7 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
       ItemState& item = items[static_cast<size_t>(i)];
       if (!item.registered || item.creation_time > start) continue;
       if (item.cursor >= item.stream.size()) continue;
-      const size_t want = 1 + rng.UniformInt(config.max_events_per_item_per_round);
+      const size_t want = 1 + rng.UniformInt(kMaxEventsPerItemPerRound);
       const size_t take = std::min(want, item.stream.size() - item.cursor);
       for (size_t k = 0; k < take; ++k) {
         const StreamEvent& e = item.stream[item.cursor + k];
@@ -199,7 +204,7 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
     Op late;
     late.kind = OpKind::kIngestBatch;
     late.time = deadline;
-    for (int i = 0; i < num_items && config.reads_before_last_event; ++i) {
+    for (int i = 0; i < num_items; ++i) {
       const int ran_out = items[static_cast<size_t>(i)].ran_out_round;
       if (ran_out < 0 || ran_out >= r) continue;
       serving::IngestEvent out;
@@ -260,7 +265,7 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
       op.top_k = 1 + rng.UniformInt(static_cast<uint64_t>(num_items) + 3);
       round_queries.push_back(std::move(op));
     }
-    if (config.reads_before_last_event) {
+    {
       // Items with an event stamped after s (most rounds clamp some at
       // the deadline) are skipped and counted.
       Op op;
@@ -282,7 +287,7 @@ OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
       push(op);
     }
 
-    if (config.reads_before_last_event) {
+    {
       // Items with an event stamped after `now` (the late reactions, and
       // most rounds clamp some events at the deadline) must be kept.
       Op op;

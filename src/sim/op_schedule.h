@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/units.h"
 #include "datagen/generator.h"
 #include "serving/prediction_service.h"
 
@@ -63,14 +62,15 @@ struct Op {
   size_t top_k = 0;
   int bad_variant = 0;  ///< which malformed request kBadQuery issues
 
-  // kRetire: the sweep's `now`.  The op's time, except for the sweeps of
-  // ScheduleConfig::reads_before_last_event.
+  // kRetire: the sweep's `now`.  The op's time, except for the sweep
+  // below items' last events (see GenerateOpSchedule).
   double now = 0.0;
 
   // kCheckpointCrash / kCheckpointTransient
   int fault_at = 0;  ///< faultable-op index handed to the FaultInjector
 
-  // kCorruptCheckpoint: rng draw selecting the target file and byte
+  // kCorruptCheckpoint: rng draw selecting the target file, the byte and
+  // the damage
   uint64_t corrupt_pick = 0;
 };
 
@@ -78,23 +78,13 @@ struct Op {
 ///   "none"       no injected faults; periodic checkpoint/restore
 ///   "crash"      checkpoints run under ArmCrashAt at seeded op indices
 ///   "transient"  checkpoints hit a fail-once kIoError and are retried
-///   "corrupt"    committed checkpoints get a byte flipped, then restored
+///   "corrupt"    committed checkpoints get a byte flipped, are cut short
+///                or grow a byte, then are restored
 ///   "mixed"      per-checkpoint seeded choice among all of the above
 struct ScheduleConfig {
   int num_items = 10;
-  int rounds = 24;  ///< simulation steps; each ends in a kCheck
-  double round_duration = 45 * kMinute;
+  int rounds = 24;  ///< steps of 45 simulated minutes; each ends in a kCheck
   std::string faults = "mixed";
-  size_t max_events_per_item_per_round = 48;
-  /// Also scans at an s, and sweeps at a now, below some live items' last
-  /// event (one of each a round), and sends each item whose stream ran out
-  /// a late reaction at every later round's deadline.  These draw from an
-  /// rng of their own, so the rest of a seed's schedule is the one it has
-  /// with this off.  A scan must skip the items with an event after s and
-  /// count them; a sweep must keep those with an event after now.  The
-  /// seed sweeps and `horizon_tool sim` turn it on; off is the schedule
-  /// shape SimTest.ScheduleGoldenForSeed77 pins.
-  bool reads_before_last_event = false;
 };
 
 /// True for the schedule names listed on ScheduleConfig::faults.
@@ -110,7 +100,12 @@ struct OpSchedule {
 /// Generates the schedule for `seed`.  Deterministic: equal inputs yield
 /// an identical op list.  Items are mapped onto `dataset` cascades, whose
 /// Hawkes view streams (plus derived share/comment/reaction streams)
-/// provide realistic per-item event timing.
+/// provide realistic per-item event timing.  Each round also scans at an
+/// s, and sweeps at a now, below some live items' last event, and sends
+/// each item whose stream ran out a late reaction at every later round's
+/// deadline: a scan must skip the items with an event after s and count
+/// them, a sweep must keep those with an event after now.  These draw
+/// from an rng of their own, so a seed's other ops do not depend on them.
 OpSchedule GenerateOpSchedule(const datagen::SyntheticDataset& dataset,
                               const ScheduleConfig& config, uint64_t seed);
 

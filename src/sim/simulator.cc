@@ -15,6 +15,7 @@
 #include "common/file_io.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "common/units.h"
 #include "core/trainer.h"
 #include "sim/checkers.h"
 #include "sim/reference_model.h"
@@ -26,6 +27,17 @@ namespace {
 /// Horizon of the end-of-round divergence query.  Arbitrary; the per-item
 /// invariant checkers sweep the full grid anyway.
 constexpr double kCheckDelta = 1 * kHour;
+
+/// The service under test (see SimConfig).
+constexpr int kNumShards = 5;
+constexpr double kIdleRetirementAge = 8 * kHour;
+constexpr double kDeathProbabilityThreshold = 0.995;
+
+/// Threads driving the kIngest concurrent-ingest phase.
+constexpr size_t kIngestThreads = 4;
+
+/// Re-execution budget of the trace minimizer.
+constexpr int kMaxMinimizeRuns = 64;
 
 std::string TrimWs(const std::string& text) {
   size_t b = 0, e = text.size();
@@ -67,12 +79,10 @@ struct CommittedCheckpoint {
 /// checkpoint directory, driven op by op.
 class Execution {
  public:
-  Execution(const SimContext& context, const SimConfig& config,
-            std::string scratch_dir)
+  Execution(const SimContext& context, std::string scratch_dir)
       : context_(context),
-        config_(config),
         scratch_dir_(std::move(scratch_dir)),
-        service_config_(MakeServiceConfig(context, config, &registry_)),
+        service_config_(MakeServiceConfig(context, &registry_)),
         service_(context.model.get(), context.extractor.get(), service_config_),
         reference_(context.model.get(), context.extractor.get(),
                    service_config_) {
@@ -118,13 +128,12 @@ class Execution {
 
  private:
   static serving::ServiceConfig MakeServiceConfig(const SimContext& context,
-                                                  const SimConfig& config,
                                                   obs::MetricsRegistry* registry) {
     serving::ServiceConfig out;
     out.tracker = context.extractor->tracker_config();
-    out.idle_retirement_age = config.idle_retirement_age;
-    out.death_probability_threshold = config.death_probability_threshold;
-    out.num_shards = config.num_shards;
+    out.idle_retirement_age = kIdleRetirementAge;
+    out.death_probability_threshold = kDeathProbabilityThreshold;
+    out.num_shards = kNumShards;
     // A PRIVATE registry per execution: the conservation checks demand
     // instrument values that match this run's ledger exactly, which the
     // process-global registry (shared across seeds) cannot provide.
@@ -195,15 +204,13 @@ class Execution {
       want[i] = reference_.IngestCode(e.item_id, e.type, e.time);
     }
     std::vector<StatusCode> got(n, StatusCode::kOk);
-    const size_t threads =
-        static_cast<size_t>(std::max(1, config_.ingest_threads));
     // Bucket by item id: per-item order is preserved because each item's
     // events run on exactly one bucket, in schedule order.
-    ParallelFor(threads, 1, [&](size_t begin, size_t end) {
+    ParallelFor(kIngestThreads, 1, [&](size_t begin, size_t end) {
       for (size_t b = begin; b < end; ++b) {
         for (size_t i = 0; i < n; ++i) {
           const serving::IngestEvent& e = op.events[i];
-          if (static_cast<uint64_t>(e.item_id) % threads != b) continue;
+          if (static_cast<uint64_t>(e.item_id) % kIngestThreads != b) continue;
           got[i] = service_.Ingest(e.item_id, e.type, e.time).code();
         }
       }
@@ -541,12 +548,16 @@ class Execution {
     return "";
   }
 
+  /// Damages one committed file, each choice taken from the op's pick: the
+  /// file, a byte offset in it, and the damage -- the byte flipped, the
+  /// file cut there, or a newline appended (which a parser that skips
+  /// whitespace would not notice).
   std::string DoCorrupt(const Op& op) {
     if (!committed_.exists) return "";  // nothing committed yet: no-op
     const std::string name = TrimWs(CurrentPointer());
     std::vector<std::string> files;
     files.push_back(scratch_dir_ + "/" + name + "/MANIFEST");
-    for (int sh = 0; sh < config_.num_shards; ++sh) {
+    for (int sh = 0; sh < kNumShards; ++sh) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "shard-%04d", sh);
       files.push_back(scratch_dir_ + "/" + name + "/" + buf);
@@ -559,7 +570,11 @@ class Execution {
     }
     const size_t at =
         static_cast<size_t>((op.corrupt_pick / 7919) % raw->size());
-    (*raw)[at] = static_cast<char>((*raw)[at] ^ 0xFF);
+    switch ((op.corrupt_pick >> 40) % 3) {
+      case 0: (*raw)[at] = static_cast<char>((*raw)[at] ^ 0xFF); break;
+      case 1: raw->resize(at); break;
+      default: raw->push_back('\n'); break;
+    }
     std::ofstream out(target, std::ios::binary | std::ios::trunc);
     out.write(raw->data(), static_cast<std::streamsize>(raw->size()));
     out.close();
@@ -730,7 +745,6 @@ class Execution {
   }
 
   const SimContext& context_;
-  const SimConfig& config_;
   std::string scratch_dir_;
   obs::MetricsRegistry registry_;
   serving::ServiceConfig service_config_;
@@ -749,13 +763,15 @@ class Execution {
 
 }  // namespace
 
-SimContext BuildSimContext(const SimContextConfig& config) {
+SimContext BuildSimContext() {
+  const std::vector<double> reference_horizons = {6 * kHour, 1 * kDay};
+  constexpr int kNumTrees = 20;
   SimContext context;
   datagen::GeneratorConfig gen;
-  gen.num_pages = config.num_pages;
-  gen.num_posts = config.num_posts;
-  gen.base_mean_size = config.base_mean_size;
-  gen.seed = config.dataset_seed;
+  gen.num_pages = 20;
+  gen.num_posts = 90;
+  gen.base_mean_size = 50.0;
+  gen.seed = 991;
   context.dataset = datagen::Generator(gen).Generate();
   context.extractor =
       std::make_unique<features::FeatureExtractor>(stream::TrackerConfig{});
@@ -763,13 +779,13 @@ SimContext BuildSimContext(const SimContextConfig& config) {
   std::vector<size_t> indices(context.dataset.cascades.size());
   for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   core::ExampleSetOptions options;
-  options.reference_horizons = config.reference_horizons;
+  options.reference_horizons = reference_horizons;
   const auto examples = core::BuildExampleSet(context.dataset, indices,
                                               *context.extractor, options);
   core::HawkesPredictorParams params;
-  params.reference_horizons = config.reference_horizons;
-  params.gbdt_count.num_trees = config.num_trees;
-  params.gbdt_alpha.num_trees = config.num_trees;
+  params.reference_horizons = reference_horizons;
+  params.gbdt_count.num_trees = kNumTrees;
+  params.gbdt_alpha.num_trees = kNumTrees;
   context.model = std::make_unique<core::HawkesPredictor>(params);
   context.model->Fit(examples.x, examples.log1p_increments,
                      examples.alpha_targets);
@@ -806,7 +822,7 @@ SimReport Simulator::Execute(const OpSchedule& schedule) {
   std::ostringstream dir;
   dir << config_.scratch_dir << "/horizon-sim-" << ::getpid() << "-"
       << schedule.seed << "-" << runs_++;
-  Execution execution(*context_, config_, dir.str());
+  Execution execution(*context_, dir.str());
   SimReport report = execution.Run(schedule);
   report.trace = FormatTrace(schedule);
   return report;
@@ -816,7 +832,7 @@ SimReport Simulator::Run(uint64_t seed) {
   OpSchedule schedule =
       GenerateOpSchedule(context_->dataset, config_.schedule, seed);
   SimReport report = Execute(schedule);
-  if (!report.ok && config_.minimize_on_failure && report.failed_op >= 0) {
+  if (!report.ok && report.failed_op >= 0) {
     const OpSchedule minimized = MinimizedSchedule(schedule, report.failed_op);
     report.minimized_trace = FormatTrace(minimized);
   }
@@ -829,10 +845,10 @@ OpSchedule Simulator::MinimizedSchedule(const OpSchedule& schedule,
   // the failing op, then repeatedly try dropping chunks (halving the
   // chunk size) as long as SOME failure still reproduces, re-truncating
   // to the new failing op after every successful removal.  Deterministic,
-  // bounded by max_minimize_runs re-executions.
+  // bounded by kMaxMinimizeRuns re-executions.
   OpSchedule current = schedule;
   current.ops.resize(static_cast<size_t>(failed_op) + 1);
-  int budget = config_.max_minimize_runs;
+  int budget = kMaxMinimizeRuns;
 
   const auto still_fails = [&](const OpSchedule& trial, int* failed) {
     --budget;

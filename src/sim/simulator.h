@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/hawkes_predictor.h"
 #include "datagen/generator.h"
@@ -24,19 +23,6 @@
 #include "sim/op_schedule.h"
 
 namespace horizon::sim {
-
-/// Knobs for the shared simulation inputs (dataset + trained model).
-/// Deliberately small: the model's ACCURACY is irrelevant here -- the
-/// harness checks that two implementations of the same math agree, so a
-/// 20-tree model over 90 cascades gives full coverage at test speed.
-struct SimContextConfig {
-  int num_pages = 20;
-  int num_posts = 90;
-  double base_mean_size = 50.0;
-  uint64_t dataset_seed = 991;
-  std::vector<double> reference_horizons{6 * kHour, 1 * kDay};
-  int num_trees = 20;
-};
 
 /// The expensive shared inputs, built ONCE and reused across every seed
 /// and fault schedule; the per-run seed drives only the op schedule.
@@ -47,23 +33,18 @@ struct SimContext {
 };
 
 /// Generates the dataset and trains the model.  Deterministic.
-SimContext BuildSimContext(const SimContextConfig& config = {});
+/// Deliberately small: the model's ACCURACY is irrelevant here -- the
+/// harness checks that two implementations of the same math agree, so a
+/// 20-tree model over 90 cascades gives full coverage at test speed.
+SimContext BuildSimContext();
 
-/// Per-simulator knobs.  The service is deliberately configured unlike
-/// production defaults (few shards, short retirement age) so shard
+/// Per-simulator knobs.  The service under test is configured unlike
+/// production defaults (5 shards, an 8-hour retirement age) so shard
 /// collisions and retirement fire within a short simulated horizon.
 struct SimConfig {
   ScheduleConfig schedule;
-  int num_shards = 5;
-  double idle_retirement_age = 8 * kHour;
-  double death_probability_threshold = 0.995;
   /// Parent directory for per-run checkpoint scratch space.
   std::string scratch_dir = "/tmp";
-  /// Threads driving the kIngest concurrent-ingest phase.
-  int ingest_threads = 4;
-  bool minimize_on_failure = true;
-  /// Re-execution budget of the trace minimizer.
-  int max_minimize_runs = 64;
 };
 
 /// Outcome of one simulation run.  Deterministic: a seed always produces
@@ -114,9 +95,8 @@ class Simulator {
 
   /// Greedy delta-debugging: given a schedule whose op `failed_op` fails,
   /// returns a shorter schedule that still fails (ending at its failing
-  /// op).  Deterministic; bounded by SimConfig::max_minimize_runs
-  /// re-executions.  Public so tests can exercise it on hand-built
-  /// failing traces.
+  /// op).  Deterministic; bounded by 64 re-executions.  Public so tests
+  /// can exercise it on hand-built failing traces.
   OpSchedule MinimizedSchedule(const OpSchedule& schedule, int failed_op);
 
  private:

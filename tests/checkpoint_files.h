@@ -32,8 +32,8 @@ inline std::string CommittedCheckpoint(const std::string& dir) {
   return dir + "/" + pointer;
 }
 
-/// A `shard v3` payload: its header lines ("shard v3", the item count)
-/// and per item its id line, static-record line and tracker blob.
+/// A `shard v4` payload: its header line ("shard v4") and per item its id
+/// line, static-record line and tracker blob.
 struct ShardText {
   struct Record {
     std::string id, statics, blob;
@@ -52,13 +52,13 @@ struct ShardText {
   }
 };
 
-/// The parts of the `shard v3` payload `payload`; fails the test unless
+/// The parts of the `shard v4` payload `payload`; fails the test unless
 /// they join back into `payload`.
 inline ShardText SplitShard(const std::string& payload) {
   ShardText text;
   std::istringstream in(payload);
   std::string line;
-  for (int i = 0; i < 2 && std::getline(in, line); ++i) text.header += line + "\n";
+  if (std::getline(in, line)) text.header = line + "\n";
   ShardText::Record record;
   size_t bytes = 0;
   while (std::getline(in, record.id) && std::getline(in, record.statics) && in >> bytes) {
@@ -67,14 +67,15 @@ inline ShardText SplitShard(const std::string& payload) {
     in.read(record.blob.data(), static_cast<std::streamsize>(bytes));
     text.records.push_back(record);
   }
-  EXPECT_EQ(text.Join(), payload) << "not a shard v3 payload";
+  EXPECT_EQ(text.Join(), payload) << "not a shard v4 payload";
   return text;
 }
 
 /// Re-frames the shard files of the committed checkpoint under `dir` whose
 /// payload `edit` changes, with fresh CRCs in each file and in the
 /// manifest entry that vouches for it: what a re-framed (rather than torn)
-/// shard file holds.  Every payload handed to `edit` is a shard v3 one.
+/// shard file holds.  Every payload handed to `edit` is a shard v4 one;
+/// the manifest keeps each file's item count.
 /// Stops after the first edited shard unless `every_shard`; returns how
 /// many shards it rewrote.
 inline size_t ReframeShards(const std::string& dir,
@@ -86,7 +87,7 @@ inline size_t ReframeShards(const std::string& dir,
   for (const std::string& name : io::ListDir(ckpt)) {
     if (name.rfind("shard-", 0) != 0) continue;
     std::string payload = FramedPayload(ckpt + "/" + name);
-    EXPECT_EQ(payload.rfind("shard v3\n", 0), 0u) << name;
+    EXPECT_EQ(payload.rfind("shard v4\n", 0), 0u) << name;
     if (!edit(&payload)) continue;
     const std::string framed = io::WrapCrcFrame(payload);
     EXPECT_TRUE(io::WriteFileAtomic(ckpt + "/" + name, framed).ok());
@@ -104,7 +105,7 @@ inline size_t ReframeShards(const std::string& dir,
     size_t bytes = 0, items = 0;
     entry >> file >> crc >> bytes >> items;
     manifest.replace(at, end - at,
-                     name + " " + std::to_string(io::Crc32(framed)) + " " +
+                     name + " " + std::to_string(io::Crc32(payload)) + " " +
                          std::to_string(framed.size()) + " " +
                          std::to_string(items));
     EXPECT_TRUE(

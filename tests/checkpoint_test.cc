@@ -589,12 +589,11 @@ TEST_F(CheckpointTest, RestoreRejectsCorruptedShardFile) {
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
 }
 
-// Restore checks each shard file's frame and derives the file's CRC,
-// which the manifest vouches for, from the frame's in one pass over the
-// bytes.  A validly framed shard file of another checkpoint, copied in
-// with the manifest left as it was, is still refused: the two services
-// hold the same items, created at 1 s and at 2 s, so their shard files
-// are as long and differ only in each tracker's creation time.
+// Restore checks each shard file's frame, whose CRC the manifest lists
+// for the file.  A validly framed shard file of another checkpoint,
+// copied in with the manifest left as it was, is still refused: the two
+// services hold the same items, created at 1 s and at 2 s, so their shard
+// files are as long and differ only in each tracker's creation time.
 TEST_F(CheckpointTest, RestoreRejectsAShardFileFromAnotherCheckpoint) {
   ServiceConfig config;
   config.num_shards = 2;
@@ -708,6 +707,31 @@ TEST_F(CheckpointTest, RestoreRejectsAnItemIdListedTwice) {
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
   EXPECT_EQ(restored.LiveItems(), 3u);
   ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+}
+
+// A re-framed shard can carry bytes after its last record, where the
+// manifest's count of records stops.  Restore used to read that many
+// records and never look further, so each of these restored all 48
+// items; it must refuse the checkpoint with kCorruption and leave the
+// service untouched.
+TEST_F(CheckpointTest, RestoreRejectsReframedShardWithBytesAfterTheLastRecord) {
+  PredictionService source = MakeService();
+  Load(&source, kItems, kAge);
+  for (const std::string extra : {"7\n", "garbage\n", "1\n2 3 4\n"}) {
+    SCOPED_TRACE(extra);
+    ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+    ASSERT_TRUE(ReframeShard(Dir(), [&](std::string* payload) {
+      *payload += extra;
+      return true;
+    }));
+    PredictionService restored = MakeService();
+    Load(&restored, 3, kAge);
+    const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+    const Status status = restored.Restore(Dir());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(restored.LiveItems(), 3u);
+    ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+  }
 }
 
 // A re-framed shard whose view stream carries an EWMA rate of 1e300: a
@@ -850,7 +874,7 @@ bool ReframeFirstStatics(const std::string& dir,
   });
 }
 
-// A shard v3 item's static features are one line of kNumStaticFloats
+// A shard v4 item's static features are one line of kNumStaticFloats
 // finite floats and the two one-hot indices.  A line with a non-finite or
 // out-of-range value, or with a value missing or one too many, fails
 // Restore with kCorruption and leaves the service untouched.
@@ -889,7 +913,7 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithBadStaticFeatures) {
   }
 }
 
-// A shard v3 record ends with the media type's and the page category's
+// A shard v4 record ends with the media type's and the page category's
 // one-hot groups as the index of their 1, or 255 (kNoneHot) for a group
 // of all 0s.  A re-framed record whose index is at or above its group's
 // size, other than 255, or is no index at all, fails Restore with
@@ -960,12 +984,44 @@ TEST_F(CheckpointTest, RestoreRejectsReframedShardWithMalformedOneHotGroup) {
   EXPECT_EQ(found, 1u);
 }
 
-// Restore reads one format: shard files `shard v3` holding `trk v2`
-// blobs.  A checkpoint written before them, a `shard v2` file of
-// 32-value static records and `trk v1` blobs, gets kCorruption, as does
-// a v3 file holding a `trk v1` blob, and the service is left untouched.
-// So does a manifest with the `qforest <crc> <size>` line that
-// checkpoints carried while the service kept quantized forests.
+/// Rewrites the checkpoint committed under `dir` as it was written before
+/// `shard v4`: each shard file `shard v3`, its item count on the line
+/// after the header, zero-padded to 20 digits, and framed with a padded
+/// size; the manifest `manifest v1`, listing each file by the CRC of the
+/// whole file.
+void RewriteAsShardV3(const std::string& dir) {
+  const std::string ckpt = CommittedCheckpoint(dir);
+  std::istringstream lines(FramedPayload(ckpt + "/MANIFEST"));
+  std::string manifest;
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream entry(line);
+    std::string name;
+    uint32_t crc = 0;
+    size_t bytes = 0, items = 0;
+    if (line.rfind("shard-", 0) == 0 && entry >> name >> crc >> bytes >> items) {
+      const std::string payload = FramedPayload(ckpt + "/" + name);
+      char count[32], header[64];
+      std::snprintf(count, sizeof(count), "%020zu\n", items);
+      const std::string v3 = "shard v3\n" + std::string(count) + payload.substr(9);
+      std::snprintf(header, sizeof(header), "hzf1 %020zu %08x\n", v3.size(),
+                    io::Crc32(v3));
+      const std::string file = header + v3;
+      EXPECT_TRUE(io::WriteFileAtomic(ckpt + "/" + name, file).ok());
+      line = name + " " + std::to_string(io::Crc32(file)) + " " +
+             std::to_string(file.size()) + " " + std::to_string(items);
+    }
+    manifest += (line == "manifest v2" ? "manifest v1" : line) + "\n";
+  }
+  EXPECT_TRUE(io::WriteFileAtomic(ckpt + "/MANIFEST", io::WrapCrcFrame(manifest)).ok());
+}
+
+// Restore reads one format: a `manifest v2` over `shard v4` files holding
+// `trk v2` blobs.  A checkpoint written before them gets kCorruption and
+// leaves the service untouched: a `shard v2` file of 32-value static
+// records and `trk v1` blobs, a v4 file holding a `trk v1` blob, a
+// manifest with the `qforest <crc> <size>` line that checkpoints carried
+// while the service kept quantized forests, and a `manifest v1` over
+// `shard v3` files that carry their item count.
 TEST_F(CheckpointTest, RestoreReadsOnlyTheCurrentFormats) {
   ServiceConfig config;
   config.num_shards = 1;
@@ -985,6 +1041,16 @@ TEST_F(CheckpointTest, RestoreReadsOnlyTheCurrentFormats) {
   for (size_t i = 0; i < features::kNumStaticFeatures; ++i) {
     statics_v2 += i == 0 ? "0" : " 0";
   }
+  // Restores the committed checkpoint into a service holding 3 items.
+  const auto expect_refused = [&] {
+    PredictionService restored = MakeService(config);
+    Load(&restored, 3, kAge);
+    const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
+    const Status status = restored.Restore(Dir());
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(restored.LiveItems(), 3u);
+    ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+  };
   const struct {
     const char* what;
     std::function<std::string(const std::string&)> payload;
@@ -993,9 +1059,9 @@ TEST_F(CheckpointTest, RestoreReadsOnlyTheCurrentFormats) {
        [&](const std::string&) {
          return ShardText{"shard v2\n1\n", {{"7", statics_v2, trk_v1}}}.Join();
        }},
-      {"shard v3 of trk v1",
-       [&](const std::string& v3) {
-         ShardText shard = SplitShard(v3);
+      {"shard v4 of trk v1",
+       [&](const std::string& v4) {
+         ShardText shard = SplitShard(v4);
          shard.records.at(0).blob = trk_v1;
          return shard.Join();
        }},
@@ -1007,13 +1073,7 @@ TEST_F(CheckpointTest, RestoreReadsOnlyTheCurrentFormats) {
       *payload = c.payload(*payload);
       return true;
     }));
-    PredictionService restored = MakeService(config);
-    Load(&restored, 3, kAge);
-    const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
-    const Status status = restored.Restore(Dir());
-    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
-    EXPECT_EQ(restored.LiveItems(), 3u);
-    ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+    expect_refused();
   }
 
   ASSERT_TRUE(source.Checkpoint(Dir()).ok());
@@ -1026,13 +1086,12 @@ TEST_F(CheckpointTest, RestoreReadsOnlyTheCurrentFormats) {
                                                    "qforest 17 4\n" +
                                                    manifest.substr(windows)))
                   .ok());
-  PredictionService restored = MakeService(config);
-  Load(&restored, 3, kAge);
-  const auto before = Snapshot(restored, 3, kAge, 1 * kDay);
-  const Status status = restored.Restore(Dir());
-  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
-  EXPECT_EQ(restored.LiveItems(), 3u);
-  ExpectIdentical(Snapshot(restored, 3, kAge, 1 * kDay), before);
+  expect_refused();
+
+  SCOPED_TRACE("manifest v1 of shard v3");
+  ASSERT_TRUE(source.Checkpoint(Dir()).ok());
+  RewriteAsShardV3(Dir());
+  expect_refused();
 }
 
 /// Replaces the MANIFEST of the committed checkpoint under `dir` with a
@@ -1055,7 +1114,7 @@ TEST_F(CheckpointTest, RestoreRejectsManifestTokensOfTheNewlyRejectedClasses) {
   Load(&source, kItems, kAge);
   ASSERT_TRUE(source.Checkpoint(Dir()).ok());
   const std::string manifest = FramedPayload(CommittedCheckpoint(Dir()) + "/MANIFEST");
-  ASSERT_EQ(manifest.rfind("manifest v1\nepoch 1\nmodel ", 0), 0u);
+  ASSERT_EQ(manifest.rfind("manifest v2\nepoch 1\nmodel ", 0), 0u);
   const auto replace = [&](const std::string& from, const std::string& to) {
     const size_t at = manifest.find(from);
     EXPECT_NE(at, std::string::npos) << from;
@@ -1091,11 +1150,11 @@ TEST_F(CheckpointTest, RestoreRejectsAManifestEpochOtherThanItsDirectorys) {
   Load(&source, kItems, kAge);
   ASSERT_TRUE(source.Checkpoint(Dir()).ok());
   const std::string manifest = FramedPayload(CommittedCheckpoint(Dir()) + "/MANIFEST");
-  const std::string head = "manifest v1\nepoch 1\n";
+  const std::string head = "manifest v2\nepoch 1\n";
   ASSERT_EQ(manifest.rfind(head, 0), 0u);
   for (const char* epoch : {"0", "2", "18446744073709551615"}) {
     SCOPED_TRACE(epoch);
-    ReframeManifest(Dir(), "manifest v1\nepoch " + std::string(epoch) + "\n" +
+    ReframeManifest(Dir(), "manifest v2\nepoch " + std::string(epoch) + "\n" +
                                manifest.substr(head.size()));
     PredictionService restored = MakeService();
     Load(&restored, 3, kAge);
@@ -1225,29 +1284,37 @@ TEST_F(CheckpointTest, ScanRanksTiedItemsById) {
   }
 }
 
-/// The ids of the records of the `shard v3` payload `payload`, in file
-/// order; fails the test unless the item count before them equals the
-/// number of records that follow it.
+/// The ids of the records of the `shard v4` payload `payload`, in file
+/// order.
 std::vector<int64_t> ShardRecordIds(const std::string& payload) {
   const ShardText shard = SplitShard(payload);
-  std::istringstream header(shard.header);
-  std::string magic, version;
-  size_t count = 0;
-  EXPECT_TRUE(header >> magic >> version >> count);
-  EXPECT_EQ(magic + " " + version, "shard v3");
+  EXPECT_EQ(shard.header, "shard v4\n");
   std::vector<int64_t> ids;
   for (const ShardText::Record& record : shard.records) {
     ids.push_back(std::stoll(record.id));
   }
-  EXPECT_EQ(ids.size(), count) << "records after the count";
   return ids;
 }
 
-// Shard files stream with the frame size and the item count zero-padded
-// to 20 digits.  Both read back as ordinary integers: a checkpoint
-// re-framed with both unpadded ("hzf1 1234 <crc>", "shard v3\n48\n")
-// restores to bit-identical answers.
-TEST_F(CheckpointTest, RestoresUnpaddedSizesAndCountsBitIdentically) {
+/// The item count the manifest of the checkpoint `ckpt` lists for its
+/// shard file `name`.
+size_t ManifestItems(const std::string& ckpt, const std::string& name) {
+  std::istringstream manifest(FramedPayload(ckpt + "/MANIFEST"));
+  for (std::string line; std::getline(manifest, line);) {
+    std::istringstream entry(line);
+    std::string file;
+    uint32_t crc = 0;
+    size_t bytes = 0, items = 0;
+    if (entry >> file >> crc >> bytes >> items && file == name) return items;
+  }
+  ADD_FAILURE() << name << " has no manifest entry";
+  return 0;
+}
+
+// Shard files stream with the frame size zero-padded to 20 digits.  It
+// reads back as an ordinary integer: a checkpoint re-framed unpadded
+// ("hzf1 1234 <crc>") restores to bit-identical answers.
+TEST_F(CheckpointTest, RestoresUnpaddedFrameSizesBitIdentically) {
   PredictionService source = MakeService();
   Load(&source, kItems, kAge);
   ASSERT_TRUE(source.Checkpoint(Dir()).ok());
@@ -1259,20 +1326,12 @@ TEST_F(CheckpointTest, RestoresUnpaddedSizesAndCountsBitIdentically) {
     ASSERT_GT(file.size(), 35u);
     EXPECT_EQ(file.substr(0, 5), "hzf1 ");
     EXPECT_EQ(file.find_first_not_of("0123456789", 5), 25u) << name;
-    const std::string payload = FramedPayload(ckpt + "/" + name);
-    EXPECT_EQ(payload.find_first_not_of("0123456789", 9), 29u) << name;
-    records += ShardRecordIds(payload).size();
+    records += ShardRecordIds(FramedPayload(ckpt + "/" + name)).size();
   }
   EXPECT_EQ(records, static_cast<size_t>(kItems));
 
-  // "shard v3\n" and the count's 20 digits, then its newline.
-  const size_t shards = ReframeShards(
-      Dir(),
-      [](std::string* payload) {
-        payload->replace(9, 20, std::to_string(std::stoull(payload->substr(9, 20))));
-        return true;
-      },
-      /*every_shard=*/true);
+  const size_t shards =
+      ReframeShards(Dir(), [](std::string*) { return true; }, /*every_shard=*/true);
   ASSERT_EQ(shards, static_cast<size_t>(source.num_shards()));
   const std::string reframed = io::ReadFile(ckpt + "/shard-0000").value();
   ASSERT_EQ(reframed.substr(0, reframed.find('\n') + 1),
@@ -1290,9 +1349,9 @@ TEST_F(CheckpointTest, RestoresUnpaddedSizesAndCountsBitIdentically) {
 
 // Scans and checkpoints run while other threads register, ingest and
 // retire.  A scan lists each shard's ids once, so no id comes back twice;
-// a checkpoint skips an id retired mid-way, so each shard file's count
-// equals the records that follow it, no id is listed twice, and every
-// checkpoint restores.
+// a checkpoint skips an id retired mid-way, so each shard file holds the
+// count of records its manifest entry lists, no id is listed twice, and
+// every checkpoint restores.
 TEST_F(CheckpointTest, ScansAndCheckpointsRaceRegistrationIngestAndRetirement) {
   ServiceConfig config;
   config.num_shards = 4;
@@ -1356,7 +1415,9 @@ TEST_F(CheckpointTest, ScansAndCheckpointsRaceRegistrationIngestAndRetirement) {
     std::set<int64_t> listed;
     for (const std::string& name : io::ListDir(ckpt)) {
       if (name.rfind("shard-", 0) != 0) continue;
-      for (const int64_t id : ShardRecordIds(FramedPayload(ckpt + "/" + name))) {
+      const std::vector<int64_t> ids = ShardRecordIds(FramedPayload(ckpt + "/" + name));
+      EXPECT_EQ(ids.size(), ManifestItems(ckpt, name)) << name;
+      for (const int64_t id : ids) {
         EXPECT_TRUE(listed.insert(id).second) << "item " << id << " listed twice";
       }
     }
@@ -1446,12 +1507,14 @@ TEST_F(CheckpointTest, CheckpointWhileServingKeepsWorking) {
 // model's file, model.hwk, beside the manifest, in `shard v2` files of
 // `trk v1` blobs; it was converted once to `shard v3` / `trk v2` by
 // restoring it with the reader of those formats and checkpointing it
-// again, on 2 shards, with the writer of these.  Its model.hwk and the
-// answers recorded from the service that first wrote it were kept as
-// they were.  It pins, with no training: the model codec (model.hwk's
-// payload reads and writes back byte for byte); that the checkpoint
-// restores, model.hwk ignored; the recorded answers, bit for bit; and
-// the manifest and shard writers' bytes.
+// again, on 2 shards, with the writer of these, and once more to
+// `manifest v2` / `shard v4` by cutting each shard payload's count line,
+// re-framing it and listing its new CRC and size in the manifest.  Its
+// model.hwk and the answers recorded from the service that first wrote
+// it were kept as they were.  It pins, with no training: the model codec
+// (model.hwk's payload reads and writes back byte for byte); that the
+// checkpoint restores, model.hwk ignored; the recorded answers, bit for
+// bit; and the manifest and shard writers' bytes.
 const std::string kGoldenCheckpoint =
     std::string(HORIZON_TEST_DATA_DIR) + "/golden_checkpoint";
 

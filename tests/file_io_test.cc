@@ -73,8 +73,8 @@ TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLength) {
   }
 }
 
-// Crc32(Crc32(a), b) is the CRC of a followed by b, so the CRC of a framed
-// file comes from its header and payload without joining them.
+// Crc32(Crc32(a), b) is the CRC of a followed by b, so a payload streamed
+// in pieces is CRC'd piece by piece.
 TEST(Crc32Test, ContinuationIsTheCrcOfTheConcatenation) {
   Rng rng(0xC4C33);
   std::string bytes(300, '\0');
@@ -86,35 +86,6 @@ TEST(Crc32Test, ContinuationIsTheCrcOfTheConcatenation) {
   }
   EXPECT_EQ(Crc32(0, "123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(Crc32("1234"), ""), Crc32("1234"));
-}
-
-// Crc32Combine gives the CRC of a followed by b from the two CRCs and b's
-// length: on random buffers of every length from 0 to 4096, split at a
-// random point, it equals the Crc32(prev, data) continuation.
-TEST(Crc32Test, CombineEqualsTheContinuationAtEverySplitLength) {
-  Rng rng(0xC4C34);
-  std::string bytes(4096, '\0');
-  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(256));
-  for (size_t len = 0; len <= bytes.size(); ++len) {
-    const std::string_view all(bytes.data(), len);
-    const size_t split = rng.UniformInt(len + 1);
-    const std::string_view a = all.substr(0, split);
-    const std::string_view b = all.substr(split);
-    ASSERT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), Crc32(Crc32(a), b))
-        << "length " << len << ", split at " << split;
-  }
-  EXPECT_EQ(Crc32Combine(Crc32("1234"), Crc32("56789"), 5), 0xCBF43926u);
-  EXPECT_EQ(Crc32Combine(0x12345678u, Crc32(""), 0), 0x12345678u);
-  // Lengths no buffer here reaches: combining a, b, c in either grouping
-  // gives one CRC only if the shift by len_b + len_c is the shift by len_b
-  // after the shift by len_c, up to the table's last entries.
-  for (const uint64_t len_b : {uint64_t{1} << 32, (uint64_t{1} << 62) + 5}) {
-    const uint64_t len_c = (uint64_t{1} << 62) + 7;
-    const uint32_t a = 0x9E3779B9u, b = 0x7F4A7C15u, c = 0xF39CC060u;
-    EXPECT_EQ(Crc32Combine(Crc32Combine(a, b, len_b), c, len_c),
-              Crc32Combine(a, Crc32Combine(b, c, len_c), len_b + len_c))
-        << "len_b " << len_b;
-  }
 }
 
 TEST(Crc32Test, SensitiveToEveryBit) {
@@ -247,28 +218,27 @@ std::string PaddedFrame(const std::string& payload) {
   return header + payload;
 }
 
-// UnwrapCrcFrame's frame CRC, combined from the header line's and the
-// payload's, is the CRC of the whole frame, padded or not.
-TEST(CrcFrameTest, FrameCrcIsTheCrcOfTheWholeFrame) {
+// The CRC UnwrapCrcFrame returns is the one the header holds, the
+// payload's, whether the size is padded or not.
+TEST(CrcFrameTest, ReturnedCrcIsThePayloadCrc) {
   Rng rng(0xF4A4);
   std::string random(5000, '\0');
   for (char& c : random) c = static_cast<char>(rng.UniformInt(256));
   for (const std::string& payload :
-       {std::string(), std::string("x"), std::string("shard v2\n0\n"), random}) {
+       {std::string(), std::string("x"), std::string("shard v4\n"), random}) {
     for (const std::string& frame : {WrapCrcFrame(payload), PaddedFrame(payload)}) {
       uint32_t crc = 0;
       const auto back = UnwrapCrcFrame(frame, &crc);
       ASSERT_TRUE(back.ok());
       EXPECT_EQ(*back, payload);
-      EXPECT_EQ(crc, Crc32(frame)) << frame.substr(0, frame.find('\n'));
+      EXPECT_EQ(crc, Crc32(payload)) << frame.substr(0, frame.find('\n'));
     }
   }
 }
 
-// A payload streamed in pieces, with the count field between them, lands
-// as one CRC frame whose size and count are zero-padded; the frame reads
-// back through UnwrapCrcFrame, and file_crc() and file_bytes() describe
-// the file on disk.
+// A payload streamed in pieces lands as one CRC frame whose size is
+// zero-padded; the frame reads back through UnwrapCrcFrame, payload_crc()
+// is the CRC its header holds and file_bytes() the size on disk.
 TEST(FramedFileWriterTest, StreamsOneFrameWithPaddedSizeAndCount) {
   const std::string dir = TestDir("writer");
   const std::string path = dir + "/file";
@@ -277,30 +247,29 @@ TEST(FramedFileWriterTest, StreamsOneFrameWithPaddedSizeAndCount) {
   for (char& c : tail) c = static_cast<char>(rng.UniformInt(256));
   {
     FramedFileWriter writer(path);
-    ASSERT_TRUE(writer.Append("shard v2\n").ok());
-    ASSERT_TRUE(writer.AppendCountField().ok());
-    ASSERT_TRUE(writer.Append("\n").ok());
+    ASSERT_TRUE(writer.Append("shard v4\n").ok());
     ASSERT_TRUE(writer.Append("").ok());
     for (size_t at = 0; at < tail.size(); at += 4099) {
       ASSERT_TRUE(writer.Append(std::string_view(tail).substr(at, 4099)).ok());
     }
-    ASSERT_TRUE(writer.Commit(1234567).ok());
-    const std::string payload = "shard v2\n00000000000001234567\n" + tail;
+    ASSERT_TRUE(writer.Commit().ok());
+    const std::string payload = "shard v4\n" + tail;
     const std::string file = ContentsOrMissing(path);
     EXPECT_EQ(file, PaddedFrame(payload));
-    EXPECT_EQ(writer.file_crc(), Crc32(file));
+    EXPECT_EQ(writer.payload_crc(), Crc32(payload));
     EXPECT_EQ(writer.file_bytes(), file.size());
     const auto back = UnwrapCrcFrame(file);
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, payload);
   }
-  // No count field, and an empty payload.
-  for (const char* const payload : {"no count field", ""}) {
+  // One piece, and an empty payload.
+  for (const char* const payload : {"one piece", ""}) {
     FramedFileWriter writer(path);
     ASSERT_TRUE(writer.Append(payload).ok());
-    ASSERT_TRUE(writer.Commit(99).ok());
+    ASSERT_TRUE(writer.Commit().ok());
     EXPECT_EQ(ContentsOrMissing(path), PaddedFrame(payload));
-    EXPECT_EQ(writer.file_crc(), Crc32(PaddedFrame(payload)));
+    EXPECT_EQ(writer.payload_crc(), Crc32(payload));
+    EXPECT_EQ(writer.file_bytes(), PaddedFrame(payload).size());
   }
   EXPECT_FALSE(ReadFile(path + ".tmp").ok());
   RemoveTree(dir);
@@ -311,8 +280,8 @@ TEST(FramedFileWriterTest, FailureSticksAndPublishesNothing) {
   const std::string path = ::testing::TempDir() + "horizon_file_io_missing/dir/file";
   FramedFileWriter writer(path);
   EXPECT_EQ(writer.Append("x").code(), StatusCode::kIoError);
-  EXPECT_EQ(writer.AppendCountField().code(), StatusCode::kIoError);
-  EXPECT_EQ(writer.Commit(1).code(), StatusCode::kIoError);
+  EXPECT_EQ(writer.Append("y").code(), StatusCode::kIoError);
+  EXPECT_EQ(writer.Commit().code(), StatusCode::kIoError);
   EXPECT_FALSE(ReadFile(path).ok());
 }
 
@@ -416,16 +385,14 @@ TEST_F(FaultInjectionTest, TornWriteLeavesTheFirstHalfOfTheBytes) {
   RemoveTree(dir);
 }
 
-/// Streams "<head><count field>\n<tail>" to `path` in 1000-byte pieces.
-Status StreamFrame(const std::string& path, const std::string& tail, uint64_t count) {
+/// Streams "head\n<tail>" to `path` in 1000-byte pieces.
+Status StreamFrame(const std::string& path, const std::string& tail) {
   FramedFileWriter writer(path);
   HORIZON_RETURN_IF_ERROR(writer.Append("head\n"));
-  HORIZON_RETURN_IF_ERROR(writer.AppendCountField());
-  HORIZON_RETURN_IF_ERROR(writer.Append("\n"));
   for (size_t at = 0; at < tail.size(); at += 1000) {
     HORIZON_RETURN_IF_ERROR(writer.Append(std::string_view(tail).substr(at, 1000)));
   }
-  return writer.Commit(count);
+  return writer.Commit();
 }
 
 // The streamed writer keeps WriteFileAtomic's protocol: the same fault
@@ -440,18 +407,17 @@ TEST_F(FaultInjectionTest, StreamedWriterCrashAtEveryPointPreservesOldFile) {
   ASSERT_TRUE(WriteFileAtomic(path, "x").ok());
   const int per_atomic_write = injector.ops_seen();
   injector.ArmCrashAt(1000);
-  ASSERT_TRUE(StreamFrame(path, tail, 7).ok());
+  ASSERT_TRUE(StreamFrame(path, std::string(tail.size(), 'o')).ok());
   EXPECT_EQ(injector.ops_seen(), per_atomic_write);
   injector.Disarm();
   const std::string old_file = ContentsOrMissing(path);
-  const std::string new_file =
-      PaddedFrame("head\n00000000000000000008\n" + tail);
+  const std::string new_file = PaddedFrame("head\n" + tail);
 
   bool succeeded = false;
   int points = 0;
   for (int n = 0; n < 100 && !succeeded; ++n, ++points) {
     injector.ArmCrashAt(n);
-    const bool ok = StreamFrame(path, tail, 8).ok();
+    const bool ok = StreamFrame(path, tail).ok();
     const bool crashed = injector.crashed();
     injector.Disarm();
     const std::string contents = ContentsOrMissing(path);
@@ -471,17 +437,17 @@ TEST_F(FaultInjectionTest, StreamedWriterCrashAtEveryPointPreservesOldFile) {
 }
 
 // A streamed write torn by a crash leaves the first half of the file's
-// final bytes, fields filled in, in the temp file only; it never unwraps.
+// final bytes, header filled in, in the temp file only; it never unwraps.
 TEST_F(FaultInjectionTest, TornStreamedWriteLeavesAPrefixOfTheFrame) {
   const std::string dir = TestDir("stream_torn");
   const std::string path = dir + "/file";
   ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
   const std::string tail(3000, 'q');
   FaultInjector::Global().ArmCrashAt(0);
-  EXPECT_EQ(StreamFrame(path, tail, 12).code(), StatusCode::kIoError);
+  EXPECT_EQ(StreamFrame(path, tail).code(), StatusCode::kIoError);
   FaultInjector::Global().Disarm();
   EXPECT_EQ(ContentsOrMissing(path), "old");
-  const std::string frame = PaddedFrame("head\n00000000000000000012\n" + tail);
+  const std::string frame = PaddedFrame("head\n" + tail);
   const std::string torn = ContentsOrMissing(path + ".tmp");
   EXPECT_EQ(torn, frame.substr(0, frame.size() / 2));
   EXPECT_FALSE(UnwrapCrcFrame(torn).ok());

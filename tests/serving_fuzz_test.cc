@@ -525,7 +525,7 @@ TEST_F(ServingFuzzTest, SeededHostileCallsMatchCleanService) {
 //
 // The CRC frames catch bytes damaged at rest, so only a shard re-framed
 // with valid CRCs around a changed payload reaches the shard and tracker
-// parsers.  Every mutation of a `shard v3` payload -- cut at each line
+// parsers.  Every mutation of a `shard v4` payload -- cut at each line
 // boundary, bits flipped, tokens of its static records and tracker blobs
 // swapped for extreme ones -- restores into a loaded service either Ok or
 // with kCorruption and the service's answers unchanged, and never aborts.

@@ -11,7 +11,6 @@
 //   * the trace minimizer shrinks a hand-built failing schedule to a
 //     still-failing suffix,
 //   * one seed's schedule stays pinned across commits (the golden test).
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -47,15 +46,12 @@ class SimTest : public ::testing::Test {
 
   /// Runs `num_seeds` consecutive seeds and returns the reports, failing
   /// the test on any divergence (with the minimized repro in the message).
-  /// The schedules also scan and sweep below some items' last event, over
-  /// 16 rounds: long enough for an early item's views to idle past the
-  /// 8-hour retirement age before a sweep that must keep it for a late
-  /// reaction still to come.
+  /// Its schedules run 16 rounds: long enough for an early item's views
+  /// to idle past the 8-hour retirement age before a sweep below its last
+  /// event must keep it for a late reaction still to come.
   static std::vector<SimReport> Sweep(const std::string& faults,
                                       uint64_t first_seed, int num_seeds) {
-    SimConfig config = TestConfig(faults, /*rounds=*/16);
-    config.schedule.reads_before_last_event = true;
-    Simulator simulator(context_, config);
+    Simulator simulator(context_, TestConfig(faults, /*rounds=*/16));
     std::vector<SimReport> reports;
     uint64_t skipped = 0, kept = 0;
     for (int i = 0; i < num_seeds; ++i) {
@@ -126,35 +122,6 @@ TEST_F(SimTest, NoFaultScheduleSweep) {
 
 TEST_F(SimTest, MixedFaultScheduleSweep) { Sweep("mixed", 5000, 8); }
 
-// The reads below the last event only add ops: the scans and sweeps, and
-// batches of late reactions.  Without them, a seed's schedule is the one
-// it has with them off.
-TEST_F(SimTest, ReadsBeforeLastEventOnlyAddOps) {
-  const ScheduleConfig off = TestConfig("mixed").schedule;
-  ScheduleConfig on = off;
-  on.reads_before_last_event = true;
-  for (const uint64_t seed : {77u, 6000u}) {
-    OpSchedule with = GenerateOpSchedule(context_->dataset, on, seed);
-    size_t scans = 0, sweeps = 0;
-    std::erase_if(with.ops, [&](const Op& op) {
-      const bool scan = op.kind == OpKind::kScan && op.s < op.time;
-      const bool sweep = op.kind == OpKind::kRetire && op.now < op.time;
-      const bool late_reactions =
-          op.kind == OpKind::kIngestBatch &&
-          std::all_of(op.events.begin(), op.events.end(), [&](const auto& e) {
-            return e.type == stream::EngagementType::kReaction && e.time == op.time;
-          });
-      scans += scan;
-      sweeps += sweep;
-      return scan || sweep || late_reactions;
-    });
-    EXPECT_EQ(scans, static_cast<size_t>(on.rounds));
-    EXPECT_EQ(sweeps, static_cast<size_t>(on.rounds));
-    with.config = off;
-    EXPECT_EQ(FormatTrace(with), FormatTrace(GenerateOpSchedule(context_->dataset, off, seed)));
-  }
-}
-
 // --- Determinism. ------------------------------------------------------
 
 TEST_F(SimTest, SameSeedYieldsIdenticalScheduleAndReport) {
@@ -182,8 +149,8 @@ TEST_F(SimTest, SameSeedYieldsIdenticalScheduleAndReport) {
 // --gtest_filter=SimTest.ScheduleGoldenForSeed77, then paste the printed
 // constants below.
 TEST_F(SimTest, ScheduleGoldenForSeed77) {
-  constexpr uint32_t kTraceCrc = 0x98772314u;
-  constexpr size_t kOps = 99;
+  constexpr uint32_t kTraceCrc = 0x75C15583u;
+  constexpr size_t kOps = 131;
   const OpSchedule schedule =
       GenerateOpSchedule(context_->dataset, TestConfig("mixed").schedule, 77);
   const uint32_t crc = io::Crc32(FormatTrace(schedule));
@@ -206,15 +173,12 @@ TEST_F(SimTest, DifferentSeedsYieldDifferentSchedules) {
 
 TEST_F(SimTest, ScheduleTimesAreMonotone) {
   for (const char* faults : {"none", "crash", "transient", "corrupt", "mixed"}) {
-    for (const bool reads_before_last_event : {false, true}) {
-      ScheduleConfig config = TestConfig(faults).schedule;
-      config.reads_before_last_event = reads_before_last_event;
-      const OpSchedule schedule = GenerateOpSchedule(context_->dataset, config, 9);
-      double prev = 0.0;
-      for (const Op& op : schedule.ops) {
-        EXPECT_GE(op.time, prev) << FormatOp(op) << " (faults=" << faults << ")";
-        prev = op.time;
-      }
+    const OpSchedule schedule =
+        GenerateOpSchedule(context_->dataset, TestConfig(faults).schedule, 9);
+    double prev = 0.0;
+    for (const Op& op : schedule.ops) {
+      EXPECT_GE(op.time, prev) << FormatOp(op) << " (faults=" << faults << ")";
+      prev = op.time;
     }
   }
 }

@@ -472,7 +472,6 @@ int CmdSim(const std::map<std::string, std::string>& flags) {
   config.schedule.rounds = steps;
   config.schedule.num_items = items;
   config.schedule.faults = faults;
-  config.schedule.reads_before_last_event = true;
   const char* tmp = std::getenv("TMPDIR");
   config.scratch_dir = tmp != nullptr ? tmp : "/tmp";
   sim::Simulator simulator(&context, config);
